@@ -168,8 +168,8 @@ def cmd_form(args) -> int:
         except ValueError as exc:
             raise CliError(str(exc))
     elif args.kind == "trace-power":
-        if args.power < 1:
-            raise CliError("--power must be >= 1")
+        if not 1 <= args.power <= f.n:
+            raise CliError(f"--power must lie in 1..{f.n}")
         data = serialize.scalar_form_to_json(trace_power_form(f, args.power))
     else:  # top-factor
         try:
@@ -192,13 +192,20 @@ def cmd_form(args) -> int:
     return 0
 
 
+def _check_tol(args) -> None:
+    if args.tol is not None and not args.tol > 0:
+        raise CliError(f"--tol must be positive, got {args.tol}")
+
+
 def cmd_verify(args) -> int:
+    _check_tol(args)
     report = run_suite(args.suite, _resolve_seed(args), trials=args.trials,
                        tol=args.tol)
     return _emit_report(report, args.json_out)
 
 
 def cmd_torus(args) -> int:
+    _check_tol(args)
     config = None
     if args.input:
         data = _load_json(args.input)

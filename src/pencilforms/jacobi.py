@@ -23,10 +23,10 @@ from itertools import combinations, permutations
 from typing import Dict, Optional, Tuple
 
 from pencilforms.cochains import Cochain, TraceWord
-from pencilforms.forms import MatrixForm, ScalarForm, maurer_cartan
+from pencilforms.forms import MatrixForm, ScalarForm, maurer_cartan, sort_index
 from pencilforms.linalg import MatrixTuple, PolyMatrix, grid_det
 from pencilforms.ring import MultiPoly, RatFn, Scalar
-from pencilforms.transgression import _perm_sign, apply_multilinear
+from pencilforms.transgression import apply_multilinear
 
 
 def s_form(n: int) -> ScalarForm:
@@ -67,7 +67,7 @@ def anchored_trace_power(f: PolyMatrix, m: int,
         for pi in permutations(rest):
             seq = (anchor,) + pi
             val = phi.evaluate([nums[v] for v in seq])
-            if _perm_sign(seq) < 0:
+            if sort_index(seq)[1] < 0:
                 val = -val
             total = val if total is None else total + val
         if total is None or total.is_zero:

@@ -304,6 +304,8 @@ class MatrixTuple:
             norm.append(grid)
         self.mats = tuple(norm)
         self.k = len(self.mats[0])
+        if self.k == 0:
+            raise ValueError("matrices must be nonempty")
         for grid in self.mats:
             if len(grid) != self.k or any(len(r) != self.k for r in grid):
                 raise ValueError("matrices must be square and equally sized")

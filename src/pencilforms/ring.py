@@ -27,7 +27,6 @@ from typing import Iterator, Optional, Sequence, Union
 from pencilforms._core import (
     Q_ONE,
     Q_ZERO,
-    exp_add,
     poly_add,
     poly_mul,
     poly_mul_term,

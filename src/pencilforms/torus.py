@@ -247,14 +247,6 @@ class TorusElement:
         return f"TorusElement('{format_element(self)}')"
 
 
-def torus_mul(x: TorusElement, y: TorusElement) -> TorusElement:
-    return x * y
-
-
-def torus_trace(x: TorusElement):
-    return x.trace()
-
-
 def trace_of_product(x: TorusElement, y: TorusElement):
     """tr(x y) without forming the product.
 
@@ -271,10 +263,6 @@ def trace_of_product(x: TorusElement, y: TorusElement):
         if cy is not None:
             total = total + cx * cy * config.lambda_power(a * b)
     return total
-
-
-def derivation(x: TorusElement, which: int) -> TorusElement:
-    return x.delta(which)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ functionals giving logarithmic derivatives of the linear factors.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -38,15 +37,6 @@ from pencilforms.linalg import MatrixTuple, PolyMatrix
 from pencilforms.ring import MultiPoly, RatFn, Scalar
 
 
-def _perm_sign(seq: Sequence[int]) -> int:
-    sign = 1
-    for a in range(len(seq)):
-        for b in range(a + 1, len(seq)):
-            if seq[a] > seq[b]:
-                sign = -sign
-    return sign
-
-
 def kappa(phi: Cochain, f: PolyMatrix) -> ScalarForm:
     """phi(omega_f,..,omega_f) as a degree-a form, computed by expansion."""
     a = phi.arity
@@ -60,7 +50,7 @@ def kappa(phi: Cochain, f: PolyMatrix) -> ScalarForm:
         total: Optional[MultiPoly] = None
         for pi in permutations(index):
             val = phi.evaluate([nums[v] for v in pi])
-            if _perm_sign(pi) < 0:
+            if sort_index(pi)[1] < 0:
                 val = -val
             total = val if total is None else total + val
         if total is None or total.is_zero:
@@ -70,21 +60,6 @@ def kappa(phi: Cochain, f: PolyMatrix) -> ScalarForm:
         if not coeff.is_zero:
             terms[index] = coeff
     return ScalarForm(n, a, terms)
-
-
-@dataclass(frozen=True)
-class KappaResult:
-    form: ScalarForm
-    subset_count: int
-    permutation_count: int
-
-
-def kappa_result(phi: Cochain, f: PolyMatrix) -> KappaResult:
-    form = kappa(phi, f)
-    return KappaResult(form=form,
-                       subset_count=math.comb(f.n, phi.arity)
-                       if phi.arity <= f.n else 0,
-                       permutation_count=math.factorial(phi.arity))
 
 
 def apply_multilinear(phi: Cochain, forms: Sequence[MatrixForm]) -> ScalarForm:

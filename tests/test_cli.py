@@ -127,7 +127,7 @@ def test_env_seed_default():
     assert with_env.stdout == explicit.stdout
 
 
-def test_parse_error_exit_codes(tmp_path):
+def test_parse_error_exit_codes(tmp_path, units_file):
     r = run_cli("spectrum", "--input", str(tmp_path / "missing.json"))
     assert r.returncode == 2
     assert "missing.json" in r.stderr
@@ -146,6 +146,19 @@ def test_parse_error_exit_codes(tmp_path):
 
     r = run_cli("verify", "--suite", "unknown")
     assert r.returncode == 2
+
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"matrices": [[]]}')
+    for argv in (("spectrum", "--input", str(empty)),
+                 ("form", "--input", str(empty), "--kind", "mc"),
+                 ("form", "--input", units_file, "--kind", "trace-power",
+                  "--power", "5"),
+                 ("torus", "--check", "factorization", "--tol", "0"),
+                 ("torus", "--check", "factorization", "--tol", "-1")):
+        r = run_cli(*argv)
+        assert r.returncode == 2, argv
+        assert r.stderr.startswith("error: "), argv
+        assert r.stderr.count("\n") == 1, argv
 
 
 def test_check_failure_exit_code():

@@ -2,9 +2,13 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from pencilforms import _core
+from pencilforms._core import (Q_ONE, poly_add, poly_mul, qadd, qinv, qmul,
+                               qneg, qnorm)
 from pencilforms.ring import CycloElement, I, MultiPoly, RatFn, Scalar
 
 
@@ -305,27 +309,141 @@ def test_ratfn_as_polynomial():
     assert RatFn.over_power(MultiPoly.variable(4, 1), det, 1).as_polynomial() is None
 
 
-# -- kernel backend parity ----------------------------------------------------
+# -- kernel against a Fraction reference -------------------------------------
 
 
-def test_backends_agree():
-    from pencilforms import _core_py
+def _ref(c):
+    return Fraction(c[0], c[1]), Fraction(c[2], c[3])
 
-    try:
-        from pencilforms import _core_cy
-    except ImportError:
-        pytest.skip("compiled kernel not built")
+
+def _ref_add(x, y):
+    return x[0] + y[0], x[1] + y[1]
+
+
+def _ref_mul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _ref_poly_add(p, q):
+    out = dict(p)
+    for e, c in q.items():
+        s = _ref_add(out[e], c) if e in out else c
+        if s == (0, 0):
+            del out[e]
+        else:
+            out[e] = s
+    return out
+
+
+def _ref_poly_mul(p, q):
+    """Schoolbook product; a cancelled sum leaves the dict at once."""
+    if len(p) > len(q):
+        p, q = q, p
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            out = _ref_poly_add(out, {tuple(a + b for a, b in zip(e1, e2)):
+                                      _ref_mul(c1, c2)})
+    return out
+
+
+def _rand_q4(rng, dens):
+    while True:
+        re = Fraction(rng.randint(-5, 5), rng.choice(dens))
+        im = Fraction(rng.randint(-5, 5), rng.choice(dens)) \
+            if rng.random() < 0.6 else Fraction(0)
+        if re or im:
+            return (re.numerator, re.denominator, im.numerator, im.denominator)
+
+
+def _rand_kernel_poly(rng, dens, nterms):
+    return {tuple(rng.randint(0, 2) for _ in range(3)): _rand_q4(rng, dens)
+            for _ in range(nterms)}
+
+
+def _check_lowest(c):
+    an, ad, bn, bd = c
+    assert ad > 0 and bd > 0
+    assert gcd(an, ad) == 1 and gcd(bn, bd) == 1
+
+
+def _check_canonical(p):
+    for c in p.values():
+        assert c[0] != 0 or c[2] != 0
+        _check_lowest(c)
+
+
+def _cancelling_pairs():
+    z1, z2 = (1, 0), (0, 1)
+    one, neg, half, i = (1, 1, 0, 1), (-1, 1, 0, 1), (1, 2, 0, 1), (0, 1, 1, 1)
+    third, neg_third = (1, 3, 0, 1), (-1, 3, 0, 1)
+    neg_i = (0, 1, -1, 1)
+    return [
+        ({z1: one, z2: one}, {z1: one, z2: neg}),          # z1^2 - z2^2
+        ({z1: one, z2: i}, {z1: one, z2: neg_i}),          # z1^2 + z2^2
+        ({z1: half, z2: third}, {z1: half, z2: neg_third}),
+        ({z1: one, z2: half}, {z1: one, z2: neg_i}),
+        ({(0, 0): one, z1: neg}, {(0, 0): one, z1: one, (2, 0): one}),
+        # z1^2 cancels, then comes back: it is stored after z1^4
+        ({(0, 0): one, z1: one, (2, 0): one},
+         {(2, 0): one, z1: neg, (0, 0): one}),
+        ({}, {z1: half}),
+        # exponent sums of 255, 256 and beyond: packed fields of 8, 9, 10 bits
+        ({(254, 0): one, (0, 254): i}, {(0, 0): half, (1, 1): one}),
+        ({(255, 0): one, (0, 255): i}, {(0, 0): half, (1, 1): one}),
+        ({(300, 2): one, z2: neg}, {(200, 0): i, (0, 300): half, z2: one}),
+        ({z1: one}, {(255, 0): i, (0, 3): half}),
+    ]
+
+
+def test_kernel_matches_fraction_reference(monkeypatch):
     rng = random.Random(114)
-    for _ in range(100):
-        p = {tuple(rng.randint(0, 3) for _ in range(3)):
-             (rng.randint(-5, 5), rng.randint(1, 4), rng.randint(-5, 5),
-              rng.randint(1, 4)) for _ in range(4)}
-        q = {tuple(rng.randint(0, 3) for _ in range(3)):
-             (rng.randint(-5, 5), rng.randint(1, 4), rng.randint(-5, 5),
-              rng.randint(1, 4)) for _ in range(4)}
-        p = {e: _core_py.qnorm(*c) for e, c in p.items() if _core_py.qnorm(*c) != _core_py.Q_ZERO}
-        q = {e: _core_py.qnorm(*c) for e, c in q.items() if _core_py.qnorm(*c) != _core_py.Q_ZERO}
-        assert _core_py.poly_mul(p, q) == _core_cy.poly_mul(p, q)
-        assert _core_py.poly_add(p, q) == _core_cy.poly_add(p, q)
-        for c1 in p.values():
-            assert _core_py.qinv(c1) == _core_cy.qinv(c1)
+    # Gaussian-integer, rational, and mixed-denominator operands
+    kinds = (((1,), (1,)), ((1, 2, 3, 4, 6),) * 2, ((1,), (1, 2, 3)))
+    cases = list(_cancelling_pairs())
+    for dens_p, dens_q in kinds:
+        for _ in range(60):
+            p = _rand_kernel_poly(rng, dens_p, rng.randint(1, 5))
+            q = _rand_kernel_poly(rng, dens_q, rng.randint(1, 9))
+            cases.append((p, q))
+            cases.append((q, p))
+    # every product packed, then every product coefficient by coefficient
+    for direct_max in (0, 10 ** 9):
+        monkeypatch.setattr(_core, "_DIRECT_MAX_PAIRS", direct_max)
+        for p, q in cases:
+            rp = {e: _ref(c) for e, c in p.items()}
+            rq = {e: _ref(c) for e, c in q.items()}
+            got, want = poly_mul(p, q), _ref_poly_mul(rp, rq)
+            _check_canonical(got)
+            assert {e: _ref(c) for e, c in got.items()} == want
+            # term order is part of the result: float evaluation sums in it
+            assert list(got) == list(want)
+    for p, q in cases:
+        rp = {e: _ref(c) for e, c in p.items()}
+        rq = {e: _ref(c) for e, c in q.items()}
+        neg_q = {e: qneg(c) for e, c in q.items()}
+        for got, want in ((poly_add(p, q), _ref_poly_add(rp, rq)),
+                          (poly_add(q, neg_q), {})):
+            _check_canonical(got)
+            assert {e: _ref(c) for e, c in got.items()} == want
+            assert list(got) == list(want)
+        for a in p.values():
+            for b in q.values():
+                for got, want in ((qadd(a, b), _ref_add(_ref(a), _ref(b))),
+                                  (qmul(a, b), _ref_mul(_ref(a), _ref(b))),
+                                  (qadd(a, qneg(a)), (0, 0))):
+                    _check_lowest(got)
+                    assert _ref(got) == want
+            re, im = _ref(a)
+            norm = re * re + im * im
+            inv = qinv(a)
+            _check_lowest(inv)
+            assert _ref(inv) == (re / norm, -im / norm)
+    assert poly_mul(*_cancelling_pairs()[0]) == {(2, 0): Q_ONE,
+                                                 (0, 2): qneg(Q_ONE)}
+    for _ in range(200):
+        an, bn = rng.randint(-9, 9), rng.randint(-9, 9)
+        ad, bd = rng.choice([-6, -4, -1, 1, 3, 4]), rng.choice([-2, 1, 6])
+        got = qnorm(an, ad, bn, bd)
+        _check_lowest(got)
+        assert _ref(got) == (Fraction(an, ad), Fraction(bn, bd))

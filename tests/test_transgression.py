@@ -16,7 +16,6 @@ from pencilforms.transgression import (
     apply_multilinear,
     hyperplane_decomposition,
     kappa,
-    kappa_result,
     kappa_wedge_oracle,
     tau,
     transgression_report,
@@ -54,9 +53,8 @@ def test_kappa_equals_wedge_oracle_on_seeded_cases():
 def test_kappa_metadata_and_edge_cases():
     rng = rng_for(33, "edges")
     f = random_matrix_tuple(rng, 3, 2).pencil()
-    res = kappa_result(TraceWord(2), f)
-    assert res.subset_count == 3
-    assert res.permutation_count == 2
+    res = kappa(TraceWord(2), f)
+    assert res.n == 3 and res.degree == 2
     # arity above the variable count: no multi-index exists
     high = kappa(TraceWord(4), f)
     assert high.degree == 4 and high.is_zero

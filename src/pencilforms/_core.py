@@ -6,11 +6,10 @@ A polynomial is a dict mapping exponent tuples to nonzero Gaussian rationals.
 Every function returns fresh objects and never mutates its arguments.
 
 Gaussian integers (both denominators 1) take a fast path in `qadd` and
-`qmul` that skips the gcd reductions, and `qmul` of two reals reduces one
-fraction, not two. A large `poly_mul` clears denominators, multiplies plain
-``(re, im)`` int pairs on packed exponents, the exponent and coefficient
-specialisation of Monagan & Pearce (CASC 2007), and reduces each result
-coefficient once.
+`qmul` that skips the gcd reductions. A large `poly_mul` clears
+denominators, multiplies plain ``(re, im)`` int pairs on packed exponents,
+the exponent and coefficient specialisation of Monagan & Pearce (CASC
+2007), and reduces each result coefficient once.
 """
 
 from __future__ import annotations
@@ -69,11 +68,6 @@ def qmul(a, b):
     # (x + yi)(u + vi) = (xu - yv) + (xv + yu)i
     if ad == 1 and bd == 1 and cd == 1 and dd == 1:
         return (an * cn - bn * dn, 1, an * dn + bn * cn, 1)
-    if bn == 0 and dn == 0:  # both real
-        rn = an * cn
-        rd = ad * cd
-        g = gcd(rn, rd)
-        return (rn // g, rd // g, 0, 1)
     den = ad * cd * bd * dd
     return _reduce(an * cn * bd * dd - bn * dn * ad * cd, den,
                    an * dn * bd * cd + bn * cn * ad * dd, den)
@@ -132,7 +126,7 @@ def _denominator(p):
 def _pack(exps, width):
     """Exponent tuples as ints with `width` bits per variable, first variable
     lowest; adding two packed keys adds the tuples while no field overflows."""
-    if width == 8:
+    if width == 8:  # the usual case; bytes() packs it far faster than shifts
         return [int.from_bytes(bytes(e), "little") for e in exps]
     return [sum(x << (width * i) for i, x in enumerate(e)) for e in exps]
 

@@ -168,9 +168,11 @@ def cmd_form(args) -> int:
         except ValueError as exc:
             raise CliError(str(exc))
     elif args.kind == "trace-power":
-        if not 1 <= args.power <= f.n:
-            raise CliError(f"--power must lie in 1..{f.n}")
-        data = serialize.scalar_form_to_json(trace_power_form(f, args.power))
+        try:
+            form = trace_power_form(f, args.power)
+        except ValueError as exc:
+            raise CliError(str(exc))
+        data = serialize.scalar_form_to_json(form)
     else:  # top-factor
         try:
             fact = factorize_top_form(f)

@@ -154,7 +154,9 @@ def test_parse_error_exit_codes(tmp_path, units_file):
                  ("form", "--input", units_file, "--kind", "trace-power",
                   "--power", "5"),
                  ("torus", "--check", "factorization", "--tol", "0"),
-                 ("torus", "--check", "factorization", "--tol", "-1")):
+                 ("torus", "--check", "factorization", "--tol", "-1"),
+                 ("torus", "--check", "factorization", "--tol", "nan"),
+                 ("verify", "--suite", "flatness", "--tol", "0")):
         r = run_cli(*argv)
         assert r.returncode == 2, argv
         assert r.stderr.startswith("error: "), argv

@@ -143,7 +143,10 @@ def _emit_report(report: SuiteReport, json_out: Optional[str]) -> int:
 def cmd_spectrum(args) -> int:
     f = _load_pencil(args.input)
     det = f.det()
-    degree = det.homogeneity_degree()
+    try:
+        degree = det.homogeneity_degree()
+    except ValueError as exc:
+        raise CliError(str(exc))
     payload = serialize.canonical_json({
         "det": str(det),
         "degree": degree,
@@ -160,7 +163,11 @@ def cmd_spectrum(args) -> int:
 def cmd_form(args) -> int:
     f = _load_pencil(args.input)
     if args.kind == "mc":
-        data = serialize.matrix_form_to_json(maurer_cartan(f))
+        try:
+            omega = maurer_cartan(f)
+        except ValueError as exc:
+            raise CliError(str(exc))
+        data = serialize.matrix_form_to_json(omega)
     elif args.kind == "kappa":
         phi = parse_cochain_spec(args.cochain)
         try:

@@ -266,6 +266,14 @@ class CycloElement:
                              for c in coeffs)
 
     @classmethod
+    def _make(cls, q: int, coeffs: tuple) -> "CycloElement":
+        """Trusted constructor for q kernel 4-tuples in lowest terms."""
+        self = object.__new__(cls)
+        self.q = q
+        self._coeffs = coeffs
+        return self
+
+    @classmethod
     def zero(cls, q: int) -> "CycloElement":
         return cls(q, [Q_ZERO] * q)
 
@@ -291,10 +299,10 @@ class CycloElement:
 
     @property
     def is_zero(self) -> bool:
-        return all(c == Q_ZERO for c in self._coeffs)
+        return self._coeffs.count(Q_ZERO) == self.q
 
     def __bool__(self) -> bool:
-        return not self.is_zero
+        return self._coeffs.count(Q_ZERO) != self.q
 
     def _coerce(self, other) -> Optional["CycloElement"]:
         if isinstance(other, CycloElement):
@@ -309,8 +317,8 @@ class CycloElement:
         w = self._coerce(other)
         if w is None:
             return NotImplemented
-        return CycloElement(self.q, [qadd(a, b)
-                                     for a, b in zip(self._coeffs, w._coeffs)])
+        return CycloElement._make(self.q, tuple(map(qadd, self._coeffs,
+                                                    w._coeffs)))
 
     __radd__ = __add__
 
@@ -327,23 +335,37 @@ class CycloElement:
         return w + (-self)
 
     def __neg__(self) -> "CycloElement":
-        return CycloElement(self.q, [qneg(c) for c in self._coeffs])
+        return CycloElement._make(self.q, tuple(map(qneg, self._coeffs)))
 
     def __mul__(self, other):
-        w = self._coerce(other)
-        if w is None:
-            return NotImplemented
+        """Product; an operand that is one term c*t^a rotates and scales.
+
+        Multiplying by c*t^a moves the coefficient at t^b to t^(a+b) times c,
+        so no convolution is needed for scalars or for the powers of lambda
+        the torus multiplies by. Coefficients are canonical, so every path
+        returns the same tuples as the full convolution.
+        """
         q = self.q
-        out = [Q_ZERO] * q
-        for a, ca in enumerate(self._coeffs):
-            if ca == Q_ZERO:
-                continue
-            for b, cb in enumerate(w._coeffs):
-                if cb == Q_ZERO:
-                    continue
-                k = (a + b) % q
-                out[k] = qadd(out[k], qmul(ca, cb))
-        return CycloElement(q, out)
+        coeffs = self._coeffs
+        if isinstance(other, CycloElement):
+            if other.q != q:
+                raise ValueError(f"mixed orders: {q} vs {other.q}")
+            term = _single_term(other._coeffs)
+            if term is None:
+                term = _single_term(coeffs)
+                if term is None:
+                    return CycloElement._make(q, _convolve(coeffs,
+                                                           other._coeffs))
+                coeffs = other._coeffs
+        elif isinstance(other, (Scalar, int, Fraction)):
+            term = (0, _as_q4(other))
+        else:
+            return NotImplemented
+        a, c = term
+        if c != Q_ONE:
+            coeffs = tuple(Q_ZERO if x == Q_ZERO else qmul(x, c)
+                           for x in coeffs)
+        return CycloElement._make(q, coeffs[q - a:] + coeffs[:q - a])
 
     __rmul__ = __mul__
 
@@ -404,6 +426,29 @@ class CycloElement:
 
     def __repr__(self) -> str:
         return f"CycloElement(q={self.q}, '{self}')"
+
+
+def _single_term(coeffs: tuple):
+    """(a, c) when c*t^a is the only nonzero term, else None."""
+    if coeffs.count(Q_ZERO) != len(coeffs) - 1:
+        return None
+    for a, c in enumerate(coeffs):
+        if c != Q_ZERO:
+            return a, c
+
+
+def _convolve(x: tuple, y: tuple) -> tuple:
+    """Cyclic convolution of two coefficient tuples over their nonzeros."""
+    q = len(x)
+    out = [Q_ZERO] * q
+    ys = [(b, cb) for b, cb in enumerate(y) if cb != Q_ZERO]
+    for a, ca in enumerate(x):
+        if ca == Q_ZERO:
+            continue
+        for b, cb in ys:
+            k = (a + b) % q
+            out[k] = qadd(out[k], qmul(ca, cb))
+    return tuple(out)
 
 
 def _solve_exact(rows, rhs):

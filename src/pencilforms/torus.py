@@ -104,11 +104,6 @@ class TorusConfig:
         raise TypeError(f"cannot use {type(value).__name__} as a numeric "
                         "torus coefficient")
 
-    def _is_zero_coeff(self, value) -> bool:
-        if self.mode == "exact":
-            return value.is_zero
-        return value == 0
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TorusConfig):
             return NotImplemented
@@ -130,14 +125,23 @@ class TorusElement:
     __slots__ = ("config", "coeffs")
 
     def __init__(self, config: TorusConfig, coeffs: Dict[Degree, object]):
+        coerce = config.coerce
         self.config = config
-        clean: Dict[Degree, object] = {}
-        for key, value in coeffs.items():
-            m, n = key
-            value = config.coerce(value)
-            if not config._is_zero_coeff(value):
-                clean[(int(m), int(n))] = value
-        self.coeffs = clean
+        self.coeffs = TorusElement._make(
+            config, (((int(m), int(n)), coerce(value))
+                     for (m, n), value in coeffs.items())).coeffs
+
+    @classmethod
+    def _make(cls, config: TorusConfig, items) -> "TorusElement":
+        """Trusted constructor: (degree, value) pairs already in the ring.
+
+        Both coefficient rings are falsy exactly at zero. Zeros are dropped
+        in insertion order, which fixes the order of later float sums.
+        """
+        self = object.__new__(cls)
+        self.config = config
+        self.coeffs = {key: value for key, value in items if value}
+        return self
 
     @classmethod
     def zero(cls, config: TorusConfig) -> "TorusElement":
@@ -165,7 +169,7 @@ class TorusElement:
         return not self.coeffs
 
     def _match(self, other: "TorusElement") -> None:
-        if self.config != other.config:
+        if self.config is not other.config and self.config != other.config:
             raise ValueError("torus elements carry different configurations")
 
     def __add__(self, other):
@@ -175,7 +179,7 @@ class TorusElement:
         out = dict(self.coeffs)
         for key, value in other.coeffs.items():
             out[key] = out[key] + value if key in out else value
-        return TorusElement(self.config, out)
+        return TorusElement._make(self.config, out.items())
 
     def __sub__(self, other):
         if not isinstance(other, TorusElement):
@@ -183,27 +187,31 @@ class TorusElement:
         return self + (-other)
 
     def __neg__(self) -> "TorusElement":
-        return TorusElement(self.config,
-                            {key: -value for key, value in self.coeffs.items()})
+        return TorusElement._make(self.config,
+                                  ((key, -value)
+                                   for key, value in self.coeffs.items()))
 
     def __mul__(self, other):
         if isinstance(other, TorusElement):
             self._match(other)
             config = self.config
+            lambda_power = config.lambda_power
             out: Dict[Degree, object] = {}
+            right = other.coeffs.items()
             for (a, b), ca in self.coeffs.items():
-                for (c, d), cb in other.coeffs.items():
+                for (c, d), cb in right:
                     # (U^a V^b)(U^c V^d) = lambda^(-b c) U^(a+c) V^(b+d)
                     key = (a + c, b + d)
-                    term = ca * cb * config.lambda_power(-b * c)
+                    term = ca * cb * lambda_power(-b * c)
                     out[key] = out[key] + term if key in out else term
-            return TorusElement(config, out)
+            return TorusElement._make(config, out.items())
         try:
             scale = self.config.coerce(other)
         except TypeError:
             return NotImplemented
-        return TorusElement(self.config, {key: value * scale
-                                          for key, value in self.coeffs.items()})
+        return TorusElement._make(self.config,
+                                  ((key, value * scale)
+                                   for key, value in self.coeffs.items()))
 
     def __rmul__(self, other):
         if isinstance(other, TorusElement):
@@ -220,9 +228,9 @@ class TorusElement:
         if which not in (1, 2):
             raise ValueError("derivation index must be 1 or 2")
         pos = which - 1
-        return TorusElement(self.config,
-                            {key: value * key[pos]
-                             for key, value in self.coeffs.items()})
+        return TorusElement._make(self.config,
+                                  ((key, value * key[pos])
+                                   for key, value in self.coeffs.items()))
 
     def l1_norm(self) -> float:
         if self.config.mode == "exact":

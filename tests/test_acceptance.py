@@ -2,13 +2,15 @@
 
 Each test prints PASS/FAIL with its headline numbers (visible under
 pytest -s or -rA) and asserts the same condition. Library-level checks
-use a fixed seed; the determinism criterion runs the installed CLI twice.
+use a fixed seed; the determinism criterion runs the CLI twice.
 """
 
+import os
 import subprocess
 import sys
 import time
 
+import pencilforms
 from pencilforms.cochains import DenseCochain, TraceWord, cyclic_symmetrize, \
     is_cyclic
 from pencilforms.forms import maurer_cartan
@@ -151,11 +153,16 @@ def test_criterion_10_torus():
 
 
 def test_criterion_11_determinism():
+    # the child imports the package these tests import, installed or not
+    root = os.path.dirname(os.path.dirname(pencilforms.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [root, os.environ.get("PYTHONPATH")])))
+
     def run():
         return subprocess.run(
             [sys.executable, "-m", "pencilforms.cli", "verify",
              "--suite", "all", "--seed", "1"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
 
     start = time.monotonic()
     first = run()

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import pencilforms
 from pencilforms import serialize
 from pencilforms.cli import CliError, parse_cochain_spec
 from pencilforms.cochains import DenseCochain, ProductCochain, TraceWord
@@ -15,9 +16,15 @@ from pencilforms.sampling import rng_for
 from pencilforms.transgression import kappa
 
 
+# the child imports the package these tests import, installed or not
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(pencilforms.__file__))
+
+
 def run_cli(*argv, env=None):
     merged = dict(os.environ)
     merged.pop("PENCILFORMS_SEED", None)
+    merged["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [PACKAGE_ROOT, merged.get("PYTHONPATH")]))
     if env:
         merged.update(env)
     return subprocess.run(
@@ -149,8 +156,13 @@ def test_parse_error_exit_codes(tmp_path, units_file):
 
     empty = tmp_path / "empty.json"
     empty.write_text('{"matrices": [[]]}')
+    singular = tmp_path / "singular.json"  # det vanishes identically
+    singular.write_text('{"matrices": [[["1", "0"], ["0", "0"]], '
+                        '[["0", "1"], ["0", "0"]]]}')
     for argv in (("spectrum", "--input", str(empty)),
                  ("form", "--input", str(empty), "--kind", "mc"),
+                 ("spectrum", "--input", str(singular)),
+                 ("form", "--input", str(singular), "--kind", "mc"),
                  ("form", "--input", units_file, "--kind", "trace-power",
                   "--power", "5"),
                  ("torus", "--check", "factorization", "--tol", "0"),

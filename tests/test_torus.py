@@ -1,5 +1,7 @@
 """Twisted torus algebra: products, derivations, cocycles, resolvents."""
 
+from fractions import Fraction
+
 import pytest
 
 from pencilforms.cochains import TraceWord
@@ -409,3 +411,100 @@ def test_text_format_is_sorted_and_stable():
     x = TorusElement(cfg, {(1, -1): CycloElement.one(3),
                            (-1, 1): CycloElement.root(3, 2)})
     assert format_element(x) == "(t^2)*U^-1*V^1 + (1)*U^1*V^-1"
+
+
+# -- fast product paths against plain references --------------------------
+
+
+def _dense_cyclo_product(x, y):
+    """Reference: the full q^2 convolution over (real, imag) Fraction pairs."""
+    q = x.q
+    xs = [(c.real, c.imag) for c in map(x.coefficient, range(q))]
+    ys = [(c.real, c.imag) for c in map(y.coefficient, range(q))]
+    out = [(Fraction(0), Fraction(0))] * q
+    for a, (p, r) in enumerate(xs):
+        for b, (u, v) in enumerate(ys):
+            re, im = out[(a + b) % q]
+            out[(a + b) % q] = (re + p * u - r * v, im + p * v + r * u)
+    return CycloElement(q, [(re.numerator, re.denominator,
+                             im.numerator, im.denominator) for re, im in out])
+
+
+def test_cyclo_products_match_dense_convolution():
+    rng = rng_for(0, "test", "cyclo-fast-paths")
+
+    def rand_cyclo(q, density):
+        return CycloElement(q, [
+            Scalar(Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)),
+                   Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)))
+            if rng.random() < density else Scalar(0) for _ in range(q)])
+
+    scalars = [0, 1, -3, Fraction(0), Fraction(-2, 3), Scalar(0),
+               Scalar(1), Scalar(Fraction(1, 2), -1), Scalar(0, 1)]
+    checked = 0
+    for q in (1, 3, 4, 5):
+        ones = CycloElement(q, [1] * q)
+        # (1 - t)(1 + t + ... + t^(q-1)) = 1 - t^q = 0
+        factors = [(CycloElement.one(q) - CycloElement.root(q, 1), ones)]
+        for _ in range(30):
+            x = rand_cyclo(q, rng.choice([0.3, 0.6, 1.0]))
+            y = rand_cyclo(q, rng.choice([0.3, 0.6, 1.0]))
+            root = CycloElement.root(q, rng.randrange(-q, 2 * q))
+            factors += [(x, y), (root, x), (x, root), (root, root),
+                        (x, CycloElement.from_scalar(q, rng.choice(scalars)))]
+            for s in scalars:
+                assert x * s == s * x == _dense_cyclo_product(
+                    x, CycloElement.from_scalar(q, s))
+                checked += 2
+        for x, y in factors:
+            product = x * y
+            expected = _dense_cyclo_product(x, y)
+            assert product == expected, (q, x, y)
+            assert product.is_zero == (not product) == all(
+                c.is_zero for c in map(expected.coefficient, range(q)))
+            checked += 1
+        assert (factors[0][0] * factors[0][1]).is_zero
+        with pytest.raises(ValueError, match="mixed orders"):
+            CycloElement.root(q) * CycloElement.root(q + 1)
+    assert checked > 1000
+
+
+def _naive_torus_product(x, y):
+    """Reference: every term pair, then zero sums dropped in key order."""
+    config = x.config
+    out = {}
+    for (a, b), ca in x.coeffs.items():
+        for (c, d), cb in y.coeffs.items():
+            term = ca * cb * config.lambda_power(-b * c)
+            key = (a + c, b + d)
+            out[key] = out[key] + term if key in out else term
+    return [(key, value) for key, value in out.items() if value != 0]
+
+
+def test_numeric_torus_products_match_naive_loop():
+    rng = rng_for(0, "test", "torus-fast-paths")
+    cfg = TorusConfig.numeric(0.37)
+    u, one = TorusElement.u(cfg), TorusElement.one(cfg)
+    # (U + 1)(U - 1): the two U terms cancel exactly
+    cancelling = (u + one) * (u - one)
+    assert list(cancelling.coeffs) == [(2, 0), (0, 0)]
+    assert _naive_torus_product(u + one, u - one) == \
+        list(cancelling.coeffs.items())
+    for _ in range(60):
+        x = rand_numeric_element(rng, cfg, terms=rng.randrange(0, 6))
+        y = rand_numeric_element(rng, cfg, terms=rng.randrange(0, 6))
+        for left, right in ((x, y), (y, x), (x + one, x - one)):
+            product = left * right
+            assert list(product.coeffs.items()) == \
+                _naive_torus_product(left, right)
+            assert all(v != 0 for v in product.coeffs.values())
+        for which in (1, 2):
+            assert list(x.delta(which).coeffs.items()) == [
+                (key, value * key[which - 1])
+                for key, value in x.coeffs.items()
+                if value * key[which - 1] != 0]
+        for s in (0, 2, -0.5, 1.5 - 2j, Fraction(1, 3)):
+            assert list((x * s).coeffs.items()) == list((s * x).coeffs.items()) \
+                == [(key, value * complex(s))
+                    for key, value in x.coeffs.items()
+                    if value * complex(s) != 0]

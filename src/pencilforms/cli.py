@@ -32,6 +32,12 @@ class CliError(Exception):
     """Bad input or usage: message to stderr, exit code 2."""
 
 
+# cyclic-random:A:K:SEED draws a tensor with (K*K)^A keys and rotates it A
+# times; larger specs are rejected before any work.
+MAX_RANDOM_KEYS = 4096
+MAX_RANDOM_ARITY = 16
+
+
 def _default_seed() -> int:
     raw = os.environ.get("PENCILFORMS_SEED")
     if raw is None:
@@ -111,6 +117,10 @@ def parse_cochain_spec(spec: str) -> Cochain:
             raise CliError(f"cochain spec {spec!r}: fields must be integers")
         if arity < 1 or k < 1:
             raise CliError(f"cochain spec {spec!r}: arity and k must be >= 1")
+        if arity > MAX_RANDOM_ARITY or (k * k) ** arity > MAX_RANDOM_KEYS:
+            raise CliError(
+                f"cochain spec {spec!r}: at most {MAX_RANDOM_KEYS} tensor "
+                f"keys (K*K)^A and arity {MAX_RANDOM_ARITY}")
         rng = rng_for(seed, "cochain-spec", arity, k)
         return cyclic_symmetrize(DenseCochain.random(rng, arity, k))
     if spec.startswith("product(") and spec.endswith(")"):

@@ -18,7 +18,7 @@ from itertools import product
 from typing import Callable, Dict, Optional, Tuple
 
 from pencilforms import sampling
-from pencilforms.linalg import grid_mul, grid_trace
+from pencilforms.linalg import PolyMatrix, grid_mul, grid_trace
 from pencilforms.ring import Scalar
 
 PairKey = Tuple[Tuple[int, int], ...]
@@ -30,10 +30,13 @@ def alg_mul(x, y):
     return x * y
 
 
-def alg_trace(x):
+def alg_trace(x, y=None):
+    """tr(x), or tr(x y); grids and PolyMatrix skip forming the product."""
     if isinstance(x, (tuple, list)):
-        return grid_trace(x)
-    return x.trace()
+        return grid_trace(x, y)
+    if isinstance(x, PolyMatrix):
+        return x.trace(y)
+    return x.trace() if y is None else (x * y).trace()
 
 
 def unit_grid(k: int, i: int, j: int) -> tuple:
@@ -82,10 +85,12 @@ class TraceWord(Cochain):
 
     def evaluate(self, args):
         self._check_args(args)
+        if len(args) == 1:
+            return alg_trace(args[0])
         acc = args[0]
-        for x in args[1:]:
+        for x in args[1:-1]:
             acc = alg_mul(acc, x)
-        return alg_trace(acc)
+        return alg_trace(acc, args[-1])
 
     def to_dense(self, k: int) -> "DenseCochain":
         tensor = {}

@@ -15,6 +15,7 @@ The Maurer-Cartan form of a pencil map f is
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -60,6 +61,23 @@ def insert_index(v: int, idx: MultiIndex) -> Optional[Tuple[MultiIndex, int]]:
     before = sum(1 for i in idx if i < v)
     merged = tuple(sorted(idx + (v,)))
     return merged, (1 if before % 2 == 0 else -1)
+
+
+def _wedge_sums(left: Dict, right: Dict, product) -> Dict:
+    """Sum sign * product(a, b) per merged index over the pairs of terms
+    of `left` and `right` whose multi-indices are disjoint."""
+    out: Dict = {}
+    for i_idx, a in left.items():
+        for j_idx, b in right.items():
+            merged = merge_wedge(i_idx, j_idx)
+            if merged is None:
+                continue
+            index, sign = merged
+            contrib = product(a, b)
+            if sign < 0:
+                contrib = -contrib
+            out[index] = out[index] + contrib if index in out else contrib
+    return out
 
 
 class ScalarForm:
@@ -133,15 +151,7 @@ class ScalarForm:
 
     def wedge(self, other: "ScalarForm") -> "ScalarForm":
         self._check(other, same_degree=False)
-        out: Dict[MultiIndex, RatFn] = {}
-        for i_idx, a in self.terms.items():
-            for j_idx, b in other.terms.items():
-                merged = merge_wedge(i_idx, j_idx)
-                if merged is None:
-                    continue
-                index, sign = merged
-                contrib = a * b * sign
-                out[index] = out[index] + contrib if index in out else contrib
+        out = _wedge_sums(self.terms, other.terms, operator.mul)
         return ScalarForm(self.n, self.degree + other.degree, out)
 
     def exterior_derivative(self) -> "ScalarForm":
@@ -285,15 +295,7 @@ class MatrixForm:
     def wedge(self, other: "MatrixForm") -> "MatrixForm":
         """Wedge with matrix multiplication on the coefficients."""
         base = self._join_base(other)
-        out: Dict[MultiIndex, PolyMatrix] = {}
-        for i_idx, a in self.terms.items():
-            for j_idx, b in other.terms.items():
-                merged = merge_wedge(i_idx, j_idx)
-                if merged is None:
-                    continue
-                index, sign = merged
-                contrib = (a * b) * sign
-                out[index] = out[index] + contrib if index in out else contrib
+        out = _wedge_sums(self.terms, other.terms, operator.mul)
         return MatrixForm(self.n, self.k, self.degree + other.degree, out,
                           base, self.den_pow + other.den_pow)._reduced()
 
@@ -330,11 +332,20 @@ class MatrixForm:
         return MatrixForm(self.n, self.k, self.degree + 1, out,
                           base, new_pow)._reduced()
 
-    def trace(self) -> ScalarForm:
-        return ScalarForm(self.n, self.degree, {
-            index: RatFn.over_power(mat.trace(), self.den_base,
-                                    self.den_pow).reduce()
-            for index, mat in self.terms.items()
+    def trace(self, other: Optional["MatrixForm"] = None) -> ScalarForm:
+        """tr(self), or tr(self ^ other) without forming the wedge."""
+        if other is None:
+            return ScalarForm(self.n, self.degree, {
+                index: RatFn.over_power(mat.trace(), self.den_base,
+                                        self.den_pow).reduce()
+                for index, mat in self.terms.items()
+            })
+        base = self._join_base(other)
+        nums = _wedge_sums(self.terms, other.terms, PolyMatrix.trace)
+        pow_ = self.den_pow + other.den_pow
+        return ScalarForm(self.n, self.degree + other.degree, {
+            index: RatFn.over_power(num, base, pow_).reduce()
+            for index, num in nums.items()
         })
 
     def _reduced(self) -> "MatrixForm":

@@ -81,12 +81,21 @@ def anchored_trace_power(f: PolyMatrix, m: int,
 
 def trace_power_form(f: PolyMatrix, m: int,
                      phi: Optional[Cochain] = None) -> ScalarForm:
-    """phi(omega^m) by wedge power; for odd m the anchored sum must agree."""
+    """phi(omega^m) by wedge power; for odd m the anchored sum must agree.
+
+    The trace word takes tr(omega^ceil(m/2) ^ omega^floor(m/2)), so the
+    last wedge is traced without being formed.
+    """
     if not 1 <= m <= f.n:
         raise ValueError(f"m must lie in 1..{f.n}")
     omega = maurer_cartan(f)
     if phi is None or isinstance(phi, TraceWord):
-        wedge = omega.wedge_power(m).trace()
+        if m == 1:
+            wedge = omega.trace()
+        else:
+            low = omega.wedge_power(m // 2)
+            high = low.wedge(omega) if m % 2 else low
+            wedge = high.trace(low)
     else:
         wedge = apply_multilinear(phi, [omega] * m)
     if m % 2 == 1:
@@ -189,13 +198,12 @@ def cubic_trace_data(t: MatrixTuple) -> CubicTraceData:
         raise ValueError("det vanishes identically: empty resolvent set")
     k = t.k
     adj = f.adjugate()
-    mats = {j: PolyMatrix.constant(4, t.matrix(j)) for j in range(1, 5)}
+    # P_j = adj A_j, so each trace is tr(P_i (P_j P_m - P_m P_j))
+    prods = {j: adj * PolyMatrix.constant(4, t.matrix(j)) for j in range(1, 5)}
 
     i_values: Dict[Tuple[int, int, int], RatFn] = {}
     for (i, j, m) in combinations(range(1, 5), 3):
-        fwd = adj * mats[i] * adj * mats[j] * adj * mats[m]
-        bwd = adj * mats[i] * adj * mats[m] * adj * mats[j]
-        num = (fwd - bwd).trace()
+        num = prods[i].trace(prods[j] * prods[m] - prods[m] * prods[j])
         if num.exact_divide(det) is None:
             raise RuntimeError(
                 f"trace difference at ({i},{j},{m}) is not divisible by det")

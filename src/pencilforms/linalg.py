@@ -51,10 +51,19 @@ def grid_scale(a: Sequence, c) -> tuple:
     return tuple(tuple(x * c for x in row) for row in a)
 
 
-def grid_trace(a: Sequence):
-    acc = a[0][0]
-    for r in range(1, len(a)):
-        acc = acc + a[r][r]
+def grid_trace(a: Sequence, b: Optional[Sequence] = None):
+    """tr(a), or tr(a b) as sum_{r,t} a[r][t] b[t][r] without forming a b."""
+    if b is None:
+        acc = a[0][0]
+        for r in range(1, len(a)):
+            acc = acc + a[r][r]
+        return acc
+    if len(b) != len(a[0]) or any(len(row) != len(a) for row in b):
+        raise ValueError("incompatible grid shapes")
+    acc = None
+    for row, col in zip(a, zip(*b)):
+        for x, y in zip(row, col):
+            acc = x * y if acc is None else acc + x * y
     return acc
 
 
@@ -253,8 +262,12 @@ class PolyMatrix:
     def transpose(self) -> "PolyMatrix":
         return PolyMatrix(self.n, tuple(zip(*self.rows)))
 
-    def trace(self) -> MultiPoly:
-        return grid_trace(self.rows)
+    def trace(self, other: Optional["PolyMatrix"] = None) -> MultiPoly:
+        """tr(self), or tr(self * other) without forming the product."""
+        if other is None:
+            return grid_trace(self.rows)
+        self._check(other)
+        return grid_trace(self.rows, other.rows)
 
     def det(self) -> MultiPoly:
         return grid_det(self.rows, MultiPoly.one(self.n))

@@ -275,7 +275,9 @@ class CycloElement:
 
     @classmethod
     def zero(cls, q: int) -> "CycloElement":
-        return cls(q, [Q_ZERO] * q)
+        if q < 1:
+            raise ValueError("order q must be >= 1")
+        return cls._make(q, (Q_ZERO,) * q)
 
     @classmethod
     def one(cls, q: int) -> "CycloElement":
@@ -284,9 +286,11 @@ class CycloElement:
     @classmethod
     def root(cls, q: int, power: int = 1) -> "CycloElement":
         """The monomial t^power (power taken mod q)."""
-        coeffs = [Q_ZERO] * q
-        coeffs[power % q] = Q_ONE
-        return cls(q, coeffs)
+        if q < 1:
+            raise ValueError("order q must be >= 1")
+        power %= q
+        return cls._make(q, (Q_ZERO,) * power + (Q_ONE,)
+                         + (Q_ZERO,) * (q - 1 - power))
 
     @classmethod
     def from_scalar(cls, q: int, s) -> "CycloElement":
@@ -708,7 +712,10 @@ class MultiPoly:
 
     @classmethod
     def parse(cls, text: str, n: int) -> "MultiPoly":
-        """Parse the text form produced by ``__str__`` (round-trip exact)."""
+        """Parse the text form produced by ``__str__`` (round-trip exact).
+
+        A variable's exponent in one factor may not exceed `MAX_EXPONENT`.
+        """
         return _parse_poly(text, n)
 
 
@@ -732,6 +739,10 @@ def _term_str(coeff: Scalar, mono: str, first: bool) -> str:
 
 
 _VAR_RE = _re.compile(r"z(\d+)(?:\^(\d+))?\Z")
+
+# Largest exponent of a variable in one factor of a polynomial literal; a
+# larger one is rejected while parsing, before any arithmetic.
+MAX_EXPONENT = 1000
 
 
 def _split_top(s: str, seps: str) -> list:
@@ -786,7 +797,11 @@ def _parse_factor(factor: str, n: int) -> MultiPoly:
         if not 1 <= var <= n:
             raise ValueError(f"variable z{var} outside z1..z{n}")
         exp = int(m.group(2)) if m.group(2) else 1
-        return MultiPoly.variable(n, var) ** exp
+        if exp > MAX_EXPONENT:
+            raise ValueError(f"exponent {exp} of z{var} exceeds the limit "
+                             f"of {MAX_EXPONENT}")
+        exps = tuple(exp if k == var - 1 else 0 for k in range(n))
+        return MultiPoly(n, {exps: Q_ONE})
     return MultiPoly.constant(n, Scalar.parse(factor))
 
 

@@ -221,7 +221,8 @@ class TorusElement:
 
     def trace(self):
         """Coefficient at (0, 0)."""
-        return self.coeffs.get((0, 0), self.config.zero_coeff())
+        value = self.coeffs.get((0, 0))
+        return self.config.zero_coeff() if value is None else value
 
     def delta(self, which: int) -> "TorusElement":
         """delta_1 scales a_{m,n} by m, delta_2 by n."""

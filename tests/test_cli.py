@@ -159,7 +159,14 @@ def test_parse_error_exit_codes(tmp_path, units_file):
     singular = tmp_path / "singular.json"  # det vanishes identically
     singular.write_text('{"matrices": [[["1", "0"], ["0", "0"]], '
                         '[["0", "1"], ["0", "0"]]]}')
+    huge = tmp_path / "huge.json"  # one exponent above MAX_EXPONENT
+    huge.write_text('{"entries": [["z1^100000000", "0"], ["0", "z2"]]}')
     for argv in (("spectrum", "--input", str(empty)),
+                 ("spectrum", "--input", str(huge)),
+                 ("form", "--input", units_file, "--kind", "kappa",
+                  "--cochain", "cyclic-random:9:2:1"),
+                 ("form", "--input", units_file, "--kind", "kappa",
+                  "--cochain", "cyclic-random:100000:1:1"),
                  ("form", "--input", str(empty), "--kind", "mc"),
                  ("spectrum", "--input", str(singular)),
                  ("form", "--input", str(singular), "--kind", "mc"),

@@ -18,9 +18,17 @@ from pencilforms.cochains import (
     is_cyclic,
     unit_grid,
 )
-from pencilforms.linalg import grid_add, grid_mul, grid_scale, grid_sub
+from pencilforms.linalg import (
+    grid_add,
+    grid_mul,
+    grid_scale,
+    grid_sub,
+    grid_trace,
+)
 from pencilforms.ring import MultiPoly, RatFn, Scalar
-from pencilforms.sampling import random_grid, rng_for
+from pencilforms.sampling import random_grid, random_poly_matrix, rng_for
+from pencilforms.torus import TorusConfig
+from test_torus import rand_exact_element, rand_numeric_element
 
 
 def identity_grid(k):
@@ -233,3 +241,28 @@ def test_cyclic_symmetrize_scaling():
         x, y = random_grid(rng, 2), random_grid(rng, 2)
         expect = (phi.evaluate([x, y]) - phi.evaluate([y, x])) * half
         assert sym.evaluate([x, y]) == expect
+
+
+def test_trace_word_matches_formed_product():
+    rng = rng_for(13, "traceword")
+    exact, numeric = TorusConfig.exact(5, 2), TorusConfig.numeric(0.37)
+    for a in range(1, 5):
+        word = TraceWord(a)
+        for k in (2, 3):
+            grids = [random_grid(rng, k) for _ in range(a)]
+            full = grids[0]
+            for x in grids[1:]:
+                full = grid_mul(full, x)
+            assert word(grids) == grid_trace(full)
+            mats = [random_poly_matrix(rng, 3, k, degree=1) for _ in range(a)]
+            full = mats[0]
+            for x in mats[1:]:
+                full = full * x
+            assert word(mats) == full.trace()
+        for config, make in ((exact, rand_exact_element),
+                             (numeric, rand_numeric_element)):
+            elems = [make(rng, config) for _ in range(a)]
+            full = elems[0]
+            for x in elems[1:]:
+                full = full * x
+            assert word(elems) == full.trace()

@@ -15,7 +15,7 @@ from pencilforms.forms import (
 )
 from pencilforms.linalg import MatrixTuple, PolyMatrix
 from pencilforms.ring import MultiPoly, RatFn
-from test_linalg import rand_tuple
+from test_linalg import rand_gauss_tuple, rand_tuple
 from test_ring import rand_poly
 
 
@@ -276,3 +276,40 @@ def test_wedge_power_matches_repeated_wedge():
     assert omega.wedge_power(3) == omega.wedge(omega).wedge(omega)
     with pytest.raises(ValueError):
         omega.wedge_power(0)
+
+
+def rand_matrix_form(rng, n, k, degree, base, pow_):
+    """Random numerators on every degree-`degree` index over base**pow_."""
+    terms = {index: PolyMatrix(n, [[rand_poly(rng, n, max_deg=1, nterms=2)
+                                    for _ in range(k)] for _ in range(k)])
+             for index in combinations(range(1, n + 1), degree)}
+    return MatrixForm(n, k, degree, terms, base, pow_)
+
+
+def test_trace_of_wedge_matches_formed_wedge():
+    rng = random.Random(23)
+    cases = [(rand_tuple, 3, 3), (rand_tuple, 5, 2), (rand_gauss_tuple, 4, 2),
+             (rand_gauss_tuple, 3, 3), (rand_tuple, 4, 3)]
+    for make, n, k in cases:
+        omega = maurer_cartan(make(rng, n, k).pencil())
+        powers = {1: omega, 2: omega.wedge(omega)}
+        powers[3] = powers[2].wedge(omega)
+        # tr of an even power of omega vanishes, so only (2, 1) and (1, 2)
+        # carry content here; the generic forms below cover the rest
+        for da, db in ((1, 1), (2, 1), (1, 2), (2, 2), (1, 3)):
+            a, b = powers[da], powers[db]
+            assert a.trace(b) == a.wedge(b).trace(), (n, k, da, db)
+    # generic numerators, unequal powers of one base, and a base-free side
+    n, k = 4, 2
+    base = MultiPoly.parse("z1+2*z3-z4", n)
+    for da, db in ((1, 1), (2, 1), (2, 2), (1, 3)):
+        for pa, pb in ((1, 2), (0, 1), (2, 0), (0, 0)):
+            a = rand_matrix_form(rng, n, k, da, base, pa)
+            b = rand_matrix_form(rng, n, k, db, base, pb)
+            got = a.trace(b)
+            assert got.degree == da + db and not got.is_zero
+            assert got == a.wedge(b).trace(), (da, db, pa, pb)
+            assert b.trace(a) == b.wedge(a).trace(), (da, db, pa, pb)
+    other = rand_matrix_form(rng, n, k, 1, MultiPoly.parse("z2+1", n), 1)
+    with pytest.raises(ValueError):
+        rand_matrix_form(rng, n, k, 1, base, 1).trace(other)

@@ -1,8 +1,12 @@
 """Trace powers, the q*s factorization, and the cubic constant."""
 
+from itertools import combinations
+
 import pytest
 
+from pencilforms import ring
 from pencilforms.cochains import TraceWord
+from pencilforms.forms import maurer_cartan
 from pencilforms.jacobi import (
     anchored_trace_power,
     calibrated_sign,
@@ -15,6 +19,7 @@ from pencilforms.jacobi import (
 from pencilforms.linalg import MatrixTuple, PolyMatrix
 from pencilforms.ring import MultiPoly, RatFn, Scalar
 from pencilforms.sampling import random_matrix_tuple, rng_for
+from test_linalg import rand_gauss_tuple
 
 
 def test_s_form_pins():
@@ -181,3 +186,69 @@ def test_calibrated_sign_is_global():
         data = cubic_trace_data(t)
         expect = eps * entry_matrix_constant(t)
         assert data.p.constant_value() == expect, trial
+
+
+def test_trace_power_form_matches_formed_wedge_power():
+    rng = rng_for(57, "split")
+    cases = [(random_matrix_tuple, 3, 3), (random_matrix_tuple, 5, 2),
+             (rand_gauss_tuple, 4, 2), (rand_gauss_tuple, 3, 3),
+             (random_matrix_tuple, 4, 3)]
+    for make, n, k in cases:
+        f = make(rng, n, k).pencil()
+        omega = maurer_cartan(f)
+        for m in range(1, n + 1):
+            got = trace_power_form(f, m)
+            assert got.degree == m
+            # even powers trace to 0; so does the top odd power here
+            assert got.is_zero == (m % 2 == 0 or m == n), (n, k, m)
+            assert got == omega.wedge_power(m).trace(), (n, k, m)
+
+
+def test_cubic_traces_match_formed_products():
+    rng = rng_for(58, "cubic-products")
+    for t in (random_matrix_tuple(rng, 4, 2), rand_gauss_tuple(rng, 4, 2),
+              random_matrix_tuple(rng, 4, 3)):
+        f = t.pencil()
+        det, adj = f.det(), f.adjugate()
+        mats = {j: PolyMatrix.constant(4, t.matrix(j)) for j in range(1, 5)}
+        data = cubic_trace_data(t)
+        assert any(not v.is_zero for v in data.i_values.values())
+        for (i, j, m) in combinations(range(1, 5), 3):
+            fwd = adj * mats[i] * adj * mats[j] * adj * mats[m]
+            bwd = adj * mats[i] * adj * mats[m] * adj * mats[j]
+            want = RatFn.over_power((fwd - bwd).trace(), det, 3)
+            assert data.i_values[(i, j, m)] == want
+
+
+def count_poly_mul(monkeypatch):
+    """Count kernel products made through MultiPoly from here on."""
+    calls = [0]
+    inner = ring.poly_mul
+
+    def counting(p, q):
+        calls[0] += 1
+        return inner(p, q)
+
+    monkeypatch.setattr(ring, "poly_mul", counting)
+    return calls
+
+
+# Kernel products on fixed inputs, recorded when traces of products stopped
+# forming the product (before: 2,073 and 2,625). The count depends on the
+# code alone, so exceeding it flags lost work savings without any timing.
+TRACE_POWER_4_BUDGET = 993
+CUBIC_TRACE_DATA_BUDGET = 1545
+
+
+def test_trace_power_kernel_product_budget(monkeypatch):
+    f = random_matrix_tuple(rng_for(5, "guard"), 5, 3).pencil()
+    calls = count_poly_mul(monkeypatch)
+    trace_power_form(f, 4)
+    assert 0 < calls[0] <= TRACE_POWER_4_BUDGET
+
+
+def test_cubic_trace_data_kernel_product_budget(monkeypatch):
+    t = random_matrix_tuple(rng_for(5, "guard-cubic"), 4, 3)
+    calls = count_poly_mul(monkeypatch)
+    cubic_trace_data(t)
+    assert 0 < calls[0] <= CUBIC_TRACE_DATA_BUDGET

@@ -12,8 +12,10 @@ from pencilforms.linalg import (
     grid_det,
     grid_double_minor,
     grid_minor,
+    grid_mul,
+    grid_trace,
 )
-from pencilforms.ring import MultiPoly, Scalar
+from pencilforms.ring import MultiPoly, RatFn, Scalar
 
 from test_ring import rand_poly, rand_scalar
 
@@ -47,6 +49,15 @@ def rand_tuple(rng, n, k):
     """A random matrix tuple whose pencil has a nonzero determinant."""
     while True:
         t = MatrixTuple([[[rng.randint(-3, 3) for _ in range(k)]
+                          for _ in range(k)] for _ in range(n)])
+        if not t.pencil().det().is_zero:
+            return t
+
+
+def rand_gauss_tuple(rng, n, k):
+    """Like rand_tuple, with Gaussian-rational entries."""
+    while True:
+        t = MatrixTuple([[[rand_scalar(rng) for _ in range(k)]
                           for _ in range(k)] for _ in range(n)])
         if not t.pencil().det().is_zero:
             return t
@@ -168,3 +179,37 @@ def test_poly_matrix_partial_and_trace():
     for j in range(1, 5):
         assert p.partial(j) == PolyMatrix.constant(4, t.matrix(j))
     assert p.trace() == MultiPoly.parse("z1+z4", 4)
+
+
+def test_trace_of_product_matches_formed_product():
+    rng = random.Random(211)
+    n = 3
+
+    def rand_ratfn():
+        den = MultiPoly.variable(n, rng.randint(1, n)) + rng.randint(1, 3)
+        return RatFn(rand_poly(rng, n, max_deg=1, nterms=2), den)
+
+    makers = (lambda: rand_scalar(rng),
+              lambda: rand_poly(rng, n, max_deg=1, nterms=3),
+              rand_ratfn)
+    for make in makers:
+        for k in (2, 3):
+            for inner in (1, k, k + 1):  # k x inner times inner x k
+                a = tuple(tuple(make() for _ in range(inner))
+                          for _ in range(k))
+                b = tuple(tuple(make() for _ in range(k))
+                          for _ in range(inner))
+                assert grid_trace(a, b) == grid_trace(grid_mul(a, b))
+                assert grid_trace(b, a) == grid_trace(grid_mul(b, a))
+    for k in (2, 3):
+        a = PolyMatrix(n, [[rand_poly(rng, n) for _ in range(k)]
+                           for _ in range(k)])
+        b = PolyMatrix(n, [[rand_poly(rng, n) for _ in range(k)]
+                           for _ in range(k)])
+        assert a.trace(b) == (a * b).trace()
+        assert b.trace(a) == (b * a).trace()
+        assert a.trace(None) == a.trace()
+    with pytest.raises(ValueError):
+        grid_trace(rand_scalar_grid(rng, 2), rand_scalar_grid(rng, 3))
+    with pytest.raises(ValueError):
+        PolyMatrix.identity(2, 2).trace(PolyMatrix.identity(2, 3))

@@ -91,6 +91,19 @@ def test_root_of_unity_power_wraps():
     assert t ** 5 == t
 
 
+def test_cyclo_constructors_match_validated_ones():
+    for q in (1, 3, 4):
+        assert CycloElement.zero(q) == CycloElement(q, [0] * q)
+        for power in (-1, 0, 1, q + 2):
+            coeffs = [0] * q
+            coeffs[power % q] = 1
+            assert CycloElement.root(q, power) == CycloElement(q, coeffs)
+        assert CycloElement.one(q) == CycloElement(q, [1] + [0] * (q - 1))
+    for make in (CycloElement.zero, CycloElement.one, CycloElement.root):
+        with pytest.raises(ValueError):
+            make(0)
+
+
 def test_cyclo_ring_axioms():
     rng = random.Random(103)
     for q in (3, 4, 5):

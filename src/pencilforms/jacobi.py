@@ -1,5 +1,11 @@
 """Trace powers of the Maurer-Cartan form and their factorizations.
 
+`trace_power_form` computes tr(omega^m) by one route: omega^ceil(m/2) is
+traced against omega^floor(m/2), so the last wedge is never formed.
+`anchored_trace_power` is a second route for odd m, a signed sum of trace
+words in the dz_i coefficients with the first slot pinned. No library call
+compares the two; the `theorem33.trace-routes` suite check does.
+
 For an n-variable pencil with n even, the top odd trace power factors
 through the signed radial form ``s(z) = sum_j (-1)^j z_j dz_{jbar}``,
 where dz_{jbar} wedges every differential except dz_j. `factorize_top_form`
@@ -10,9 +16,11 @@ For four-variable pencils `cubic_trace_data` extracts the polynomial p with
 trace(omega^3) = (3 p / det^2) s, checks that p is homogeneous of degree
 2k-4, and checks the companion divisibility: each antisymmetrized product
 trace(adj A_i adj A_j adj A_k - adj A_i adj A_k adj A_j) is divisible
-by det. At k = 2 the constant p matches the signed 4x4 entry-matrix
-determinant of `entry_matrix_constant` up to one global sign, calibrated
-once on the matrix-unit tuple by `calibrated_sign`.
+by det. Those traces are the coefficients of trace(omega^3) up to the
+factor 3 / det^3, so the factorization reuses them. At k = 2 the constant p
+matches the signed 4x4 entry-matrix determinant of `entry_matrix_constant`
+up to one global sign, calibrated once on the matrix-unit tuple by
+`calibrated_sign`.
 """
 
 from __future__ import annotations
@@ -22,11 +30,10 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Dict, Optional, Tuple
 
-from pencilforms.cochains import Cochain, TraceWord
-from pencilforms.forms import MatrixForm, ScalarForm, maurer_cartan, sort_index
+from pencilforms.cochains import TraceWord
+from pencilforms.forms import ScalarForm, maurer_cartan, sort_index
 from pencilforms.linalg import MatrixTuple, PolyMatrix, grid_det
 from pencilforms.ring import MultiPoly, RatFn, Scalar
-from pencilforms.transgression import apply_multilinear
 
 
 def s_form(n: int) -> ScalarForm:
@@ -41,23 +48,19 @@ def s_form(n: int) -> ScalarForm:
     return ScalarForm(n, n - 1, terms)
 
 
-def anchored_trace_power(f: PolyMatrix, m: int,
-                         phi: Optional[Cochain] = None) -> ScalarForm:
-    """phi(omega^m) summed with the first slot pinned to each index minimum.
+def anchored_trace_power(f: PolyMatrix, m: int) -> ScalarForm:
+    """tr(omega^m) for odd m, with the first slot pinned to each index minimum.
 
-    Valid only for odd m and cyclic phi: rotating an odd-length argument
-    tuple leaves the wedge sign fixed, so the m rotations of each
-    permutation contribute equally and the anchored sum times m recovers
-    the full expansion.
+    Rotating an odd-length argument tuple leaves the wedge sign and the
+    trace unchanged, so the m rotations of each permutation contribute
+    equally and the anchored sum times m recovers the full expansion.
     """
     if m % 2 == 0:
         raise ValueError("anchored expansion requires odd m")
-    phi = phi if phi is not None else TraceWord(m)
-    if phi.arity != m:
-        raise ValueError(f"cochain arity {phi.arity} != m={m}")
     n = f.n
     if not 1 <= m <= n:
         raise ValueError(f"m must lie in 1..{n}")
+    word = TraceWord(m)
     omega = maurer_cartan(f)
     nums = {v: omega.coefficient_num((v,)) for v in range(1, n + 1)}
     terms = {}
@@ -66,7 +69,7 @@ def anchored_trace_power(f: PolyMatrix, m: int,
         total = None
         for pi in permutations(rest):
             seq = (anchor,) + pi
-            val = phi.evaluate([nums[v] for v in seq])
+            val = word.evaluate([nums[v] for v in seq])
             if sort_index(seq)[1] < 0:
                 val = -val
             total = val if total is None else total + val
@@ -79,32 +82,20 @@ def anchored_trace_power(f: PolyMatrix, m: int,
     return ScalarForm(n, m, terms)
 
 
-def trace_power_form(f: PolyMatrix, m: int,
-                     phi: Optional[Cochain] = None) -> ScalarForm:
-    """phi(omega^m) by wedge power; for odd m the anchored sum must agree.
+def trace_power_form(f: PolyMatrix, m: int) -> ScalarForm:
+    """tr(omega^m) as tr(omega^ceil(m/2) ^ omega^floor(m/2)).
 
-    The trace word takes tr(omega^ceil(m/2) ^ omega^floor(m/2)), so the
-    last wedge is traced without being formed.
+    The last wedge is traced without being formed. This is the library's
+    only route to a trace power.
     """
     if not 1 <= m <= f.n:
         raise ValueError(f"m must lie in 1..{f.n}")
     omega = maurer_cartan(f)
-    if phi is None or isinstance(phi, TraceWord):
-        if m == 1:
-            wedge = omega.trace()
-        else:
-            low = omega.wedge_power(m // 2)
-            high = low.wedge(omega) if m % 2 else low
-            wedge = high.trace(low)
-    else:
-        wedge = apply_multilinear(phi, [omega] * m)
-    if m % 2 == 1:
-        anchored = anchored_trace_power(f, m, phi)
-        if anchored != wedge:
-            raise RuntimeError(
-                "anchored expansion disagrees with the wedge power; "
-                "the odd-power identity failed on this input")
-    return wedge
+    if m == 1:
+        return omega.trace()
+    low = omega.wedge_power(m // 2)
+    high = low.wedge(omega) if m % 2 else low
+    return high.trace(low)
 
 
 @dataclass(frozen=True)
@@ -116,9 +107,8 @@ class TopFormFactorization:
     q_denominator_power: int
 
 
-def factorize_top_form(f: PolyMatrix,
-                       phi: Optional[Cochain] = None) -> TopFormFactorization:
-    """Split phi(omega^{n-1}) as q * s by exact coefficient division.
+def factorize_top_form(f: PolyMatrix) -> TopFormFactorization:
+    """Split tr(omega^{n-1}) as q * s by exact coefficient division.
 
     Requires n even and entries homogeneous of one common degree. The
     ratio coefficient(dz_{jbar}) / ((-1)^j z_j) must be one and the same
@@ -133,8 +123,12 @@ def factorize_top_form(f: PolyMatrix,
         raise ValueError("entries must be homogeneous of one common degree")
     if f.det().is_zero:
         raise ValueError("det(f) vanishes identically: empty resolvent set")
+    return _factor_top_form(trace_power_form(f, n - 1))
 
-    big_t = trace_power_form(f, n - 1, phi)
+
+def _factor_top_form(big_t: ScalarForm) -> TopFormFactorization:
+    """q, the cross relations and the residual of a top form big_t = q * s."""
+    n = big_t.n
     s = s_form(n)
 
     q: Optional[RatFn] = None
@@ -178,17 +172,20 @@ class CubicTraceData:
     i_values: Dict[Tuple[int, int, int], RatFn]
     det_squared: MultiPoly
     q: RatFn
+    trace_cubed: ScalarForm
 
 
 def cubic_trace_data(t: MatrixTuple) -> CubicTraceData:
     """p and the antisymmetrized resolvent traces for a four-matrix tuple.
 
-    p is defined by exact division: trace(omega^3) = q s with
-    q = 3 p / det^2, so p = q det^2 / 3, which must come out polynomial
-    and homogeneous of degree 2k-4. Each trace
-    ``adj A_i adj A_j adj A_k - adj A_i adj A_k adj A_j`` must be exactly
-    divisible by det. Any failure falsifies the factorization on this
-    input and raises.
+    Each trace ``adj A_i adj A_j adj A_k - adj A_i adj A_k adj A_j`` must
+    be exactly divisible by det. Over det^3 it is I_(i,j,k), and by
+    cyclicity of the trace 3 I_(i,j,k) is the dz_i dz_j dz_k coefficient
+    of trace(omega^3), so ``trace_cubed`` is built from these values and
+    not traced again. p is defined by exact division: trace(omega^3) = q s
+    with q = 3 p / det^2, so p = q det^2 / 3, which must come out
+    polynomial and homogeneous of degree 2k-4. Any failure falsifies the
+    factorization on this input and raises.
     """
     if t.n != 4:
         raise ValueError(f"needs a tuple of four matrices, got {t.n}")
@@ -209,7 +206,9 @@ def cubic_trace_data(t: MatrixTuple) -> CubicTraceData:
                 f"trace difference at ({i},{j},{m}) is not divisible by det")
         i_values[(i, j, m)] = RatFn.over_power(num, det, 3).reduce()
 
-    fact = factorize_top_form(f, TraceWord(3))
+    trace_cubed = ScalarForm(4, 3, {index: value * 3
+                                    for index, value in i_values.items()})
+    fact = _factor_top_form(trace_cubed)
     p_rat = (fact.q * det * det * Fraction(1, 3)).reduce()
     p = p_rat.as_polynomial()
     if p is None:
@@ -220,7 +219,7 @@ def cubic_trace_data(t: MatrixTuple) -> CubicTraceData:
             raise RuntimeError(
                 f"p has degree {degree}, expected {2 * k - 4}")
     return CubicTraceData(p=p, i_values=i_values, det_squared=det * det,
-                          q=fact.q)
+                          q=fact.q, trace_cubed=trace_cubed)
 
 
 _ENTRY_POSITIONS = ((0, 0), (0, 1), (1, 0), (1, 1))

@@ -259,9 +259,6 @@ class PolyMatrix:
     def __hash__(self) -> int:
         return hash((self.n, self.rows))
 
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(self.n, tuple(zip(*self.rows)))
-
     def trace(self, other: Optional["PolyMatrix"] = None) -> MultiPoly:
         """tr(self), or tr(self * other) without forming the product."""
         if other is None:
@@ -278,9 +275,6 @@ class PolyMatrix:
     def partial(self, var: int) -> "PolyMatrix":
         return PolyMatrix(self.n, [[e.partial(var) for e in row]
                                    for row in self.rows])
-
-    def double_minor(self, rows: tuple, cols: tuple) -> MultiPoly:
-        return grid_double_minor(self.rows, rows, cols, MultiPoly.one(self.n))
 
     def evaluate(self, point: Sequence[complex]) -> tuple:
         return tuple(tuple(e.evaluate(point) for e in row)

@@ -147,10 +147,6 @@ class Scalar:
     def inverse(self) -> "Scalar":
         return Scalar.from_q4(qinv(self._v))
 
-    def conjugate(self) -> "Scalar":
-        an, ad, bn, bd = self._v
-        return Scalar.from_q4((an, ad, -bn, bd))
-
     def __eq__(self, other) -> bool:
         if isinstance(other, Scalar):
             return self._v == other._v
@@ -561,12 +557,6 @@ class MultiPoly:
     @property
     def is_constant(self) -> bool:
         return self.is_zero or self._terms.keys() == {(0,) * self.n}
-
-    def total_degree(self) -> int:
-        """Maximum total degree; ValueError on the zero polynomial."""
-        if self.is_zero:
-            raise ValueError("zero polynomial has no degree")
-        return max(sum(e) for e in self._terms)
 
     def homogeneity_degree(self) -> Optional[int]:
         """The common total degree of all monomials, or None if mixed.

@@ -14,8 +14,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 from . import serialize
 from .cochains import DenseCochain, TraceWord, cyclic_symmetrize, functional_product
 from .forms import maurer_cartan
-from .jacobi import (calibrated_sign, cubic_trace_data, entry_matrix_constant,
-                     factorize_top_form, trace_power_form)
+from .jacobi import (anchored_trace_power, calibrated_sign, cubic_trace_data,
+                     entry_matrix_constant, factorize_top_form,
+                     trace_power_form)
 from .linalg import MatrixTuple, PolyMatrix
 from .ring import Scalar
 from .sampling import (random_diagonal_tuple, random_matrix_tuple,
@@ -254,8 +255,10 @@ def suite_cubic_trace(seed: int, trials: Optional[int] = None,
     """Structure of tr(omega^3) for four-matrix tuples.
 
     Exact division of the antisymmetrized resolvent traces by det, the
-    degree of p, and the factorization of the top-degree form through the
-    coordinate-simplex form with its cross relations.
+    degree of p, the factorization of the top-degree form through the
+    coordinate-simplex form with its cross relations, and agreement of the
+    three routes to tr(omega^3): the traced wedge power, the anchored
+    trace-word sum, and 3 I from the resolvent traces.
     """
     k2_count = 100 if trials is None else max(1, trials)
     k3_count = max(1, k2_count // 5)
@@ -305,9 +308,11 @@ def suite_cubic_trace(seed: int, trials: Optional[int] = None,
         "every antisymmetrized resolvent trace divides exactly by det "
         f"({divisions} tuples)", division_bad))
 
+    tops = [(k, random_matrix_tuple(rng_for(seed, "theorem33", "top", k),
+                                    4, k))
+            for k in (2, 3)]
     bad = None
-    for k in (2, 3):
-        t = random_matrix_tuple(rng_for(seed, "theorem33", "top", k), 4, k)
+    for k, t in tops:
         fact = factorize_top_form(t.pencil())
         if not fact.residual.is_zero:
             bad = _tuple_counterexample(f"k={k}: nonzero residual", t)
@@ -322,7 +327,36 @@ def suite_cubic_trace(seed: int, trials: Optional[int] = None,
         "theorem33.top-factorization", bad is None,
         "tr(omega^3) = q s with zero residual and cross relations, "
         "k in {2,3} plus one quadratic input", bad))
+    results.append(_trace_routes_check(tops))
     return results
+
+
+def _trace_routes_check(tops: List[Tuple[int, MatrixTuple]]) -> CheckResult:
+    """tr(omega^3) by wedge power = anchored sum = 3 I on each tuple."""
+    bad: Optional[str] = None
+    nonzero = 0
+    for k, t in tops:
+        f = t.pencil()
+        wedge = trace_power_form(f, 3)
+        try:
+            three_i = cubic_trace_data(t).trace_cubed
+        except RuntimeError as exc:
+            bad = _tuple_counterexample(f"k={k}: {exc}", t)
+            break
+        if anchored_trace_power(f, 3) != wedge:
+            bad = _tuple_counterexample(f"k={k}: anchored sum != wedge", t)
+            break
+        if three_i != wedge:
+            bad = _tuple_counterexample(f"k={k}: 3 I != wedge", t)
+            break
+        if not wedge.is_zero:
+            nonzero += 1
+    if bad is None and nonzero == 0:
+        bad = "tr(omega^3) is 0 on every tuple: the check has no content"
+    return CheckResult(
+        "theorem33.trace-routes", bad is None,
+        f"tr(omega^3) by wedge = anchored sum = 3 I, k in {{2,3}}; "
+        f"{nonzero} of {len(tops)} tuples nonzero", bad)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ factorization numerically through a truncated Neumann resolvent.
 from __future__ import annotations
 
 import cmath
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -613,97 +612,3 @@ def format_element(x: TorusElement) -> str:
             body = f"{value.real!r}{sign}{abs(value.imag)!r}j"
         parts.append(f"({body})*U^{m}*V^{n}")
     return " + ".join(parts)
-
-
-_TERM_RE = re.compile(r"\((?P<c>.*)\)\*U\^(?P<m>-?\d+)\*V\^(?P<n>-?\d+)\Z")
-
-
-def parse_element(text: str, config: TorusConfig) -> TorusElement:
-    """Parse the format emitted by format_element."""
-    s = text.replace(" ", "")
-    if not s:
-        raise ValueError("empty torus element literal")
-    if s == "0":
-        return TorusElement.zero(config)
-    coeffs: Dict[Degree, object] = {}
-    for chunk in _split_plus(s):
-        match = _TERM_RE.fullmatch(chunk)
-        if match is None:
-            raise ValueError(f"malformed torus term: {chunk!r}")
-        if config.mode == "exact":
-            value = _parse_cyclo(match.group("c"), config.q)
-        else:
-            value = complex(match.group("c"))
-        key = (int(match.group("m")), int(match.group("n")))
-        if key in coeffs:
-            coeffs[key] = coeffs[key] + value
-        else:
-            coeffs[key] = value
-    return TorusElement(config, coeffs)
-
-
-def _split_plus(s: str) -> List[str]:
-    """Split on '+' at parenthesis depth zero."""
-    chunks, depth, start = [], 0, 0
-    for k, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ValueError(f"unbalanced parentheses: {s!r}")
-        elif ch == "+" and depth == 0:
-            chunks.append(s[start:k])
-            start = k + 1
-    if depth != 0:
-        raise ValueError(f"unbalanced parentheses: {s!r}")
-    chunks.append(s[start:])
-    return chunks
-
-
-_CYCLO_TERM_RE = re.compile(r"(?:(?P<c>.+)\*)?t(?:\^(?P<e>\d+))?\Z")
-
-
-def _parse_cyclo(text: str, q: int) -> CycloElement:
-    """Parse sums of `scalar*t^e` terms as written by CycloElement."""
-    s = text.replace(" ", "")
-    if not s:
-        raise ValueError("empty coefficient literal")
-    total = CycloElement.zero(q)
-    for chunk in _split_signed_top(s):
-        sign = 1
-        if chunk.startswith("+"):
-            chunk = chunk[1:]
-        elif chunk.startswith("-"):
-            sign = -1
-            chunk = chunk[1:]
-        match = _CYCLO_TERM_RE.fullmatch(chunk)
-        if match is not None:
-            power = int(match.group("e") or 1)
-            ctext = match.group("c")
-        else:
-            power = 0
-            ctext = chunk
-        if ctext is None:
-            coeff = Scalar(1)
-        else:
-            if ctext.startswith("(") and ctext.endswith(")"):
-                ctext = ctext[1:-1]
-            coeff = Scalar.parse(ctext)
-        total = total + CycloElement.root(q, power) * (coeff * sign)
-    return total
-
-
-def _split_signed_top(s: str) -> List[str]:
-    """Split into signed chunks at parenthesis depth zero."""
-    chunks, depth, start = [], 0, 0
-    for k, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch in "+-" and depth == 0 and k > start and s[k - 1] not in "+-*/^(":
-            chunks.append(s[start:k])
-            start = k
-    chunks.append(s[start:])
-    return chunks

@@ -39,9 +39,13 @@ from pencilforms.ring import MultiPoly, RatFn, Scalar
 
 def kappa(phi: Cochain, f: PolyMatrix) -> ScalarForm:
     """phi(omega_f,..,omega_f) as a degree-a form, computed by expansion."""
+    return _kappa_of(phi, maurer_cartan(f))
+
+
+def _kappa_of(phi: Cochain, omega: MatrixForm) -> ScalarForm:
+    """kappa's expansion on a Maurer-Cartan form the caller has built."""
     a = phi.arity
-    n = f.n
-    omega = maurer_cartan(f)
+    n = omega.n
     if a > n:
         return ScalarForm.zero(n, a)
     nums = {v: omega.coefficient_num((v,)) for v in range(1, n + 1)}
@@ -135,15 +139,14 @@ def transgression_report(phi: Cochain, f: PolyMatrix,
     if require_cyclic and not is_cyclic(phi, k=f.k):
         raise ValueError("cochain is not cyclic; the identity needs cyclicity")
     a = phi.arity
-    kappa_phi = kappa(phi, f)
-    d_kappa = kappa_phi.exterior_derivative()
-    kappa_b = kappa(coboundary(phi), f)
+    omega = maurer_cartan(f)
+    d_kappa = _kappa_of(phi, omega).exterior_derivative()
+    kappa_b = _kappa_of(coboundary(phi), omega)
 
     lhs = kappa_b * Fraction(a, a + 1)
     rhs = -d_kappa
     main_equal = lhs == rhs
 
-    omega = maurer_cartan(f)
     d_omega = omega.exterior_derivative()
     correction = apply_multilinear(phi, [d_omega] + [omega] * (a - 1))
     decomposition_equal = kappa_b == -d_kappa - correction
@@ -217,7 +220,8 @@ def hyperplane_decomposition(t: MatrixTuple) -> HyperplaneDecomposition:
     prod = MultiPoly.one(n)
     for line in lines:
         prod = prod * line
-    det = t.pencil().det()
+    pencil = t.pencil()
+    det = pencil.det()
     det_matches = prod == det
 
     coordinate_forms: Dict[int, ScalarForm] = {}
@@ -231,11 +235,11 @@ def hyperplane_decomposition(t: MatrixTuple) -> HyperplaneDecomposition:
 
     kappa_matches: Optional[bool] = None
     if not det.is_zero:
-        pencil = t.pencil()
+        omega = maurer_cartan(pencil)
         kappa_matches = True
         for i in range(1, k + 1):
             functional = DenseCochain.basis(1, k, ((i - 1, i - 1),))
-            if kappa(functional, pencil) != coordinate_forms[i]:
+            if _kappa_of(functional, omega) != coordinate_forms[i]:
                 kappa_matches = False
                 break
 

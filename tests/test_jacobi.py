@@ -19,6 +19,7 @@ from pencilforms.jacobi import (
 from pencilforms.linalg import MatrixTuple, PolyMatrix
 from pencilforms.ring import MultiPoly, RatFn, Scalar
 from pencilforms.sampling import random_matrix_tuple, rng_for
+from pencilforms.transgression import kappa_wedge_oracle
 from test_linalg import rand_gauss_tuple
 
 
@@ -72,10 +73,10 @@ def test_trace_power_form_cubic_is_closed_and_nonzero():
     assert other.exterior_derivative().is_zero
 
 
-def test_trace_power_form_accepts_dense_trace_representation():
+def test_dense_trace_oracle_matches_trace_power_form():
     f = MatrixTuple.matrix_units(2).pencil()
     dense_trace = TraceWord(3).to_dense(2)
-    assert trace_power_form(f, 3, dense_trace) == trace_power_form(f, 3)
+    assert kappa_wedge_oracle(dense_trace, f) == trace_power_form(f, 3)
 
 
 def test_anchored_expansion_guards():
@@ -83,7 +84,7 @@ def test_anchored_expansion_guards():
     with pytest.raises(ValueError):
         anchored_trace_power(f, 2)
     with pytest.raises(ValueError):
-        anchored_trace_power(f, 3, TraceWord(2))
+        anchored_trace_power(f, 5)
     with pytest.raises(ValueError):
         trace_power_form(f, 5)
 
@@ -202,6 +203,8 @@ def test_trace_power_form_matches_formed_wedge_power():
             # even powers trace to 0; so does the top odd power here
             assert got.is_zero == (m % 2 == 0 or m == n), (n, k, m)
             assert got == omega.wedge_power(m).trace(), (n, k, m)
+            if m % 2 and m < n:
+                assert anchored_trace_power(f, m) == got, (n, k, m)
 
 
 def test_cubic_traces_match_formed_products():
@@ -233,11 +236,16 @@ def count_poly_mul(monkeypatch):
     return calls
 
 
-# Kernel products on fixed inputs, recorded when traces of products stopped
-# forming the product (before: 2,073 and 2,625). The count depends on the
-# code alone, so exceeding it flags lost work savings without any timing.
+# Kernel products on fixed inputs. The count depends on the code alone, so
+# exceeding it flags lost work savings without any timing. TRACE_POWER_4 was
+# recorded when traces of products stopped forming the product (before:
+# 2,073). TRACE_POWER_3 and CUBIC_TRACE_DATA were recorded when each trace
+# power got one route (before: 1,056 with the anchored recomputation, and
+# 1,545 with tr(omega^3) traced twice more); a second route coming back
+# inside either call exceeds them.
 TRACE_POWER_4_BUDGET = 993
-CUBIC_TRACE_DATA_BUDGET = 1545
+TRACE_POWER_3_BUDGET = 588
+CUBIC_TRACE_DATA_BUDGET = 485
 
 
 def test_trace_power_kernel_product_budget(monkeypatch):
@@ -245,6 +253,13 @@ def test_trace_power_kernel_product_budget(monkeypatch):
     calls = count_poly_mul(monkeypatch)
     trace_power_form(f, 4)
     assert 0 < calls[0] <= TRACE_POWER_4_BUDGET
+
+
+def test_odd_trace_power_kernel_product_budget(monkeypatch):
+    f = random_matrix_tuple(rng_for(5, "guard-cubic"), 4, 3).pencil()
+    calls = count_poly_mul(monkeypatch)
+    trace_power_form(f, 3)
+    assert 0 < calls[0] <= TRACE_POWER_3_BUDGET
 
 
 def test_cubic_trace_data_kernel_product_budget(monkeypatch):

@@ -45,11 +45,6 @@ def test_scalar_ops_match_fraction_oracle():
             assert q * b == a
 
 
-def test_scalar_conjugate_product():
-    a = Scalar(Fraction(1, 2), Fraction(1, 2))
-    assert a * a.conjugate() == Scalar(Fraction(1, 2))
-
-
 def test_scalar_inverse_and_zero_division():
     assert Scalar(2, 3).inverse() * Scalar(2, 3) == Scalar(1)
     with pytest.raises(ZeroDivisionError):

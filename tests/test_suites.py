@@ -1,7 +1,12 @@
 """Suite registry, report shape, and byte-level determinism."""
 
+import dataclasses
+
 import pytest
 
+from pencilforms import cli, suites
+from pencilforms.jacobi import cubic_trace_data, trace_power_form
+from pencilforms.linalg import MatrixTuple
 from pencilforms.suites import (SUITE_NAMES, SUITES, CheckResult, SuiteReport,
                                 run_suite, torus_cocycle_checks,
                                 torus_factorization_checks)
@@ -86,3 +91,49 @@ def test_all_concatenates_in_fixed_order():
     assert tuple(SUITES) == ("flatness", "theorem29", "jacobi-classic",
                              "parity", "theorem33", "example35", "tau",
                              "hyperplane", "torus")
+
+
+def test_trace_routes_agree_with_content():
+    report = run_suite("theorem33", seed=1, trials=1)
+    routes = report.results[-1]
+    assert routes.name == "theorem33.trace-routes"
+    assert routes.passed, report.text()
+    assert routes.detail.endswith("; 2 of 2 tuples nonzero")
+
+
+def _doubled_anchored(f, m):
+    return trace_power_form(f, m) * 2
+
+
+def _doubled_resolvent_traces(t):
+    data = cubic_trace_data(t)
+    return dataclasses.replace(data, trace_cubed=data.trace_cubed * 2)
+
+
+@pytest.mark.parametrize("route, broken, witness", [
+    ("anchored_trace_power", _doubled_anchored, "anchored sum != wedge"),
+    ("cubic_trace_data", _doubled_resolvent_traces, "3 I != wedge"),
+])
+def test_trace_route_disagreement_fails_verify(monkeypatch, capsys, route,
+                                               broken, witness):
+    monkeypatch.setattr(suites, route, broken)
+    code = cli.main(["verify", "--suite", "theorem33", "--seed", "1",
+                     "--trials", "1"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "PASS theorem33.top-factorization: " in out
+    assert "FAIL theorem33.trace-routes: " in out
+    lines = out.split("FAIL theorem33.trace-routes: ")[1].splitlines()
+    assert lines[1] == f"  k=2: {witness}"
+    assert lines[2].lstrip().startswith("{")
+    assert out.endswith("result: FAIL (5 checks)\n")
+
+
+def test_trace_routes_without_content_fail():
+    # A4 = A1 + A2 makes p = 0, so tr(omega^3) = q s vanishes identically
+    a1, a2, a3 = [[1, 2], [0, 1]], [[0, 1], [1, 3]], [[2, 0], [1, 1]]
+    a4 = [[a1[r][c] + a2[r][c] for c in range(2)] for r in range(2)]
+    result = suites._trace_routes_check([(2, MatrixTuple([a1, a2, a3, a4]))])
+    assert not result.passed
+    assert "0 of 1 tuples nonzero" in result.detail
+    assert "no content" in result.counterexample

@@ -18,7 +18,6 @@ from pencilforms.torus import (
     neumann_resolvent,
     neumann_rho,
     neumann_tail_bound,
-    parse_element,
     phi_cochain,
     psi1_cochain,
     psi2_cochain,
@@ -391,19 +390,14 @@ def test_element_text_round_trip():
         (-2, 3): CycloElement.one(4) + CycloElement.root(4, 1),
         (0, 0): CycloElement.from_scalar(4, Scalar(0, 1)),
     })
-    text = format_element(x)
-    assert parse_element(text, cfg) == x
-    assert parse_element("0", cfg) == TorusElement.zero(cfg)
+    assert format_element(x) == (
+        "(t+1)*U^-2*V^3 + (i)*U^0*V^0 + ((1+2*i)*t^2)*U^1*V^0")
 
     numeric = TorusConfig.numeric(0.25)
     y = TorusElement(numeric, {(2, -1): 1.5 + 0.25j, (0, 1): -2.0 + 0j})
-    assert parse_element(format_element(y), numeric) == y
+    assert format_element(y) == "(-2.0+0.0j)*U^0*V^1 + (1.5+0.25j)*U^2*V^-1"
 
     assert format_element(TorusElement.zero(cfg)) == "0"
-    with pytest.raises(ValueError):
-        parse_element("U^1", cfg)
-    with pytest.raises(ValueError):
-        parse_element("(1*U^1*V^0", cfg)
 
 
 def test_text_format_is_sorted_and_stable():

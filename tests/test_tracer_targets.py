@@ -1,0 +1,37 @@
+"""Every function the benchmark tracer wraps still exists under its name.
+
+`perfbench/tracer.py` rebinds package functions by (module, attribute)
+name for `perfbench/run.py --trace 1`. Deleting or renaming one of them
+breaks traced runs without failing any other test, so this test resolves
+every target with the tracer's own lookup. The tracer source is only read
+and executed here, never imported from or written to its directory.
+"""
+
+import sys
+import types
+from pathlib import Path
+
+import pencilforms.cli  # noqa: F401  (loads every traced module)
+import pencilforms.suites  # noqa: F401
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer() -> types.ModuleType:
+    module = types.ModuleType("perfbench_tracer")
+    module.__file__ = str(TRACER)
+    exec(compile(TRACER.read_text(), str(TRACER), "exec"), module.__dict__)
+    return module
+
+
+def test_every_traced_target_resolves():
+    tracer = load_tracer()
+    for table in (tracer.SPAN_TARGETS, tracer.HOT_TARGETS,
+                  tracer.LEAF_TARGETS):
+        for name, targets in table.items():
+            for owner, attr in targets:
+                assert callable(tracer._resolve(owner, attr)), (name, attr)
+    for dict_path in tracer.REGISTRY_TARGETS:
+        mod_name, _, var = dict_path.partition(".")
+        registry = getattr(sys.modules["pencilforms." + mod_name], var)
+        assert registry and all(callable(fn) for fn in registry.values())

@@ -22,6 +22,7 @@ from .cochains import Cochain, DenseCochain, TraceWord, cyclic_symmetrize, \
 from .forms import maurer_cartan
 from .jacobi import factorize_top_form, trace_power_form
 from .linalg import MatrixTuple, PolyMatrix
+from .ring import _split_top
 from .sampling import rng_for
 from .suites import (SUITE_NAMES, SuiteReport, run_suite,
                      torus_cocycle_checks, torus_factorization_checks)
@@ -71,20 +72,6 @@ def _load_pencil(path: str) -> PolyMatrix:
     return obj.pencil() if isinstance(obj, MatrixTuple) else obj
 
 
-def _split_top_comma(text: str) -> List[str]:
-    parts, depth, start = [], 0, 0
-    for pos, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(text[start:pos])
-            start = pos + 1
-    parts.append(text[start:])
-    return parts
-
-
 def parse_cochain_spec(spec: str) -> Cochain:
     """Grammar: trace | traceword:A | dense:FILE | cyclic-random:A:K:SEED
     | product(SPEC, SPEC)."""
@@ -124,7 +111,10 @@ def parse_cochain_spec(spec: str) -> Cochain:
         rng = rng_for(seed, "cochain-spec", arity, k)
         return cyclic_symmetrize(DenseCochain.random(rng, arity, k))
     if spec.startswith("product(") and spec.endswith(")"):
-        inner = _split_top_comma(spec[len("product("):-1])
+        try:
+            inner = _split_top(spec[len("product("):-1], ",")
+        except ValueError as exc:
+            raise CliError(f"cochain spec {spec!r}: {exc}")
         if len(inner) != 2:
             raise CliError(
                 f"cochain spec {spec!r}: product takes exactly two specs")
@@ -195,8 +185,9 @@ def cmd_form(args) -> int:
             fact = factorize_top_form(f)
         except ValueError as exc:
             raise CliError(str(exc))
-        except RuntimeError as exc:
-            sys.stderr.write(f"FAIL: {exc}\n")
+        if not fact.residual.is_zero:
+            sys.stderr.write("FAIL: nonzero residual; the top form is not "
+                             "a multiple of s\n")
             return 1
         data = {
             "q": {"num": str(fact.q.num), "den": str(fact.q.den)},

@@ -49,27 +49,13 @@ def sort_index(seq: Sequence[int]) -> Optional[Tuple[MultiIndex, int]]:
     return tuple(sorted(seq)), sign
 
 
-def merge_wedge(i_idx: MultiIndex, j_idx: MultiIndex) -> Optional[Tuple[MultiIndex, int]]:
-    """Canonicalize dz^I ^ dz^J; None when the indices overlap."""
-    return sort_index(i_idx + j_idx)
-
-
-def insert_index(v: int, idx: MultiIndex) -> Optional[Tuple[MultiIndex, int]]:
-    """Canonicalize dz_v ^ dz^I; None when v already occurs in I."""
-    if v in idx:
-        return None
-    before = sum(1 for i in idx if i < v)
-    merged = tuple(sorted(idx + (v,)))
-    return merged, (1 if before % 2 == 0 else -1)
-
-
 def _wedge_sums(left: Dict, right: Dict, product) -> Dict:
     """Sum sign * product(a, b) per merged index over the pairs of terms
     of `left` and `right` whose multi-indices are disjoint."""
     out: Dict = {}
     for i_idx, a in left.items():
         for j_idx, b in right.items():
-            merged = merge_wedge(i_idx, j_idx)
+            merged = sort_index(i_idx + j_idx)
             if merged is None:
                 continue
             index, sign = merged
@@ -104,11 +90,6 @@ class ScalarForm:
     @classmethod
     def zero(cls, n: int, degree: int) -> "ScalarForm":
         return cls(n, degree)
-
-    @classmethod
-    def unit(cls, n: int) -> "ScalarForm":
-        """The constant function 1 viewed as a 0-form."""
-        return cls(n, 0, {(): RatFn.one(n)})
 
     @property
     def is_zero(self) -> bool:
@@ -158,7 +139,7 @@ class ScalarForm:
         out: Dict[MultiIndex, RatFn] = {}
         for index, coeff in self.terms.items():
             for v in range(1, self.n + 1):
-                placed = insert_index(v, index)
+                placed = sort_index((v,) + index)
                 if placed is None:
                     continue
                 new_index, sign = placed
@@ -230,10 +211,6 @@ class MatrixForm:
                 raise ValueError("numerator shape mismatch")
             if not mat.is_zero:
                 self.terms[index] = mat
-
-    @classmethod
-    def zero(cls, n: int, k: int, degree: int) -> "MatrixForm":
-        return cls(n, k, degree, {})
 
     @property
     def is_zero(self) -> bool:
@@ -315,7 +292,7 @@ class MatrixForm:
         out: Dict[MultiIndex, PolyMatrix] = {}
         for index, mat in self.terms.items():
             for v in range(1, self.n + 1):
-                placed = insert_index(v, index)
+                placed = sort_index((v,) + index)
                 if placed is None:
                     continue
                 new_index, sign = placed

@@ -211,10 +211,6 @@ class PolyMatrix:
     def __getitem__(self, r: int) -> tuple:
         return self.rows[r]
 
-    def entry(self, r: int, c: int) -> MultiPoly:
-        """0-based entry access."""
-        return self.rows[r][c]
-
     @property
     def is_zero(self) -> bool:
         return all(e.is_zero for row in self.rows for e in row)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 from pencilforms._core import (
     Q_ONE,
@@ -369,34 +369,6 @@ class CycloElement:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        w = self._coerce(other)
-        if w is None:
-            return NotImplemented
-        return self * w.inverse()
-
-    def __pow__(self, m: int) -> "CycloElement":
-        if m < 0:
-            return (self.inverse()) ** (-m)
-        out = CycloElement.one(self.q)
-        for _ in range(m):
-            out = out * self
-        return out
-
-    def inverse(self) -> "CycloElement":
-        """Exact inverse, or ValueError naming the non-unit.
-
-        Solves (self * x) = 1 through the regular representation: column c of
-        the q x q multiplication matrix is self shifted by t^c.
-        """
-        q = self.q
-        rows = [[self._coeffs[(r - c) % q] for c in range(q)] for r in range(q)]
-        rhs = [Q_ONE if r == 0 else Q_ZERO for r in range(q)]
-        sol = _solve_exact(rows, rhs)
-        if sol is None:
-            raise ValueError(f"not a unit in Q(i)[t]/(t^{q}-1): {self}")
-        return CycloElement(q, sol)
-
     def __eq__(self, other) -> bool:
         w = self._coerce(other)
         if w is None:
@@ -405,14 +377,6 @@ class CycloElement:
 
     def __hash__(self) -> int:
         return hash((self.q, self._coeffs))
-
-    def to_complex(self) -> complex:
-        """Evaluate at t = exp(2*pi*i/q)."""
-        import cmath
-
-        root = cmath.exp(2j * cmath.pi / self.q)
-        return sum(Scalar.from_q4(c).to_complex() * root ** k
-                   for k, c in enumerate(self._coeffs))
 
     def __str__(self) -> str:
         parts = []
@@ -449,25 +413,6 @@ def _convolve(x: tuple, y: tuple) -> tuple:
             k = (a + b) % q
             out[k] = qadd(out[k], qmul(ca, cb))
     return tuple(out)
-
-
-def _solve_exact(rows, rhs):
-    """Gaussian elimination over Scalar 4-tuples; None when singular."""
-    n = len(rows)
-    aug = [list(rows[r]) + [rhs[r]] for r in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != Q_ZERO), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = qinv(aug[col][col])
-        aug[col] = [qmul(x, inv) for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != Q_ZERO:
-                f = aug[r][col]
-                aug[r] = [qsub(x, qmul(f, y))
-                          for x, y in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
 
 
 class MultiPoly:
@@ -542,9 +487,6 @@ class MultiPoly:
         """Yield (exponent tuple, Scalar) pairs in descending graded-lex order."""
         for exps in sorted(self._terms, key=grlex_key, reverse=True):
             yield exps, Scalar.from_q4(self._terms[exps])
-
-    def coefficient(self, exps) -> Scalar:
-        return Scalar.from_q4(self._terms.get(tuple(exps), Q_ZERO))
 
     def constant_value(self) -> Scalar:
         """The scalar value of a constant polynomial; error otherwise."""
@@ -793,9 +735,6 @@ def _parse_factor(factor: str, n: int) -> MultiPoly:
         exps = tuple(exp if k == var - 1 else 0 for k in range(n))
         return MultiPoly(n, {exps: Q_ONE})
     return MultiPoly.constant(n, Scalar.parse(factor))
-
-
-ScalarLike = Union[Scalar, int, Fraction]
 
 
 class RatFn:

@@ -33,48 +33,45 @@ def rng_for(seed: int, *parts) -> random.Random:
     return random.Random(derive_seed(seed, *parts))
 
 
-def random_scalar(rng: random.Random, span: int = 3,
-                  imag_prob: float = 0.3) -> Scalar:
+def random_scalar(rng: random.Random, span: int) -> Scalar:
+    """Real and imaginary parts in -span..span; imaginary with chance 0.3."""
     re = rng.randint(-span, span)
-    im = rng.randint(-span, span) if rng.random() < imag_prob else 0
+    im = rng.randint(-span, span) if rng.random() < 0.3 else 0
     return Scalar(re, im)
 
 
-def random_grid(rng: random.Random, k: int, span: int = 3,
-                imag_prob: float = 0.3) -> tuple:
-    return tuple(tuple(random_scalar(rng, span, imag_prob) for _ in range(k))
+def random_grid(rng: random.Random, k: int) -> tuple:
+    return tuple(tuple(random_scalar(rng, 3) for _ in range(k))
                  for _ in range(k))
 
 
-def random_matrix_tuple(rng: random.Random, n: int, k: int,
-                        span: int = 3) -> MatrixTuple:
+def random_matrix_tuple(rng: random.Random, n: int, k: int) -> MatrixTuple:
     """A matrix tuple whose pencil determinant is not identically zero."""
     while True:
-        t = MatrixTuple([[[rng.randint(-span, span) for _ in range(k)]
+        t = MatrixTuple([[[rng.randint(-3, 3) for _ in range(k)]
                           for _ in range(k)] for _ in range(n)])
         if not t.pencil().det().is_zero:
             return t
 
 
-def random_diagonal_tuple(rng: random.Random, n: int, k: int,
-                          span: int = 3) -> MatrixTuple:
+def random_diagonal_tuple(rng: random.Random, n: int, k: int) -> MatrixTuple:
     mats = []
     for _ in range(n):
         m = [[0] * k for _ in range(k)]
         for i in range(k):
-            m[i][i] = rng.randint(-span, span)
+            m[i][i] = rng.randint(-3, 3)
         mats.append(m)
     return MatrixTuple(mats)
 
 
-def random_homogeneous_poly(rng: random.Random, n: int, degree: int,
-                            nterms: int = 3, span: int = 2) -> MultiPoly:
+def random_homogeneous_poly(rng: random.Random, n: int,
+                            degree: int) -> MultiPoly:
     terms = {}
-    for _ in range(nterms):
+    for _ in range(3):
         exps = [0] * n
         for _ in range(degree):
             exps[rng.randrange(n)] += 1
-        c = rng.randint(-span, span)
+        c = rng.randint(-2, 2)
         terms[tuple(exps)] = terms.get(tuple(exps), 0) + c
     return MultiPoly.from_terms(n, terms)
 
@@ -90,16 +87,15 @@ def random_poly_matrix(rng: random.Random, n: int, k: int,
             return m
 
 
-def random_basis_change(rng: random.Random, k: int,
-                        span: int = 2) -> Tuple[tuple, tuple]:
+def random_basis_change(rng: random.Random, k: int) -> Tuple[tuple, tuple]:
     """An exactly invertible pair (g, g^{-1}) over the Gaussian rationals.
 
     g is unit upper-triangular times lower-triangular with ±1 diagonal, so
     det(g) = ±1 and the adjugate gives the exact inverse.
     """
-    def small(allow_imag=True):
-        re = rng.randint(-span, span)
-        im = rng.randint(-1, 1) if allow_imag and rng.random() < 0.3 else 0
+    def small():
+        re = rng.randint(-2, 2)
+        im = rng.randint(-1, 1) if rng.random() < 0.3 else 0
         return Scalar(re, im)
 
     upper = [[Scalar(1) if r == c else (small() if c > r else Scalar(0))

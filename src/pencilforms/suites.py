@@ -84,14 +84,6 @@ def _poly_counterexample(label: str, f: PolyMatrix) -> str:
         serialize.poly_matrix_to_json(f)).rstrip("\n")
 
 
-def _nonsingular_poly_matrix(rng: random.Random, n: int, k: int,
-                             degree: int) -> PolyMatrix:
-    while True:
-        f = random_poly_matrix(rng, n, k, degree=degree)
-        if not f.det().is_zero:
-            return f
-
-
 # ---------------------------------------------------------------------------
 # flatness
 
@@ -119,7 +111,7 @@ def suite_flatness(seed: int, trials: Optional[int] = None,
     bad = None
     for i in range(quad_count):
         n = (2, 3)[i % 2]
-        f = _nonsingular_poly_matrix(
+        f = random_poly_matrix(
             rng_for(seed, "flatness", "quadratic", i), n, 2, degree=2)
         om = maurer_cartan(f)
         if not (om.exterior_derivative() + om.wedge(om)).is_zero:
@@ -318,7 +310,7 @@ def suite_cubic_trace(seed: int, trials: Optional[int] = None,
             bad = _tuple_counterexample(f"k={k}: nonzero residual", t)
             break
     if bad is None:
-        f = _nonsingular_poly_matrix(
+        f = random_poly_matrix(
             rng_for(seed, "theorem33", "top-quadratic"), 4, 2, degree=2)
         fact = factorize_top_form(f)
         if not fact.residual.is_zero:
@@ -457,14 +449,13 @@ def suite_hyperplane(seed: int, trials: Optional[int] = None,
 
     det_bad: Optional[str] = None
     kappa_bad: Optional[str] = None
-    for label, t in tuples:
-        dec = hyperplane_decomposition(t)
+    decs = [hyperplane_decomposition(t) for _, t in tuples]
+    for (label, t), dec in zip(tuples, decs):
         if not dec.det_matches and det_bad is None:
             det_bad = _tuple_counterexample(label, t)
         if dec.kappa_matches is not True and kappa_bad is None:
             kappa_bad = _tuple_counterexample(label, t)
-    pin_dec = hyperplane_decomposition(pinned)
-    mults = sorted(m for _, m in pin_dec.multiplicities)
+    mults = sorted(m for _, m in decs[0].multiplicities)
     if mults != [1, 2] and det_bad is None:
         det_bad = _tuple_counterexample("pinned: wrong multiplicities", pinned)
 
@@ -482,12 +473,12 @@ def suite_hyperplane(seed: int, trials: Optional[int] = None,
 # torus
 
 
-def _random_torus_element(rng: random.Random, config: TorusConfig,
-                          terms: int = 3) -> TorusElement:
+def _random_torus_element(rng: random.Random,
+                          config: TorusConfig) -> TorusElement:
     from .ring import CycloElement
 
     total = TorusElement.zero(config)
-    for _ in range(terms):
+    for _ in range(3):
         coeff = CycloElement.root(config.q, rng.randrange(config.q)) * Scalar(
             rng.randrange(-2, 3), rng.randrange(-2, 3))
         total = total + TorusElement.monomial(
@@ -514,14 +505,11 @@ def torus_cocycle_checks(seed: int,
         count = 0
         try:
             for which in ("phi1", "phi2", "psi1", "psi2"):
-                count += cyclicity_check(which, cfg, radius=3, samples=10,
-                                         seed=seed)
+                count += cyclicity_check(which, cfg, seed=seed)
             for which in ("phi1", "phi2"):
-                count += coboundary_check(which, cfg, radius=3, samples=10,
-                                          seed=seed)
+                count += coboundary_check(which, cfg, 3, seed=seed)
             for which in ("psi1", "psi2"):
-                count += coboundary_check(which, cfg, radius=2, samples=10,
-                                          seed=seed)
+                count += coboundary_check(which, cfg, 2, seed=seed)
         except ValueError as exc:
             bad = str(exc)
         results.append(CheckResult(

@@ -13,9 +13,9 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .cochains import Cochain, FunctionalCochain
+from .cochains import FunctionalCochain
 from .ring import CycloElement, Scalar
 
 Degree = Tuple[int, int]
@@ -218,10 +218,27 @@ class TorusElement:
         # scalar coefficients commute with everything
         return self.__mul__(other)
 
-    def trace(self):
-        """Coefficient at (0, 0)."""
-        value = self.coeffs.get((0, 0))
-        return self.config.zero_coeff() if value is None else value
+    def trace(self, other: Optional["TorusElement"] = None):
+        """Coefficient at (0, 0) of self, or of self * other without
+        forming the product.
+
+        Only degree pairs (a, b), (-a, -b) reach the trace of a product,
+        each with the twist lambda^(a b):
+        tr(x y) = sum x_{a,b} y_{-a,-b} lambda^(a b).
+        """
+        if other is None:
+            value = self.coeffs.get((0, 0))
+            return self.config.zero_coeff() if value is None else value
+        self._match(other)
+        config = self.config
+        x, y = (other, self) if len(other.coeffs) < len(self.coeffs) \
+            else (self, other)
+        total = config.zero_coeff()
+        for (a, b), cx in x.coeffs.items():
+            cy = y.coeffs.get((-a, -b))
+            if cy is not None:
+                total = total + cx * cy * config.lambda_power(a * b)
+        return total
 
     def delta(self, which: int) -> "TorusElement":
         """delta_1 scales a_{m,n} by m, delta_2 by n."""
@@ -233,8 +250,7 @@ class TorusElement:
                                    for key, value in self.coeffs.items()))
 
     def l1_norm(self) -> float:
-        if self.config.mode == "exact":
-            return sum(abs(value.to_complex()) for value in self.coeffs.values())
+        """Sum of the coefficient moduli (numeric mode)."""
         return sum(abs(value) for value in self.coeffs.values())
 
     def degree_radius(self) -> int:
@@ -255,24 +271,6 @@ class TorusElement:
         return f"TorusElement('{format_element(self)}')"
 
 
-def trace_of_product(x: TorusElement, y: TorusElement):
-    """tr(x y) without forming the product.
-
-    Only degree pairs (a, b), (-a, -b) reach the trace, each with the twist
-    lambda^(a b): tr(x y) = sum x_{a,b} y_{-a,-b} lambda^(a b).
-    """
-    x._match(y)
-    config = x.config
-    if len(y.coeffs) < len(x.coeffs):
-        x, y = y, x
-    total = config.zero_coeff()
-    for (a, b), cx in x.coeffs.items():
-        cy = y.coeffs.get((-a, -b))
-        if cy is not None:
-            total = total + cx * cy * config.lambda_power(a * b)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # cyclic cocycles
 
@@ -283,18 +281,18 @@ def phi_cochain(which: int) -> FunctionalCochain:
         raise ValueError("derivation index must be 1 or 2")
 
     def fn(args):
-        return trace_of_product(args[0], args[1].delta(which))
+        return args[0].trace(args[1].delta(which))
 
-    return FunctionalCochain(2, fn, k=None, label=f"phi{which}")
+    return FunctionalCochain(2, fn, label=f"phi{which}")
 
 
 def psi1_cochain() -> FunctionalCochain:
     """psi_1(x0, x1, x2) = tr(x0 x1 x2)."""
 
     def fn(args):
-        return (args[0] * args[1] * args[2]).trace()
+        return (args[0] * args[1]).trace(args[2])
 
-    return FunctionalCochain(3, fn, k=None, label="psi1")
+    return FunctionalCochain(3, fn, label="psi1")
 
 
 def psi2_cochain() -> FunctionalCochain:
@@ -303,9 +301,9 @@ def psi2_cochain() -> FunctionalCochain:
     def fn(args):
         x0, x1, x2 = args
         inner = x1.delta(1) * x2.delta(2) - x1.delta(2) * x2.delta(1)
-        return trace_of_product(x0, inner)
+        return x0.trace(inner)
 
-    return FunctionalCochain(3, fn, k=None, label="psi2")
+    return FunctionalCochain(3, fn, label="psi2")
 
 
 _COCYCLES: Dict[str, Callable[[], FunctionalCochain]] = {
@@ -367,13 +365,13 @@ def _random_degree_tuple(rng, radius: int, arity: int) -> Tuple[Degree, ...]:
                   rng.randrange(-radius, radius + 1)) for _ in range(arity))
 
 
-def cyclicity_check(which: str, config: TorusConfig, radius: int = 3,
-                    samples: int = 25, seed: int = 0) -> int:
+def cyclicity_check(which: str, config: TorusConfig, seed: int = 0) -> int:
     """Verify phi(x_0..x_{a-1}) = (-1)^(a-1) phi(x_{a-1}, x_0, ..) exactly.
 
-    Runs over every zero-sum monomial tuple in the box plus seeded random
-    tuples (which exercise the trivially-zero off-grading cases).  Returns
-    the number of tuples checked; raises ValueError on the first failure.
+    Runs over every zero-sum monomial tuple in the radius-3 box plus 10
+    seeded random tuples (which exercise the trivially-zero off-grading
+    cases).  Returns the number of tuples checked; raises ValueError on the
+    first failure.
     """
     if config.mode != "exact":
         raise ValueError("exact mode required for spanning-set checks")
@@ -381,7 +379,7 @@ def cyclicity_check(which: str, config: TorusConfig, radius: int = 3,
     a = phi.arity
     sign = -1 if a % 2 == 0 else 1
     checked = 0
-    for degrees in _tuples_with_samples(radius, a, samples, seed, which):
+    for degrees in _tuples_with_samples(3, a, seed, which):
         args = _monomial_tuple(config, degrees)
         rotated = [args[-1]] + args[:-1]
         if phi(args) != sign * phi(rotated):
@@ -391,13 +389,13 @@ def cyclicity_check(which: str, config: TorusConfig, radius: int = 3,
     return checked
 
 
-def coboundary_check(which: str, config: TorusConfig, radius: int = 2,
-                     samples: int = 100, seed: int = 0) -> int:
+def coboundary_check(which: str, config: TorusConfig, radius: int,
+                     seed: int = 0) -> int:
     """Verify (b phi)(x_0..x_a) = 0 exactly on spanning monomial tuples.
 
-    Zero-sum tuples inside the box are enumerated completely; `samples`
-    seeded random tuples from the radius-3 box are added on top.  Returns
-    the number of tuples checked; raises ValueError on the first failure.
+    Zero-sum tuples inside the box are enumerated completely; 10 seeded
+    random tuples from the radius-3 box are added on top.  Returns the
+    number of tuples checked; raises ValueError on the first failure.
     """
     if config.mode != "exact":
         raise ValueError("exact mode required for spanning-set checks")
@@ -405,8 +403,7 @@ def coboundary_check(which: str, config: TorusConfig, radius: int = 2,
     b_phi = phi.coboundary()
     zero = config.zero_coeff()
     checked = 0
-    for degrees in _tuples_with_samples(radius, b_phi.arity, samples, seed,
-                                        which):
+    for degrees in _tuples_with_samples(radius, b_phi.arity, seed, which):
         args = _monomial_tuple(config, degrees)
         if b_phi(args) != zero:
             raise ValueError(f"coboundary of {which} does not vanish on "
@@ -415,15 +412,14 @@ def coboundary_check(which: str, config: TorusConfig, radius: int = 2,
     return checked
 
 
-def _tuples_with_samples(radius: int, arity: int, samples: int, seed: int,
+def _tuples_with_samples(radius: int, arity: int, seed: int,
                          tag: str) -> Iterator[Tuple[Degree, ...]]:
     yield from _zero_sum_tuples(radius, arity)
-    if samples > 0:
-        from .sampling import rng_for
+    from .sampling import rng_for
 
-        rng = rng_for(seed, "torus-span", tag, arity)
-        for _ in range(samples):
-            yield _random_degree_tuple(rng, 3, arity)
+    rng = rng_for(seed, "torus-span", tag, arity)
+    for _ in range(10):
+        yield _random_degree_tuple(rng, 3, arity)
 
 
 # ---------------------------------------------------------------------------
@@ -448,20 +444,6 @@ def _neumann_parts(mats: Sequence[TorusElement],
     s = mats[1] * complex(z[1]) + mats[2] * complex(z[2])
     rho = s.l1_norm() / abs(z1)
     return s, rho, z1
-
-
-def neumann_rho(mats: Sequence[TorusElement], z: Sequence[complex]) -> float:
-    """Contraction ratio ||z2 A2 + z3 A3||_1 / |z1| of the series."""
-    return _neumann_parts(mats, z)[1]
-
-
-def neumann_tail_bound(mats: Sequence[TorusElement], z: Sequence[complex],
-                       order: int) -> float:
-    """l1 bound on the truncation error: rho^(M+1) / ((1 - rho) |z1|)."""
-    _, rho, z1 = _neumann_parts(mats, z)
-    if rho >= 1:
-        raise ValueError("Neumann series divergent at this point")
-    return rho ** (order + 1) / ((1 - rho) * abs(z1))
 
 
 def neumann_resolvent(mats: Sequence[TorusElement], z: Sequence[complex],

@@ -127,16 +127,10 @@ class TransgressionReport:
     lhs: ScalarForm
     rhs: ScalarForm
 
-    @property
-    def all_hold(self) -> bool:
-        return (self.main_equal and self.decomposition_equal
-                and self.correction_equal)
 
-
-def transgression_report(phi: Cochain, f: PolyMatrix,
-                         require_cyclic: bool = True) -> TransgressionReport:
+def transgression_report(phi: Cochain, f: PolyMatrix) -> TransgressionReport:
     """Check (a/(a+1)) kappa(b phi) = -d kappa(phi) and its two halves."""
-    if require_cyclic and not is_cyclic(phi, k=f.k):
+    if not is_cyclic(phi, k=f.k):
         raise ValueError("cochain is not cyclic; the identity needs cyclicity")
     a = phi.arity
     omega = maurer_cartan(f)
@@ -158,8 +152,7 @@ def transgression_report(phi: Cochain, f: PolyMatrix,
                                lhs=lhs, rhs=rhs)
 
 
-def tau(functional, f: PolyMatrix, check_invariance: bool = True,
-        trials: int = 12, seed: int = 0) -> ScalarForm:
+def tau(functional, f: PolyMatrix) -> ScalarForm:
     """kappa restricted to conjugation-invariant functionals.
 
     A plain number stands for a multiple of the empty product and maps to
@@ -168,8 +161,7 @@ def tau(functional, f: PolyMatrix, check_invariance: bool = True,
     if isinstance(functional, (int, Fraction, Scalar)):
         c = functional if isinstance(functional, Scalar) else Scalar(functional)
         return ScalarForm(f.n, 0, {(): RatFn(MultiPoly.constant(f.n, c))})
-    if check_invariance and not invariance_test(functional, trials=trials,
-                                                seed=seed, k=f.k):
+    if not invariance_test(functional, k=f.k):
         raise ValueError("functional failed the conjugation-invariance test")
     return kappa(functional, f)
 

@@ -167,6 +167,12 @@ def test_parse_error_exit_codes(tmp_path, units_file):
                   "--cochain", "cyclic-random:9:2:1"),
                  ("form", "--input", units_file, "--kind", "kappa",
                   "--cochain", "cyclic-random:100000:1:1"),
+                 ("form", "--input", units_file, "--kind", "kappa",
+                  "--cochain", "product((trace,trace)"),
+                 ("form", "--input", units_file, "--kind", "kappa",
+                  "--cochain", "product(trace,trace))"),
+                 ("form", "--input", units_file, "--kind", "kappa",
+                  "--cochain", "product(,trace)"),
                  ("form", "--input", str(empty), "--kind", "mc"),
                  ("spectrum", "--input", str(singular)),
                  ("form", "--input", str(singular), "--kind", "mc"),

@@ -8,9 +8,7 @@ import pytest
 from pencilforms.forms import (
     MatrixForm,
     ScalarForm,
-    insert_index,
     maurer_cartan,
-    merge_wedge,
     sort_index,
 )
 from pencilforms.linalg import MatrixTuple, PolyMatrix
@@ -55,12 +53,13 @@ def test_index_sign_helpers():
     assert sort_index((2, 1)) == ((1, 2), -1)
     assert sort_index((3, 1, 2)) == ((1, 2, 3), 1)
     assert sort_index((1, 1)) is None
-    assert merge_wedge((1, 3), (2, 4)) == ((1, 2, 3, 4), -1)
-    assert merge_wedge((1, 2), (3,)) == ((1, 2, 3), 1)
-    assert merge_wedge((1, 2), (2, 3)) is None
-    assert insert_index(2, (1, 3)) == ((1, 2, 3), -1)
-    assert insert_index(1, (2, 3)) == ((1, 2, 3), 1)
-    assert insert_index(3, (1, 3)) is None
+    # dz^I ^ dz^J and dz_v ^ dz^I
+    assert sort_index((1, 3) + (2, 4)) == ((1, 2, 3, 4), -1)
+    assert sort_index((1, 2) + (3,)) == ((1, 2, 3), 1)
+    assert sort_index((1, 2) + (2, 3)) is None
+    assert sort_index((2,) + (1, 3)) == ((1, 2, 3), -1)
+    assert sort_index((1,) + (2, 3)) == ((1, 2, 3), 1)
+    assert sort_index((3,) + (1, 3)) is None
 
 
 def test_scalar_form_validation():
@@ -154,9 +153,9 @@ def test_maurer_cartan_of_matrix_unit_pencil():
     assert omega.den_pow == 1
     # adj(f) = [[z4, -z2], [-z3, z1]] and df/dz1 hits only entry (1,1)
     num = omega.coefficient_num((1,))
-    assert str(num.entry(0, 0)) == "z4"
-    assert str(num.entry(1, 0)) == "-z3"
-    assert num.entry(0, 1).is_zero and num.entry(1, 1).is_zero
+    assert str(num[0][0]) == "z4"
+    assert str(num[1][0]) == "-z3"
+    assert num[0][1].is_zero and num[1][1].is_zero
 
 
 def test_maurer_cartan_rejects_singular_pencil():

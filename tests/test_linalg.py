@@ -102,10 +102,10 @@ def test_adjugate_identity():
 def test_pencil_of_matrix_units():
     t = MatrixTuple.matrix_units(2)
     p = t.pencil()
-    assert str(p.entry(0, 0)) == "z1"
-    assert str(p.entry(0, 1)) == "z2"
-    assert str(p.entry(1, 0)) == "z3"
-    assert str(p.entry(1, 1)) == "z4"
+    assert str(p[0][0]) == "z1"
+    assert str(p[0][1]) == "z2"
+    assert str(p[1][0]) == "z3"
+    assert str(p[1][1]) == "z4"
     assert str(p.det()) == "z1*z4-z2*z3"
     assert p.det().homogeneity_degree() == 2
 

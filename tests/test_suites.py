@@ -4,9 +4,11 @@ import dataclasses
 
 import pytest
 
-from pencilforms import cli, suites
+from pencilforms import cli, jacobi, serialize, suites
+from pencilforms.forms import ScalarForm
 from pencilforms.jacobi import cubic_trace_data, trace_power_form
 from pencilforms.linalg import MatrixTuple
+from pencilforms.ring import MultiPoly
 from pencilforms.suites import (SUITE_NAMES, SUITES, CheckResult, SuiteReport,
                                 run_suite, torus_cocycle_checks,
                                 torus_factorization_checks)
@@ -127,6 +129,34 @@ def test_trace_route_disagreement_fails_verify(monkeypatch, capsys, route,
     assert lines[1] == f"  k=2: {witness}"
     assert lines[2].lstrip().startswith("{")
     assert out.endswith("result: FAIL (5 checks)\n")
+
+
+def _top_form_plus_z1(f, m):
+    """tr(omega^m) plus z1 dz1 ^ .. ^ dzm, which is not a multiple of s."""
+    return trace_power_form(f, m) + ScalarForm(
+        f.n, m, {tuple(range(1, m + 1)): MultiPoly.variable(f.n, 1)})
+
+
+def test_top_form_off_s_fails_verify(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(jacobi, "trace_power_form", _top_form_plus_z1)
+    code = cli.main(["verify", "--suite", "theorem33", "--seed", "1",
+                     "--trials", "1"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "PASS theorem33.trace-routes: " in out
+    lines = out.split("FAIL theorem33.top-factorization: ")[1].splitlines()
+    assert lines[1] == "  k=2: nonzero residual"
+    assert lines[2].lstrip().startswith("{")
+    assert out.endswith("result: FAIL (5 checks)\n")
+
+    path = tmp_path / "units.json"
+    path.write_text(serialize.canonical_json(
+        serialize.tuple_to_json(MatrixTuple.matrix_units(2))))
+    code = cli.main(["form", "--input", str(path), "--kind", "top-factor"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("FAIL: nonzero residual")
 
 
 def test_trace_routes_without_content_fail():

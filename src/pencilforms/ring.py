@@ -365,9 +365,18 @@ class CycloElement:
         if c != Q_ONE:
             coeffs = tuple(Q_ZERO if x == Q_ZERO else qmul(x, c)
                            for x in coeffs)
-        return CycloElement._make(q, coeffs[q - a:] + coeffs[:q - a])
+        return CycloElement._make(q, coeffs).rotate(a)
 
     __rmul__ = __mul__
+
+    def rotate(self, power: int) -> "CycloElement":
+        """self * t^power: each coefficient moves up power places mod q."""
+        q = self.q
+        a = power % q
+        if not a:
+            return self
+        coeffs = self._coeffs
+        return CycloElement._make(q, coeffs[q - a:] + coeffs[:q - a])
 
     def __eq__(self, other) -> bool:
         w = self._coerce(other)

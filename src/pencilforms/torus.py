@@ -77,6 +77,16 @@ class TorusConfig:
             self._lam_cache[exponent] = cached
         return cached
 
+    def twist(self, value, exponent: int):
+        """value * lambda^exponent.
+
+        In exact mode lambda^e = t^(e p') is a pure root, so this rotates
+        the coefficients of value instead of multiplying.
+        """
+        if self.mode == "exact":
+            return value.rotate(exponent * self.p_prime)
+        return value * self.lambda_power(exponent)
+
     def zero_coeff(self):
         if self.mode == "exact":
             return CycloElement.zero(self.q)
@@ -137,9 +147,15 @@ class TorusElement:
         Both coefficient rings are falsy exactly at zero. Zeros are dropped
         in insertion order, which fixes the order of later float sums.
         """
+        return cls._of(config, {key: value for key, value in items if value})
+
+    @classmethod
+    def _of(cls, config: TorusConfig,
+            coeffs: Dict[Degree, object]) -> "TorusElement":
+        """Trusted constructor: a dict that already holds no zero."""
         self = object.__new__(cls)
         self.config = config
-        self.coeffs = {key: value for key, value in items if value}
+        self.coeffs = coeffs
         return self
 
     @classmethod
@@ -191,15 +207,30 @@ class TorusElement:
                                    for key, value in self.coeffs.items()))
 
     def __mul__(self, other):
+        """Product by (U^a V^b)(U^c V^d) = lambda^(-b c) U^(a+c) V^(b+d).
+
+        Fast paths: a zero operand gives zero at once, and a monomial times
+        a monomial is one coefficient product, twisted by lambda^(-b c)
+        (a rotation in exact mode), with no loop over term pairs.
+        """
         if isinstance(other, TorusElement):
             self._match(other)
             config = self.config
+            left = self.coeffs
+            right = other.coeffs
+            if not left or not right:
+                return TorusElement._of(config, {})
+            if len(left) == 1 and len(right) == 1:
+                ((a, b), ca), = left.items()
+                ((c, d), cb), = right.items()
+                value = config.twist(ca * cb, -b * c)
+                return TorusElement._of(
+                    config, {(a + c, b + d): value} if value else {})
             lambda_power = config.lambda_power
             out: Dict[Degree, object] = {}
-            right = other.coeffs.items()
-            for (a, b), ca in self.coeffs.items():
+            right = right.items()
+            for (a, b), ca in left.items():
                 for (c, d), cb in right:
-                    # (U^a V^b)(U^c V^d) = lambda^(-b c) U^(a+c) V^(b+d)
                     key = (a + c, b + d)
                     term = ca * cb * lambda_power(-b * c)
                     out[key] = out[key] + term if key in out else term
@@ -225,6 +256,8 @@ class TorusElement:
         Only degree pairs (a, b), (-a, -b) reach the trace of a product,
         each with the twist lambda^(a b):
         tr(x y) = sum x_{a,b} y_{-a,-b} lambda^(a b).
+        The twist is a rotation in exact mode, and the sum starts from the
+        first matched pair; zero is built only when no pair matches.
         """
         if other is None:
             value = self.coeffs.get((0, 0))
@@ -233,21 +266,27 @@ class TorusElement:
         config = self.config
         x, y = (other, self) if len(other.coeffs) < len(self.coeffs) \
             else (self, other)
-        total = config.zero_coeff()
+        total = None
         for (a, b), cx in x.coeffs.items():
             cy = y.coeffs.get((-a, -b))
             if cy is not None:
-                total = total + cx * cy * config.lambda_power(a * b)
-        return total
+                term = config.twist(cx * cy, a * b)
+                total = term if total is None else total + term
+        return config.zero_coeff() if total is None else total
 
     def delta(self, which: int) -> "TorusElement":
-        """delta_1 scales a_{m,n} by m, delta_2 by n."""
+        """delta_1 scales a_{m,n} by m, delta_2 by n.
+
+        Terms whose scaling degree is 0 are skipped, not multiplied by 0,
+        so a monomial costs at most one scaling.
+        """
         if which not in (1, 2):
             raise ValueError("derivation index must be 1 or 2")
         pos = which - 1
-        return TorusElement._make(self.config,
-                                  ((key, value * key[pos])
-                                   for key, value in self.coeffs.items()))
+        return TorusElement._of(self.config,
+                                {key: value * key[pos]
+                                 for key, value in self.coeffs.items()
+                                 if key[pos]})
 
     def l1_norm(self) -> float:
         """Sum of the coefficient moduli (numeric mode)."""
@@ -357,7 +396,8 @@ def _zero_sum_tuples(radius: int, arity: int) -> Iterator[Tuple[Degree, ...]]:
 
 def _monomial_tuple(config: TorusConfig,
                     degrees: Sequence[Degree]) -> List[TorusElement]:
-    return [TorusElement.monomial(config, m, n) for m, n in degrees]
+    one = config.one_coeff()
+    return [TorusElement._of(config, {(m, n): one}) for m, n in degrees]
 
 
 def _random_degree_tuple(rng, radius: int, arity: int) -> Tuple[Degree, ...]:

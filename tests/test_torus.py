@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from pencilforms import ring
 from pencilforms.cochains import TraceWord
 from pencilforms.ring import CycloElement, Scalar
 from pencilforms.sampling import rng_for
+from pencilforms.suites import torus_cocycle_checks
 from pencilforms.torus import (
     FactorizationReport,
     TorusConfig,
@@ -498,3 +500,75 @@ def test_numeric_torus_products_match_naive_loop():
                 == [(key, value * complex(s))
                     for key, value in x.coeffs.items()
                     if value * complex(s) != 0]
+
+
+def test_exact_torus_fast_paths_match_naive_loop():
+    rng = rng_for(0, "test", "exact-torus-fast-paths")
+    for q, p in EXACT_ORDERS:
+        cfg = TorusConfig.exact(q, p)
+        zero = TorusElement.zero(cfg)
+        one_minus_t = CycloElement.one(q) - CycloElement.root(q, 1)
+        ones = CycloElement(q, [1] * q)
+
+        def rand_monomial(coeff=None):
+            if coeff is None:
+                coeff = CycloElement.root(q, rng.randrange(q)) \
+                    * Scalar(rng.randrange(1, 4), rng.randrange(-2, 3))
+            return TorusElement.monomial(cfg, rng.randrange(-3, 4),
+                                         rng.randrange(-3, 4), coeff)
+
+        # coefficients (1 - t) and (1 + t + ... + t^(q-1)) multiply to 0
+        dividing = (rand_monomial(one_minus_t), rand_monomial(ones))
+        assert (dividing[0] * dividing[1]).is_zero
+        pairs = [dividing]
+        for _ in range(25):
+            x = rand_monomial()
+            y = rand_monomial(rng.choice([1, Scalar(-2, 1), one_minus_t]))
+            many = rand_exact_element(rng, cfg, radius=3,
+                                      terms=rng.randrange(2, 5))
+            pairs += [(x, y), (y, x), (x, many), (many, x)]
+        for left, right in pairs:
+            assert list((left * right).coeffs.items()) == \
+                _naive_torus_product(left, right)
+            assert left.trace(right) == (left * right).trace()
+        for x, _ in pairs[1::4]:
+            for product in (zero * x, x * zero):
+                assert product.config is cfg and product.is_zero
+        for m, n in ((0, 2), (-3, 0), (0, 0), (1, -2)):
+            x = TorusElement.monomial(cfg, m, n, Scalar(3, -1))
+            for which in (1, 2):
+                assert list(x.delta(which).coeffs.items()) == [
+                    (key, value * key[which - 1])
+                    for key, value in x.coeffs.items()
+                    if value * key[which - 1] != 0]
+        unmatched = TorusElement.monomial(cfg, 1, 2).trace(
+            TorusElement.monomial(cfg, 1, -2))
+        assert unmatched == CycloElement.zero(q)
+        assert rand_monomial().trace(zero) == CycloElement.zero(q)
+
+
+# CycloElement products in the q = 3 cocycle checks. The count depends on
+# the code alone, so exceeding it flags lost fast paths without any timing.
+# Recorded when monomial torus products became one coefficient product with
+# the lambda twist as a rotation (before: 529,514).
+COCYCLE_CHECKS_Q3_BUDGET = 300_821
+
+
+def test_cocycle_checks_coefficient_product_budget(monkeypatch):
+    calls = {"mul": 0, "convolve": 0}
+    inner_mul, inner_convolve = CycloElement.__mul__, ring._convolve
+
+    def counting_mul(self, other):
+        calls["mul"] += 1
+        return inner_mul(self, other)
+
+    def counting_convolve(x, y):
+        calls["convolve"] += 1
+        return inner_convolve(x, y)
+
+    monkeypatch.setattr(CycloElement, "__mul__", counting_mul)
+    monkeypatch.setattr(ring, "_convolve", counting_convolve)
+    results = torus_cocycle_checks(1, TorusConfig.exact(3, 1))
+    assert [r.passed for r in results] == [True]
+    assert calls["convolve"] == 0
+    assert 0 < calls["mul"] <= COCYCLE_CHECKS_Q3_BUDGET

@@ -343,10 +343,18 @@ class CycloElement:
         Multiplying by c*t^a moves the coefficient at t^b to t^(a+b) times c,
         so no convolution is needed for scalars or for the powers of lambda
         the torus multiplies by. Coefficients are canonical, so every path
-        returns the same tuples as the full convolution.
+        returns the same tuples as the full convolution. A plain int, the
+        torus derivation weight, skips the coercion: 1 returns self, and
+        any other n scales the nonzero coefficients by n.
         """
         q = self.q
         coeffs = self._coeffs
+        if type(other) is int:
+            if other == 1:
+                return self
+            c = (other, 1, 0, 1)
+            return CycloElement._make(q, tuple(
+                Q_ZERO if x == Q_ZERO else qmul(x, c) for x in coeffs))
         if isinstance(other, CycloElement):
             if other.q != q:
                 raise ValueError(f"mixed orders: {q} vs {other.q}")

@@ -270,9 +270,10 @@ def suite_cubic_trace(seed: int, trials: Optional[int] = None,
         if not data.p.is_constant:
             bad = _tuple_counterexample(f"trial {i} (k=2): p not constant", t)
             break
+    k2_checked = divisions
     results.append(CheckResult(
         "theorem33.p-constant-k2", bad is None and division_bad is None,
-        f"p is a constant for {k2_count} tuples of 2x2 matrices",
+        f"p is a constant for {k2_checked} tuples of 2x2 matrices",
         bad or division_bad))
 
     bad = None
@@ -292,8 +293,8 @@ def suite_cubic_trace(seed: int, trials: Optional[int] = None,
             break
     results.append(CheckResult(
         "theorem33.p-quadratic-k3", bad is None,
-        f"p is homogeneous of degree 2 for {k3_count} tuples of "
-        "3x3 matrices", bad))
+        f"p is homogeneous of degree 2 for {divisions - k2_checked} tuples "
+        "of 3x3 matrices", bad))
 
     results.append(CheckResult(
         "theorem33.divisibility", division_bad is None,

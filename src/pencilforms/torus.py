@@ -199,7 +199,11 @@ class TorusElement:
     def __sub__(self, other):
         if not isinstance(other, TorusElement):
             return NotImplemented
-        return self + (-other)
+        self._match(other)
+        out = dict(self.coeffs)
+        for key, value in other.coeffs.items():
+            out[key] = out[key] - value if key in out else -value
+        return TorusElement._make(self.config, out.items())
 
     def __neg__(self) -> "TorusElement":
         return TorusElement._make(self.config,
@@ -211,7 +215,9 @@ class TorusElement:
 
         Fast paths: a zero operand gives zero at once, and a monomial times
         a monomial is one coefficient product, twisted by lambda^(-b c)
-        (a rotation in exact mode), with no loop over term pairs.
+        (a rotation in exact mode), with no loop over term pairs. Otherwise
+        the twists of a left row of V-degree b are looked up once per
+        distinct b, and the term pairs are summed in left-major order.
         """
         if isinstance(other, TorusElement):
             self._match(other)
@@ -228,12 +234,18 @@ class TorusElement:
                     config, {(a + c, b + d): value} if value else {})
             lambda_power = config.lambda_power
             out: Dict[Degree, object] = {}
-            right = right.items()
+            get = out.get
+            rows: Dict[int, list] = {}
             for (a, b), ca in left.items():
-                for (c, d), cb in right:
-                    key = (a + c, b + d)
-                    term = ca * cb * lambda_power(-b * c)
-                    out[key] = out[key] + term if key in out else term
+                row = rows.get(b)
+                if row is None:
+                    row = rows[b] = [(c, b + d, cb, lambda_power(-b * c))
+                                     for (c, d), cb in right.items()]
+                for c, bd, cb, lam in row:
+                    key = (a + c, bd)
+                    term = ca * cb * lam
+                    prev = get(key)
+                    out[key] = term if prev is None else prev + term
             return TorusElement._make(config, out.items())
         try:
             scale = self.config.coerce(other)
@@ -488,19 +500,34 @@ def _neumann_parts(mats: Sequence[TorusElement],
 
 def neumann_resolvent(mats: Sequence[TorusElement], z: Sequence[complex],
                       order: int) -> TorusElement:
-    """Truncated inverse z1^-1 sum_{t<=M} (-(z2 A2 + z3 A3)/z1)^t."""
+    """Truncated inverse z1^-1 sum_{t<=M} (-(z2 A2 + z3 A3)/z1)^t.
+
+    Each power is added into one dict in place. A key whose sum is exactly
+    0 is deleted, so a later power puts it back at the end; the result has
+    the bits and the key order of summing the powers with `+`.
+    """
     if order < 1:
         raise ValueError("order must be >= 1")
     s, rho, z1 = _neumann_parts(mats, z)
     if rho >= 1:
         raise ValueError("Neumann series divergent at this point")
     step = s * (-1 / z1)
-    acc = TorusElement.one(mats[0].config)
-    power = acc
+    config = mats[0].config
+    power = TorusElement.one(config)
+    acc = dict(power.coeffs)
     for _ in range(order):
         power = power * step
-        acc = acc + power
-    return acc * (1 / z1)
+        for key, value in power.coeffs.items():
+            prev = acc.get(key)
+            if prev is None:
+                acc[key] = value
+            else:
+                total = prev + value
+                if total:
+                    acc[key] = total
+                else:
+                    del acc[key]
+    return TorusElement._of(config, acc) * (1 / z1)
 
 
 # ---------------------------------------------------------------------------
@@ -543,10 +570,13 @@ def factorization_report(mats: Sequence[TorusElement],
     must dominate the truncation error propagated through phi_j.  Reports
     q_j = 2 phi_j(W1,W2)/z3 for each sample.  Divergent samples are skipped;
     if every sample diverges a ValueError is raised.
+
+    Per point and j, delta_j(W2) and delta_j(W3) and their l1 norms are
+    computed once; the three phi_j values are traces against them and the
+    bounds read the stored norms.
     """
     if not points:
         raise ValueError("at least one sample point is required")
-    phis = (phi_cochain(1), phi_cochain(2))
     samples: List[FactorizationSample] = []
     skipped: List[Tuple[Tuple[complex, complex, complex], str]] = []
     max_residual = 0.0
@@ -576,28 +606,34 @@ def factorization_report(mats: Sequence[TorusElement],
         radii = [x.degree_radius() for x in mats]
         w_norms = [x.l1_norm() for x in w]
 
-        def err_phi(j: int, x: int, y: int) -> float:
+        def err_phi(x: int, y: int) -> float:
             # |phi_j(W_x, W_y) - phi_j(What_x, What_y)| with What = R A;
             # the dropped term of degree t carries monomials of height
             # <= r_s t + r_y, so delta_j costs that factor per term.
             e_ax = tail0 / az1 * a_norms[x]
             d_ey = a_norms[y] / az1 * (r_s * sum_t + radii[y] * tail0)
-            dw_y = w[y].delta(j).l1_norm()
-            return e_ax * dw_y + (w_norms[x] + e_ax) * d_ey
+            return e_ax * dw_norms[y] + (w_norms[x] + e_ax) * d_ey
 
         residuals = []
         bounds = []
         q_values = []
-        for j, phi in zip((1, 2), phis):
-            v12 = phi(w[0], w[1])
-            v23 = phi(w[1], w[2])
-            v13 = phi(w[0], w[2])
+        for j in (1, 2):
+            # one derivative is alive at a time, so peak memory does not grow
+            dw = w[1].delta(j)
+            dw_norms = {1: dw.l1_norm()}
+            v12 = w[0].trace(dw)
+            del dw
+            dw = w[2].delta(j)
+            dw_norms[2] = dw.l1_norm()
+            v23 = w[1].trace(dw)
+            v13 = w[0].trace(dw)
+            del dw
             residuals.append(abs(point[0] * v12 - point[2] * v23))
             residuals.append(abs(point[1] * v12 + point[2] * v13))
-            bounds.append(abs(point[0]) * err_phi(j, 0, 1)
-                          + abs(point[2]) * err_phi(j, 1, 2))
-            bounds.append(abs(point[1]) * err_phi(j, 0, 1)
-                          + abs(point[2]) * err_phi(j, 0, 2))
+            bounds.append(abs(point[0]) * err_phi(0, 1)
+                          + abs(point[2]) * err_phi(1, 2))
+            bounds.append(abs(point[1]) * err_phi(0, 1)
+                          + abs(point[2]) * err_phi(0, 2))
             q_values.append(2 * v12 / point[2] if point[2] != 0 else None)
         worst_bound = max(bounds)
         if tol < worst_bound:

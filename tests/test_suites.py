@@ -167,3 +167,27 @@ def test_trace_routes_without_content_fail():
     assert not result.passed
     assert "0 of 1 tuples nonzero" in result.detail
     assert "no content" in result.counterexample
+
+
+def test_theorem33_counts_only_the_tuples_it_checked(monkeypatch, capsys):
+    calls = {2: 0, 3: 0}
+
+    def failing_at_trial_1(t):
+        calls[t.k] += 1
+        if calls[t.k] == 2:
+            raise RuntimeError("forced division failure")
+        return cubic_trace_data(t)
+
+    monkeypatch.setattr(suites, "cubic_trace_data", failing_at_trial_1)
+    code = cli.main(["verify", "--suite", "theorem33", "--seed", "1",
+                     "--trials", "10"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "FAIL theorem33.p-constant-k2: p is a constant for 1 tuples of " \
+        "2x2 matrices\n  trial 1 (k=2): forced division failure\n" in out
+    assert "PASS theorem33.p-quadratic-k3: p is homogeneous of degree 2 " \
+        "for 1 tuples of 3x3 matrices\n" in out
+    assert "FAIL theorem33.divisibility: every antisymmetrized resolvent " \
+        "trace divides exactly by det (2 tuples)\n  trial 1 (k=2): forced " \
+        "division failure\n" in out
+    assert "PASS theorem33.trace-routes: " in out

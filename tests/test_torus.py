@@ -1,16 +1,18 @@
 """Twisted torus algebra: products, derivations, cocycles, resolvents."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from pencilforms import ring
+from pencilforms import ring, torus
 from pencilforms.cochains import TraceWord
 from pencilforms.ring import CycloElement, Scalar
 from pencilforms.sampling import rng_for
 from pencilforms.suites import torus_cocycle_checks
 from pencilforms.torus import (
     FactorizationReport,
+    FactorizationSample,
     TorusConfig,
     TorusElement,
     coboundary_check,
@@ -572,3 +574,210 @@ def test_cocycle_checks_coefficient_product_budget(monkeypatch):
     assert [r.passed for r in results] == [True]
     assert calls["convolve"] == 0
     assert 0 < calls["mul"] <= COCYCLE_CHECKS_Q3_BUDGET
+
+
+def test_cyclo_int_products_match_convolution():
+    rng = rng_for(0, "test", "cyclo-int-products")
+    for q, p in EXACT_ORDERS:
+        xs = [CycloElement.zero(q), CycloElement.one(q),
+              CycloElement.one(q) - CycloElement.root(q, 1)]
+        for _ in range(8):
+            xs.append(CycloElement(q, [
+                Scalar(Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)),
+                       rng.randrange(-2, 3))
+                if rng.random() < 0.6 else 0 for _ in range(q)]))
+        for x in xs:
+            for n in (0, 1, -1, 2, -3):
+                expected = ring._convolve(
+                    x._coeffs, CycloElement.from_scalar(q, n)._coeffs)
+                for product in (x * n, n * x, x * Scalar(n)):
+                    assert product.q == q
+                    assert product._coeffs == expected, (q, x, n)
+
+
+def test_torus_subtraction_matches_adding_the_negation():
+    rng = rng_for(0, "test", "torus-subtraction")
+    for cfg, rand in ([(TorusConfig.exact(q, p), rand_exact_element)
+                       for q, p in EXACT_ORDERS]
+                      + [(TorusConfig.numeric(0.37), rand_numeric_element)]):
+        for _ in range(20):
+            x = rand(rng, cfg, terms=4)
+            y = rand(rng, cfg, terms=3)
+            (m, n), value = next(iter(x.coeffs.items()))
+            # the first term of x cancels, so its key leaves the result
+            cancelling = TorusElement._of(cfg, {(m, n): value, **{
+                key: v for key, v in y.coeffs.items() if key != (m, n)}})
+            for left, right in ((x, y), (y, x), (x, cancelling), (x, x)):
+                difference = left - right
+                assert list(difference.coeffs.items()) == \
+                    list((left + (-right)).coeffs.items())
+                assert all(difference.coeffs.values())
+            assert (m, n) not in (x - cancelling).coeffs
+    with pytest.raises(ValueError):
+        TorusElement.u(TorusConfig.exact(4, 1)) \
+            - TorusElement.u(TorusConfig.exact(5, 1))
+    with pytest.raises(ValueError):
+        TorusElement.u(TorusConfig.exact(4, 1)) \
+            - TorusElement.u(TorusConfig.numeric(0.25))
+
+
+# -- the numeric factorization against the plain computation ---------------
+
+
+def _naive_element_product(x, y):
+    return TorusElement._of(x.config, dict(_naive_torus_product(x, y)))
+
+
+def _reference_resolvent(mats, z, order):
+    """Every power by the term-pair loop, summed as acc = acc + power."""
+    s, rho, z1 = torus._neumann_parts(mats, z)
+    assert rho < 1
+    step = s * (-1 / z1)
+    acc = power = TorusElement.one(mats[0].config)
+    for _ in range(order):
+        power = _naive_element_product(power, step)
+        acc = acc + power
+    return acc * (1 / z1)
+
+
+def _reference_samples(mats, points, order):
+    """Each phi_j through its cochain, and one delta per err_phi call.
+
+    Returns the samples and every phi value, for a content check.
+    """
+    phis = (phi_cochain(1), phi_cochain(2))
+    samples, values = [], []
+    for raw in points:
+        point = tuple(complex(c) for c in raw)
+        s, rho, z1 = torus._neumann_parts(mats, point)
+        resolvent = _reference_resolvent(mats, point, order)
+        w = [_naive_element_product(resolvent, a) for a in mats]
+        az1 = abs(z1)
+        tail0 = rho ** (order + 1) / (1 - rho)
+        tail1 = ((order + 2) * rho ** (order + 1)
+                 - (order + 1) * rho ** (order + 2)) / (1 - rho) ** 2
+        sum_t = tail1 - tail0
+        r_s = s.degree_radius()
+        a_norms = [x.l1_norm() for x in mats]
+        radii = [x.degree_radius() for x in mats]
+        w_norms = [x.l1_norm() for x in w]
+
+        def err_phi(j, x, y):
+            e_ax = tail0 / az1 * a_norms[x]
+            d_ey = a_norms[y] / az1 * (r_s * sum_t + radii[y] * tail0)
+            dw_y = w[y].delta(j).l1_norm()
+            return e_ax * dw_y + (w_norms[x] + e_ax) * d_ey
+
+        residuals, bounds, q_values = [], [], []
+        for j, phi in zip((1, 2), phis):
+            v12 = phi(w[0], w[1])
+            v23 = phi(w[1], w[2])
+            v13 = phi(w[0], w[2])
+            values += [v12, v23, v13]
+            residuals.append(abs(point[0] * v12 - point[2] * v23))
+            residuals.append(abs(point[1] * v12 + point[2] * v13))
+            bounds.append(abs(point[0]) * err_phi(j, 0, 1)
+                          + abs(point[2]) * err_phi(j, 1, 2))
+            bounds.append(abs(point[1]) * err_phi(j, 0, 1)
+                          + abs(point[2]) * err_phi(j, 0, 2))
+            q_values.append(2 * v12 / point[2] if point[2] != 0 else None)
+        samples.append(FactorizationSample(
+            point=point, rho=rho, q_values=tuple(q_values),
+            residuals=tuple(residuals), propagated_bounds=tuple(bounds),
+            within_tol=all(r <= 1e-9 for r in residuals)))
+    return samples, values
+
+
+# (1, U + V^-1, V + U^-1) has two-sided support in both gradings, so no
+# phi_j(W_x, W_y) vanishes by degree: here each lies in 0.08-1.5.
+CONTENT_POINTS = [(1, 0.1, 0.12), (1, -0.09 + 0.03j, 0.13),
+                  (1, 0.12 - 0.03j, -0.1 + 0.04j), (0.9, 0.1, 0.12),
+                  (1, 0.15, 0.1j), (1, 0.14 + 0.05j, -0.11)]
+
+
+def content_pencil():
+    cfg = TorusConfig.numeric(0.37)
+    return [TorusElement.one(cfg),
+            TorusElement.u(cfg) + TorusElement.v(cfg, -1),
+            TorusElement.v(cfg) + TorusElement.u(cfg, -1)]
+
+
+def test_factorization_is_bitwise_the_reference():
+    mats = content_pencil()
+    report = factorization_report(mats, CONTENT_POINTS, order=40, tol=1e-9)
+    expected, values = _reference_samples(mats, CONTENT_POINTS, 40)
+    assert min(abs(v) for v in values) > 0.08
+    assert report.all_within and not report.skipped
+    assert len(report.samples) == len(expected) == len(CONTENT_POINTS)
+    for sample, ref in zip(report.samples, expected):
+        for field in dataclasses.fields(FactorizationSample):
+            got, want = getattr(sample, field.name), getattr(ref, field.name)
+            # repr tells the sign of a zero and every bit of a float
+            assert got == want and repr(got) == repr(want), field.name
+    assert report.max_residual == max(max(s.residuals) for s in expected)
+    for z in CONTENT_POINTS:
+        assert list(neumann_resolvent(mats, z, 40).coeffs.items()) == \
+            list(_reference_resolvent(mats, z, 40).coeffs.items())
+
+
+def test_neumann_sum_readds_a_cancelled_key_at_the_end():
+    # step = -(1/2 + U/4) is dyadic, so the U coefficient of the sum is
+    # exactly -1/4 + 1/4 = 0 after two powers and comes back with the third
+    cfg = TorusConfig.numeric(0.37)
+    one = TorusElement.one(cfg)
+    mats = [one, one + TorusElement.u(cfg) * 0.5, TorusElement.v(cfg)]
+    z = (1, 0.5, 0)
+    resolvent = list(neumann_resolvent(mats, z, 6).coeffs.items())
+    assert resolvent == list(_reference_resolvent(mats, z, 6).coeffs.items())
+    assert [key for key, _ in resolvent[:3]] == [(0, 0), (2, 0), (1, 0)]
+
+
+# lambda_power calls in factorization_report on the sampled pencil of
+# the torus suite (seed 1, ten points, order 40). The count depends on
+# the code alone. Recorded when the twists of the general product loop
+# were taken once per left V-degree row (before: one per term pair, 412,440).
+FACTORIZATION_LAMBDA_POWER_BUDGET = 27_040
+
+
+def test_factorization_operation_counts(monkeypatch):
+    cfg = TorusConfig.numeric(0.37)
+    mats = [TorusElement.one(cfg),
+            TorusElement.u(cfg) + TorusElement.u(cfg, -1),
+            TorusElement.v(cfg)]
+    rng = rng_for(1, "torus", "factor-points")
+    points = [(1.0,
+               complex(rng.uniform(0.05, 0.1), rng.uniform(-0.02, 0.02)),
+               complex(rng.uniform(0.05, 0.1), rng.uniform(-0.02, 0.02)))
+              for _ in range(10)]
+    calls = {"delta": 0, "lambda_power": 0}
+    over_budget = []
+    inner_delta = TorusElement.delta
+    inner_lambda_power = TorusConfig.lambda_power
+    inner_mul = TorusElement.__mul__
+
+    def counting_delta(self, which):
+        calls["delta"] += 1
+        return inner_delta(self, which)
+
+    def counting_lambda_power(self, exponent):
+        calls["lambda_power"] += 1
+        return inner_lambda_power(self, exponent)
+
+    def budgeted_mul(self, other):
+        before = calls["lambda_power"]
+        product = inner_mul(self, other)
+        if isinstance(other, TorusElement):
+            rows = len({b for _, b in self.coeffs})
+            used = calls["lambda_power"] - before
+            if used > rows * len(other.coeffs):
+                over_budget.append((used, rows, len(other.coeffs)))
+        return product
+
+    monkeypatch.setattr(TorusElement, "delta", counting_delta)
+    monkeypatch.setattr(TorusConfig, "lambda_power", counting_lambda_power)
+    monkeypatch.setattr(TorusElement, "__mul__", budgeted_mul)
+    report = factorization_report(mats, points, order=40, tol=1e-10)
+    assert len(report.samples) == 10 and report.all_within
+    assert calls["delta"] == 4 * len(report.samples)
+    assert over_budget == []
+    assert 0 < calls["lambda_power"] <= FACTORIZATION_LAMBDA_POWER_BUDGET

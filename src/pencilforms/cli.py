@@ -191,7 +191,7 @@ def cmd_form(args) -> int:
             return 1
         data = {
             "q": {"num": str(fact.q.num), "den": str(fact.q.den)},
-            "q_denominator_power": fact.q_denominator_power,
+            "q_denominator_power": fact.q.den_pow,
             "residual_zero": fact.residual.is_zero,
             "normalized_coefficients": [
                 {"num": str(b.num), "den": str(b.den)} for b in fact.bar_i],

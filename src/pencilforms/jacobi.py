@@ -14,12 +14,12 @@ of the top form minus q s. A zero residual makes every coefficient q times
 (-1)^j z_j, so the cross relations ``z_i I_nbar = (-1)^i z_n I_ibar`` on
 the normalized coefficients follow from it and are not checked apart.
 
-For four-variable pencils `cubic_trace_data` extracts the polynomial p with
-trace(omega^3) = (3 p / det^2) s, checks that p is homogeneous of degree
-2k-4, and checks the companion divisibility: each antisymmetrized product
-trace(adj A_i adj A_j adj A_k - adj A_i adj A_k adj A_j) is divisible
-by det. Those traces are the coefficients of trace(omega^3) up to the
-factor 3 / det^3, so the factorization reuses them. At k = 2 the constant p
+For four-variable pencils `cubic_trace_data` takes tr(omega^3) from the
+anchored sum. The dz_j coefficient of omega is adj(A) A_j / det, so the
+dz_i dz_j dz_k coefficient is 3 I_(i,j,k): the antisymmetrized resolvent
+trace tr(adj A_i adj A_j adj A_k - adj A_i adj A_k adj A_j) over det^3.
+It also returns the residual and p with tr(omega^3) = (3 p / det^2) s and
+judges none of them; the `theorem33` suite does. At k = 2 the constant p
 matches the signed 4x4 entry-matrix determinant of `entry_matrix_constant`
 up to one global sign, calibrated once on the matrix-unit tuple by
 `calibrated_sign`.
@@ -29,11 +29,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Dict, Optional, Tuple
 
 from pencilforms.cochains import TraceWord
-from pencilforms.forms import ScalarForm, maurer_cartan, sort_index
+from pencilforms.forms import MatrixForm, ScalarForm, maurer_cartan, sort_index
 from pencilforms.linalg import MatrixTuple, PolyMatrix, grid_det
 from pencilforms.ring import MultiPoly, RatFn, Scalar
 
@@ -59,11 +60,15 @@ def anchored_trace_power(f: PolyMatrix, m: int) -> ScalarForm:
     """
     if m % 2 == 0:
         raise ValueError("anchored expansion requires odd m")
-    n = f.n
-    if not 1 <= m <= n:
-        raise ValueError(f"m must lie in 1..{n}")
+    if not 1 <= m <= f.n:
+        raise ValueError(f"m must lie in 1..{f.n}")
+    return _anchored_trace_power(maurer_cartan(f), m)
+
+
+def _anchored_trace_power(omega: MatrixForm, m: int) -> ScalarForm:
+    """The anchored trace-word sum of an already built omega."""
+    n = omega.n
     word = TraceWord(m)
-    omega = maurer_cartan(f)
     nums = {v: omega.coefficient_num((v,)) for v in range(1, n + 1)}
     terms = {}
     for index in combinations(range(1, n + 1), m):
@@ -75,12 +80,9 @@ def anchored_trace_power(f: PolyMatrix, m: int) -> ScalarForm:
             if sort_index(seq)[1] < 0:
                 val = -val
             total = val if total is None else total + val
-        if total is None or total.is_zero:
-            continue
-        coeff = RatFn.over_power(total * m, omega.den_base,
-                                 m * omega.den_pow).reduce()
-        if not coeff.is_zero:
-            terms[index] = coeff
+        if not total.is_zero:
+            terms[index] = RatFn.over_power(total * m, omega.den_base,
+                                            m * omega.den_pow).reduce()
     return ScalarForm(n, m, terms)
 
 
@@ -103,10 +105,8 @@ def trace_power_form(f: PolyMatrix, m: int) -> ScalarForm:
 @dataclass(frozen=True)
 class TopFormFactorization:
     q: RatFn
-    s: ScalarForm
     residual: ScalarForm
     bar_i: Tuple[RatFn, ...]
-    q_denominator_power: int
 
 
 def factorize_top_form(f: PolyMatrix) -> TopFormFactorization:
@@ -115,8 +115,7 @@ def factorize_top_form(f: PolyMatrix) -> TopFormFactorization:
     Requires n even and entries homogeneous of one common degree. q is the
     dz_{1bar} coefficient over -z_1. The top form is q * s exactly when
     the returned residual is zero; the caller decides what a nonzero one
-    means. The cross relations on the normalized coefficients I_jbar
-    follow from a zero residual.
+    means.
     """
     n = f.n
     if n < 2 or n % 2 != 0:
@@ -129,73 +128,44 @@ def factorize_top_form(f: PolyMatrix) -> TopFormFactorization:
 def _factor_top_form(big_t: ScalarForm) -> TopFormFactorization:
     """q and the residual big_t - q * s of a top form."""
     n = big_t.n
-    s = s_form(n)
     q = (big_t.coefficient(tuple(range(2, n + 1)))
          * RatFn(MultiPoly.constant(n, -1), MultiPoly.variable(n, 1))).reduce()
     inv = Fraction(1, n - 1)
     bar_i = tuple(
         big_t.coefficient(tuple(v for v in range(1, n + 1) if v != j)) * inv
         for j in range(1, n + 1))
-    residual = big_t - s * q
-    return TopFormFactorization(q=q, s=s, residual=residual, bar_i=bar_i,
-                                q_denominator_power=q.den_pow)
+    return TopFormFactorization(q=q, residual=big_t - s_form(n) * q,
+                                bar_i=bar_i)
 
 
 @dataclass(frozen=True)
 class CubicTraceData:
-    p: MultiPoly
+    p: Optional[MultiPoly]
     i_values: Dict[Tuple[int, int, int], RatFn]
-    q: RatFn
-    trace_cubed: ScalarForm
+    residual: ScalarForm
 
 
 def cubic_trace_data(t: MatrixTuple) -> CubicTraceData:
-    """p and the antisymmetrized resolvent traces for a four-matrix tuple.
+    """p, the I values and the q s residual of tr(omega^3) for four matrices.
 
-    Each trace ``adj A_i adj A_j adj A_k - adj A_i adj A_k adj A_j`` must
-    be exactly divisible by det. Over det^3 it is I_(i,j,k), and by
-    cyclicity of the trace 3 I_(i,j,k) is the dz_i dz_j dz_k coefficient
-    of trace(omega^3), so ``trace_cubed`` is built from these values and
-    not traced again. p is defined by exact division: trace(omega^3) = q s
-    with q = 3 p / det^2, so p = q det^2 / 3, which must come out
-    polynomial and homogeneous of degree 2k-4. Any failure falsifies the
-    factorization on this input and raises.
+    Each I_(i,j,k) is the dz_i dz_j dz_k coefficient of the anchored sum
+    over 3, reduced over a power of det. p = q det^2 / 3, or None when that
+    is not a polynomial. The caller judges divisibility, the residual and
+    the degree of p. ValueError unless t has four matrices and det != 0.
     """
     if t.n != 4:
         raise ValueError(f"needs a tuple of four matrices, got {t.n}")
-    f = t.pencil()
-    det = f.det()
-    if det.is_zero:
-        raise ValueError("det vanishes identically: empty resolvent set")
-    k = t.k
-    adj = f.adjugate()
-    # P_j = adj A_j, so each trace is tr(P_i (P_j P_m - P_m P_j))
-    prods = {j: adj * PolyMatrix.constant(4, t.matrix(j)) for j in range(1, 5)}
-
-    i_values: Dict[Tuple[int, int, int], RatFn] = {}
-    for (i, j, m) in combinations(range(1, 5), 3):
-        num = prods[i].trace(prods[j] * prods[m] - prods[m] * prods[j])
-        if num.exact_divide(det) is None:
-            raise RuntimeError(
-                f"trace difference at ({i},{j},{m}) is not divisible by det")
-        i_values[(i, j, m)] = RatFn.over_power(num, det, 3).reduce()
-
-    trace_cubed = ScalarForm(4, 3, {index: value * 3
-                                    for index, value in i_values.items()})
+    omega = maurer_cartan(t.pencil())
+    # adj(A) A_j has entries of degree k-1 below deg det = k, so omega
+    # keeps det as its denominator base
+    det = omega.den_base
+    trace_cubed = _anchored_trace_power(omega, 3)
+    third = Fraction(1, 3)
+    i_values = {index: trace_cubed.coefficient(index) * third
+                for index in combinations(range(1, 5), 3)}
     fact = _factor_top_form(trace_cubed)
-    if not fact.residual.is_zero:
-        raise RuntimeError("tr(omega^3) is not q s: nonzero residual")
-    p_rat = (fact.q * det * det * Fraction(1, 3)).reduce()
-    p = p_rat.as_polynomial()
-    if p is None:
-        raise RuntimeError("q det^2 / 3 is not a polynomial")
-    if not p.is_zero:
-        degree = p.homogeneity_degree()
-        if degree is None or degree != 2 * k - 4:
-            raise RuntimeError(
-                f"p has degree {degree}, expected {2 * k - 4}")
-    return CubicTraceData(p=p, i_values=i_values, q=fact.q,
-                          trace_cubed=trace_cubed)
+    p = (fact.q * det * det * third).reduce().as_polynomial()
+    return CubicTraceData(p=p, i_values=i_values, residual=fact.residual)
 
 
 _ENTRY_POSITIONS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -215,21 +185,16 @@ def entry_matrix_constant(t: MatrixTuple) -> Scalar:
     return -grid_det(grid, Scalar(1))
 
 
-_CALIBRATED_SIGN: Optional[Scalar] = None
-
-
+@lru_cache(maxsize=None)
 def calibrated_sign() -> Scalar:
     """The global sign relating cubic_trace_data's constant p to
     entry_matrix_constant, fixed once on the matrix-unit tuple."""
-    global _CALIBRATED_SIGN
-    if _CALIBRATED_SIGN is None:
-        units = MatrixTuple.matrix_units(2)
-        p = cubic_trace_data(units).p
-        c = entry_matrix_constant(units)
-        if p.is_zero or c.is_zero:
-            raise RuntimeError("matrix-unit calibration degenerated")
-        eps = p.constant_value() * c.inverse()
-        if eps not in (Scalar(1), Scalar(-1)):
-            raise RuntimeError(f"calibration produced a non-sign ratio {eps}")
-        _CALIBRATED_SIGN = eps
-    return _CALIBRATED_SIGN
+    units = MatrixTuple.matrix_units(2)
+    p = cubic_trace_data(units).p
+    c = entry_matrix_constant(units)
+    if p is None or p.is_zero or c.is_zero:
+        raise RuntimeError("matrix-unit calibration degenerated")
+    eps = p.constant_value() * c.inverse()
+    if eps not in (Scalar(1), Scalar(-1)):
+        raise RuntimeError(f"calibration produced a non-sign ratio {eps}")
+    return eps

@@ -224,7 +224,10 @@ def _frac_str(n: int, d: int) -> str:
 def _parse_fraction(text: str) -> Fraction:
     if not _re.fullmatch(r"[+-]?\d+(/\d+)?", text):
         raise ValueError(f"malformed rational literal: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in rational literal: {text!r}")
 
 
 def _split_signed(s: str) -> Iterator[str]:

@@ -8,6 +8,7 @@ term ordering so that serialized output is byte-stable.
 from __future__ import annotations
 
 import json
+import re
 from typing import Dict, List
 
 from .forms import MatrixForm, ScalarForm
@@ -33,6 +34,13 @@ def tuple_to_json(t: MatrixTuple) -> Dict:
     }
 
 
+def _grid_rows(grid, where: str) -> List:
+    """grid, or ValueError unless it and each of its rows are lists."""
+    if isinstance(grid, list) and all(isinstance(r, list) for r in grid):
+        return grid
+    raise ValueError(f"{where}: expected a list of rows, each a list")
+
+
 def tuple_from_json(data: Dict) -> MatrixTuple:
     if not isinstance(data, dict) or "matrices" not in data:
         raise ValueError("expected an object with a 'matrices' key")
@@ -42,7 +50,7 @@ def tuple_from_json(data: Dict) -> MatrixTuple:
     parsed = []
     for j, grid in enumerate(mats):
         rows = []
-        for r, row in enumerate(grid):
+        for r, row in enumerate(_grid_rows(grid, f"matrices[{j}]")):
             cells = []
             for c, text in enumerate(row):
                 try:
@@ -72,8 +80,6 @@ def poly_matrix_to_json(m: PolyMatrix) -> Dict:
 
 
 def _max_variable_index(text: str) -> int:
-    import re
-
     best = 0
     for match in re.finditer(r"z(\d+)", text):
         best = max(best, int(match.group(1)))
@@ -86,8 +92,11 @@ def poly_matrix_from_json(data: Dict) -> PolyMatrix:
     entries = data["entries"]
     if not isinstance(entries, list) or not entries:
         raise ValueError("'entries' must be a nonempty grid")
+    _grid_rows(entries, "entries")
     if "n" in data:
-        n = int(data["n"])
+        n = data["n"]
+        if type(n) is not int:
+            raise ValueError(f"'n' must be an integer, got {n!r}")
     else:
         # infer the smallest ring containing every named variable
         n = max((_max_variable_index(str(e)) for row in entries for e in row),
@@ -201,10 +210,16 @@ def dense_cochain_from_json(data: Dict):
 
     if not isinstance(data, dict) or "arity" not in data or "k" not in data:
         raise ValueError("expected an object with 'arity', 'k', and 'terms'")
-    arity = int(data["arity"])
-    k = int(data["k"])
+    try:
+        arity = int(data["arity"])
+        k = int(data["k"])
+    except (TypeError, ValueError):
+        raise ValueError("'arity' and 'k' must be integers")
+    items = data.get("terms", [])
+    if not isinstance(items, list):
+        raise ValueError("'terms' must be a list")
     tensor = {}
-    for pos, item in enumerate(data.get("terms", ())):
+    for pos, item in enumerate(items):
         try:
             key = tuple((int(i), int(j)) for i, j in item["pairs"])
         except (TypeError, ValueError, KeyError):

@@ -14,11 +14,11 @@ from typing import Callable, Dict, List, Optional, Tuple
 from . import serialize
 from .cochains import DenseCochain, TraceWord, cyclic_symmetrize, functional_product
 from .forms import maurer_cartan
-from .jacobi import (anchored_trace_power, calibrated_sign, cubic_trace_data,
-                     entry_matrix_constant, factorize_top_form,
-                     trace_power_form)
+from .jacobi import (CubicTraceData, anchored_trace_power, calibrated_sign,
+                     cubic_trace_data, entry_matrix_constant,
+                     factorize_top_form, trace_power_form)
 from .linalg import MatrixTuple, PolyMatrix
-from .ring import Scalar
+from .ring import CycloElement, MultiPoly, Scalar
 from .sampling import (random_diagonal_tuple, random_matrix_tuple,
                        random_poly_matrix, rng_for)
 from .torus import (TorusConfig, TorusElement, coboundary_check,
@@ -97,29 +97,33 @@ def suite_flatness(seed: int, trials: Optional[int] = None,
 
     results: List[CheckResult] = []
     bad: Optional[str] = None
+    checked = 0
     for i in range(count):
         k, n = combos[i % len(combos)]
         t = random_matrix_tuple(rng_for(seed, "flatness", "linear", i), n, k)
+        checked += 1
         om = maurer_cartan(t.pencil())
         if not (om.exterior_derivative() + om.wedge(om)).is_zero:
             bad = _tuple_counterexample(f"trial {i} (k={k}, n={n})", t)
             break
     results.append(CheckResult(
         "flatness.linear", bad is None,
-        f"{count} pencils flat across k in {{2,3}}, n in {{2,3,4}}", bad))
+        f"{checked} pencils flat across k in {{2,3}}, n in {{2,3,4}}", bad))
 
     bad = None
+    checked = 0
     for i in range(quad_count):
         n = (2, 3)[i % 2]
         f = random_poly_matrix(
             rng_for(seed, "flatness", "quadratic", i), n, 2, degree=2)
+        checked += 1
         om = maurer_cartan(f)
         if not (om.exterior_derivative() + om.wedge(om)).is_zero:
             bad = _poly_counterexample(f"trial {i} (n={n})", f)
             break
     results.append(CheckResult(
         "flatness.quadratic", bad is None,
-        f"{quad_count} quadratic-entry matrices flat", bad))
+        f"{checked} quadratic-entry matrices flat", bad))
     return results
 
 
@@ -186,12 +190,14 @@ def suite_jacobi_classic(seed: int, trials: Optional[int] = None,
     """tr(adj(f) d_i f) = d_i det f as polynomials, every variable."""
     count = 20 if trials is None else max(1, trials)
     bad: Optional[str] = None
+    checked = 0
     for i in range(count):
         k = (2, 3, 4)[i % 3]
         n = (2, 3)[i % 2]
         degree = 1 if i % 4 < 2 else 2
         f = random_poly_matrix(
             rng_for(seed, "jacobi-classic", i), n, k, degree=degree)
+        checked += 1
         adj = f.adjugate()
         det = f.det()
         for v in range(1, n + 1):
@@ -203,7 +209,7 @@ def suite_jacobi_classic(seed: int, trials: Optional[int] = None,
             break
     return [CheckResult(
         "jacobi.cross-multiplied", bad is None,
-        f"tr(adj(f) d_i f) = d_i det f for {count} matrices, k up to 4", bad)]
+        f"tr(adj(f) d_i f) = d_i det f for {checked} matrices, k up to 4", bad)]
 
 
 # ---------------------------------------------------------------------------
@@ -246,55 +252,45 @@ def suite_cubic_trace(seed: int, trials: Optional[int] = None,
                       tol: Optional[float] = None) -> List[CheckResult]:
     """Structure of tr(omega^3) for four-matrix tuples.
 
-    Exact division of the antisymmetrized resolvent traces by det, the
-    degree of p, the factorization of the top-degree form through the
-    coordinate-simplex form with its cross relations, and agreement of the
-    three routes to tr(omega^3): the traced wedge power, the anchored
-    trace-word sum, and 3 I from the resolvent traces.
+    Exact division of the antisymmetrized resolvent traces by det with a
+    zero residual, the degree of p, the factorization of the top-degree
+    form through the coordinate-simplex form with its cross relations, and
+    agreement of the two routes to tr(omega^3): the traced wedge power and
+    the anchored trace-word sum. Each check counts the tuples it checked
+    and stops only at its own first failure.
     """
     k2_count = 100 if trials is None else max(1, trials)
     k3_count = max(1, k2_count // 5)
     results: List[CheckResult] = []
 
-    bad: Optional[str] = None
     division_bad: Optional[str] = None
     divisions = 0
-    for i in range(k2_count):
-        t = random_matrix_tuple(rng_for(seed, "theorem33", "k2", i), 4, 2)
-        try:
+    for k, count, name, claim in (
+            (2, k2_count, "theorem33.p-constant-k2",
+             "p is a constant for {} tuples of 2x2 matrices"),
+            (3, k3_count, "theorem33.p-quadratic-k3",
+             "p is homogeneous of degree 2 for {} tuples of 3x3 matrices")):
+        bad: Optional[str] = None
+        checked = 0
+        for i in range(count):
+            if bad is not None and division_bad is not None:
+                break
+            t = random_matrix_tuple(rng_for(seed, "theorem33", f"k{k}", i),
+                                    4, k)
             data = cubic_trace_data(t)
-        except RuntimeError as exc:
-            division_bad = _tuple_counterexample(f"trial {i} (k=2): {exc}", t)
-            break
-        divisions += 1
-        if not data.p.is_constant:
-            bad = _tuple_counterexample(f"trial {i} (k=2): p not constant", t)
-            break
-    k2_checked = divisions
-    results.append(CheckResult(
-        "theorem33.p-constant-k2", bad is None and division_bad is None,
-        f"p is a constant for {k2_checked} tuples of 2x2 matrices",
-        bad or division_bad))
-
-    bad = None
-    for i in range(k3_count):
-        t = random_matrix_tuple(rng_for(seed, "theorem33", "k3", i), 4, 3)
-        try:
-            data = cubic_trace_data(t)
-        except RuntimeError as exc:
             if division_bad is None:
-                division_bad = _tuple_counterexample(
-                    f"trial {i} (k=3): {exc}", t)
-            break
-        divisions += 1
-        if not data.p.is_zero and data.p.homogeneity_degree() != 2:
-            bad = _tuple_counterexample(
-                f"trial {i} (k=3): p not homogeneous of degree 2", t)
-            break
-    results.append(CheckResult(
-        "theorem33.p-quadratic-k3", bad is None,
-        f"p is homogeneous of degree 2 for {divisions - k2_checked} tuples "
-        "of 3x3 matrices", bad))
+                divisions += 1
+                why = _division_failure(data)
+                if why is not None:
+                    division_bad = _tuple_counterexample(
+                        f"trial {i} (k={k}): {why}", t)
+            if bad is None:
+                checked += 1
+                why = _p_degree_failure(data.p, k)
+                if why is not None:
+                    bad = _tuple_counterexample(f"trial {i} (k={k}): {why}", t)
+        results.append(CheckResult(name, bad is None, claim.format(checked),
+                                   bad))
 
     results.append(CheckResult(
         "theorem33.divisibility", division_bad is None,
@@ -324,23 +320,38 @@ def suite_cubic_trace(seed: int, trials: Optional[int] = None,
     return results
 
 
+def _division_failure(data: CubicTraceData) -> Optional[str]:
+    """Why det fails to divide a resolvent trace, or tr(omega^3) != q s.
+
+    I = trace / det^3 comes reduced, so det divides the trace exactly
+    when at most det^2 is left in the denominator of I.
+    """
+    for (i, j, m), value in data.i_values.items():
+        if value.den_pow >= 3:
+            return f"trace difference at ({i},{j},{m}) is not divisible by det"
+    if not data.residual.is_zero:
+        return "tr(omega^3) is not q s: nonzero residual"
+    return None
+
+
+def _p_degree_failure(p: Optional[MultiPoly], k: int) -> Optional[str]:
+    """Why p is neither 0 nor homogeneous of degree 2k-4, for k = 2 or 3."""
+    if p is None:
+        return "q det^2 / 3 is not a polynomial"
+    if not p.is_zero and p.homogeneity_degree() != 2 * k - 4:
+        return "p not constant" if k == 2 else "p not homogeneous of degree 2"
+    return None
+
+
 def _trace_routes_check(tops: List[Tuple[int, MatrixTuple]]) -> CheckResult:
-    """tr(omega^3) by wedge power = anchored sum = 3 I on each tuple."""
+    """tr(omega^3) by wedge power = anchored sum on each tuple."""
     bad: Optional[str] = None
     nonzero = 0
     for k, t in tops:
         f = t.pencil()
         wedge = trace_power_form(f, 3)
-        try:
-            three_i = cubic_trace_data(t).trace_cubed
-        except RuntimeError as exc:
-            bad = _tuple_counterexample(f"k={k}: {exc}", t)
-            break
         if anchored_trace_power(f, 3) != wedge:
             bad = _tuple_counterexample(f"k={k}: anchored sum != wedge", t)
-            break
-        if three_i != wedge:
-            bad = _tuple_counterexample(f"k={k}: 3 I != wedge", t)
             break
         if not wedge.is_zero:
             nonzero += 1
@@ -348,7 +359,7 @@ def _trace_routes_check(tops: List[Tuple[int, MatrixTuple]]) -> CheckResult:
         bad = "tr(omega^3) is 0 on every tuple: the check has no content"
     return CheckResult(
         "theorem33.trace-routes", bad is None,
-        f"tr(omega^3) by wedge = anchored sum = 3 I, k in {{2,3}}; "
+        f"tr(omega^3) by wedge = anchored sum, k in {{2,3}}; "
         f"{nonzero} of {len(tops)} tuples nonzero", bad)
 
 
@@ -362,16 +373,21 @@ def suite_entry_matrix(seed: int, trials: Optional[int] = None,
     count = 100 if trials is None else max(1, trials)
     eps = calibrated_sign()
     bad: Optional[str] = None
+    checked = 0
     for i in range(count):
         t = random_matrix_tuple(rng_for(seed, "example35", i), 4, 2)
+        checked += 1
         p = cubic_trace_data(t).p
-        c = entry_matrix_constant(t)
-        if p.constant_value() != c * eps:
+        why = _p_degree_failure(p, 2)
+        if why is not None:
+            bad = _tuple_counterexample(f"trial {i}: {why}", t)
+            break
+        if p.constant_value() != entry_matrix_constant(t) * eps:
             bad = _tuple_counterexample(f"trial {i}", t)
             break
     return [CheckResult(
         "example35.entry-matrix", bad is None,
-        f"epsilon = {eps}; p = epsilon * C for {count} tuples of "
+        f"epsilon = {eps}; p = epsilon * C for {checked} tuples of "
         "2x2 matrices", bad)]
 
 
@@ -388,11 +404,13 @@ def suite_tau(seed: int, trials: Optional[int] = None,
     pairs = [(tw1, tw1), (tw1, tw3), (tw3, tw1)]
 
     bad: Optional[str] = None
+    checked = 0
     for i in range(count):
         f1, f2 = pairs[i % len(pairs)]
         n = 4 if (f1.arity + f2.arity) >= 4 else 3
         t = random_matrix_tuple(rng_for(seed, "tau", "product", i), n, 2)
         f = t.pencil()
+        checked += 1
         lhs = tau(functional_product(f1, f2), f)
         rhs = tau(f1, f).wedge(tau(f2, f))
         if lhs != rhs:
@@ -401,7 +419,7 @@ def suite_tau(seed: int, trials: Optional[int] = None,
             break
     results = [CheckResult(
         "tau.multiplicative", bad is None,
-        f"tau(F1 x F2) = tau(F1) wedge tau(F2) for {count} pairs", bad)]
+        f"tau(F1 x F2) = tau(F1) wedge tau(F2) for {checked} pairs", bad)]
 
     bad = None
     closed = 0
@@ -476,8 +494,6 @@ def suite_hyperplane(seed: int, trials: Optional[int] = None,
 
 def _random_torus_element(rng: random.Random,
                           config: TorusConfig) -> TorusElement:
-    from .ring import CycloElement
-
     total = TorusElement.zero(config)
     for _ in range(3):
         coeff = CycloElement.root(config.q, rng.randrange(config.q)) * Scalar(

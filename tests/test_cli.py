@@ -161,8 +161,33 @@ def test_parse_error_exit_codes(tmp_path, units_file):
                         '[["0", "1"], ["0", "0"]]]}')
     huge = tmp_path / "huge.json"  # one exponent above MAX_EXPONENT
     huge.write_text('{"entries": [["z1^100000000", "0"], ["0", "z2"]]}')
+    # zero denominators and malformed JSON shapes
+    bad_inputs = {
+        "zero-den-scalar": '{"matrices": [[["1/0", "0"], ["0", "1"]]]}',
+        "zero-den-poly": '{"entries": [["(1/0)*z1", "0"], ["0", "z2"]]}',
+        "null-n": '{"entries": [["z1"]], "n": null}',
+        "float-n": '{"entries": [["z1"]], "n": 1.5}',
+        "scalar-grid": '{"matrices": [5]}',
+        "scalar-row": '{"matrices": [[5]]}',
+        "scalar-entry-row": '{"entries": [5]}',
+    }
+    for name, text in bad_inputs.items():
+        (tmp_path / f"{name}.json").write_text(text)
+    bad_cochains = {
+        "zero-den-coeff": '{"arity": 1, "k": 2, "terms": '
+                          '[{"pairs": [[0, 0]], "coeff": "1/0"}]}',
+        "scalar-terms": '{"arity": 1, "k": 2, "terms": 5}',
+        "null-arity": '{"arity": null, "k": 2, "terms": []}',
+    }
+    for name, text in bad_cochains.items():
+        (tmp_path / f"{name}.json").write_text(text)
     for argv in (("spectrum", "--input", str(empty)),
                  ("spectrum", "--input", str(huge)),
+                 *(("spectrum", "--input", str(tmp_path / f"{name}.json"))
+                   for name in bad_inputs),
+                 *(("form", "--input", units_file, "--kind", "kappa",
+                    "--cochain", f"dense:{tmp_path / name}.json")
+                   for name in bad_cochains),
                  ("form", "--input", units_file, "--kind", "kappa",
                   "--cochain", "cyclic-random:9:2:1"),
                  ("form", "--input", units_file, "--kind", "kappa",
@@ -186,6 +211,7 @@ def test_parse_error_exit_codes(tmp_path, units_file):
         assert r.returncode == 2, argv
         assert r.stderr.startswith("error: "), argv
         assert r.stderr.count("\n") == 1, argv
+        assert "Traceback" not in r.stderr, argv
 
 
 def test_check_failure_exit_code():

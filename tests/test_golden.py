@@ -124,9 +124,9 @@ DIGESTS = {
     "verify-parity-json":
         "96504c45ee9ad5afb5f716882eb3ac4d52dba15873a43fea51465c0d8fad9b09",
     "verify-theorem33":
-        "6702fbd3210541afe95feea5095db4e1e3740b6602282b8c2ef64787bfd8f735",
+        "d61be21272a50d61e418d9760aec0e78bec5b061bea9ae9b139f1457ba04ef88",
     "verify-theorem33-json":
-        "947ce4bd5b81f014f6a11c8f31b1012d5f81ec67bc5fdfa4effd91d59d4fa16b",
+        "97a914f94f9a1d0da37499995652d05b18a416c1cc1401d1952dd2825547b4ca",
     "verify-example35":
         "5c184d0fac4ebc0ed50d2b8f14a2a921e587108728f361a4ee22e3d342fd6aee",
     "verify-example35-json":

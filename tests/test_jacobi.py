@@ -97,7 +97,7 @@ def test_factorize_matrix_unit_pencil():
     # q = 3 p / det^2 with constant p for k = 2
     p = (fact.q * det * det).as_polynomial()
     assert p is not None and p.is_constant
-    assert fact.q_denominator_power >= 1
+    assert fact.q.den_pow >= 1
     assert len(fact.bar_i) == 4
 
 
@@ -215,6 +215,7 @@ def test_cubic_traces_match_formed_products():
         mats = {j: PolyMatrix.constant(4, t.matrix(j)) for j in range(1, 5)}
         data = cubic_trace_data(t)
         assert any(not v.is_zero for v in data.i_values.values())
+        assert data.residual.is_zero
         for (i, j, m) in combinations(range(1, 5), 3):
             fwd = adj * mats[i] * adj * mats[j] * adj * mats[m]
             bwd = adj * mats[i] * adj * mats[m] * adj * mats[j]

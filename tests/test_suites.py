@@ -7,12 +7,13 @@ import pytest
 from pencilforms import cli, jacobi, serialize, suites
 from pencilforms.forms import ScalarForm
 from pencilforms.jacobi import cubic_trace_data, trace_power_form
-from pencilforms.linalg import MatrixTuple
-from pencilforms.ring import MultiPoly
+from pencilforms.linalg import MatrixTuple, PolyMatrix
+from pencilforms.ring import MultiPoly, RatFn
 from pencilforms.suites import (SUITE_NAMES, SUITES, CheckResult, SuiteReport,
                                 run_suite, torus_cocycle_checks,
                                 torus_factorization_checks)
 from pencilforms.torus import TorusConfig
+from test_jacobi import count_poly_mul
 
 
 def test_registry_names():
@@ -107,14 +108,8 @@ def _doubled_anchored(f, m):
     return trace_power_form(f, m) * 2
 
 
-def _doubled_resolvent_traces(t):
-    data = cubic_trace_data(t)
-    return dataclasses.replace(data, trace_cubed=data.trace_cubed * 2)
-
-
 @pytest.mark.parametrize("route, broken, witness", [
     ("anchored_trace_power", _doubled_anchored, "anchored sum != wedge"),
-    ("cubic_trace_data", _doubled_resolvent_traces, "3 I != wedge"),
 ])
 def test_trace_route_disagreement_fails_verify(monkeypatch, capsys, route,
                                                broken, witness):
@@ -169,25 +164,166 @@ def test_trace_routes_without_content_fail():
     assert "no content" in result.counterexample
 
 
+def _run_theorem33(capsys, trials):
+    code = cli.main(["verify", "--suite", "theorem33", "--seed", "1",
+                     "--trials", str(trials)])
+    return code, capsys.readouterr().out
+
+
 def test_theorem33_counts_only_the_tuples_it_checked(monkeypatch, capsys):
     calls = {2: 0, 3: 0}
 
-    def failing_at_trial_1(t):
+    def p_lost_at_trial_1(t):
+        data = cubic_trace_data(t)
         calls[t.k] += 1
-        if calls[t.k] == 2:
-            raise RuntimeError("forced division failure")
-        return cubic_trace_data(t)
+        return dataclasses.replace(data, p=None) if calls[t.k] == 2 else data
 
-    monkeypatch.setattr(suites, "cubic_trace_data", failing_at_trial_1)
-    code = cli.main(["verify", "--suite", "theorem33", "--seed", "1",
-                     "--trials", "10"])
-    out = capsys.readouterr().out
+    monkeypatch.setattr(suites, "cubic_trace_data", p_lost_at_trial_1)
+    code, out = _run_theorem33(capsys, 10)
+    assert code == 1
+    assert "FAIL theorem33.p-constant-k2: p is a constant for 2 tuples of " \
+        "2x2 matrices\n  trial 1 (k=2): q det^2 / 3 is not a polynomial\n" \
+        in out
+    assert "FAIL theorem33.p-quadratic-k3: p is homogeneous of degree 2 " \
+        "for 2 tuples of 3x3 matrices\n  trial 1 (k=3): q det^2 / 3 is not " \
+        "a polynomial\n" in out
+    # the p failures end neither the shared loop nor the division check
+    assert "PASS theorem33.divisibility: every antisymmetrized resolvent " \
+        "trace divides exactly by det (12 tuples)\n" in out
+    assert calls == {2: 10, 3: 2}
+
+
+_factor_top_form = jacobi._factor_top_form
+
+
+def _q_times_z1(big_t):
+    fact = _factor_top_form(big_t)
+    return dataclasses.replace(
+        fact, q=fact.q * MultiPoly.variable(big_t.n, 1))
+
+
+def test_theorem33_judges_the_degree_of_p(monkeypatch, capsys):
+    # q off by a factor z1 leaves tr(omega^3) and its residual alone, but
+    # raises the degree of p by one
+    monkeypatch.setattr(jacobi, "_factor_top_form", _q_times_z1)
+    code, out = _run_theorem33(capsys, 1)
     assert code == 1
     assert "FAIL theorem33.p-constant-k2: p is a constant for 1 tuples of " \
-        "2x2 matrices\n  trial 1 (k=2): forced division failure\n" in out
-    assert "PASS theorem33.p-quadratic-k3: p is homogeneous of degree 2 " \
-        "for 1 tuples of 3x3 matrices\n" in out
+        "2x2 matrices\n  trial 0 (k=2): p not constant\n" in out
+    assert "FAIL theorem33.p-quadratic-k3: p is homogeneous of degree 2 " \
+        "for 1 tuples of 3x3 matrices\n  trial 0 (k=3): p not homogeneous " \
+        "of degree 2\n" in out
+    for name in ("divisibility", "top-factorization", "trace-routes"):
+        assert f"PASS theorem33.{name}: " in out
+    assert out.endswith("result: FAIL (5 checks)\n")
+
+
+def _undivided_i_value(data, t):
+    """I_(1,2,3) = z1 / det^3: det does not divide its trace z1."""
+    i_values = dict(data.i_values)
+    i_values[(1, 2, 3)] = RatFn.over_power(MultiPoly.variable(4, 1),
+                                           t.pencil().det(), 3)
+    return dataclasses.replace(data, i_values=i_values)
+
+
+def _nonzero_residual(data, t):
+    return dataclasses.replace(data, residual=ScalarForm(
+        4, 3, {(1, 2, 3): MultiPoly.variable(4, 1)}))
+
+
+@pytest.mark.parametrize("spoil, witness", [
+    (_undivided_i_value, "trace difference at (1,2,3) is not divisible by det"),
+    (_nonzero_residual, "tr(omega^3) is not q s: nonzero residual"),
+])
+def test_theorem33_division_failure_fails_divisibility_alone(
+        monkeypatch, capsys, spoil, witness):
+    calls = [0]
+
+    def spoiled_at_trial_2(t):
+        data = cubic_trace_data(t)
+        calls[0] += 1
+        return spoil(data, t) if calls[0] == 3 else data
+
+    monkeypatch.setattr(suites, "cubic_trace_data", spoiled_at_trial_2)
+    code, out = _run_theorem33(capsys, 5)
+    assert code == 1
     assert "FAIL theorem33.divisibility: every antisymmetrized resolvent " \
-        "trace divides exactly by det (2 tuples)\n  trial 1 (k=2): forced " \
-        "division failure\n" in out
-    assert "PASS theorem33.trace-routes: " in out
+        "trace divides exactly by det (3 tuples)\n" \
+        f"  trial 2 (k=2): {witness}\n" in out
+    assert "PASS theorem33.p-constant-k2: p is a constant for 5 tuples" in out
+    assert "PASS theorem33.p-quadratic-k3: p is homogeneous of degree 2 " \
+        "for 1 tuples" in out
+    assert out.count("\nFAIL ") == 1
+
+
+def test_example35_reports_a_missing_p(monkeypatch, capsys):
+    calls = [0]
+
+    def p_lost_at_trial_1(t):
+        data = cubic_trace_data(t)
+        calls[0] += 1
+        return dataclasses.replace(data, p=None) if calls[0] == 2 else data
+
+    monkeypatch.setattr(suites, "cubic_trace_data", p_lost_at_trial_1)
+    code = cli.main(["verify", "--suite", "example35", "--seed", "1",
+                     "--trials", "4"])
+    out = capsys.readouterr().out
+    assert code == 1
+    lines = out.split("FAIL example35.entry-matrix: ")[1].splitlines()
+    assert lines[0].endswith("p = epsilon * C for 2 tuples of 2x2 matrices")
+    assert lines[1] == "  trial 1: q det^2 / 3 is not a polynomial"
+    assert lines[2].lstrip().startswith("{")
+
+
+def _spoil_calls(inner, spoiled_calls):
+    """inner, doubling its result on the listed (1-based) calls."""
+    calls = [0]
+
+    def wrapped(*args):
+        calls[0] += 1
+        out = inner(*args)
+        return out * 2 if calls[0] in spoiled_calls else out
+    return wrapped
+
+
+# Each spoiled call falls on trial 1 of the named loop: flatness builds one
+# omega per trial (calls 2 and 4 are trial 1 of the linear and the quadratic
+# loop once the linear one stops), jacobi-classic one adjugate, example35
+# one entry constant, and tau three forms per product trial.
+@pytest.mark.parametrize("suite, owner, attr, spoiled_calls, trials, fails", [
+    ("flatness", suites, "maurer_cartan", {2, 4}, 8,
+     {"flatness.linear": "2 pencils flat",
+      "flatness.quadratic": "2 quadratic-entry matrices flat"}),
+    ("jacobi-classic", PolyMatrix, "adjugate", {2}, 3,
+     {"jacobi.cross-multiplied": "d_i det f for 2 matrices"}),
+    ("example35", suites, "entry_matrix_constant", {2}, 3,
+     {"example35.entry-matrix": "p = epsilon * C for 2 tuples"}),
+    ("tau", suites, "tau", {4}, 3,
+     {"tau.multiplicative": "tau(F2) for 2 pairs"}),
+], ids=["flatness", "jacobi-classic", "example35", "tau"])
+def test_failing_trial_reports_the_trials_checked(
+        monkeypatch, capsys, suite, owner, attr, spoiled_calls, trials, fails):
+    monkeypatch.setattr(owner, attr,
+                        _spoil_calls(getattr(owner, attr), spoiled_calls))
+    code = cli.main(["verify", "--suite", suite, "--seed", "1",
+                     "--trials", str(trials)])
+    out = capsys.readouterr().out
+    assert code == 1
+    for name, claim in fails.items():
+        lines = out.split(f"\nFAIL {name}: ")[1].splitlines()
+        assert claim in lines[0]
+        assert lines[1].startswith("  trial 1"), lines[1]
+
+
+# Kernel products of one whole theorem33 run at the verify-pencil trial
+# count, recorded when cubic_trace_data began taking tr(omega^3) from the
+# anchored sum of one omega and trace-routes stopped calling it (parent:
+# 4,432). A second route to tr(omega^3) coming back exceeds it.
+THEOREM33_SUITE_BUDGET = 3_954
+
+
+def test_theorem33_suite_kernel_product_budget(monkeypatch):
+    calls = count_poly_mul(monkeypatch)
+    results = suites.suite_cubic_trace(1, trials=6)
+    assert all(r.passed for r in results)
+    assert 0 < calls[0] <= THEOREM33_SUITE_BUDGET

@@ -138,16 +138,19 @@ def scalar_form_to_json(form: ScalarForm) -> Dict:
 def scalar_form_from_json(data: Dict) -> ScalarForm:
     if not isinstance(data, dict) or "degree" not in data:
         raise ValueError("expected an object with 'degree' and 'terms'")
-    n = int(data.get("n", 0))
-    if n < 1:
-        raise ValueError("scalar-form JSON needs a positive 'n'")
-    terms = {}
-    for item in data.get("terms", ()):
-        index = tuple(int(v) for v in item["index"])
-        num = MultiPoly.parse(str(item["num"]), n)
-        den = MultiPoly.parse(str(item.get("den", "1")), n)
-        terms[index] = RatFn(num, den)
-    return ScalarForm(n, int(data["degree"]), terms)
+    try:
+        n = int(data.get("n", 0))
+        if n < 1:
+            raise ValueError("scalar-form JSON needs a positive 'n'")
+        terms = {}
+        for item in data.get("terms", ()):
+            index = tuple(int(v) for v in item["index"])
+            num = MultiPoly.parse(str(item["num"]), n)
+            den = MultiPoly.parse(str(item.get("den", "1")), n)
+            terms[index] = RatFn(num, den)
+        return ScalarForm(n, int(data["degree"]), terms)
+    except (TypeError, KeyError, AttributeError) as exc:
+        raise ValueError(f"malformed scalar-form JSON: {exc!r}")
 
 
 # matrix-valued forms share one denominator base**power; the entry grid per
@@ -175,19 +178,22 @@ def matrix_form_to_json(form: MatrixForm) -> Dict:
 def matrix_form_from_json(data: Dict) -> MatrixForm:
     if not isinstance(data, dict) or "degree" not in data:
         raise ValueError("expected an object with 'degree' and 'terms'")
-    n = int(data.get("n", 0))
-    k = int(data.get("k", 0))
-    if n < 1 or k < 1:
-        raise ValueError("matrix-form JSON needs positive 'n' and 'k'")
-    terms = {}
-    for item in data.get("terms", ()):
-        index = tuple(int(v) for v in item["index"])
-        terms[index] = PolyMatrix.parse(
-            [[str(e) for e in row] for row in item["entries"]], n)
-    base = MultiPoly.parse(str(data.get("den_base", "1")), n)
-    pow_ = int(data.get("den_pow", 0))
-    return MatrixForm(n, k, int(data["degree"]), terms,
-                      den_base=None if pow_ == 0 else base, den_pow=pow_)
+    try:
+        n = int(data.get("n", 0))
+        k = int(data.get("k", 0))
+        if n < 1 or k < 1:
+            raise ValueError("matrix-form JSON needs positive 'n' and 'k'")
+        terms = {}
+        for item in data.get("terms", ()):
+            index = tuple(int(v) for v in item["index"])
+            terms[index] = PolyMatrix.parse(
+                [[str(e) for e in row] for row in item["entries"]], n)
+        base = MultiPoly.parse(str(data.get("den_base", "1")), n)
+        pow_ = int(data.get("den_pow", 0))
+        return MatrixForm(n, k, int(data["degree"]), terms,
+                          den_base=None if pow_ == 0 else base, den_pow=pow_)
+    except (TypeError, KeyError, AttributeError) as exc:
+        raise ValueError(f"malformed matrix-form JSON: {exc!r}")
 
 
 # ---------------------------------------------------------------------------

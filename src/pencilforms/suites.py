@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import serialize
@@ -21,8 +22,8 @@ from .linalg import MatrixTuple, PolyMatrix
 from .ring import CycloElement, MultiPoly, Scalar
 from .sampling import (random_diagonal_tuple, random_matrix_tuple,
                        random_poly_matrix, rng_for)
-from .torus import (TorusConfig, TorusElement, coboundary_check,
-                    cyclicity_check, factorization_report)
+from .torus import (NEUMANN_ORDER, TorusConfig, TorusElement,
+                    coboundary_check, cyclicity_check, factorization_report)
 from .transgression import (hyperplane_decomposition, tau, transgression_report)
 
 
@@ -159,13 +160,15 @@ def suite_transgression(seed: int, trials: Optional[int] = None,
         for label, phi in cochains:
             rep = transgression_report(phi, f)
             pairs += 1
-            where = f"{label} arity {rep.arity}, n={n}"
-            if not rep.main_equal and fails["main"] is None:
-                fails["main"] = _tuple_counterexample(where, t)
-            if not rep.decomposition_equal and fails["decomposition"] is None:
-                fails["decomposition"] = _tuple_counterexample(where, t)
-            if not rep.correction_equal and fails["correction"] is None:
-                fails["correction"] = _tuple_counterexample(where, t)
+            a = rep.arity
+            kb, dk, cor = rep.kappa_b, rep.d_kappa, rep.correction
+            for part, held in (
+                    ("main", kb * Fraction(a, a + 1) == -dk),
+                    ("decomposition", kb == -dk - cor),
+                    ("correction", cor == kb * Fraction(-1, a + 1))):
+                if not held and fails[part] is None:
+                    fails[part] = _tuple_counterexample(
+                        f"{label} arity {a}, n={n}", t)
 
     return [
         CheckResult("theorem29.main", fails["main"] is None,
@@ -470,9 +473,9 @@ def suite_hyperplane(seed: int, trials: Optional[int] = None,
     kappa_bad: Optional[str] = None
     decs = [hyperplane_decomposition(t) for _, t in tuples]
     for (label, t), dec in zip(tuples, decs):
-        if not dec.det_matches and det_bad is None:
+        if dec.line_product != dec.det and det_bad is None:
             det_bad = _tuple_counterexample(label, t)
-        if dec.kappa_matches is not True and kappa_bad is None:
+        if dec.kappa_forms != dec.coordinate_forms and kappa_bad is None:
             kappa_bad = _tuple_counterexample(label, t)
     mults = sorted(m for _, m in decs[0].multiplicities)
     if mults != [1, 2] and det_bad is None:
@@ -512,23 +515,30 @@ def torus_cocycle_checks(seed: int,
     """Cyclicity and vanishing coboundary for all four cocycles.
 
     One result per algebra order: complete monomial boxes plus seeded
-    random degree tuples. Exact mode only.
+    random degree tuples. Exact mode only; a numeric config raises
+    ValueError. The result counts the tuples looked at up to the first
+    failure.
     """
     configs = ([config] if config is not None
                else [TorusConfig.exact(q, p) for q, p in _EXACT_ORDERS])
+    runs = ([(which, None) for which in ("phi1", "phi2", "psi1", "psi2")]
+            + [("phi1", 3), ("phi2", 3), ("psi1", 2), ("psi2", 2)])
     results: List[CheckResult] = []
     for cfg in configs:
         bad: Optional[str] = None
         count = 0
-        try:
-            for which in ("phi1", "phi2", "psi1", "psi2"):
-                count += cyclicity_check(which, cfg, seed=seed)
-            for which in ("phi1", "phi2"):
-                count += coboundary_check(which, cfg, 3, seed=seed)
-            for which in ("psi1", "psi2"):
-                count += coboundary_check(which, cfg, 2, seed=seed)
-        except ValueError as exc:
-            bad = str(exc)
+        for which, radius in runs:
+            if radius is None:
+                checked, failure = cyclicity_check(which, cfg, seed=seed)
+                claim = "cyclicity fails for {} on degrees {}"
+            else:
+                checked, failure = coboundary_check(which, cfg, radius,
+                                                    seed=seed)
+                claim = "coboundary of {} does not vanish on degrees {}"
+            count += checked
+            if failure is not None:
+                bad = claim.format(which, failure)
+                break
         results.append(CheckResult(
             f"torus.cocycles.q{cfg.q}", bad is None,
             "cyclicity and vanishing coboundary for phi1, phi2, psi1, "
@@ -537,37 +547,49 @@ def torus_cocycle_checks(seed: int,
     return results
 
 
+def _factorization_check(name: str, where: str, mats: List[TorusElement],
+                         points: list, tolerance: float,
+                         needed: int) -> CheckResult:
+    """The tolerance against each point's worst propagated bound, each
+    residual against the tolerance, and at least `needed` usable points."""
+    samples = factorization_report(mats, points).samples
+    residuals = [r for sample in samples for r in sample.residuals]
+    max_residual = max([0.0] + residuals)
+    bad: Optional[str] = None
+    for sample in samples:
+        worst = max(sample.propagated_bounds)
+        if tolerance < worst:
+            bad = (f"tolerance {tolerance} is below the propagated "
+                   f"truncation bound {worst} at {sample.point}")
+            break
+    if bad is None and not all(r <= tolerance for r in residuals):
+        bad = f"residual {max_residual:.3e} above {tolerance:.1e}"
+    elif bad is None and len(samples) < needed:
+        bad = f"only {len(samples)} usable sample points"
+    return CheckResult(
+        name, bad is None,
+        f"{where.format(len(samples))}, order {NEUMANN_ORDER}: residuals "
+        f"within {tolerance:.1e} (max {max_residual:.3e})", bad)
+
+
 def torus_factorization_checks(seed: int, trials: Optional[int] = None,
                                tol: Optional[float] = None,
                                theta: Optional[float] = None
                                ) -> List[CheckResult]:
     """Truncated-resolvent residuals at the pinned point and seeded samples.
 
-    trials below 10 is raised to 10; the tolerance must stay above the
-    propagated truncation bound or the underlying report refuses to run.
+    trials below 10 is raised to 10. A tolerance below a point's propagated
+    truncation bound fails the check with that bound, as does a residual
+    above the tolerance or too few convergent points (1 pinned, 10
+    sampled).
     """
     sample_count = 10 if trials is None else max(10, trials)
     tolerance = 1e-10 if tol is None else tol
-    results: List[CheckResult] = []
 
     pinned_cfg = TorusConfig.numeric(0.3183098861837907 if theta is None
                                      else theta)
     pinned_mats = [TorusElement.one(pinned_cfg), TorusElement.u(pinned_cfg),
                    TorusElement.v(pinned_cfg)]
-    bad: Optional[str] = None
-    pinned_max = 0.0
-    try:
-        report = factorization_report(pinned_mats, [(1.0, 0.1, 0.1)],
-                                      order=40, tol=tolerance)
-        pinned_max = report.max_residual
-        if not report.all_within:
-            bad = f"residual {report.max_residual:.3e} above {tolerance:.1e}"
-    except ValueError as exc:
-        bad = str(exc)
-    results.append(CheckResult(
-        "torus.factorization.pinned", bad is None,
-        "A = (1, U, V) at z = (1, 0.1, 0.1), order 40: residuals within "
-        f"{tolerance:.1e} (max {pinned_max:.3e})", bad))
 
     sampled_cfg = TorusConfig.numeric(0.37 if theta is None else theta)
     mats = [TorusElement.one(sampled_cfg),
@@ -579,24 +601,15 @@ def torus_factorization_checks(seed: int, trials: Optional[int] = None,
         z2 = complex(rng.uniform(0.05, 0.1), rng.uniform(-0.02, 0.02))
         z3 = complex(rng.uniform(0.05, 0.1), rng.uniform(-0.02, 0.02))
         points.append((1.0, z2, z3))
-    bad = None
-    sampled_max = 0.0
-    usable = 0
-    try:
-        report = factorization_report(mats, points, order=40, tol=tolerance)
-        sampled_max = report.max_residual
-        usable = len(report.samples)
-        if not report.all_within:
-            bad = f"residual {report.max_residual:.3e} above {tolerance:.1e}"
-        elif usable < 10:
-            bad = f"only {usable} usable sample points"
-    except ValueError as exc:
-        bad = str(exc)
-    results.append(CheckResult(
-        "torus.factorization.sampled", bad is None,
-        f"A = (1, U + U^-1, V) at {usable} seeded points, order 40: "
-        f"residuals within {tolerance:.1e} (max {sampled_max:.3e})", bad))
-    return results
+    return [
+        _factorization_check(
+            "torus.factorization.pinned", "A = (1, U, V) at z = (1, 0.1, 0.1)",
+            pinned_mats, [(1.0, 0.1, 0.1)], tolerance, 1),
+        _factorization_check(
+            "torus.factorization.sampled",
+            "A = (1, U + U^-1, V) at {} seeded points", mats, points,
+            tolerance, 10),
+    ]
 
 
 def suite_torus(seed: int, trials: Optional[int] = None,

@@ -4,8 +4,12 @@ Elements are finitely supported sums sum a_{m,n} U^m V^n with the relation
 UV = lambda VU.  Two coefficient modes: exact, over Q(i)[t]/(t^q - 1) with
 lambda = t^p, and numeric, over complex doubles with lambda = exp(2*pi*i*theta).
 The module also evaluates the degree-one and degree-two cyclic cocycles built
-from the trace and the torus derivations, and checks the top-form
-factorization numerically through a truncated Neumann resolvent.
+from the trace and the torus derivations on spanning monomial tuples, and
+computes the residuals of the top-form factorization numerically through a
+truncated Neumann resolvent, with their propagated truncation bounds. The
+calls return what they found: the first monomial tuple where a cocycle
+identity fails, or the residuals and bounds at each point. The torus suite
+judges them.
 """
 
 from __future__ import annotations
@@ -13,10 +17,12 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .cochains import FunctionalCochain
 from .ring import CycloElement, Scalar
+from .sampling import rng_for
 
 Degree = Tuple[int, int]
 
@@ -397,8 +403,6 @@ def _zero_sum_tuples(radius: int, arity: int) -> Iterator[Tuple[Degree, ...]]:
     The first slot is solved from the rest, so the enumeration is complete
     for the box once the dependent slot also lands inside it.
     """
-    from itertools import product
-
     for rest in product(_box(radius), repeat=arity - 1):
         m0 = -sum(d[0] for d in rest)
         n0 = -sum(d[1] for d in rest)
@@ -417,13 +421,18 @@ def _random_degree_tuple(rng, radius: int, arity: int) -> Tuple[Degree, ...]:
                   rng.randrange(-radius, radius + 1)) for _ in range(arity))
 
 
-def cyclicity_check(which: str, config: TorusConfig, seed: int = 0) -> int:
-    """Verify phi(x_0..x_{a-1}) = (-1)^(a-1) phi(x_{a-1}, x_0, ..) exactly.
+SpanCheck = Tuple[int, Optional[Tuple[Degree, ...]]]
+
+
+def cyclicity_check(which: str, config: TorusConfig,
+                    seed: int = 0) -> SpanCheck:
+    """phi(x_0..x_{a-1}) and (-1)^(a-1) phi(x_{a-1}, x_0, ..), exactly.
 
     Runs over every zero-sum monomial tuple in the radius-3 box plus 10
     seeded random tuples (which exercise the trivially-zero off-grading
-    cases).  Returns the number of tuples checked; raises ValueError on the
-    first failure.
+    cases) and stops at the first tuple where the two differ. Returns the
+    number of tuples looked at and the degrees of that tuple, or None.
+    Raises ValueError only for a numeric config.
     """
     if config.mode != "exact":
         raise ValueError("exact mode required for spanning-set checks")
@@ -434,20 +443,21 @@ def cyclicity_check(which: str, config: TorusConfig, seed: int = 0) -> int:
     for degrees in _tuples_with_samples(3, a, seed, which):
         args = _monomial_tuple(config, degrees)
         rotated = [args[-1]] + args[:-1]
-        if phi(args) != sign * phi(rotated):
-            raise ValueError(f"cyclicity fails for {which} on degrees "
-                             f"{degrees}")
         checked += 1
-    return checked
+        if phi(args) != sign * phi(rotated):
+            return checked, degrees
+    return checked, None
 
 
 def coboundary_check(which: str, config: TorusConfig, radius: int,
-                     seed: int = 0) -> int:
-    """Verify (b phi)(x_0..x_a) = 0 exactly on spanning monomial tuples.
+                     seed: int = 0) -> SpanCheck:
+    """(b phi)(x_0..x_a) on spanning monomial tuples, exactly.
 
     Zero-sum tuples inside the box are enumerated completely; 10 seeded
-    random tuples from the radius-3 box are added on top.  Returns the
-    number of tuples checked; raises ValueError on the first failure.
+    random tuples from the radius-3 box are added on top. Stops at the
+    first tuple where b phi is not 0 and returns the number of tuples
+    looked at and the degrees of that tuple, or None. Raises ValueError
+    only for a numeric config.
     """
     if config.mode != "exact":
         raise ValueError("exact mode required for spanning-set checks")
@@ -456,19 +466,15 @@ def coboundary_check(which: str, config: TorusConfig, radius: int,
     zero = config.zero_coeff()
     checked = 0
     for degrees in _tuples_with_samples(radius, b_phi.arity, seed, which):
-        args = _monomial_tuple(config, degrees)
-        if b_phi(args) != zero:
-            raise ValueError(f"coboundary of {which} does not vanish on "
-                             f"degrees {degrees}")
         checked += 1
-    return checked
+        if b_phi(_monomial_tuple(config, degrees)) != zero:
+            return checked, degrees
+    return checked, None
 
 
 def _tuples_with_samples(radius: int, arity: int, seed: int,
                          tag: str) -> Iterator[Tuple[Degree, ...]]:
     yield from _zero_sum_tuples(radius, arity)
-    from .sampling import rng_for
-
     rng = rng_for(seed, "torus-span", tag, arity)
     for _ in range(10):
         yield _random_degree_tuple(rng, 3, arity)
@@ -534,6 +540,10 @@ def neumann_resolvent(mats: Sequence[TorusElement], z: Sequence[complex],
 # numeric factorization report
 
 
+# Terms of the Neumann series beyond the constant one, at every point.
+NEUMANN_ORDER = 40
+
+
 @dataclass
 class FactorizationSample:
     """One sample point: q values, residuals, and the propagated bound."""
@@ -543,43 +553,36 @@ class FactorizationSample:
     q_values: Tuple[Optional[complex], Optional[complex]]
     residuals: Tuple[float, float, float, float]
     propagated_bounds: Tuple[float, float, float, float]
-    within_tol: bool
 
 
 @dataclass
 class FactorizationReport:
-    """Aggregate over sample points; `skipped` lists divergent ones."""
+    """Samples at the convergent points; `skipped` lists divergent ones."""
 
     samples: List[FactorizationSample]
     skipped: List[Tuple[Tuple[complex, complex, complex], str]]
-    max_residual: float
-    tolerance: float
-    order: int
-    all_within: bool
 
 
 def factorization_report(mats: Sequence[TorusElement],
-                         points: Sequence[Sequence[complex]],
-                         order: int = 40,
-                         tol: float = 1e-10) -> FactorizationReport:
-    """Check the two linear relations tying phi_j values on W_i = R A_i.
+                         points: Sequence[Sequence[complex]]
+                         ) -> FactorizationReport:
+    """Residuals of the two linear relations tying phi_j values on W_i = R A_i.
 
-    At each convergent sample the truncated resolvent R gives W_1, W_2, W_3
-    and the residuals |z1 phi_j(W1,W2) - z3 phi_j(W2,W3)| and
-    |z2 phi_j(W1,W2) + z3 phi_j(W1,W3)| are compared against `tol`, which
-    must dominate the truncation error propagated through phi_j.  Reports
-    q_j = 2 phi_j(W1,W2)/z3 for each sample.  Divergent samples are skipped;
-    if every sample diverges a ValueError is raised.
+    At each convergent sample the resolvent R, truncated at NEUMANN_ORDER,
+    gives W_1, W_2, W_3, and the residuals
+    |z1 phi_j(W1,W2) - z3 phi_j(W2,W3)| and |z2 phi_j(W1,W2) + z3 phi_j(W1,W3)|
+    come with the truncation error propagated through phi_j, which a
+    tolerance on them must dominate. Reports q_j = 2 phi_j(W1,W2)/z3 for
+    each sample. Divergent samples are skipped; if every sample diverges
+    the sample list is empty.
 
     Per point and j, delta_j(W2) and delta_j(W3) and their l1 norms are
     computed once; the three phi_j values are traces against them and the
     bounds read the stored norms.
     """
-    if not points:
-        raise ValueError("at least one sample point is required")
+    order = NEUMANN_ORDER
     samples: List[FactorizationSample] = []
     skipped: List[Tuple[Tuple[complex, complex, complex], str]] = []
-    max_residual = 0.0
     for raw in points:
         point = tuple(complex(c) for c in raw)
         try:
@@ -635,22 +638,10 @@ def factorization_report(mats: Sequence[TorusElement],
             bounds.append(abs(point[1]) * err_phi(0, 1)
                           + abs(point[2]) * err_phi(0, 2))
             q_values.append(2 * v12 / point[2] if point[2] != 0 else None)
-        worst_bound = max(bounds)
-        if tol < worst_bound:
-            raise ValueError(f"tolerance {tol} is below the propagated "
-                             f"truncation bound {worst_bound} at {point}")
-        within = all(r <= tol for r in residuals)
-        max_residual = max(max_residual, *residuals)
         samples.append(FactorizationSample(
             point=point, rho=rho, q_values=tuple(q_values),
-            residuals=tuple(residuals), propagated_bounds=tuple(bounds),
-            within_tol=within))
-    if not samples:
-        raise ValueError("Neumann series divergent at every sample point")
-    return FactorizationReport(
-        samples=samples, skipped=skipped, max_residual=max_residual,
-        tolerance=tol, order=order,
-        all_within=all(s.within_tol for s in samples))
+            residuals=tuple(residuals), propagated_bounds=tuple(bounds)))
+    return FactorizationReport(samples=samples, skipped=skipped)
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,15 @@ and exists purely to cross-check the expansion.
 The transgression identity for a cyclic cochain of arity a is
 ``(a/(a+1)) kappa(b phi) = -d kappa(phi)``, which decomposes as
 ``kappa(b phi) = -d kappa(phi) - phi(d omega, omega,..,omega)`` together
-with ``phi(d omega,..) = -1/(a+1) kappa(b phi)``.
+with ``phi(d omega,..) = -1/(a+1) kappa(b phi)``. `transgression_report`
+returns the three forms these identities relate; the theorem29 suite
+compares them.
 
 `tau` is kappa gated on conjugation invariance of the functional; on
-simultaneously diagonal tuples `hyperplane_decomposition` realizes the
-spectrum as a union of hyperplane zero sets with kappa of the coordinate
-functionals giving logarithmic derivatives of the linear factors.
+simultaneously diagonal tuples `hyperplane_decomposition` returns the
+linear factors whose zero sets make up the spectrum, their product next to
+det, and kappa of the coordinate functionals next to the logarithmic
+derivatives of the factors; the hyperplane suite compares each pair.
 """
 
 from __future__ import annotations
@@ -120,36 +123,26 @@ def kappa_wedge_oracle(phi: Cochain, f: PolyMatrix) -> ScalarForm:
 
 @dataclass(frozen=True)
 class TransgressionReport:
+    """The forms of the transgression identity for one cochain and pencil."""
+
     arity: int
-    main_equal: bool
-    decomposition_equal: bool
-    correction_equal: bool
-    lhs: ScalarForm
-    rhs: ScalarForm
+    kappa_b: ScalarForm  # kappa(b phi)
+    d_kappa: ScalarForm  # d kappa(phi)
+    correction: ScalarForm  # phi(d omega, omega,..,omega)
 
 
 def transgression_report(phi: Cochain, f: PolyMatrix) -> TransgressionReport:
-    """Check (a/(a+1)) kappa(b phi) = -d kappa(phi) and its two halves."""
+    """kappa(b phi), d kappa(phi) and the correction form of a cyclic phi."""
     if not is_cyclic(phi, k=f.k):
         raise ValueError("cochain is not cyclic; the identity needs cyclicity")
     a = phi.arity
     omega = maurer_cartan(f)
-    d_kappa = _kappa_of(phi, omega).exterior_derivative()
-    kappa_b = _kappa_of(coboundary(phi), omega)
-
-    lhs = kappa_b * Fraction(a, a + 1)
-    rhs = -d_kappa
-    main_equal = lhs == rhs
-
     d_omega = omega.exterior_derivative()
-    correction = apply_multilinear(phi, [d_omega] + [omega] * (a - 1))
-    decomposition_equal = kappa_b == -d_kappa - correction
-    correction_equal = correction == kappa_b * Fraction(-1, a + 1)
-
-    return TransgressionReport(arity=a, main_equal=main_equal,
-                               decomposition_equal=decomposition_equal,
-                               correction_equal=correction_equal,
-                               lhs=lhs, rhs=rhs)
+    return TransgressionReport(
+        arity=a,
+        kappa_b=_kappa_of(coboundary(phi), omega),
+        d_kappa=_kappa_of(phi, omega).exterior_derivative(),
+        correction=apply_multilinear(phi, [d_omega] + [omega] * (a - 1)))
 
 
 def tau(functional, f: PolyMatrix) -> ScalarForm:
@@ -170,20 +163,21 @@ def tau(functional, f: PolyMatrix) -> ScalarForm:
 class HyperplaneDecomposition:
     lines: Tuple[MultiPoly, ...]
     multiplicities: Tuple[Tuple[MultiPoly, int], ...]
-    zero_lines: Tuple[int, ...]
-    det_matches: bool
+    line_product: MultiPoly
+    det: MultiPoly
     coordinate_forms: Dict[int, ScalarForm]
-    kappa_matches: Optional[bool]
+    kappa_forms: Optional[Dict[int, ScalarForm]]
 
 
 def hyperplane_decomposition(t: MatrixTuple) -> HyperplaneDecomposition:
     """Linear factors of a simultaneously diagonal pencil.
 
-    Line i is ell_i(z) = sum_j (A_j)_{ii} z_j; their product is the pencil
-    determinant, and kappa of the i-th coordinate functional is the
-    logarithmic derivative d(ell_i)/ell_i. An identically zero line means
-    the spectrum fills all of affine space; such lines are flagged and
-    carry no form.
+    Line i is ell_i(z) = sum_j (A_j)_{ii} z_j; their product should be the
+    pencil determinant, and kappa of the i-th coordinate functional (in
+    `kappa_forms`, None when det is identically 0) the logarithmic
+    derivative d(ell_i)/ell_i (in `coordinate_forms`). An identically zero
+    line means the spectrum fills all of affine space; such a line carries
+    no coordinate form.
     """
     if not t.is_diagonal:
         raise ValueError("matrices are not simultaneously diagonal; "
@@ -207,14 +201,11 @@ def hyperplane_decomposition(t: MatrixTuple) -> HyperplaneDecomposition:
         else:
             grouped.append((line, 1))
 
-    zero_lines = tuple(i + 1 for i, line in enumerate(lines) if line.is_zero)
-
     prod = MultiPoly.one(n)
     for line in lines:
         prod = prod * line
     pencil = t.pencil()
     det = pencil.det()
-    det_matches = prod == det
 
     coordinate_forms: Dict[int, ScalarForm] = {}
     for i, line in enumerate(lines, start=1):
@@ -225,19 +216,15 @@ def hyperplane_decomposition(t: MatrixTuple) -> HyperplaneDecomposition:
             for v in range(1, n + 1) if not line.partial(v).is_zero
         })
 
-    kappa_matches: Optional[bool] = None
+    kappa_forms: Optional[Dict[int, ScalarForm]] = None
     if not det.is_zero:
         omega = maurer_cartan(pencil)
-        kappa_matches = True
-        for i in range(1, k + 1):
-            functional = DenseCochain.basis(1, k, ((i - 1, i - 1),))
-            if _kappa_of(functional, omega) != coordinate_forms[i]:
-                kappa_matches = False
-                break
+        kappa_forms = {
+            i: _kappa_of(DenseCochain.basis(1, k, ((i - 1, i - 1),)), omega)
+            for i in range(1, k + 1)}
 
     return HyperplaneDecomposition(lines=tuple(lines),
                                    multiplicities=tuple(grouped),
-                                   zero_lines=zero_lines,
-                                   det_matches=det_matches,
+                                   line_product=prod, det=det,
                                    coordinate_forms=coordinate_forms,
-                                   kappa_matches=kappa_matches)
+                                   kappa_forms=kappa_forms)

@@ -78,6 +78,10 @@ def cases():
         {"mode": "exact", "q": 3, "p_prime": 1})
     out += text_and_json("torus-factorization", [
         "torus", "--check", "factorization", "--seed", "1", "--trials", "10"])
+    # a tolerance below the propagated truncation bound: both checks FAIL
+    out += text_and_json("torus-factorization-tol", [
+        "torus", "--check", "factorization", "--seed", "1", "--trials", "10",
+        "--tol", "1e-30"])
     for name, data in PENCILS.items():
         k = len(data["matrices"][0])
         out += text_and_json(f"spectrum-{name}", ["spectrum", "--input"],
@@ -147,6 +151,10 @@ DIGESTS = {
         "07ed106af46b7ee03e98e30d2cfe49fb49ac9dbc4e4617386f2cde2e4ab7b486",
     "torus-factorization-json":
         "81140855549e586b742e0c291801ccc7b56cd064d5b90e50f1855e6a627f411d",
+    "torus-factorization-tol":
+        "d0ba3ec124d18224f3c2e17b15717b33c6a77dc03bb710bcd78d188258618ea0",
+    "torus-factorization-tol-json":
+        "e280d41958fc9321d0e7aad7033868043a1e47113d9149c91bc55b3695a221ed",
     "spectrum-units":
         "702915ce13aa8d5359a8537572448a231c7ed483330d2e8240efdc8cdee88f96",
     "spectrum-units-json":

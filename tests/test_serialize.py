@@ -141,3 +141,15 @@ def test_torus_config_round_trip():
         serialize.torus_config_from_json({"q": 4})
     with pytest.raises(ValueError, match="missing key"):
         serialize.torus_config_from_json({"mode": "numeric"})
+
+
+@pytest.mark.parametrize("reader, data", [
+    (serialize.scalar_form_from_json, {"degree": 1, "n": None}),
+    (serialize.matrix_form_from_json, {"degree": 1, "n": 2, "k": None}),
+    (serialize.scalar_form_from_json, {"degree": 1, "n": 2, "terms": [5]}),
+    (serialize.matrix_form_from_json,
+     {"degree": 1, "n": 2, "k": 2, "terms": [5]}),
+], ids=["scalar-n-null", "matrix-k-null", "scalar-term-5", "matrix-term-5"])
+def test_form_readers_reject_malformed_shapes_with_value_error(reader, data):
+    with pytest.raises(ValueError, match="malformed (scalar|matrix)-form"):
+        reader(data)

@@ -1,10 +1,14 @@
 """Suite registry, report shape, and byte-level determinism."""
 
+import ast
 import dataclasses
+import json
+from pathlib import Path
 
 import pytest
 
-from pencilforms import cli, jacobi, serialize, suites
+from pencilforms import cli, jacobi, serialize, suites, torus
+from pencilforms.cochains import FunctionalCochain
 from pencilforms.forms import ScalarForm
 from pencilforms.jacobi import cubic_trace_data, trace_power_form
 from pencilforms.linalg import MatrixTuple, PolyMatrix
@@ -84,6 +88,29 @@ def test_torus_factorization_tolerance_failure_is_reported():
     results = torus_factorization_checks(0, tol=1e-40)
     assert not any(r.passed for r in results)
     assert "propagated truncation bound" in results[0].counterexample
+    # the residuals are still computed and counted
+    assert " at 10 seeded points, " in results[1].detail
+
+
+def test_torus_cocycle_checks_refuse_a_numeric_config(tmp_path, capsys):
+    with pytest.raises(ValueError, match="exact mode"):
+        torus_cocycle_checks(1, TorusConfig.numeric(0.3))
+    path = tmp_path / "numeric.json"
+    path.write_text(json.dumps({"mode": "numeric", "theta": 0.3}))
+    code = cli.main(["torus", "--check", "cocycles", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: cocycle checks need an exact-mode "
+                            "configuration\n")
+
+
+def test_suites_catch_no_exceptions():
+    # a library error must end the run, not read as a failed identity
+    tree = ast.parse(Path(suites.__file__).read_text(encoding="utf-8"))
+    handlers = [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.ExceptHandler)]
+    assert handlers == []
 
 
 def test_all_concatenates_in_fixed_order():
@@ -327,3 +354,115 @@ def test_theorem33_suite_kernel_product_budget(monkeypatch):
     results = suites.suite_cubic_trace(1, trials=6)
     assert all(r.passed for r in results)
     assert 0 < calls[0] <= THEOREM33_SUITE_BUDGET
+
+
+# -- verdicts the suites make on values the library returns ---------------
+
+
+def _run_cli(capsys, *argv):
+    code = cli.main(list(argv))
+    return code, capsys.readouterr().out
+
+
+def test_theorem29_judges_the_correction_form(monkeypatch, capsys):
+    # a doubled phi(d omega, omega, ..) breaks both identities it enters,
+    # and leaves (a/(a+1)) kappa(b phi) = -d kappa(phi) alone
+    inner = suites.transgression_report
+
+    def doubled_correction(phi, f):
+        rep = inner(phi, f)
+        return dataclasses.replace(rep, correction=rep.correction * 2)
+
+    monkeypatch.setattr(suites, "transgression_report", doubled_correction)
+    code, out = _run_cli(capsys, "verify", "--suite", "theorem29", "--seed",
+                         "1", "--trials", "6")
+    assert code == 1
+    assert "PASS theorem29.main: " in out
+    for name in ("decomposition", "correction"):
+        lines = out.split(f"FAIL theorem29.{name}: ")[1].splitlines()
+        assert lines[0].endswith(" pairs")
+        assert " arity " in lines[1] and lines[2].lstrip().startswith("{")
+    assert out.endswith("result: FAIL (3 checks)\n")
+
+
+def _shifted_det(dec):
+    return dataclasses.replace(dec, det=dec.det + MultiPoly.one(dec.det.n))
+
+
+def _doubled_kappa_form(dec):
+    forms = dict(dec.kappa_forms)
+    forms[1] = forms[1] * 2
+    return dataclasses.replace(dec, kappa_forms=forms)
+
+
+@pytest.mark.parametrize("spoil, failing, claim, passing", [
+    (_shifted_det, "det-product", "for 3 diagonal tuples", "kappa-lines"),
+    (_doubled_kappa_form, "kappa-lines", "every line of 3 tuples",
+     "det-product"),
+], ids=["det", "kappa"])
+def test_hyperplane_judges_each_returned_form(monkeypatch, capsys, spoil,
+                                              failing, claim, passing):
+    inner = suites.hyperplane_decomposition
+    monkeypatch.setattr(suites, "hyperplane_decomposition",
+                        lambda t: spoil(inner(t)))
+    code, out = _run_cli(capsys, "verify", "--suite", "hyperplane", "--seed",
+                         "1", "--trials", "2")
+    assert code == 1
+    assert f"PASS hyperplane.{passing}: " in out
+    lines = out.split(f"FAIL hyperplane.{failing}: ")[1].splitlines()
+    assert lines[0].endswith(claim)
+    assert lines[1] == "  pinned"
+    assert out.count("\nFAIL ") == 1
+
+
+def test_torus_cocycles_judge_a_non_cyclic_cocycle(monkeypatch):
+    # tr(x0 x1) is symmetric, so the arity-2 sign -1 fails at once
+    monkeypatch.setitem(torus._COCYCLES, "phi1", lambda: FunctionalCochain(
+        2, lambda args: args[0].trace(args[1]), label="phi1"))
+    result, = torus_cocycle_checks(1, TorusConfig.exact(3, 1))
+    assert not result.passed
+    assert result.name == "torus.cocycles.q3"
+    assert result.detail.endswith(" on 1 monomial tuples (q=3, p'=1)")
+    assert result.counterexample == \
+        "cyclicity fails for phi1 on degrees ((3, 3), (-3, -3))"
+
+
+def _inflated_sampled_residual(inner):
+    def report(mats, points):
+        out = inner(mats, points)
+        if len(points) > 1:
+            out.samples[3].residuals = (0.0, 1.0, 0.0, 0.0)
+        return out
+    return report
+
+
+def _all_divergent(inner):
+    return lambda mats, points: inner(mats, [(0, z2, z3)
+                                             for _, z2, z3 in points])
+
+
+@pytest.mark.parametrize("spoil, witnesses", [
+    (_inflated_sampled_residual,
+     {"sampled": ("10 seeded points", "(max 1.000e+00)",
+                  "residual 1.000e+00 above 1.0e-10")}),
+    (_all_divergent,
+     {"pinned": ("(1, 0.1, 0.1)", "(max 0.000e+00)",
+                 "only 0 usable sample points"),
+      "sampled": ("0 seeded points", "(max 0.000e+00)",
+                  "only 0 usable sample points")}),
+], ids=["residual", "divergent"])
+def test_torus_factorization_judges_returned_residuals(monkeypatch, capsys,
+                                                       spoil, witnesses):
+    monkeypatch.setattr(suites, "factorization_report",
+                        spoil(suites.factorization_report))
+    code, out = _run_cli(capsys, "torus", "--check", "factorization",
+                         "--seed", "1", "--trials", "10")
+    assert code == 1
+    for name in ("pinned", "sampled"):
+        if name not in witnesses:
+            assert f"PASS torus.factorization.{name}: " in out
+            continue
+        where, top, why = witnesses[name]
+        lines = out.split(f"FAIL torus.factorization.{name}: ")[1].splitlines()
+        assert where in lines[0] and lines[0].endswith(top)
+        assert lines[1] == f"  {why}"

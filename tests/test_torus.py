@@ -168,16 +168,17 @@ def test_cyclicity_spanning():
     for q, p in EXACT_ORDERS:
         cfg = TorusConfig.exact(q, p)
         for name in ("phi1", "phi2", "psi1", "psi2"):
-            assert cyclicity_check(name, cfg) > 0
+            checked, failure = cyclicity_check(name, cfg)
+            assert checked > 0 and failure is None
 
 
 def test_coboundary_spanning():
     for q, p in EXACT_ORDERS:
         cfg = TorusConfig.exact(q, p)
-        for name in ("phi1", "phi2"):
-            assert coboundary_check(name, cfg, 3) > 0
-        for name in ("psi1", "psi2"):
-            assert coboundary_check(name, cfg, 2) > 0
+        for name, radius in (("phi1", 3), ("phi2", 3), ("psi1", 2),
+                             ("psi2", 2)):
+            checked, failure = coboundary_check(name, cfg, radius)
+            assert checked > 0 and failure is None
 
 
 def test_spanning_checks_require_exact_mode():
@@ -318,13 +319,16 @@ def test_neumann_preconditions():
                            TorusElement.v(exact_cfg)], (1, 0.1, 0.1), 10)
 
 
+def residuals(report):
+    return [r for sample in report.samples for r in sample.residuals]
+
+
 def test_factorization_pinned_point():
     cfg, mats = numeric_pencil()
-    report = factorization_report(mats, [(1, 0.1, 0.1)], order=40, tol=1e-10)
+    report = factorization_report(mats, [(1, 0.1, 0.1)])
     assert isinstance(report, FactorizationReport)
-    assert report.all_within
     assert not report.skipped
-    assert report.max_residual <= 1e-10
+    assert max(residuals(report)) <= 1e-10
     sample = report.samples[0]
     assert sample.rho == pytest.approx(0.2)
     assert max(sample.propagated_bounds) < 1e-10
@@ -346,10 +350,10 @@ def test_factorization_random_samples():
         points.append((1 + 0j,
                        complex(rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1)),
                        complex(rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1))))
-    report = factorization_report(mats, points, order=40, tol=1e-9)
+    report = factorization_report(mats, points)
     assert len(report.samples) == 10
-    assert report.all_within
-    assert report.max_residual <= 1e-9
+    assert max(residuals(report)) <= 1e-9
+    assert max(max(s.propagated_bounds) for s in report.samples) < 1e-9
 
 
 def test_factorization_nonzero_coefficients():
@@ -358,29 +362,34 @@ def test_factorization_nonzero_coefficients():
     mats = [TorusElement.one(cfg),
             TorusElement.u(cfg) + TorusElement.v(cfg),
             TorusElement.u(cfg, -1) + TorusElement.v(cfg, -1)]
-    report = factorization_report(mats, [(1, 0.08, 0.06)], order=40, tol=1e-9)
-    assert report.all_within
+    report = factorization_report(mats, [(1, 0.08, 0.06)])
     sample = report.samples[0]
+    assert max(sample.residuals) <= 1e-9
+    assert max(sample.propagated_bounds) < 1e-9
     assert abs(sample.q_values[0]) > 1
     assert abs(sample.q_values[1]) > 1
 
 
 def test_factorization_divergent_handling():
     cfg, mats = numeric_pencil()
-    report = factorization_report(mats, [(0.05, 1, 1), (1, 0.1, 0.1)],
-                                  order=40, tol=1e-10)
+    report = factorization_report(mats, [(0.05, 1, 1), (1, 0.1, 0.1)])
     assert len(report.samples) == 1
     assert len(report.skipped) == 1
     assert "divergent" in report.skipped[0][1]
-    with pytest.raises(ValueError, match="every sample"):
-        factorization_report(mats, [(0.05, 1, 1), (0.1, 2, 2)], order=40,
-                             tol=1e-10)
+    # z1 = 0 diverges too; a point set with no convergent point is no error
+    report = factorization_report(mats, [(0.05, 1, 1), (0, 0.1, 0.1)])
+    assert report.samples == []
+    assert [why for _, why in report.skipped] == [
+        "Neumann series divergent at this point"] * 2
 
 
 def test_factorization_tolerance_precondition():
+    # rho = 0.9: the terms left out of the series keep the propagated bound
+    # far above any tolerance a residual check could use
     cfg, mats = numeric_pencil()
-    with pytest.raises(ValueError, match="propagated"):
-        factorization_report(mats, [(1, 0.45, 0.45)], order=3, tol=1e-10)
+    sample, = factorization_report(mats, [(1, 0.45, 0.45)]).samples
+    assert sample.rho == pytest.approx(0.9)
+    assert max(sample.propagated_bounds) > 1e-10
 
 
 def test_element_text_round_trip():
@@ -640,11 +649,12 @@ def _reference_resolvent(mats, z, order):
     return acc * (1 / z1)
 
 
-def _reference_samples(mats, points, order):
+def _reference_samples(mats, points):
     """Each phi_j through its cochain, and one delta per err_phi call.
 
     Returns the samples and every phi value, for a content check.
     """
+    order = torus.NEUMANN_ORDER
     phis = (phi_cochain(1), phi_cochain(2))
     samples, values = [], []
     for raw in points:
@@ -683,8 +693,7 @@ def _reference_samples(mats, points, order):
             q_values.append(2 * v12 / point[2] if point[2] != 0 else None)
         samples.append(FactorizationSample(
             point=point, rho=rho, q_values=tuple(q_values),
-            residuals=tuple(residuals), propagated_bounds=tuple(bounds),
-            within_tol=all(r <= 1e-9 for r in residuals)))
+            residuals=tuple(residuals), propagated_bounds=tuple(bounds)))
     return samples, values
 
 
@@ -704,17 +713,18 @@ def content_pencil():
 
 def test_factorization_is_bitwise_the_reference():
     mats = content_pencil()
-    report = factorization_report(mats, CONTENT_POINTS, order=40, tol=1e-9)
-    expected, values = _reference_samples(mats, CONTENT_POINTS, 40)
+    report = factorization_report(mats, CONTENT_POINTS)
+    expected, values = _reference_samples(mats, CONTENT_POINTS)
     assert min(abs(v) for v in values) > 0.08
-    assert report.all_within and not report.skipped
+    assert max(residuals(report)) <= 1e-9 and not report.skipped
+    assert all(max(s.propagated_bounds) <= 1e-9 for s in report.samples)
     assert len(report.samples) == len(expected) == len(CONTENT_POINTS)
     for sample, ref in zip(report.samples, expected):
         for field in dataclasses.fields(FactorizationSample):
             got, want = getattr(sample, field.name), getattr(ref, field.name)
             # repr tells the sign of a zero and every bit of a float
             assert got == want and repr(got) == repr(want), field.name
-    assert report.max_residual == max(max(s.residuals) for s in expected)
+    assert max(residuals(report)) == max(max(s.residuals) for s in expected)
     for z in CONTENT_POINTS:
         assert list(neumann_resolvent(mats, z, 40).coeffs.items()) == \
             list(_reference_resolvent(mats, z, 40).coeffs.items())
@@ -776,8 +786,9 @@ def test_factorization_operation_counts(monkeypatch):
     monkeypatch.setattr(TorusElement, "delta", counting_delta)
     monkeypatch.setattr(TorusConfig, "lambda_power", counting_lambda_power)
     monkeypatch.setattr(TorusElement, "__mul__", budgeted_mul)
-    report = factorization_report(mats, points, order=40, tol=1e-10)
-    assert len(report.samples) == 10 and report.all_within
+    report = factorization_report(mats, points)
+    assert len(report.samples) == 10 and max(residuals(report)) <= 1e-10
+    assert all(max(s.propagated_bounds) <= 1e-10 for s in report.samples)
     assert calls["delta"] == 4 * len(report.samples)
     assert over_budget == []
     assert 0 < calls["lambda_power"] <= FACTORIZATION_LAMBDA_POWER_BUDGET

@@ -1,5 +1,7 @@
 """kappa, the transgression identity, tau, and hyperplane decompositions."""
 
+from fractions import Fraction
+
 import pytest
 
 from pencilforms.cochains import (
@@ -90,12 +92,21 @@ def test_apply_multilinear_rejects_mixed_bases():
         apply_multilinear(TraceWord(3), [w1, w1])
 
 
+def transgression_holds(rep):
+    """The identity and its two halves on the report's forms."""
+    a = rep.arity
+    main = rep.kappa_b * Fraction(a, a + 1) == -rep.d_kappa
+    decomposition = rep.kappa_b == -rep.d_kappa - rep.correction
+    correction = rep.correction == rep.kappa_b * Fraction(-1, a + 1)
+    return main, decomposition, correction
+
+
 def test_transgression_for_trace():
     rng = rng_for(36, "tr")
     f = random_matrix_tuple(rng, 3, 2).pencil()
     rep = transgression_report(TraceWord(1), f)
-    assert rep.main_equal and rep.decomposition_equal and rep.correction_equal
-    assert rep.lhs.is_zero and rep.rhs.is_zero
+    assert transgression_holds(rep) == (True, True, True)
+    assert rep.kappa_b.is_zero and rep.d_kappa.is_zero
 
 
 def test_transgression_for_odd_trace_word():
@@ -103,8 +114,8 @@ def test_transgression_for_odd_trace_word():
     rng = rng_for(37, "tw3")
     f = random_matrix_tuple(rng, 4, 2).pencil()
     rep = transgression_report(TraceWord(3), f)
-    assert rep.main_equal and rep.decomposition_equal and rep.correction_equal
-    assert rep.rhs.is_zero  # -d kappa(tw3) = 0
+    assert transgression_holds(rep) == (True, True, True)
+    assert rep.d_kappa.is_zero  # -d kappa(tw3) = 0
     assert not kappa(TraceWord(3), f).is_zero
 
 
@@ -117,11 +128,12 @@ def test_transgression_for_random_cyclic_cochains():
         f = random_matrix_tuple(rng, n, k).pencil()
         phi = cyclic_symmetrize(DenseCochain.random(rng, arity, k))
         rep = transgression_report(phi, f)
-        assert rep.main_equal, (trial, arity, n)
-        assert rep.decomposition_equal, (trial, arity, n)
-        assert rep.correction_equal, (trial, arity, n)
+        main, decomposition, correction = transgression_holds(rep)
+        assert main, (trial, arity, n)
+        assert decomposition, (trial, arity, n)
+        assert correction, (trial, arity, n)
         if arity == 2:
-            assert not rep.lhs.is_zero or not kappa(phi, f).is_zero
+            assert not rep.kappa_b.is_zero or not kappa(phi, f).is_zero
 
 
 def test_transgression_rejects_non_cyclic():
@@ -185,9 +197,9 @@ def test_hyperplane_pinned_example():
     t = MatrixTuple([[[1, 0], [0, 1]], [[1, 0], [0, -1]]])
     dec = hyperplane_decomposition(t)
     assert [str(line) for line in dec.lines] == ["z1+z2", "z1-z2"]
-    assert dec.det_matches
-    assert dec.zero_lines == ()
-    assert dec.kappa_matches is True
+    assert dec.line_product == dec.det == t.pencil().det()
+    assert not any(line.is_zero for line in dec.lines)
+    assert dec.kappa_forms == dec.coordinate_forms
     line = dec.lines[0]
     expected = ScalarForm(2, 1, {(1,): RatFn(MultiPoly.one(2), line),
                                  (2,): RatFn(MultiPoly.one(2), line)})
@@ -197,9 +209,10 @@ def test_hyperplane_pinned_example():
 def test_hyperplane_zero_line_flagged():
     t = MatrixTuple([[[0, 0], [0, 2]], [[0, 0], [0, 3]]])
     dec = hyperplane_decomposition(t)
-    assert dec.zero_lines == (1,)
-    assert dec.det_matches  # both sides identically zero
-    assert dec.kappa_matches is None
+    assert [i for i, line in enumerate(dec.lines, 1) if line.is_zero] == [1]
+    assert dec.line_product == dec.det  # both sides identically zero
+    assert dec.det.is_zero
+    assert dec.kappa_forms is None
     assert 1 not in dec.coordinate_forms
     assert 2 in dec.coordinate_forms
 
@@ -210,7 +223,7 @@ def test_hyperplane_multiplicities_group_repeated_lines():
     assert len(dec.multiplicities) == 1
     line, mult = dec.multiplicities[0]
     assert str(line) == "z1+2*z2" and mult == 2
-    assert dec.det_matches
+    assert dec.line_product == dec.det
 
 
 def test_hyperplane_random_diagonal_tuples():
@@ -218,7 +231,7 @@ def test_hyperplane_random_diagonal_tuples():
         rng = rng_for(43, "diag", trial)
         t = random_diagonal_tuple(rng, 3, 3)
         dec = hyperplane_decomposition(t)
-        assert dec.det_matches
+        assert dec.line_product == dec.det
         assert len(dec.lines) == 3
 
 

@@ -90,14 +90,6 @@ class TraceWord(Cochain):
             acc = alg_mul(acc, x)
         return alg_trace(acc, args[-1])
 
-    def to_dense(self, k: int) -> "DenseCochain":
-        tensor = {}
-        for idx in product(range(k), repeat=self.arity):
-            key = tuple((idx[t], idx[(t + 1) % self.arity])
-                        for t in range(self.arity))
-            tensor[key] = tensor.get(key, Scalar(0)) + Scalar(1)
-        return DenseCochain(self.arity, k, tensor)
-
     def __repr__(self) -> str:
         return f"TraceWord(arity={self.arity})"
 

@@ -260,10 +260,9 @@ def torus_config_from_json(data: Dict):
     mode = data["mode"]
     try:
         if mode == "exact":
-            return TorusConfig.exact(int(data["q"]),
-                                     int(data.get("p_prime", 1)))
+            return TorusConfig.exact(data["q"], data.get("p_prime", 1))
         if mode == "numeric":
-            return TorusConfig.numeric(float(data["theta"]))
+            return TorusConfig.numeric(data["theta"])
     except KeyError as exc:
         raise ValueError(f"torus config: missing key {exc}")
     except (TypeError, ValueError) as exc:

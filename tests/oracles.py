@@ -1,0 +1,76 @@
+"""Independent references that only the tests use.
+
+Each helper recomputes a library value by a second route: the adjugate
+against the double-minor identity, and a trace word as the dense tensor of
+its matrix-entry products.
+"""
+
+from itertools import product
+from typing import Sequence
+
+from pencilforms.cochains import DenseCochain
+from pencilforms.linalg import grid_adjugate, grid_det, grid_minor
+from pencilforms.ring import Scalar
+
+
+def grid_double_minor(a: Sequence, rows: tuple, cols: tuple, one):
+    """det of the grid with 1-based rows (i, p) and columns (j, q) removed."""
+    i, p = rows
+    j, q = cols
+    k = len(a)
+    for idx in (i, p, j, q):
+        if not 1 <= idx <= k:
+            raise ValueError(f"index {idx} outside 1..{k}")
+    if i == p or j == q:
+        raise ValueError("row and column pairs must be distinct")
+    return grid_det(grid_minor(a, (i, p), (j, q)), one)
+
+
+def adjugate_double_minor_check(a: Sequence, one) -> bool:
+    """Verify the adjugate 2x2-minor identity on every ordered index pair.
+
+    With adj = adjugate(a) and 1-based indices i != p, j != q:
+
+        adj[i,j]*adj[p,q] - adj[i,q]*adj[p,j]
+            = s * (-1)^(i+p+j+q) * det(a) * det(a minus rows {j,q}, cols {i,p})
+
+    where s flips once for each descending pair (i>p, j>q). Note the deleted
+    rows are the adjugate's *column* indices and vice versa; statements of
+    this identity that delete rows {i,p} and columns {j,q}, or omit the sign,
+    fail on generic matrices.
+    """
+    k = len(a)
+    adj = grid_adjugate(a, one)
+    det = grid_det(a, one)
+    for i in range(1, k + 1):
+        for p in range(1, k + 1):
+            if p == i:
+                continue
+            for j in range(1, k + 1):
+                for q in range(1, k + 1):
+                    if q == j:
+                        continue
+                    lhs = (adj[i - 1][j - 1] * adj[p - 1][q - 1]
+                           - adj[i - 1][q - 1] * adj[p - 1][j - 1])
+                    comp = grid_det(grid_minor(a, (j, q), (i, p)), one)
+                    sign = 1 if (i + p + j + q) % 2 == 0 else -1
+                    if i > p:
+                        sign = -sign
+                    if j > q:
+                        sign = -sign
+                    if lhs != det * comp * sign:
+                        return False
+    return True
+
+
+def trace_word_dense(arity: int, k: int) -> DenseCochain:
+    """tr(x_1 .. x_a) on k x k matrices as a dense tensor.
+
+    The key of a product of entries (x_1)[i_1][i_2] (x_2)[i_2][i_3] ..
+    (x_a)[i_a][i_1] gets coefficient 1 for every index tuple.
+    """
+    tensor = {}
+    for idx in product(range(k), repeat=arity):
+        key = tuple((idx[t], idx[(t + 1) % arity]) for t in range(arity))
+        tensor[key] = tensor.get(key, Scalar(0)) + Scalar(1)
+    return DenseCochain(arity, k, tensor)

@@ -181,6 +181,16 @@ def test_parse_error_exit_codes(tmp_path, units_file):
     }
     for name, text in bad_cochains.items():
         (tmp_path / f"{name}.json").write_text(text)
+    # torus configs: an order above torus.MAX_ORDER, non-integral or bool q,
+    # and bool theta
+    bad_torus = {
+        "q-huge": '{"mode": "exact", "q": 1000000, "p_prime": 1}',
+        "q-float": '{"mode": "exact", "q": 3.9, "p_prime": 1}',
+        "q-bool": '{"mode": "exact", "q": true, "p_prime": 1}',
+        "theta-bool": '{"mode": "numeric", "theta": true}',
+    }
+    for name, text in bad_torus.items():
+        (tmp_path / f"torus-{name}.json").write_text(text)
     for argv in (("spectrum", "--input", str(empty)),
                  ("spectrum", "--input", str(huge)),
                  *(("spectrum", "--input", str(tmp_path / f"{name}.json"))
@@ -203,6 +213,10 @@ def test_parse_error_exit_codes(tmp_path, units_file):
                  ("form", "--input", str(singular), "--kind", "mc"),
                  ("form", "--input", units_file, "--kind", "trace-power",
                   "--power", "5"),
+                 *(("torus", "--check", check, "--input",
+                    str(tmp_path / f"torus-{name}.json"))
+                   for name in bad_torus
+                   for check in ("cocycles", "factorization")),
                  ("torus", "--check", "factorization", "--tol", "0"),
                  ("torus", "--check", "factorization", "--tol", "-1"),
                  ("torus", "--check", "factorization", "--tol", "nan"),

@@ -5,7 +5,6 @@ from itertools import combinations
 import pytest
 
 from pencilforms import ring
-from pencilforms.cochains import TraceWord
 from pencilforms.forms import maurer_cartan
 from pencilforms.jacobi import (
     anchored_trace_power,
@@ -20,6 +19,7 @@ from pencilforms.linalg import MatrixTuple, PolyMatrix
 from pencilforms.ring import MultiPoly, RatFn, Scalar
 from pencilforms.sampling import random_matrix_tuple, rng_for
 from pencilforms.transgression import kappa_wedge_oracle
+from oracles import trace_word_dense
 from test_linalg import rand_gauss_tuple
 
 
@@ -75,7 +75,7 @@ def test_trace_power_form_cubic_is_closed_and_nonzero():
 
 def test_dense_trace_oracle_matches_trace_power_form():
     f = MatrixTuple.matrix_units(2).pencil()
-    dense_trace = TraceWord(3).to_dense(2)
+    dense_trace = trace_word_dense(3, 2)
     assert kappa_wedge_oracle(dense_trace, f) == trace_power_form(f, 3)
 
 

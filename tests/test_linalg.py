@@ -8,15 +8,14 @@ import pytest
 from pencilforms.linalg import (
     MatrixTuple,
     PolyMatrix,
-    adjugate_double_minor_check,
     grid_det,
-    grid_double_minor,
     grid_minor,
     grid_mul,
     grid_trace,
 )
 from pencilforms.ring import MultiPoly, RatFn, Scalar
 
+from oracles import adjugate_double_minor_check, grid_double_minor
 from test_ring import rand_poly, rand_scalar
 
 

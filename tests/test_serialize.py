@@ -12,7 +12,7 @@ from pencilforms.linalg import MatrixTuple, PolyMatrix
 from pencilforms.ring import Scalar
 from pencilforms.sampling import (random_matrix_tuple, random_poly_matrix,
                                   rng_for)
-from pencilforms.torus import TorusConfig
+from pencilforms.torus import MAX_ORDER, TorusConfig
 from pencilforms.transgression import kappa
 
 
@@ -141,6 +141,32 @@ def test_torus_config_round_trip():
         serialize.torus_config_from_json({"q": 4})
     with pytest.raises(ValueError, match="missing key"):
         serialize.torus_config_from_json({"mode": "numeric"})
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"mode": "exact", "q": 3.9}, "q must be an integer"),
+    ({"mode": "exact", "q": True}, "q must be an integer"),
+    ({"mode": "exact", "q": "3"}, "q must be an integer"),
+    ({"mode": "exact", "q": 3, "p_prime": 1.5}, "p_prime must be an integer"),
+    ({"mode": "exact", "q": 3, "p_prime": False}, "p_prime must be an integer"),
+    ({"mode": "exact", "q": 10 ** 6}, "order q must lie in"),
+    ({"mode": "exact", "q": 0}, "order q must lie in"),
+    ({"mode": "numeric", "theta": True}, "theta must be a number"),
+    ({"mode": "numeric", "theta": "0.3"}, "theta must be a number"),
+    ({"mode": "numeric", "theta": 10 ** 400}, "theta must lie in"),
+], ids=["q-float", "q-bool", "q-string", "p-float", "p-bool", "q-huge",
+        "q-zero", "theta-bool", "theta-string", "theta-huge-int"])
+def test_torus_config_rejects_bad_values(data, message):
+    with pytest.raises(ValueError, match=message):
+        serialize.torus_config_from_json(data)
+
+
+def test_torus_config_accepts_the_largest_order():
+    config = serialize.torus_config_from_json(
+        {"mode": "exact", "q": MAX_ORDER, "p_prime": 1})
+    assert config == TorusConfig.exact(MAX_ORDER, 1)
+    assert serialize.torus_config_from_json(
+        {"mode": "numeric", "theta": 1}) == TorusConfig.numeric(1.0)
 
 
 @pytest.mark.parametrize("reader, data", [

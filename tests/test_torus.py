@@ -61,6 +61,14 @@ def test_config_validation():
         TorusConfig.numeric(1.5)
     with pytest.raises(ValueError):
         TorusConfig("diagonal")
+    with pytest.raises(ValueError, match="order q"):
+        TorusConfig.exact(torus.MAX_ORDER + 1, 1)
+    for q, p in ((3.9, 1), (True, 1), (3, 1.5), (3, False)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            TorusConfig.exact(q, p)
+    with pytest.raises(ValueError, match="theta must be a number"):
+        TorusConfig.numeric(True)
+    assert TorusConfig.exact(torus.MAX_ORDER, 1).q == torus.MAX_ORDER
     cfg = TorusConfig.exact(4, 1)
     assert cfg.lambda_power(1) == CycloElement.root(4, 1)
     assert cfg.lambda_power(-1) == CycloElement.root(4, 3)
@@ -162,6 +170,85 @@ def test_psi1_matches_trace_word():
         for _ in range(10):
             args = [rand_exact_element(rng, cfg) for _ in range(3)]
             assert psi1(args) == word(args)
+
+
+def _psi2_by_derivation_products(x0, x1, x2):
+    """psi_2 as written: four derivatives, two products, one difference."""
+    return x0.trace(x1.delta(1) * x2.delta(2) - x1.delta(2) * x2.delta(1))
+
+
+def _parallel_terms(cfg, rng, rand_coeff):
+    # (1, 1), (2, 2), (-1, -1) and (0, 0) are pairwise parallel, so every
+    # pair drawn from them has weight a d - b c = 0
+    degrees = [(1, 1), (2, 2), (-1, -1), (0, 0), (0, 1), (1, -2)]
+    rng.shuffle(degrees)
+    return [TorusElement(cfg, {deg: rand_coeff() for deg in degrees[k:k + 3]})
+            for k in (0, 3)]
+
+
+def test_psi2_matches_derivation_products():
+    psi2 = psi2_cochain()
+    for q, p in EXACT_ORDERS:
+        cfg = TorusConfig.exact(q, p)
+        rng = rng_for(18, "psi2-oracle", q)
+
+        def rand_coeff():
+            return CycloElement.root(q, rng.randrange(q)) \
+                * Scalar(rng.randrange(1, 3), rng.randrange(-2, 3))
+
+        weightless = nonzero = 0
+        for trial in range(24):
+            if trial % 3 == 0:
+                x1, x2 = _parallel_terms(cfg, rng, rand_coeff)
+            else:
+                x1 = rand_exact_element(rng, cfg, terms=4)
+                x2 = rand_exact_element(rng, cfg, terms=4)
+            weightless += sum(a * d == b * c for a, b in x1.coeffs
+                              for c, d in x2.coeffs)
+            inner = x1.delta(1) * x2.delta(2) - x1.delta(2) * x2.delta(1)
+            assert x1._delta_commutator(x2) == inner
+            # a random x0, and monomials that pick out each term of inner
+            x0s = [rand_exact_element(rng, cfg, terms=4)] + [
+                TorusElement.monomial(cfg, -m, -n) for m, n in inner.coeffs]
+            for x0 in x0s:
+                value = psi2([x0, x1, x2])
+                assert value == x0.trace(inner)
+                nonzero += bool(value)
+        assert weightless > 0 and nonzero > 0
+
+
+def test_psi2_numeric_matches_derivation_products():
+    # Both routes round each term of the sum through at most 5 complex
+    # products (relative error at most sqrt(5) u each, u = 2^-53) and at
+    # most 32 additions, so each is within 64 u times the sum of the term
+    # magnitudes of the exact value, and they differ by at most twice that.
+    psi2 = psi2_cochain()
+    cfg = TorusConfig.numeric(0.37)
+    rng = rng_for(18, "psi2-oracle", "numeric")
+
+    def rand_coeff():
+        return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+    def magnitude(x0, x1, x2):
+        return sum(abs(c0 * c1 * c2) * (abs(a * d) + abs(b * c))
+                   for (a, b), c1 in x1.coeffs.items()
+                   for (c, d), c2 in x2.coeffs.items()
+                   for (m, n), c0 in x0.coeffs.items()
+                   if (m + a + c, n + b + d) == (0, 0))
+
+    checked = 0
+    for trial in range(30):
+        if trial % 3 == 0:
+            x1, x2 = _parallel_terms(cfg, rng, rand_coeff)
+        else:
+            x1 = rand_numeric_element(rng, cfg, terms=4)
+            x2 = rand_numeric_element(rng, cfg, terms=4)
+        x0 = rand_numeric_element(rng, cfg, terms=4)
+        value = psi2([x0, x1, x2])
+        bound = 2 * 64 * 2.0 ** -53 * magnitude(x0, x1, x2)
+        assert abs(value - _psi2_by_derivation_products(x0, x1, x2)) <= bound
+        checked += bound > 0
+    assert checked > 0
 
 
 def test_cyclicity_spanning():
@@ -558,16 +645,22 @@ def test_exact_torus_fast_paths_match_naive_loop():
         assert rand_monomial().trace(zero) == CycloElement.zero(q)
 
 
-# CycloElement products in the q = 3 cocycle checks. The count depends on
-# the code alone, so exceeding it flags lost fast paths without any timing.
-# Recorded when monomial torus products became one coefficient product with
-# the lambda twist as a rotation (before: 529,514).
-COCYCLE_CHECKS_Q3_BUDGET = 300_821
+# Operation counts of the q = 3 cocycle checks. They depend on the code
+# alone, so exceeding one flags a lost fast path without any timing.
+# CycloElement products: 529,514 with convolved monomial twists, 300,821
+# once monomial torus products became one coefficient product twisted by
+# rotation, and the budget since psi2 takes its inner difference in one
+# pass over term pairs. That pass also cut the torus products from 161,248
+# and the derivatives, which phi1 and phi2 still take, from 135,302.
+COCYCLE_CHECKS_Q3_BUDGET = 214_866
+COCYCLE_CHECKS_Q3_TORUS_MUL_BUDGET = 97_852
+COCYCLE_CHECKS_Q3_DELTA_BUDGET = 8_510
 
 
 def test_cocycle_checks_coefficient_product_budget(monkeypatch):
-    calls = {"mul": 0, "convolve": 0}
+    calls = {"mul": 0, "convolve": 0, "torus_mul": 0, "delta": 0}
     inner_mul, inner_convolve = CycloElement.__mul__, ring._convolve
+    inner_torus_mul, inner_delta = TorusElement.__mul__, TorusElement.delta
 
     def counting_mul(self, other):
         calls["mul"] += 1
@@ -577,12 +670,24 @@ def test_cocycle_checks_coefficient_product_budget(monkeypatch):
         calls["convolve"] += 1
         return inner_convolve(x, y)
 
+    def counting_torus_mul(self, other):
+        calls["torus_mul"] += 1
+        return inner_torus_mul(self, other)
+
+    def counting_delta(self, which):
+        calls["delta"] += 1
+        return inner_delta(self, which)
+
     monkeypatch.setattr(CycloElement, "__mul__", counting_mul)
     monkeypatch.setattr(ring, "_convolve", counting_convolve)
+    monkeypatch.setattr(TorusElement, "__mul__", counting_torus_mul)
+    monkeypatch.setattr(TorusElement, "delta", counting_delta)
     results = torus_cocycle_checks(1, TorusConfig.exact(3, 1))
     assert [r.passed for r in results] == [True]
     assert calls["convolve"] == 0
     assert 0 < calls["mul"] <= COCYCLE_CHECKS_Q3_BUDGET
+    assert 0 < calls["torus_mul"] <= COCYCLE_CHECKS_Q3_TORUS_MUL_BUDGET
+    assert 0 < calls["delta"] <= COCYCLE_CHECKS_Q3_DELTA_BUDGET
 
 
 def test_cyclo_int_products_match_convolution():

@@ -4,8 +4,9 @@ Three coefficient domains cover everything downstream:
 
 - ``Scalar``: a Gaussian rational ``a/b + (c/d)*i``, stored in lowest terms
   with positive denominators. Text form: ``"3/2"``, ``"-i"``, ``"1/2+1/3*i"``.
-- ``CycloElement``: an element of Q(i)[t] / (t^q - 1), a length-q vector of
-  Scalars; the coefficient ring used by the noncommutative-torus module.
+- ``CycloElement``: an element of Q(i)[t] / (t^q - 1), stored as its nonzero
+  coefficients by t-power; the coefficient ring used by the
+  noncommutative-torus module.
 - ``MultiPoly``: a polynomial in variables z1..zn over Scalar, stored as a
   dict from exponent tuples to nonzero coefficients. Text form is graded-lex
   descending with z1 > z2 > ... > zn, e.g. ``"z1*z4-z2*z3"``.
@@ -246,37 +247,39 @@ I = Scalar.i()
 
 
 class CycloElement:
-    """An element of Q(i)[t] / (t^q - 1), coefficients indexed by t-power.
+    """An element of Q(i)[t] / (t^q - 1), stored sparsely by t-power.
 
-    Multiplication is cyclic convolution: exponents reduce mod q. The class
-    serves as the exact coefficient ring of the noncommutative torus, where
-    the deformation parameter is t^p for a chosen power p.
+    The coefficients are a tuple of (exponent, kernel 4-tuple) pairs sorted
+    by exponent, holding only the nonzero ones, so the zero element has no
+    terms. Multiplication is cyclic convolution: exponents reduce mod q. The
+    class serves as the exact coefficient ring of the noncommutative torus,
+    where the deformation parameter is t^p for a chosen power p.
     """
 
-    __slots__ = ("q", "_coeffs")
+    __slots__ = ("q", "_terms")
 
     def __init__(self, q: int, coeffs: Sequence):
+        """Build from a dense sequence of q coefficients, t^0 first."""
         if q < 1:
             raise ValueError("order q must be >= 1")
         if len(coeffs) != q:
             raise ValueError(f"expected {q} coefficients, got {len(coeffs)}")
         self.q = q
-        self._coeffs = tuple(_as_q4(c) if not isinstance(c, tuple) else c
-                             for c in coeffs)
+        values = (c if isinstance(c, tuple) else _as_q4(c) for c in coeffs)
+        self._terms = tuple((e, v) for e, v in enumerate(values)
+                            if v != Q_ZERO)
 
     @classmethod
-    def _make(cls, q: int, coeffs: tuple) -> "CycloElement":
-        """Trusted constructor for q kernel 4-tuples in lowest terms."""
+    def _make(cls, q: int, terms: tuple) -> "CycloElement":
+        """Trusted constructor: sorted (exponent, nonzero 4-tuple) pairs."""
         self = object.__new__(cls)
         self.q = q
-        self._coeffs = coeffs
+        self._terms = terms
         return self
 
     @classmethod
     def zero(cls, q: int) -> "CycloElement":
-        if q < 1:
-            raise ValueError("order q must be >= 1")
-        return cls._make(q, (Q_ZERO,) * q)
+        return cls.from_scalar(q, 0)
 
     @classmethod
     def one(cls, q: int) -> "CycloElement":
@@ -287,25 +290,17 @@ class CycloElement:
         """The monomial t^power (power taken mod q)."""
         if q < 1:
             raise ValueError("order q must be >= 1")
-        power %= q
-        return cls._make(q, (Q_ZERO,) * power + (Q_ONE,)
-                         + (Q_ZERO,) * (q - 1 - power))
+        return cls._make(q, ((power % q, Q_ONE),))
 
     @classmethod
     def from_scalar(cls, q: int, s) -> "CycloElement":
-        coeffs = [Q_ZERO] * q
-        coeffs[0] = _as_q4(s)
-        return cls(q, coeffs)
-
-    def coefficient(self, power: int) -> Scalar:
-        return Scalar.from_q4(self._coeffs[power % self.q])
-
-    @property
-    def is_zero(self) -> bool:
-        return self._coeffs.count(Q_ZERO) == self.q
+        if q < 1:
+            raise ValueError("order q must be >= 1")
+        v = _as_q4(s)
+        return cls._make(q, ((0, v),) if v != Q_ZERO else ())
 
     def __bool__(self) -> bool:
-        return self._coeffs.count(Q_ZERO) != self.q
+        return bool(self._terms)
 
     def _coerce(self, other) -> Optional["CycloElement"]:
         if isinstance(other, CycloElement):
@@ -320,8 +315,22 @@ class CycloElement:
         w = self._coerce(other)
         if w is None:
             return NotImplemented
-        return CycloElement._make(self.q, tuple(map(qadd, self._coeffs,
-                                                    w._coeffs)))
+        if not w._terms:
+            return self
+        if not self._terms:
+            return w
+        out = dict(self._terms)
+        for e, c in w._terms:
+            prev = out.get(e)
+            if prev is None:
+                out[e] = c
+                continue
+            total = qadd(prev, c)
+            if total == Q_ZERO:
+                del out[e]
+            else:
+                out[e] = total
+        return CycloElement._make(self.q, tuple(sorted(out.items())))
 
     __radd__ = __add__
 
@@ -338,72 +347,45 @@ class CycloElement:
         return w + (-self)
 
     def __neg__(self) -> "CycloElement":
-        return CycloElement._make(self.q, tuple(map(qneg, self._coeffs)))
+        return CycloElement._make(self.q, tuple((e, qneg(c))
+                                                for e, c in self._terms))
 
     def __mul__(self, other):
-        """Product; an operand that is one term c*t^a rotates and scales.
-
-        Multiplying by c*t^a moves the coefficient at t^b to t^(a+b) times c,
-        so no convolution is needed for scalars or for the powers of lambda
-        the torus multiplies by. Coefficients are canonical, so every path
-        returns the same tuples as the full convolution. A plain int, the
-        torus derivation weight, skips the coercion: 1 returns self, and
-        any other n scales the nonzero coefficients by n.
-        """
-        q = self.q
-        coeffs = self._coeffs
-        if type(other) is int:
-            if other == 1:
-                return self
-            c = (other, 1, 0, 1)
-            return CycloElement._make(q, tuple(
-                Q_ZERO if x == Q_ZERO else qmul(x, c) for x in coeffs))
-        if isinstance(other, CycloElement):
-            if other.q != q:
-                raise ValueError(f"mixed orders: {q} vs {other.q}")
-            term = _single_term(other._coeffs)
-            if term is None:
-                term = _single_term(coeffs)
-                if term is None:
-                    return CycloElement._make(q, _convolve(coeffs,
-                                                           other._coeffs))
-                coeffs = other._coeffs
-        elif isinstance(other, (Scalar, int, Fraction)):
-            term = (0, _as_q4(other))
-        else:
+        """Product; an operand that is one term c*t^a rotates and scales
+        the other, so scalars and powers of lambda need no convolution."""
+        w = self._coerce(other)
+        if w is None:
             return NotImplemented
-        a, c = term
-        if c != Q_ONE:
-            coeffs = tuple(Q_ZERO if x == Q_ZERO else qmul(x, c)
-                           for x in coeffs)
-        return CycloElement._make(q, coeffs).rotate(a)
+        return CycloElement._make(self.q, _product(self._terms, w._terms,
+                                                   self.q, 0, Q_ONE))
 
     __rmul__ = __mul__
 
-    def rotate(self, power: int) -> "CycloElement":
-        """self * t^power: each coefficient moves up power places mod q."""
+    def mul_rotate(self, other: "CycloElement", power: int,
+                   scale: int) -> "CycloElement":
+        """self * other * scale * t^power as one product.
+
+        The torus twists each monomial product by a power of lambda = t^p
+        and psi2 weights it by an integer, so both go into the one result.
+        """
         q = self.q
-        a = power % q
-        if not a:
-            return self
-        coeffs = self._coeffs
-        return CycloElement._make(q, coeffs[q - a:] + coeffs[:q - a])
+        if other.q != q:
+            raise ValueError(f"mixed orders: {q} vs {other.q}")
+        return CycloElement._make(q, _product(self._terms, other._terms, q,
+                                              power, (scale, 1, 0, 1)))
 
     def __eq__(self, other) -> bool:
         w = self._coerce(other)
         if w is None:
             return NotImplemented
-        return self._coeffs == w._coeffs
+        return self._terms == w._terms
 
     def __hash__(self) -> int:
-        return hash((self.q, self._coeffs))
+        return hash((self.q, self._terms))
 
     def __str__(self) -> str:
         parts = []
-        for e in range(self.q - 1, -1, -1):
-            c = self._coeffs[e]
-            if c == Q_ZERO:
-                continue
+        for e, c in reversed(self._terms):
             mono = "" if e == 0 else ("t" if e == 1 else f"t^{e}")
             parts.append(_term_str(Scalar.from_q4(c), mono, first=not parts))
         return "".join(parts) if parts else "0"
@@ -412,27 +394,39 @@ class CycloElement:
         return f"CycloElement(q={self.q}, '{self}')"
 
 
-def _single_term(coeffs: tuple):
-    """(a, c) when c*t^a is the only nonzero term, else None."""
-    if coeffs.count(Q_ZERO) != len(coeffs) - 1:
-        return None
-    for a, c in enumerate(coeffs):
-        if c != Q_ZERO:
-            return a, c
+def _product(x: tuple, y: tuple, q: int, shift: int, c: tuple) -> tuple:
+    """Terms of x * y * c * t^shift for sparse terms x, y and a 4-tuple c.
+
+    Products of nonzero Gaussian rationals are nonzero, so a one-term
+    operand b*t^s rotates the other by s and scales it by b*c once; only
+    two operands with several terms each are convolved.
+    """
+    if not x or not y or c == Q_ZERO:
+        return ()
+    if len(x) == 1:
+        x, y = y, x
+    if len(y) > 1:
+        x, y = _cyclic_product(x, y, q), ((0, Q_ONE),)
+    (b, cb), = y
+    if c != Q_ONE:
+        cb = qmul(cb, c)
+    shift += b
+    if len(x) == 1:
+        (a, ca), = x
+        return (((a + shift) % q, qmul(ca, cb)),)
+    return tuple(sorted(((e + shift) % q, v if cb == Q_ONE else qmul(v, cb))
+                        for e, v in x))
 
 
-def _convolve(x: tuple, y: tuple) -> tuple:
-    """Cyclic convolution of two coefficient tuples over their nonzeros."""
-    q = len(x)
-    out = [Q_ZERO] * q
-    ys = [(b, cb) for b, cb in enumerate(y) if cb != Q_ZERO]
-    for a, ca in enumerate(x):
-        if ca == Q_ZERO:
-            continue
-        for b, cb in ys:
+def _cyclic_product(x: tuple, y: tuple, q: int) -> tuple:
+    """Cyclic convolution of two sparse term tuples."""
+    out = {}
+    for a, ca in x:
+        for b, cb in y:
             k = (a + b) % q
-            out[k] = qadd(out[k], qmul(ca, cb))
-    return tuple(out)
+            term = qmul(ca, cb)
+            out[k] = qadd(out[k], term) if k in out else term
+    return tuple(sorted((k, v) for k, v in out.items() if v != Q_ZERO))
 
 
 class MultiPoly:

@@ -1,16 +1,18 @@
 """Independent references that only the tests use.
 
 Each helper recomputes a library value by a second route: the adjugate
-against the double-minor identity, and a trace word as the dense tensor of
-its matrix-entry products.
+against the double-minor identity, a trace word as the dense tensor of
+its matrix-entry products, and cyclotomic arithmetic on dense coefficient
+vectors.
 """
 
 from itertools import product
 from typing import Sequence
 
+from pencilforms._core import Q_ZERO, qadd, qmul
 from pencilforms.cochains import DenseCochain
 from pencilforms.linalg import grid_adjugate, grid_det, grid_minor
-from pencilforms.ring import Scalar
+from pencilforms.ring import CycloElement, Scalar, _term_str
 
 
 def grid_double_minor(a: Sequence, rows: tuple, cols: tuple, one):
@@ -74,3 +76,37 @@ def trace_word_dense(arity: int, k: int) -> DenseCochain:
         key = tuple((idx[t], idx[(t + 1) % arity]) for t in range(arity))
         tensor[key] = tensor.get(key, Scalar(0)) + Scalar(1)
     return DenseCochain(arity, k, tensor)
+
+
+def cyclo_dense(x: CycloElement) -> tuple:
+    """The q coefficients of x as kernel 4-tuples, t^0 first."""
+    out = [Q_ZERO] * x.q
+    for e, c in x._terms:
+        out[e] = c
+    return tuple(out)
+
+
+def convolve(x: tuple, y: tuple) -> tuple:
+    """Cyclic convolution of two dense coefficient tuples over their nonzeros."""
+    q = len(x)
+    out = [Q_ZERO] * q
+    ys = [(b, cb) for b, cb in enumerate(y) if cb != Q_ZERO]
+    for a, ca in enumerate(x):
+        if ca == Q_ZERO:
+            continue
+        for b, cb in ys:
+            k = (a + b) % q
+            out[k] = qadd(out[k], qmul(ca, cb))
+    return tuple(out)
+
+
+def cyclo_dense_str(coeffs: tuple) -> str:
+    """Text of a dense coefficient tuple, highest t-power first."""
+    parts = []
+    for e in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[e]
+        if c == Q_ZERO:
+            continue
+        mono = "" if e == 0 else ("t" if e == 1 else f"t^{e}")
+        parts.append(_term_str(Scalar.from_q4(c), mono, first=not parts))
+    return "".join(parts) if parts else "0"

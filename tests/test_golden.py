@@ -72,10 +72,12 @@ def cases():
         out += text_and_json(f"verify-{suite}", [
             "verify", "--suite", suite, "--seed", "1",
             "--trials", str(trials)])
-    out += text_and_json(
-        "torus-cocycles",
-        ["torus", "--check", "cocycles", "--seed", "1", "--input"],
-        {"mode": "exact", "q": 3, "p_prime": 1})
+    for suffix, q, p in (("", 3, 1), ("-q1", 1, 0), ("-q8", 8, 6),
+                         ("-q64", 64, 5)):
+        out += text_and_json(
+            "torus-cocycles" + suffix,
+            ["torus", "--check", "cocycles", "--seed", "1", "--input"],
+            {"mode": "exact", "q": q, "p_prime": p})
     out += text_and_json("torus-factorization", [
         "torus", "--check", "factorization", "--seed", "1", "--trials", "10"])
     # a tolerance below the propagated truncation bound: both checks FAIL
@@ -147,6 +149,18 @@ DIGESTS = {
         "11284178647148c018695eb7a5514c90ae343707b9fff69a66dddbc527ff85ba",
     "torus-cocycles-json":
         "fcb71b7d28f45ca7a52aed65574cff5d16f48642fffef912ef900c815bd165fa",
+    "torus-cocycles-q1":
+        "76662b27df86aa1942b73cf52270ec6cf30cd8981408b2c9cb21d69599e18cb2",
+    "torus-cocycles-q1-json":
+        "e7e89e8e1fb2dd6c78d50e343b630b7e84dc1eb5ad609efce6cecaeb120d6766",
+    "torus-cocycles-q8":
+        "34f1c8a9d17c34b0fa7ccf45b8a411a9dd0ee20fa332ef3b85868b4829a04058",
+    "torus-cocycles-q8-json":
+        "aeaf01bbde89f24b1dd3b154a94ced4d18043e20ad48938b8cd75b7762bf1e9d",
+    "torus-cocycles-q64":
+        "3acce79a460bbbe3038dfc9608657f066c838aab6407a5235634ed928111be45",
+    "torus-cocycles-q64-json":
+        "c4090fd14130a36d3fb16fcff1059795db6debb63a233738304c34ce455eaf2b",
     "torus-factorization":
         "07ed106af46b7ee03e98e30d2cfe49fb49ac9dbc4e4617386f2cde2e4ab7b486",
     "torus-factorization-json":

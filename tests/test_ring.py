@@ -5,11 +5,14 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import convolve, cyclo_dense, cyclo_dense_str
 from pencilforms import _core
-from pencilforms._core import (Q_ONE, poly_add, poly_mul, qadd, qinv, qmul,
-                               qneg, qnorm)
-from pencilforms.ring import CycloElement, I, MultiPoly, RatFn, Scalar
+from pencilforms._core import (Q_ONE, Q_ZERO, poly_add, poly_mul, qadd, qinv,
+                               qmul, qneg, qnorm, qsub)
+from pencilforms.ring import CycloElement, I, MultiPoly, RatFn, Scalar, _as_q4
 
 
 def rand_scalar(rng, imag_prob=0.4):
@@ -114,6 +117,59 @@ def test_cyclo_ring_axioms():
 def test_cyclo_scalar_promotion():
     t = CycloElement.root(3)
     assert Scalar(2) * t + 1 == CycloElement(3, [Scalar(1), Scalar(2), Scalar(0)])
+
+
+fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+gaussians = st.builds(Scalar, fractions, fractions)
+host_scalars = st.one_of(st.integers(-4, 4), fractions, gaussians)
+
+
+@st.composite
+def cyclo_pairs(draw):
+    """q and two dense coefficient lists; y is -x on a drawn set of slots,
+    so x + y cancels there, and everywhere when that set covers both."""
+    q = draw(st.sampled_from((1, 2, 3, 5, 8, 64)))
+
+    def sparse():
+        dense = [Scalar(0)] * q
+        for e in draw(st.sets(st.integers(0, q - 1), max_size=min(q, 6))):
+            dense[e] = draw(gaussians)
+        return dense
+
+    xs, ys = sparse(), sparse()
+    for e in draw(st.sets(st.integers(0, q - 1))):
+        ys[e] = -xs[e]
+    return q, xs, ys
+
+
+@settings(max_examples=300, deadline=None)
+@given(cyclo_pairs(), host_scalars, st.integers(-200, 200),
+       st.integers(-3, 3))
+def test_cyclo_ops_match_dense_oracle(pair, s, power, scale):
+    q, xs, ys = pair
+    x, y = CycloElement(q, xs), CycloElement(q, ys)
+    dx, dy = tuple(v._v for v in xs), tuple(v._v for v in ys)
+    ds = (_as_q4(s),) + (Q_ZERO,) * (q - 1)
+    zero = (Q_ZERO,) * q
+    assert cyclo_dense(x) == dx and cyclo_dense(y) == dy
+    assert cyclo_dense(x + y) == tuple(map(qadd, dx, dy))
+    assert cyclo_dense(x - y) == tuple(map(qsub, dx, dy))
+    assert cyclo_dense(-x) == tuple(map(qneg, dx))
+    assert cyclo_dense(x - x) == cyclo_dense(x + (-x)) == zero
+    assert cyclo_dense(x * y) == convolve(dx, dy)
+    assert cyclo_dense(x * s) == cyclo_dense(s * x) == convolve(dx, ds)
+    rotation = [Q_ZERO] * q
+    rotation[power % q] = (scale, 1, 0, 1) if scale else Q_ZERO
+    assert cyclo_dense(x.mul_rotate(y, power, scale)) == \
+        convolve(convolve(dx, dy), tuple(rotation))
+    for value, dense in ((x, dx), (x + y, tuple(map(qadd, dx, dy))),
+                         (x * y, convolve(dx, dy))):
+        rebuilt = CycloElement(q, [Scalar.from_q4(c) for c in dense])
+        assert value == rebuilt and hash(value) == hash(rebuilt)
+        assert bool(value) == (dense != zero)
+        assert str(value) == cyclo_dense_str(dense)
+    assert (x == y) == (dx == dy)
+    assert (x == s) == (dx == ds)
 
 
 # -- MultiPoly ---------------------------------------------------------------

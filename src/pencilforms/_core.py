@@ -6,16 +6,20 @@ A polynomial is a dict mapping exponent tuples to nonzero Gaussian rationals.
 Every function returns fresh objects and never mutates its arguments.
 
 Gaussian integers (both denominators 1) take a fast path in `qadd` and
-`qmul` that skips the gcd reductions. A large `poly_mul` clears
-denominators, multiplies plain ``(re, im)`` int pairs on packed exponents,
-the exponent and coefficient specialisation of Monagan & Pearce (CASC
-2007), and reduces each result coefficient once.
+`qmul` that skips the gcd reductions. `poly_dot` returns a sum of
+polynomial products from one accumulator on packed exponents, the exponent
+and coefficient specialisation of Monagan & Pearce (CASC 2007): it clears
+the denominators of every operand to one common denominator, adds plain
+ints when no operand has an imaginary part (the real-integer lane) and
+``(re, im)`` int pairs otherwise, and reduces each result coefficient
+once. `poly_mul` multiplies coefficient by coefficient up to
+`_DIRECT_MAX_PAIRS` term pairs and is a one-pair `poly_dot` above that.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
-from operator import add
+from operator import add, itemgetter
 
 BACKEND = "python"
 
@@ -143,12 +147,14 @@ def _unpack(keys, n, width):
 # saves, and `poly_mul` multiplies coefficient by coefficient.
 _DIRECT_MAX_PAIRS = 32
 
+_IMAG_NUM = itemgetter(2)
+
 
 def poly_mul(p, q):
     if len(p) > len(q):
         p, q = q, p
     if len(p) * len(q) > _DIRECT_MAX_PAIRS:
-        return _packed_mul(p, q)
+        return poly_dot(((p, q),))
     out = {}
     for e1, c1 in p.items():
         for e2, c2 in q.items():
@@ -166,39 +172,77 @@ def poly_mul(p, q):
     return out
 
 
-def _packed_mul(p, q):
-    """poly_mul on packed exponents and Gaussian-integer pairs.
+def poly_dot(pairs):
+    """The sum of p*q over the (p, q) pairs, in one packed pass.
 
-    Both operands are scaled to Gaussian integers first, and the sums are
-    divided by the two common denominators once at the end. Exponents are
-    packed into ints wide enough for the largest sum, so adding monomials is
-    one int add. A sum that cancels leaves the dict at once, so a later term
-    at that exponent is inserted at the end, exactly as in `poly_mul`'s
-    coefficient-by-coefficient loop; p is the shorter operand and not empty.
+    The term pairs of all products feed one accumulator keyed by packed
+    exponents: ints wide enough for the largest exponent sum, so adding
+    monomials is one int add. Each product's operands are scaled to
+    integers, and to one common denominator for the whole sum, which
+    divides each result coefficient once at the end. When no operand has
+    an imaginary part the accumulator holds plain ints, else ``(re, im)``
+    int pairs. A sum that cancels leaves the dict at once, so a later term
+    at that exponent is inserted at the end: the result has the term order
+    of running `poly_mul`'s coefficient-by-coefficient loop over every
+    pair in turn, the shorter operand of each pair outside.
     """
-    dp = _denominator(p)
-    dq = _denominator(q)
-    width = max(8, (max(map(max, p)) + max(map(max, q))).bit_length())
-    qs = [(k, c * (dq // cd), d * (dq // dd))
-          for k, (c, cd, d, dd) in zip(_pack(q, width), q.values())]
+    work = []
+    top = 0
+    real = True
+    for p, q in pairs:
+        if not p or not q:
+            continue
+        if len(p) > len(q):
+            p, q = q, p
+        top = max(top, max(map(max, p)) + max(map(max, q)))
+        if real and (any(map(_IMAG_NUM, p.values()))
+                     or any(map(_IMAG_NUM, q.values()))):
+            real = False
+        work.append((p, q, _denominator(p), _denominator(q)))
+    if not work:
+        return {}
+    den = lcm(*[dp * dq for _, _, dp, dq in work])
+    width = max(8, top.bit_length())
     acc = {}
-    for k1, (a, ad, b, bd) in zip(_pack(p, width), p.values()):
-        a *= dp // ad
-        b *= dp // bd
-        for k2, c, d in qs:
-            k = k1 + k2
-            old = acc.get(k)
-            if old is None:
-                acc[k] = (a * c - b * d, a * d + b * c)
-            else:
-                re = old[0] + a * c - b * d
-                im = old[1] + a * d + b * c
-                if re or im:
-                    acc[k] = (re, im)
+    get = acc.get
+    for p, q, dp, dq in work:
+        # p's coefficients carry the factor den / (dp * dq) as well
+        sp = den // dq
+        if real:
+            qs = list(zip(_pack(q, width),
+                          [c * (dq // cd) for c, cd, _, _ in q.values()]))
+            for k1, (a, ad, _, _) in zip(_pack(p, width), p.values()):
+                a *= sp // ad
+                for k2, c in qs:
+                    k = k1 + k2
+                    v = get(k, 0) + a * c
+                    if v:
+                        acc[k] = v
+                    else:
+                        del acc[k]
+            continue
+        qs = [(k, c * (dq // cd), d * (dq // dd))
+              for k, (c, cd, d, dd) in zip(_pack(q, width), q.values())]
+        for k1, (a, ad, b, bd) in zip(_pack(p, width), p.values()):
+            a *= sp // ad
+            b *= sp // bd
+            for k2, c, d in qs:
+                k = k1 + k2
+                old = get(k)
+                if old is None:
+                    acc[k] = (a * c - b * d, a * d + b * c)
                 else:
-                    del acc[k]
-    exps = _unpack(acc, len(next(iter(p))), width)
-    den = dp * dq
+                    re = old[0] + a * c - b * d
+                    im = old[1] + a * d + b * c
+                    if re or im:
+                        acc[k] = (re, im)
+                    else:
+                        del acc[k]
+    exps = _unpack(acc, len(next(iter(work[0][0]))), width)
+    if real:
+        if den == 1:
+            return {e: (re, 1, 0, 1) for e, re in zip(exps, acc.values())}
+        return {e: _reduce(re, den, 0, 1) for e, re in zip(exps, acc.values())}
     if den == 1:
         return {e: (re, 1, im, 1) for e, (re, im) in zip(exps, acc.values())}
     return {e: _reduce(re, den, im, den)

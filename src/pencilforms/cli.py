@@ -37,6 +37,9 @@ class CliError(Exception):
 # times; larger specs are rejected before any work.
 MAX_RANDOM_KEYS = 4096
 MAX_RANDOM_ARITY = 16
+# --trials for verify and torus; a suite's work grows with it, and 0 runs
+# each suite's minimum
+MAX_TRIALS = 1000
 
 
 def _default_seed() -> int:
@@ -202,20 +205,23 @@ def cmd_form(args) -> int:
     return 0
 
 
-def _check_tol(args) -> None:
+def _check_tol_and_trials(args) -> None:
     if args.tol is not None and not args.tol > 0:
         raise CliError(f"--tol must be positive, got {args.tol}")
+    if args.trials is not None and not 0 <= args.trials <= MAX_TRIALS:
+        raise CliError(f"--trials must be in 0..{MAX_TRIALS}, "
+                       f"got {args.trials}")
 
 
 def cmd_verify(args) -> int:
-    _check_tol(args)
+    _check_tol_and_trials(args)
     report = run_suite(args.suite, _resolve_seed(args), trials=args.trials,
                        tol=args.tol)
     return _emit_report(report, args.json_out)
 
 
 def cmd_torus(args) -> int:
-    _check_tol(args)
+    _check_tol_and_trials(args)
     config = None
     if args.input:
         data = _load_json(args.input)
@@ -282,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", required=True, choices=SUITE_NAMES)
     p.add_argument("--trials", type=int, default=None,
-                   help="trial count where the suite samples inputs")
+                   help="trial count where the suite samples inputs "
+                        f"(0..{MAX_TRIALS})")
     p.add_argument("--tol", type=float, default=None,
                    help="tolerance for numeric residual checks")
     add_common(p)
@@ -294,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", metavar="FILE",
                    help="torus configuration JSON; defaults to the built-in "
                         "orders q in {3,4,5} or the built-in numeric angles")
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--trials", type=int, default=None,
+                   help=f"sampled points for factorization (0..{MAX_TRIALS})")
     p.add_argument("--tol", type=float, default=None)
     add_common(p)
     p.set_defaults(handler=cmd_torus)

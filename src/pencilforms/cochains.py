@@ -44,7 +44,12 @@ def unit_grid(k: int, i: int, j: int) -> tuple:
 
 
 class Cochain:
-    """Base class; subclasses fix arity, optional k, and evaluation."""
+    """Base class; subclasses fix arity, optional k, and evaluation.
+
+    ``evaluate(args)`` takes the argument list, checks it with `_check_args`,
+    and neither changes nor keeps the list: `FormulaCoboundary` passes one
+    list to all the terms of its sum, changing it between them.
+    """
 
     arity: int
     k: Optional[int]
@@ -53,10 +58,9 @@ class Cochain:
         raise NotImplementedError
 
     def __call__(self, *args):
+        """phi(x_1, .., x_a) or phi([x_1, .., x_a])."""
         if len(args) == 1 and isinstance(args[0], list):
-            args = tuple(args[0])
-        if len(args) != self.arity:
-            raise ValueError(f"expected {self.arity} arguments, got {len(args)}")
+            return self.evaluate(args[0])
         return self.evaluate(list(args))
 
     def coboundary(self) -> "Cochain":
@@ -212,15 +216,23 @@ class FormulaCoboundary(Cochain):
     def evaluate(self, args):
         self._check_args(args)
         a = self.base.arity
-        total = None
-        for j in range(1, a + 1):
-            merged = list(args[:j - 1]) + [alg_mul(args[j - 1], args[j])] \
-                + list(args[j + 1:])
-            val = self.base.evaluate(merged)
+        base = self.base.evaluate
+        # term j reads (x_1, .., x_j x_{j+1}, .., x_{a+1}); the next term
+        # differs from it in slots j and j + 1 only
+        merged = list(args[1:])
+        merged[0] = alg_mul(args[0], args[1])
+        total = base(merged)
+        for j in range(2, a + 1):
+            merged[j - 2] = args[j - 2]
+            merged[j - 1] = alg_mul(args[j - 1], args[j])
+            val = base(merged)
             if j % 2 == 0:
                 val = -val
-            total = val if total is None else total + val
-        wrap = self.base.evaluate([alg_mul(args[a], args[0])] + list(args[1:a]))
+            total = total + val
+        # the wrap term reads (x_{a+1} x_1, x_2, .., x_a)
+        merged[a - 1] = args[a - 1]
+        merged[0] = alg_mul(args[a], args[0])
+        wrap = base(merged)
         if a % 2 == 1:
             wrap = -wrap
         return total + wrap

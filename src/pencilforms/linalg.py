@@ -6,6 +6,12 @@ supports ``+``, ``*``, and unary ``-`` (Scalar, MultiPoly, RatFn, complex).
 variable count; `MatrixTuple` is an ordered tuple (A_1, ..., A_n) of k x k
 Scalar matrices whose linear pencil is ``A(z) = z_1 A_1 + ... + z_n A_n``.
 
+A `PolyMatrix` product builds each entry, and ``trace(other)`` builds
+tr(self * other), as one `MultiPoly.dot`: a single kernel accumulator over
+all the entry products of the sum (see `_core.poly_dot`), not one product
+and one addition per entry pair. `grid_mul` and `grid_trace` stay generic
+for the Scalar, RatFn and complex grids of cochains and sampling.
+
 Determinants use first-row expansion memoized over column subsets, which is
 exact over any commutative ring and comfortably fast for the k <= 5 range
 this package targets.
@@ -187,7 +193,10 @@ class PolyMatrix:
     def __mul__(self, other):
         if isinstance(other, PolyMatrix):
             self._check(other)
-            return PolyMatrix(self.n, grid_mul(self.rows, other.rows))
+            n, dot = self.n, MultiPoly.dot
+            cols = tuple(zip(*other.rows))
+            return PolyMatrix(n, [[dot(n, zip(row, col)) for col in cols]
+                                  for row in self.rows])
         if isinstance(other, (MultiPoly, Scalar, int, Fraction)):
             return PolyMatrix(self.n, grid_scale(self.rows, other))
         return NotImplemented
@@ -210,7 +219,9 @@ class PolyMatrix:
         if other is None:
             return grid_trace(self.rows)
         self._check(other)
-        return grid_trace(self.rows, other.rows)
+        return MultiPoly.dot(self.n, [
+            pair for row, col in zip(self.rows, zip(*other.rows))
+            for pair in zip(row, col)])
 
     def det(self) -> MultiPoly:
         return grid_det(self.rows, MultiPoly.one(self.n))

@@ -29,6 +29,7 @@ from pencilforms._core import (
     Q_ONE,
     Q_ZERO,
     poly_add,
+    poly_dot,
     poly_mul,
     poly_mul_term,
     poly_neg,
@@ -563,6 +564,17 @@ class MultiPoly:
         return NotImplemented
 
     __rmul__ = __mul__
+
+    @classmethod
+    def dot(cls, n: int, pairs) -> "MultiPoly":
+        """The sum of x*y over the (x, y) pairs of polynomials in n
+        variables, taken in one kernel pass (`_core.poly_dot`)."""
+        terms = []
+        for x, y in pairs:
+            if x.n != n or y.n != n:
+                raise ValueError(f"mixed variable counts: {x.n}, {y.n} vs {n}")
+            terms.append((x._terms, y._terms))
+        return cls(n, poly_dot(terms))
 
     def __pow__(self, m: int) -> "MultiPoly":
         if m < 0:

@@ -9,7 +9,8 @@ import pytest
 
 import pencilforms
 from pencilforms import serialize
-from pencilforms.cli import CliError, parse_cochain_spec
+from pencilforms.cli import MAX_TRIALS, CliError, parse_cochain_spec
+from pencilforms.cli import main as cli_main
 from pencilforms.cochains import DenseCochain, ProductCochain, TraceWord
 from pencilforms.linalg import MatrixTuple
 from pencilforms.sampling import rng_for
@@ -220,12 +221,31 @@ def test_parse_error_exit_codes(tmp_path, units_file):
                  ("torus", "--check", "factorization", "--tol", "0"),
                  ("torus", "--check", "factorization", "--tol", "-1"),
                  ("torus", "--check", "factorization", "--tol", "nan"),
-                 ("verify", "--suite", "flatness", "--tol", "0")):
+                 ("verify", "--suite", "flatness", "--tol", "0"),
+                 # trial counts outside 0..MAX_TRIALS; the largest ran
+                 # unbounded before it was checked
+                 *((*command, "--trials", str(trials))
+                   for command in (("verify", "--suite", "flatness"),
+                                   ("torus", "--check", "factorization"),
+                                   ("torus", "--check", "cocycles"))
+                   for trials in (-3, MAX_TRIALS + 1, 100000000000))):
         r = run_cli(*argv)
         assert r.returncode == 2, argv
         assert r.stderr.startswith("error: "), argv
         assert r.stderr.count("\n") == 1, argv
         assert "Traceback" not in r.stderr, argv
+
+
+def test_zero_trials_keeps_its_meaning(capsys):
+    # 0 runs each suite's minimum, as 1 does
+    for command in (("verify", "--suite", "flatness", "--seed", "1"),
+                    ("torus", "--check", "factorization", "--seed", "1")):
+        outs = []
+        for trials in ("0", "1"):
+            code = cli_main([*command, "--trials", trials])
+            outs.append((code, capsys.readouterr()))
+        assert outs[0] == outs[1]
+        assert outs[0][0] == 0
 
 
 def test_check_failure_exit_code():

@@ -116,6 +116,39 @@ def test_dense_coboundary_matches_formula():
             assert dense_b.evaluate(args) == formula_b.evaluate(args)
 
 
+def test_formula_coboundary_feeds_each_term_its_arguments():
+    # the base sees, in order, the argument list of every term of the
+    # alternating sum, as spliced from the definition
+    for arity in (1, 2, 3, 4):
+        seen = []
+
+        def record(args):
+            seen.append(list(args))
+            return Scalar(len(seen))
+
+        args = [random_grid(rng_for(9, "splice", arity, t), 2)
+                for t in range(arity + 1)]
+        before = list(args)
+        FormulaCoboundary(FunctionalCochain(arity, record))(args)
+        want = [args[:j - 1] + [grid_mul(args[j - 1], args[j])] + args[j + 1:]
+                for j in range(1, arity + 1)]
+        want.append([grid_mul(args[arity], args[0])] + args[1:arity])
+        assert seen == want
+        assert args == before
+
+
+def test_wrong_arity_message_from_call_and_evaluate():
+    x = unit_grid(2, 0, 1)
+    for phi in (TraceWord(2), FormulaCoboundary(TraceWord(2)),
+                DenseCochain.basis(2, 2, ((0, 1), (1, 0)))):
+        for bad in ([x], [x] * (phi.arity + 1)):
+            message = f"expected {phi.arity} arguments, got {len(bad)}"
+            for call in (lambda: phi(bad), lambda: phi(*bad),
+                         lambda: phi.evaluate(bad)):
+                with pytest.raises(ValueError, match=message):
+                    call()
+
+
 def test_b_squared_is_zero_on_dense_tensors():
     for arity in (1, 2, 3):
         for k in (2, 3):

@@ -224,15 +224,22 @@ def test_cubic_traces_match_formed_products():
 
 
 def count_poly_mul(monkeypatch):
-    """Count kernel products made through MultiPoly from here on."""
+    """Count kernel products made through MultiPoly from here on: each
+    `poly_mul` call, and each pair of a fused `poly_dot` sum."""
     calls = [0]
-    inner = ring.poly_mul
+    inner_mul, inner_dot = ring.poly_mul, ring.poly_dot
 
-    def counting(p, q):
+    def counting_mul(p, q):
         calls[0] += 1
-        return inner(p, q)
+        return inner_mul(p, q)
 
-    monkeypatch.setattr(ring, "poly_mul", counting)
+    def counting_dot(pairs):
+        pairs = list(pairs)
+        calls[0] += len(pairs)
+        return inner_dot(pairs)
+
+    monkeypatch.setattr(ring, "poly_mul", counting_mul)
+    monkeypatch.setattr(ring, "poly_dot", counting_dot)
     return calls
 
 

@@ -1,10 +1,12 @@
 """Exact matrix algebra: determinants, adjugates, pencils, minor identities."""
 
 import random
+from collections import Counter
 from itertools import permutations
 
 import pytest
 
+from pencilforms import ring
 from pencilforms.linalg import (
     MatrixTuple,
     PolyMatrix,
@@ -212,3 +214,65 @@ def test_trace_of_product_matches_formed_product():
         grid_trace(rand_scalar_grid(rng, 2), rand_scalar_grid(rng, 3))
     with pytest.raises(ValueError):
         PolyMatrix.identity(2, 2).trace(PolyMatrix.identity(2, 3))
+
+
+def _rand_entry_grid(rng, n, k, kind):
+    """A k x k grid of MultiPoly entries, about a third of them zero."""
+    def entry():
+        if rng.random() < 0.3:
+            return MultiPoly.zero(n)
+        if kind == "int":
+            return MultiPoly.from_terms(n, {
+                tuple(rng.randint(0, 2) for _ in range(n)):
+                rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(4)})
+        return rand_poly(rng, n, nterms=rng.randint(1, 6))
+
+    return tuple(tuple(entry() for _ in range(k)) for _ in range(k))
+
+
+def test_fused_poly_matrix_products_match_generic_grids():
+    rng = random.Random(1404)
+    n = 3
+    for kind in ("int", "gauss"):
+        for k in (1, 2, 3, 4):
+            for _ in range(3):
+                a = _rand_entry_grid(rng, n, k, kind)
+                b = _rand_entry_grid(rng, n, k, kind)
+                pa, pb = PolyMatrix(n, a), PolyMatrix(n, b)
+                assert (pa * pb).rows == grid_mul(a, b)
+                assert pa.trace(pb) == grid_trace(a, b)
+                assert pb.trace(pa) == grid_trace(b, a)
+    zero = PolyMatrix.zero(n, 3)
+    assert (zero * zero).is_zero and zero.trace(zero).is_zero
+    for other in (PolyMatrix.identity(n, 2), PolyMatrix.identity(n + 1, 3)):
+        with pytest.raises(ValueError):
+            PolyMatrix.identity(n, 3) * other
+        with pytest.raises(ValueError):
+            PolyMatrix.identity(n, 3).trace(other)
+
+
+def test_fused_poly_matrix_products_make_one_kernel_sum_per_entry(
+        monkeypatch):
+    # a fall-back to the generic grid loop would show as poly_mul and
+    # poly_add calls
+    calls = Counter()
+
+    def counting(name):
+        inner = getattr(ring, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        return wrapper
+
+    for name in ("poly_dot", "poly_mul", "poly_add"):
+        monkeypatch.setattr(ring, name, counting(name))
+    rng = random.Random(1405)
+    for k in (1, 2, 3, 4):
+        a = PolyMatrix(3, _rand_entry_grid(rng, 3, k, "gauss"))
+        b = PolyMatrix(3, _rand_entry_grid(rng, 3, k, "int"))
+        calls.clear()
+        a * b
+        assert calls == {"poly_dot": k * k}
+        a.trace(b)
+        assert calls == {"poly_dot": k * k + 1}

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import convolve, cyclo_dense, cyclo_dense_str
@@ -490,3 +490,95 @@ def test_kernel_matches_fraction_reference(monkeypatch):
         got = qnorm(an, ad, bn, bd)
         _check_lowest(got)
         assert _ref(got) == (Fraction(an, ad), Fraction(bn, bd))
+
+
+# -- fused sums of products against the Fraction reference -------------------
+
+
+def _ref_poly_dot(pairs):
+    """Every term pair of every product in turn, the shorter operand of each
+    pair outside; a cancelled sum leaves the dict at once."""
+    out = {}
+    for p, q in pairs:
+        if len(p) > len(q):
+            p, q = q, p
+        for e1, c1 in p.items():
+            for e2, c2 in q.items():
+                out = _ref_poly_add(out, {tuple(a + b for a, b in zip(e1, e2)):
+                                          _ref_mul(c1, c2)})
+    return out
+
+
+def _q4(re, im):
+    return (re.numerator, re.denominator, im.numerator, im.denominator)
+
+
+_nonzero = st.integers(-5, 5).filter(bool)
+_small_fractions = st.builds(Fraction, st.integers(-5, 5),
+                             st.sampled_from((1, 2, 3, 4, 6)))
+# operand kinds: real integers, Gaussian integers, real rationals, and
+# Gaussian rationals
+_KIND_COEFFS = {
+    "int": st.builds(lambda a: (a, 1, 0, 1), _nonzero),
+    "gauss": st.tuples(st.integers(-5, 5), st.integers(-5, 5))
+    .filter(any).map(lambda c: (c[0], 1, c[1], 1)),
+    "rational": st.builds(lambda r: _q4(r, Fraction(0)),
+                          _small_fractions.filter(bool)),
+    "mixed": st.tuples(_small_fractions, _small_fractions)
+    .filter(any).map(lambda c: _q4(*c)),
+}
+# small exponents, and large ones whose sums with them reach 255 and 256,
+# the last sum of an 8-bit packed field and the first of a 9-bit one
+_dot_exponents = st.one_of(st.integers(0, 3),
+                           st.sampled_from((252, 253, 255, 256)))
+
+
+@st.composite
+def dot_pairs(draw):
+    """Operand pairs in two variables. Each operand draws its kind from a set
+    drawn per sum, so some sums are all real integers and some mix kinds.
+    A drawn prefix of the pairs comes back with the second factor negated,
+    so the sum cancels there, and everywhere when that prefix is all."""
+    kinds = sorted(draw(st.sets(st.sampled_from(sorted(_KIND_COEFFS)),
+                                min_size=1)))
+
+    def poly():
+        coeffs = _KIND_COEFFS[draw(st.sampled_from(kinds))]
+        return draw(st.dictionaries(st.tuples(_dot_exponents, _dot_exponents),
+                                    coeffs, max_size=5))
+
+    pairs = [(poly(), poly()) for _ in range(draw(st.integers(1, 5)))]
+    cancel = draw(st.integers(0, len(pairs)))
+    return pairs + [(p, {e: qneg(c) for e, c in q.items()})
+                    for p, q in pairs[:cancel]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(dot_pairs())
+@example([({(255, 0): (1, 1, 0, 1), (0, 3): (2, 1, 0, 1)},
+           {(0, 0): (3, 1, 0, 1), (1, 1): (-1, 1, 0, 1)}),
+          ({(252, 0): (1, 2, 0, 1)}, {(3, 0): (1, 1, 0, 1), (4, 0): (1, 1, 0, 1)})])
+@example([({(253, 1): (0, 1, 1, 1)}, {(3, 0): (1, 3, 2, 1), (0, 0): (1, 1, 0, 1)}),
+          ({}, {(1, 1): (1, 1, 0, 1)})])
+def test_poly_dot_matches_fraction_reference(pairs):
+    ref = [({e: _ref(c) for e, c in p.items()},
+            {e: _ref(c) for e, c in q.items()}) for p, q in pairs]
+    got = _core.poly_dot(pairs)
+    _check_canonical(got)
+    want = _ref_poly_dot(ref)
+    assert {e: _ref(c) for e, c in got.items()} == want
+    # term order is part of the result: float evaluation sums in it
+    assert list(got) == list(want)
+    want_sum = {}
+    for rp, rq in ref:
+        want_sum = _ref_poly_add(want_sum, _ref_poly_mul(rp, rq))
+    assert {e: _ref(c) for e, c in got.items()} == want_sum
+    for (p, q), (rp, rq) in zip(pairs, ref):
+        # one pair alone keeps poly_mul's term order, which
+        # test_kernel_matches_fraction_reference pins to the same reference
+        alone = _core.poly_dot(((p, q),))
+        _check_canonical(alone)
+        assert [(e, _ref(c)) for e, c in alone.items()] == \
+            list(_ref_poly_mul(rp, rq).items())
+    if all(not p or not q for p, q in pairs):
+        assert got == {}

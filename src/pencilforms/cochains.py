@@ -9,6 +9,12 @@ The coboundary is
 ``(b phi)(x_1,..,x_{a+1}) = sum_{j=1}^{a} (-1)^{j-1} phi(x_1,..,x_j x_{j+1},..,x_{a+1})
 + (-1)^a phi(x_{a+1} x_1, x_2,..,x_a)``
 and a cochain is cyclic when ``phi(x_1,..,x_a) = (-1)^{a-1} phi(x_a, x_1,..,x_{a-1})``.
+
+A dense cochain is evaluated by contracting one slot at a time,
+``phi(x_1,..,x_a) = sum_{(i,j)} x_1[i][j] * phi_{(i,j)}(x_2,..,x_a)``, over a
+trie of its tensor keys: the last slot is a linear combination of entries
+of x_a, and each slot above it multiplies one entry by the value of a
+subtrie, so keys that share a prefix share its products.
 """
 
 from __future__ import annotations
@@ -102,6 +108,11 @@ class DenseCochain(Cochain):
     """Tensor representation: keys are a-tuples of (row, col) pairs, 0-based.
 
     phi(x_1,..,x_a) = sum over keys of c[key] * prod_t (x_t)[i_t][j_t].
+    Entries given twice (as 0 and "0", say) are summed, and a key whose
+    sum is zero is dropped. `evaluate` works on a trie of the keys, built
+    once here, so the tensor is not changed afterwards: nested dicts keyed
+    by the pair of each slot in turn, with the coefficient at the last
+    slot. That is one product per trie node instead of a - 1 per key.
     """
 
     def __init__(self, arity: int, k: int, tensor: Dict):
@@ -118,9 +129,18 @@ class DenseCochain(Cochain):
                 raise ValueError(f"key {key} outside a {k}x{k} algebra")
             if not isinstance(value, Scalar):
                 value = Scalar(value)
-            if not value.is_zero:
-                self.tensor[key] = self.tensor[key] + value \
-                    if key in self.tensor else value
+            if key in self.tensor:
+                value = self.tensor[key] + value
+            if value.is_zero:
+                self.tensor.pop(key, None)
+            else:
+                self.tensor[key] = value
+        self._trie: dict = {}
+        for key, c in self.tensor.items():
+            node = self._trie
+            for pair in key[:-1]:
+                node = node.setdefault(pair, {})
+            node[key[-1]] = c
 
     @classmethod
     def basis(cls, arity: int, k: int, pairs) -> "DenseCochain":
@@ -138,15 +158,9 @@ class DenseCochain(Cochain):
 
     def evaluate(self, args):
         self._check_args(args)
-        total = None
-        for key, c in self.tensor.items():
-            term = c
-            for t, (i, j) in enumerate(key):
-                term = term * args[t][i][j]
-            total = term if total is None else total + term
-        if total is None:
-            total = args[0][0][0] * 0
-        return total
+        if not self._trie:
+            return args[0][0][0] * 0
+        return _contract(self._trie, args, 0)
 
     def rotated(self) -> "DenseCochain":
         """Tensor of phi o r, r(x_1,..,x_a) = (x_a, x_1,..,x_{a-1})."""
@@ -160,6 +174,24 @@ class DenseCochain(Cochain):
     def __repr__(self) -> str:
         return (f"DenseCochain(arity={self.arity}, k={self.k}, "
                 f"{len(self.tensor)} entries)")
+
+
+def _contract(node: dict, args, t: int):
+    """The value on args[t:] of the subtrie at `node`: the sum over its
+    children (i, j) of x_t[i][j] times the child's value, which is the
+    coefficient at the last slot and the contraction of the later slots
+    above it."""
+    x = args[t]
+    total = None
+    if t == len(args) - 1:
+        for (i, j), c in node.items():
+            term = c * x[i][j]
+            total = term if total is None else total + term
+    else:
+        for (i, j), child in node.items():
+            term = x[i][j] * _contract(child, args, t + 1)
+            total = term if total is None else total + term
+    return total
 
 
 class ProductCochain(Cochain):

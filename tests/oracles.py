@@ -2,8 +2,8 @@
 
 Each helper recomputes a library value by a second route: the adjugate
 against the double-minor identity, a trace word as the dense tensor of
-its matrix-entry products, and cyclotomic arithmetic on dense coefficient
-vectors.
+its matrix-entry products, a dense cochain's value key by key, and
+cyclotomic arithmetic on dense coefficient vectors.
 """
 
 from itertools import product
@@ -76,6 +76,21 @@ def trace_word_dense(arity: int, k: int) -> DenseCochain:
         key = tuple((idx[t], idx[(t + 1) % arity]) for t in range(arity))
         tensor[key] = tensor.get(key, Scalar(0)) + Scalar(1)
     return DenseCochain(arity, k, tensor)
+
+
+def dense_evaluate_reference(phi: DenseCochain, args):
+    """phi(x_1,..,x_a) as the sum over keys of c * prod_t (x_t)[i_t][j_t],
+    each key multiplied out on its own; zero of the entry type when the
+    tensor is empty."""
+    total = None
+    for key, c in phi.tensor.items():
+        term = c
+        for t, (i, j) in enumerate(key):
+            term = term * args[t][i][j]
+        total = term if total is None else total + term
+    if total is None:
+        total = args[0][0][0] * 0
+    return total
 
 
 def cyclo_dense(x: CycloElement) -> tuple:

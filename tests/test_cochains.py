@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from pencilforms import serialize
 from pencilforms.cochains import (
     DenseCochain,
     FormulaCoboundary,
@@ -19,6 +22,7 @@ from pencilforms.cochains import (
     unit_grid,
 )
 from pencilforms.linalg import (
+    PolyMatrix,
     grid_add,
     grid_mul,
     grid_scale,
@@ -28,7 +32,8 @@ from pencilforms.linalg import (
 from pencilforms.ring import MultiPoly, RatFn, Scalar
 from pencilforms.sampling import random_grid, random_poly_matrix, rng_for
 from pencilforms.torus import TorusConfig
-from oracles import trace_word_dense
+from oracles import dense_evaluate_reference, trace_word_dense
+from test_ring import gaussians
 from test_torus import rand_exact_element, rand_numeric_element
 
 
@@ -59,6 +64,23 @@ def test_dense_validation():
         DenseCochain(1, 2, {((0, 2),): Scalar(1)})
     with pytest.raises(ValueError):
         TraceWord(2)(identity_grid(2))
+
+
+def test_cancelled_duplicate_key_leaves_the_tensor():
+    # "0" and 0 name the same row; a key whose sum is zero is dropped, and
+    # a later entry for it starts afresh
+    phi = DenseCochain(1, 2, {((0, 0),): 1, (("0", "0"),): -1, ((1, 1),): 2})
+    assert phi.tensor == {((1, 1),): Scalar(2)}
+    assert repr(phi) == "DenseCochain(arity=1, k=2, 1 entries)"
+    assert serialize.dense_cochain_to_json(phi)["terms"] == [
+        {"pairs": [[1, 1]], "coeff": "2"}]
+    assert phi(identity_grid(2)) == Scalar(2)
+    again = DenseCochain(1, 2, {((0, 0),): 1, (("0", "0"),): -1,
+                                ((0, "00"),): 3})
+    assert again.tensor == {((0, 0),): Scalar(3)}
+    empty = DenseCochain(1, 2, {((1, 0),): 1, (("1", "0"),): -1})
+    assert not empty.tensor
+    assert empty(identity_grid(2)) == Scalar(0)
 
 
 def test_multilinearity_probes():
@@ -289,3 +311,80 @@ def test_trace_word_matches_formed_product():
             for x in elems[1:]:
                 full = full * x
             assert word(elems) == full.trace()
+
+
+# -- evaluation against the key-by-key reference ----------------------------
+
+_exponents = st.tuples(st.integers(0, 2), st.integers(0, 2))
+_RATFN_BASE = MultiPoly.parse("z1+2*z2", 2)
+
+
+@st.composite
+def dense_cases(draw):
+    """(phi, args): a dense cochain, plain or built by coboundary,
+    cyclic_symmetrize or rotated, and arguments of one entry type."""
+    arity = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 3))
+    how = draw(st.sampled_from(
+        ("plain", "coboundary", "cyclic", "rotated") if arity > 1
+        else ("plain", "cyclic", "rotated")))
+    base = arity - 1 if how == "coboundary" else arity
+    # a drawn share of the keys, at most 40 of them
+    rng = draw(st.randoms(use_true_random=True))
+    pairs = [(i, j) for i in range(k) for j in range(k)]
+    total = len(pairs) ** base
+    tensor = {}
+    for code in rng.sample(range(total), min(round(rng.random() * total),
+                                             40)):
+        key = []
+        for _ in range(base):
+            code, pos = divmod(code, len(pairs))
+            key.append(pairs[pos])
+        tensor[tuple(key)] = draw(gaussians)
+    phi = DenseCochain(base, k, tensor)
+    if how == "coboundary":
+        phi = coboundary(phi)
+    elif how == "cyclic":
+        phi = cyclic_symmetrize(phi)
+    elif how == "rotated":
+        phi = phi.rotated()
+
+    kind = draw(st.sampled_from(("scalar", "poly-int", "poly-gauss",
+                                 "ratfn")))
+
+    def entry():
+        if kind == "scalar":
+            return draw(gaussians)
+        coeffs = st.integers(-3, 3) if kind == "poly-int" else gaussians
+        num = MultiPoly.from_terms(2, draw(st.dictionaries(
+            _exponents, coeffs, max_size=3)))
+        if kind == "ratfn":
+            return RatFn.over_power(num, _RATFN_BASE,
+                                    draw(st.integers(0, 2)))
+        return num
+
+    args = []
+    for _ in range(arity):
+        rows = [[entry() for _ in range(k)] for _ in range(k)]
+        args.append(PolyMatrix(2, rows) if kind.startswith("poly")
+                    else tuple(tuple(row) for row in rows))
+    return phi, args
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_cases())
+@example((DenseCochain(3, 2, {}), [random_poly_matrix(rng_for(14, t), 2, 2)
+                                   for t in range(3)]))
+@example((DenseCochain(2, 3, {}), [random_grid(rng_for(14, t), 3)
+                                   for t in range(2)]))
+@example((DenseCochain.basis(4, 2, ((0, 1), (1, 1), (1, 0), (0, 0))),
+          [random_poly_matrix(rng_for(15, t), 3, 2) for t in range(4)]))
+def test_dense_evaluate_matches_key_by_key_reference(case):
+    phi, args = case
+    got = phi.evaluate(args)
+    want = dense_evaluate_reference(phi, args)
+    assert type(got) is type(want) is type(args[0][0][0])
+    assert got == want
+    assert str(got) == str(want)
+    if not phi.tensor:
+        assert got.is_zero if hasattr(got, "is_zero") else got == 0

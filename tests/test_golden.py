@@ -13,6 +13,7 @@ import io
 import json
 import random
 from contextlib import redirect_stdout
+from itertools import product
 
 import pytest
 
@@ -56,6 +57,26 @@ PENCILS = {
 }
 
 
+def dense_cochain() -> dict:
+    """An arity-3 cochain on 3x3 matrices: about a tenth of the 729 keys,
+    seeded Gaussian-rational coefficients, keys sharing prefixes."""
+    rng = random.Random(20131)
+    terms = []
+    for key in product(product(range(3), repeat=2), repeat=3):
+        if rng.random() < 0.1:
+            text = f"{rng.randint(-4, 4)}/{rng.choice((1, 2, 3, 5))}"
+            if rng.random() < 0.4:
+                text += rng.choice(("+", "-")) + rng.choice(
+                    ("1", "1/3", "2")) + "*i"
+            terms.append({"pairs": [list(pair) for pair in key],
+                          "coeff": text})
+    return {"arity": 3, "k": 3, "terms": terms}
+
+
+# an argument naming the dense cochain file, written next to the input
+DENSE_FILE = "dense:{dir}/cochain.json"
+
+
 def text_and_json(case_id, argv, data=None):
     """The run as given and again with its JSON report on stdout."""
     as_json = argv[:1] + ["--json-out", "-"] + argv[1:]
@@ -97,10 +118,22 @@ def cases():
                 ("top-factor", ["--kind", "top-factor"])):
             out.append((f"form-{kind}-{name}", ["form"] + flags + ["--input"],
                         data))
+        # arity-3 kappa of a dense cochain on k = 2, as in form-requests
+        if k == 2:
+            out.append((f"form-kappa-cyclic3-{name}", [
+                "form", "--kind", "kappa", "--cochain", "cyclic-random:3:2:5",
+                "--input"], data))
+    out.append(("form-kappa-dense-gaussian", [
+        "form", "--kind", "kappa", "--cochain", DENSE_FILE, "--input"],
+        PENCILS["gaussian"]))
     return out
 
 
 def run_digest(argv, data, tmp_path) -> str:
+    if DENSE_FILE in argv:
+        (tmp_path / "cochain.json").write_text(json.dumps(dense_cochain()))
+        argv = [a.format(dir=tmp_path) if a == DENSE_FILE else a
+                for a in argv]
     if data is not None:
         path = tmp_path / "input.json"
         path.write_text(json.dumps(data))
@@ -197,6 +230,11 @@ DIGESTS = {
         "f5c2537459b045ca25a2d2d5026fe683eb557be8bc9567e3ebfad2c92fe50c4d",
     "form-top-factor-gaussian":
         "94d631c7823809978e54b16f4f1cd29a6dc8f3b6a11f4b44cfa61ce5179d12ef",
+    # recorded before dense cochains were evaluated over a key trie
+    "form-kappa-cyclic3-units":
+        "918e0234eaccf65d0208bd0ef08a4747c45386bdfe0d828840ced755d048b727",
+    "form-kappa-dense-gaussian":
+        "65aa8e17f996b307270508f5ea35b385c206c107d72f94ccdc062e248be6d397",
 }
 
 

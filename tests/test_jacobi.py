@@ -4,7 +4,6 @@ from itertools import combinations
 
 import pytest
 
-from pencilforms import ring
 from pencilforms.forms import maurer_cartan
 from pencilforms.jacobi import (
     anchored_trace_power,
@@ -19,6 +18,7 @@ from pencilforms.linalg import MatrixTuple, PolyMatrix
 from pencilforms.ring import MultiPoly, RatFn, Scalar
 from pencilforms.sampling import random_matrix_tuple, rng_for
 from pencilforms.transgression import kappa_wedge_oracle
+from conftest import count_poly_mul
 from oracles import trace_word_dense
 from test_linalg import rand_gauss_tuple
 
@@ -221,26 +221,6 @@ def test_cubic_traces_match_formed_products():
             bwd = adj * mats[i] * adj * mats[m] * adj * mats[j]
             want = RatFn.over_power((fwd - bwd).trace(), det, 3)
             assert data.i_values[(i, j, m)] == want
-
-
-def count_poly_mul(monkeypatch):
-    """Count kernel products made through MultiPoly from here on: each
-    `poly_mul` call, and each pair of a fused `poly_dot` sum."""
-    calls = [0]
-    inner_mul, inner_dot = ring.poly_mul, ring.poly_dot
-
-    def counting_mul(p, q):
-        calls[0] += 1
-        return inner_mul(p, q)
-
-    def counting_dot(pairs):
-        pairs = list(pairs)
-        calls[0] += len(pairs)
-        return inner_dot(pairs)
-
-    monkeypatch.setattr(ring, "poly_mul", counting_mul)
-    monkeypatch.setattr(ring, "poly_dot", counting_dot)
-    return calls
 
 
 # Kernel products on fixed inputs. The count depends on the code alone, so

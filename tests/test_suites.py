@@ -17,7 +17,7 @@ from pencilforms.suites import (SUITE_NAMES, SUITES, CheckResult, SuiteReport,
                                 run_suite, torus_cocycle_checks,
                                 torus_factorization_checks)
 from pencilforms.torus import TorusConfig
-from test_jacobi import count_poly_mul
+from conftest import count_poly_mul
 
 
 def test_registry_names():
@@ -354,6 +354,20 @@ def test_theorem33_suite_kernel_product_budget(monkeypatch):
     results = suites.suite_cubic_trace(1, trials=6)
     assert all(r.passed for r in results)
     assert 0 < calls[0] <= THEOREM33_SUITE_BUDGET
+
+
+# Kernel products of one whole theorem29 run at the verify-pencil trial
+# count, recorded when dense cochains began to be evaluated one slot at a
+# time over a trie of their keys (parent, key by key: 16,035). Multiplying
+# each key out on its own again exceeds it.
+THEOREM29_SUITE_BUDGET = 7_269
+
+
+def test_theorem29_suite_kernel_product_budget(monkeypatch):
+    calls = count_poly_mul(monkeypatch)
+    results = suites.suite_transgression(1, trials=6)
+    assert all(r.passed for r in results)
+    assert 0 < calls[0] <= THEOREM29_SUITE_BUDGET
 
 
 # -- verdicts the suites make on values the library returns ---------------

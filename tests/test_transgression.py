@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from pencilforms.cli import parse_cochain_spec
 from pencilforms.cochains import (
     DenseCochain,
     TraceWord,
@@ -22,6 +23,7 @@ from pencilforms.transgression import (
     tau,
     transgression_report,
 )
+from conftest import count_poly_mul
 
 
 def test_kappa_of_trace_is_dlog_det():
@@ -256,3 +258,19 @@ def test_hyperplane_wedge_of_coordinates_matches_product_functional():
         functional_product(DenseCochain.basis(1, 3, ((1, 1),)),
                            DenseCochain.basis(1, 3, ((2, 2),))))
     assert kappa(product, f) == wedge
+
+
+# Kernel products of kappa of an arity-3 dense cochain, as form-requests
+# asks for on k = 2 tuples, recorded when dense cochains began to be
+# evaluated one slot at a time over a trie of their keys (parent, key by
+# key: 2,488). Multiplying each key out on its own again exceeds it.
+DENSE_KAPPA_BUDGET = 520
+
+
+def test_dense_kappa_kernel_product_budget(monkeypatch):
+    f = random_matrix_tuple(rng_for(5, "guard-dense"), 4, 2).pencil()
+    phi = parse_cochain_spec("cyclic-random:3:2:7")
+    calls = count_poly_mul(monkeypatch)
+    form = kappa(phi, f)
+    assert not form.is_zero
+    assert 0 < calls[0] <= DENSE_KAPPA_BUDGET

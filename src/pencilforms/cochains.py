@@ -109,10 +109,11 @@ class DenseCochain(Cochain):
 
     phi(x_1,..,x_a) = sum over keys of c[key] * prod_t (x_t)[i_t][j_t].
     Entries given twice (as 0 and "0", say) are summed, and a key whose
-    sum is zero is dropped. `evaluate` works on a trie of the keys, built
-    once here, so the tensor is not changed afterwards: nested dicts keyed
-    by the pair of each slot in turn, with the coefficient at the last
-    slot. That is one product per trie node instead of a - 1 per key.
+    sum is zero is dropped. `evaluate` works on `trie`, a trie of the
+    keys built once here, so the tensor is not changed afterwards: nested
+    dicts keyed by the pair of each slot in turn, with the coefficient at
+    the last slot. That is one product per trie node instead of a - 1 per
+    key. kappa contracts the same trie against a form (`transgression`).
     """
 
     def __init__(self, arity: int, k: int, tensor: Dict):
@@ -135,9 +136,9 @@ class DenseCochain(Cochain):
                 self.tensor.pop(key, None)
             else:
                 self.tensor[key] = value
-        self._trie: dict = {}
+        self.trie: dict = {}
         for key, c in self.tensor.items():
-            node = self._trie
+            node = self.trie
             for pair in key[:-1]:
                 node = node.setdefault(pair, {})
             node[key[-1]] = c
@@ -158,9 +159,9 @@ class DenseCochain(Cochain):
 
     def evaluate(self, args):
         self._check_args(args)
-        if not self._trie:
+        if not self.trie:
             return args[0][0][0] * 0
-        return _contract(self._trie, args, 0)
+        return _contract(self.trie, args, 0)
 
     def rotated(self) -> "DenseCochain":
         """Tensor of phi o r, r(x_1,..,x_a) = (x_a, x_1,..,x_{a-1})."""

@@ -8,6 +8,16 @@ denominator factored this way makes the exterior derivative raise the power
 by one instead of squaring, and lets reduction strip whole powers when every
 numerator entry is divisible by the base.
 
+A matrix wedge, and a trace of one, pairs every term of the left form
+with every term of the right form on disjoint indices. The pairs are
+grouped by merged index with the wedge sign folded into the left matrix.
+`PolyMatrix.dot` then builds each output coefficient, and
+`PolyMatrix.trace_dot` each trace, with one kernel sum per entry over all
+the entry products landing there. The exterior derivative groups its
+quotient-rule products the same way. `ScalarForm` groups its term pairs
+alike but adds their RatFn products one by one, as each coefficient
+carries its own denominator.
+
 The Maurer-Cartan form of a pencil map f is
 ``omega_f = f^{-1} df = sum_i adjugate(f) (df/dz_i) / det(f) dz_i``;
 `maurer_cartan` builds it with base det(f) and pow 1.
@@ -17,6 +27,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from functools import reduce
 from typing import Dict, Optional, Sequence, Tuple
 
 from pencilforms.linalg import PolyMatrix
@@ -49,20 +60,28 @@ def sort_index(seq: Sequence[int]) -> Optional[Tuple[MultiIndex, int]]:
     return tuple(sorted(seq)), sign
 
 
-def _wedge_sums(left: Dict, right: Dict, product) -> Dict:
-    """Sum sign * product(a, b) per merged index over the pairs of terms
-    of `left` and `right` whose multi-indices are disjoint."""
+def _wedge_pairs(left: Dict, right: Dict) -> Dict:
+    """The term pairs of `left` and `right` with disjoint multi-indices,
+    grouped by merged index: index -> [(a, b), ..] with the sign of the
+    merge folded into a, which is negated at most once per left term."""
     out: Dict = {}
     for i_idx, a in left.items():
+        negated = None
         for j_idx, b in right.items():
             merged = sort_index(i_idx + j_idx)
             if merged is None:
                 continue
             index, sign = merged
-            contrib = product(a, b)
             if sign < 0:
-                contrib = -contrib
-            out[index] = out[index] + contrib if index in out else contrib
+                if negated is None:
+                    negated = -a
+                pair = (negated, b)
+            else:
+                pair = (a, b)
+            if index in out:
+                out[index].append(pair)
+            else:
+                out[index] = [pair]
     return out
 
 
@@ -132,7 +151,9 @@ class ScalarForm:
 
     def wedge(self, other: "ScalarForm") -> "ScalarForm":
         self._check(other, same_degree=False)
-        out = _wedge_sums(self.terms, other.terms, operator.mul)
+        out = {index: reduce(operator.add, [a * b for a, b in pairs])
+               for index, pairs in _wedge_pairs(self.terms,
+                                                other.terms).items()}
         return ScalarForm(self.n, self.degree + other.degree, out)
 
     def exterior_derivative(self) -> "ScalarForm":
@@ -270,10 +291,13 @@ class MatrixForm:
     __rmul__ = __mul__
 
     def wedge(self, other: "MatrixForm") -> "MatrixForm":
-        """Wedge with matrix multiplication on the coefficients."""
+        """Wedge with matrix multiplication on the coefficients, each
+        output coefficient one `PolyMatrix.dot` over its term pairs."""
         base = self._join_base(other)
-        out = _wedge_sums(self.terms, other.terms, operator.mul)
-        return MatrixForm(self.n, self.k, self.degree + other.degree, out,
+        n = self.n
+        out = {index: PolyMatrix.dot(n, pairs) for index, pairs
+               in _wedge_pairs(self.terms, other.terms).items()}
+        return MatrixForm(n, self.k, self.degree + other.degree, out,
                           base, self.den_pow + other.den_pow)._reduced()
 
     def wedge_power(self, m: int) -> "MatrixForm":
@@ -285,32 +309,55 @@ class MatrixForm:
         return out
 
     def exterior_derivative(self) -> "MatrixForm":
-        """d of each coefficient; the tracked power rises by one."""
-        pow_ = self.den_pow
-        base = self.den_base
-        dbase = [base.partial(v) for v in range(1, self.n + 1)] if pow_ else None
-        out: Dict[MultiIndex, PolyMatrix] = {}
+        """d of each coefficient; the tracked power rises by one.
+
+        With pow > 0 the dz_v part of d(M / base^pow) has numerator
+        (d_v M) base - pow M d_v base over base^(pow+1), so each entry of a
+        new coefficient is one `MultiPoly.dot` over the pairs
+        (d_v e, +-base) and (e, -+pow d_v base) of its contributions.
+        """
+        n, pow_, base = self.n, self.den_pow, self.den_base
+        groups: Dict[MultiIndex, list] = {}
         for index, mat in self.terms.items():
-            for v in range(1, self.n + 1):
+            for v in range(1, n + 1):
                 placed = sort_index((v,) + index)
                 if placed is None:
                     continue
                 new_index, sign = placed
-                if pow_ == 0:
-                    num = mat.partial(v)
+                contrib = (mat, mat.partial(v), v, sign)
+                if new_index in groups:
+                    groups[new_index].append(contrib)
                 else:
-                    num = mat.partial(v) * base - mat * (dbase[v - 1] * pow_)
-                if num.is_zero:
-                    continue
-                num = num * sign
-                out[new_index] = out[new_index] + num \
-                    if new_index in out else num
-        new_pow = pow_ + 1 if pow_ else 0
-        return MatrixForm(self.n, self.k, self.degree + 1, out,
-                          base, new_pow)._reduced()
+                    groups[new_index] = [contrib]
+        out: Dict[MultiIndex, PolyMatrix] = {}
+        if pow_ == 0:
+            for new_index, group in groups.items():
+                total = None
+                for _, dmat, _, sign in group:
+                    num = dmat if sign > 0 else -dmat
+                    total = num if total is None else total + num
+                out[new_index] = total
+            return MatrixForm(n, self.k, self.degree + 1, out)
+        # the signed factors: +-base for d_v e, -+pow d_v base for e
+        lead = {1: base, -1: -base}
+        tail = {}
+        for v in range(1, n + 1):
+            scaled = base.partial(v) * pow_
+            tail[v, 1], tail[v, -1] = -scaled, scaled
+        dot = MultiPoly.dot
+        k = self.k
+        for new_index, group in groups.items():
+            out[new_index] = PolyMatrix(n, [
+                [dot(n, [pair for mat, dmat, v, sign in group
+                         for pair in ((dmat.rows[r][c], lead[sign]),
+                                      (mat.rows[r][c], tail[v, sign]))])
+                 for c in range(k)] for r in range(k)])
+        return MatrixForm(n, k, self.degree + 1, out, base,
+                          pow_ + 1)._reduced()
 
     def trace(self, other: Optional["MatrixForm"] = None) -> ScalarForm:
-        """tr(self), or tr(self ^ other) without forming the wedge."""
+        """tr(self), or tr(self ^ other) without forming the wedge: one
+        `PolyMatrix.trace_dot` over the term pairs of each index."""
         if other is None:
             return ScalarForm(self.n, self.degree, {
                 index: RatFn.over_power(mat.trace(), self.den_base,
@@ -318,11 +365,12 @@ class MatrixForm:
                 for index, mat in self.terms.items()
             })
         base = self._join_base(other)
-        nums = _wedge_sums(self.terms, other.terms, PolyMatrix.trace)
+        n = self.n
         pow_ = self.den_pow + other.den_pow
-        return ScalarForm(self.n, self.degree + other.degree, {
-            index: RatFn.over_power(num, base, pow_).reduce()
-            for index, num in nums.items()
+        return ScalarForm(n, self.degree + other.degree, {
+            index: RatFn.over_power(PolyMatrix.trace_dot(n, pairs), base,
+                                    pow_).reduce()
+            for index, pairs in _wedge_pairs(self.terms, other.terms).items()
         })
 
     def _reduced(self) -> "MatrixForm":

@@ -1,28 +1,33 @@
 """Trace powers of the Maurer-Cartan form and their factorizations.
 
 `trace_power_form` computes tr(omega^m) by one route: omega^ceil(m/2) is
-traced against omega^floor(m/2), so the last wedge is never formed.
-`anchored_trace_power` is a second route for odd m, a signed sum of trace
-words in the dz_i coefficients with the first slot pinned. No library call
-compares the two; the `theorem33.trace-routes` suite check does.
+traced against omega^floor(m/2), so the last wedge is never formed, and
+every coefficient of each wedge and of the trace is one fused kernel sum
+(see `forms`). `anchored_trace_power` is a second route for odd m, a
+signed sum of trace words in the dz_i coefficients with the first slot
+pinned. No library call compares the two; the `theorem33.trace-routes`
+suite check does, on the top form `factorize_top_form` returns with its
+split.
 
 For an n-variable pencil with n even, the top odd trace power factors
 through the signed radial form ``s(z) = sum_j (-1)^j z_j dz_{jbar}``,
 where dz_{jbar} wedges every differential except dz_j. `factorize_top_form`
-divides the dz_{1bar} coefficient by -z_1 to get q and returns the residual
-of the top form minus q s. A zero residual makes every coefficient q times
-(-1)^j z_j, so the cross relations ``z_i I_nbar = (-1)^i z_n I_ibar`` on
-the normalized coefficients follow from it and are not checked apart.
+divides the dz_{1bar} coefficient by -z_1 to get q and returns z_1 times
+the residual of the top form minus q s, z_1 T + T_{1bar} s, whose
+coefficients all stay over omega's denominator base. A zero residual makes
+every coefficient q times (-1)^j z_j, so the cross relations
+``z_i I_nbar = (-1)^i z_n I_ibar`` on the normalized coefficients follow
+from it and are not checked apart.
 
 For four-variable pencils `cubic_trace_data` takes tr(omega^3) from the
 anchored sum. The dz_j coefficient of omega is adj(A) A_j / det, so the
 dz_i dz_j dz_k coefficient is 3 I_(i,j,k): the antisymmetrized resolvent
 trace tr(adj A_i adj A_j adj A_k - adj A_i adj A_k adj A_j) over det^3.
-It also returns the residual and p with tr(omega^3) = (3 p / det^2) s and
-judges none of them; the `theorem33` suite does. At k = 2 the constant p
-matches the signed 4x4 entry-matrix determinant of `entry_matrix_constant`
-up to one global sign, calibrated once on the matrix-unit tuple by
-`calibrated_sign`.
+It also returns the z_1-scaled residual and p with
+tr(omega^3) = (3 p / det^2) s and judges none of them; the `theorem33`
+suite does. At k = 2 the constant p matches the signed 4x4 entry-matrix
+determinant of `entry_matrix_constant` up to one global sign, calibrated
+once on the matrix-unit tuple by `calibrated_sign`.
 """
 
 from __future__ import annotations
@@ -104,9 +109,14 @@ def trace_power_form(f: PolyMatrix, m: int) -> ScalarForm:
 
 @dataclass(frozen=True)
 class TopFormFactorization:
+    """q, z_1 times the residual, the normalized coefficients, and the top
+    form they split. The residual is only meant for ``is_zero``: scaled by
+    z_1 its coefficients share the top form's denominator base."""
+
     q: RatFn
-    residual: ScalarForm
+    residual: ScalarForm  # z_1 (top_form - q s)
     bar_i: Tuple[RatFn, ...]
+    top_form: ScalarForm
 
 
 def factorize_top_form(f: PolyMatrix) -> TopFormFactorization:
@@ -114,8 +124,8 @@ def factorize_top_form(f: PolyMatrix) -> TopFormFactorization:
 
     Requires n even and entries homogeneous of one common degree. q is the
     dz_{1bar} coefficient over -z_1. The top form is q * s exactly when
-    the returned residual is zero; the caller decides what a nonzero one
-    means.
+    the returned residual (z_1 times top - q s) is zero; the caller decides
+    what a nonzero one means. The split top form comes back with it.
     """
     n = f.n
     if n < 2 or n % 2 != 0:
@@ -126,23 +136,30 @@ def factorize_top_form(f: PolyMatrix) -> TopFormFactorization:
 
 
 def _factor_top_form(big_t: ScalarForm) -> TopFormFactorization:
-    """q and the residual big_t - q * s of a top form."""
+    """q and z_1 times the residual big_t - q * s of a top form.
+
+    With q = -T_{2..n} / z_1, z_1 (T - q s) = z_1 T + T_{2..n} s: every
+    coefficient stays over big_t's own denominator base, so the residual
+    adds numerators and never multiplies out unlike denominators.
+    """
     n = big_t.n
-    q = (big_t.coefficient(tuple(range(2, n + 1)))
-         * RatFn(MultiPoly.constant(n, -1), MultiPoly.variable(n, 1))).reduce()
+    t_first = big_t.coefficient(tuple(range(2, n + 1)))
+    q = (t_first * RatFn(MultiPoly.constant(n, -1),
+                         MultiPoly.variable(n, 1))).reduce()
     inv = Fraction(1, n - 1)
     bar_i = tuple(
         big_t.coefficient(tuple(v for v in range(1, n + 1) if v != j)) * inv
         for j in range(1, n + 1))
-    return TopFormFactorization(q=q, residual=big_t - s_form(n) * q,
-                                bar_i=bar_i)
+    residual = big_t * MultiPoly.variable(n, 1) + s_form(n) * t_first
+    return TopFormFactorization(q=q, residual=residual, bar_i=bar_i,
+                                top_form=big_t)
 
 
 @dataclass(frozen=True)
 class CubicTraceData:
     p: Optional[MultiPoly]
     i_values: Dict[Tuple[int, int, int], RatFn]
-    residual: ScalarForm
+    residual: ScalarForm  # z_1 (tr(omega^3) - q s), read for is_zero
 
 
 def cubic_trace_data(t: MatrixTuple) -> CubicTraceData:

@@ -6,11 +6,14 @@ supports ``+``, ``*``, and unary ``-`` (Scalar, MultiPoly, RatFn, complex).
 variable count; `MatrixTuple` is an ordered tuple (A_1, ..., A_n) of k x k
 Scalar matrices whose linear pencil is ``A(z) = z_1 A_1 + ... + z_n A_n``.
 
-A `PolyMatrix` product builds each entry, and ``trace(other)`` builds
-tr(self * other), as one `MultiPoly.dot`: a single kernel accumulator over
-all the entry products of the sum (see `_core.poly_dot`), not one product
-and one addition per entry pair. `grid_mul` and `grid_trace` stay generic
-for the Scalar, RatFn and complex grids of cochains and sampling.
+`PolyMatrix.dot` builds each entry of a sum of matrix products, and
+`PolyMatrix.trace_dot` the sum of their traces, as one `MultiPoly.dot`: a
+single kernel accumulator over all the entry products of the sum (see
+`_core.poly_dot`), not one product and one addition per entry pair. A
+product is the one-pair sum and ``trace(other)`` its one-pair trace; the
+matrix forms pass every term pair that lands on one form coefficient at
+once. `grid_mul` and `grid_trace` stay generic for the Scalar, RatFn and
+complex grids of cochains and sampling.
 
 Determinants use first-row expansion memoized over column subsets, which is
 exact over any commutative ring and comfortably fast for the k <= 5 range
@@ -193,10 +196,7 @@ class PolyMatrix:
     def __mul__(self, other):
         if isinstance(other, PolyMatrix):
             self._check(other)
-            n, dot = self.n, MultiPoly.dot
-            cols = tuple(zip(*other.rows))
-            return PolyMatrix(n, [[dot(n, zip(row, col)) for col in cols]
-                                  for row in self.rows])
+            return PolyMatrix.dot(self.n, ((self, other),))
         if isinstance(other, (MultiPoly, Scalar, int, Fraction)):
             return PolyMatrix(self.n, grid_scale(self.rows, other))
         return NotImplemented
@@ -219,8 +219,28 @@ class PolyMatrix:
         if other is None:
             return grid_trace(self.rows)
         self._check(other)
-        return MultiPoly.dot(self.n, [
-            pair for row, col in zip(self.rows, zip(*other.rows))
+        return PolyMatrix.trace_dot(self.n, ((self, other),))
+
+    @staticmethod
+    def dot(n: int, pairs) -> "PolyMatrix":
+        """The sum of x * y over the (x, y) pairs of equally sized matrices,
+        each entry one `MultiPoly.dot` over the entry products of all pairs;
+        the caller checks the shapes."""
+        pairs = [(x.rows, tuple(zip(*y.rows))) for x, y in pairs]
+        k = len(pairs[0][0])
+        dot = MultiPoly.dot
+        return PolyMatrix(n, [
+            [dot(n, [pair for rows, cols in pairs
+                     for pair in zip(rows[r], cols[c])]) for c in range(k)]
+            for r in range(k)])
+
+    @staticmethod
+    def trace_dot(n: int, pairs) -> MultiPoly:
+        """The sum of tr(x * y) over the (x, y) pairs, as one `MultiPoly.dot`
+        and without forming any product; the caller checks the shapes."""
+        return MultiPoly.dot(n, [
+            pair for x, y in pairs
+            for row, col in zip(x.rows, zip(*y.rows))
             for pair in zip(row, col)])
 
     def det(self) -> MultiPoly:

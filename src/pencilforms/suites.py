@@ -14,7 +14,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from . import serialize
 from .cochains import DenseCochain, TraceWord, cyclic_symmetrize, functional_product
-from .forms import maurer_cartan
+from .forms import ScalarForm, maurer_cartan
 from .jacobi import (CubicTraceData, anchored_trace_power, calibrated_sign,
                      cubic_trace_data, entry_matrix_constant,
                      factorize_top_form, trace_power_form)
@@ -303,9 +303,9 @@ def suite_cubic_trace(seed: int, trials: Optional[int] = None,
     tops = [(k, random_matrix_tuple(rng_for(seed, "theorem33", "top", k),
                                     4, k))
             for k in (2, 3)]
+    facts = [factorize_top_form(t.pencil()) for _, t in tops]
     bad = None
-    for k, t in tops:
-        fact = factorize_top_form(t.pencil())
+    for (k, t), fact in zip(tops, facts):
         if not fact.residual.is_zero:
             bad = _tuple_counterexample(f"k={k}: nonzero residual", t)
             break
@@ -319,7 +319,8 @@ def suite_cubic_trace(seed: int, trials: Optional[int] = None,
         "theorem33.top-factorization", bad is None,
         "tr(omega^3) = q s with zero residual and cross relations, "
         "k in {2,3} plus one quadratic input", bad))
-    results.append(_trace_routes_check(tops))
+    results.append(_trace_routes_check(
+        [(k, t, fact.top_form) for (k, t), fact in zip(tops, facts)]))
     return results
 
 
@@ -346,14 +347,14 @@ def _p_degree_failure(p: Optional[MultiPoly], k: int) -> Optional[str]:
     return None
 
 
-def _trace_routes_check(tops: List[Tuple[int, MatrixTuple]]) -> CheckResult:
-    """tr(omega^3) by wedge power = anchored sum on each tuple."""
+def _trace_routes_check(
+        tops: List[Tuple[int, MatrixTuple, ScalarForm]]) -> CheckResult:
+    """tr(omega^3) by wedge power = anchored sum on each tuple, given with
+    the wedge-route top form that factorize_top_form split."""
     bad: Optional[str] = None
     nonzero = 0
-    for k, t in tops:
-        f = t.pencil()
-        wedge = trace_power_form(f, 3)
-        if anchored_trace_power(f, 3) != wedge:
+    for k, t, wedge in tops:
+        if anchored_trace_power(t.pencil(), 3) != wedge:
             bad = _tuple_counterexample(f"k={k}: anchored sum != wedge", t)
             break
         if not wedge.is_zero:

@@ -1,11 +1,16 @@
 """The map kappa from cochains to forms, and its exact identities.
 
-``kappa(phi, f)`` expands phi(omega_f,..,omega_f) over increasing
-multi-indices: for each size-a index I and each permutation pi of I it
-accumulates sgn(pi) * phi(B_pi(1),..,B_pi(a)) * dz^I, where B_i is the
-dz_i coefficient of the Maurer-Cartan form. `kappa_wedge_oracle` recomputes
-the same form by brute multilinear extension over all coefficient tuples
-and exists purely to cross-check the expansion.
+``kappa(phi, f)`` is phi(omega_f,..,omega_f): for each size-a index I it
+sums sgn(pi) * phi(B_pi(1),..,B_pi(a)) * dz^I over the permutations pi of
+I, where B_i is the dz_i coefficient of the Maurer-Cartan form. A dense
+cochain is not evaluated per permutation: its key trie is contracted
+against omega one slot at a time, each node's value a form, so the work a
+node does is shared by every permutation through it, and each coefficient
+of a node's form is one `MultiPoly.dot`. Other cochains are expanded over
+permutations. `kappa_wedge_oracle` recomputes the same form by brute
+multilinear extension over all coefficient tuples and exists purely to
+cross-check kappa; `apply_multilinear`, which it uses, keeps its product
+loop.
 
 The transgression identity for a cyclic cochain of arity a is
 ``(a/(a+1)) kappa(b phi) = -d kappa(phi)``, which decomposes as
@@ -23,6 +28,7 @@ derivatives of the factors; the hyperplane suite compares each pair.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -41,32 +47,92 @@ from pencilforms.ring import MultiPoly, RatFn, Scalar
 
 
 def kappa(phi: Cochain, f: PolyMatrix) -> ScalarForm:
-    """phi(omega_f,..,omega_f) as a degree-a form, computed by expansion."""
+    """phi(omega_f,..,omega_f) as a degree-a form."""
     return _kappa_of(phi, maurer_cartan(f))
 
 
 def _kappa_of(phi: Cochain, omega: MatrixForm) -> ScalarForm:
-    """kappa's expansion on a Maurer-Cartan form the caller has built."""
+    """kappa on a Maurer-Cartan form the caller has built: contracted slot
+    by slot for a dense cochain, expanded over permutations otherwise."""
     a = phi.arity
     n = omega.n
     if a > n:
         return ScalarForm.zero(n, a)
     nums = {v: omega.coefficient_num((v,)) for v in range(1, n + 1)}
+    if isinstance(phi, DenseCochain):
+        # the contraction reads entries without calling evaluate, which
+        # is where a k that does not fit would be refused
+        phi._check_args([nums[1]] * a)
+        totals = _dense_kappa_nums(phi, omega)
+    else:
+        totals = {}
+        for index in combinations(range(1, n + 1), a):
+            total = None
+            for pi in permutations(index):
+                val = phi.evaluate([nums[v] for v in pi])
+                if sort_index(pi)[1] < 0:
+                    val = -val
+                total = val if total is None else total + val
+            totals[index] = total
     terms: Dict[Tuple[int, ...], RatFn] = {}
-    for index in combinations(range(1, n + 1), a):
-        total: Optional[MultiPoly] = None
-        for pi in permutations(index):
-            val = phi.evaluate([nums[v] for v in pi])
-            if sort_index(pi)[1] < 0:
-                val = -val
-            total = val if total is None else total + val
-        if total is None or total.is_zero:
+    for index in sorted(totals):
+        total = totals[index]
+        if total.is_zero:
             continue
         coeff = RatFn.over_power(total, omega.den_base,
                                  a * omega.den_pow).reduce()
         if not coeff.is_zero:
             terms[index] = coeff
     return ScalarForm(n, a, terms)
+
+
+def _dense_kappa_nums(phi: DenseCochain, omega: MatrixForm) -> Dict:
+    """The numerators of kappa(phi) over base^(a pow), by index.
+
+    With B_v the dz_v numerator of omega, the value of a trie node of depth
+    t is phi's subtensor there applied to omega in slots t..a-1: a form of
+    degree a - t, kept as a dict from sorted index to numerator. At the
+    last slot it is sum c B_v[i][j] dz_v. Above it a child (i, j) of value
+    D adds (-1)^#{s in S : s < v} B_v[i][j] D[S] to S + {v} for each S in D
+    and v not in S, so each (node, index) value is computed once for all
+    the permutations that share it, and each coefficient is one
+    `MultiPoly.dot`. The sign is folded into the entry of B_v, each B_v
+    negated once.
+    """
+    n = omega.n
+    rows = {v: mat.rows for (v,), mat in omega.terms.items()}
+    negated = {v: (-mat).rows for (v,), mat in omega.terms.items()}
+
+    def value(node: dict, t: int) -> Dict:
+        pairs: Dict = {}
+        if t == last:
+            for (i, j), c in node.items():
+                const = MultiPoly.constant(n, c)
+                for v, b in rows.items():
+                    if b[i][j]:
+                        pairs.setdefault((v,), []).append((const, b[i][j]))
+        else:
+            for (i, j), child in node.items():
+                for index, d in value(child, t + 1).items():
+                    for v, b in rows.items():
+                        if v in index or not b[i][j]:
+                            continue
+                        at = bisect_left(index, v)
+                        merged = index[:at] + (v,) + index[at:]
+                        pair = ((negated if at % 2 else rows)[v][i][j], d)
+                        if merged in pairs:
+                            pairs[merged].append(pair)
+                        else:
+                            pairs[merged] = [pair]
+        out = {}
+        for index, group in pairs.items():
+            total = MultiPoly.dot(n, group)
+            if total:
+                out[index] = total
+        return out
+
+    last = phi.arity - 1
+    return value(phi.trie, 0) if phi.trie else {}
 
 
 def apply_multilinear(phi: Cochain, forms: Sequence[MatrixForm]) -> ScalarForm:

@@ -2,17 +2,21 @@
 
 Each helper recomputes a library value by a second route: the adjugate
 against the double-minor identity, a trace word as the dense tensor of
-its matrix-entry products, a dense cochain's value key by key, and
-cyclotomic arithmetic on dense coefficient vectors.
+its matrix-entry products, a dense cochain's value key by key, kappa by
+its permutation expansion, the wedge, trace and exterior derivative of
+matrix forms one term pair at a time, the top-form residual by
+subtraction, and cyclotomic arithmetic on dense coefficient vectors.
 """
 
-from itertools import product
+from itertools import combinations, permutations, product
 from typing import Sequence
 
 from pencilforms._core import Q_ZERO, qadd, qmul
 from pencilforms.cochains import DenseCochain
-from pencilforms.linalg import grid_adjugate, grid_det, grid_minor
-from pencilforms.ring import CycloElement, Scalar, _term_str
+from pencilforms.forms import MatrixForm, ScalarForm, sort_index
+from pencilforms.jacobi import s_form
+from pencilforms.linalg import PolyMatrix, grid_adjugate, grid_det, grid_minor
+from pencilforms.ring import CycloElement, MultiPoly, RatFn, Scalar, _term_str
 
 
 def grid_double_minor(a: Sequence, rows: tuple, cols: tuple, one):
@@ -91,6 +95,97 @@ def dense_evaluate_reference(phi: DenseCochain, args):
     if total is None:
         total = args[0][0][0] * 0
     return total
+
+
+def kappa_permutation_reference(phi, omega: MatrixForm) -> ScalarForm:
+    """kappa(phi) on omega as sum over increasing I and permutations pi of
+    I of sgn(pi) phi(B_pi(1), .., B_pi(a)) dz^I, phi evaluated once per
+    permutation."""
+    a, n = phi.arity, omega.n
+    if a > n:
+        return ScalarForm.zero(n, a)
+    nums = {v: omega.coefficient_num((v,)) for v in range(1, n + 1)}
+    terms = {}
+    for index in combinations(range(1, n + 1), a):
+        total = None
+        for pi in permutations(index):
+            val = phi.evaluate([nums[v] for v in pi])
+            if sort_index(pi)[1] < 0:
+                val = -val
+            total = val if total is None else total + val
+        if total is None or total.is_zero:
+            continue
+        coeff = RatFn.over_power(total, omega.den_base,
+                                 a * omega.den_pow).reduce()
+        if not coeff.is_zero:
+            terms[index] = coeff
+    return ScalarForm(n, a, terms)
+
+
+def _pairwise_sums(left: dict, right: dict, product) -> dict:
+    """sign * product(a, b) added up per merged index, one term pair of
+    `left` and `right` at a time."""
+    out = {}
+    for i_idx, a in left.items():
+        for j_idx, b in right.items():
+            merged = sort_index(i_idx + j_idx)
+            if merged is None:
+                continue
+            index, sign = merged
+            contrib = product(a, b)
+            if sign < 0:
+                contrib = -contrib
+            out[index] = out[index] + contrib if index in out else contrib
+    return out
+
+
+def matrix_wedge_reference(x: MatrixForm, y: MatrixForm) -> MatrixForm:
+    """x ^ y with one PolyMatrix product per term pair."""
+    base = x._join_base(y)
+    out = _pairwise_sums(x.terms, y.terms, lambda a, b: a * b)
+    return MatrixForm(x.n, x.k, x.degree + y.degree, out, base,
+                      x.den_pow + y.den_pow)._reduced()
+
+
+def matrix_trace_reference(x: MatrixForm, y: MatrixForm) -> ScalarForm:
+    """tr(x ^ y) with one PolyMatrix trace per term pair."""
+    base = x._join_base(y)
+    nums = _pairwise_sums(x.terms, y.terms, PolyMatrix.trace)
+    pow_ = x.den_pow + y.den_pow
+    return ScalarForm(x.n, x.degree + y.degree, {
+        index: RatFn.over_power(num, base, pow_).reduce()
+        for index, num in nums.items()})
+
+
+def matrix_d_reference(x: MatrixForm) -> MatrixForm:
+    """d x with one quotient-rule numerator per (term, variable) pair."""
+    pow_, base = x.den_pow, x.den_base
+    out = {}
+    for index, mat in x.terms.items():
+        for v in range(1, x.n + 1):
+            placed = sort_index((v,) + index)
+            if placed is None:
+                continue
+            new_index, sign = placed
+            if pow_ == 0:
+                num = mat.partial(v)
+            else:
+                num = (mat.partial(v) * base
+                       - mat * (base.partial(v) * pow_))
+            num = num * sign
+            out[new_index] = out[new_index] + num \
+                if new_index in out else num
+    return MatrixForm(x.n, x.k, x.degree + 1, out, base,
+                      pow_ + 1 if pow_ else 0)._reduced()
+
+
+def top_form_residual_reference(big_t: ScalarForm) -> ScalarForm:
+    """big_t - q s with q = -T_{2..n} / z_1, by rational-function
+    subtraction over unlike denominators."""
+    n = big_t.n
+    q = (big_t.coefficient(tuple(range(2, n + 1)))
+         * RatFn(MultiPoly.constant(n, -1), MultiPoly.variable(n, 1))).reduce()
+    return big_t - s_form(n) * q
 
 
 def cyclo_dense(x: CycloElement) -> tuple:

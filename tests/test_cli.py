@@ -95,6 +95,17 @@ def test_form_top_factor(units_file):
     assert len(data["normalized_coefficients"]) == 4
 
 
+def test_form_kappa_cochain_of_another_size_exits_2(units_file):
+    # a k = 3 cochain on a k = 2 tuple is bad input, refused before kappa
+    # reads any matrix entry
+    r = run_cli("form", "--input", units_file, "--kind", "kappa",
+                "--cochain", "cyclic-random:2:3:1")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.splitlines() == ["error: argument size 2 != k=3"]
+    assert "Traceback" not in r.stderr
+
+
 def test_form_mc_round_trips(units_file):
     r = run_cli("form", "--input", units_file, "--kind", "mc")
     assert r.returncode == 0

@@ -4,6 +4,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pencilforms.forms import (
     MatrixForm,
@@ -13,8 +15,12 @@ from pencilforms.forms import (
 )
 from pencilforms.linalg import MatrixTuple, PolyMatrix
 from pencilforms.ring import MultiPoly, RatFn
+from pencilforms.sampling import random_matrix_tuple, rng_for
+from conftest import count_poly_mul
+from oracles import (matrix_d_reference, matrix_trace_reference,
+                     matrix_wedge_reference)
 from test_linalg import rand_gauss_tuple, rand_tuple
-from test_ring import rand_poly
+from test_ring import gaussians, rand_poly
 
 
 def rand_quadratic_matrix(rng, n, k):
@@ -312,3 +318,83 @@ def test_trace_of_wedge_matches_formed_wedge():
     other = rand_matrix_form(rng, n, k, 1, MultiPoly.parse("z2+1", n), 1)
     with pytest.raises(ValueError):
         rand_matrix_form(rng, n, k, 1, base, 1).trace(other)
+
+
+# -- fused wedge, trace and d against their pairwise references -------------
+
+
+@st.composite
+def matrix_form_pairs(draw):
+    """(x, y): matrix forms in n = 2..5 variables with k = 1..3, integer
+    or Gaussian-rational numerators on a drawn set of indices of degree
+    0..2, each over a drawn power (0..2) of one base."""
+    n = draw(st.integers(2, 5))
+    k = draw(st.integers(1, 3))
+    coeffs = draw(st.sampled_from((st.integers(-3, 3), gaussians)))
+    monomials = st.tuples(*[st.integers(0, 1)] * n)
+    base = MultiPoly.parse("z1+2*z2-1", n)
+
+    def poly():
+        return MultiPoly.from_terms(n, draw(st.dictionaries(
+            monomials, coeffs, max_size=2)))
+
+    def form():
+        degree = draw(st.integers(0, 2))
+        indices = draw(st.lists(st.sampled_from(
+            list(combinations(range(1, n + 1), degree))), max_size=4))
+        terms = {index: PolyMatrix(n, [[poly() for _ in range(k)]
+                                       for _ in range(k)])
+                 for index in indices}
+        return MatrixForm(n, k, degree, terms, base, draw(st.integers(0, 2)))
+
+    return form(), form()
+
+
+def _assert_same_matrix_form(got, want):
+    assert (got.degree, got.den_pow) == (want.degree, want.den_pow)
+    assert got.den_base == want.den_base
+    assert sorted(got.terms) == sorted(want.terms)
+    for index, mat in want.terms.items():
+        assert repr(got.terms[index]) == repr(mat)
+
+
+_DIAGONAL = maurer_cartan(MatrixTuple(
+    [[[1, 0], [0, 2]], [[3, 0], [0, 1]], [[0, 0], [0, 5]]]).pencil())
+_GENERIC = maurer_cartan(rand_gauss_tuple(random.Random(29), 4, 3).pencil())
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_form_pairs())
+# commuting coefficients: every coefficient of omega ^ omega and d omega
+# cancels to zero
+@example((_DIAGONAL, _DIAGONAL))
+# tr(omega ^ omega) = 0 coefficient by coefficient; omega ^ omega is not 0
+@example((_GENERIC, _GENERIC))
+@example((MatrixForm(3, 2, 1, {}), _DIAGONAL))
+def test_fused_matrix_form_ops_match_pairwise_references(pair):
+    x, y = pair
+    _assert_same_matrix_form(x.wedge(y), matrix_wedge_reference(x, y))
+    _assert_same_matrix_form(x.exterior_derivative(), matrix_d_reference(x))
+    got, want = x.trace(y), matrix_trace_reference(x, y)
+    assert (got.n, got.degree) == (want.n, want.degree)
+    assert list(got.terms) == list(want.terms)
+    for index, coeff in want.terms.items():
+        assert str(got.terms[index]) == str(coeff)
+
+
+# Kernel work of the flatness check d omega + omega ^ omega on an n = 4,
+# k = 3 pencil, recorded when each coefficient of the wedge and of d became
+# one `MultiPoly.dot` per entry (kernel calls before: 432, one per entry of
+# every term pair). A pairwise wedge or d coming back exceeds the call
+# budget.
+FLATNESS_FORM_BUDGET = 648
+FLATNESS_FORM_CALL_BUDGET = 216
+
+
+def test_flatness_form_kernel_budget(monkeypatch):
+    omega = maurer_cartan(
+        random_matrix_tuple(rng_for(5, "guard-cubic"), 4, 3).pencil())
+    calls = count_poly_mul(monkeypatch)
+    assert (omega.exterior_derivative() + omega.wedge(omega)).is_zero
+    assert 0 < calls[0] <= FLATNESS_FORM_BUDGET
+    assert 0 < calls[1] <= FLATNESS_FORM_CALL_BUDGET

@@ -4,8 +4,9 @@ from itertools import combinations
 
 import pytest
 
-from pencilforms.forms import maurer_cartan
+from pencilforms.forms import ScalarForm, maurer_cartan
 from pencilforms.jacobi import (
+    _factor_top_form,
     anchored_trace_power,
     calibrated_sign,
     cubic_trace_data,
@@ -19,7 +20,7 @@ from pencilforms.ring import MultiPoly, RatFn, Scalar
 from pencilforms.sampling import random_matrix_tuple, rng_for
 from pencilforms.transgression import kappa_wedge_oracle
 from conftest import count_poly_mul
-from oracles import trace_word_dense
+from oracles import top_form_residual_reference, trace_word_dense
 from test_linalg import rand_gauss_tuple
 
 
@@ -223,16 +224,46 @@ def test_cubic_traces_match_formed_products():
             assert data.i_values[(i, j, m)] == want
 
 
+def test_top_form_residual_matches_subtraction_reference():
+    # z1 (T - q s), kept on T's own denominator base, against T - q s
+    # computed over unlike denominators: the same verdict, and the same
+    # form up to the factor z1, on seeded top forms, on top forms spoiled
+    # off s, and on top forms moved along s (which still factor)
+    z = [None] + [MultiPoly.variable(4, v) for v in range(1, 5)]
+    for k in (2, 3):
+        f = random_matrix_tuple(rng_for(61, "top-residual", k), 4, k).pencil()
+        det = f.det()
+        top = trace_power_form(f, 3)
+        assert not top.is_zero
+        for spoil, factors in (
+                (ScalarForm(4, 3), True),
+                (ScalarForm(4, 3, {(1, 2, 3): z[1]}), False),
+                (ScalarForm(4, 3, {(1, 3, 4): RatFn(z[2] * z[4], det)}),
+                 False),
+                (s_form(4) * RatFn(z[3], det), True)):
+            big_t = top + spoil
+            fact = _factor_top_form(big_t)
+            want = top_form_residual_reference(big_t)
+            assert fact.top_form is big_t
+            assert fact.residual.is_zero is want.is_zero is factors
+            assert fact.residual == want * z[1]
+
+
 # Kernel products on fixed inputs. The count depends on the code alone, so
 # exceeding it flags lost work savings without any timing. TRACE_POWER_4 was
 # recorded when traces of products stopped forming the product (before:
 # 2,073). TRACE_POWER_3 and CUBIC_TRACE_DATA were recorded when each trace
 # power got one route (before: 1,056 with the anchored recomputation, and
 # 1,545 with tr(omega^3) traced twice more); a second route coming back
-# inside either call exceeds them.
+# inside either call exceeds them. The call budgets were recorded when each
+# coefficient of a wedge and of a trace of a wedge became one
+# `MultiPoly.dot` per entry (before: 303 and 204, one per entry of every
+# term pair).
 TRACE_POWER_4_BUDGET = 993
 TRACE_POWER_3_BUDGET = 588
 CUBIC_TRACE_DATA_BUDGET = 485
+TRACE_POWER_4_CALL_BUDGET = 188
+TRACE_POWER_3_CALL_BUDGET = 142
 
 
 def test_trace_power_kernel_product_budget(monkeypatch):
@@ -240,6 +271,7 @@ def test_trace_power_kernel_product_budget(monkeypatch):
     calls = count_poly_mul(monkeypatch)
     trace_power_form(f, 4)
     assert 0 < calls[0] <= TRACE_POWER_4_BUDGET
+    assert 0 < calls[1] <= TRACE_POWER_4_CALL_BUDGET
 
 
 def test_odd_trace_power_kernel_product_budget(monkeypatch):
@@ -247,6 +279,7 @@ def test_odd_trace_power_kernel_product_budget(monkeypatch):
     calls = count_poly_mul(monkeypatch)
     trace_power_form(f, 3)
     assert 0 < calls[0] <= TRACE_POWER_3_BUDGET
+    assert 0 < calls[1] <= TRACE_POWER_3_CALL_BUDGET
 
 
 def test_cubic_trace_data_kernel_product_budget(monkeypatch):

@@ -3,11 +3,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from pencilforms.cli import parse_cochain_spec
 from pencilforms.cochains import (
     DenseCochain,
     TraceWord,
+    coboundary,
     cyclic_symmetrize,
     functional_product,
 )
@@ -24,6 +27,8 @@ from pencilforms.transgression import (
     transgression_report,
 )
 from conftest import count_poly_mul
+from oracles import kappa_permutation_reference, trace_word_dense
+from test_ring import gaussians
 
 
 def test_kappa_of_trace_is_dlog_det():
@@ -260,11 +265,14 @@ def test_hyperplane_wedge_of_coordinates_matches_product_functional():
     assert kappa(product, f) == wedge
 
 
-# Kernel products of kappa of an arity-3 dense cochain, as form-requests
-# asks for on k = 2 tuples, recorded when dense cochains began to be
-# evaluated one slot at a time over a trie of their keys (parent, key by
-# key: 2,488). Multiplying each key out on its own again exceeds it.
-DENSE_KAPPA_BUDGET = 520
+# Kernel work of kappa of an arity-3 dense cochain, as form-requests asks
+# for on k = 2 tuples. The product budget was 2,488 key by key and 520 with
+# phi evaluated over its key trie once per permutation; both budgets were
+# recorded when kappa began to contract the trie against omega slot by
+# slot, one `MultiPoly.dot` per form coefficient (kernel calls before:
+# 504). Evaluating phi per permutation again exceeds both.
+DENSE_KAPPA_BUDGET = 425
+DENSE_KAPPA_CALL_BUDGET = 115
 
 
 def test_dense_kappa_kernel_product_budget(monkeypatch):
@@ -274,3 +282,61 @@ def test_dense_kappa_kernel_product_budget(monkeypatch):
     form = kappa(phi, f)
     assert not form.is_zero
     assert 0 < calls[0] <= DENSE_KAPPA_BUDGET
+    assert 0 < calls[1] <= DENSE_KAPPA_CALL_BUDGET
+
+
+def test_dense_kappa_refuses_a_cochain_of_another_size():
+    # the contraction reads omega's entries straight from the trie, so the
+    # size check evaluate makes has to happen before it
+    f = MatrixTuple.matrix_units(2).pencil()
+    phi = parse_cochain_spec("cyclic-random:2:3:1")
+    with pytest.raises(ValueError, match=r"argument size 2 != k=3"):
+        kappa(phi, f)
+
+
+# -- kappa against its permutation expansion --------------------------------
+
+
+@st.composite
+def kappa_cases(draw):
+    """(phi, f): a dense cochain, plain or built by coboundary or
+    cyclic_symmetrize, and an integer or Gaussian-rational pencil with
+    n = 2..5 and k = 1..3 (k <= 2 at arity 4, to bound the reference)."""
+    arity = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 5))
+    k = draw(st.integers(1, 3 if arity < 4 else 2))
+    how = draw(st.sampled_from(("plain", "coboundary", "cyclic")
+                               if arity > 1 else ("plain", "cyclic")))
+    base = arity - 1 if how == "coboundary" else arity
+    pairs = st.sampled_from([(i, j) for i in range(k) for j in range(k)])
+    keys = draw(st.lists(st.tuples(*[pairs] * base), max_size=10))
+    phi = DenseCochain(base, k, {key: draw(gaussians) for key in keys})
+    if how == "coboundary":
+        phi = coboundary(phi)
+    elif how == "cyclic":
+        phi = cyclic_symmetrize(phi)
+    entries = draw(st.sampled_from((st.integers(-2, 2), gaussians)))
+    grid = st.lists(st.lists(entries, min_size=k, max_size=k),
+                    min_size=k, max_size=k)
+    f = MatrixTuple(draw(st.lists(grid, min_size=n, max_size=n))).pencil()
+    assume(not f.det().is_zero)
+    return phi, f
+
+
+_GUARD = random_matrix_tuple(rng_for(5, "guard-dense"), 4, 2).pencil()
+
+
+@settings(max_examples=120, deadline=None)
+@given(kappa_cases())
+@example((DenseCochain(3, 2, {}), _GUARD))
+@example((parse_cochain_spec("cyclic-random:3:2:7"), _GUARD))
+# tr(x y) is symmetric, so every coefficient of kappa cancels to zero
+@example((trace_word_dense(2, 2), _GUARD))
+def test_dense_kappa_matches_permutation_expansion(case):
+    phi, f = case
+    got = kappa(phi, f)
+    want = kappa_permutation_reference(phi, maurer_cartan(f))
+    assert (got.n, got.degree) == (want.n, want.degree)
+    assert list(got.terms) == list(want.terms)
+    for index, coeff in want.terms.items():
+        assert str(got.terms[index]) == str(coeff)

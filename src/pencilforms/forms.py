@@ -1,22 +1,24 @@
 """Differential forms with exact rational-function coefficients.
 
 A multi-index is a strictly increasing tuple of 1-based variable indices;
-``dz^I`` stands for dz_{i1} ^ ... ^ dz_{ir}. `ScalarForm` maps multi-indices
-to RatFn coefficients. `MatrixForm` maps multi-indices to PolyMatrix
-numerators over a single shared denominator ``base**pow``; keeping the
-denominator factored this way makes the exterior derivative raise the power
-by one instead of squaring, and lets reduction strip whole powers when every
-numerator entry is divisible by the base.
+``dz^I`` stands for dz_{i1} ^ ... ^ dz_{ir}. A form maps multi-indices to
+PolyMatrix numerators over one shared denominator ``base**pow``; keeping
+it factored makes d raise the power by one instead of squaring, and lets
+reduction strip whole powers. There is one algebra, `MatrixForm`'s.
+`ScalarForm` is its k = 1 case: it adds a constructor from RatFn
+coefficients and `coefficient`, which gives one back reduced.
 
-A matrix wedge, and a trace of one, pairs every term of the left form
-with every term of the right form on disjoint indices. The pairs are
-grouped by merged index with the wedge sign folded into the left matrix.
+A wedge, and a trace of one, pairs every term of the left form with every
+term of the right form on disjoint indices. The pairs are grouped by
+merged index with the wedge sign folded into the left matrix.
 `PolyMatrix.dot` then builds each output coefficient, and
 `PolyMatrix.trace_dot` each trace, with one kernel sum per entry over all
 the entry products landing there. The exterior derivative groups its
-quotient-rule products the same way. `ScalarForm` groups its term pairs
-alike but adds their RatFn products one by one, as each coefficient
-carries its own denominator.
+quotient-rule products the same way.
+
+Two forms combine over one base; a form without a denominator takes the
+other's. Scalar forms over unlike bases combine over the product of their
+denominators, as RatFn does; matrix forms over unlike bases only compare.
 
 The Maurer-Cartan form of a pencil map f is
 ``omega_f = f^{-1} df = sum_i adjugate(f) (df/dz_i) / det(f) dz_i``;
@@ -31,7 +33,7 @@ from functools import reduce
 from typing import Dict, Optional, Sequence, Tuple
 
 from pencilforms.linalg import PolyMatrix
-from pencilforms.ring import MultiPoly, RatFn, Scalar
+from pencilforms.ring import MultiPoly, RatFn, Scalar, _as_ratfn
 
 MultiIndex = Tuple[int, ...]
 
@@ -85,144 +87,63 @@ def _wedge_pairs(left: Dict, right: Dict) -> Dict:
     return out
 
 
-class ScalarForm:
-    """A homogeneous-degree form with RatFn coefficients."""
+def _root(a: Optional[MultiPoly], b: MultiPoly) -> Optional[MultiPoly]:
+    """The polynomial that a and b are both powers of, by Euclid on their
+    exponents; None when there is none (or a is None)."""
+    while a is not None and a != b:
+        q = a.exact_divide(b)
+        if q is None:
+            a, b = b, a
+            q = a.exact_divide(b)
+        a = None if q is None or q.is_constant else q
+    return a
 
-    __slots__ = ("n", "degree", "terms")
 
-    def __init__(self, n: int, degree: int, terms: Optional[Dict] = None):
-        if degree < 0:
-            raise ValueError("negative form degree")
-        self.n = n
-        self.degree = degree
-        self.terms: Dict[MultiIndex, RatFn] = {}
-        for index, coeff in (terms or {}).items():
-            index = check_multi_index(index, n)
-            if len(index) != degree:
-                raise ValueError(f"index {index} has wrong length for degree {degree}")
-            if not isinstance(coeff, RatFn):
-                coeff = RatFn(coeff) if isinstance(coeff, MultiPoly) \
-                    else RatFn(MultiPoly.constant(n, coeff))
-            if not coeff.is_zero:
-                self.terms[index] = coeff
+def _exponent(power: MultiPoly, root: MultiPoly) -> int:
+    """e with power == root**e, for a power of root."""
+    e = 0
+    while not power.is_constant:
+        power, e = power.exact_divide(root), e + 1
+    return e
 
-    @classmethod
-    def zero(cls, n: int, degree: int) -> "ScalarForm":
-        return cls(n, degree)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, index) -> RatFn:
-        return self.terms.get(check_multi_index(index, self.n), RatFn.zero(self.n))
-
-    def _check(self, other: "ScalarForm", same_degree: bool = True) -> None:
-        if self.n != other.n:
-            raise ValueError("mixed variable counts")
-        if same_degree and self.degree != other.degree:
-            raise ValueError(f"mixed degrees: {self.degree} vs {other.degree}")
-
-    def __add__(self, other):
-        if not isinstance(other, ScalarForm):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for index, coeff in other.terms.items():
-            out[index] = out[index] + coeff if index in out else coeff
-        return ScalarForm(self.n, self.degree, out)
-
-    def __sub__(self, other):
-        if not isinstance(other, ScalarForm):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "ScalarForm":
-        return ScalarForm(self.n, self.degree,
-                          {i: -c for i, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (RatFn, MultiPoly, Scalar, int, Fraction)):
-            return ScalarForm(self.n, self.degree,
-                              {i: c * other for i, c in self.terms.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def wedge(self, other: "ScalarForm") -> "ScalarForm":
-        self._check(other, same_degree=False)
-        out = {index: reduce(operator.add, [a * b for a, b in pairs])
-               for index, pairs in _wedge_pairs(self.terms,
-                                                other.terms).items()}
-        return ScalarForm(self.n, self.degree + other.degree, out)
-
-    def exterior_derivative(self) -> "ScalarForm":
-        out: Dict[MultiIndex, RatFn] = {}
-        for index, coeff in self.terms.items():
-            for v in range(1, self.n + 1):
-                placed = sort_index((v,) + index)
-                if placed is None:
-                    continue
-                new_index, sign = placed
-                contrib = coeff.partial(v) * sign
-                if contrib.is_zero:
-                    continue
-                out[new_index] = out[new_index] + contrib \
-                    if new_index in out else contrib
-        return ScalarForm(self.n, self.degree + 1, out)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ScalarForm):
-            return NotImplemented
-        if self.n != other.n or self.degree != other.degree:
-            return False
-        for index in self.terms.keys() | other.terms.keys():
-            a = self.terms.get(index)
-            b = other.terms.get(index)
-            if a is None or b is None:
-                present = b if a is None else a
-                if not present.is_zero:
-                    return False
-            elif a != b:
-                return False
-        return True
-
-    __hash__ = None
-
-    def evaluate_at(self, point: Sequence[complex]) -> Dict[MultiIndex, complex]:
-        """All coefficients at a point; raises at poles of any coefficient."""
-        return {index: coeff.evaluate(point)
-                for index, coeff in sorted(self.terms.items())}
-
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return f"ScalarForm(n={self.n}, degree={self.degree}, 0)"
-        body = " + ".join(
-            f"[{coeff}] dz{list(index)}" for index, coeff in sorted(self.terms.items())
-        )
-        return f"ScalarForm({body})"
+def _over_one_base(n: int, coeffs: Dict) -> Tuple[Dict, MultiPoly, int]:
+    """(nums, base, pow) with nums[I] / base**pow == coeffs[I] for RatFn
+    coefficients. base is the polynomial all the denominators are powers
+    of, so a coefficient reduced over it comes back as it was given;
+    without one it is the product of the distinct denominators."""
+    bases = list(dict.fromkeys(c.den_base for c in coeffs.values()
+                               if c.den_pow))
+    root = reduce(_root, bases) if bases else MultiPoly.one(n)
+    if root is None:
+        base = reduce(operator.mul, dict.fromkeys(
+            c.den for c in coeffs.values() if c.den_pow))
+        return ({i: c.num * base.exact_divide(c.den)
+                 for i, c in coeffs.items()}, base, 1)
+    pows = {i: c.den_pow and c.den_pow * _exponent(c.den_base, root)
+            for i, c in coeffs.items()}
+    hi = max(pows.values(), default=0)
+    return ({i: c.num * root ** (hi - pows[i]) if pows[i] < hi else c.num
+             for i, c in coeffs.items()}, root, hi)
 
 
 class MatrixForm:
-    """A matrix-valued form: PolyMatrix numerators over a shared base**pow."""
+    """A matrix-valued form: PolyMatrix numerators over a shared base**pow.
+    Every operation returns a form of its operand's class."""
 
     __slots__ = ("n", "k", "degree", "terms", "den_base", "den_pow")
 
     def __init__(self, n: int, k: int, degree: int, terms: Dict,
                  den_base: Optional[MultiPoly] = None, den_pow: int = 0):
-        self.n = n
-        self.k = k
-        self.degree = degree
         if den_pow < 0:
             raise ValueError("negative denominator power")
         if den_base is None:
             den_base = MultiPoly.one(n)
         if den_pow > 0 and den_base.is_zero:
             raise ZeroDivisionError("zero denominator")
-        if den_pow == 0:
-            den_base = MultiPoly.one(n)
-        self.den_base = den_base
-        self.den_pow = den_pow
+        if degree < 0:
+            raise ValueError("negative form degree")
+        self.n, self.k, self.degree = n, k, degree
         self.terms: Dict[MultiIndex, PolyMatrix] = {}
         for index, mat in terms.items():
             index = check_multi_index(index, n)
@@ -232,6 +153,18 @@ class MatrixForm:
                 raise ValueError("numerator shape mismatch")
             if not mat.is_zero:
                 self.terms[index] = mat
+        if not self.terms:
+            den_pow = 0
+        self.den_base = den_base if den_pow else MultiPoly.one(n)
+        self.den_pow = den_pow
+
+    @classmethod
+    def _from_parts(cls, n: int, k: int, degree: int, terms: Dict,
+                    den_base: MultiPoly, den_pow: int):
+        """A form of this class, `ScalarForm` too, by this constructor."""
+        form = object.__new__(cls)
+        MatrixForm.__init__(form, n, k, degree, terms, den_base, den_pow)
+        return form
 
     @property
     def is_zero(self) -> bool:
@@ -245,47 +178,62 @@ class MatrixForm:
         index = check_multi_index(index, self.n)
         return self.terms.get(index, PolyMatrix.zero(self.n, self.k))
 
-    def _join_base(self, other: "MatrixForm") -> MultiPoly:
+    def _lifted(self, factor, base: MultiPoly, pow_: int):
+        """self's numerators times factor, over base**pow_."""
+        return self._from_parts(self.n, self.k, self.degree,
+                                {i: m * factor for i, m in self.terms.items()},
+                                base, pow_)
+
+    def _join_base(self, other: "MatrixForm", mix: bool = False) -> tuple:
+        """(x, y, base): self and other as forms over one base. Unlike
+        bases are multiplied out, as RatFn does: each side is lifted by the
+        other's denominator onto base den(self) den(other). Matrix forms
+        refuse that unless mix is set, which only comparison does."""
         if self.n != other.n or self.k != other.k:
             raise ValueError("mixed shapes or variable counts")
         if self.den_pow == 0:
-            return other.den_base
+            return self, other, other.den_base
         if other.den_pow == 0 or self.den_base == other.den_base:
-            return self.den_base
-        raise ValueError("matrix forms carry different denominator bases")
+            return self, other, self.den_base
+        if self.k > 1 and not mix:
+            raise ValueError("matrix forms carry different denominator bases")
+        a_den, b_den = self.den(), other.den()
+        base = a_den * b_den
+        return self._lifted(b_den, base, 1), other._lifted(a_den, base, 1), base
 
     def __add__(self, other):
         if not isinstance(other, MatrixForm):
             return NotImplemented
         if self.degree != other.degree:
             raise ValueError(f"mixed degrees: {self.degree} vs {other.degree}")
-        base = self._join_base(other)
-        hi = max(self.den_pow, other.den_pow)
-        a_lift = base ** (hi - self.den_pow)
-        b_lift = base ** (hi - other.den_pow)
+        x, y, base = self._join_base(other)
+        hi = max(x.den_pow, y.den_pow)
         out: Dict[MultiIndex, PolyMatrix] = {}
-        for index, mat in self.terms.items():
-            out[index] = mat * a_lift
-        for index, mat in other.terms.items():
-            lifted = mat * b_lift
-            out[index] = out[index] + lifted if index in out else lifted
-        return MatrixForm(self.n, self.k, self.degree, out, base, hi)._reduced()
+        for form in (x, y):
+            if form.den_pow < hi:
+                form = form._lifted(base ** (hi - form.den_pow), base, hi)
+            for index, mat in form.terms.items():
+                out[index] = out[index] + mat if index in out else mat
+        return self._from_parts(self.n, self.k, self.degree, out, base,
+                                hi)._reduced()
 
     def __sub__(self, other):
-        if not isinstance(other, MatrixForm):
-            return NotImplemented
         return self + (-other)
 
-    def __neg__(self) -> "MatrixForm":
-        return MatrixForm(self.n, self.k, self.degree,
-                          {i: -m for i, m in self.terms.items()},
-                          self.den_base, self.den_pow)
+    def __neg__(self):
+        return self._from_parts(self.n, self.k, self.degree,
+                                {i: -m for i, m in self.terms.items()},
+                                self.den_base, self.den_pow)
 
     def __mul__(self, other):
         if isinstance(other, (MultiPoly, Scalar, int, Fraction)):
-            return MatrixForm(self.n, self.k, self.degree,
-                              {i: m * other for i, m in self.terms.items()},
-                              self.den_base, self.den_pow)._reduced()
+            return self._lifted(other, self.den_base, self.den_pow)._reduced()
+        if isinstance(other, RatFn):
+            # the wedge with the 0-form other times the identity
+            return self.wedge(MatrixForm._from_parts(
+                self.n, self.k, 0,
+                {(): PolyMatrix.identity(self.n, self.k) * other.num},
+                other.den_base, other.den_pow))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -293,12 +241,12 @@ class MatrixForm:
     def wedge(self, other: "MatrixForm") -> "MatrixForm":
         """Wedge with matrix multiplication on the coefficients, each
         output coefficient one `PolyMatrix.dot` over its term pairs."""
-        base = self._join_base(other)
+        x, y, base = self._join_base(other)
         n = self.n
         out = {index: PolyMatrix.dot(n, pairs) for index, pairs
-               in _wedge_pairs(self.terms, other.terms).items()}
-        return MatrixForm(n, self.k, self.degree + other.degree, out,
-                          base, self.den_pow + other.den_pow)._reduced()
+               in _wedge_pairs(x.terms, y.terms).items()}
+        return self._from_parts(n, self.k, self.degree + other.degree, out,
+                                base, x.den_pow + y.den_pow)._reduced()
 
     def wedge_power(self, m: int) -> "MatrixForm":
         if m < 1:
@@ -337,7 +285,7 @@ class MatrixForm:
                     num = dmat if sign > 0 else -dmat
                     total = num if total is None else total + num
                 out[new_index] = total
-            return MatrixForm(n, self.k, self.degree + 1, out)
+            return self._from_parts(n, self.k, self.degree + 1, out, base, 0)
         # the signed factors: +-base for d_v e, -+pow d_v base for e
         lead = {1: base, -1: -base}
         tail = {}
@@ -352,35 +300,26 @@ class MatrixForm:
                          for pair in ((dmat.rows[r][c], lead[sign]),
                                       (mat.rows[r][c], tail[v, sign]))])
                  for c in range(k)] for r in range(k)])
-        return MatrixForm(n, k, self.degree + 1, out, base,
-                          pow_ + 1)._reduced()
+        return self._from_parts(n, k, self.degree + 1, out, base,
+                                pow_ + 1)._reduced()
 
-    def trace(self, other: Optional["MatrixForm"] = None) -> ScalarForm:
+    def trace(self, other: Optional["MatrixForm"] = None) -> "ScalarForm":
         """tr(self), or tr(self ^ other) without forming the wedge: one
         `PolyMatrix.trace_dot` over the term pairs of each index."""
         if other is None:
-            return ScalarForm(self.n, self.degree, {
-                index: RatFn.over_power(mat.trace(), self.den_base,
-                                        self.den_pow).reduce()
-                for index, mat in self.terms.items()
-            })
-        base = self._join_base(other)
+            return ScalarForm._over_power(self.n, self.degree, {
+                index: mat.trace() for index, mat in self.terms.items()
+            }, self.den_base, self.den_pow)._reduced()
+        x, y, base = self._join_base(other)
         n = self.n
-        pow_ = self.den_pow + other.den_pow
-        return ScalarForm(n, self.degree + other.degree, {
-            index: RatFn.over_power(PolyMatrix.trace_dot(n, pairs), base,
-                                    pow_).reduce()
-            for index, pairs in _wedge_pairs(self.terms, other.terms).items()
-        })
+        return ScalarForm._over_power(n, self.degree + other.degree, {
+            index: PolyMatrix.trace_dot(n, pairs)
+            for index, pairs in _wedge_pairs(x.terms, y.terms).items()
+        }, base, x.den_pow + y.den_pow)._reduced()
 
-    def _reduced(self) -> "MatrixForm":
+    def _reduced(self):
         """Strip base powers dividing every entry of every numerator."""
-        if self.den_pow == 0 or not self.terms:
-            if self.den_pow > 0 and not self.terms:
-                return MatrixForm(self.n, self.k, self.degree, {})
-            return self
-        terms = self.terms
-        pow_ = self.den_pow
+        terms, pow_ = self.terms, self.den_pow
         while pow_ > 0:
             divided = {}
             for index, mat in terms.items():
@@ -390,27 +329,23 @@ class MatrixForm:
                     for e in row:
                         q = e.exact_divide(self.den_base)
                         if q is None:
-                            return MatrixForm(self.n, self.k, self.degree,
-                                              terms, self.den_base, pow_)
+                            return self._from_parts(self.n, self.k,
+                                                    self.degree, terms,
+                                                    self.den_base, pow_)
                         new_row.append(q)
                     rows.append(new_row)
                 divided[index] = PolyMatrix(self.n, rows)
             terms, pow_ = divided, pow_ - 1
-        return MatrixForm(self.n, self.k, self.degree, terms,
-                          self.den_base, pow_)
+        return self._from_parts(self.n, self.k, self.degree, terms,
+                                self.den_base, pow_)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MatrixForm):
             return NotImplemented
         if (self.n, self.k, self.degree) != (other.n, other.k, other.degree):
             return False
-        a_den, b_den = self.den(), other.den()
-        for index in self.terms.keys() | other.terms.keys():
-            a = self.terms.get(index, PolyMatrix.zero(self.n, self.k))
-            b = other.terms.get(index, PolyMatrix.zero(self.n, self.k))
-            if a * b_den != b * a_den:
-                return False
-        return True
+        x, y, _ = self._join_base(other, mix=True)
+        return (x - y).is_zero
 
     __hash__ = None
 
@@ -426,6 +361,62 @@ class MatrixForm:
     def __repr__(self) -> str:
         return (f"MatrixForm(n={self.n}, k={self.k}, degree={self.degree}, "
                 f"{len(self.terms)} terms, den={self.den_base}^{self.den_pow})")
+
+
+class ScalarForm(MatrixForm):
+    """A scalar form: the k = 1 case of MatrixForm.
+
+    Its numerators are 1 x 1 PolyMatrix over the form's one base**pow, and
+    `coefficient` gives one back as a reduced RatFn.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, n: int, degree: int, terms: Optional[Dict] = None):
+        """sum terms[I] dz^I, each value a RatFn, MultiPoly or scalar,
+        over the one base that `_over_one_base` finds."""
+        nums, base, pow_ = _over_one_base(n, {
+            index: _as_ratfn(c, n) for index, c in (terms or {}).items()})
+        super().__init__(n, 1, degree, {
+            index: PolyMatrix(n, ((num,),)) for index, num in nums.items()
+        }, base, pow_)
+
+    @classmethod
+    def _over_power(cls, n: int, degree: int, nums: Dict, base: MultiPoly,
+                    pow_: int) -> "ScalarForm":
+        """The form with polynomial numerators nums over base**pow_."""
+        return cls._from_parts(n, 1, degree, {
+            index: PolyMatrix(n, ((num,),)) for index, num in nums.items()
+            if num}, base, pow_)
+
+    @classmethod
+    def zero(cls, n: int, degree: int) -> "ScalarForm":
+        return cls(n, degree)
+
+    # the algebra is MatrixForm's; these two are bound here as well because
+    # perfbench/tracer.py looks them up in this class's own namespace
+    wedge = MatrixForm.wedge
+    exterior_derivative = MatrixForm.exterior_derivative
+
+    def coefficient(self, index) -> RatFn:
+        """The dz^index coefficient, reduced over the form's base."""
+        mat = self.terms.get(check_multi_index(index, self.n))
+        if mat is None:
+            return RatFn.zero(self.n)
+        return RatFn.over_power(mat[0][0], self.den_base,
+                                self.den_pow).reduce()
+
+    def evaluate_at(self, point: Sequence[complex]) -> Dict[MultiIndex, complex]:
+        """All coefficients at a point; raises at poles of any coefficient."""
+        return {index: self.coefficient(index).evaluate(point)
+                for index in sorted(self.terms)}
+
+    def __repr__(self) -> str:
+        if self.is_zero:
+            return f"ScalarForm(n={self.n}, degree={self.degree}, 0)"
+        body = " + ".join(f"[{self.coefficient(index)}] dz{list(index)}"
+                          for index in sorted(self.terms))
+        return f"ScalarForm({body})"
 
 
 def maurer_cartan(f: PolyMatrix) -> MatrixForm:

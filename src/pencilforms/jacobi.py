@@ -52,7 +52,7 @@ def s_form(n: int) -> ScalarForm:
     for j in range(1, n + 1):
         index = tuple(v for v in range(1, n + 1) if v != j)
         sign = 1 if j % 2 == 0 else -1
-        terms[index] = RatFn(MultiPoly.variable(n, j) * sign)
+        terms[index] = MultiPoly.variable(n, j) * sign
     return ScalarForm(n, n - 1, terms)
 
 
@@ -75,7 +75,7 @@ def _anchored_trace_power(omega: MatrixForm, m: int) -> ScalarForm:
     n = omega.n
     word = TraceWord(m)
     nums = {v: omega.coefficient_num((v,)) for v in range(1, n + 1)}
-    terms = {}
+    totals = {}
     for index in combinations(range(1, n + 1), m):
         anchor, rest = index[0], index[1:]
         total = None
@@ -85,10 +85,9 @@ def _anchored_trace_power(omega: MatrixForm, m: int) -> ScalarForm:
             if sort_index(seq)[1] < 0:
                 val = -val
             total = val if total is None else total + val
-        if not total.is_zero:
-            terms[index] = RatFn.over_power(total * m, omega.den_base,
-                                            m * omega.den_pow).reduce()
-    return ScalarForm(n, m, terms)
+        totals[index] = total * m
+    return ScalarForm._over_power(n, m, totals, omega.den_base,
+                                  m * omega.den_pow)._reduced()
 
 
 def trace_power_form(f: PolyMatrix, m: int) -> ScalarForm:
@@ -143,14 +142,21 @@ def _factor_top_form(big_t: ScalarForm) -> TopFormFactorization:
     adds numerators and never multiplies out unlike denominators.
     """
     n = big_t.n
-    t_first = big_t.coefficient(tuple(range(2, n + 1)))
-    q = (t_first * RatFn(MultiPoly.constant(n, -1),
-                         MultiPoly.variable(n, 1))).reduce()
+    first = tuple(range(2, n + 1))
+    t_first = big_t.coefficient(first)
+    z1 = MultiPoly.variable(n, 1)
+    q = (t_first * RatFn(MultiPoly.constant(n, -1), z1)).reduce()
     inv = Fraction(1, n - 1)
     bar_i = tuple(
         big_t.coefficient(tuple(v for v in range(1, n + 1) if v != j)) * inv
         for j in range(1, n + 1))
-    residual = big_t * MultiPoly.variable(n, 1) + s_form(n) * t_first
+    nums = {index: mat[0][0] * z1 for index, mat in big_t.terms.items()}
+    if first in big_t.terms:  # plus T_{2..n} s_I, over big_t's base**pow
+        top = big_t.terms[first][0][0]
+        for index, s_mat in s_form(n).terms.items():
+            nums[index] = nums.get(index, MultiPoly.zero(n)) + top * s_mat[0][0]
+    residual = ScalarForm._over_power(n, n - 1, nums, big_t.den_base,
+                                      big_t.den_pow)
     return TopFormFactorization(q=q, residual=residual, bar_i=bar_i,
                                 top_form=big_t)
 

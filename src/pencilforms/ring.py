@@ -766,11 +766,11 @@ def _parse_factor(factor: str, n: int) -> MultiPoly:
 class RatFn:
     """A quotient num / base**pow of multivariate polynomials.
 
-    Keeping the denominator factored as a tracked power makes derivative and
-    reduction steps cheap: differentiation raises pow by one instead of
-    squaring the denominator, and ``reduce`` strips base factors from the
-    numerator by exact division. Equality is cross-multiplication, so
-    unreduced representations still compare correctly.
+    Keeping the denominator factored as a tracked power makes reduction
+    cheap: ``reduce`` strips base factors from the numerator by exact
+    division, and for a fixed base its result is unique. Equality is
+    cross-multiplication, so unreduced representations still compare
+    correctly.
     """
 
     __slots__ = ("num", "den_base", "den_pow", "_den")
@@ -798,7 +798,7 @@ class RatFn:
         if num.is_zero:
             base, pow = MultiPoly.one(num.n), 0
         elif pow > 0 and base.is_constant:
-            num = num * (base.constant_value().inverse() ** pow)
+            num = num * (base ** pow).constant_value().inverse()
             base, pow = MultiPoly.one(num.n), 0
         self.num = num
         self.den_base = base
@@ -902,14 +902,6 @@ class RatFn:
         return self.num * other.den == other.num * self.den
 
     __hash__ = None  # cross-multiplied equality is not hash-compatible
-
-    def partial(self, var: int) -> "RatFn":
-        """Quotient-rule derivative; raises the tracked power by one."""
-        if self.den_pow == 0:
-            return RatFn(self.num.partial(var))
-        num = (self.num.partial(var) * self.den_base
-               - self.num * self.den_base.partial(var) * self.den_pow)
-        return RatFn.over_power(num, self.den_base, self.den_pow + 1).reduce()
 
     def reduce(self) -> "RatFn":
         """Strip base factors from the numerator by exact division."""

@@ -16,9 +16,34 @@ from .linalg import MatrixTuple, PolyMatrix
 from .ring import MultiPoly, RatFn, Scalar
 
 
+# Pencil inputs past these sizes are refused before any parsing; det and
+# adjugate work grows with both.
+MAX_VARIABLES = 8
+MAX_SIZE = 6
+
+
 def canonical_json(data) -> str:
     """One canonical dump: sorted keys, two-space indent, trailing newline."""
     return json.dumps(data, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+
+
+def _check_pencil_size(n: int, grids: List) -> None:
+    """ValueError when n or the largest side of the grids is past its limit."""
+    if n > MAX_VARIABLES:
+        raise ValueError(f"{n} variables exceed the limit of {MAX_VARIABLES}")
+    k = max(len(row) for grid in grids for row in [grid] + grid)
+    if k > MAX_SIZE:
+        raise ValueError(f"matrix side {k} exceeds the limit of {MAX_SIZE}")
+
+
+def _form_int(data: Dict, key: str, kind: str, least: int = 0,
+              default=None) -> int:
+    """data[key] when it is an int proper (not a bool or float) >= least."""
+    value = data.get(key, default)
+    if type(value) is not int or value < least:
+        raise ValueError(f"malformed {kind}-form JSON: {key!r} must be an "
+                         f"integer >= {least}, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -47,10 +72,12 @@ def tuple_from_json(data: Dict) -> MatrixTuple:
     mats = data["matrices"]
     if not isinstance(mats, list) or not mats:
         raise ValueError("'matrices' must be a nonempty list")
+    grids = [_grid_rows(grid, f"matrices[{j}]") for j, grid in enumerate(mats)]
+    _check_pencil_size(len(grids), grids)
     parsed = []
-    for j, grid in enumerate(mats):
+    for j, grid in enumerate(grids):
         rows = []
-        for r, row in enumerate(_grid_rows(grid, f"matrices[{j}]")):
+        for r, row in enumerate(grid):
             cells = []
             for c, text in enumerate(row):
                 try:
@@ -104,6 +131,7 @@ def poly_matrix_from_json(data: Dict) -> PolyMatrix:
         if n == 0:
             raise ValueError("cannot infer variable count from constant "
                              "entries; provide 'n'")
+    _check_pencil_size(n, [entries])
     try:
         return PolyMatrix.parse([[str(e) for e in row] for row in entries], n)
     except ValueError as exc:
@@ -126,7 +154,7 @@ def pencil_input_from_json(data: Dict):
 def scalar_form_to_json(form: ScalarForm) -> Dict:
     terms: List[Dict] = []
     for index in sorted(form.terms):
-        coeff = form.terms[index]
+        coeff = form.coefficient(index)
         terms.append({
             "index": list(index),
             "num": str(coeff.num),
@@ -138,18 +166,17 @@ def scalar_form_to_json(form: ScalarForm) -> Dict:
 def scalar_form_from_json(data: Dict) -> ScalarForm:
     if not isinstance(data, dict) or "degree" not in data:
         raise ValueError("expected an object with 'degree' and 'terms'")
+    n = _form_int(data, "n", "scalar", 1)
+    degree = _form_int(data, "degree", "scalar")
     try:
-        n = int(data.get("n", 0))
-        if n < 1:
-            raise ValueError("scalar-form JSON needs a positive 'n'")
         terms = {}
         for item in data.get("terms", ()):
             index = tuple(int(v) for v in item["index"])
             num = MultiPoly.parse(str(item["num"]), n)
             den = MultiPoly.parse(str(item.get("den", "1")), n)
             terms[index] = RatFn(num, den)
-        return ScalarForm(n, int(data["degree"]), terms)
-    except (TypeError, KeyError, AttributeError) as exc:
+        return ScalarForm(n, degree, terms)
+    except (TypeError, KeyError, AttributeError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed scalar-form JSON: {exc!r}")
 
 
@@ -178,21 +205,20 @@ def matrix_form_to_json(form: MatrixForm) -> Dict:
 def matrix_form_from_json(data: Dict) -> MatrixForm:
     if not isinstance(data, dict) or "degree" not in data:
         raise ValueError("expected an object with 'degree' and 'terms'")
+    n = _form_int(data, "n", "matrix", 1)
+    k = _form_int(data, "k", "matrix", 1)
+    degree = _form_int(data, "degree", "matrix")
+    pow_ = _form_int(data, "den_pow", "matrix", default=0)
     try:
-        n = int(data.get("n", 0))
-        k = int(data.get("k", 0))
-        if n < 1 or k < 1:
-            raise ValueError("matrix-form JSON needs positive 'n' and 'k'")
         terms = {}
         for item in data.get("terms", ()):
             index = tuple(int(v) for v in item["index"])
             terms[index] = PolyMatrix.parse(
                 [[str(e) for e in row] for row in item["entries"]], n)
         base = MultiPoly.parse(str(data.get("den_base", "1")), n)
-        pow_ = int(data.get("den_pow", 0))
-        return MatrixForm(n, k, int(data["degree"]), terms,
+        return MatrixForm(n, k, degree, terms,
                           den_base=None if pow_ == 0 else base, den_pow=pow_)
-    except (TypeError, KeyError, AttributeError) as exc:
+    except (TypeError, KeyError, AttributeError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed matrix-form JSON: {exc!r}")
 
 

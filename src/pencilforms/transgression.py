@@ -74,16 +74,8 @@ def _kappa_of(phi: Cochain, omega: MatrixForm) -> ScalarForm:
                     val = -val
                 total = val if total is None else total + val
             totals[index] = total
-    terms: Dict[Tuple[int, ...], RatFn] = {}
-    for index in sorted(totals):
-        total = totals[index]
-        if total.is_zero:
-            continue
-        coeff = RatFn.over_power(total, omega.den_base,
-                                 a * omega.den_pow).reduce()
-        if not coeff.is_zero:
-            terms[index] = coeff
-    return ScalarForm(n, a, terms)
+    return ScalarForm._over_power(n, a, dict(sorted(totals.items())),
+                                  omega.den_base, a * omega.den_pow)._reduced()
 
 
 def _dense_kappa_nums(phi: DenseCochain, omega: MatrixForm) -> Dict:
@@ -145,17 +137,12 @@ def apply_multilinear(phi: Cochain, forms: Sequence[MatrixForm]) -> ScalarForm:
     if len(forms) != phi.arity:
         raise ValueError(f"expected {phi.arity} forms, got {len(forms)}")
     n = forms[0].n
-    base: Optional[MultiPoly] = None
-    for fm in forms:
-        if fm.n != n:
-            raise ValueError("mixed variable counts")
-        if fm.den_pow > 0:
-            if base is None:
-                base = fm.den_base
-            elif base != fm.den_base:
-                raise ValueError("matrix forms carry different denominator bases")
-    if base is None:
-        base = MultiPoly.one(n)
+    if any(fm.n != n for fm in forms):
+        raise ValueError("mixed variable counts")
+    bases = {fm.den_base for fm in forms if fm.den_pow}
+    if len(bases) > 1:
+        raise ValueError("matrix forms carry different denominator bases")
+    base = bases.pop() if bases else MultiPoly.one(n)
     total_pow = sum(fm.den_pow for fm in forms)
     degree = sum(fm.degree for fm in forms)
 
@@ -173,12 +160,7 @@ def apply_multilinear(phi: Cochain, forms: Sequence[MatrixForm]) -> ScalarForm:
             val = -val
         nums[index] = nums[index] + val if index in nums else val
 
-    terms = {}
-    for index, num in nums.items():
-        coeff = RatFn.over_power(num, base, total_pow).reduce()
-        if not coeff.is_zero:
-            terms[index] = coeff
-    return ScalarForm(n, degree, terms)
+    return ScalarForm._over_power(n, degree, nums, base, total_pow)._reduced()
 
 
 def kappa_wedge_oracle(phi: Cochain, f: PolyMatrix) -> ScalarForm:
@@ -218,8 +200,7 @@ def tau(functional, f: PolyMatrix) -> ScalarForm:
     the constant 0-form, so the unit functional maps to 1.
     """
     if isinstance(functional, (int, Fraction, Scalar)):
-        c = functional if isinstance(functional, Scalar) else Scalar(functional)
-        return ScalarForm(f.n, 0, {(): RatFn(MultiPoly.constant(f.n, c))})
+        return ScalarForm(f.n, 0, {(): functional})
     if not invariance_test(functional, k=f.k):
         raise ValueError("functional failed the conjugation-invariance test")
     return kappa(functional, f)

@@ -4,8 +4,10 @@ Each helper recomputes a library value by a second route: the adjugate
 against the double-minor identity, a trace word as the dense tensor of
 its matrix-entry products, a dense cochain's value key by key, kappa by
 its permutation expansion, the wedge, trace and exterior derivative of
-matrix forms one term pair at a time, the top-form residual by
-subtraction, and cyclotomic arithmetic on dense coefficient vectors.
+matrix forms one term pair at a time, the sum, wedge and exterior
+derivative of scalar forms one RatFn coefficient at a time (d by the
+quotient rule), the top-form residual by subtraction, and cyclotomic
+arithmetic on dense coefficient vectors.
 """
 
 from itertools import combinations, permutations, product
@@ -141,7 +143,7 @@ def _pairwise_sums(left: dict, right: dict, product) -> dict:
 
 def matrix_wedge_reference(x: MatrixForm, y: MatrixForm) -> MatrixForm:
     """x ^ y with one PolyMatrix product per term pair."""
-    base = x._join_base(y)
+    base = x.den_base if x.den_pow else y.den_base
     out = _pairwise_sums(x.terms, y.terms, lambda a, b: a * b)
     return MatrixForm(x.n, x.k, x.degree + y.degree, out, base,
                       x.den_pow + y.den_pow)._reduced()
@@ -149,7 +151,7 @@ def matrix_wedge_reference(x: MatrixForm, y: MatrixForm) -> MatrixForm:
 
 def matrix_trace_reference(x: MatrixForm, y: MatrixForm) -> ScalarForm:
     """tr(x ^ y) with one PolyMatrix trace per term pair."""
-    base = x._join_base(y)
+    base = x.den_base if x.den_pow else y.den_base
     nums = _pairwise_sums(x.terms, y.terms, PolyMatrix.trace)
     pow_ = x.den_pow + y.den_pow
     return ScalarForm(x.n, x.degree + y.degree, {
@@ -177,6 +179,49 @@ def matrix_d_reference(x: MatrixForm) -> MatrixForm:
                 if new_index in out else num
     return MatrixForm(x.n, x.k, x.degree + 1, out, base,
                       pow_ + 1 if pow_ else 0)._reduced()
+
+
+def ratfn_partial(r: RatFn, var: int) -> RatFn:
+    """Quotient-rule derivative of r in z_var; the tracked power rises by
+    one."""
+    if r.den_pow == 0:
+        return RatFn(r.num.partial(var))
+    num = (r.num.partial(var) * r.den_base
+           - r.num * r.den_base.partial(var) * r.den_pow)
+    return RatFn.over_power(num, r.den_base, r.den_pow + 1).reduce()
+
+
+def scalar_coefficients(form: ScalarForm) -> dict:
+    """index -> RatFn coefficient of a scalar form."""
+    return {index: form.coefficient(index) for index in form.terms}
+
+
+def scalar_add_reference(x: dict, y: dict) -> dict:
+    """The sum of two coefficient dicts, one RatFn sum per index."""
+    out = dict(x)
+    for index, coeff in y.items():
+        out[index] = out[index] + coeff if index in out else coeff
+    return out
+
+
+def scalar_wedge_reference(x: dict, y: dict) -> dict:
+    """x ^ y for coefficient dicts, one RatFn product per term pair."""
+    return _pairwise_sums(x, y, lambda a, b: a * b)
+
+
+def scalar_d_reference(x: dict, n: int) -> dict:
+    """d x for a coefficient dict, each coefficient by the quotient rule."""
+    out = {}
+    for index, coeff in x.items():
+        for v in range(1, n + 1):
+            placed = sort_index((v,) + index)
+            if placed is None:
+                continue
+            new_index, sign = placed
+            contrib = ratfn_partial(coeff, v) * sign
+            out[new_index] = out[new_index] + contrib \
+                if new_index in out else contrib
+    return out
 
 
 def top_form_residual_reference(big_t: ScalarForm) -> ScalarForm:

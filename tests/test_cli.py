@@ -139,6 +139,25 @@ def test_verify_json_out_file(tmp_path):
     assert data["passed"] is True and data["suite"] == "flatness"
 
 
+def test_pencil_inputs_past_the_size_limits_exit_2(tmp_path, capsys):
+    side = serialize.MAX_SIZE + 1
+    cases = {
+        # 60 bytes that cost 3 s and 249 MB before the limit
+        "n-declared": '{"n": 3000000, "entries": [["z1","z2"],["z3","z4"]]}',
+        "n-inferred": '{"entries": [["z9", "0"], ["0", "z1"]]}',
+        "k": json.dumps({"matrices": [[[str(int(r == c)) for c in range(side)]
+                                       for r in range(side)]] * 2}),
+    }
+    for name, text in cases.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        for argv in (("spectrum",), ("form", "--kind", "mc")):
+            assert cli_main([*argv, "--input", str(path)]) == 2, name
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert "exceed" in err, err
+
+
 def test_env_seed_default():
     with_env = run_cli("verify", "--suite", "hyperplane",
                        env={"PENCILFORMS_SEED": "9"})

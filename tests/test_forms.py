@@ -18,7 +18,10 @@ from pencilforms.ring import MultiPoly, RatFn
 from pencilforms.sampling import random_matrix_tuple, rng_for
 from conftest import count_poly_mul
 from oracles import (matrix_d_reference, matrix_trace_reference,
-                     matrix_wedge_reference)
+                     matrix_wedge_reference, scalar_add_reference,
+                     scalar_coefficients, scalar_d_reference,
+                     scalar_wedge_reference)
+from pencilforms import serialize
 from test_linalg import rand_gauss_tuple, rand_tuple
 from test_ring import gaussians, rand_poly
 
@@ -122,8 +125,7 @@ def test_scalar_d_matches_finite_differences():
     h = 1e-6
 
     def coeff_at(index, pt):
-        c = a.terms.get(index)
-        return c.evaluate(pt) if c is not None else 0.0
+        return a.coefficient(index).evaluate(pt)
 
     for index in ((1, 2), (1, 3), (2, 3)):
         expect = 0.0
@@ -135,8 +137,7 @@ def test_scalar_d_matches_finite_differences():
             up[v - 1] += h
             dn[v - 1] -= h
             expect += sign * (coeff_at(rest, up) - coeff_at(rest, dn)) / (2 * h)
-        got = da.terms.get(index)
-        got = got.evaluate(point) if got is not None else 0.0
+        got = da.coefficient(index).evaluate(point)
         assert abs(got - expect) < 1e-6
 
 
@@ -249,6 +250,11 @@ def test_matrix_forms_with_different_bases_refuse_to_mix():
         w1.wedge(w2)
     with pytest.raises(ValueError):
         w1 + w2
+    # comparing them still works, over the product of the denominators
+    assert w1 != w2
+    assert w1 == MatrixForm(3, 2, 1, {i: m * w2.den_base
+                                      for i, m in w1.terms.items()},
+                            w1.den_base * w2.den_base, 1)
 
 
 def test_matrix_form_reduction_strips_shared_base_factor():
@@ -378,17 +384,18 @@ def test_fused_matrix_form_ops_match_pairwise_references(pair):
     got, want = x.trace(y), matrix_trace_reference(x, y)
     assert (got.n, got.degree) == (want.n, want.degree)
     assert list(got.terms) == list(want.terms)
-    for index, coeff in want.terms.items():
-        assert str(got.terms[index]) == str(coeff)
+    for index in want.terms:
+        assert str(got.coefficient(index)) == str(want.coefficient(index))
 
 
 # Kernel work of the flatness check d omega + omega ^ omega on an n = 4,
 # k = 3 pencil, recorded when each coefficient of the wedge and of d became
 # one `MultiPoly.dot` per entry (kernel calls before: 432, one per entry of
-# every term pair). A pairwise wedge or d coming back exceeds the call
-# budget.
-FLATNESS_FORM_BUDGET = 648
-FLATNESS_FORM_CALL_BUDGET = 216
+# every term pair), and tightened from 648 products in 216 calls when the
+# sum stopped multiplying the numerators already at the higher power by
+# one. A pairwise wedge or d coming back exceeds the call budget.
+FLATNESS_FORM_BUDGET = 540
+FLATNESS_FORM_CALL_BUDGET = 108
 
 
 def test_flatness_form_kernel_budget(monkeypatch):
@@ -398,3 +405,93 @@ def test_flatness_form_kernel_budget(monkeypatch):
     assert (omega.exterior_derivative() + omega.wedge(omega)).is_zero
     assert 0 < calls[0] <= FLATNESS_FORM_BUDGET
     assert 0 < calls[1] <= FLATNESS_FORM_CALL_BUDGET
+
+
+# -- scalar forms: one algebra, checked against RatFn coefficient references --
+
+
+def test_scalar_form_has_no_algebra_of_its_own():
+    assert ScalarForm.wedge is MatrixForm.wedge
+    assert ScalarForm.exterior_derivative is MatrixForm.exterior_derivative
+    for name in ("__add__", "__neg__", "__mul__", "__eq__", "_reduced"):
+        assert name not in ScalarForm.__dict__, name
+
+
+# two unlike bases and a constant one
+_SCALAR_BASES = ("z1+2*z2-1", "z2^2-z1+3", "2")
+
+
+@st.composite
+def scalar_form_pairs(draw):
+    """(x, y, r): scalar forms in n = 2..4 variables of degree 0..2, with
+    integer or Gaussian-rational numerators on a drawn set of indices, and
+    a RatFn r. Each form draws a base from _SCALAR_BASES; it is built
+    either from RatFn coefficients over drawn powers 0..2 of that base, or
+    from numerators straight over one drawn power of it, which keeps a
+    constant base."""
+    n = draw(st.integers(2, 4))
+    coeffs = draw(st.sampled_from((st.integers(-3, 3), gaussians)))
+    monomials = st.tuples(*[st.integers(0, 1)] * n)
+
+    def poly():
+        return MultiPoly.from_terms(n, draw(st.dictionaries(
+            monomials, coeffs, max_size=2)))
+
+    def base():
+        return MultiPoly.parse(draw(st.sampled_from(_SCALAR_BASES)), n)
+
+    def form():
+        degree = draw(st.integers(0, 2))
+        indices = draw(st.lists(st.sampled_from(
+            list(combinations(range(1, n + 1), degree))), min_size=1,
+            max_size=4, unique=True))
+        b = base()
+        if draw(st.booleans()):
+            return ScalarForm._over_power(
+                n, degree, {index: poly() for index in indices}, b,
+                draw(st.integers(0, 2)))
+        return ScalarForm(n, degree, {
+            index: RatFn.over_power(poly(), b, draw(st.integers(0, 2)))
+            for index in indices})
+
+    r_base = base()
+    r = RatFn.over_power(poly(), r_base, draw(st.integers(0, 1)))
+    return form(), form(), r
+
+
+_B, _C = (MultiPoly.parse(text, 3) for text in _SCALAR_BASES[:2])
+_Z = [MultiPoly.variable(3, v) for v in (1, 2, 3)]
+# denominators 1, B and B^2 in one form, against a form over another base
+_POWERS = ScalarForm(3, 1, {(1,): _Z[0], (2,): RatFn(_Z[1], _B),
+                            (3,): RatFn.over_power(_Z[2], _B, 2)})
+_UNLIKE = ScalarForm(3, 1, {(1,): RatFn(_Z[1], _C), (3,): RatFn(_Z[0], _C)})
+
+
+def _assert_coefficients(form, want: dict):
+    for index in form.terms.keys() | want.keys():
+        assert form.coefficient(index) == want.get(index, 0), index
+
+
+@settings(max_examples=150, deadline=None)
+@given(scalar_form_pairs())
+@example((_POWERS, _UNLIKE, RatFn(_Z[2], _C)))
+@example((_UNLIKE, _POWERS, RatFn(_Z[0], _B)))
+def test_scalar_form_ops_match_ratfn_references(triple):
+    x, y, r = triple
+    cx, cy = scalar_coefficients(x), scalar_coefficients(y)
+    _assert_coefficients(x.wedge(y), scalar_wedge_reference(cx, cy))
+    _assert_coefficients(x.exterior_derivative(), scalar_d_reference(cx, x.n))
+    _assert_coefficients(x * r, {i: c * r for i, c in cx.items()})
+    if x.degree == y.degree:
+        _assert_coefficients(x + y, scalar_add_reference(cx, cy))
+        _assert_coefficients(x - y, scalar_add_reference(
+            cx, {i: -c for i, c in cy.items()}))
+        assert (x == y) == all(
+            cx.get(i, 0) == cy.get(i, 0) for i in cx.keys() | cy.keys())
+    assert x == ScalarForm(x.n, x.degree, cx)
+    # the JSON denominators are 1, base and base^2 as printed polynomials;
+    # reading them back finds the base again, so the bytes round-trip
+    data = serialize.scalar_form_to_json(x)
+    back = serialize.scalar_form_from_json(data)
+    assert back == x
+    assert serialize.scalar_form_to_json(back) == data

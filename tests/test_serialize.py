@@ -10,6 +10,7 @@ from pencilforms.forms import maurer_cartan
 from pencilforms.jacobi import trace_power_form
 from pencilforms.linalg import MatrixTuple, PolyMatrix
 from pencilforms.ring import Scalar
+from pencilforms.serialize import MAX_SIZE, MAX_VARIABLES
 from pencilforms.sampling import (random_matrix_tuple, random_poly_matrix,
                                   rng_for)
 from pencilforms.torus import MAX_ORDER, TorusConfig
@@ -58,6 +59,51 @@ def test_poly_matrix_round_trip_and_inference():
 
     with pytest.raises(ValueError, match="n"):
         serialize.poly_matrix_from_json({"entries": [["1", "2"], ["3", "4"]]})
+
+
+def _unit_tuple(n, k):
+    """n matrices of side k: the identity, then zeros."""
+    return {"matrices": [[["1" if r == c and j == 0 else "0"
+                           for c in range(k)] for r in range(k)]
+                         for j in range(n)]}
+
+
+def _diagonal_entries(n, k):
+    """A side-k polynomial matrix in n declared variables, z1 to zn down
+    its diagonal."""
+    return {"n": n, "entries": [[f"z{min(r, n - 1) + 1}" if r == c else "0"
+                                 for c in range(k)] for r in range(k)]}
+
+
+@pytest.mark.parametrize("n, k", [(MAX_VARIABLES, 2), (2, MAX_SIZE),
+                                  (MAX_VARIABLES, MAX_SIZE)])
+def test_pencil_inputs_at_the_size_limits_parse(n, k):
+    t = serialize.tuple_from_json(_unit_tuple(n, k))
+    assert (t.n, t.k) == (n, k)
+    f = serialize.poly_matrix_from_json(_diagonal_entries(n, k))
+    assert (f.n, f.k) == (n, k)
+
+
+@pytest.mark.parametrize("data, message", [
+    (_unit_tuple(MAX_VARIABLES + 1, 2), "variables exceed"),
+    (_unit_tuple(2, MAX_SIZE + 1), "side 7 exceeds"),
+    ({"matrices": [[["1"] * (MAX_SIZE + 1)]]}, "side 7 exceeds"),
+    (_diagonal_entries(MAX_VARIABLES + 1, 2), "variables exceed"),
+    ({"n": 3000000, "entries": [["z1", "z2"], ["z3", "z4"]]},
+     "3000000 variables exceed"),
+    ({"entries": [[f"z{MAX_VARIABLES + 1}"]]}, "variables exceed"),
+    (_diagonal_entries(2, MAX_SIZE + 1), "side 7 exceeds"),
+], ids=["tuple-n", "tuple-k", "tuple-row", "poly-n", "poly-n-huge",
+        "poly-n-inferred", "poly-k"])
+def test_pencil_inputs_past_the_size_limits_are_refused_unparsed(
+        monkeypatch, data, message):
+    def refuse(*args):
+        raise AssertionError("parsed an entry of an oversized input")
+
+    monkeypatch.setattr(Scalar, "parse", refuse)
+    monkeypatch.setattr(PolyMatrix, "parse", refuse)
+    with pytest.raises(ValueError, match=message):
+        serialize.pencil_input_from_json(data)
 
 
 def test_pencil_input_dispatch():
@@ -169,13 +215,45 @@ def test_torus_config_accepts_the_largest_order():
         {"mode": "numeric", "theta": 1}) == TorusConfig.numeric(1.0)
 
 
+_ONE_TERM = [{"index": [1], "num": "1"}]
+_ONE_MATRIX_TERM = [{"index": [1], "entries": [["1"]]}]
+
+
 @pytest.mark.parametrize("reader, data", [
     (serialize.scalar_form_from_json, {"degree": 1, "n": None}),
     (serialize.matrix_form_from_json, {"degree": 1, "n": 2, "k": None}),
     (serialize.scalar_form_from_json, {"degree": 1, "n": 2, "terms": [5]}),
     (serialize.matrix_form_from_json,
      {"degree": 1, "n": 2, "k": 2, "terms": [5]}),
-], ids=["scalar-n-null", "matrix-k-null", "scalar-term-5", "matrix-term-5"])
+    (serialize.scalar_form_from_json,
+     {"degree": 1, "n": 2, "terms": [{"index": [1], "num": "1",
+                                      "den": "0"}]}),
+    (serialize.matrix_form_from_json,
+     {"degree": 1, "n": 2, "k": 1, "den_base": "0", "den_pow": 1,
+      "terms": _ONE_MATRIX_TERM}),
+    (serialize.scalar_form_from_json,
+     {"degree": True, "n": 2.9, "terms": _ONE_TERM}),
+    (serialize.scalar_form_from_json,
+     {"degree": True, "n": 2, "terms": _ONE_TERM}),
+    (serialize.scalar_form_from_json,
+     {"degree": 1, "n": 2.0, "terms": _ONE_TERM}),
+    (serialize.matrix_form_from_json,
+     {"degree": 1.0, "n": 2, "k": 1, "terms": _ONE_MATRIX_TERM}),
+    (serialize.matrix_form_from_json,
+     {"degree": 1, "n": True, "k": 1, "terms": _ONE_MATRIX_TERM}),
+    (serialize.matrix_form_from_json,
+     {"degree": 1, "n": 2, "k": 1.5, "terms": _ONE_MATRIX_TERM}),
+    (serialize.matrix_form_from_json,
+     {"degree": 1, "n": 2, "k": 1, "den_base": "z1", "den_pow": True,
+      "terms": _ONE_MATRIX_TERM}),
+    (serialize.matrix_form_from_json,
+     {"degree": 1, "n": 2, "k": 1, "den_base": "z1", "den_pow": 1.0,
+      "terms": _ONE_MATRIX_TERM}),
+], ids=["scalar-n-null", "matrix-k-null", "scalar-term-5", "matrix-term-5",
+        "scalar-den-0", "matrix-den-base-0", "scalar-degree-true-n-float",
+        "scalar-degree-true", "scalar-n-float", "matrix-degree-float",
+        "matrix-n-true", "matrix-k-float", "matrix-den-pow-true",
+        "matrix-den-pow-float"])
 def test_form_readers_reject_malformed_shapes_with_value_error(reader, data):
     with pytest.raises(ValueError, match="malformed (scalar|matrix)-form"):
         reader(data)

@@ -8,16 +8,22 @@ Every function returns fresh objects and never mutates its arguments.
 Gaussian integers (both denominators 1) take a fast path in `qadd` and
 `qmul` that skips the gcd reductions. `poly_dot` returns a sum of
 polynomial products from one accumulator on packed exponents, the exponent
-and coefficient specialisation of Monagan & Pearce (CASC 2007): it clears
-the denominators of every operand to one common denominator, adds plain
-ints when no operand has an imaginary part (the real-integer lane) and
-``(re, im)`` int pairs otherwise, and reduces each result coefficient
-once. `poly_mul` multiplies coefficient by coefficient up to
-`_DIRECT_MAX_PAIRS` term pairs and is a one-pair `poly_dot` above that.
+and coefficient specialisation of Monagan & Pearce (CASC 2007): it brings
+every operand's numerators to one common denominator, adds plain ints when
+no operand has an imaginary part (the real-integer lane) and ``(re, im)``
+int pairs otherwise, and reduces each result coefficient once. Its
+operands come packed by `poly_pack`: the largest exponent, the
+denominator, the exponents packed 8 bits per variable and the numerators,
+computed once per polynomial. `ring.MultiPoly` keeps each polynomial's
+packed operand for its lifetime, which holds because a term dict is never
+changed after construction. `poly_mul` multiplies coefficient by
+coefficient; `ring.MultiPoly` uses it for small products and a one-pair
+`poly_dot` for the rest.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import gcd, lcm
 from operator import add, itemgetter
 
@@ -143,18 +149,14 @@ def _unpack(keys, n, width):
     return (tuple(k >> (width * i) & mask for i in range(n)) for k in keys)
 
 
-# Below this many term pairs, setting up a packed product costs more than it
-# saves, and `poly_mul` multiplies coefficient by coefficient.
-_DIRECT_MAX_PAIRS = 32
-
 _IMAG_NUM = itemgetter(2)
 
 
 def poly_mul(p, q):
+    """p*q coefficient by coefficient, the shorter operand outside; for
+    small products, where setting up a packed one costs more than it saves."""
     if len(p) > len(q):
         p, q = q, p
-    if len(p) * len(q) > _DIRECT_MAX_PAIRS:
-        return poly_dot(((p, q),))
     out = {}
     for e1, c1 in p.items():
         for e2, c2 in q.items():
@@ -172,47 +174,75 @@ def poly_mul(p, q):
     return out
 
 
+def poly_pack(p):
+    """The packed operand of p for `poly_dot`, a tuple
+    ``(p, top, den, keys, re, im)``: p itself, its largest exponent, the
+    lcm of its denominators, its exponents packed 8 bits per variable
+    (None when top does not fit), and the numerators of its real and
+    imaginary parts over den (im is None when p is real). At den 1 the
+    numerator lists hold p's own coefficient ints. The operand reads p's
+    dict, so p must not change while the operand is in use.
+    """
+    values = p.values()
+    den = _denominator(p)
+    imag = any(map(_IMAG_NUM, values))
+    if den == 1:
+        re = [c[0] for c in values]
+        im = [c[2] for c in values] if imag else None
+    else:
+        re = [a * (den // ad) for a, ad, _, _ in values]
+        im = [b * (den // bd) for _, _, b, bd in values] if imag else None
+    top = max(map(max, p), default=0)
+    return (p, top, den, _pack(p, 8) if top < 256 else None, re, im)
+
+
 def poly_dot(pairs):
-    """The sum of p*q over the (p, q) pairs, in one packed pass.
+    """The sum of p*q over the (p, q) pairs of packed operands
+    (`poly_pack`), in one packed pass.
 
     The term pairs of all products feed one accumulator keyed by packed
     exponents: ints wide enough for the largest exponent sum, so adding
-    monomials is one int add. Each product's operands are scaled to
-    integers, and to one common denominator for the whole sum, which
-    divides each result coefficient once at the end. When no operand has
-    an imaginary part the accumulator holds plain ints, else ``(re, im)``
-    int pairs. A sum that cancels leaves the dict at once, so a later term
-    at that exponent is inserted at the end: the result has the term order
-    of running `poly_mul`'s coefficient-by-coefficient loop over every
-    pair in turn, the shorter operand of each pair outside.
+    monomials is one int add. The operands' keys are used as they are at
+    8 bits per variable; wider sums pack the exponents again here. Each
+    product's numerators are scaled to one common denominator for the
+    whole sum, which divides each result coefficient once at the end.
+    When no operand has an imaginary part the accumulator holds plain
+    ints, else ``(re, im)`` int pairs. A sum that cancels leaves the dict
+    at once, so a later term at that exponent is inserted at the end: the
+    result has the term order of running `poly_mul`'s
+    coefficient-by-coefficient loop over every pair in turn, the shorter
+    operand of each pair outside.
     """
     work = []
     top = 0
     real = True
     for p, q in pairs:
-        if not p or not q:
+        if not p[0] or not q[0]:
             continue
-        if len(p) > len(q):
+        if len(p[0]) > len(q[0]):
             p, q = q, p
-        top = max(top, max(map(max, p)) + max(map(max, q)))
-        if real and (any(map(_IMAG_NUM, p.values()))
-                     or any(map(_IMAG_NUM, q.values()))):
+        top = max(top, p[1] + q[1])
+        if real and (p[5] is not None or q[5] is not None):
             real = False
-        work.append((p, q, _denominator(p), _denominator(q)))
+        work.append((p, q))
     if not work:
         return {}
-    den = lcm(*[dp * dq for _, _, dp, dq in work])
+    den = lcm(*[p[2] * q[2] for p, q in work])
     width = max(8, top.bit_length())
     acc = {}
     get = acc.get
-    for p, q, dp, dq in work:
-        # p's coefficients carry the factor den / (dp * dq) as well
-        sp = den // dq
+    for (p, _, dp, keys_p, re_p, im_p), (q, _, dq, keys_q, re_q, im_q) in work:
+        if width > 8:
+            keys_p, keys_q = _pack(p, width), _pack(q, width)
+        # p's numerators carry the factor den / (dp * dq) as well
+        f = den // (dp * dq)
+        if f != 1:
+            re_p = [a * f for a in re_p]
+            if im_p is not None:
+                im_p = [b * f for b in im_p]
         if real:
-            qs = list(zip(_pack(q, width),
-                          [c * (dq // cd) for c, cd, _, _ in q.values()]))
-            for k1, (a, ad, _, _) in zip(_pack(p, width), p.values()):
-                a *= sp // ad
+            qs = list(zip(keys_q, re_q))
+            for k1, a in zip(keys_p, re_p):
                 for k2, c in qs:
                     k = k1 + k2
                     v = get(k, 0) + a * c
@@ -221,11 +251,8 @@ def poly_dot(pairs):
                     else:
                         del acc[k]
             continue
-        qs = [(k, c * (dq // cd), d * (dq // dd))
-              for k, (c, cd, d, dd) in zip(_pack(q, width), q.values())]
-        for k1, (a, ad, b, bd) in zip(_pack(p, width), p.values()):
-            a *= sp // ad
-            b *= sp // bd
+        qs = list(zip(keys_q, re_q, repeat(0) if im_q is None else im_q))
+        for k1, a, b in zip(keys_p, re_p, repeat(0) if im_p is None else im_p):
             for k2, c, d in qs:
                 k = k1 + k2
                 old = get(k)
@@ -238,7 +265,7 @@ def poly_dot(pairs):
                         acc[k] = (re, im)
                     else:
                         del acc[k]
-    exps = _unpack(acc, len(next(iter(work[0][0]))), width)
+    exps = _unpack(acc, len(next(iter(work[0][0][0]))), width)
     if real:
         if den == 1:
             return {e: (re, 1, 0, 1) for e, re in zip(exps, acc.values())}

@@ -38,7 +38,6 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Dict, Optional, Tuple
 
-from pencilforms.cochains import TraceWord
 from pencilforms.forms import MatrixForm, ScalarForm, maurer_cartan, sort_index
 from pencilforms.linalg import MatrixTuple, PolyMatrix, grid_det
 from pencilforms.ring import MultiPoly, RatFn, Scalar
@@ -71,21 +70,36 @@ def anchored_trace_power(f: PolyMatrix, m: int) -> ScalarForm:
 
 
 def _anchored_trace_power(omega: MatrixForm, m: int) -> ScalarForm:
-    """The anchored trace-word sum of an already built omega."""
+    """The anchored trace-word sum of an already built omega.
+
+    The words walk a prefix tree: each prefix product B_a B_b .. of
+    omega's dz coefficients is formed once, and index sets that share a
+    prefix share its product. The signed words of one index set are one
+    `PolyMatrix.trace_dot`, each sign folded into the word's last factor.
+    """
     n = omega.n
-    word = TraceWord(m)
     nums = {v: omega.coefficient_num((v,)) for v in range(1, n + 1)}
-    totals = {}
-    for index in combinations(range(1, n + 1), m):
-        anchor, rest = index[0], index[1:]
-        total = None
-        for pi in permutations(rest):
-            seq = (anchor,) + pi
-            val = word.evaluate([nums[v] for v in seq])
-            if sort_index(seq)[1] < 0:
-                val = -val
-            total = val if total is None else total + val
-        totals[index] = total * m
+    if m == 1:
+        totals = {(v,): mat.trace() for v, mat in nums.items()}
+    else:
+        signed = {(v, sign): mat if sign > 0 else -mat
+                  for v, mat in nums.items() for sign in (1, -1)}
+        prefixes = {(v,): mat for v, mat in nums.items()}
+
+        def prefix(seq):
+            mat = prefixes.get(seq)
+            if mat is None:
+                mat = prefixes[seq] = prefix(seq[:-1]) * nums[seq[-1]]
+            return mat
+
+        totals = {}
+        for index in combinations(range(1, n + 1), m):
+            pairs = []
+            for pi in permutations(index[1:]):
+                seq = index[:1] + pi
+                pairs.append((prefix(seq[:-1]),
+                              signed[seq[-1], sort_index(seq)[1]]))
+            totals[index] = PolyMatrix.trace_dot(n, pairs) * m
     return ScalarForm._over_power(n, m, totals, omega.den_base,
                                   m * omega.den_pow)._reduced()
 

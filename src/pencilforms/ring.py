@@ -33,6 +33,7 @@ from pencilforms._core import (
     poly_mul,
     poly_mul_term,
     poly_neg,
+    poly_pack,
     poly_scale,
     poly_sub,
     qadd,
@@ -430,14 +431,25 @@ def _cyclic_product(x: tuple, y: tuple, q: int) -> tuple:
     return tuple(sorted((k, v) for k, v in out.items() if v != Q_ZERO))
 
 
+# Above this many term pairs a product of two polynomials is a one-pair
+# `poly_dot` sum; below it, setting up a packed product costs more than it
+# saves, and `poly_mul` multiplies coefficient by coefficient.
+_DIRECT_MAX_PAIRS = 32
+
+
 class MultiPoly:
     """A polynomial in z1..zn with Gaussian-rational coefficients.
 
     Internally a dict from exponent tuples to kernel 4-tuples; zero
     coefficients are never stored, so the zero polynomial has no terms.
+    The dict is never changed after construction, by this class or by
+    whoever built it, so values computed from it are kept for the
+    polynomial's lifetime: the hash, and the packed operand of kernel
+    products (`_core.poly_pack`), built the first time the polynomial
+    enters a `poly_dot` sum and reused by every later one.
     """
 
-    __slots__ = ("n", "_terms", "_hash")
+    __slots__ = ("n", "_terms", "_hash", "_packed")
 
     def __init__(self, n: int, terms: Optional[dict] = None):
         if n < 1:
@@ -445,6 +457,7 @@ class MultiPoly:
         self.n = n
         self._terms = terms if terms is not None else {}
         self._hash = None
+        self._packed = None
 
     # -- constructors ------------------------------------------------------
 
@@ -558,6 +571,9 @@ class MultiPoly:
     def __mul__(self, other):
         if isinstance(other, MultiPoly):
             self._check(other)
+            if len(self._terms) * len(other._terms) > _DIRECT_MAX_PAIRS:
+                return MultiPoly(self.n, poly_dot(((self.packed(),
+                                                    other.packed()),)))
             return MultiPoly(self.n, poly_mul(self._terms, other._terms))
         if isinstance(other, (Scalar, int, Fraction)):
             return MultiPoly(self.n, poly_scale(self._terms, _as_q4(other)))
@@ -565,16 +581,23 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
+    def packed(self) -> tuple:
+        """The packed operand of this polynomial for `_core.poly_dot`,
+        built on the first call and kept."""
+        if self._packed is None:
+            self._packed = poly_pack(self._terms)
+        return self._packed
+
     @classmethod
     def dot(cls, n: int, pairs) -> "MultiPoly":
         """The sum of x*y over the (x, y) pairs of polynomials in n
         variables, taken in one kernel pass (`_core.poly_dot`)."""
-        terms = []
+        operands = []
         for x, y in pairs:
             if x.n != n or y.n != n:
                 raise ValueError(f"mixed variable counts: {x.n}, {y.n} vs {n}")
-            terms.append((x._terms, y._terms))
-        return cls(n, poly_dot(terms))
+            operands.append((x.packed(), y.packed()))
+        return cls(n, poly_dot(operands))
 
     def __pow__(self, m: int) -> "MultiPoly":
         if m < 0:

@@ -46,6 +46,16 @@ def _form_int(data: Dict, key: str, kind: str, least: int = 0,
     return value
 
 
+def _form_index(item: Dict, n: int, kind: str) -> tuple:
+    """item["index"] when each entry is an int proper (not a bool or
+    float) in 1..n."""
+    index = tuple(item["index"])
+    if any(type(v) is not int or not 1 <= v <= n for v in index):
+        raise ValueError(f"malformed {kind}-form JSON: index entries must be "
+                         f"integers in 1..{n}, got {item['index']!r}")
+    return index
+
+
 # ---------------------------------------------------------------------------
 # matrix tuples: {"n": int, "k": int, "matrices": [[[scalar-string]]]}
 
@@ -171,7 +181,7 @@ def scalar_form_from_json(data: Dict) -> ScalarForm:
     try:
         terms = {}
         for item in data.get("terms", ()):
-            index = tuple(int(v) for v in item["index"])
+            index = _form_index(item, n, "scalar")
             num = MultiPoly.parse(str(item["num"]), n)
             den = MultiPoly.parse(str(item.get("den", "1")), n)
             terms[index] = RatFn(num, den)
@@ -212,7 +222,7 @@ def matrix_form_from_json(data: Dict) -> MatrixForm:
     try:
         terms = {}
         for item in data.get("terms", ()):
-            index = tuple(int(v) for v in item["index"])
+            index = _form_index(item, n, "matrix")
             terms[index] = PolyMatrix.parse(
                 [[str(e) for e in row] for row in item["entries"]], n)
         base = MultiPoly.parse(str(data.get("den_base", "1")), n)
@@ -242,20 +252,22 @@ def dense_cochain_from_json(data: Dict):
 
     if not isinstance(data, dict) or "arity" not in data or "k" not in data:
         raise ValueError("expected an object with 'arity', 'k', and 'terms'")
-    try:
-        arity = int(data["arity"])
-        k = int(data["k"])
-    except (TypeError, ValueError):
-        raise ValueError("'arity' and 'k' must be integers")
+    arity, k = data["arity"], data["k"]
+    if type(arity) is not int or type(k) is not int or arity < 1 or k < 1:
+        raise ValueError(f"'arity' and 'k' must be integers >= 1, got "
+                         f"{arity!r} and {k!r}")
     items = data.get("terms", [])
     if not isinstance(items, list):
         raise ValueError("'terms' must be a list")
     tensor = {}
     for pos, item in enumerate(items):
         try:
-            key = tuple((int(i), int(j)) for i, j in item["pairs"])
+            key = tuple((i, j) for i, j in item["pairs"])
         except (TypeError, ValueError, KeyError):
             raise ValueError(f"terms[{pos}].pairs: expected [[i, j], ...]")
+        if any(type(v) is not int for pair in key for v in pair):
+            raise ValueError(f"terms[{pos}].pairs: entries must be integers, "
+                             f"got {item['pairs']!r}")
         try:
             coeff = Scalar.parse(str(item.get("coeff", "1")))
         except ValueError as exc:

@@ -3,7 +3,8 @@
 Each helper recomputes a library value by a second route: the adjugate
 against the double-minor identity, a trace word as the dense tensor of
 its matrix-entry products, a dense cochain's value key by key, kappa by
-its permutation expansion, the wedge, trace and exterior derivative of
+its permutation expansion, the anchored trace sum one trace word per
+permutation, the wedge, trace and exterior derivative of
 matrix forms one term pair at a time, the sum, wedge and exterior
 derivative of scalar forms one RatFn coefficient at a time (d by the
 quotient rule), the top-form residual by subtraction, and cyclotomic
@@ -14,7 +15,7 @@ from itertools import combinations, permutations, product
 from typing import Sequence
 
 from pencilforms._core import Q_ZERO, qadd, qmul
-from pencilforms.cochains import DenseCochain
+from pencilforms.cochains import DenseCochain, TraceWord
 from pencilforms.forms import MatrixForm, ScalarForm, sort_index
 from pencilforms.jacobi import s_form
 from pencilforms.linalg import PolyMatrix, grid_adjugate, grid_det, grid_minor
@@ -122,6 +123,27 @@ def kappa_permutation_reference(phi, omega: MatrixForm) -> ScalarForm:
         if not coeff.is_zero:
             terms[index] = coeff
     return ScalarForm(n, a, terms)
+
+
+def anchored_trace_power_reference(omega: MatrixForm, m: int) -> ScalarForm:
+    """The anchored trace-word sum of omega, one `TraceWord` evaluation per
+    permutation of each index set's non-anchor slots."""
+    n = omega.n
+    word = TraceWord(m)
+    nums = {v: omega.coefficient_num((v,)) for v in range(1, n + 1)}
+    totals = {}
+    for index in combinations(range(1, n + 1), m):
+        anchor, rest = index[0], index[1:]
+        total = None
+        for pi in permutations(rest):
+            seq = (anchor,) + pi
+            val = word.evaluate([nums[v] for v in seq])
+            if sort_index(seq)[1] < 0:
+                val = -val
+            total = val if total is None else total + val
+        totals[index] = total * m
+    return ScalarForm._over_power(n, m, totals, omega.den_base,
+                                  m * omega.den_pow)._reduced()
 
 
 def _pairwise_sums(left: dict, right: dict, product) -> dict:

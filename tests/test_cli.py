@@ -209,6 +209,10 @@ def test_parse_error_exit_codes(tmp_path, units_file):
                           '[{"pairs": [[0, 0]], "coeff": "1/0"}]}',
         "scalar-terms": '{"arity": 1, "k": 2, "terms": 5}',
         "null-arity": '{"arity": null, "k": 2, "terms": []}',
+        # integers only: int() read these as arity 1 and the pair (0, 1)
+        "float-arity": '{"arity": 1.7, "k": 2, "terms": []}',
+        "float-pair": '{"arity": 1, "k": 2, "terms": '
+                      '[{"pairs": [[0.5, 1.2]], "coeff": "1"}]}',
     }
     for name, text in bad_cochains.items():
         (tmp_path / f"{name}.json").write_text(text)

@@ -1,11 +1,15 @@
 """Trace powers, the q*s factorization, and the cubic constant."""
 
+import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pencilforms.forms import ScalarForm, maurer_cartan
 from pencilforms.jacobi import (
+    _anchored_trace_power,
     _factor_top_form,
     anchored_trace_power,
     calibrated_sign,
@@ -20,7 +24,8 @@ from pencilforms.ring import MultiPoly, RatFn, Scalar
 from pencilforms.sampling import random_matrix_tuple, rng_for
 from pencilforms.transgression import kappa_wedge_oracle
 from conftest import count_poly_mul
-from oracles import top_form_residual_reference, trace_word_dense
+from oracles import (anchored_trace_power_reference,
+                     top_form_residual_reference, trace_word_dense)
 from test_linalg import rand_gauss_tuple
 
 
@@ -88,6 +93,27 @@ def test_anchored_expansion_guards():
         anchored_trace_power(f, 5)
     with pytest.raises(ValueError):
         trace_power_form(f, 5)
+
+
+@settings(max_examples=20, deadline=None)
+@given(m=st.sampled_from((1, 3)), n=st.integers(3, 5), k=st.sampled_from((2, 3)),
+       make=st.sampled_from((random_matrix_tuple, rand_gauss_tuple)),
+       seed=st.integers(0, 2 ** 16))
+def test_anchored_trace_power_matches_one_word_per_permutation(m, n, k, make,
+                                                              seed):
+    omega = maurer_cartan(make(random.Random(seed), n, k).pencil())
+    assert (_anchored_trace_power(omega, m)
+            == anchored_trace_power_reference(omega, m))
+
+
+def test_anchored_fifth_trace_power_matches_one_word_per_permutation():
+    # 6 index sets of 24 words each, sharing prefixes of up to four factors;
+    # the sum is 0 at k = 2 but its words are not, so a wrong sign or a
+    # wrong shared prefix shows
+    omega = maurer_cartan(random_matrix_tuple(rng_for(5, "anchored-fifth"),
+                                              6, 2).pencil())
+    assert (_anchored_trace_power(omega, 5)
+            == anchored_trace_power_reference(omega, 5))
 
 
 def test_factorize_matrix_unit_pencil():
@@ -259,10 +285,12 @@ def test_top_form_residual_matches_subtraction_reference():
 # coefficient of a wedge and of a trace of a wedge became one
 # `MultiPoly.dot` per entry (before: 303 and 204, one per entry of every
 # term pair). CUBIC_TRACE_DATA went 485 -> 459 when the residual began to be
-# built from numerators over omega's base instead of by RatFn arithmetic.
+# built from numerators over omega's base instead of by RatFn arithmetic,
+# and 459 -> 378 when the anchored sum began to form each prefix product of
+# its trace words once.
 TRACE_POWER_4_BUDGET = 993
 TRACE_POWER_3_BUDGET = 588
-CUBIC_TRACE_DATA_BUDGET = 459
+CUBIC_TRACE_DATA_BUDGET = 378
 TRACE_POWER_4_CALL_BUDGET = 188
 TRACE_POWER_3_CALL_BUDGET = 142
 

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from oracles import convolve, cyclo_dense, cyclo_dense_str, ratfn_partial
 from pencilforms import _core
-from pencilforms._core import (Q_ONE, Q_ZERO, poly_add, poly_mul, qadd, qinv,
-                               qmul, qneg, qnorm, qsub)
+from pencilforms._core import (Q_ONE, Q_ZERO, poly_add, poly_mul, poly_pack,
+                               qadd, qinv, qmul, qneg, qnorm, qsub)
 from pencilforms.ring import CycloElement, I, MultiPoly, RatFn, Scalar, _as_q4
 
 
@@ -439,7 +439,12 @@ def _cancelling_pairs():
     ]
 
 
-def test_kernel_matches_fraction_reference(monkeypatch):
+def _packed_mul(p, q):
+    """p*q as a one-pair `poly_dot` sum, as MultiPoly takes large products."""
+    return _core.poly_dot(((poly_pack(p), poly_pack(q)),))
+
+
+def test_kernel_matches_fraction_reference():
     rng = random.Random(114)
     # Gaussian-integer, rational, and mixed-denominator operands
     kinds = (((1,), (1,)), ((1, 2, 3, 4, 6),) * 2, ((1,), (1, 2, 3)))
@@ -451,12 +456,11 @@ def test_kernel_matches_fraction_reference(monkeypatch):
             cases.append((p, q))
             cases.append((q, p))
     # every product packed, then every product coefficient by coefficient
-    for direct_max in (0, 10 ** 9):
-        monkeypatch.setattr(_core, "_DIRECT_MAX_PAIRS", direct_max)
+    for product in (_packed_mul, poly_mul):
         for p, q in cases:
             rp = {e: _ref(c) for e, c in p.items()}
             rq = {e: _ref(c) for e, c in q.items()}
-            got, want = poly_mul(p, q), _ref_poly_mul(rp, rq)
+            got, want = product(p, q), _ref_poly_mul(rp, rq)
             _check_canonical(got)
             assert {e: _ref(c) for e, c in got.items()} == want
             # term order is part of the result: float evaluation sums in it
@@ -563,7 +567,7 @@ def dot_pairs(draw):
 def test_poly_dot_matches_fraction_reference(pairs):
     ref = [({e: _ref(c) for e, c in p.items()},
             {e: _ref(c) for e, c in q.items()}) for p, q in pairs]
-    got = _core.poly_dot(pairs)
+    got = _core.poly_dot([(poly_pack(p), poly_pack(q)) for p, q in pairs])
     _check_canonical(got)
     want = _ref_poly_dot(ref)
     assert {e: _ref(c) for e, c in got.items()} == want
@@ -576,9 +580,62 @@ def test_poly_dot_matches_fraction_reference(pairs):
     for (p, q), (rp, rq) in zip(pairs, ref):
         # one pair alone keeps poly_mul's term order, which
         # test_kernel_matches_fraction_reference pins to the same reference
-        alone = _core.poly_dot(((p, q),))
+        alone = _packed_mul(p, q)
         _check_canonical(alone)
         assert [(e, _ref(c)) for e, c in alone.items()] == \
             list(_ref_poly_mul(rp, rq).items())
     if all(not p or not q for p, q in pairs):
         assert got == {}
+
+
+@st.composite
+def reused_operands(draw):
+    """A pool of polynomials in two variables, each next to its negation,
+    and several sums over pairs drawn from it, so operands enter more than
+    one sum. Sums mix lanes, denominators and exponent widths as their
+    operands come. Each sum repeats a drawn prefix of its pairs with the
+    second factor negated, so it cancels there, and then draws more pairs,
+    which may insert a cancelled key again."""
+    pool = []
+    for _ in range(draw(st.integers(1, 4))):
+        coeffs = _KIND_COEFFS[draw(st.sampled_from(sorted(_KIND_COEFFS)))]
+        p = draw(st.dictionaries(st.tuples(_dot_exponents, _dot_exponents),
+                                 coeffs, min_size=1, max_size=5))
+        pool += [p, {e: qneg(c) for e, c in p.items()}]
+    pairs = st.lists(st.tuples(st.integers(0, len(pool) - 1),
+                               st.integers(0, len(pool) - 1)), max_size=4)
+    sums = []
+    for _ in range(draw(st.integers(2, 4))):
+        head = draw(pairs)
+        cancel = draw(st.integers(0, len(head)))
+        sums.append(head + [(i, j ^ 1) for i, j in head[:cancel]]
+                    + draw(pairs))
+    return pool, sums
+
+
+@settings(max_examples=200, deadline=None)
+@given(reused_operands())
+@example(([{(0, 0): (1, 1, 0, 1), (1, 0): (1, 2, 0, 1)},
+           {(0, 0): (-1, 1, 0, 1), (1, 0): (-1, 2, 0, 1)},
+           {(255, 1): (0, 1, 1, 1)}, {(255, 1): (0, 1, -1, 1)}],
+          [[(0, 0), (0, 1), (0, 0)], [(2, 0), (0, 0)], [(2, 2), (2, 3)]]))
+def test_dot_of_reused_multipoly_operands_matches_reference(case):
+    pool, sums = case
+    polys = [MultiPoly(2, dict(p)) for p in pool]
+    packed = None
+    for _ in range(2):  # the second round reads every operand packed before
+        for pairs in sums:
+            got = MultiPoly.dot(2, [(polys[i], polys[j])
+                                    for i, j in pairs])._terms
+            _check_canonical(got)
+            want = _ref_poly_dot([({e: _ref(c) for e, c in pool[i].items()},
+                                   {e: _ref(c) for e, c in pool[j].items()})
+                                  for i, j in pairs])
+            assert {e: _ref(c) for e, c in got.items()} == want
+            # term order is part of the result: float evaluation sums in it
+            assert list(got) == list(want)
+        if packed is None:
+            packed = [x._packed for x in polys]
+    # each operand kept the packed form of its first sum, and its terms
+    assert all(x._packed is kept for x, kept in zip(polys, packed))
+    assert [x._terms for x in polys] == pool

@@ -167,6 +167,27 @@ def test_dense_cochain_errors():
              "terms": [{"pairs": [[5, 0]], "coeff": "1"}]})
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"arity": 1.7, "k": 2, "terms": []}, "'arity' and 'k'"),
+    ({"arity": True, "k": 2, "terms": []}, "'arity' and 'k'"),
+    ({"arity": 1, "k": 2.0, "terms": []}, "'arity' and 'k'"),
+    ({"arity": 1, "k": False, "terms": []}, "'arity' and 'k'"),
+    ({"arity": 0, "k": 2, "terms": []}, "'arity' and 'k'"),
+    ({"arity": 1, "k": 0, "terms": []}, "'arity' and 'k'"),
+    ({"arity": 1, "k": 2, "terms": [{"pairs": [[0.5, 1.2]]}]},
+     r"terms\[0\]\.pairs"),
+    ({"arity": 2, "k": 2, "terms": [{"pairs": [[0, 1], [True, 0]]}]},
+     r"terms\[0\]\.pairs"),
+    ({"arity": 1, "k": 2, "terms": [{"pairs": [["0", "1"]]}]},
+     r"terms\[0\]\.pairs"),
+], ids=["arity-float", "arity-true", "k-float", "k-false", "arity-0", "k-0",
+        "pair-float", "pair-true", "pair-string"])
+def test_dense_cochain_reader_takes_integers_only(data, message):
+    # int() used to read 1.7 as 1 and [0.5, 1.2] as (0, 1)
+    with pytest.raises(ValueError, match=message):
+        serialize.dense_cochain_from_json(data)
+
+
 def test_dense_cochain_duplicate_keys_accumulate():
     back = serialize.dense_cochain_from_json(
         {"arity": 1, "k": 2, "terms": [
@@ -249,11 +270,34 @@ _ONE_MATRIX_TERM = [{"index": [1], "entries": [["1"]]}]
     (serialize.matrix_form_from_json,
      {"degree": 1, "n": 2, "k": 1, "den_base": "z1", "den_pow": 1.0,
       "terms": _ONE_MATRIX_TERM}),
+    # index entries are read as they are, never truncated by int(): [1.9]
+    # and [true] were both read as dz1
+    (serialize.scalar_form_from_json,
+     {"degree": 1, "n": 2, "terms": [{"index": [1.9], "num": "z1"}]}),
+    (serialize.scalar_form_from_json,
+     {"degree": 1, "n": 2, "terms": [{"index": [True], "num": "z2"}]}),
+    (serialize.scalar_form_from_json,
+     {"degree": 1, "n": 2, "terms": [{"index": ["1"], "num": "z1"}]}),
+    (serialize.scalar_form_from_json,
+     {"degree": 1, "n": 2, "terms": [{"index": [3], "num": "z1"}]}),
+    (serialize.scalar_form_from_json,
+     {"degree": 1, "n": 2, "terms": [{"index": 1, "num": "z1"}]}),
+    (serialize.matrix_form_from_json,
+     {"degree": 1, "n": 2, "k": 1,
+      "terms": [{"index": [1.0], "entries": [["1"]]}]}),
+    (serialize.matrix_form_from_json,
+     {"degree": 1, "n": 2, "k": 1,
+      "terms": [{"index": [False], "entries": [["1"]]}]}),
+    (serialize.matrix_form_from_json,
+     {"degree": 1, "n": 2, "k": 1,
+      "terms": [{"index": [0], "entries": [["1"]]}]}),
 ], ids=["scalar-n-null", "matrix-k-null", "scalar-term-5", "matrix-term-5",
         "scalar-den-0", "matrix-den-base-0", "scalar-degree-true-n-float",
         "scalar-degree-true", "scalar-n-float", "matrix-degree-float",
         "matrix-n-true", "matrix-k-float", "matrix-den-pow-true",
-        "matrix-den-pow-float"])
+        "matrix-den-pow-float", "scalar-index-float", "scalar-index-true",
+        "scalar-index-string", "scalar-index-above-n", "scalar-index-int",
+        "matrix-index-float", "matrix-index-false", "matrix-index-0"])
 def test_form_readers_reject_malformed_shapes_with_value_error(reader, data):
     with pytest.raises(ValueError, match="malformed (scalar|matrix)-form"):
         reader(data)

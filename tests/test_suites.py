@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from pencilforms import cli, jacobi, serialize, suites, torus
+from pencilforms import _core, cli, jacobi, serialize, suites, torus
 from pencilforms.cochains import FunctionalCochain
 from pencilforms.forms import ScalarForm
 from pencilforms.jacobi import cubic_trace_data, trace_power_form
@@ -354,9 +354,10 @@ def test_failing_trial_reports_the_trials_checked(
 # factorize_top_form split, and the residual stayed on omega's base; 2,968
 # when scalar forms became the k = 1 case of matrix forms, the residual
 # built from numerators over that base and forms compared by subtraction
-# over their shared base. A second route to tr(omega^3) coming back
-# exceeds it.
-THEOREM33_SUITE_BUDGET = 2_968
+# over their shared base; 2,638 when the anchored sum began to form each
+# prefix product of its trace words once. A second route to tr(omega^3)
+# coming back exceeds it.
+THEOREM33_SUITE_BUDGET = 2_638
 
 
 def test_theorem33_suite_kernel_product_budget(monkeypatch):
@@ -364,6 +365,27 @@ def test_theorem33_suite_kernel_product_budget(monkeypatch):
     results = suites.suite_cubic_trace(1, trials=6)
     assert all(r.passed for r in results)
     assert 0 < calls[0] <= THEOREM33_SUITE_BUDGET
+
+
+# `_core._pack` calls in one default theorem33 run: each polynomial packs
+# its exponents once, the first time it enters a kernel sum, and keeps
+# them. 42,566 when every sum packed its operands again. Packing again per
+# sum, or dropping the kept form, exceeds it.
+THEOREM33_PACK_BUDGET = 10_445
+
+
+def test_theorem33_packs_each_operand_once(monkeypatch):
+    jacobi.calibrated_sign.cache_clear()  # its pencil counts as well
+    packs = [0]
+    inner = _core._pack
+
+    def counting(exps, width):
+        packs[0] += 1
+        return inner(exps, width)
+
+    monkeypatch.setattr(_core, "_pack", counting)
+    assert run_suite("theorem33", 1).passed
+    assert 0 < packs[0] <= THEOREM33_PACK_BUDGET
 
 
 # Kernel products of one whole theorem29 run at the verify-pencil trial
@@ -391,18 +413,23 @@ def test_theorem29_suite_kernel_product_budget(monkeypatch):
 # lost work saving shows here whatever the fusion. tau (2,180) was
 # tightened when scalar forms became the k = 1 case of matrix forms, so d
 # of a kappa form is one kernel sum per coefficient and forms over one base
-# compare by subtraction; flatness, example35 and hyperplane measure 3,754,
-# 1,391 and 1,261 since then.
-@pytest.mark.parametrize("suite, trials, budget", [
-    ("flatness", 12, 4_246),
-    ("jacobi-classic", 20, 3_622),
-    ("parity", 4, 2_890),
-    ("example35", 8, 1_463),
-    ("tau", 3, 2_124),
-    ("hyperplane", 6, 1_281),
-])
-def test_pencil_suite_kernel_product_budget(monkeypatch, suite, trials,
-                                            budget):
+# compare by subtraction; flatness (4,246) and hyperplane (1,281) measure
+# what they have since then, and example35 (1,463) what it has since the
+# anchored sum formed each prefix product once. The test ids carry the
+# suite alone, so tightening a budget keeps the test's name.
+PENCIL_SUITE_BUDGETS = {
+    "flatness": (12, 3_754),
+    "jacobi-classic": (20, 3_622),
+    "parity": (4, 2_890),
+    "example35": (8, 1_175),
+    "tau": (3, 2_124),
+    "hyperplane": (6, 1_261),
+}
+
+
+@pytest.mark.parametrize("suite", PENCIL_SUITE_BUDGETS)
+def test_pencil_suite_kernel_product_budget(monkeypatch, suite):
+    trials, budget = PENCIL_SUITE_BUDGETS[suite]
     calls = count_poly_mul(monkeypatch)
     report = run_suite(suite, seed=1, trials=trials)
     assert report.passed, report.text()

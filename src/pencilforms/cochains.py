@@ -108,12 +108,13 @@ class DenseCochain(Cochain):
     """Tensor representation: keys are a-tuples of (row, col) pairs, 0-based.
 
     phi(x_1,..,x_a) = sum over keys of c[key] * prod_t (x_t)[i_t][j_t].
-    Entries given twice (as 0 and "0", say) are summed, and a key whose
-    sum is zero is dropped. `evaluate` works on `trie`, a trie of the
-    keys built once here, so the tensor is not changed afterwards: nested
-    dicts keyed by the pair of each slot in turn, with the coefficient at
-    the last slot. That is one product per trie node instead of a - 1 per
-    key. kappa contracts the same trie against a form (`transgression`).
+    Key entries must be ints; bools, floats and strings are refused with
+    ValueError, as in the JSON reader. A key whose coefficient is zero is
+    dropped. `evaluate` works on `trie`, a trie of the keys built once
+    here, so the tensor is not changed afterwards: nested dicts keyed by
+    the pair of each slot in turn, with the coefficient at the last slot.
+    That is one product per trie node instead of a - 1 per key. kappa
+    contracts the same trie against a form (`transgression`).
     """
 
     def __init__(self, arity: int, k: int, tensor: Dict):
@@ -123,18 +124,18 @@ class DenseCochain(Cochain):
         self.k = k
         self.tensor: Dict[PairKey, Scalar] = {}
         for key, value in tensor.items():
-            key = tuple((int(i), int(j)) for i, j in key)
+            key = tuple((i, j) for i, j in key)
             if len(key) != arity:
                 raise ValueError(f"key {key} has wrong length for arity {arity}")
-            if any(not (0 <= i < k and 0 <= j < k) for i, j in key):
-                raise ValueError(f"key {key} outside a {k}x{k} algebra")
+            for i, j in key:
+                if type(i) is not int or type(j) is not int:
+                    raise ValueError(f"key {key} has an entry that is not "
+                                     "an integer")
+                if not (0 <= i < k and 0 <= j < k):
+                    raise ValueError(f"key {key} outside a {k}x{k} algebra")
             if not isinstance(value, Scalar):
                 value = Scalar(value)
-            if key in self.tensor:
-                value = self.tensor[key] + value
-            if value.is_zero:
-                self.tensor.pop(key, None)
-            else:
+            if not value.is_zero:
                 self.tensor[key] = value
         self.trie: dict = {}
         for key, c in self.tensor.items():
@@ -259,16 +260,12 @@ class FormulaCoboundary(Cochain):
             merged[j - 2] = args[j - 2]
             merged[j - 1] = alg_mul(args[j - 1], args[j])
             val = base(merged)
-            if j % 2 == 0:
-                val = -val
-            total = total + val
+            total = total - val if j % 2 == 0 else total + val
         # the wrap term reads (x_{a+1} x_1, x_2, .., x_a)
         merged[a - 1] = args[a - 1]
         merged[0] = alg_mul(args[a], args[0])
         wrap = base(merged)
-        if a % 2 == 1:
-            wrap = -wrap
-        return total + wrap
+        return total - wrap if a % 2 == 1 else total + wrap
 
     def __repr__(self) -> str:
         return f"FormulaCoboundary({self.base!r})"

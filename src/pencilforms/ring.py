@@ -314,73 +314,86 @@ class CycloElement:
         return None
 
     def __add__(self, other):
-        w = self._coerce(other)
-        if w is None:
-            return NotImplemented
-        if not w._terms:
-            return self
-        if not self._terms:
-            return w
-        out = dict(self._terms)
-        for e, c in w._terms:
-            prev = out.get(e)
-            if prev is None:
-                out[e] = c
-                continue
-            total = qadd(prev, c)
-            if total == Q_ZERO:
-                del out[e]
-            else:
-                out[e] = total
-        return CycloElement._make(self.q, tuple(sorted(out.items())))
+        if type(other) is not CycloElement or other.q != self.q:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return CycloElement._make(self.q, _sum_terms(self._terms,
+                                                     other._terms))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        w = self._coerce(other)
-        if w is None:
-            return NotImplemented
-        return self + (-w)
+        if type(other) is not CycloElement or other.q != self.q:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return CycloElement._make(self.q, _sum_terms(self._terms,
+                                                     _neg_terms(other._terms)))
 
     def __rsub__(self, other):
         w = self._coerce(other)
         if w is None:
             return NotImplemented
-        return w + (-self)
+        return CycloElement._make(self.q, _sum_terms(w._terms,
+                                                     _neg_terms(self._terms)))
 
     def __neg__(self) -> "CycloElement":
-        return CycloElement._make(self.q, tuple((e, qneg(c))
-                                                for e, c in self._terms))
+        return CycloElement._make(self.q, _neg_terms(self._terms))
 
     def __mul__(self, other):
         """Product; an operand that is one term c*t^a rotates and scales
-        the other, so scalars and powers of lambda need no convolution."""
-        w = self._coerce(other)
-        if w is None:
-            return NotImplemented
-        return CycloElement._make(self.q, _product(self._terms, w._terms,
+        the other, so scalars and powers of lambda need no convolution.
+        An element of at most one term times an int takes no `_product`
+        call."""
+        terms = self._terms
+        if type(other) is int and len(terms) <= 1:
+            if not other or not terms:
+                return CycloElement._make(self.q, ())
+            (e, c), = terms
+            return CycloElement._make(self.q,
+                                      ((e, qmul(c, (other, 1, 0, 1))),))
+        if type(other) is not CycloElement or other.q != self.q:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return CycloElement._make(self.q, _product(terms, other._terms,
                                                    self.q, 0, Q_ONE))
 
     __rmul__ = __mul__
 
     def mul_rotate(self, other: "CycloElement", power: int,
-                   scale: int) -> "CycloElement":
+                   scale: int = 1) -> "CycloElement":
         """self * other * scale * t^power as one product.
 
         The torus twists each monomial product by a power of lambda = t^p
         and psi2 weights it by an integer, so both go into the one result.
+        Two one-term operands give one term: the exponents are added and
+        rotated, and the coefficients multiplied, with no `_product` call.
         """
         q = self.q
         if other.q != q:
             raise ValueError(f"mixed orders: {q} vs {other.q}")
-        return CycloElement._make(q, _product(self._terms, other._terms, q,
-                                              power, (scale, 1, 0, 1)))
+        x = self._terms
+        y = other._terms
+        if len(x) == 1 and len(y) == 1:
+            if not scale:
+                return CycloElement._make(q, ())
+            (a, ca), = x
+            (b, cb), = y
+            if scale != 1:
+                cb = qmul(cb, (scale, 1, 0, 1))
+            return CycloElement._make(q, (((a + b + power) % q,
+                                           qmul(ca, cb)),))
+        return CycloElement._make(q, _product(x, y, q, power,
+                                              (scale, 1, 0, 1)))
 
     def __eq__(self, other) -> bool:
-        w = self._coerce(other)
-        if w is None:
-            return NotImplemented
-        return self._terms == w._terms
+        if type(other) is not CycloElement or other.q != self.q:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self._terms == other._terms
 
     def __hash__(self) -> int:
         return hash((self.q, self._terms))
@@ -394,6 +407,44 @@ class CycloElement:
 
     def __repr__(self) -> str:
         return f"CycloElement(q={self.q}, '{self}')"
+
+
+def _sum_terms(x: tuple, y: tuple) -> tuple:
+    """Terms of x + y for sparse term tuples; a sum that cancels is dropped.
+
+    Two one-term operands are ordered or added directly, with no dict and
+    no sort.
+    """
+    if not y:
+        return x
+    if not x:
+        return y
+    if len(x) == 1 and len(y) == 1:
+        (a, ca), = x
+        (b, cb), = y
+        if a != b:
+            return x + y if a < b else y + x
+        total = qadd(ca, cb)
+        return () if total == Q_ZERO else ((a, total),)
+    out = dict(x)
+    for e, c in y:
+        prev = out.get(e)
+        if prev is None:
+            out[e] = c
+            continue
+        total = qadd(prev, c)
+        if total == Q_ZERO:
+            del out[e]
+        else:
+            out[e] = total
+    return tuple(sorted(out.items()))
+
+
+def _neg_terms(x: tuple) -> tuple:
+    if len(x) == 1:
+        (e, c), = x
+        return ((e, qneg(c)),)
+    return tuple((e, qneg(c)) for e, c in x)
 
 
 def _product(x: tuple, y: tuple, q: int, shift: int, c: tuple) -> tuple:

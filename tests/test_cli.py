@@ -1,11 +1,15 @@
 """End-to-end CLI behavior: output bytes, exit codes, JSON round-trips."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import pencilforms
 from pencilforms import serialize
@@ -302,6 +306,63 @@ def test_torus_cocycles_with_config(tmp_path):
     r = run_cli("torus", "--check", "cocycles", "--input", str(num))
     assert r.returncode == 2
     assert "exact-mode" in r.stderr
+
+
+# Torus config values: mostly the wrong type or out of range, so that few
+# examples pay for a full cocycle check (about 1 s each).
+config_values = st.one_of(
+    st.integers(-5, 80), st.integers(-2 ** 70, 2 ** 70), st.floats(),
+    st.booleans(), st.text(max_size=4), st.none(),
+    st.lists(st.integers(0, 3), max_size=2))
+
+
+@st.composite
+def torus_config_json(draw):
+    """JSON text of a torus config: modes right and wrong, keys present or
+    missing, each value drawn from `config_values`; now and then not an
+    object at all."""
+    if draw(st.integers(0, 19)) == 0:
+        return json.dumps(draw(config_values))
+    data = {}
+    if draw(st.integers(0, 9)):
+        data["mode"] = draw(st.sampled_from(
+            ["exact", "numeric", "Exact", "", 1, None]))
+    for key in ("q", "p_prime", "theta"):
+        if draw(st.booleans()):
+            data[key] = draw(config_values)
+    return json.dumps(data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(torus_config_json())
+@example('{"mode": "exact", "q": 64, "p_prime": 5}')
+@example('{"mode": "exact", "q": 3}')
+@example('{"mode": "numeric", "theta": 0.37}')
+@example('{"mode": "numeric", "theta": NaN}')
+@example('{"mode": "exact", "q": 0, "p_prime": 1}')
+@example('{"mode": "exact", "q": "3", "p_prime": 1}')
+@example('{"mode": "numeric", "theta": "0.5"}')
+@example('{"mode": "numeric"}')
+@example('[1, 2]')
+def test_torus_config_contract(tmp_path_factory, text):
+    # any config file: exit 0, 1 or 2, an exit 2 with exactly one error
+    # line, and never a traceback
+    path = tmp_path_factory.mktemp("torus-config") / "config.json"
+    path.write_text(text)
+    for check in ("cocycles", "factorization"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main(["torus", "--check", check, "--input", str(path),
+                             "--seed", "1"])
+        stderr = err.getvalue()
+        assert code in (0, 1, 2), (text, check)
+        assert "Traceback" not in stderr, (text, check)
+        if code == 2:
+            assert stderr.startswith("error: ") and stderr.count("\n") == 1 \
+                and stderr.count("error:") == 1, (text, check, stderr)
+            assert out.getvalue() == "", (text, check)
+        else:
+            assert stderr == "" and out.getvalue(), (text, check)
 
 
 def test_cochain_spec_grammar(tmp_path):

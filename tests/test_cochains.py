@@ -67,20 +67,38 @@ def test_dense_validation():
 
 
 def test_cancelled_duplicate_key_leaves_the_tensor():
-    # "0" and 0 name the same row; a key whose sum is zero is dropped, and
-    # a later entry for it starts afresh
-    phi = DenseCochain(1, 2, {((0, 0),): 1, (("0", "0"),): -1, ((1, 1),): 2})
+    # a key given twice, in the JSON terms list, is summed; a key whose sum
+    # is zero is dropped, and a later entry for it starts afresh
+    def read(*terms):
+        return serialize.dense_cochain_from_json({
+            "arity": 1, "k": 2,
+            "terms": [{"pairs": [list(pair)], "coeff": coeff}
+                      for pair, coeff in terms]})
+
+    phi = read(((0, 0), "1"), ((0, 0), "-1"), ((1, 1), "2"))
     assert phi.tensor == {((1, 1),): Scalar(2)}
     assert repr(phi) == "DenseCochain(arity=1, k=2, 1 entries)"
     assert serialize.dense_cochain_to_json(phi)["terms"] == [
         {"pairs": [[1, 1]], "coeff": "2"}]
     assert phi(identity_grid(2)) == Scalar(2)
-    again = DenseCochain(1, 2, {((0, 0),): 1, (("0", "0"),): -1,
-                                ((0, "00"),): 3})
+    again = read(((0, 0), "1"), ((0, 0), "-1"), ((0, 0), "3"))
     assert again.tensor == {((0, 0),): Scalar(3)}
-    empty = DenseCochain(1, 2, {((1, 0),): 1, (("1", "0"),): -1})
+    empty = read(((1, 0), "1"), ((1, 0), "-1"))
     assert not empty.tensor
     assert empty(identity_grid(2)) == Scalar(0)
+    assert not DenseCochain(1, 2, {((1, 0),): 0}).tensor
+
+
+@pytest.mark.parametrize("entry", [0.5, 1.0, True, False, "0", None],
+                         ids=["float", "whole-float", "true", "false",
+                              "string", "none"])
+def test_dense_keys_take_integers_only(entry):
+    # int() would read 0.5 as 0, True as 1 and "0" as 0
+    for key in (((entry, 1),), ((1, entry),), ((0, 0), (entry, 0))):
+        with pytest.raises(ValueError, match="not an integer"):
+            DenseCochain(len(key), 2, {key: 1})
+    with pytest.raises(ValueError, match="not an integer"):
+        DenseCochain(1, 2, {((0.5, 1.2),): 1})
 
 
 def test_multilinearity_probes():

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import convolve, cyclo_dense, cyclo_dense_str, ratfn_partial
-from pencilforms import _core
+from pencilforms import _core, ring
 from pencilforms._core import (Q_ONE, Q_ZERO, poly_add, poly_mul, poly_pack,
                                qadd, qinv, qmul, qneg, qnorm, qsub)
 from pencilforms.ring import CycloElement, I, MultiPoly, RatFn, Scalar, _as_q4
@@ -170,6 +170,95 @@ def test_cyclo_ops_match_dense_oracle(pair, s, power, scale):
         assert str(value) == cyclo_dense_str(dense)
     assert (x == y) == (dx == dy)
     assert (x == s) == (dx == ds)
+
+
+nonzero_gaussians = gaussians.filter(lambda s: not s.is_zero)
+
+
+@st.composite
+def one_term_pairs(draw):
+    """q and two elements of at most one term each. The second is drawn
+    freely, at the first one's exponent, or as its negation, so a sum of
+    the two cancels."""
+    q = draw(st.sampled_from((1, 2, 5, 64)))
+
+    def dense(exponent, coeff):
+        out = [Scalar(0)] * q
+        out[exponent % q] = coeff
+        return out
+
+    def one_term():
+        if draw(st.integers(0, 9)) == 0:
+            return [Scalar(0)] * q
+        return dense(draw(st.integers(-3 * q, 3 * q)), draw(nonzero_gaussians))
+
+    xs = one_term()
+    how = draw(st.sampled_from(("free", "same exponent", "cancel")))
+    if how == "free":
+        ys = one_term()
+    else:
+        e = next((e for e, c in enumerate(xs) if not c.is_zero), 0)
+        ys = dense(e, -xs[e] if how == "cancel" else draw(nonzero_gaussians))
+    return q, CycloElement(q, xs), CycloElement(q, ys)
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_term_pairs(), st.integers(-200, 200), st.integers(-3, 3),
+       st.integers(-4, 4))
+@example(pair=(1, CycloElement(1, [Scalar(Fraction(1, 2), -3)]),
+               CycloElement(1, [Scalar(Fraction(-1, 2), 3)])),
+         power=-7, scale=0, n=0)
+@example(pair=(64, CycloElement.root(64, 63) * Scalar(Fraction(2, 3), 1),
+               CycloElement.root(64, 5) * Scalar(0, Fraction(-1, 4))),
+         power=130, scale=-3, n=-2)
+def test_one_term_fast_paths_match_the_general_route(pair, power, scale, n):
+    q, x, y = pair
+    tx, ty = x._terms, y._terms
+    assert len(tx) <= 1 and len(ty) <= 1
+
+    def convolved(*factors):
+        # the general route: convolution term pair by term pair, with no
+        # one-term shortcut; an empty factor is zero
+        out = ((0, Q_ONE),)
+        for f in factors:
+            out = ring._cyclic_product(out, f, q)
+        return out
+
+    def terms_of(dense):
+        return CycloElement(q, [Scalar.from_q4(c) for c in dense])._terms
+
+    twist = ((power % q, (scale, 1, 0, 1)),) if scale else ()
+    rotated = x.mul_rotate(y, power, scale)
+    assert rotated.q == q
+    assert rotated._terms == ring._product(tx, ty, q, power,
+                                           (scale, 1, 0, 1)) \
+        == convolved(tx, ty, twist)
+    assert x.mul_rotate(y, power)._terms == x.mul_rotate(y, power, 1)._terms
+    factor = ((0, (n, 1, 0, 1)),) if n else ()
+    assert (x * n)._terms == (n * x)._terms \
+        == ring._product(tx, factor, q, 0, Q_ONE) == convolved(tx, factor)
+    assert (x * y)._terms == ring._product(tx, ty, q, 0, Q_ONE) \
+        == convolved(tx, ty)
+    dx, dy = cyclo_dense(x), cyclo_dense(y)
+    assert (x + y)._terms == (y + x)._terms == terms_of(map(qadd, dx, dy))
+    assert (x - y)._terms == terms_of(map(qsub, dx, dy))
+    assert (y - x)._terms == terms_of(map(qsub, dy, dx))
+    assert (-x)._terms == terms_of(map(qneg, dx))
+    assert (x - x)._terms == (x + (-x))._terms == ()
+    assert (x == y) == (tx == ty) and (x != y) == (tx != ty)
+    assert (x == n) == (tx == factor)
+    assert CycloElement.zero(q)._terms == ()
+
+
+def test_cyclo_mixed_orders_raise_on_every_path():
+    # one-term operands take the fast paths, two-term ones the general route
+    for x, y in ((CycloElement.root(3), CycloElement.root(4)),
+                 (CycloElement(3, [1, 2, 0]), CycloElement(4, [1, 0, 2, 0]))):
+        for op in (lambda a, b: a + b, lambda a, b: a - b,
+                   lambda a, b: a * b, lambda a, b: a == b,
+                   lambda a, b: a != b, lambda a, b: a.mul_rotate(b, 1, 2)):
+            with pytest.raises(ValueError, match="mixed orders"):
+                op(x, y)
 
 
 # -- MultiPoly ---------------------------------------------------------------

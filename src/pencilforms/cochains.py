@@ -15,13 +15,18 @@ A dense cochain is evaluated by contracting one slot at a time,
 trie of its tensor keys: the last slot is a linear combination of entries
 of x_a, and each slot above it multiplies one entry by the value of a
 subtrie, so keys that share a prefix share its products.
+
+On k x k matrices a cochain is a tensor of entry products; `tensors(k)`
+gives it as a chain of dense factors, its outer product in slot order, a
+product's factors kept apart. kappa (`transgression`), `is_cyclic` and
+`invariance_test` read that chain and nothing else.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from pencilforms import sampling
 from pencilforms.linalg import grid_mul, grid_trace
@@ -43,14 +48,9 @@ def alg_trace(x, y=None):
     return x.trace(y)
 
 
-def unit_grid(k: int, i: int, j: int) -> tuple:
-    """The matrix unit E_{ij} (0-based) as a Scalar grid."""
-    return tuple(tuple(Scalar(1) if (r, c) == (i, j) else Scalar(0)
-                       for c in range(k)) for r in range(k))
-
-
 class Cochain:
-    """Base class; subclasses fix arity, optional k, and evaluation.
+    """Base class; subclasses fix arity, optional k, evaluation, and the
+    chain of dense tensors that `tensors` gives on k x k matrices.
 
     ``evaluate(args)`` takes the argument list, checks it with `_check_args`,
     and neither changes nor keeps the list: `FormulaCoboundary` passes one
@@ -71,6 +71,11 @@ class Cochain:
 
     def coboundary(self) -> "Cochain":
         return coboundary(self)
+
+    def tensors(self, k: int) -> List["DenseCochain"]:
+        """Dense factors whose outer product is phi on k x k matrices."""
+        raise TypeError(f"{type(self).__name__} has no tensor; kappa, "
+                        "is_cyclic and invariance_test need one")
 
     def _check_args(self, args) -> None:
         if len(args) != self.arity:
@@ -99,6 +104,13 @@ class TraceWord(Cochain):
         for x in args[1:-1]:
             acc = alg_mul(acc, x)
         return alg_trace(acc, args[-1])
+
+    def tensors(self, k: int) -> List["DenseCochain"]:
+        """The keys ((i_1,i_2),(i_2,i_3),..,(i_a,i_1)), coefficient 1."""
+        a = self.arity
+        return [DenseCochain(a, k, {
+            tuple((idx[t], idx[(t + 1) % a]) for t in range(a)): Scalar(1)
+            for idx in product(range(k), repeat=a)})]
 
     def __repr__(self) -> str:
         return f"TraceWord(arity={self.arity})"
@@ -164,6 +176,11 @@ class DenseCochain(Cochain):
             return args[0][0][0] * 0
         return _contract(self.trie, args, 0)
 
+    def tensors(self, k: int) -> List["DenseCochain"]:
+        if k != self.k:
+            raise ValueError(f"argument size {k} != k={self.k}")
+        return [self]
+
     def rotated(self) -> "DenseCochain":
         """Tensor of phi o r, r(x_1,..,x_a) = (x_a, x_1,..,x_{a-1})."""
         # (phi o r)(x_1,..,x_a) = phi(x_a, x_1,..,x_{a-1}): the pair that
@@ -212,6 +229,9 @@ class ProductCochain(Cochain):
         a1 = self.first.arity
         return self.first.evaluate(args[:a1]) * self.second.evaluate(args[a1:])
 
+    def tensors(self, k: int) -> List[DenseCochain]:
+        return self.first.tensors(k) + self.second.tensors(k)
+
     def __repr__(self) -> str:
         return f"ProductCochain({self.first!r}, {self.second!r})"
 
@@ -232,7 +252,8 @@ class FunctionalCochain(Cochain):
         self.label = label
 
     def evaluate(self, args):
-        self._check_args(args)
+        if len(args) != self.arity:  # k is None: arity is the whole check
+            self._check_args(args)
         return self.fn(args)
 
     def __repr__(self) -> str:
@@ -267,6 +288,9 @@ class FormulaCoboundary(Cochain):
         wrap = base(merged)
         return total - wrap if a % 2 == 1 else total + wrap
 
+    def tensors(self, k: int) -> List[DenseCochain]:
+        return [_dense_coboundary(outer_product(self.base.tensors(k)))]
+
     def __repr__(self) -> str:
         return f"FormulaCoboundary({self.base!r})"
 
@@ -276,6 +300,18 @@ def coboundary(phi: Cochain) -> Cochain:
     if isinstance(phi, DenseCochain):
         return _dense_coboundary(phi)
     return FormulaCoboundary(phi)
+
+
+def outer_product(chain: List[DenseCochain]) -> DenseCochain:
+    """The single tensor of a chain: keys joined in slot order,
+    coefficients multiplied."""
+    if len(chain) == 1:
+        return chain[0]
+    tensor: Dict[PairKey, Scalar] = {(): Scalar(1)}
+    for phi in chain:
+        tensor = {key + tail: c * d for key, c in tensor.items()
+                  for tail, d in phi.tensor.items()}
+    return DenseCochain(sum(phi.arity for phi in chain), chain[0].k, tensor)
 
 
 def _dense_coboundary(phi: DenseCochain) -> DenseCochain:
@@ -306,46 +342,20 @@ def _dense_coboundary(phi: DenseCochain) -> DenseCochain:
 def is_cyclic(phi: Cochain, k: Optional[int] = None) -> bool:
     """Whether phi(x_1,..,x_a) = (-1)^{a-1} phi(x_a, x_1,..,x_{a-1}).
 
-    Dense cochains are checked exactly on the tensor. Structured cochains
-    are checked on the spanning set of all matrix-unit argument tuples,
-    which decides the identity by multilinearity; that needs a concrete k,
-    taken from the cochain or the argument.
+    Exact on phi's tensor on k x k matrices (k from the argument, else the
+    cochain): it must be (-1)^{a-1} times the tensor of phi o r.
     """
     a = phi.arity
     if a == 1:
         return True
-    negate = a % 2 == 0
-
-    if isinstance(phi, DenseCochain):
-        def value(key):
-            return phi.tensor.get(key, Scalar(0))
-
-        seen = set()
-        for key in phi.tensor:
-            cur = key
-            for _ in range(a):
-                seen.add(cur)
-                cur = (cur[-1],) + cur[:-1]
-        for key in seen:
-            rot = (key[-1],) + key[:-1]
-            want = -value(rot) if negate else value(rot)
-            if value(key) != want:
-                return False
-        return True
-
     k = k if k is not None else phi.k
     if k is None:
-        raise ValueError("need a matrix size k to span a structured cochain")
-    units = [unit_grid(k, i, j) for i in range(k) for j in range(k)]
-    for combo in product(range(len(units)), repeat=a):
-        args = [units[c] for c in combo]
-        lhs = phi.evaluate(args)
-        rhs = phi.evaluate([args[-1]] + args[:-1])
-        if negate:
-            rhs = -rhs
-        if lhs != rhs:
-            return False
-    return True
+        raise ValueError("need a matrix size k for the tensor of a "
+                         "structured cochain")
+    tensor = outer_product(phi.tensors(k))
+    negate = a % 2 == 0
+    return tensor.tensor == {key: -c if negate else c
+                             for key, c in tensor.rotated().tensor.items()}
 
 
 def cyclic_symmetrize(phi: DenseCochain) -> DenseCochain:
@@ -369,16 +379,33 @@ def cyclic_symmetrize(phi: DenseCochain) -> DenseCochain:
 
 
 def invariance_test(phi: Cochain, k: Optional[int] = None) -> bool:
-    """Probe phi(g x g^{-1}, ...) = phi(x, ...) on 12 seeded exact
-    conjugations."""
-    k = k if k is not None else phi.k
+    """Whether phi(g x_1 g^{-1},..) = phi(x_1,..) for all g in GL_k, exact
+    on phi's chain (k from the argument, else the cochain, else 2).
+
+    GL_k is connected, so that holds when every ad X, X in gl_k, kills phi.
+    A product is invariant exactly when each factor is or one is zero: if
+    L_X kills phi_1 x phi_2, both nonzero, it acts on the two by opposite
+    scalars lambda(X), a character of gl_k, so 0 on sl_k and on 1 (ad 1 = 0).
+    """
     if k is None:
-        k = 2
-    for t in range(12):
-        rng = sampling.rng_for(0, "invariance", t)
-        args = [sampling.random_grid(rng, k) for _ in range(phi.arity)]
-        g, ginv = sampling.random_basis_change(rng, k)
-        conj = [grid_mul(grid_mul(g, x), ginv) for x in args]
-        if phi.evaluate(conj) != phi.evaluate(args):
+        k = phi.k if phi.k is not None else 2
+    chain = phi.tensors(k)
+    return (any(not factor.tensor for factor in chain)
+            or all(_killed_by_gl(factor) for factor in chain))
+
+
+def _killed_by_gl(phi: DenseCochain) -> bool:
+    """Whether ad E_pq kills phi's tensor for every p, q: a key holding
+    (q, j) in slot t passes its coefficient to (p, j), one holding (i, p)
+    minus it to (i, q), and every sum must cancel."""
+    for p, q in product(range(phi.k), repeat=2):
+        out: Dict[PairKey, Scalar] = {}
+        for key, c in phi.tensor.items():
+            for t, (i, j) in enumerate(key):
+                for hit, pair, d in ((i == q, (p, j), c), (j == p, (i, q), -c)):
+                    if hit:
+                        moved = key[:t] + (pair,) + key[t + 1:]
+                        out[moved] = out[moved] + d if moved in out else d
+        if any(not c.is_zero for c in out.values()):
             return False
     return True

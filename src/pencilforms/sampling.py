@@ -9,16 +9,8 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Tuple
 
-from pencilforms.linalg import (
-    MatrixTuple,
-    PolyMatrix,
-    grid_adjugate,
-    grid_det,
-    grid_mul,
-    grid_scale,
-)
+from pencilforms.linalg import MatrixTuple, PolyMatrix
 from pencilforms.ring import MultiPoly, Scalar
 
 
@@ -85,26 +77,3 @@ def random_poly_matrix(rng: random.Random, n: int, k: int,
         m = PolyMatrix(n, rows)
         if not m.det().is_zero:
             return m
-
-
-def random_basis_change(rng: random.Random, k: int) -> Tuple[tuple, tuple]:
-    """An exactly invertible pair (g, g^{-1}) over the Gaussian rationals.
-
-    g is unit upper-triangular times lower-triangular with ±1 diagonal, so
-    det(g) = ±1 and the adjugate gives the exact inverse.
-    """
-    def small():
-        re = rng.randint(-2, 2)
-        im = rng.randint(-1, 1) if rng.random() < 0.3 else 0
-        return Scalar(re, im)
-
-    upper = [[Scalar(1) if r == c else (small() if c > r else Scalar(0))
-              for c in range(k)] for r in range(k)]
-    lower = [[Scalar(rng.choice((-1, 1))) if r == c
-              else (small() if c < r else Scalar(0))
-              for c in range(k)] for r in range(k)]
-    g = grid_mul(upper, lower)
-    det = grid_det(g, Scalar(1))
-    # det is ±1, hence equal to its own inverse
-    ginv = grid_scale(grid_adjugate(g, Scalar(1)), det)
-    return g, ginv

@@ -2,15 +2,17 @@
 
 ``kappa(phi, f)`` is phi(omega_f,..,omega_f): for each size-a index I it
 sums sgn(pi) * phi(B_pi(1),..,B_pi(a)) * dz^I over the permutations pi of
-I, where B_i is the dz_i coefficient of the Maurer-Cartan form. A dense
-cochain is not evaluated per permutation: its key trie is contracted
-against omega one slot at a time, each node's value a form, so the work a
-node does is shared by every permutation through it, and each coefficient
-of a node's form is one `MultiPoly.dot`. Other cochains are expanded over
-permutations. `kappa_wedge_oracle` recomputes the same form by brute
-multilinear extension over all coefficient tuples and exists purely to
-cross-check kappa; `apply_multilinear`, which it uses, keeps its product
-loop.
+I, where B_i is the dz_i coefficient of the Maurer-Cartan form. phi is not
+evaluated per permutation: its chain of dense factors (`Cochain.tensors`)
+is contracted against omega one slot at a time, the last factor first,
+each trie node's value a form, so the work a node does is shared by every
+permutation through it, and each coefficient of a node's form is one
+`MultiPoly.dot`. A product's factors stay apart, their outer product never
+formed, and its kappa is not the wedge of the factors' kappa, which tau's
+multiplicativity check compares it with. `kappa_wedge_oracle` recomputes
+the same form by brute multilinear extension over all coefficient tuples
+and exists purely to cross-check kappa; `apply_multilinear`, which it
+uses, evaluates phi once per tuple of coefficient terms.
 
 The transgression identity for a cyclic cochain of arity a is
 ``(a/(a+1)) kappa(b phi) = -d kappa(phi)``, which decomposes as
@@ -19,7 +21,8 @@ with ``phi(d omega,..) = -1/(a+1) kappa(b phi)``. `transgression_report`
 returns the three forms these identities relate; the theorem29 suite
 compares them.
 
-`tau` is kappa gated on conjugation invariance of the functional; on
+`tau` is kappa gated on conjugation invariance of the functional, which
+`invariance_test` decides exactly on the same chain; on
 simultaneously diagonal tuples `hyperplane_decomposition` returns the
 linear factors whose zero sets make up the spectrum, their product next to
 det, and kappa of the coordinate functionals next to the logarithmic
@@ -31,7 +34,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from pencilforms.cochains import (
@@ -52,79 +55,72 @@ def kappa(phi: Cochain, f: PolyMatrix) -> ScalarForm:
 
 
 def _kappa_of(phi: Cochain, omega: MatrixForm) -> ScalarForm:
-    """kappa on a Maurer-Cartan form the caller has built: contracted slot
-    by slot for a dense cochain, expanded over permutations otherwise."""
+    """kappa on a Maurer-Cartan form the caller has built."""
     a = phi.arity
     n = omega.n
     if a > n:
         return ScalarForm.zero(n, a)
-    nums = {v: omega.coefficient_num((v,)) for v in range(1, n + 1)}
-    if isinstance(phi, DenseCochain):
-        # the contraction reads entries without calling evaluate, which
-        # is where a k that does not fit would be refused
-        phi._check_args([nums[1]] * a)
-        totals = _dense_kappa_nums(phi, omega)
-    else:
-        totals = {}
-        for index in combinations(range(1, n + 1), a):
-            total = None
-            for pi in permutations(index):
-                val = phi.evaluate([nums[v] for v in pi])
-                if sort_index(pi)[1] < 0:
-                    val = -val
-                total = val if total is None else total + val
-            totals[index] = total
+    totals = _kappa_nums(phi.tensors(omega.k), omega)
     return ScalarForm._over_power(n, a, dict(sorted(totals.items())),
                                   omega.den_base, a * omega.den_pow)._reduced()
 
 
-def _dense_kappa_nums(phi: DenseCochain, omega: MatrixForm) -> Dict:
-    """The numerators of kappa(phi) over base^(a pow), by index.
+def _kappa_nums(chain: List[DenseCochain], omega: MatrixForm) -> Dict:
+    """The numerators of kappa over base^(a pow), by index, for the outer
+    product of `chain`, its last factor contracted first.
 
-    With B_v the dz_v numerator of omega, the value of a trie node of depth
-    t is phi's subtensor there applied to omega in slots t..a-1: a form of
-    degree a - t, kept as a dict from sorted index to numerator. At the
-    last slot it is sum c B_v[i][j] dz_v. Above it a child (i, j) of value
-    D adds (-1)^#{s in S : s < v} B_v[i][j] D[S] to S + {v} for each S in D
-    and v not in S, so each (node, index) value is computed once for all
-    the permutations that share it, and each coefficient is one
-    `MultiPoly.dot`. The sign is folded into the entry of B_v, each B_v
-    negated once.
+    With B_v the dz_v numerator of omega, a trie node of depth t has as
+    value its subtensor applied to omega in slots t..: a form, as a dict
+    from sorted index to numerator. A node at a factor's last slot is the
+    1-form with L_v = sum c B_v[i][j]; before the last factor it is then
+    followed by the next factor's value D, adding +-L_v D[S] to S + {v}.
+    Above it a child (i, j) of value D adds (-1)^#{s in S : s < v}
+    B_v[i][j] D[S] to S + {v} for each S in D and v not in S. Each (node,
+    index) value serves every permutation through it, each coefficient is
+    one `MultiPoly.dot`, and each B_v and L_v is negated once.
     """
     n = omega.n
-    rows = {v: mat.rows for (v,), mat in omega.terms.items()}
-    negated = {v: (-mat).rows for (v,), mat in omega.terms.items()}
+    terms = [(v, mat.rows, (-mat).rows) for (v,), mat in omega.terms.items()]
+    # the nonzero B_v[i][j] by v, and their negations, for each slot pair
+    entries = {(i, j): ({v: b[i][j] for v, b, _ in terms if b[i][j]},
+                        {v: nb[i][j] for v, b, nb in terms if b[i][j]})
+               for i in range(omega.k) for j in range(omega.k)}
 
-    def value(node: dict, t: int) -> Dict:
+    def dots(pairs: Dict) -> Dict:
+        return {index: total for index, group in pairs.items()
+                if (total := MultiPoly.dot(n, group))}
+
+    def spread(pairs: Dict, left: Dict, neg: Dict, after: Dict) -> None:
+        for index, d in after.items():
+            for v, x in left.items():
+                if v not in index:
+                    at = bisect_left(index, v)
+                    pairs.setdefault(index[:at] + (v,) + index[at:], []).append(
+                        (neg[v] if at % 2 else x, d))
+
+    def value(node: dict, t: int, last: int, after: Optional[Dict]) -> Dict:
         pairs: Dict = {}
-        if t == last:
-            for (i, j), c in node.items():
-                const = MultiPoly.constant(n, c)
-                for v, b in rows.items():
-                    if b[i][j]:
-                        pairs.setdefault((v,), []).append((const, b[i][j]))
-        else:
-            for (i, j), child in node.items():
-                for index, d in value(child, t + 1).items():
-                    for v, b in rows.items():
-                        if v in index or not b[i][j]:
-                            continue
-                        at = bisect_left(index, v)
-                        merged = index[:at] + (v,) + index[at:]
-                        pair = ((negated if at % 2 else rows)[v][i][j], d)
-                        if merged in pairs:
-                            pairs[merged].append(pair)
-                        else:
-                            pairs[merged] = [pair]
-        out = {}
-        for index, group in pairs.items():
-            total = MultiPoly.dot(n, group)
-            if total:
-                out[index] = total
-        return out
+        if t < last:
+            for pair, child in node.items():
+                spread(pairs, *entries[pair], value(child, t + 1, last, after))
+            return dots(pairs)
+        for pair, c in node.items():
+            const = MultiPoly.constant(n, c)
+            for v, b in entries[pair][0].items():
+                pairs.setdefault((v,), []).append((const, b))
+        if after is None:
+            return dots(pairs)
+        lin = {v: total for (v,), total in dots(pairs).items()}
+        pairs = {}
+        spread(pairs, lin, {v: -x for v, x in lin.items()}, after)
+        return dots(pairs)
 
-    last = phi.arity - 1
-    return value(phi.trie, 0) if phi.trie else {}
+    after = None
+    for phi in reversed(chain):
+        if not phi.trie:
+            return {}
+        after = value(phi.trie, 0, phi.arity - 1, after)
+    return after
 
 
 def apply_multilinear(phi: Cochain, forms: Sequence[MatrixForm]) -> ScalarForm:
@@ -196,6 +192,8 @@ def transgression_report(phi: Cochain, f: PolyMatrix) -> TransgressionReport:
 def tau(functional, f: PolyMatrix) -> ScalarForm:
     """kappa restricted to conjugation-invariant functionals.
 
+    The gate is `invariance_test`, exact on the functional's chain of dense
+    factors on f's matrix size; a functional it refuses raises ValueError.
     A plain number stands for a multiple of the empty product and maps to
     the constant 0-form, so the unit functional maps to 1.
     """

@@ -3,7 +3,8 @@
 Each helper recomputes a library value by a second route: the adjugate
 against the double-minor identity, a trace word as the dense tensor of
 its matrix-entry products, a dense cochain's value key by key, kappa by
-its permutation expansion, the anchored trace sum one trace word per
+its permutation expansion, cyclicity on every tuple of matrix units,
+conjugation invariance on seeded exact conjugations, the anchored trace sum one trace word per
 permutation, the wedge, trace and exterior derivative of
 matrix forms one term pair at a time, the sum, wedge and exterior
 derivative of scalar forms one RatFn coefficient at a time (d by the
@@ -18,8 +19,10 @@ from pencilforms._core import Q_ZERO, qadd, qmul
 from pencilforms.cochains import DenseCochain, TraceWord
 from pencilforms.forms import MatrixForm, ScalarForm, sort_index
 from pencilforms.jacobi import s_form
-from pencilforms.linalg import PolyMatrix, grid_adjugate, grid_det, grid_minor
+from pencilforms.linalg import (PolyMatrix, grid_adjugate, grid_det,
+                                grid_minor, grid_mul, grid_scale)
 from pencilforms.ring import CycloElement, MultiPoly, RatFn, Scalar, _term_str
+from pencilforms.sampling import random_grid, rng_for
 
 
 def grid_double_minor(a: Sequence, rows: tuple, cols: tuple, one):
@@ -123,6 +126,63 @@ def kappa_permutation_reference(phi, omega: MatrixForm) -> ScalarForm:
         if not coeff.is_zero:
             terms[index] = coeff
     return ScalarForm(n, a, terms)
+
+
+def unit_grid(k: int, i: int, j: int) -> tuple:
+    """The matrix unit E_{ij} (0-based) as a Scalar grid."""
+    return tuple(tuple(Scalar(1) if (r, c) == (i, j) else Scalar(0)
+                       for c in range(k)) for r in range(k))
+
+
+def is_cyclic_spanning_reference(phi, k: int) -> bool:
+    """phi(x_1,..,x_a) = (-1)^{a-1} phi(x_a, x_1,..,x_{a-1}) on every tuple
+    of k x k matrix units, which decides it by multilinearity."""
+    a = phi.arity
+    units = [unit_grid(k, i, j) for i in range(k) for j in range(k)]
+    for combo in product(range(len(units)), repeat=a):
+        args = [units[c] for c in combo]
+        lhs = phi.evaluate(args)
+        rhs = phi.evaluate([args[-1]] + args[:-1])
+        if a % 2 == 0:
+            rhs = -rhs
+        if lhs != rhs:
+            return False
+    return True
+
+
+def random_basis_change(rng, k: int):
+    """An exactly invertible pair (g, g^{-1}) over the Gaussian rationals.
+
+    g is unit upper-triangular times lower-triangular with +-1 diagonal, so
+    det(g) = +-1 and the adjugate gives the exact inverse.
+    """
+    def small():
+        re = rng.randint(-2, 2)
+        im = rng.randint(-1, 1) if rng.random() < 0.3 else 0
+        return Scalar(re, im)
+
+    upper = [[Scalar(1) if r == c else (small() if c > r else Scalar(0))
+              for c in range(k)] for r in range(k)]
+    lower = [[Scalar(rng.choice((-1, 1))) if r == c
+              else (small() if c < r else Scalar(0))
+              for c in range(k)] for r in range(k)]
+    g = grid_mul(upper, lower)
+    det = grid_det(g, Scalar(1))
+    # det is +-1, hence equal to its own inverse
+    ginv = grid_scale(grid_adjugate(g, Scalar(1)), det)
+    return g, ginv
+
+
+def invariance_probe_reference(phi, k: int) -> bool:
+    """phi(g x g^{-1}, ..) = phi(x, ..) on 12 seeded exact conjugations."""
+    for t in range(12):
+        rng = rng_for(0, "invariance", t)
+        args = [random_grid(rng, k) for _ in range(phi.arity)]
+        g, ginv = random_basis_change(rng, k)
+        conj = [grid_mul(grid_mul(g, x), ginv) for x in args]
+        if phi.evaluate(conj) != phi.evaluate(args):
+            return False
+    return True
 
 
 def anchored_trace_power_reference(omega: MatrixForm, m: int) -> ScalarForm:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +18,7 @@ from pencilforms.cli import MAX_TRIALS, CliError, parse_cochain_spec
 from pencilforms.cli import main as cli_main
 from pencilforms.cochains import DenseCochain, ProductCochain, TraceWord
 from pencilforms.linalg import MatrixTuple
-from pencilforms.sampling import rng_for
+from pencilforms.sampling import random_matrix_tuple, rng_for
 from pencilforms.transgression import kappa
 
 
@@ -391,3 +392,125 @@ def test_cochain_spec_grammar(tmp_path):
                 "product(trace)", "product(trace, trace, trace)"):
         with pytest.raises(CliError):
             parse_cochain_spec(bad)
+
+
+# -- cochain specs: any spec is a form or one error line ----------------------
+
+_FIELDS = st.one_of(st.integers(-2, 6).map(str), st.sampled_from(
+    ["", "x", "1.5", "2.0", " 3", "1e1", "+2", "0x2", "٣"]))
+
+
+@st.composite
+def dense_json(draw, k):
+    """JSON text of a dense cochain: arity, k, pairs and coefficients
+    mostly valid, k mostly the tuple's, now and then of the wrong type,
+    out of range or of the wrong length; sometimes no object at all."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(["", "{", "[1, 2]", "null",
+                                     '{"arity": 1}', '{"arity": 1, "k": 2, '
+                                     '"terms": {}}']))
+    arity = draw(st.one_of(st.integers(1, 3), st.sampled_from(
+        [0, -1, 17, "2", 1.5, True, None])))
+    k = draw(st.one_of(st.just(k), st.integers(1, 3), st.sampled_from(
+        [0, "2", 2.0, None])))
+    length = arity if type(arity) is int and 1 <= arity <= 3 else 1
+    terms = []
+    for _ in range(draw(st.integers(0, 4))):
+        size = draw(st.sampled_from([length] * 4 + [length + 1]))
+        pairs = draw(st.one_of(
+            st.lists(st.lists(st.integers(-1, 3), min_size=2, max_size=2),
+                     min_size=size, max_size=size),
+            st.sampled_from([[[0]], "ab", [[1.5, 0]], [[0, 0, 0]], None])))
+        coeff = draw(st.sampled_from(["1", "-1/2", "2*i", "1/2+1/3*i", "x",
+                                      "1/0", 3, 0, None, True]))
+        terms.append({"pairs": pairs, "coeff": coeff})
+    return json.dumps({"arity": arity, "k": k, "terms": terms})
+
+
+def _cochain_spec(draw, k, depth, files):
+    kinds = ["trace", "traceword", "traceword", "cyclic", "cyclic", "dense",
+             "junk"]
+    if depth < 3:
+        kinds += ["product"] * 3
+    kind = draw(st.sampled_from(kinds))
+    if kind == "trace":
+        return draw(st.sampled_from(["trace", " trace ", "Trace", "trace:1"]))
+    if kind == "traceword":
+        return "traceword:" + draw(st.one_of(
+            st.integers(1, 4).map(str), _FIELDS))
+    if kind == "cyclic":
+        fields = [draw(st.one_of(st.integers(1, 4).map(str),
+                                 st.integers(-1, 17).map(str), _FIELDS)),
+                  draw(st.one_of(st.just(str(k)),
+                                 st.integers(-1, 4).map(str), _FIELDS)),
+                  draw(st.one_of(st.integers(-3, 10 ** 6).map(str),
+                                 _FIELDS))]
+        count = draw(st.sampled_from([3] * 6 + [2, 4]))
+        fields = (fields + ["1"])[:count]
+        return "cyclic-random:" + ":".join(fields)
+    if kind == "dense":
+        files.append(draw(dense_json(k)))
+        return f"dense:@{len(files) - 1}@"
+    if kind == "junk":
+        return draw(st.sampled_from(["", "nope", "product", "product()",
+                                     "dense:", "cyclic-random:", "traceword",
+                                     "product(,)", "(trace)"]))
+    parts = draw(st.sampled_from([1] + [2] * 6 + [3]))
+    inner = ", ".join(_cochain_spec(draw, k, depth + 1, files)
+                      for _ in range(parts))
+    shape = draw(st.sampled_from(["product({})"] * 8 + [
+        "product({}", "product(({})", "product({}))", "product({})("]))
+    return shape.format(inner)
+
+
+@st.composite
+def cochain_spec_cases(draw):
+    """(spec, files, n, k, zero): a spec, nested products to depth 3, whose
+    dense:FILE parts name files @i@ with the JSON texts in `files`, on an
+    n x k tuple with n <= 4 and k <= 2, its matrices now and then all
+    zero."""
+    n, k = draw(st.integers(2, 4)), draw(st.integers(1, 2))
+    files = []
+    spec = _cochain_spec(draw, k, 0, files)
+    return spec, files, n, k, draw(st.integers(0, 9)) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(cochain_spec_cases())
+@example(("product(trace, cyclic-random:1:3:1)", [], 2, 2, False))
+@example(("product(traceword:2, product(trace, dense:@0@))",
+          ['{"arity": 1, "k": 3, "terms": []}'], 4, 2, False))
+@example(("product(cyclic-random:2:2:1, cyclic-random:2:2:2)", [], 4, 2,
+          False))
+@example(("traceword:4", [], 4, 2, True))
+@example(("product(trace, trace", [], 3, 2, False))
+def test_cochain_spec_contract(tmp_path_factory, case):
+    # any cochain spec: exit 0 with a form, or exit 2 with exactly one
+    # error line, never a traceback, within a few seconds
+    spec, files, n, k, zero = case
+    where = tmp_path_factory.mktemp("cochain-spec")
+    for pos, text in enumerate(files):
+        path = where / f"dense{pos}.json"
+        path.write_text(text)
+        spec = spec.replace(f"@{pos}@", str(path))
+    t = (MatrixTuple([[[0] * k] * k] * n) if zero else
+         random_matrix_tuple(rng_for(len(spec), "spec-fuzz", n, k), n, k))
+    tuple_path = where / "tuple.json"
+    tuple_path.write_text(json.dumps(serialize.tuple_to_json(t)))
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(["form", "--kind", "kappa", f"--cochain={spec}",
+                         "--input", str(tuple_path), "--json-out", "-"])
+    elapsed = time.perf_counter() - start
+    stderr = err.getvalue()
+    assert code in (0, 2), (spec, code)
+    assert "Traceback" not in stderr, spec
+    if code == 2:
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1 \
+            and stderr.count("error:") == 1, (spec, stderr)
+        assert out.getvalue() == "", spec
+    else:
+        assert stderr == "", spec
+        assert json.loads(out.getvalue())["degree"] >= 1, spec
+    assert elapsed < 5, (spec, elapsed)

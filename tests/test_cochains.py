@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from pencilforms import serialize
 from pencilforms.cochains import (
+    Cochain,
     DenseCochain,
     FormulaCoboundary,
     FunctionalCochain,
@@ -19,7 +20,7 @@ from pencilforms.cochains import (
     functional_product,
     invariance_test,
     is_cyclic,
-    unit_grid,
+    outer_product,
 )
 from pencilforms.linalg import (
     PolyMatrix,
@@ -32,7 +33,9 @@ from pencilforms.linalg import (
 from pencilforms.ring import MultiPoly, RatFn, Scalar
 from pencilforms.sampling import random_grid, random_poly_matrix, rng_for
 from pencilforms.torus import TorusConfig
-from oracles import dense_evaluate_reference, trace_word_dense
+from oracles import (dense_evaluate_reference, invariance_probe_reference,
+                     is_cyclic_spanning_reference, trace_word_dense,
+                     unit_grid)
 from test_ring import gaussians
 from test_torus import rand_exact_element, rand_numeric_element
 
@@ -189,6 +192,25 @@ def test_wrong_arity_message_from_call_and_evaluate():
                     call()
 
 
+def test_formula_coboundary_of_a_function_checks_arguments_once(
+        monkeypatch):
+    # the coboundary checks the tuple; the function it feeds each term to
+    # checks only the length, which the splicing keeps
+    checks = [0]
+    inner = Cochain._check_args
+
+    def counting(self, args):
+        checks[0] += 1
+        return inner(self, args)
+
+    monkeypatch.setattr(Cochain, "_check_args", counting)
+    args = [random_grid(rng_for(9, "once", t), 2) for t in range(3)]
+    b_fn = FormulaCoboundary(FunctionalCochain(
+        2, lambda xs: xs[0][0][1] * xs[1][1][0]))
+    b_fn(args)
+    assert checks == [1]
+
+
 def test_b_squared_is_zero_on_dense_tensors():
     for arity in (1, 2, 3):
         for k in (2, 3):
@@ -269,6 +291,9 @@ def test_invariance():
                            k=2)
     entry = DenseCochain.basis(1, 2, ((0, 0),))
     assert not invariance_test(entry)
+    # a zero factor makes the product zero, invariant whatever the other
+    assert not invariance_test(functional_product(entry, TraceWord(1)))
+    assert invariance_test(functional_product(entry, DenseCochain(1, 2, {})))
 
 
 def test_evaluate_on_ratfn_grids():
@@ -406,3 +431,97 @@ def test_dense_evaluate_matches_key_by_key_reference(case):
     assert str(got) == str(want)
     if not phi.tensor:
         assert got.is_zero if hasattr(got, "is_zero") else got == 0
+
+
+# -- the chain of dense factors against evaluation and the references -------
+
+
+def dense_factor(draw, arity, k):
+    """A dense cochain with up to 10 drawn keys, now and then none."""
+    pairs = st.sampled_from([(i, j) for i in range(k) for j in range(k)])
+    keys = draw(st.lists(st.tuples(*[pairs] * arity), max_size=10))
+    return DenseCochain(arity, k, {key: draw(gaussians) for key in keys})
+
+
+def structured_cochain(draw, arity, k, depth=0):
+    """A trace word, a dense cochain, or a product of two such (nested to
+    depth 3), of the given arity on k x k matrices."""
+    kinds = ["traceword", "dense"] + (["product"] if arity > 1 and depth < 3
+                                      else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "traceword":
+        return TraceWord(arity)
+    if kind == "dense":
+        return dense_factor(draw, arity, k)
+    left = draw(st.integers(1, arity - 1))
+    return ProductCochain(structured_cochain(draw, left, k, depth + 1),
+                          structured_cochain(draw, arity - left, k,
+                                             depth + 1))
+
+
+@st.composite
+def chain_cases(draw):
+    """(phi, k, args): a cochain of arity 1..3 on k x k matrices and
+    Gaussian-rational arguments. phi is a trace word, dense cochain or
+    nested product of them; a cyclic-symmetrized dense cochain; a multiple
+    of a trace word's tensor, now and then with one more key; or the
+    coboundary of one of these."""
+    arity = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 3 if arity < 3 else 2))
+    how = draw(st.sampled_from(("structured", "cyclic", "invariant")))
+    base = arity
+    if arity > 1 and draw(st.booleans()):
+        base = arity - 1
+    if how == "structured":
+        phi = structured_cochain(draw, base, k)
+    elif how == "cyclic":
+        phi = cyclic_symmetrize(dense_factor(draw, base, k))
+    else:
+        c = draw(gaussians)
+        tensor = {key: c for key in trace_word_dense(base, k).tensor}
+        if draw(st.booleans()):
+            pairs = st.sampled_from([(i, j) for i in range(k)
+                                     for j in range(k)])
+            key = draw(st.tuples(*[pairs] * base))
+            tensor[key] = tensor.get(key, Scalar(0)) + draw(gaussians)
+        phi = DenseCochain(base, k, tensor)
+    if base < arity:
+        phi = coboundary(phi)
+    args = [tuple(tuple(draw(gaussians) for _ in range(k)) for _ in range(k))
+            for _ in range(arity)]
+    return phi, k, args
+
+
+def _chain_example(phi, k):
+    args = [random_grid(rng_for(16, "chain", t), k) for t in range(phi.arity)]
+    return phi, k, args
+
+
+_EMPTY_FACTOR = functional_product(DenseCochain(1, 2, {}), TraceWord(2))
+_B_TR_TR = coboundary(functional_product(TraceWord(1), TraceWord(1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(chain_cases())
+@example(_chain_example(_EMPTY_FACTOR, 2))
+@example(_chain_example(_B_TR_TR, 2))
+def test_chain_outer_product_evaluates_like_phi(case):
+    phi, k, args = case
+    chain = phi.tensors(k)
+    assert all(isinstance(factor, DenseCochain) and factor.k == k
+               for factor in chain)
+    assert sum(factor.arity for factor in chain) == phi.arity
+    assert outer_product(chain).evaluate(args) == phi.evaluate(args)
+
+
+@settings(max_examples=150, deadline=None)
+@given(chain_cases())
+@example(_chain_example(TraceWord(3), 2))
+@example(_chain_example(functional_product(TraceWord(1), TraceWord(2)), 2))
+@example(_chain_example(_EMPTY_FACTOR, 2))
+@example(_chain_example(_B_TR_TR, 2))
+@example(_chain_example(coboundary(TraceWord(2)), 3))
+def test_is_cyclic_and_invariance_match_their_references(case):
+    phi, k, _ = case
+    assert is_cyclic(phi, k=k) == is_cyclic_spanning_reference(phi, k)
+    assert invariance_test(phi, k=k) == invariance_probe_reference(phi, k)

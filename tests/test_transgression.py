@@ -9,16 +9,21 @@ from hypothesis import strategies as st
 from pencilforms.cli import parse_cochain_spec
 from pencilforms.cochains import (
     DenseCochain,
+    FunctionalCochain,
+    ProductCochain,
     TraceWord,
     coboundary,
     cyclic_symmetrize,
     functional_product,
+    invariance_test,
+    is_cyclic,
 )
 from pencilforms.forms import ScalarForm, maurer_cartan
 from pencilforms.linalg import MatrixTuple
 from pencilforms.ring import MultiPoly, RatFn, Scalar
 from pencilforms.sampling import random_diagonal_tuple, random_matrix_tuple, rng_for
 from pencilforms.transgression import (
+    _kappa_of,
     apply_multilinear,
     hyperplane_decomposition,
     kappa,
@@ -28,6 +33,7 @@ from pencilforms.transgression import (
 )
 from conftest import count_poly_mul
 from oracles import kappa_permutation_reference, trace_word_dense
+from test_cochains import dense_factor, structured_cochain
 from test_ring import gaussians
 
 
@@ -294,27 +300,96 @@ def test_dense_kappa_refuses_a_cochain_of_another_size():
         kappa(phi, f)
 
 
+def test_kappa_refuses_a_product_with_a_factor_of_another_size():
+    # the k = 3 factor is refused when its tensor is asked for on k = 2
+    f = MatrixTuple.matrix_units(2).pencil()
+    phi = parse_cochain_spec("product(trace, cyclic-random:1:3:1)")
+    with pytest.raises(ValueError, match=r"argument size 2 != k=3"):
+        kappa(phi, f)
+
+
+def test_functional_cochains_have_no_tensor():
+    # kappa, is_cyclic and invariance_test read a tensor; a function has
+    # none, alone or as a factor
+    f = MatrixTuple.matrix_units(2).pencil()
+    fn = FunctionalCochain(2, lambda args: args[0][0][0] * args[1][1][1])
+    nested = ProductCochain(TraceWord(1),
+                            FunctionalCochain(1, lambda args: args[0][0][0]))
+    for phi in (fn, nested):
+        with pytest.raises(TypeError, match="FunctionalCochain has no tensor"):
+            kappa(phi, f)
+        with pytest.raises(TypeError, match="FunctionalCochain has no tensor"):
+            is_cyclic(phi, k=2)
+        with pytest.raises(TypeError, match="FunctionalCochain has no tensor"):
+            invariance_test(phi, k=2)
+
+
+# Kernel products of kappa of tr(x y z) on an n = 4, k = 3 pencil, omega
+# included, recorded when kappa began to contract every cochain's chain of
+# dense factors; 1,020 products in 324 calls when a trace word was
+# evaluated once per permutation.
+TRACEWORD_KAPPA_BUDGET = 696
+
+# The same for a product of two arity-2 cyclic cochains on that pencil: its
+# two factor tries are contracted one after the other. 612 products in 540
+# calls when the product was evaluated once per permutation; 15,168
+# products in 2,137 calls when the outer product of the factors is built
+# and contracted as one tensor.
+PRODUCT_KAPPA_BUDGET = 792
+
+
+def test_chain_kappa_kernel_product_budgets(monkeypatch):
+    f = random_matrix_tuple(rng_for(5, "guard-traceword"), 4, 3).pencil()
+    product = parse_cochain_spec(
+        "product(cyclic-random:2:3:1, cyclic-random:2:3:2)")
+    for phi, budget in ((TraceWord(3), TRACEWORD_KAPPA_BUDGET),
+                        (product, PRODUCT_KAPPA_BUDGET)):
+        calls = count_poly_mul(monkeypatch)
+        assert not kappa(phi, f).is_zero
+        assert 0 < calls[0] <= budget, (phi, calls)
+    # b tr(x y z) = 0, so its tensor is empty and, omega given, kappa
+    # multiplies nothing
+    omega = maurer_cartan(f)
+    calls = count_poly_mul(monkeypatch)
+    assert _kappa_of(coboundary(TraceWord(3)), omega).is_zero
+    assert calls == [0, 0]
+
+
 # -- kappa against its permutation expansion --------------------------------
 
 
 @st.composite
 def kappa_cases(draw):
     """(phi, f): a dense cochain, plain or built by coboundary or
-    cyclic_symmetrize, and an integer or Gaussian-rational pencil with
-    n = 2..5 and k = 1..3 (k <= 2 at arity 4, to bound the reference)."""
+    cyclic_symmetrize; a trace word of arity 1..4; a nested product of
+    trace-word and dense factors; or the coboundary of a trace word or of a
+    product; and an integer or Gaussian-rational pencil with n = 2..5 and
+    k = 1..3 (k <= 2 at arity 4, to bound the reference)."""
     arity = draw(st.integers(1, 4))
     n = draw(st.integers(2, 5))
     k = draw(st.integers(1, 3 if arity < 4 else 2))
-    how = draw(st.sampled_from(("plain", "coboundary", "cyclic")
-                               if arity > 1 else ("plain", "cyclic")))
-    base = arity - 1 if how == "coboundary" else arity
-    pairs = st.sampled_from([(i, j) for i in range(k) for j in range(k)])
-    keys = draw(st.lists(st.tuples(*[pairs] * base), max_size=10))
-    phi = DenseCochain(base, k, {key: draw(gaussians) for key in keys})
-    if how == "coboundary":
+    hows = ["plain", "cyclic", "traceword"]
+    if arity > 1:
+        hows += ["coboundary", "product", "b-traceword"]
+    if arity > 2:
+        hows.append("b-product")
+    how = draw(st.sampled_from(hows))
+    base = arity - 1 if how in ("coboundary", "b-traceword",
+                                "b-product") else arity
+    if how in ("plain", "coboundary", "cyclic"):
+        phi = dense_factor(draw, base, k)
+        if how == "coboundary":
+            phi = coboundary(phi)
+        elif how == "cyclic":
+            phi = cyclic_symmetrize(phi)
+    elif how in ("traceword", "b-traceword"):
+        phi = TraceWord(base)
+    else:
+        left = draw(st.integers(1, base - 1))
+        phi = ProductCochain(structured_cochain(draw, left, k, 1),
+                             structured_cochain(draw, base - left, k, 1))
+    if how.startswith("b-"):
         phi = coboundary(phi)
-    elif how == "cyclic":
-        phi = cyclic_symmetrize(phi)
     entries = draw(st.sampled_from((st.integers(-2, 2), gaussians)))
     grid = st.lists(st.lists(entries, min_size=k, max_size=k),
                     min_size=k, max_size=k)
@@ -326,12 +401,19 @@ def kappa_cases(draw):
 _GUARD = random_matrix_tuple(rng_for(5, "guard-dense"), 4, 2).pencil()
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(kappa_cases())
 @example((DenseCochain(3, 2, {}), _GUARD))
 @example((parse_cochain_spec("cyclic-random:3:2:7"), _GUARD))
 # tr(x y) is symmetric, so every coefficient of kappa cancels to zero
 @example((trace_word_dense(2, 2), _GUARD))
+@example((TraceWord(3), _GUARD))
+@example((coboundary(TraceWord(2)), _GUARD))
+# an empty factor empties the whole chain
+@example((ProductCochain(TraceWord(1), ProductCochain(
+    DenseCochain(1, 2, {}), TraceWord(2))), _GUARD))
+@example((coboundary(ProductCochain(
+    TraceWord(1), parse_cochain_spec("cyclic-random:2:2:3"))), _GUARD))
 def test_dense_kappa_matches_permutation_expansion(case):
     phi, f = case
     got = kappa(phi, f)

@@ -57,6 +57,8 @@ def _resolve_seed(args) -> int:
 
 
 def _load_json(path: str):
+    if not path:
+        raise CliError("empty file path ''")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)

@@ -10,7 +10,9 @@ coefficients and `coefficient`, which gives one back reduced.
 
 A wedge, and a trace of one, pairs every term of the left form with every
 term of the right form on disjoint indices. The pairs are grouped by
-merged index with the wedge sign folded into the left matrix.
+merged index with the wedge sign folded into the left matrix. A form of
+positive even degree traced against itself takes each unordered pair once
+and doubles the sum (see `MatrixForm.trace`).
 `PolyMatrix.dot` then builds each output coefficient, and
 `PolyMatrix.trace_dot` each trace, with one kernel sum per entry over all
 the entry products landing there. The exterior derivative groups its
@@ -64,12 +66,28 @@ def sort_index(seq: Sequence[int]) -> Optional[Tuple[MultiIndex, int]]:
 
 def _wedge_pairs(left: Dict, right: Dict) -> Dict:
     """The term pairs of `left` and `right` with disjoint multi-indices,
-    grouped by merged index: index -> [(a, b), ..] with the sign of the
-    merge folded into a, which is negated at most once per left term."""
+    grouped by merged index (`_group_pairs`)."""
+    return _group_pairs((i_idx, a, right.items())
+                        for i_idx, a in left.items())
+
+
+def _self_pairs(terms: Dict) -> Dict:
+    """The pairs of ``_wedge_pairs(terms, terms)`` with the left term first
+    in `terms`: each unordered pair of disjoint indices once."""
+    items = list(terms.items())
+    return _group_pairs((i_idx, a, items[pos + 1:])
+                        for pos, (i_idx, a) in enumerate(items))
+
+
+def _group_pairs(rows) -> Dict:
+    """Term pairs on disjoint multi-indices, grouped by merged index:
+    index -> [(a, b), ..] with the sign of the merge folded into a, which
+    is negated at most once per left term. `rows` gives each left term as
+    (index, a, right terms)."""
     out: Dict = {}
-    for i_idx, a in left.items():
+    for i_idx, a, right in rows:
         negated = None
-        for j_idx, b in right.items():
+        for j_idx, b in right:
             merged = sort_index(i_idx + j_idx)
             if merged is None:
                 continue
@@ -305,17 +323,30 @@ class MatrixForm:
 
     def trace(self, other: Optional["MatrixForm"] = None) -> "ScalarForm":
         """tr(self), or tr(self ^ other) without forming the wedge: one
-        `PolyMatrix.trace_dot` over the term pairs of each index."""
+        `PolyMatrix.trace_dot` over the term pairs of each index.
+
+        A form of positive even degree traced against itself takes each
+        unordered pair {I, J} of its terms once and doubles the sum. The
+        entries commute, so tr(X_J X_I) = tr(X_I X_J), and at even degree
+        the merge signs of the two orders agree. At odd degree they are
+        opposite and the two orders cancel; that trace keeps both, so
+        tr(omega ^ omega) = 0 is computed, not assumed. (A 0-form's one
+        index pairs with itself, so it keeps the ordered path too.)
+        """
         if other is None:
             return ScalarForm._over_power(self.n, self.degree, {
                 index: mat.trace() for index, mat in self.terms.items()
             }, self.den_base, self.den_pow)._reduced()
         x, y, base = self._join_base(other)
         n = self.n
-        return ScalarForm._over_power(n, self.degree + other.degree, {
-            index: PolyMatrix.trace_dot(n, pairs)
-            for index, pairs in _wedge_pairs(x.terms, y.terms).items()
-        }, base, x.den_pow + y.den_pow)._reduced()
+        if other is self and self.degree and self.degree % 2 == 0:
+            nums = {index: PolyMatrix.trace_dot(n, pairs) * 2
+                    for index, pairs in _self_pairs(x.terms).items()}
+        else:
+            nums = {index: PolyMatrix.trace_dot(n, pairs)
+                    for index, pairs in _wedge_pairs(x.terms, y.terms).items()}
+        return ScalarForm._over_power(n, self.degree + other.degree, nums,
+                                      base, x.den_pow + y.den_pow)._reduced()
 
     def _reduced(self):
         """Strip base powers dividing every entry of every numerator."""

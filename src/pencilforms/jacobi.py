@@ -3,7 +3,12 @@
 `trace_power_form` computes tr(omega^m) by one route: omega^ceil(m/2) is
 traced against omega^floor(m/2), so the last wedge is never formed, and
 every coefficient of each wedge and of the trace is one fused kernel sum
-(see `forms`). `anchored_trace_power` is a second route for odd m, a
+(see `forms`). For even m that is omega^(m/2) traced against itself.
+When m/2 is even too (m = 4, 8, ..) the form has even degree, and the
+trace sums each unordered pair of its terms once (`MatrixForm.trace`);
+at m = 2 and m = 6 the degree is odd and both orders of each pair are
+summed, so tr(omega^2) = 0 is computed, not assumed.
+`anchored_trace_power` is a second route for odd m, a
 signed sum of trace words in the dz_i coefficients with the first slot
 pinned. No library call compares the two; the `theorem33.trace-routes`
 suite check does, on the top form `factorize_top_form` returns with its

@@ -9,19 +9,24 @@ def count_poly_mul(monkeypatch):
     ``calls[0]`` counts products: each `poly_mul` call, and each pair of a
     fused `poly_dot` sum. ``calls[1]`` counts kernel calls: `poly_mul` and
     `poly_dot` calls alike, so fusing more pairs into one sum lowers it.
+    ``calls[2]`` counts term pairs: len(p) * len(q) for each product, read
+    from the term dicts (a packed operand's first field), so it shows work
+    saved on large products that the product count barely sees.
     """
-    calls = [0, 0]
+    calls = [0, 0, 0]
     inner_mul, inner_dot = ring.poly_mul, ring.poly_dot
 
     def counting_mul(p, q):
         calls[0] += 1
         calls[1] += 1
+        calls[2] += len(p) * len(q)
         return inner_mul(p, q)
 
     def counting_dot(pairs):
         pairs = list(pairs)
         calls[0] += len(pairs)
         calls[1] += 1
+        calls[2] += sum(len(p[0]) * len(q[0]) for p, q in pairs)
         return inner_dot(pairs)
 
     monkeypatch.setattr(ring, "poly_mul", counting_mul)

@@ -6,7 +6,8 @@ its matrix-entry products, a dense cochain's value key by key, kappa by
 its permutation expansion, cyclicity on every tuple of matrix units,
 conjugation invariance on seeded exact conjugations, the anchored trace sum one trace word per
 permutation, the wedge, trace and exterior derivative of
-matrix forms one term pair at a time, the sum, wedge and exterior
+matrix forms one ordered term pair at a time (a trace also with each
+product formed), the sum, wedge and exterior
 derivative of scalar forms one RatFn coefficient at a time (d by the
 quotient rule), the top-form residual by subtraction, and cyclotomic
 arithmetic on dense coefficient vectors.
@@ -231,10 +232,13 @@ def matrix_wedge_reference(x: MatrixForm, y: MatrixForm) -> MatrixForm:
                       x.den_pow + y.den_pow)._reduced()
 
 
-def matrix_trace_reference(x: MatrixForm, y: MatrixForm) -> ScalarForm:
-    """tr(x ^ y) with one PolyMatrix trace per term pair."""
+def matrix_trace_reference(x: MatrixForm, y: MatrixForm,
+                           formed: bool = False) -> ScalarForm:
+    """tr(x ^ y) with one PolyMatrix trace per ordered term pair; with
+    `formed`, each product X_I X_J is formed and then traced."""
     base = x.den_base if x.den_pow else y.den_base
-    nums = _pairwise_sums(x.terms, y.terms, PolyMatrix.trace)
+    nums = _pairwise_sums(x.terms, y.terms, (lambda a, b: (a * b).trace())
+                          if formed else PolyMatrix.trace)
     pow_ = x.den_pow + y.den_pow
     return ScalarForm(x.n, x.degree + y.degree, {
         index: RatFn.over_power(num, base, pow_).reduce()

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -20,6 +21,8 @@ from pencilforms.cochains import DenseCochain, ProductCochain, TraceWord
 from pencilforms.linalg import MatrixTuple
 from pencilforms.sampling import random_matrix_tuple, rng_for
 from pencilforms.transgression import kappa
+from test_linalg import rand_gauss_tuple
+from test_ring import gaussians
 
 
 # the child imports the package these tests import, installed or not
@@ -161,6 +164,15 @@ def test_pencil_inputs_past_the_size_limits_exit_2(tmp_path, capsys):
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, err
             assert "exceed" in err, err
+
+
+def test_empty_file_paths_are_named(units_file, capsys):
+    for argv in (["spectrum", "--input", ""],
+                 ["form", "--kind", "kappa", "--cochain", "dense:",
+                  "--input", units_file]):
+        assert cli_main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err == "error: empty file path ''\n", argv
 
 
 def test_env_seed_default():
@@ -514,3 +526,87 @@ def test_cochain_spec_contract(tmp_path_factory, case):
         assert stderr == "", spec
         assert json.loads(out.getvalue())["degree"] >= 1, spec
     assert elapsed < 5, (spec, elapsed)
+
+
+_BAD_ENTRIES = ("x?", "", "1/0", "z1", "1e3", "i*", "2**i")
+_MALFORMED = ("{ nope", "[1, 2]", "null", "", '{"matrices": []}',
+              '{"matrices": [[["1"]], [["1", "0"], ["0", "1"]]]}',
+              '{"matrices": [[[1, 0], [0, "1"]], [["0", "1"]]]}')
+
+
+@st.composite
+def pencil_cli_inputs(draw):
+    """(text, n): JSON text of an n x k tuple with n <= 4 and k <= 3, its
+    entries small integers or Gaussian rationals as strings. Now and then
+    the tuple is singular (one row zero in every matrix), holds an entry
+    that is no scalar, declares the wrong n, or the text is malformed JSON
+    (cut short, or not a tuple)."""
+    n, k = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    entry = draw(st.sampled_from((st.integers(-3, 3).map(str),
+                                  gaussians.map(str))))
+    mats = [[[draw(entry) for _ in range(k)] for _ in range(k)]
+            for _ in range(n)]
+    data = {"matrices": mats}
+    shape = draw(st.integers(0, 9))
+    if shape == 0:
+        row = draw(st.integers(0, k - 1))
+        for grid in mats:
+            grid[row] = ["0"] * k
+    elif shape == 1:
+        grid = draw(st.sampled_from(mats))
+        draw(st.sampled_from(grid))[draw(st.integers(0, k - 1))] = \
+            draw(st.sampled_from(_BAD_ENTRIES))
+    elif shape == 2:
+        data["n"] = n + 1
+    text = json.dumps(data)
+    if shape == 3:
+        text = draw(st.sampled_from(
+            (text[:draw(st.integers(0, len(text) - 1))],) + _MALFORMED))
+    return text, n
+
+
+def _gauss_tuple_text(seed, n, k):
+    return json.dumps(serialize.tuple_to_json(
+        rand_gauss_tuple(random.Random(seed), n, k)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(pencil_cli_inputs())
+# both self traces: tr(omega ^ omega) at --power 2, tr(omega^2 ^ omega^2)
+# at --power 4, on a Gaussian-rational tuple
+@example((_gauss_tuple_text(5, 4, 3), 4))
+@example((_gauss_tuple_text(6, 4, 2), 4))
+# singular: det(f) vanishes identically
+@example(('{"matrices": [[["1", "0"], ["0", "0"]], [["0", "1"], ["0", "0"]]]}',
+          2))
+@example(('{"matrices": [[["1", "0"], ["0", "1"]]', 1))
+def test_spectrum_and_form_contract(tmp_path_factory, case):
+    # any pencil input to spectrum and form: exit 0, 1 or 2, an exit 2
+    # with exactly one error line, never a traceback, and each case within
+    # a few seconds; an even trace power that exits 0 prints the zero form
+    text, n = case
+    path = tmp_path_factory.mktemp("pencil-cli") / "pencil.json"
+    path.write_text(text)
+    runs = [["spectrum"], ["form", "--kind", "mc"],
+            ["form", "--kind", "kappa", "--cochain", "traceword:2"]]
+    runs += [["form", "--kind", "trace-power", "--power", str(power)]
+             for power in range(1, n + 2)]
+    start = time.perf_counter()
+    for argv in runs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main([*argv, "--input", str(path)])
+        stderr = err.getvalue()
+        assert code in (0, 1, 2), (text, argv)
+        assert "Traceback" not in stderr, (text, argv)
+        if code == 2:
+            assert stderr.startswith("error: ") and stderr.count("\n") == 1 \
+                and stderr.count("error:") == 1, (text, argv, stderr)
+            assert out.getvalue() == "", (text, argv)
+        else:
+            assert stderr == "" and out.getvalue(), (text, argv)
+        if code == 0 and argv[-1] in ("2", "4") and "--power" in argv:
+            assert json.loads(out.getvalue()) == {
+                "degree": int(argv[-1]), "n": n, "terms": []}, (text, argv)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10, (text, elapsed)

@@ -2,6 +2,7 @@
 
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -324,6 +325,59 @@ def test_trace_of_wedge_matches_formed_wedge():
     other = rand_matrix_form(rng, n, k, 1, MultiPoly.parse("z2+1", n), 1)
     with pytest.raises(ValueError):
         rand_matrix_form(rng, n, k, 1, base, 1).trace(other)
+
+
+def _ordered_pairs(form):
+    """The ordered pairs of terms of `form` on disjoint indices."""
+    return sum(1 for i in form.terms for j in form.terms
+               if not set(i) & set(j))
+
+
+def test_even_self_trace_matches_ordered_pair_reference(monkeypatch):
+    """tr(a ^ a) of a form of positive even degree sums each unordered
+    pair of terms once; it must equal the sum over ordered pairs with every
+    product formed, key for key, in half the kernel products."""
+    rng = random.Random(31)
+    calls = count_poly_mul(monkeypatch)
+    # (n, k, degree, base, pow): Gaussian-rational numerators; a degree-4
+    # self trace has content only from n = 8; a 0-form pairs with itself
+    cases = [(4, 2, 2, None, 0), (5, 3, 2, None, 0),
+             (4, 3, 2, "z1+2*z3-z4", 1), (5, 2, 2, "z2^2-z1+3", 2),
+             (8, 2, 4, None, 0), (3, 2, 0, "z1-z2+2", 1)]
+    for n, k, degree, base, pow_ in cases:
+        a = rand_matrix_form(rng, n, k, degree,
+                             base and MultiPoly.parse(base, n), pow_)
+        calls[0] = 0
+        got = a.trace(a)
+        products = calls[0]
+        want = matrix_trace_reference(a, a, formed=True)
+        assert not want.is_zero, (n, k, degree)
+        assert sorted(got.terms) == sorted(want.terms)
+        assert got == want
+        for index in want.terms:
+            assert str(got.coefficient(index)) == str(want.coefficient(index))
+        pairs = _ordered_pairs(a) // 2 if degree else 1
+        assert products == pairs * k * k, (n, k, degree)
+
+
+def test_odd_self_trace_and_wedge_keep_ordered_pairs(monkeypatch):
+    """At odd degree the two orders of a pair cancel, so tr(a ^ a) = 0 is
+    computed from every ordered pair, not assumed; a wedge, whose products
+    do not commute, pairs its terms in both orders at every degree."""
+    n, k = 4, 3
+    omega = maurer_cartan(rand_gauss_tuple(random.Random(37), n, k).pencil())
+    three = rand_matrix_form(random.Random(41), 6, 2, 3, None, 0)
+    two = rand_matrix_form(random.Random(43), n, k, 2, None, 0)
+    calls = count_poly_mul(monkeypatch)
+    assert omega.trace(omega).is_zero
+    assert len(omega.terms) == n
+    assert calls[0] == 2 * comb(n, 2) * k * k
+    calls[0] = 0
+    assert three.trace(three).is_zero
+    assert calls[0] == _ordered_pairs(three) * 2 * 2 == 20 * 4
+    calls[0] = 0
+    assert not two.wedge(two).is_zero
+    assert calls[0] == _ordered_pairs(two) * k ** 3
 
 
 # -- fused wedge, trace and d against their pairwise references -------------

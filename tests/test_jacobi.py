@@ -287,8 +287,12 @@ def test_top_form_residual_matches_subtraction_reference():
 # term pair). CUBIC_TRACE_DATA went 485 -> 459 when the residual began to be
 # built from numerators over omega's base instead of by RatFn arithmetic,
 # and 459 -> 378 when the anchored sum began to form each prefix product of
-# its trace words once.
-TRACE_POWER_4_BUDGET = 993
+# its trace words once. TRACE_POWER_4 went 993 -> 858 when an even form
+# traced against itself began to take each unordered pair of its terms
+# once; its term pairs (len(p) * len(q) per product) went 1,249,103 ->
+# 679,508, and the pair budget flags the ordered pairs coming back.
+TRACE_POWER_4_BUDGET = 858
+TRACE_POWER_4_PAIR_BUDGET = 679_508
 TRACE_POWER_3_BUDGET = 588
 CUBIC_TRACE_DATA_BUDGET = 378
 TRACE_POWER_4_CALL_BUDGET = 188
@@ -301,6 +305,7 @@ def test_trace_power_kernel_product_budget(monkeypatch):
     trace_power_form(f, 4)
     assert 0 < calls[0] <= TRACE_POWER_4_BUDGET
     assert 0 < calls[1] <= TRACE_POWER_4_CALL_BUDGET
+    assert 0 < calls[2] <= TRACE_POWER_4_PAIR_BUDGET
 
 
 def test_odd_trace_power_kernel_product_budget(monkeypatch):

@@ -419,12 +419,14 @@ def test_theorem29_suite_kernel_product_budget(monkeypatch):
 # their products began to contract a chain of dense tensors in place of a
 # permutation expansion; flatness (4,246) and hyperplane (1,281) measure
 # what they have since then, and example35 (1,463) what it has since the
-# anchored sum formed each prefix product once. The test ids carry the
-# suite alone, so tightening a budget keeps the test's name.
+# anchored sum formed each prefix product once. parity (2,890) was
+# tightened when an even form traced against itself began to take each
+# unordered pair of its terms once. The test ids carry the suite alone, so
+# tightening a budget keeps the test's name.
 PENCIL_SUITE_BUDGETS = {
     "flatness": (12, 3_754),
     "jacobi-classic": (20, 3_622),
-    "parity": (4, 2_890),
+    "parity": (4, 2_656),
     "example35": (8, 1_175),
     "tau": (3, 1_631),
     "hyperplane": (6, 1_261),
@@ -438,6 +440,21 @@ def test_pencil_suite_kernel_product_budget(monkeypatch, suite):
     report = run_suite(suite, seed=1, trials=trials)
     assert report.passed, report.text()
     assert 0 < calls[0] <= budget
+
+
+# Kernel term pairs (len(p) * len(q) per product) of the parity suite at
+# seed 1, trials 4, recorded when an even form traced against itself began
+# to take each unordered pair of its terms once (before: 1,394,444, most
+# of it tr(omega^4) at k = 3, n = 5). The product count barely shows that
+# saving (2,890 -> 2,656); the ordered pairs coming back exceed this one.
+PARITY_TERM_PAIR_BUDGET = 791_528
+
+
+def test_parity_suite_kernel_term_pair_budget(monkeypatch):
+    calls = count_poly_mul(monkeypatch)
+    report = run_suite("parity", seed=1, trials=4)
+    assert report.passed, report.text()
+    assert 0 < calls[2] <= PARITY_TERM_PAIR_BUDGET
 
 
 # -- verdicts the suites make on values the library returns ---------------

@@ -194,13 +194,7 @@ def cmd_form(args) -> int:
             sys.stderr.write("FAIL: nonzero residual; the top form is not "
                              "a multiple of s\n")
             return 1
-        data = {
-            "q": {"num": str(fact.q.num), "den": str(fact.q.den)},
-            "q_denominator_power": fact.q.den_pow,
-            "residual_zero": fact.residual.is_zero,
-            "normalized_coefficients": [
-                {"num": str(b.num), "den": str(b.den)} for b in fact.bar_i],
-        }
+        data = serialize.top_factor_to_json(fact)
     payload = serialize.canonical_json(data)
     sys.stdout.write(payload)
     _write_json_out(args.json_out, payload)
@@ -311,9 +305,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once, when the module is imported: parsing keeps no state in the
+# parser, so every main() call in one process shares it.
+_PARSER = build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.handler(args)
     except CliError as exc:

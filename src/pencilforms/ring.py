@@ -653,8 +653,11 @@ class MultiPoly:
     def __pow__(self, m: int) -> "MultiPoly":
         if m < 0:
             raise ValueError("negative power of a polynomial")
-        out = MultiPoly.one(self.n)
-        for _ in range(m):
+        if m == 0:
+            return MultiPoly.one(self.n)
+        # the term dict is never changed, so self**1 may be self itself
+        out = self
+        for _ in range(m - 1):
             out = out * self
         return out
 

@@ -2,7 +2,10 @@
 
 Text forms delegate to the ring classes, whose str/parse pairs round-trip
 exactly; this module only fixes the surrounding JSON shape, key order, and
-term ordering so that serialized output is byte-stable.
+term ordering so that serialized output is byte-stable. Rational-function
+coefficients are written as {"num", "den"} pairs by one renderer, which
+multiplies out and prints each distinct denominator base**pow once per
+output, however many coefficients share it.
 """
 
 from __future__ import annotations
@@ -161,15 +164,26 @@ def pencil_input_from_json(data: Dict):
 # scalar forms: {"degree": r, "terms": [{"index": [..], "num": .., "den": ..}]}
 
 
+def _ratfns_to_json(coeffs) -> List[Dict]:
+    """{"num": .., "den": ..} for each RatFn in coeffs. Each distinct
+    (den_base, den_pow) is multiplied out and printed once; coefficients
+    that share it share the text."""
+    dens: Dict = {}
+    out = []
+    for c in coeffs:
+        key = (c.den_base, c.den_pow)
+        den = dens.get(key)
+        if den is None:
+            den = dens[key] = str(c.den)
+        out.append({"num": str(c.num), "den": den})
+    return out
+
+
 def scalar_form_to_json(form: ScalarForm) -> Dict:
-    terms: List[Dict] = []
-    for index in sorted(form.terms):
-        coeff = form.coefficient(index)
-        terms.append({
-            "index": list(index),
-            "num": str(coeff.num),
-            "den": str(coeff.den),
-        })
+    indices = sorted(form.terms)
+    coeffs = _ratfns_to_json(form.coefficient(index) for index in indices)
+    terms = [{"index": list(index), **coeff}
+             for index, coeff in zip(indices, coeffs)]
     return {"degree": form.degree, "n": form.n, "terms": terms}
 
 
@@ -188,6 +202,21 @@ def scalar_form_from_json(data: Dict) -> ScalarForm:
         return ScalarForm(n, degree, terms)
     except (TypeError, KeyError, AttributeError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed scalar-form JSON: {exc!r}")
+
+
+# top-form factorizations: q, its denominator power, whether the residual
+# is zero, and the n normalized coefficients bar I_j
+
+
+def top_factor_to_json(fact) -> Dict:
+    """The `form --kind top-factor` payload of a TopFormFactorization."""
+    q, *bar_i = _ratfns_to_json((fact.q,) + fact.bar_i)
+    return {
+        "q": q,
+        "q_denominator_power": fact.q.den_pow,
+        "residual_zero": fact.residual.is_zero,
+        "normalized_coefficients": bar_i,
+    }
 
 
 # matrix-valued forms share one denominator base**power; the entry grid per

@@ -9,8 +9,10 @@ permutation, the wedge, trace and exterior derivative of
 matrix forms one ordered term pair at a time (a trace also with each
 product formed), the sum, wedge and exterior
 derivative of scalar forms one RatFn coefficient at a time (d by the
-quotient rule), the top-form residual by subtraction, and cyclotomic
-arithmetic on dense coefficient vectors.
+quotient rule), the top-form residual by subtraction, cyclotomic
+arithmetic on dense coefficient vectors, a polynomial power as repeated
+products from one, and the JSON of form coefficients rendered one
+coefficient at a time.
 """
 
 from itertools import combinations, permutations, product
@@ -308,6 +310,39 @@ def scalar_d_reference(x: dict, n: int) -> dict:
             out[new_index] = out[new_index] + contrib \
                 if new_index in out else contrib
     return out
+
+
+def poly_power_reference(p: MultiPoly, m: int) -> MultiPoly:
+    """p**m as m products starting from one; one * p copies p, term order
+    included."""
+    out = MultiPoly.one(p.n)
+    for _ in range(m):
+        out = out * p
+    return out
+
+
+def ratfn_json_reference(c: RatFn) -> dict:
+    """{"num", "den"} of one coefficient, its denominator multiplied out
+    for it alone."""
+    return {"num": str(c.num), "den": str(c.den)}
+
+
+def scalar_form_json_reference(form: ScalarForm) -> dict:
+    """The scalar-form JSON, each reduced coefficient rendered on its own."""
+    return {"degree": form.degree, "n": form.n, "terms": [
+        {"index": list(index), **ratfn_json_reference(form.coefficient(index))}
+        for index in sorted(form.terms)]}
+
+
+def top_factor_json_reference(fact) -> dict:
+    """The top-factor payload, q and each bar I_j rendered on its own."""
+    return {
+        "q": ratfn_json_reference(fact.q),
+        "q_denominator_power": fact.q.den_pow,
+        "residual_zero": fact.residual.is_zero,
+        "normalized_coefficients": [ratfn_json_reference(b)
+                                    for b in fact.bar_i],
+    }
 
 
 def top_form_residual_reference(big_t: ScalarForm) -> ScalarForm:

@@ -8,17 +8,19 @@ import random
 import subprocess
 import sys
 import time
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pencilforms
-from pencilforms import serialize
+from pencilforms import cli, serialize
 from pencilforms.cli import MAX_TRIALS, CliError, parse_cochain_spec
 from pencilforms.cli import main as cli_main
 from pencilforms.cochains import DenseCochain, ProductCochain, TraceWord
 from pencilforms.linalg import MatrixTuple
+from pencilforms.ring import MAX_EXPONENT, MultiPoly
 from pencilforms.sampling import random_matrix_tuple, rng_for
 from pencilforms.transgression import kappa
 from test_linalg import rand_gauss_tuple
@@ -608,5 +610,143 @@ def test_spectrum_and_form_contract(tmp_path_factory, case):
         if code == 0 and argv[-1] in ("2", "4") and "--power" in argv:
             assert json.loads(out.getvalue()) == {
                 "degree": int(argv[-1]), "n": n, "terms": []}, (text, argv)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10, (text, elapsed)
+
+
+# -- one parser per process ---------------------------------------------------
+
+
+def _run_in_process(argv):
+    """(exit code, stdout, stderr) of one `cli.main` call; a usage error
+    that argparse ends in SystemExit gives its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli_main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_one_parser_serves_every_call_in_either_order(tmp_path, units_file,
+                                                      monkeypatch):
+    # main parses with the parser built at import: calls in one process
+    # give the bytes of a fresh process, whatever ran before them
+    def refuse():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    torus = tmp_path / "torus.json"
+    torus.write_text(json.dumps({"mode": "exact", "q": 3, "p_prime": 1}))
+    forms = [["form", "--kind", kind, "--input", units_file]
+             for kind in ("mc", "kappa", "trace-power", "top-factor")]
+    spectrum = ["spectrum", "--input", units_file]
+    bad_kind = ["form", "--kind", "nope", "--input", units_file]
+    bad_spec = ["form", "--kind", "kappa", "--cochain", "nope",
+                "--input", units_file]
+    argvs = [spectrum, *forms, *[[*a, "--json-out", "-"] for a in forms],
+             ["verify", "--suite", "hyperplane", "--seed", "3",
+              "--trials", "2"],
+             ["torus", "--check", "cocycles", "--input", str(torus),
+              "--seed", "1"],
+             bad_kind, bad_spec]
+    forward = [_run_in_process(argv) for argv in argvs]
+    backward = [_run_in_process(argv) for argv in reversed(argvs)][::-1]
+    for argv, first, second in zip(argvs, forward, backward):
+        assert first == second, argv
+    results = dict(zip(map(tuple, argvs), forward))
+    assert all(code == 0 for code, _, _ in forward[:-2])
+    code, out, err = results[tuple(bad_kind)]
+    assert (code, out) == (2, "") and "invalid choice: 'nope'" in err
+    assert results[tuple(bad_spec)][:2] == (2, "")
+    assert results[tuple(bad_spec)][2].startswith(
+        "error: unrecognized cochain spec 'nope'")
+    for argv in (spectrum, [*forms[1], "--json-out", "-"], bad_spec):
+        r = run_cli(*argv)
+        assert (r.returncode, r.stdout, r.stderr) == results[tuple(argv)]
+
+
+# -- polynomial-matrix inputs: any input is a result or one error line --------
+
+
+def _poly_entry(draw, n, coeffs):
+    """The text of a polynomial in n variables: at most three monomials of
+    degree <= 2."""
+    monomials = [e for e in product(range(3), repeat=n) if sum(e) <= 2]
+    terms = draw(st.dictionaries(st.sampled_from(monomials), coeffs,
+                                 max_size=3))
+    return str(MultiPoly.from_terms(n, terms))
+
+
+@st.composite
+def poly_matrix_cli_inputs(draw):
+    """(text, n): JSON text of a k x k polynomial matrix in n variables,
+    n <= 3 and k <= 3, its entries of degree <= 2 with small integer or
+    Gaussian-rational coefficients. Now and then the matrix is singular
+    (one row zero), an entry has an exponent above `ring.MAX_EXPONENT`, the
+    declared n is wrong or missing, or the text is malformed JSON (cut
+    short, or not a matrix)."""
+    n, k = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    coeffs = draw(st.sampled_from((st.integers(-3, 3), gaussians)))
+    rows = [[_poly_entry(draw, n, coeffs) for _ in range(k)]
+            for _ in range(k)]
+    data = {"n": n, "entries": rows}
+    shape = draw(st.integers(0, 9))
+    if shape == 0:
+        rows[draw(st.integers(0, k - 1))] = ["0"] * k
+    elif shape == 1:
+        var = draw(st.integers(1, n))
+        exponent = MAX_EXPONENT + draw(st.sampled_from((1, 2, 10 ** 9)))
+        draw(st.sampled_from(rows))[draw(st.integers(0, k - 1))] = \
+            f"z{var}^{exponent}"
+    elif shape == 2:
+        data["n"] = draw(st.sampled_from((n - 1, n + 1, -1, "2", None, 2.5)))
+    elif shape == 3:
+        del data["n"]
+    text = json.dumps(data)
+    if shape == 4:
+        text = draw(st.sampled_from(
+            (text[:draw(st.integers(0, len(text) - 1))],) + _MALFORMED
+            + ('{"entries": []}', '{"entries": [["z1"], "z2"]}',
+               '{"entries": [[1, "z1"], ["0", "z1"]]}')))
+    return text, n
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly_matrix_cli_inputs())
+# singular, of declared size 2 with a stray variable, and past the exponent
+# limit
+@example(('{"n": 2, "entries": [["z1", "z2"], ["z1", "z2"]]}', 2))
+@example(('{"n": 1, "entries": [["z1", "z2"], ["0", "z1"]]}', 2))
+@example(('{"n": 2, "entries": [["z1^1001", "0"], ["0", "z2"]]}', 2))
+@example(('{"n": 2, "entries": [["z1^2+(1/2-i)*z2^2", "z1*z2"], '
+          '["-z2^2", "(2/3*i)*z1^2"]]}', 2))
+def test_poly_matrix_spectrum_and_form_contract(tmp_path_factory, case):
+    # any polynomial-matrix input to spectrum and every form kind: exit 0,
+    # 1 or 2, an exit 2 with exactly one error line, never a traceback, and
+    # each case within a few seconds
+    text, n = case
+    path = tmp_path_factory.mktemp("poly-cli") / "pencil.json"
+    path.write_text(text)
+    runs = [["spectrum"], ["form", "--kind", "mc"],
+            ["form", "--kind", "kappa", "--cochain", "traceword:2"],
+            ["form", "--kind", "top-factor"]]
+    runs += [["form", "--kind", "trace-power", "--power", str(power)]
+             for power in range(1, n + 2)]
+    start = time.perf_counter()
+    for argv in runs:
+        code, out, err = _run_in_process([*argv, "--input", str(path)])
+        assert code in (0, 1, 2), (text, argv)
+        assert "Traceback" not in err, (text, argv)
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1 \
+                and err.count("error:") == 1, (text, argv, err)
+            assert out == "", (text, argv)
+        elif code == 1:
+            assert err.startswith("FAIL: ") and err.count("\n") == 1, \
+                (text, argv, err)
+        else:
+            assert err == "" and out, (text, argv)
     elapsed = time.perf_counter() - start
     assert elapsed < 10, (text, elapsed)

@@ -286,15 +286,16 @@ def test_top_form_residual_matches_subtraction_reference():
 # `MultiPoly.dot` per entry (before: 303 and 204, one per entry of every
 # term pair). CUBIC_TRACE_DATA went 485 -> 459 when the residual began to be
 # built from numerators over omega's base instead of by RatFn arithmetic,
-# and 459 -> 378 when the anchored sum began to form each prefix product of
-# its trace words once. TRACE_POWER_4 went 993 -> 858 when an even form
-# traced against itself began to take each unordered pair of its terms
-# once; its term pairs (len(p) * len(q) per product) went 1,249,103 ->
+# 459 -> 378 when the anchored sum began to form each prefix product of
+# its trace words once, and 378 -> 376 when p**m stopped multiplying p by
+# one first. TRACE_POWER_4 went 993 -> 858 when an even form traced
+# against itself began to take each unordered pair of its terms once; its
+# term pairs (len(p) * len(q) per product) went 1,249,103 ->
 # 679,508, and the pair budget flags the ordered pairs coming back.
 TRACE_POWER_4_BUDGET = 858
 TRACE_POWER_4_PAIR_BUDGET = 679_508
 TRACE_POWER_3_BUDGET = 588
-CUBIC_TRACE_DATA_BUDGET = 378
+CUBIC_TRACE_DATA_BUDGET = 376
 TRACE_POWER_4_CALL_BUDGET = 188
 TRACE_POWER_3_CALL_BUDGET = 142
 

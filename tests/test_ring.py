@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import convolve, cyclo_dense, cyclo_dense_str, ratfn_partial
+from oracles import (convolve, cyclo_dense, cyclo_dense_str,
+                     poly_power_reference, ratfn_partial)
 from pencilforms import _core, ring
 from pencilforms._core import (Q_ONE, Q_ZERO, poly_add, poly_mul, poly_pack,
                                qadd, qinv, qmul, qneg, qnorm, qsub)
@@ -728,3 +729,29 @@ def test_dot_of_reused_multipoly_operands_matches_reference(case):
     # each operand kept the packed form of its first sum, and its terms
     assert all(x._packed is kept for x, kept in zip(polys, packed))
     assert [x._terms for x in polys] == pool
+
+
+@st.composite
+def power_cases(draw):
+    """(p, m): p in three variables with integer or Gaussian-rational
+    coefficients, its term count at most 5 or above `_DIRECT_MAX_PAIRS`,
+    so that one * p ran as a direct product or as a packed sum, and m in
+    0..4."""
+    coeffs = _KIND_COEFFS[draw(st.sampled_from(("int", "mixed")))]
+    size = draw(st.one_of(
+        st.integers(1, 5),
+        st.integers(ring._DIRECT_MAX_PAIRS + 1, ring._DIRECT_MAX_PAIRS + 8)))
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), coeffs,
+                                 min_size=size, max_size=size))
+    return MultiPoly(3, terms), draw(st.integers(0, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(power_cases())
+def test_power_matches_products_from_one(case):
+    p, m = case
+    got, want = p ** m, poly_power_reference(p, m)
+    # terms and their order: float evaluation sums in that order
+    assert list(got._terms.items()) == list(want._terms.items())
+    if m == 1:
+        assert got is p

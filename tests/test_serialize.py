@@ -1,20 +1,24 @@
 """JSON round-trips and schema validation."""
 
 import json
+import random
 
 import pytest
 
+from oracles import scalar_form_json_reference, top_factor_json_reference
 from pencilforms import serialize
 from pencilforms.cochains import DenseCochain, TraceWord
-from pencilforms.forms import maurer_cartan
-from pencilforms.jacobi import trace_power_form
+from pencilforms.forms import ScalarForm, maurer_cartan
+from pencilforms.jacobi import factorize_top_form, trace_power_form
 from pencilforms.linalg import MatrixTuple, PolyMatrix
-from pencilforms.ring import Scalar
+from pencilforms.ring import MultiPoly, Scalar
 from pencilforms.serialize import MAX_SIZE, MAX_VARIABLES
 from pencilforms.sampling import (random_matrix_tuple, random_poly_matrix,
                                   rng_for)
 from pencilforms.torus import MAX_ORDER, TorusConfig
 from pencilforms.transgression import kappa
+from test_golden import PENCILS
+from test_linalg import rand_gauss_tuple
 
 
 def test_tuple_round_trip():
@@ -301,3 +305,99 @@ _ONE_MATRIX_TERM = [{"index": [1], "entries": [["1"]]}]
 def test_form_readers_reject_malformed_shapes_with_value_error(reader, data):
     with pytest.raises(ValueError, match="malformed (scalar|matrix)-form"):
         reader(data)
+
+
+# -- form coefficients: one rendering per distinct denominator --------------
+
+
+def _mixed_power_form() -> ScalarForm:
+    """A 1-form over det**2 whose coefficients reduce to det**2, det**1 and
+    det**0, with one more at det**2 sharing the first one's denominator."""
+    f = MatrixTuple.matrix_units(2).pencil()
+    det, z1, z2 = f.det(), MultiPoly.variable(4, 1), MultiPoly.variable(4, 2)
+    return ScalarForm._over_power(4, 1, {
+        (1,): z1, (2,): det * z2, (3,): det * det, (4,): z1 + z2}, det, 2)
+
+
+def _gaussian_pencil(seed, n, k):
+    return rand_gauss_tuple(random.Random(seed), n, k).pencil()
+
+
+def _golden_pencils():
+    return [serialize.tuple_from_json(data).pencil()
+            for data in PENCILS.values()]
+
+
+def _scalar_forms():
+    """(id, form): forms with coefficients over several powers of their
+    base, over Gaussian-rational pencils, and over the golden inputs."""
+    out = [("mixed-powers", _mixed_power_form())]
+    pencils = [(f"gauss-{seed}", _gaussian_pencil(seed, 4, 2))
+               for seed in (3, 4)]
+    pencils += [(f"golden-{name}", f) for name, f in
+                zip(PENCILS, _golden_pencils())]
+    for name, f in pencils:
+        out += [(f"{name}-trace3", trace_power_form(f, 3)),
+                (f"{name}-trace2", trace_power_form(f, 2)),
+                (f"{name}-kappa", kappa(TraceWord(3), f))]
+    return out
+
+
+def _counting_renderings(monkeypatch, emit, value):
+    """emit(value), with the number of polynomials it raised to a power and
+    printed while it ran."""
+    counts = {"pow": 0, "str": 0}
+    inner_pow, inner_str = MultiPoly.__pow__, MultiPoly.__str__
+
+    def counting_pow(p, m):
+        counts["pow"] += 1
+        return inner_pow(p, m)
+
+    def counting_str(p):
+        counts["str"] += 1
+        return inner_str(p)
+
+    monkeypatch.setattr(MultiPoly, "__pow__", counting_pow)
+    monkeypatch.setattr(MultiPoly, "__str__", counting_str)
+    try:
+        return emit(value), counts
+    finally:
+        monkeypatch.undo()
+
+
+def _distinct_denominators(coeffs) -> int:
+    return len({(c.den_base, c.den_pow) for c in coeffs})
+
+
+def test_mixed_power_form_reduces_to_several_powers():
+    form = _mixed_power_form()
+    assert sorted(form.coefficient(i).den_pow for i in form.terms) == \
+        [0, 1, 2, 2]
+
+
+@pytest.mark.parametrize("form", [f for _, f in _scalar_forms()],
+                         ids=[name for name, _ in _scalar_forms()])
+def test_scalar_form_json_renders_each_denominator_once(monkeypatch, form):
+    want = scalar_form_json_reference(form)
+    coeffs = [form.coefficient(index) for index in form.terms]
+    data, counts = _counting_renderings(monkeypatch,
+                                        serialize.scalar_form_to_json, form)
+    assert data == want
+    distinct = _distinct_denominators(coeffs)
+    assert counts == {"pow": distinct, "str": len(coeffs) + distinct}
+
+
+@pytest.mark.parametrize("f", [_gaussian_pencil(5, 4, 2)]
+                         + _golden_pencils(),
+                         ids=["gauss-5"] + [f"golden-{n}" for n in PENCILS])
+def test_top_factor_json_renders_each_denominator_once(monkeypatch, f):
+    fact = factorize_top_form(f)
+    coeffs = (fact.q,) + fact.bar_i
+    data, counts = _counting_renderings(monkeypatch,
+                                        serialize.top_factor_to_json, fact)
+    # after the count: the reference keeps each denominator on its RatFn
+    assert data == top_factor_json_reference(fact)
+    distinct = _distinct_denominators(coeffs)
+    assert counts == {"pow": distinct, "str": len(coeffs) + distinct}
+    # the bar I_j share their denominator, and q has its own
+    assert distinct == 2

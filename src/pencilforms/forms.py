@@ -24,14 +24,15 @@ denominators, as RatFn does; matrix forms over unlike bases only compare.
 
 The Maurer-Cartan form of a pencil map f is
 ``omega_f = f^{-1} df = sum_i adjugate(f) (df/dz_i) / det(f) dz_i``;
-`maurer_cartan` builds it with base det(f) and pow 1.
+`maurer_cartan` builds it with base det(f) and pow 1, and keeps the last
+one it built for the next call about an equal matrix.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Dict, Optional, Sequence, Tuple
 
 from pencilforms.linalg import PolyMatrix
@@ -450,12 +451,18 @@ class ScalarForm(MatrixForm):
         return f"ScalarForm({body})"
 
 
+@lru_cache(maxsize=1)
 def maurer_cartan(f: PolyMatrix) -> MatrixForm:
     """The form f^{-1} df of an invertible polynomial matrix map.
 
     Coefficient of dz_i is adjugate(f) * (df/dz_i) over det(f). Requires
     det(f) nonzero as a polynomial; a pencil with identically vanishing
     determinant has an empty resolvent set and no Maurer-Cartan form.
+
+    The last result is kept, keyed by f's content: a call with an equal
+    matrix returns the same form object, so consecutive requests about one
+    pencil build omega once. The form is shared and must not be changed;
+    `maurer_cartan.cache_clear()` drops it. A ValueError is not kept.
     """
     det = f.det()
     if det.is_zero:

@@ -7,16 +7,21 @@ every coefficient of each wedge and of the trace is one fused kernel sum
 When m/2 is even too (m = 4, 8, ..) the form has even degree, and the
 trace sums each unordered pair of its terms once (`MatrixForm.trace`);
 at m = 2 and m = 6 the degree is odd and both orders of each pair are
-summed, so tr(omega^2) = 0 is computed, not assumed.
+summed, so tr(omega^2) = 0 is computed, not assumed. Like
+`maurer_cartan`, it keeps its last result: a second call with an equal
+matrix and the same m returns the same form, so `factorize_top_form`
+right after a request for tr(omega^(n-1)) splits that form without
+recomputing it.
 `anchored_trace_power` is a second route for odd m, a
 signed sum of trace words in the dz_i coefficients with the first slot
 pinned. No library call compares the two; the `theorem33.trace-routes`
 suite check does, on the top form `factorize_top_form` returns with its
 split.
 
-For an n-variable pencil with n even, the top odd trace power factors
-through the signed radial form ``s(z) = sum_j (-1)^j z_j dz_{jbar}``,
-where dz_{jbar} wedges every differential except dz_j. `factorize_top_form`
+For an n-variable pencil with n even and at least 4, the top odd trace
+power factors through the signed radial form
+``s(z) = sum_j (-1)^j z_j dz_{jbar}``, where dz_{jbar} wedges every
+differential except dz_j. `factorize_top_form`
 divides the dz_{1bar} coefficient by -z_1 to get q and returns z_1 times
 the residual of the top form minus q s, z_1 T + T_{1bar} s, whose
 coefficients all stay over omega's denominator base. A zero residual makes
@@ -109,11 +114,16 @@ def _anchored_trace_power(omega: MatrixForm, m: int) -> ScalarForm:
                                   m * omega.den_pow)._reduced()
 
 
+@lru_cache(maxsize=1)
 def trace_power_form(f: PolyMatrix, m: int) -> ScalarForm:
     """tr(omega^m) as tr(omega^ceil(m/2) ^ omega^floor(m/2)).
 
-    The last wedge is traced without being formed. This is the library's
-    only route to a trace power.
+    The last wedge is traced without being formed. Every m is taken by
+    this route; `anchored_trace_power` is the other one, for odd m.
+
+    The last result is kept, keyed by f's content and m; it is shared and
+    must not be changed, and `trace_power_form.cache_clear()` drops it. A
+    ValueError is not kept.
     """
     if not 1 <= m <= f.n:
         raise ValueError(f"m must lie in 1..{f.n}")
@@ -140,14 +150,16 @@ class TopFormFactorization:
 def factorize_top_form(f: PolyMatrix) -> TopFormFactorization:
     """Split tr(omega^{n-1}) as q * s by exact coefficient division.
 
-    Requires n even and entries homogeneous of one common degree. q is the
+    Requires n even and at least 4, and entries homogeneous of one common
+    degree: at n = 2 the top form tr(omega) = d log det is never a multiple
+    of s (the Euler field contracts it to deg det and s to 0). q is the
     dz_{1bar} coefficient over -z_1. The top form is q * s exactly when
     the returned residual (z_1 times top - q s) is zero; the caller decides
     what a nonzero one means. The split top form comes back with it.
     """
     n = f.n
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"n must be even and >= 2, got {n}")
+    if n < 4 or n % 2 != 0:
+        raise ValueError(f"n must be even and >= 4, got {n}")
     if f.entry_degrees_homogeneous() is None:
         raise ValueError("entries must be homogeneous of one common degree")
     return _factor_top_form(trace_power_form(f, n - 1))

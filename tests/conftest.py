@@ -1,6 +1,22 @@
 """Helpers shared by several test modules."""
 
+import pytest
+
 from pencilforms import ring
+from pencilforms.forms import maurer_cartan
+from pencilforms.jacobi import trace_power_form
+
+
+@pytest.fixture(autouse=True)
+def cold_form_memo():
+    """Each test starts with no omega and no trace power kept.
+
+    `maurer_cartan` and `trace_power_form` keep their last result, so a
+    test that counts kernel work on a pencil an earlier test used would
+    otherwise count nothing.
+    """
+    maurer_cartan.cache_clear()
+    trace_power_form.cache_clear()
 
 
 def count_poly_mul(monkeypatch):

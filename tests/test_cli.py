@@ -19,10 +19,13 @@ from pencilforms import cli, serialize
 from pencilforms.cli import MAX_TRIALS, CliError, parse_cochain_spec
 from pencilforms.cli import main as cli_main
 from pencilforms.cochains import DenseCochain, ProductCochain, TraceWord
+from pencilforms.forms import maurer_cartan
+from pencilforms.jacobi import trace_power_form
 from pencilforms.linalg import MatrixTuple
 from pencilforms.ring import MAX_EXPONENT, MultiPoly
 from pencilforms.sampling import random_matrix_tuple, rng_for
 from pencilforms.transgression import kappa
+from test_golden import PENCILS
 from test_linalg import rand_gauss_tuple
 from test_ring import gaussians
 
@@ -750,3 +753,64 @@ def test_poly_matrix_spectrum_and_form_contract(tmp_path_factory, case):
             assert err == "" and out, (text, argv)
     elapsed = time.perf_counter() - start
     assert elapsed < 10, (text, elapsed)
+
+
+# tr(omega) = d log det is never a multiple of s at n = 2: top-factor
+# refuses both variables counts as bad input, as it does odd n
+@pytest.mark.parametrize("text", [
+    '{"n": 2, "entries": [["2*z2^2"]]}',
+    '{"matrices": [[["1", "0"], ["0", "1"]], [["0", "1"], ["1", "0"]]]}'])
+def test_top_factor_refuses_two_variables(tmp_path, text):
+    path = tmp_path / "pencil.json"
+    path.write_text(text)
+    assert _run_in_process(
+        ["form", "--kind", "top-factor", "--input", str(path)]) == (
+        2, "", "error: n must be even and >= 4, got 2\n")
+
+
+# -- kept forms: a request prints what it prints in a fresh process ------------
+
+MEMO_PENCILS = {
+    "units": serialize.canonical_json(PENCILS["units"]),
+    "gaussian": serialize.canonical_json(PENCILS["gaussian"]),
+    "gauss-4-3": _gauss_tuple_text(5, 4, 3),
+}
+MEMO_KINDS = {
+    "spectrum": ["spectrum"],
+    "mc": ["form", "--kind", "mc"],
+    "kappa-trace": ["form", "--kind", "kappa", "--cochain", "traceword:3"],
+    "kappa-cyclic": ["form", "--kind", "kappa",
+                     "--cochain", "cyclic-random:2:{k}:5"],
+    "trace-power": ["form", "--kind", "trace-power", "--power", "3"],
+    "top-factor": ["form", "--kind", "top-factor"],
+}
+_COLD = {}  # (pencil, kind) -> the request's result after cache_clear()
+
+
+def _memo_argv(base, pencil, kind):
+    k = len(json.loads(MEMO_PENCILS[pencil])["matrices"][0])
+    return [arg.format(k=k) for arg in MEMO_KINDS[kind]] + [
+        "--input", str(base / f"{pencil}.json")]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(sorted(MEMO_PENCILS)),
+                          st.sampled_from(sorted(MEMO_KINDS))),
+                min_size=1, max_size=12))
+def test_requests_in_one_process_match_cold_runs(tmp_path_factory,
+                                                 requests):
+    # maurer_cartan and trace_power_form keep their last result across
+    # requests; whatever ran before, a request gives the exit code, stdout
+    # and stderr of the same argv run with nothing kept
+    base = tmp_path_factory.getbasetemp() / "memo-pencils"
+    if not _COLD:
+        base.mkdir(exist_ok=True)
+        for name, text in MEMO_PENCILS.items():
+            (base / f"{name}.json").write_text(text)
+        for key in product(MEMO_PENCILS, MEMO_KINDS):
+            maurer_cartan.cache_clear()
+            trace_power_form.cache_clear()
+            _COLD[key] = _run_in_process(_memo_argv(base, *key))
+        assert all(code == 0 for code, _, _ in _COLD.values())
+    for key in requests:
+        assert _run_in_process(_memo_argv(base, *key)) == _COLD[key], key

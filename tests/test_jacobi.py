@@ -1,5 +1,6 @@
 """Trace powers, the q*s factorization, and the cubic constant."""
 
+import json
 import random
 from itertools import combinations
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pencilforms import serialize
 from pencilforms.forms import ScalarForm, maurer_cartan
 from pencilforms.jacobi import (
     _anchored_trace_power,
@@ -151,11 +153,14 @@ def test_factorize_rejects_bad_inputs():
 
 
 def test_two_variable_rotation_pencil_does_not_factor():
-    # tr(omega) = d log(z1^2 + z2^2) is not a multiple of s at n = 2.
+    # tr(omega) = d log(z1^2 + z2^2) is not a multiple of s at n = 2, so
+    # the public split refuses n = 2
     n = 2
     z1, z2 = MultiPoly.variable(n, 1), MultiPoly.variable(n, 2)
     f = PolyMatrix(n, [[z1, z2], [-z2, z1]])
-    assert not factorize_top_form(f).residual.is_zero
+    assert not _factor_top_form(trace_power_form(f, 1)).residual.is_zero
+    with pytest.raises(ValueError, match="n must be even and >= 4, got 2"):
+        factorize_top_form(f)
 
 
 def test_cubic_data_matrix_units():
@@ -322,3 +327,67 @@ def test_cubic_trace_data_kernel_product_budget(monkeypatch):
     calls = count_poly_mul(monkeypatch)
     cubic_trace_data(t)
     assert 0 < calls[0] <= CUBIC_TRACE_DATA_BUDGET
+
+
+# -- the kept last omega and trace power ---------------------------------------
+
+
+def test_top_factor_after_its_trace_power_recomputes_nothing(monkeypatch):
+    # the split reads the kept tr(omega^3): a repeat of the trace power
+    # makes no kernel product, and factorize_top_form makes only the
+    # products of the split itself
+    f = random_matrix_tuple(rng_for(5, "guard-cubic"), 4, 3).pencil()
+    top = trace_power_form(f, 3)
+    calls = count_poly_mul(monkeypatch)
+    assert trace_power_form(f, 3) is top
+    assert calls == [0, 0, 0]
+    fact = factorize_top_form(f)
+    assert fact.top_form is top and fact.residual.is_zero
+    public, calls[:] = list(calls), [0, 0, 0]
+    _factor_top_form(top)
+    assert public == calls
+    assert 0 < calls[0] < TRACE_POWER_3_BUDGET // 10
+
+
+def test_an_equal_matrix_parsed_apart_hits_the_kept_forms():
+    t = rand_gauss_tuple(random.Random(41), 4, 2)
+    f = t.pencil()
+    g = serialize.tuple_from_json(json.loads(serialize.canonical_json(
+        serialize.tuple_to_json(t)))).pencil()
+    assert g == f and g is not f
+    omega, top = maurer_cartan(f), trace_power_form(f, 3)
+    hits = maurer_cartan.cache_info().hits, trace_power_form.cache_info().hits
+    assert maurer_cartan(g) is omega
+    assert trace_power_form(g, 3) is top
+    assert maurer_cartan.cache_info().hits == hits[0] + 1
+    assert trace_power_form.cache_info().hits == hits[1] + 1
+    # m is part of the key
+    assert trace_power_form(g, 1) is not top
+    assert trace_power_form.cache_info().hits == hits[1] + 1
+
+
+def test_another_pencil_in_between_evicts_the_kept_forms(monkeypatch):
+    f = random_matrix_tuple(rng_for(5, "guard-cubic"), 4, 3).pencil()
+    g = MatrixTuple.matrix_units(2).pencil()
+    first = trace_power_form(f, 3)
+    trace_power_form(g, 3)
+    assert maurer_cartan.cache_info().currsize == 1
+    misses = (maurer_cartan.cache_info().misses,
+              trace_power_form.cache_info().misses)
+    calls = count_poly_mul(monkeypatch)
+    again = trace_power_form(f, 3)
+    assert again == first and again is not first
+    assert 0 < calls[0] <= TRACE_POWER_3_BUDGET
+    assert maurer_cartan.cache_info().misses == misses[0] + 1
+    assert trace_power_form.cache_info().misses == misses[1] + 1
+
+
+def test_a_singular_pencil_raises_on_every_call():
+    t = MatrixTuple([[[1, 0], [0, 0]], [[0, 1], [0, 0]]])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="vanishes identically"):
+            trace_power_form(t.pencil(), 1)
+        with pytest.raises(ValueError, match="vanishes identically"):
+            maurer_cartan(t.pencil())
+    assert maurer_cartan.cache_info().currsize == 0
+    assert trace_power_form.cache_info().currsize == 0

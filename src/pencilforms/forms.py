@@ -276,12 +276,13 @@ class MatrixForm:
         return out
 
     def exterior_derivative(self) -> "MatrixForm":
-        """d of each coefficient; the tracked power rises by one.
+        """d of each coefficient; a tracked power rises by one.
 
-        With pow > 0 the dz_v part of d(M / base^pow) has numerator
+        The dz_v part of d(M / base^pow) has numerator
         (d_v M) base - pow M d_v base over base^(pow+1), so each entry of a
         new coefficient is one `MultiPoly.dot` over the pairs
-        (d_v e, +-base) and (e, -+pow d_v base) of its contributions.
+        (d_v e, +-base) and (e, -+pow d_v base) of its contributions. A form
+        with pow 0 has base 1, so its d stays at pow 0.
         """
         n, pow_, base = self.n, self.den_pow, self.den_base
         groups: Dict[MultiIndex, list] = {}
@@ -296,16 +297,8 @@ class MatrixForm:
                     groups[new_index].append(contrib)
                 else:
                     groups[new_index] = [contrib]
-        out: Dict[MultiIndex, PolyMatrix] = {}
-        if pow_ == 0:
-            for new_index, group in groups.items():
-                total = None
-                for _, dmat, _, sign in group:
-                    num = dmat if sign > 0 else -dmat
-                    total = num if total is None else total + num
-                out[new_index] = total
-            return self._from_parts(n, self.k, self.degree + 1, out, base, 0)
-        # the signed factors: +-base for d_v e, -+pow d_v base for e
+        # the signed factors: +-base for d_v e, -+pow d_v base for e; at
+        # pow 0 the base is 1 and the tail is 0, which the sum skips
         lead = {1: base, -1: -base}
         tail = {}
         for v in range(1, n + 1):
@@ -313,6 +306,7 @@ class MatrixForm:
             tail[v, 1], tail[v, -1] = -scaled, scaled
         dot = MultiPoly.dot
         k = self.k
+        out: Dict[MultiIndex, PolyMatrix] = {}
         for new_index, group in groups.items():
             out[new_index] = PolyMatrix(n, [
                 [dot(n, [pair for mat, dmat, v, sign in group
@@ -320,7 +314,7 @@ class MatrixForm:
                                       (mat.rows[r][c], tail[v, sign]))])
                  for c in range(k)] for r in range(k)])
         return self._from_parts(n, k, self.degree + 1, out, base,
-                                pow_ + 1)._reduced()
+                                pow_ + 1 if pow_ else 0)._reduced()
 
     def trace(self, other: Optional["MatrixForm"] = None) -> "ScalarForm":
         """tr(self), or tr(self ^ other) without forming the wedge: one

@@ -12,11 +12,12 @@ summed, so tr(omega^2) = 0 is computed, not assumed. Like
 matrix and the same m returns the same form, so `factorize_top_form`
 right after a request for tr(omega^(n-1)) splits that form without
 recomputing it.
-`anchored_trace_power` is a second route for odd m, a
-signed sum of trace words in the dz_i coefficients with the first slot
-pinned. No library call compares the two; the `theorem33.trace-routes`
-suite check does, on the top form `factorize_top_form` returns with its
-split.
+`anchored_trace_power` is a second route for odd m, a signed sum of
+trace words in the dz_i coefficients with the first slot pinned. Each
+route asks `maurer_cartan` for omega by pencil, so a pencil's omega is
+built once however many calls ask. No library call compares the two
+routes; the `theorem33.trace-routes` suite check does, on the top form
+`factorize_top_form` returns with its split.
 
 For an n-variable pencil with n even and at least 4, the top odd trace
 power factors through the signed radial form
@@ -29,15 +30,17 @@ every coefficient q times (-1)^j z_j, so the cross relations
 ``z_i I_nbar = (-1)^i z_n I_ibar`` on the normalized coefficients follow
 from it and are not checked apart.
 
-For four-variable pencils `cubic_trace_data` takes tr(omega^3) from the
-anchored sum. The dz_j coefficient of omega is adj(A) A_j / det, so the
-dz_i dz_j dz_k coefficient is 3 I_(i,j,k): the antisymmetrized resolvent
-trace tr(adj A_i adj A_j adj A_k - adj A_i adj A_k adj A_j) over det^3.
-It also returns the z_1-scaled residual and p with
-tr(omega^3) = (3 p / det^2) s and judges none of them; the `theorem33`
-suite does. At k = 2 the constant p matches the signed 4x4 entry-matrix
-determinant of `entry_matrix_constant` up to one global sign, calibrated
-once on the matrix-unit tuple by `calibrated_sign`.
+For four-variable pencils `cubic_trace_data` splits the anchored
+tr(omega^3) the same way and returns the split with p, where
+tr(omega^3) = (3 p / det^2) s. The dz_j coefficient of omega is
+adj(A) A_j / det, so the dz_i dz_j dz_k coefficient is 3 I_(i,j,k), the
+antisymmetrized resolvent trace
+tr(adj A_i adj A_j adj A_k - adj A_i adj A_k adj A_j) over det^3, and the
+split's normalized coefficient bar_i[j - 1] is the I of the triple that
+leaves out j. It judges none of them; the `theorem33` suite does. At
+k = 2 the constant p matches the signed 4x4 entry-matrix determinant of
+`entry_matrix_constant` up to one global sign, calibrated once on the
+matrix-unit tuple by `calibrated_sign`.
 """
 
 from __future__ import annotations
@@ -46,9 +49,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
-from pencilforms.forms import MatrixForm, ScalarForm, maurer_cartan, sort_index
+from pencilforms.forms import ScalarForm, maurer_cartan, sort_index
 from pencilforms.linalg import MatrixTuple, PolyMatrix, grid_det
 from pencilforms.ring import MultiPoly, RatFn, Scalar
 
@@ -71,22 +74,17 @@ def anchored_trace_power(f: PolyMatrix, m: int) -> ScalarForm:
     Rotating an odd-length argument tuple leaves the wedge sign and the
     trace unchanged, so the m rotations of each permutation contribute
     equally and the anchored sum times m recovers the full expansion.
-    """
-    if m % 2 == 0:
-        raise ValueError("anchored expansion requires odd m")
-    if not 1 <= m <= f.n:
-        raise ValueError(f"m must lie in 1..{f.n}")
-    return _anchored_trace_power(maurer_cartan(f), m)
-
-
-def _anchored_trace_power(omega: MatrixForm, m: int) -> ScalarForm:
-    """The anchored trace-word sum of an already built omega.
 
     The words walk a prefix tree: each prefix product B_a B_b .. of
     omega's dz coefficients is formed once, and index sets that share a
     prefix share its product. The signed words of one index set are one
     `PolyMatrix.trace_dot`, each sign folded into the word's last factor.
     """
+    if m % 2 == 0:
+        raise ValueError("anchored expansion requires odd m")
+    if not 1 <= m <= f.n:
+        raise ValueError(f"m must lie in 1..{f.n}")
+    omega = maurer_cartan(f)
     n = omega.n
     nums = {v: omega.coefficient_num((v,)) for v in range(1, n + 1)}
     if m == 1:
@@ -192,34 +190,25 @@ def _factor_top_form(big_t: ScalarForm) -> TopFormFactorization:
                                 top_form=big_t)
 
 
-@dataclass(frozen=True)
-class CubicTraceData:
-    p: Optional[MultiPoly]
-    i_values: Dict[Tuple[int, int, int], RatFn]
-    residual: ScalarForm  # z_1 (tr(omega^3) - q s), read for is_zero
+def cubic_trace_data(
+        t: MatrixTuple) -> Tuple[TopFormFactorization, Optional[MultiPoly]]:
+    """The split of tr(omega^3) and the constant p, for four matrices.
 
-
-def cubic_trace_data(t: MatrixTuple) -> CubicTraceData:
-    """p, the I values and the q s residual of tr(omega^3) for four matrices.
-
-    Each I_(i,j,k) is the dz_i dz_j dz_k coefficient of the anchored sum
-    over 3, reduced over a power of det. p = q det^2 / 3, or None when that
-    is not a polynomial. The caller judges divisibility, the residual and
-    the degree of p. ValueError unless t has four matrices and det != 0.
+    The top form is the anchored sum. Its normalized coefficient
+    bar_i[j - 1] is I_(jbar), the dz_jbar coefficient over 3, reduced over
+    a power of det. p = q det^2 / 3, or None when that is not a
+    polynomial. The caller judges divisibility, the residual and the
+    degree of p. ValueError unless t has four matrices and det != 0.
     """
     if t.n != 4:
         raise ValueError(f"needs a tuple of four matrices, got {t.n}")
-    omega = maurer_cartan(t.pencil())
+    f = t.pencil()
+    fact = _factor_top_form(anchored_trace_power(f, 3))
     # adj(A) A_j has entries of degree k-1 below deg det = k, so omega
     # keeps det as its denominator base
-    det = omega.den_base
-    trace_cubed = _anchored_trace_power(omega, 3)
-    third = Fraction(1, 3)
-    i_values = {index: trace_cubed.coefficient(index) * third
-                for index in combinations(range(1, 5), 3)}
-    fact = _factor_top_form(trace_cubed)
-    p = (fact.q * det * det * third).reduce().as_polynomial()
-    return CubicTraceData(p=p, i_values=i_values, residual=fact.residual)
+    det = maurer_cartan(f).den_base
+    p = (fact.q * det * det * Fraction(1, 3)).reduce().as_polynomial()
+    return fact, p
 
 
 _ENTRY_POSITIONS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -244,7 +233,7 @@ def calibrated_sign() -> Scalar:
     """The global sign relating cubic_trace_data's constant p to
     entry_matrix_constant, fixed once on the matrix-unit tuple."""
     units = MatrixTuple.matrix_units(2)
-    p = cubic_trace_data(units).p
+    _, p = cubic_trace_data(units)
     c = entry_matrix_constant(units)
     if p is None or p.is_zero or c.is_zero:
         raise RuntimeError("matrix-unit calibration degenerated")

@@ -15,8 +15,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 from . import serialize
 from .cochains import DenseCochain, TraceWord, cyclic_symmetrize, functional_product
 from .forms import ScalarForm, maurer_cartan
-from .jacobi import (CubicTraceData, anchored_trace_power, calibrated_sign,
-                     cubic_trace_data, entry_matrix_constant,
+from .jacobi import (TopFormFactorization, anchored_trace_power,
+                     calibrated_sign, cubic_trace_data, entry_matrix_constant,
                      factorize_top_form, trace_power_form)
 from .linalg import MatrixTuple, PolyMatrix
 from .ring import CycloElement, MultiPoly, Scalar
@@ -280,16 +280,16 @@ def suite_cubic_trace(seed: int, trials: Optional[int] = None,
                 break
             t = random_matrix_tuple(rng_for(seed, "theorem33", f"k{k}", i),
                                     4, k)
-            data = cubic_trace_data(t)
+            fact, p = cubic_trace_data(t)
             if division_bad is None:
                 divisions += 1
-                why = _division_failure(data)
+                why = _division_failure(fact)
                 if why is not None:
                     division_bad = _tuple_counterexample(
                         f"trial {i} (k={k}): {why}", t)
             if bad is None:
                 checked += 1
-                why = _p_degree_failure(data.p, k)
+                why = _p_degree_failure(p, k)
                 if why is not None:
                     bad = _tuple_counterexample(f"trial {i} (k={k}): {why}", t)
         results.append(CheckResult(name, bad is None, claim.format(checked),
@@ -324,16 +324,19 @@ def suite_cubic_trace(seed: int, trials: Optional[int] = None,
     return results
 
 
-def _division_failure(data: CubicTraceData) -> Optional[str]:
+def _division_failure(fact: TopFormFactorization) -> Optional[str]:
     """Why det fails to divide a resolvent trace, or tr(omega^3) != q s.
 
     I = trace / det^3 comes reduced, so det divides the trace exactly
-    when at most det^2 is left in the denominator of I.
+    when at most det^2 is left in the denominator of I. bar_i[j - 1] is
+    the I of the triple that leaves out j, so walking j = 4, 3, 2, 1
+    takes the triples in increasing order.
     """
-    for (i, j, m), value in data.i_values.items():
-        if value.den_pow >= 3:
-            return f"trace difference at ({i},{j},{m}) is not divisible by det"
-    if not data.residual.is_zero:
+    for j in (4, 3, 2, 1):
+        if fact.bar_i[j - 1].den_pow >= 3:
+            triple = ",".join(str(v) for v in range(1, 5) if v != j)
+            return f"trace difference at ({triple}) is not divisible by det"
+    if not fact.residual.is_zero:
         return "tr(omega^3) is not q s: nonzero residual"
     return None
 
@@ -381,7 +384,7 @@ def suite_entry_matrix(seed: int, trials: Optional[int] = None,
     for i in range(count):
         t = random_matrix_tuple(rng_for(seed, "example35", i), 4, 2)
         checked += 1
-        p = cubic_trace_data(t).p
+        _, p = cubic_trace_data(t)
         why = _p_degree_failure(p, 2)
         if why is not None:
             bad = _tuple_counterexample(f"trial {i}: {why}", t)

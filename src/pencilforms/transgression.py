@@ -24,14 +24,21 @@ compares them.
 `tau` is kappa gated on conjugation invariance of the functional, which
 `invariance_test` decides exactly on the same chain; on
 simultaneously diagonal tuples `hyperplane_decomposition` returns the
-linear factors whose zero sets make up the spectrum, their product next to
-det, and kappa of the coordinate functionals next to the logarithmic
-derivatives of the factors; the hyperplane suite compares each pair.
+linear factors whose zero sets make up the spectrum (the diagonal entries
+of the pencil), their product next to det, and kappa of the coordinate
+functionals next to the logarithmic derivatives of the factors; the
+hyperplane suite compares each pair.
+
+Every call here takes omega by pencil: `kappa` asks `maurer_cartan`, which
+keeps the last omega it built, so the kappa forms of one report or one
+decomposition share one omega without passing it around.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -51,11 +58,7 @@ from pencilforms.ring import MultiPoly, RatFn, Scalar
 
 def kappa(phi: Cochain, f: PolyMatrix) -> ScalarForm:
     """phi(omega_f,..,omega_f) as a degree-a form."""
-    return _kappa_of(phi, maurer_cartan(f))
-
-
-def _kappa_of(phi: Cochain, omega: MatrixForm) -> ScalarForm:
-    """kappa on a Maurer-Cartan form the caller has built."""
+    omega = maurer_cartan(f)
     a = phi.arity
     n = omega.n
     if a > n:
@@ -184,8 +187,8 @@ def transgression_report(phi: Cochain, f: PolyMatrix) -> TransgressionReport:
     d_omega = omega.exterior_derivative()
     return TransgressionReport(
         arity=a,
-        kappa_b=_kappa_of(coboundary(phi), omega),
-        d_kappa=_kappa_of(phi, omega).exterior_derivative(),
+        kappa_b=kappa(coboundary(phi), f),
+        d_kappa=kappa(phi, f).exterior_derivative(),
         correction=apply_multilinear(phi, [d_omega] + [omega] * (a - 1)))
 
 
@@ -228,48 +231,21 @@ def hyperplane_decomposition(t: MatrixTuple) -> HyperplaneDecomposition:
         raise ValueError("matrices are not simultaneously diagonal; "
                          "diagonalize the tuple before decomposing")
     n, k = t.n, t.k
-    lines: List[MultiPoly] = []
-    for i in range(k):
-        terms = {}
-        for j in range(n):
-            exps = [0] * n
-            exps[j] = 1
-            terms[tuple(exps)] = t.matrix(j + 1)[i][i]
-        lines.append(MultiPoly.from_terms(n, terms))
-
-    grouped: List[Tuple[MultiPoly, int]] = []
-    for line in lines:
-        for pos, (rep, mult) in enumerate(grouped):
-            if rep == line:
-                grouped[pos] = (rep, mult + 1)
-                break
-        else:
-            grouped.append((line, 1))
-
-    prod = MultiPoly.one(n)
-    for line in lines:
-        prod = prod * line
     pencil = t.pencil()
+    lines = tuple(pencil.rows[i][i] for i in range(k))
+    prod = math.prod(lines, start=MultiPoly.one(n))
     det = pencil.det()
 
-    coordinate_forms: Dict[int, ScalarForm] = {}
-    for i, line in enumerate(lines, start=1):
-        if line.is_zero:
-            continue
-        coordinate_forms[i] = ScalarForm(n, 1, {
-            (v,): RatFn(line.partial(v), line)
-            for v in range(1, n + 1) if not line.partial(v).is_zero
-        })
+    coordinate_forms = {
+        i: ScalarForm(n, 1, {(v,): RatFn(line.partial(v), line)
+                             for v in range(1, n + 1)
+                             if not line.partial(v).is_zero})
+        for i, line in enumerate(lines, start=1) if not line.is_zero}
+    kappa_forms = None if det.is_zero else {
+        i: kappa(DenseCochain.basis(1, k, ((i - 1, i - 1),)), pencil)
+        for i in range(1, k + 1)}
 
-    kappa_forms: Optional[Dict[int, ScalarForm]] = None
-    if not det.is_zero:
-        omega = maurer_cartan(pencil)
-        kappa_forms = {
-            i: _kappa_of(DenseCochain.basis(1, k, ((i - 1, i - 1),)), omega)
-            for i in range(1, k + 1)}
-
-    return HyperplaneDecomposition(lines=tuple(lines),
-                                   multiplicities=tuple(grouped),
-                                   line_product=prod, det=det,
-                                   coordinate_forms=coordinate_forms,
-                                   kappa_forms=kappa_forms)
+    return HyperplaneDecomposition(
+        lines=lines, multiplicities=tuple(Counter(lines).items()),
+        line_product=prod, det=det, coordinate_forms=coordinate_forms,
+        kappa_forms=kappa_forms)

@@ -421,6 +421,10 @@ def _assert_same_matrix_form(got, want):
 _DIAGONAL = maurer_cartan(MatrixTuple(
     [[[1, 0], [0, 2]], [[3, 0], [0, 1]], [[0, 0], [0, 5]]]).pencil())
 _GENERIC = maurer_cartan(rand_gauss_tuple(random.Random(29), 4, 3).pencil())
+# polynomial numerators (den_pow 0); dz1 ^ dz3 gets one contribution from
+# each term, with opposite merge signs
+_PENCIL = rand_gauss_tuple(random.Random(30), 3, 2).pencil()
+_POLYNOMIAL = MatrixForm(3, 2, 1, {(1,): _PENCIL * _PENCIL, (3,): -_PENCIL})
 
 
 @settings(max_examples=150, deadline=None)
@@ -431,6 +435,7 @@ _GENERIC = maurer_cartan(rand_gauss_tuple(random.Random(29), 4, 3).pencil())
 # tr(omega ^ omega) = 0 coefficient by coefficient; omega ^ omega is not 0
 @example((_GENERIC, _GENERIC))
 @example((MatrixForm(3, 2, 1, {}), _DIAGONAL))
+@example((_POLYNOMIAL, _DIAGONAL))
 def test_fused_matrix_form_ops_match_pairwise_references(pair):
     x, y = pair
     _assert_same_matrix_form(x.wedge(y), matrix_wedge_reference(x, y))

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from pencilforms import serialize
 from pencilforms.forms import ScalarForm, maurer_cartan
 from pencilforms.jacobi import (
-    _anchored_trace_power,
     _factor_top_form,
     anchored_trace_power,
     calibrated_sign,
@@ -103,19 +102,18 @@ def test_anchored_expansion_guards():
        seed=st.integers(0, 2 ** 16))
 def test_anchored_trace_power_matches_one_word_per_permutation(m, n, k, make,
                                                               seed):
-    omega = maurer_cartan(make(random.Random(seed), n, k).pencil())
-    assert (_anchored_trace_power(omega, m)
-            == anchored_trace_power_reference(omega, m))
+    f = make(random.Random(seed), n, k).pencil()
+    assert (anchored_trace_power(f, m)
+            == anchored_trace_power_reference(maurer_cartan(f), m))
 
 
 def test_anchored_fifth_trace_power_matches_one_word_per_permutation():
     # 6 index sets of 24 words each, sharing prefixes of up to four factors;
     # the sum is 0 at k = 2 but its words are not, so a wrong sign or a
     # wrong shared prefix shows
-    omega = maurer_cartan(random_matrix_tuple(rng_for(5, "anchored-fifth"),
-                                              6, 2).pencil())
-    assert (_anchored_trace_power(omega, 5)
-            == anchored_trace_power_reference(omega, 5))
+    f = random_matrix_tuple(rng_for(5, "anchored-fifth"), 6, 2).pencil()
+    assert (anchored_trace_power(f, 5)
+            == anchored_trace_power_reference(maurer_cartan(f), 5))
 
 
 def test_factorize_matrix_unit_pencil():
@@ -164,24 +162,28 @@ def test_two_variable_rotation_pencil_does_not_factor():
 
 
 def test_cubic_data_matrix_units():
-    data = cubic_trace_data(MatrixTuple.matrix_units(2))
-    assert data.p.is_constant and not data.p.is_zero
-    square = data.p * data.p
+    fact, p = cubic_trace_data(MatrixTuple.matrix_units(2))
+    assert p.is_constant and not p.is_zero
+    square = p * p
     assert square.constant_value() == Scalar(1)
-    assert set(data.i_values) == {(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)}
+    # one I per triple: bar_i[j - 1] is the triple that leaves out j
+    assert len(fact.bar_i) == 4
+    for j, value in enumerate(fact.bar_i, start=1):
+        triple = tuple(v for v in range(1, 5) if v != j)
+        assert value == fact.top_form.coefficient(triple) / 3
 
 
 def test_cubic_data_degrees():
     rng = rng_for(55, "deg")
     for k, expect in [(2, 0), (3, 2)]:
         t = random_matrix_tuple(rng, 4, k)
-        data = cubic_trace_data(t)
-        if data.p.is_zero:
+        _, p = cubic_trace_data(t)
+        if p.is_zero:
             continue
         if expect == 0:
-            assert data.p.is_constant
+            assert p.is_constant
         else:
-            assert data.p.homogeneity_degree() == expect
+            assert p.homogeneity_degree() == expect
 
 
 def test_cubic_data_rejects_wrong_variable_count():
@@ -205,8 +207,8 @@ def test_dependent_tuple_gives_zero_constant_and_zero_p():
     a4 = [[a1[r][c] + a2[r][c] for c in range(2)] for r in range(2)]
     t = MatrixTuple([a1, a2, a3, a4])
     assert entry_matrix_constant(t) == Scalar(0)
-    data = cubic_trace_data(t)
-    assert data.p.is_zero
+    _, p = cubic_trace_data(t)
+    assert p.is_zero
 
 
 def test_calibrated_sign_is_global():
@@ -215,9 +217,9 @@ def test_calibrated_sign_is_global():
     for trial in range(10):
         rng = rng_for(57, "eps", trial)
         t = random_matrix_tuple(rng, 4, 2)
-        data = cubic_trace_data(t)
+        _, p = cubic_trace_data(t)
         expect = eps * entry_matrix_constant(t)
-        assert data.p.constant_value() == expect, trial
+        assert p.constant_value() == expect, trial
 
 
 def test_trace_power_form_matches_formed_wedge_power():
@@ -245,14 +247,15 @@ def test_cubic_traces_match_formed_products():
         f = t.pencil()
         det, adj = f.det(), f.adjugate()
         mats = {j: PolyMatrix.constant(4, t.matrix(j)) for j in range(1, 5)}
-        data = cubic_trace_data(t)
-        assert any(not v.is_zero for v in data.i_values.values())
-        assert data.residual.is_zero
+        fact, _ = cubic_trace_data(t)
+        assert any(not v.is_zero for v in fact.bar_i)
+        assert fact.residual.is_zero
         for (i, j, m) in combinations(range(1, 5), 3):
             fwd = adj * mats[i] * adj * mats[j] * adj * mats[m]
             bwd = adj * mats[i] * adj * mats[m] * adj * mats[j]
             want = RatFn.over_power((fwd - bwd).trace(), det, 3)
-            assert data.i_values[(i, j, m)] == want
+            left_out = 10 - i - j - m
+            assert fact.bar_i[left_out - 1] == want
 
 
 def test_top_form_residual_matches_subtraction_reference():

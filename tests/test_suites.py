@@ -206,9 +206,9 @@ def test_theorem33_counts_only_the_tuples_it_checked(monkeypatch, capsys):
     calls = {2: 0, 3: 0}
 
     def p_lost_at_trial_1(t):
-        data = cubic_trace_data(t)
+        fact, p = cubic_trace_data(t)
         calls[t.k] += 1
-        return dataclasses.replace(data, p=None) if calls[t.k] == 2 else data
+        return (fact, None) if calls[t.k] == 2 else (fact, p)
 
     monkeypatch.setattr(suites, "cubic_trace_data", p_lost_at_trial_1)
     code, out = _run_theorem33(capsys, 10)
@@ -250,21 +250,33 @@ def test_theorem33_judges_the_degree_of_p(monkeypatch, capsys):
     assert out.endswith("result: FAIL (5 checks)\n")
 
 
-def _undivided_i_value(data, t):
-    """I_(1,2,3) = z1 / det^3: det does not divide its trace z1."""
-    i_values = dict(data.i_values)
-    i_values[(1, 2, 3)] = RatFn.over_power(MultiPoly.variable(4, 1),
-                                           t.pencil().det(), 3)
-    return dataclasses.replace(data, i_values=i_values)
+def _undivided_i_value(fact, t):
+    """I_(1,2,3) = z1 / det^3: det does not divide its trace z1. The
+    triple (1,2,3) leaves out 4, so its I is bar_i[3]."""
+    bar_i = list(fact.bar_i)
+    bar_i[3] = RatFn.over_power(MultiPoly.variable(4, 1), t.pencil().det(), 3)
+    return dataclasses.replace(fact, bar_i=tuple(bar_i))
 
 
-def _nonzero_residual(data, t):
-    return dataclasses.replace(data, residual=ScalarForm(
+def _undivided_later_i_values(fact, t):
+    """I_(1,3,4) and I_(2,3,4) over det^3: the witness is the first in
+    increasing order, (1,3,4)."""
+    bar_i = list(fact.bar_i)
+    for j in (1, 2):
+        bar_i[j - 1] = RatFn.over_power(MultiPoly.variable(4, j),
+                                        t.pencil().det(), 3)
+    return dataclasses.replace(fact, bar_i=tuple(bar_i))
+
+
+def _nonzero_residual(fact, t):
+    return dataclasses.replace(fact, residual=ScalarForm(
         4, 3, {(1, 2, 3): MultiPoly.variable(4, 1)}))
 
 
 @pytest.mark.parametrize("spoil, witness", [
     (_undivided_i_value, "trace difference at (1,2,3) is not divisible by det"),
+    (_undivided_later_i_values,
+     "trace difference at (1,3,4) is not divisible by det"),
     (_nonzero_residual, "tr(omega^3) is not q s: nonzero residual"),
 ])
 def test_theorem33_division_failure_fails_divisibility_alone(
@@ -272,9 +284,9 @@ def test_theorem33_division_failure_fails_divisibility_alone(
     calls = [0]
 
     def spoiled_at_trial_2(t):
-        data = cubic_trace_data(t)
+        fact, p = cubic_trace_data(t)
         calls[0] += 1
-        return spoil(data, t) if calls[0] == 3 else data
+        return (spoil(fact, t) if calls[0] == 3 else fact), p
 
     monkeypatch.setattr(suites, "cubic_trace_data", spoiled_at_trial_2)
     code, out = _run_theorem33(capsys, 5)
@@ -292,9 +304,9 @@ def test_example35_reports_a_missing_p(monkeypatch, capsys):
     calls = [0]
 
     def p_lost_at_trial_1(t):
-        data = cubic_trace_data(t)
+        fact, p = cubic_trace_data(t)
         calls[0] += 1
-        return dataclasses.replace(data, p=None) if calls[0] == 2 else data
+        return (fact, None) if calls[0] == 2 else (fact, p)
 
     monkeypatch.setattr(suites, "cubic_trace_data", p_lost_at_trial_1)
     code = cli.main(["verify", "--suite", "example35", "--seed", "1",

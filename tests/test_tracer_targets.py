@@ -1,12 +1,17 @@
-"""Every function the benchmark tracer wraps still exists under its name.
+"""Every function the benchmark tracer wraps still exists under its name,
+and is bound where the tracer rebinds it.
 
 `perfbench/tracer.py` rebinds package functions by (module, attribute)
 name for `perfbench/run.py --trace 1`. Deleting or renaming one of them
 breaks traced runs without failing any other test, so this test resolves
-every target with the tracer's own lookup. The tracer source is only read
-and executed here, never imported from or written to its directory.
+every target with the tracer's own lookup. `Tracer.install` then refuses
+a target that no module outside the kernel binds, as a module attribute,
+a value of a module-level dict or an attribute of a class the module
+defines; so does this test. The tracer source is only read and executed
+here, never imported from or written to its directory.
 """
 
+import inspect
 import sys
 import types
 from pathlib import Path
@@ -35,3 +40,31 @@ def test_every_traced_target_resolves():
         mod_name, _, var = dict_path.partition(".")
         registry = getattr(sys.modules["pencilforms." + mod_name], var)
         assert registry and all(callable(fn) for fn in registry.values())
+
+
+def _bound_ids(tracer) -> set:
+    """ids of the values `Tracer.install` can rebind: the attributes of
+    every non-kernel pencilforms module, the values of its dicts, and the
+    attributes of the classes it defines."""
+    ids = set()
+    for mod_name, mod in list(sys.modules.items()):
+        if (not mod_name.startswith("pencilforms") or mod is None
+                or mod_name in tracer.KERNEL_MODULES):
+            continue
+        for value in vars(mod).values():
+            ids.add(id(value))
+            if isinstance(value, dict):
+                ids.update(map(id, value.values()))
+            elif inspect.isclass(value) and value.__module__ == mod_name:
+                ids.update(map(id, vars(value).values()))
+    return ids
+
+
+def test_every_traced_target_is_bound_outside_the_kernel():
+    tracer = load_tracer()
+    bound = _bound_ids(tracer)
+    for table in (tracer.SPAN_TARGETS, tracer.HOT_TARGETS,
+                  tracer.LEAF_TARGETS):
+        for name, targets in table.items():
+            for owner, attr in targets:
+                assert id(tracer._resolve(owner, attr)) in bound, (name, attr)

@@ -19,11 +19,11 @@ from pencilforms.cochains import (
     is_cyclic,
 )
 from pencilforms.forms import ScalarForm, maurer_cartan
-from pencilforms.linalg import MatrixTuple
+from pencilforms.jacobi import cubic_trace_data
+from pencilforms.linalg import MatrixTuple, PolyMatrix
 from pencilforms.ring import MultiPoly, RatFn, Scalar
 from pencilforms.sampling import random_diagonal_tuple, random_matrix_tuple, rng_for
 from pencilforms.transgression import (
-    _kappa_of,
     apply_multilinear,
     hyperplane_decomposition,
     kappa,
@@ -239,6 +239,17 @@ def test_hyperplane_multiplicities_group_repeated_lines():
     assert dec.line_product == dec.det
 
 
+def test_hyperplane_multiplicities_keep_first_appearance_order():
+    # lines z1, z2, z1: the repeat is not adjacent to its first appearance
+    t = MatrixTuple([[[1, 0, 0], [0, 0, 0], [0, 0, 1]],
+                     [[0, 0, 0], [0, 1, 0], [0, 0, 0]]])
+    dec = hyperplane_decomposition(t)
+    z1, z2 = MultiPoly.variable(2, 1), MultiPoly.variable(2, 2)
+    assert dec.lines == (z1, z2, z1)
+    assert dec.multiplicities == ((z1, 2), (z2, 1))
+    assert dec.line_product == dec.det == z1 * z1 * z2
+
+
 def test_hyperplane_random_diagonal_tuples():
     for trial in range(6):
         rng = rng_for(43, "diag", trial)
@@ -347,12 +358,37 @@ def test_chain_kappa_kernel_product_budgets(monkeypatch):
         calls = count_poly_mul(monkeypatch)
         assert not kappa(phi, f).is_zero
         assert 0 < calls[0] <= budget, (phi, calls)
-    # b tr(x y z) = 0, so its tensor is empty and, omega given, kappa
+    # b tr(x y z) = 0, so its tensor is empty and, omega kept, kappa
     # multiplies nothing
-    omega = maurer_cartan(f)
+    maurer_cartan(f)
     calls = count_poly_mul(monkeypatch)
-    assert _kappa_of(coboundary(TraceWord(3)), omega).is_zero
+    assert kappa(coboundary(TraceWord(3)), f).is_zero
     assert calls == [0, 0, 0]
+
+
+# Each of these asks for omega by pencil several times (a kappa form per
+# cochain or per line, and p's det); the kept omega makes every ask after
+# the first a lookup, so one call builds one adjugate.
+@pytest.mark.parametrize("call", [
+    lambda: transgression_report(
+        TraceWord(3), random_matrix_tuple(rng_for(45, "adj"), 3, 2).pencil()),
+    lambda: hyperplane_decomposition(MatrixTuple(
+        [[[1, 0, 0], [0, 0, 0], [0, 0, 1]],
+         [[0, 0, 0], [0, 1, 0], [0, 0, 2]]])),
+    lambda: cubic_trace_data(random_matrix_tuple(rng_for(45, "adj"), 4, 2)),
+], ids=["transgression_report", "hyperplane_decomposition",
+        "cubic_trace_data"])
+def test_one_call_builds_omega_once(monkeypatch, call):
+    built = [0]
+    inner = PolyMatrix.adjugate
+
+    def counting(self):
+        built[0] += 1
+        return inner(self)
+
+    monkeypatch.setattr(PolyMatrix, "adjugate", counting)
+    call()
+    assert built == [1]
 
 
 # -- kappa against its permutation expansion --------------------------------

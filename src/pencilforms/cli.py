@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import List, Optional
@@ -202,8 +203,9 @@ def cmd_form(args) -> int:
 
 
 def _check_tol_and_trials(args) -> None:
-    if args.tol is not None and not args.tol > 0:
-        raise CliError(f"--tol must be positive, got {args.tol}")
+    # a residual within an infinite tolerance passes with no content
+    if args.tol is not None and not 0 < args.tol < math.inf:
+        raise CliError(f"--tol must be positive and finite, got {args.tol}")
     if args.trials is not None and not 0 <= args.trials <= MAX_TRIALS:
         raise CliError(f"--trials must be in 0..{MAX_TRIALS}, "
                        f"got {args.trials}")

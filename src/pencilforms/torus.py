@@ -6,8 +6,11 @@ lambda = t^p, and numeric, over complex doubles with lambda = exp(2*pi*i*theta).
 The module also evaluates the degree-one and degree-two cyclic cocycles built
 from the trace and the torus derivations on spanning monomial tuples, and
 computes the residuals of the top-form factorization numerically through a
-truncated Neumann resolvent, with their propagated truncation bounds. The
-calls return what they found: the first monomial tuple where a cocycle
+truncated Neumann resolvent, with their propagated truncation bounds. Which
+term pairs of the series meet, and where their products land, depends only
+on the support of the series step, so it is worked out once per support and
+order (`_neumann_schedule`) and each sample point runs only the arithmetic.
+The calls return what they found: the first monomial tuple where a cocycle
 identity fails, or the residuals and bounds at each point. The torus suite
 judges them.
 """
@@ -15,8 +18,10 @@ judges them.
 from __future__ import annotations
 
 import cmath
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -587,22 +592,107 @@ def _neumann_parts(mats: Sequence[TorusElement],
     return s, rho, z1
 
 
-def neumann_resolvent(mats: Sequence[TorusElement], z: Sequence[complex],
-                      order: int) -> TorusElement:
-    """Truncated inverse z1^-1 sum_{t<=M} (-(z2 A2 + z3 A3)/z1)^t.
+def _index_array(values: List[int]) -> array:
+    """Non-negative ints in the narrowest unsigned array that holds them."""
+    top = max(values, default=0)
+    for code in "BHIQ":
+        if top < 1 << 8 * array(code).itemsize:
+            return array(code, values)
+    raise OverflowError(f"index {top} does not fit an array")
+
+
+@dataclass(frozen=True)
+class _NeumannSchedule:
+    """Where the term pairs of the Neumann powers land, for one support.
+
+    `powers[t]` describes power t + 1 as (rows, slots, count, sum_slots):
+    `rows[i]` indexes the V-degree in `row_degrees` of left term i (a term
+    of power t), which picks the twists of its pairs; `slots` holds the
+    output slot of each term pair in left-major order; `count` is the
+    power's term count; `sum_slots[k]` is the running sum's slot for term
+    k. `keys` is the running sum's key order. No coefficient is stored.
+    """
+
+    row_degrees: Tuple[int, ...]
+    powers: Tuple[Tuple[array, array, int, array], ...]
+    keys: Tuple[Degree, ...]
+
+
+@lru_cache(maxsize=1)
+def _neumann_schedule(support: Tuple[Degree, ...],
+                      order: int) -> _NeumannSchedule:
+    """The schedule of `order` powers of a step with this support.
+
+    It holds as long as no power coefficient and no running-sum entry is
+    exactly 0, as `TorusElement.__mul__` and `neumann_resolvent` would then
+    drop the key.
+    """
+    row_of: Dict[int, int] = {}
+    sum_slot: Dict[Degree, int] = {(0, 0): 0}
+    left: List[Degree] = [(0, 0)]
+    powers = []
+    for _ in range(order):
+        slot_of: Dict[Degree, int] = {}
+        rows = []
+        slots = []
+        for a, b in left:
+            rows.append(row_of.setdefault(b, len(row_of)))
+            for c, d in support:
+                slots.append(slot_of.setdefault((a + c, b + d), len(slot_of)))
+        left = list(slot_of)
+        sum_slots = [sum_slot.setdefault(key, len(sum_slot)) for key in left]
+        powers.append((_index_array(rows), _index_array(slots), len(left),
+                       _index_array(sum_slots)))
+    return _NeumannSchedule(tuple(row_of), tuple(powers), tuple(sum_slot))
+
+
+def _neumann_sum_by_schedule(step: TorusElement,
+                             order: int) -> Optional[Dict[Degree, object]]:
+    """sum_{t<=order} step^t through the cached schedule of its support.
+
+    The products ca * cb * lambda^(-b c) and the sums are those of the
+    term-pair loop, in its order, so the bits are too. Returns None as soon
+    as a power coefficient or a running-sum entry is exactly 0.
+    """
+    config = step.config
+    schedule = _neumann_schedule(tuple(step.coeffs), order)
+    lambda_power = config.lambda_power
+    step_values = list(step.coeffs.values())
+    rows = [list(zip(step_values, [lambda_power(-b * c)
+                                   for c, _ in step.coeffs]))
+            for b in schedule.row_degrees]
+    one = config.one_coeff()
+    power = [one]
+    acc = [one]
+    append = acc.append
+    for left_rows, slots, count, sum_slots in schedule.powers:
+        terms = [ca * cb * lam for ca, r in zip(power, left_rows)
+                 for cb, lam in rows[r]]
+        power = [None] * count
+        for k, term in zip(slots, terms):
+            prev = power[k]
+            power[k] = term if prev is None else prev + term
+        if not all(power):
+            return None
+        size = len(acc)
+        for k, value in zip(sum_slots, power):
+            if k < size:
+                acc[k] += value
+            else:
+                append(value)
+        if not all(acc):
+            return None
+    return dict(zip(schedule.keys, acc))
+
+
+def _neumann_sum_by_products(step: TorusElement,
+                             order: int) -> Dict[Degree, object]:
+    """sum_{t<=order} step^t, one `TorusElement` product per power.
 
     Each power is added into one dict in place. A key whose sum is exactly
-    0 is deleted, so a later power puts it back at the end; the result has
-    the bits and the key order of summing the powers with `+`.
+    0 is deleted, so a later power puts it back at the end.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    s, rho, z1 = _neumann_parts(mats, z)
-    if rho >= 1:
-        raise ValueError("Neumann series divergent at this point")
-    step = s * (-1 / z1)
-    config = mats[0].config
-    power = TorusElement.one(config)
+    power = TorusElement.one(step.config)
     acc = dict(power.coeffs)
     for _ in range(order):
         power = power * step
@@ -616,7 +706,33 @@ def neumann_resolvent(mats: Sequence[TorusElement], z: Sequence[complex],
                     acc[key] = total
                 else:
                     del acc[key]
-    return TorusElement._of(config, acc) * (1 / z1)
+    return acc
+
+
+def neumann_resolvent(mats: Sequence[TorusElement], z: Sequence[complex],
+                      order: int) -> TorusElement:
+    """Truncated inverse z1^-1 sum_{t<=M} (-(z2 A2 + z3 A3)/z1)^t.
+
+    The powers of the step are replayed from a schedule of its support:
+    which term pairs meet, with which twist, and in which slot of the power
+    and of the running sum they land. It is built once per support and
+    order and kept for the next point. A point where a power coefficient
+    or a running-sum entry comes out exactly 0 drops that key, which the
+    schedule does not model, so it is summed again by `TorusElement`
+    products, where the key comes back at the end if a later power puts it
+    back. Either way the result has the bits and the key order of summing
+    the powers with `+`.
+    """
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    s, rho, z1 = _neumann_parts(mats, z)
+    if rho >= 1:
+        raise ValueError("Neumann series divergent at this point")
+    step = s * (-1 / z1)
+    acc = _neumann_sum_by_schedule(step, order)
+    if acc is None:
+        acc = _neumann_sum_by_products(step, order)
+    return TorusElement._of(mats[0].config, acc) * (1 / z1)
 
 
 # ---------------------------------------------------------------------------

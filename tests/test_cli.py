@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pencilforms
-from pencilforms import cli, serialize
+from pencilforms import cli, serialize, torus
 from pencilforms.cli import MAX_TRIALS, CliError, parse_cochain_spec
 from pencilforms.cli import main as cli_main
 from pencilforms.cochains import DenseCochain, ProductCochain, TraceWord
@@ -277,7 +277,10 @@ def test_parse_error_exit_codes(tmp_path, units_file):
                  ("torus", "--check", "factorization", "--tol", "0"),
                  ("torus", "--check", "factorization", "--tol", "-1"),
                  ("torus", "--check", "factorization", "--tol", "nan"),
+                 ("torus", "--check", "factorization", "--tol", "inf"),
                  ("verify", "--suite", "flatness", "--tol", "0"),
+                 # argparse reads 1e999 as inf
+                 ("verify", "--suite", "torus", "--tol", "1e999"),
                  # trial counts outside 0..MAX_TRIALS; the largest ran
                  # unbounded before it was checked
                  *((*command, "--trials", str(trials))
@@ -630,6 +633,26 @@ def _run_in_process(argv):
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+def test_factorization_with_a_warm_schedule_matches_a_cold_run(tmp_path):
+    # the Neumann schedule of the last step support is kept across requests;
+    # after other seeds and another theta, a request gives the exit code and
+    # stdout of the same argv run with nothing kept
+    theta = tmp_path / "theta.json"
+    theta.write_text(json.dumps({"mode": "numeric", "theta": 0.21}))
+    argv = ["torus", "--check", "factorization", "--seed", "3"]
+    for warm in (["torus", "--check", "factorization", "--seed", "8",
+                  "--input", str(theta)],
+                 ["torus", "--check", "factorization", "--seed", "5",
+                  "--trials", "12"]):
+        assert _run_in_process(warm)[0] == 0
+    assert torus._neumann_schedule.cache_info().currsize == 1
+    warm_code, warm_out, _ = _run_in_process(argv)
+    torus._neumann_schedule.cache_clear()
+    cold_code, cold_out, _ = _run_in_process(argv)
+    assert (warm_code, warm_out) == (cold_code, cold_out)
+    assert cold_code == 0 and "PASS torus.factorization.sampled" in cold_out
 
 
 def test_one_parser_serves_every_call_in_either_order(tmp_path, units_file,

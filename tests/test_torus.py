@@ -857,7 +857,44 @@ def content_pencil():
             TorusElement.v(cfg) + TorusElement.u(cfg, -1)]
 
 
-def test_factorization_is_bitwise_the_reference():
+def sampled_pencil(theta=0.37):
+    cfg = TorusConfig.numeric(theta)
+    return [TorusElement.one(cfg),
+            TorusElement.u(cfg) + TorusElement.u(cfg, -1),
+            TorusElement.v(cfg)]
+
+
+def suite_resolvent_cases():
+    """The torus suite's pinned and sampled pencils at seeded points.
+
+    A point with z2 = 0 or z3 = 0 comes before each, so the step's support
+    changes between neighbours and a kept Neumann schedule must not be
+    reused; the sampled pencil comes again at another theta, with the same
+    support, so its schedule is.
+    """
+    rng = rng_for(25, "torus", "bitwise-resolvent")
+    cases = []
+    for mats in (numeric_pencil()[1], sampled_pencil(), sampled_pencil(0.21)):
+        for _ in range(2):
+            z2 = complex(rng.uniform(0.05, 0.1), rng.uniform(-0.02, 0.02))
+            z3 = complex(rng.uniform(0.05, 0.1), rng.uniform(-0.02, 0.02))
+            cases += [(mats, (1.0, 0, z3)), (mats, (1.0, z2, z3)),
+                      (mats, (1.0, z2, 0)), (mats, (1.0, z2, z3))]
+    return cases
+
+
+def test_factorization_is_bitwise_the_reference(monkeypatch):
+    # no coefficient of these points cancels, so every one of them is
+    # replayed from a Neumann schedule, none summed again by products
+    fallbacks = []
+    by_products = torus._neumann_sum_by_products
+
+    def counting_by_products(step, order):
+        fallbacks.append(step)
+        return by_products(step, order)
+
+    monkeypatch.setattr(torus, "_neumann_sum_by_products",
+                        counting_by_products)
     mats = content_pencil()
     report = factorization_report(mats, CONTENT_POINTS)
     expected, values = _reference_samples(mats, CONTENT_POINTS)
@@ -871,9 +908,11 @@ def test_factorization_is_bitwise_the_reference():
             # repr tells the sign of a zero and every bit of a float
             assert got == want and repr(got) == repr(want), field.name
     assert max(residuals(report)) == max(max(s.residuals) for s in expected)
-    for z in CONTENT_POINTS:
-        assert list(neumann_resolvent(mats, z, 40).coeffs.items()) == \
-            list(_reference_resolvent(mats, z, 40).coeffs.items())
+    cases = [(mats, z) for z in CONTENT_POINTS] + suite_resolvent_cases()
+    for case_mats, z in cases:
+        assert list(neumann_resolvent(case_mats, z, 40).coeffs.items()) == \
+            list(_reference_resolvent(case_mats, z, 40).coeffs.items()), z
+    assert fallbacks == []
 
 
 def test_neumann_sum_readds_a_cancelled_key_at_the_end():
@@ -888,24 +927,57 @@ def test_neumann_sum_readds_a_cancelled_key_at_the_end():
     assert [key for key, _ in resolvent[:3]] == [(0, 0), (2, 0), (1, 0)]
 
 
-# lambda_power calls in factorization_report on the sampled pencil of
-# the torus suite (seed 1, ten points, order 40). The count depends on
-# the code alone. Recorded when the twists of the general product loop
-# were taken once per left V-degree row (before: one per term pair, 412,440).
-FACTORIZATION_LAMBDA_POWER_BUDGET = 27_040
+def test_neumann_power_that_cancels_falls_back():
+    # step = 1/4 + U/8 - U^-1/4 is dyadic, and its square has the constant
+    # term 1/16 - 1/32 - 1/32 = 0 exactly, so the second power drops (0, 0)
+    # and the schedule of the step's support no longer fits the point
+    cfg = TorusConfig.numeric(0.37)
+    mats = [TorusElement.one(cfg),
+            TorusElement(cfg, {(0, 0): -0.25, (1, 0): -0.125, (-1, 0): 0.25}),
+            TorusElement.v(cfg)]
+    z = (1, 1, 0)
+    step = mats[1] * -1
+    assert (0, 0) not in (step * step).coeffs
+    assert torus._neumann_sum_by_schedule(step, 6) is None
+    for order in (2, 6, 40):
+        assert list(neumann_resolvent(mats, z, order).coeffs.items()) == \
+            list(_reference_resolvent(mats, z, order).coeffs.items())
+
+
+def test_factorization_calls_the_resolvent_through_the_module(monkeypatch):
+    # the tracer counts neumann_resolvent by replacing the module global
+    points = []
+    inner = torus.neumann_resolvent
+
+    def counting(mats, z, order):
+        points.append(z)
+        return inner(mats, z, order)
+
+    monkeypatch.setattr(torus, "neumann_resolvent", counting)
+    report = factorization_report(sampled_pencil(), [
+        (1, 0.06, 0.07), (0.05, 1, 1), (1, 0.08j, 0.05), (0, 0.1, 0.1)])
+    assert len(report.samples) == 2 and len(report.skipped) == 2
+    assert points == [sample.point for sample in report.samples]
+
+
+# lambda_power and TorusElement.__mul__ calls in factorization_report on
+# the sampled pencil of the torus suite (seed 1, ten points, order 40). The
+# counts depend on the code alone. Recorded when the Neumann powers were
+# replayed from a schedule, which takes each point's twists once per left
+# V-degree for all 40 powers (before: 26,240 lambda_power calls, with a
+# budget of 27,040, and 490 products, 40 of them per point for the powers).
+FACTORIZATION_LAMBDA_POWER_BUDGET = 2_840
+FACTORIZATION_TORUS_MUL_BUDGET = 90
 
 
 def test_factorization_operation_counts(monkeypatch):
-    cfg = TorusConfig.numeric(0.37)
-    mats = [TorusElement.one(cfg),
-            TorusElement.u(cfg) + TorusElement.u(cfg, -1),
-            TorusElement.v(cfg)]
+    mats = sampled_pencil()
     rng = rng_for(1, "torus", "factor-points")
     points = [(1.0,
                complex(rng.uniform(0.05, 0.1), rng.uniform(-0.02, 0.02)),
                complex(rng.uniform(0.05, 0.1), rng.uniform(-0.02, 0.02)))
               for _ in range(10)]
-    calls = {"delta": 0, "lambda_power": 0}
+    calls = {"delta": 0, "lambda_power": 0, "mul": 0}
     over_budget = []
     inner_delta = TorusElement.delta
     inner_lambda_power = TorusConfig.lambda_power
@@ -920,6 +992,7 @@ def test_factorization_operation_counts(monkeypatch):
         return inner_lambda_power(self, exponent)
 
     def budgeted_mul(self, other):
+        calls["mul"] += 1
         before = calls["lambda_power"]
         product = inner_mul(self, other)
         if isinstance(other, TorusElement):
@@ -938,3 +1011,4 @@ def test_factorization_operation_counts(monkeypatch):
     assert calls["delta"] == 4 * len(report.samples)
     assert over_budget == []
     assert 0 < calls["lambda_power"] <= FACTORIZATION_LAMBDA_POWER_BUDGET
+    assert 0 < calls["mul"] <= FACTORIZATION_TORUS_MUL_BUDGET

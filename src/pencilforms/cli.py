@@ -124,8 +124,11 @@ def parse_cochain_spec(spec: str) -> Cochain:
         if len(inner) != 2:
             raise CliError(
                 f"cochain spec {spec!r}: product takes exactly two specs")
-        return functional_product(parse_cochain_spec(inner[0]),
-                                  parse_cochain_spec(inner[1]))
+        first, second = (parse_cochain_spec(part) for part in inner)
+        try:
+            return functional_product(first, second)
+        except ValueError as exc:
+            raise CliError(f"cochain spec {spec!r}: {exc}")
     raise CliError(
         f"unrecognized cochain spec {spec!r}; expected trace, traceword:A, "
         "dense:FILE, cyclic-random:A:K:SEED, or product(SPEC, SPEC)")

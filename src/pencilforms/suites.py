@@ -22,7 +22,7 @@ from .linalg import MatrixTuple, PolyMatrix
 from .ring import CycloElement, MultiPoly, Scalar
 from .sampling import (random_diagonal_tuple, random_matrix_tuple,
                        random_poly_matrix, rng_for)
-from .torus import (NEUMANN_ORDER, TorusConfig, TorusElement,
+from .torus import (NEUMANN_ORDER, _TWIST_FREE, TorusConfig, TorusElement,
                     coboundary_check, cyclicity_check, factorization_report)
 from .transgression import (hyperplane_decomposition, tau, transgression_report)
 
@@ -518,37 +518,40 @@ def torus_cocycle_checks(seed: int,
                          ) -> List[CheckResult]:
     """Cyclicity and vanishing coboundary for all four cocycles.
 
-    One result per algebra order: complete monomial boxes plus seeded
-    random degree tuples. Exact mode only; a numeric config raises
-    ValueError. The result counts the tuples looked at up to the first
-    failure.
+    Complete monomial boxes plus seeded random degree tuples, run once
+    over the twist-free coefficient (`torus._TWIST_FREE`): every value is
+    an integer times lambda^E with one E per tuple, so one run decides the
+    identities at every twist, and terms with different exponents fail the
+    tuple. One result per algebra order, each reading that run. Exact mode
+    only; a numeric config raises ValueError. The result counts the tuples
+    looked at up to the first failure.
     """
     configs = ([config] if config is not None
                else [TorusConfig.exact(q, p) for q, p in _EXACT_ORDERS])
+    for cfg in configs:
+        if cfg.mode != "exact":
+            raise ValueError("exact mode required for spanning-set checks")
     runs = ([(which, None) for which in ("phi1", "phi2", "psi1", "psi2")]
             + [("phi1", 3), ("phi2", 3), ("psi1", 2), ("psi2", 2)])
-    results: List[CheckResult] = []
-    for cfg in configs:
-        bad: Optional[str] = None
-        count = 0
-        for which, radius in runs:
-            if radius is None:
-                checked, failure = cyclicity_check(which, cfg, seed=seed)
-                claim = "cyclicity fails for {} on degrees {}"
-            else:
-                checked, failure = coboundary_check(which, cfg, radius,
-                                                    seed=seed)
-                claim = "coboundary of {} does not vanish on degrees {}"
-            count += checked
-            if failure is not None:
-                bad = claim.format(which, failure)
-                break
-        results.append(CheckResult(
-            f"torus.cocycles.q{cfg.q}", bad is None,
-            "cyclicity and vanishing coboundary for phi1, phi2, psi1, "
-            f"psi2 on {count} monomial tuples (q={cfg.q}, "
-            f"p'={cfg.p_prime})", bad))
-    return results
+    bad: Optional[str] = None
+    count = 0
+    for which, radius in runs:
+        if radius is None:
+            checked, failure = cyclicity_check(which, _TWIST_FREE, seed=seed)
+            claim = "cyclicity fails for {} on degrees {}"
+        else:
+            checked, failure = coboundary_check(which, _TWIST_FREE, radius,
+                                                seed=seed)
+            claim = "coboundary of {} does not vanish on degrees {}"
+        count += checked
+        if failure is not None:
+            bad = claim.format(which, failure)
+            break
+    return [CheckResult(
+        f"torus.cocycles.q{cfg.q}", bad is None,
+        "cyclicity and vanishing coboundary for phi1, phi2, psi1, "
+        f"psi2 on {count} monomial tuples (q={cfg.q}, "
+        f"p'={cfg.p_prime})", bad) for cfg in configs]
 
 
 def _factorization_check(name: str, where: str, mats: List[TorusElement],

@@ -4,7 +4,12 @@ Elements are finitely supported sums sum a_{m,n} U^m V^n with the relation
 UV = lambda VU.  Two coefficient modes: exact, over Q(i)[t]/(t^q - 1) with
 lambda = t^p, and numeric, over complex doubles with lambda = exp(2*pi*i*theta).
 The module also evaluates the degree-one and degree-two cyclic cocycles built
-from the trace and the torus derivations on spanning monomial tuples, and
+from the trace and the torus derivations on spanning monomial tuples. On a
+zero-sum monomial tuple every term of b phi, and both sides of cyclicity, is
+an integer times one common lambda^E, so the torus suite runs these checks
+once, over a private twist-free coefficient (an integer times lambda^e, e
+never reduced): that run decides the identities for every twist, and a sum
+of two terms with different exponents fails the tuple. The module also
 computes the residuals of the top-form factorization numerically through a
 truncated Neumann resolvent, with their propagated truncation bounds. Which
 term pairs of the series meet, and where their products land, depends only
@@ -31,10 +36,9 @@ from .sampling import rng_for
 
 Degree = Tuple[int, int]
 
-# Largest exact-mode order q. Coefficients keep only their nonzero terms,
-# so the monomial cocycle checks cost the same at every q: `torus --check
-# cocycles` took 0.7 s at q = 64 (1.1 s before one-term coefficients took
-# one step each), median of 5 runs on a 2 vCPU host with Python 3.11.7.
+# Largest exact-mode order q. The monomial cocycle checks run over the
+# twist-free coefficient whatever q a config names, so they cost the same at
+# every q; q bounds the CycloElement arithmetic of exact-mode elements.
 MAX_ORDER = 64
 
 
@@ -44,6 +48,70 @@ def _numeric_twist(lambda_power: Callable) -> Callable:
         return value * lambda_power(power)
 
     return twisted_product
+
+
+class _MixedTwist(ArithmeticError):
+    """A sum of two nonzero twist-free values with different exponents."""
+
+
+class _TwistFree:
+    """c * lambda^e with an integer c and an exponent e that is never reduced.
+
+    Products add exponents and multiply the integers, and an integer scales
+    c, so a monomial tuple evaluates to one such term at every twist at
+    once. `+` and `-` of two nonzero terms with different exponents raise
+    `_MixedTwist`, and `==` of them is False: the identity under check then
+    holds at some twists only. Zero is falsy, whatever its exponent.
+    """
+
+    __slots__ = ("c", "e")
+
+    def __init__(self, c: int, e: int):
+        self.c = c
+        self.e = e
+
+    def __bool__(self) -> bool:
+        return self.c != 0
+
+    def __neg__(self) -> "_TwistFree":
+        return _TwistFree(-self.c, self.e)
+
+    def __mul__(self, other):
+        if type(other) is int:
+            return _TwistFree(self.c * other, self.e)
+        if type(other) is _TwistFree:
+            return _TwistFree(self.c * other.c, self.e + other.e)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __add__(self, other: "_TwistFree") -> "_TwistFree":
+        if not other.c:
+            return self
+        if not self.c:
+            return other
+        if self.e != other.e:
+            raise _MixedTwist(f"{self!r} + {other!r}")
+        return _TwistFree(self.c + other.c, self.e)
+
+    def __sub__(self, other: "_TwistFree") -> "_TwistFree":
+        return self + -other
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not _TwistFree:
+            return NotImplemented
+        return self.c == other.c and (not self.c or self.e == other.e)
+
+    def __hash__(self) -> int:
+        return hash((self.c, self.e if self.c else 0))
+
+    def __repr__(self) -> str:
+        return f"{self.c}*lambda^{self.e}"
+
+    @staticmethod
+    def twisted_product(x: "_TwistFree", y: "_TwistFree", power: int,
+                        scale: int = 1) -> "_TwistFree":
+        return _TwistFree(x.c * y.c * scale, x.e + y.e + power)
 
 
 class TorusConfig:
@@ -61,6 +129,10 @@ class TorusConfig:
     right and skips a missing scale, since a factor 1 can flip the sign of
     a zero part. lambda^e is g^(e * twist_unit): twist_unit is p' in exact
     mode and 1 in numeric mode.
+
+    A third, private mode ("twist-free", `_TWIST_FREE`) has no parameter:
+    its coefficients are `_TwistFree` terms and g = lambda itself. No JSON
+    or CLI input reaches it.
     """
 
     __slots__ = ("mode", "q", "p_prime", "theta", "_lam_cache",
@@ -109,8 +181,19 @@ class TorusConfig:
     def numeric(cls, theta: float) -> "TorusConfig":
         return cls("numeric", theta=theta)
 
+    @classmethod
+    def _twist_free(cls) -> "TorusConfig":
+        self = object.__new__(cls)
+        self.mode = "twist-free"
+        self.q = self.p_prime = self.theta = None
+        self.twisted_product = _TwistFree.twisted_product
+        self.twist_unit = 1
+        return self
+
     def lambda_power(self, exponent: int):
         """lambda^exponent in the coefficient ring of this mode."""
+        if self.mode == "twist-free":
+            return _TwistFree(1, exponent)
         if self.mode == "exact":
             key = (exponent * self.p_prime) % self.q
             cached = self._lam_cache.get(key)
@@ -125,17 +208,28 @@ class TorusConfig:
         return cached
 
     def zero_coeff(self):
+        if self.mode == "twist-free":
+            return _TwistFree(0, 0)
         if self.mode == "exact":
             return CycloElement.zero(self.q)
         return 0j
 
     def one_coeff(self):
+        if self.mode == "twist-free":
+            return _TwistFree(1, 0)
         if self.mode == "exact":
             return CycloElement.one(self.q)
         return 1 + 0j
 
     def coerce(self, value):
         """Coerce a host value into this mode's coefficient ring."""
+        if self.mode == "twist-free":
+            if isinstance(value, _TwistFree):
+                return value
+            if type(value) is int:
+                return _TwistFree(value, 0)
+            raise TypeError(f"cannot use {type(value).__name__} as a "
+                            "twist-free torus coefficient")
         if self.mode == "exact":
             if isinstance(value, CycloElement):
                 if value.q != self.q:
@@ -160,9 +254,15 @@ class TorusConfig:
         return hash((self.mode, self.q, self.p_prime, self.theta))
 
     def __repr__(self) -> str:
+        if self.mode == "twist-free":
+            return "TorusConfig._twist_free()"
         if self.mode == "exact":
             return f"TorusConfig.exact(q={self.q}, p_prime={self.p_prime})"
         return f"TorusConfig.numeric(theta={self.theta})"
+
+
+# The one twist-free configuration; the cocycle checks run over it.
+_TWIST_FREE = TorusConfig._twist_free()
 
 
 class TorusElement:
@@ -457,12 +557,17 @@ def torus_cocycle(which: str, args: Sequence[TorusElement]):
 
 
 # ---------------------------------------------------------------------------
-# spanning-set identity checks (exact mode)
+# spanning-set identity checks (exact and twist-free modes)
 #
 # Every cocycle here is built from the trace, so its value on a monomial
 # tuple vanishes unless the degrees sum to zero.  Both sides of the
 # cyclicity equation, and every term of the coboundary, share a tuple's
 # total degree, so zero-sum tuples carry the entire content of the checks.
+# A chain of monomials (a_i, b_i) multiplies to lambda^E with
+# E = -sum_{i<j} b_i a_j; on a zero-sum tuple, rotating the chain or merging
+# neighbours leaves E alone and the derivations scale by integers, so every
+# value compared is an integer times one lambda^E. Over `_TWIST_FREE` the
+# checks assert that common exponent, so a pass holds for every twist.
 
 
 def _box(radius: int) -> List[Degree]:
@@ -513,11 +618,12 @@ def cyclicity_check(which: str, config: TorusConfig,
 
     Runs over every zero-sum monomial tuple in the radius-3 box plus 10
     seeded random tuples (which exercise the trivially-zero off-grading
-    cases) and stops at the first tuple where the two differ. Returns the
-    number of tuples looked at and the degrees of that tuple, or None.
-    Raises ValueError only for a numeric config.
+    cases) and stops at the first tuple where the two differ, or, over the
+    twist-free config, where terms with different lambda exponents meet.
+    Returns the number of tuples looked at and the degrees of that tuple,
+    or None. Raises ValueError only for a numeric config.
     """
-    if config.mode != "exact":
+    if config.mode == "numeric":
         raise ValueError("exact mode required for spanning-set checks")
     phi = cocycle(which)
     a = phi.arity
@@ -528,9 +634,12 @@ def cyclicity_check(which: str, config: TorusConfig,
         args = [monomials[d] for d in degrees]
         rotated = [args[-1]] + args[:-1]
         checked += 1
-        value = phi(args)
-        turned = phi(rotated)
-        if value != (-turned if negate else turned):
+        try:
+            value = phi(args)
+            turned = phi(rotated)
+            if value != (-turned if negate else turned):
+                return checked, degrees
+        except _MixedTwist:
             return checked, degrees
     return checked, None
 
@@ -541,11 +650,12 @@ def coboundary_check(which: str, config: TorusConfig, radius: int,
 
     Zero-sum tuples inside the box are enumerated completely; 10 seeded
     random tuples from the radius-3 box are added on top. Stops at the
-    first tuple where b phi is not 0 and returns the number of tuples
-    looked at and the degrees of that tuple, or None. Raises ValueError
-    only for a numeric config.
+    first tuple where b phi is not 0, or, over the twist-free config, where
+    its terms carry different lambda exponents, and returns the number of
+    tuples looked at and the degrees of that tuple, or None. Raises
+    ValueError only for a numeric config.
     """
-    if config.mode != "exact":
+    if config.mode == "numeric":
         raise ValueError("exact mode required for spanning-set checks")
     phi = cocycle(which)
     b_phi = phi.coboundary()
@@ -555,7 +665,10 @@ def coboundary_check(which: str, config: TorusConfig, radius: int,
     checked = 0
     for degrees in _tuples_with_samples(radius, b_phi.arity, seed, which):
         checked += 1
-        if b_phi([monomials[d] for d in degrees]) != zero:
+        try:
+            if b_phi([monomials[d] for d in degrees]) != zero:
+                return checked, degrees
+        except _MixedTwist:
             return checked, degrees
     return checked, None
 
@@ -618,12 +731,13 @@ class _NeumannSchedule:
     keys: Tuple[Degree, ...]
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=2)
 def _neumann_schedule(support: Tuple[Degree, ...],
                       order: int) -> _NeumannSchedule:
     """The schedule of `order` powers of a step with this support.
 
-    It holds as long as no power coefficient and no running-sum entry is
+    Two are kept, so a factorization request, which runs the pinned pencil
+    and then the sampled one, builds each once. It holds as long as no power coefficient and no running-sum entry is
     exactly 0, as `TorusElement.__mul__` and `neumann_resolvent` would then
     drop the key.
     """
@@ -716,7 +830,7 @@ def neumann_resolvent(mats: Sequence[TorusElement], z: Sequence[complex],
     The powers of the step are replayed from a schedule of its support:
     which term pairs meet, with which twist, and in which slot of the power
     and of the running sum they land. It is built once per support and
-    order and kept for the next point. A point where a power coefficient
+    order and kept for the next points. A point where a power coefficient
     or a running-sum entry comes out exactly 0 drops that key, which the
     schedule does not model, so it is summed again by `TorusElement`
     products, where the key comes back at the end if a later power puts it
@@ -853,7 +967,7 @@ def format_element(x: TorusElement) -> str:
     parts = []
     for (m, n) in sorted(x.coeffs):
         value = x.coeffs[(m, n)]
-        if x.config.mode == "exact":
+        if x.config.mode != "numeric":
             body = str(value)
         else:
             sign = "+" if value.imag >= 0 else "-"

@@ -504,6 +504,8 @@ def cochain_spec_cases(draw):
           False))
 @example(("traceword:4", [], 4, 2, True))
 @example(("product(trace, trace", [], 3, 2, False))
+@example(("product(cyclic-random:1:1:0, cyclic-random:1:2:0)", [], 2, 1,
+          True))
 def test_cochain_spec_contract(tmp_path_factory, case):
     # any cochain spec: exit 0 with a form, or exit 2 with exactly one
     # error line, never a traceback, within a few seconds
@@ -636,9 +638,9 @@ def _run_in_process(argv):
 
 
 def test_factorization_with_a_warm_schedule_matches_a_cold_run(tmp_path):
-    # the Neumann schedule of the last step support is kept across requests;
-    # after other seeds and another theta, a request gives the exit code and
-    # stdout of the same argv run with nothing kept
+    # the Neumann schedules of the last two step supports are kept across
+    # requests; after other seeds and another theta, a request gives the
+    # exit code and stdout of the same argv run with nothing kept
     theta = tmp_path / "theta.json"
     theta.write_text(json.dumps({"mode": "numeric", "theta": 0.21}))
     argv = ["torus", "--check", "factorization", "--seed", "3"]
@@ -647,7 +649,8 @@ def test_factorization_with_a_warm_schedule_matches_a_cold_run(tmp_path):
                  ["torus", "--check", "factorization", "--seed", "5",
                   "--trials", "12"]):
         assert _run_in_process(warm)[0] == 0
-    assert torus._neumann_schedule.cache_info().currsize == 1
+    # both step supports of a request are kept: (1, U, V) and the sampled
+    assert torus._neumann_schedule.cache_info().currsize == 2
     warm_code, warm_out, _ = _run_in_process(argv)
     torus._neumann_schedule.cache_clear()
     cold_code, cold_out, _ = _run_in_process(argv)

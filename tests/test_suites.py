@@ -541,6 +541,40 @@ def test_torus_cocycles_judge_a_non_cyclic_cocycle(monkeypatch):
     assert result.detail.endswith(" on 1 monomial tuples (q=3, p'=1)")
     assert result.counterexample == \
         "cyclicity fails for phi1 on degrees ((3, 3), (-3, -3))"
+    # the one twist-free run gives every order the same counterexample
+    results = torus_cocycle_checks(1)
+    assert [r.name for r in results] == [
+        "torus.cocycles.q3", "torus.cocycles.q4", "torus.cocycles.q5"]
+    for r, (q, p) in zip(results, ((3, 1), (4, 1), (5, 2))):
+        assert not r.passed
+        assert r.detail.endswith(f" on 1 monomial tuples (q={q}, p'={p})")
+        assert r.counterexample == result.counterexample
+
+
+def test_torus_cocycles_fail_terms_with_different_twists(monkeypatch,
+                                                         capsys):
+    # tr(y) + tr(y^2) for y = x0 x1 x2 is cyclic at every twist, but on a
+    # zero-sum tuple y is c lambda^E, so its two terms carry lambda^E and
+    # lambda^2E; the twist-free run fails the first tuple with E != 0,
+    # which the check at q = 1 alone would pass
+    def mixed(args):
+        y = args[0] * args[1] * args[2]
+        return y.trace() + y.trace(y)
+
+    monkeypatch.setitem(torus._COCYCLES, "psi1",
+                        lambda: FunctionalCochain(3, mixed, label="psi1"))
+    assert torus.cyclicity_check("psi1", TorusConfig.exact(1, 0),
+                                 seed=1)[1] is None
+    claim = ("cyclicity fails for psi1 on degrees "
+             "((3, 3), (-3, -3), (0, 0))")
+    for argv in (("verify", "--suite", "torus", "--seed", "1"),
+                 ("torus", "--check", "cocycles", "--seed", "1")):
+        code = cli.main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "Traceback" not in captured.err
+        assert "FAIL torus.cocycles.q3: " in captured.out
+        assert claim in captured.out
 
 
 def _inflated_sampled_residual(inner):

@@ -12,7 +12,8 @@ from pencilforms._core import Q_ZERO
 from pencilforms.cochains import TraceWord
 from pencilforms.ring import CycloElement, Scalar
 from pencilforms.sampling import rng_for
-from pencilforms.suites import torus_cocycle_checks
+from pencilforms.suites import (suite_torus, torus_cocycle_checks,
+                                torus_factorization_checks)
 from pencilforms.torus import (
     FactorizationReport,
     FactorizationSample,
@@ -675,7 +676,10 @@ def test_exact_torus_fast_paths_match_naive_loop():
 # in the checks has one term, and since a one-term step no longer runs
 # through ring._product, none of them reaches it: the counts below were
 # measured again then and did not move, since the fast paths change how
-# a step runs, not how many run.
+# a step runs, not how many run. The checks now run once over the
+# twist-free coefficient, whose product steps (the config's
+# twisted_product) and integer scalings are counted in place of the
+# CycloElement ones: again 190,970, and no CycloElement arithmetic at all.
 COCYCLE_CHECKS_Q3_BUDGET = 190_970
 COCYCLE_CHECKS_Q3_TORUS_MUL_BUDGET = 97_852
 COCYCLE_CHECKS_Q3_DELTA_BUDGET = 8_510
@@ -695,7 +699,9 @@ def _count_calls(monkeypatch, calls, key, owner, name):
 
 def test_cocycle_checks_coefficient_product_budget(monkeypatch):
     calls = {}
-    for key, owner, name in (("mul", CycloElement, "__mul__"),
+    for key, owner, name in (("mul", torus._TwistFree, "__mul__"),
+                             ("twisted", torus._TWIST_FREE, "twisted_product"),
+                             ("cyclo_mul", CycloElement, "__mul__"),
                              ("mul_rotate", CycloElement, "mul_rotate"),
                              ("convolve", ring, "_cyclic_product"),
                              ("product", ring, "_product"),
@@ -706,28 +712,153 @@ def test_cocycle_checks_coefficient_product_budget(monkeypatch):
     assert [r.passed for r in results] == [True]
     assert calls["convolve"] == 0
     assert calls["product"] == 0
-    assert 0 < calls["mul"] + calls["mul_rotate"] <= COCYCLE_CHECKS_Q3_BUDGET
+    assert calls["cyclo_mul"] == calls["mul_rotate"] == 0
+    assert 0 < calls["mul"] + calls["twisted"] <= COCYCLE_CHECKS_Q3_BUDGET
     assert 0 < calls["torus_mul"] <= COCYCLE_CHECKS_Q3_TORUS_MUL_BUDGET
     assert 0 < calls["delta"] <= COCYCLE_CHECKS_Q3_DELTA_BUDGET
 
 
 def test_cocycle_checks_do_the_same_work_at_every_order(monkeypatch):
-    # Every coefficient in the checks is one term, so the kernel operations
-    # and coefficient products do not depend on the order q.
+    # The checks run once over the twist-free coefficient whatever order
+    # the config names, so the coefficient steps do not depend on q, and
+    # no kernel operation runs.
     def counts(q, p):
         with monkeypatch.context() as patch:
             calls = {}
             for name in ("qadd", "qmul", "qneg", "qsub"):
                 _count_calls(patch, calls, name, ring, name)
-            for name in ("__mul__", "mul_rotate", "__add__", "__neg__"):
-                _count_calls(patch, calls, name, CycloElement, name)
+            for name in ("__mul__", "__add__", "__sub__", "__neg__"):
+                _count_calls(patch, calls, name, torus._TwistFree, name)
+            _count_calls(patch, calls, "twisted", torus._TWIST_FREE,
+                         "twisted_product")
             results = torus_cocycle_checks(1, TorusConfig.exact(q, p))
         assert [r.passed for r in results] == [True]
         return calls
 
     small = counts(3, 1)
-    assert small["qmul"] > 0 and small["mul_rotate"] > 0
+    assert small["__mul__"] > 0 and small["twisted"] > 0
+    assert small["qmul"] == small["qadd"] == 0
     assert counts(64, 5) == small
+
+
+SPANNING_RUNS = (("phi1", 3), ("phi2", 3), ("psi1", 2), ("psi2", 2))
+
+
+def _coboundary_terms(phi, args):
+    """The a + 1 unsigned terms of (b phi)(x_0..x_a): phi with slots j and
+    j + 1 merged for each j < a, then with x_a x_0 in the first slot."""
+    a = phi.arity
+    terms = [phi(args[:j] + [args[j] * args[j + 1]] + args[j + 2:])
+             for j in range(a)]
+    terms.append(phi([args[a] * args[0]] + args[1:a]))
+    return terms
+
+
+def test_twist_free_values_specialise_to_the_exact_ones():
+    # lambda^e read as t^(e p') in Q(i)[t]/(t^q - 1) turns each twist-free
+    # value into the exact one at (q, p'), on a seeded sample of the
+    # suite's tuples: the cocycle on its cyclicity tuples, and b phi and
+    # each of its terms on its coboundary tuples
+    free = torus._TWIST_FREE
+    free_monomials = torus._box_monomials(free, 3)
+    rng = rng_for(26, "test", "twist-free-specialise")
+    orders = ((1, 0), (3, 1), (7, 3), (64, 5))
+    exact = {qp: torus._box_monomials(TorusConfig.exact(*qp), 3)
+             for qp in orders}
+
+    def specialise(value, q, p):
+        return CycloElement.root(q, value.e * p) * value.c
+
+    nonzero = 0
+    for which, radius in SPANNING_RUNS:
+        phi = torus.cocycle(which)
+        b_phi = phi.coboundary()
+        cases = []
+        for arity, box in ((phi.arity, 3), (phi.arity + 1, radius)):
+            tuples = list(torus._tuples_with_samples(box, arity, 1, which))
+            cases += rng.sample(tuples, 40)
+        for degrees in cases:
+            def values(monomials):
+                args = [monomials[d] for d in degrees]
+                if len(args) == phi.arity:
+                    return [phi(args)]
+                return [b_phi(args)] + _coboundary_terms(phi, args)
+
+            got = values(free_monomials)
+            assert all(type(v) is torus._TwistFree for v in got)
+            nonzero += sum(map(bool, got))
+            for (q, p), monomials in exact.items():
+                want = values(monomials)
+                assert [specialise(v, q, p) for v in got] == want, \
+                    (which, degrees, q, p)
+    assert nonzero > 0
+
+
+def test_twist_free_products_of_sums_specialise_to_the_exact_ones():
+    # the general product path looks each twist up through lambda_power;
+    # a sum of monomials of one degree keeps one exponent per key
+    free = torus._TWIST_FREE
+    x = TorusElement(free, {(1, 2): 2, (-1, 0): -3})
+    y = TorusElement(free, {(2, -1): 5, (0, 1): 1})
+    for q, p in ((3, 1), (7, 3)):
+        cfg = TorusConfig.exact(q, p)
+        xe = TorusElement(cfg, {(1, 2): 2, (-1, 0): -3})
+        ye = TorusElement(cfg, {(2, -1): 5, (0, 1): 1})
+        got = x * y
+        assert {key: CycloElement.root(q, v.e * p) * v.c
+                for key, v in got.coeffs.items()} == (xe * ye).coeffs
+
+
+def test_twist_free_sums_refuse_different_exponents():
+    a = torus._TwistFree(2, 1)
+    b = torus._TwistFree(3, 4)
+    zero = torus._TwistFree(0, 7)
+    with pytest.raises(torus._MixedTwist):
+        a + b
+    with pytest.raises(torus._MixedTwist):
+        a - b
+    assert a != b and a != torus._TwistFree(2, 4)
+    assert a + zero == a and zero - a == -a
+    assert zero == torus._TwistFree(0, 0) and not zero
+    assert a + torus._TwistFree(-2, 1) == zero
+    assert torus._TwistFree.twisted_product(a, b, -3, 2) == \
+        torus._TwistFree(12, 2)
+    assert 3 * a == a * 3 == torus._TwistFree(6, 1)
+
+
+# Coboundary tuples of the torus suite (seed 1) on which some term of b phi
+# is not 0, of all it looks at; a check whose terms all vanish would pass
+# with no content. The cyclicity tuples with phi != 0 are counted too.
+COBOUNDARY_NONTRIVIAL = {"phi1": (1_332, 1_379), "phi2": (1_332, 1_379),
+                         "psi1": (7_225, 7_235), "psi2": (6_816, 7_235)}
+
+
+def test_cocycle_checks_have_content():
+    free = torus._TWIST_FREE
+    monomials = torus._box_monomials(free, 3)
+    for which, radius in SPANNING_RUNS:
+        phi = torus.cocycle(which)
+        counts = [0, 0]
+        for degrees in torus._tuples_with_samples(radius, phi.arity + 1, 1,
+                                                  which):
+            args = [monomials[d] for d in degrees]
+            counts[0] += any(_coboundary_terms(phi, args))
+            counts[1] += 1
+        assert 0 < counts[0]
+        assert tuple(counts) == COBOUNDARY_NONTRIVIAL[which]
+        assert any(phi([monomials[d] for d in degrees])
+                   for degrees in torus._tuples_with_samples(3, phi.arity, 1,
+                                                             which))
+
+
+def test_a_factorization_request_builds_each_schedule_once():
+    # the pinned pencil (1, U, V) runs before the sampled one, so both
+    # schedules are kept, for the suite and for the next request alike
+    torus._neumann_schedule.cache_clear()
+    suite_torus(1)
+    torus_factorization_checks(1, trials=75)
+    info = torus._neumann_schedule.cache_info()
+    assert info.misses == 2 and info.hits > 0
 
 
 def test_cyclo_int_products_match_convolution():

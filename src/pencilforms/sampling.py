@@ -47,13 +47,17 @@ def random_matrix_tuple(rng: random.Random, n: int, k: int) -> MatrixTuple:
 
 
 def random_diagonal_tuple(rng: random.Random, n: int, k: int) -> MatrixTuple:
-    mats = []
-    for _ in range(n):
-        m = [[0] * k for _ in range(k)]
-        for i in range(k):
-            m[i][i] = rng.randint(-3, 3)
-        mats.append(m)
-    return MatrixTuple(mats)
+    """A diagonal tuple whose pencil determinant is not identically zero."""
+    while True:
+        mats = []
+        for _ in range(n):
+            m = [[0] * k for _ in range(k)]
+            for i in range(k):
+                m[i][i] = rng.randint(-3, 3)
+            mats.append(m)
+        t = MatrixTuple(mats)
+        if not t.pencil().det().is_zero:
+            return t
 
 
 def random_homogeneous_poly(rng: random.Random, n: int,

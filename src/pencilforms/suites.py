@@ -3,6 +3,13 @@
 Each suite draws every random object through rng_for(seed, ...) with fixed
 labels, so one seed pins the entire run. Reports carry no timestamps or
 timings; identical inputs give identical bytes.
+
+Every report line but the torus cocycle ones is kept by a `_Check`: it
+judges instances in turn, counts each one judged, the failing one
+included, and keeps the first failure as the line's counterexample. A
+line's count is thus the instances judged up to and including its first
+failure; lines over a fixed set (theorem29's pairs, hyperplane's tuples,
+the torus sample points) state the size of that set.
 """
 
 from __future__ import annotations
@@ -10,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from . import serialize
 from .cochains import DenseCochain, TraceWord, cyclic_symmetrize, functional_product
@@ -75,14 +82,53 @@ class SuiteReport:
         return serialize.canonical_json(self.to_dict())
 
 
-def _tuple_counterexample(label: str, t: MatrixTuple) -> str:
-    return label + "\n" + serialize.canonical_json(
-        serialize.tuple_to_json(t)).rstrip("\n")
+_Witness = Union[MatrixTuple, PolyMatrix, None]
 
 
-def _poly_counterexample(label: str, f: PolyMatrix) -> str:
-    return label + "\n" + serialize.canonical_json(
-        serialize.poly_matrix_to_json(f)).rstrip("\n")
+def _counterexample(label: str, witness: _Witness) -> str:
+    """label, followed by the witness as canonical JSON if there is one."""
+    if witness is None:
+        return label
+    data = (serialize.tuple_to_json(witness)
+            if isinstance(witness, MatrixTuple)
+            else serialize.poly_matrix_to_json(witness))
+    return label + "\n" + serialize.canonical_json(data).rstrip("\n")
+
+
+class _Check:
+    """One report line: judges instances in turn and builds its result.
+
+    `judge` counts the instance, the failing one included, and keeps the
+    first failure as the counterexample; after that it does nothing, so
+    the count stops at the check's own first failure.
+    """
+
+    __slots__ = ("_name", "_count", "_failure")
+
+    def __init__(self, name: str):
+        self._name = name
+        self._count = 0
+        self._failure: Optional[str] = None
+
+    @property
+    def ok(self) -> bool:
+        return self._failure is None
+
+    @property
+    def count(self) -> int:
+        return self._count
+
+    def judge(self, held: bool, label: str, witness: _Witness = None) -> bool:
+        """Count one instance; if it failed, keep label and witness.
+        Returns ok, so a loop can stop at the first failure."""
+        if self._failure is None:
+            self._count += 1
+            if not held:
+                self._failure = _counterexample(label, witness)
+        return self._failure is None
+
+    def result(self, detail: str) -> CheckResult:
+        return CheckResult(self._name, self.ok, detail, self._failure)
 
 
 # ---------------------------------------------------------------------------
@@ -96,36 +142,30 @@ def suite_flatness(seed: int, trials: Optional[int] = None,
     quad_count = max(1, count // 4)
     combos = [(k, n) for k in (2, 3) for n in (2, 3, 4)]
 
-    results: List[CheckResult] = []
-    bad: Optional[str] = None
-    checked = 0
+    linear = _Check("flatness.linear")
     for i in range(count):
         k, n = combos[i % len(combos)]
         t = random_matrix_tuple(rng_for(seed, "flatness", "linear", i), n, k)
-        checked += 1
         om = maurer_cartan(t.pencil())
-        if not (om.exterior_derivative() + om.wedge(om)).is_zero:
-            bad = _tuple_counterexample(f"trial {i} (k={k}, n={n})", t)
+        if not linear.judge((om.exterior_derivative() + om.wedge(om)).is_zero,
+                            f"trial {i} (k={k}, n={n})", t):
             break
-    results.append(CheckResult(
-        "flatness.linear", bad is None,
-        f"{checked} pencils flat across k in {{2,3}}, n in {{2,3,4}}", bad))
 
-    bad = None
-    checked = 0
+    quadratic = _Check("flatness.quadratic")
     for i in range(quad_count):
         n = (2, 3)[i % 2]
         f = random_poly_matrix(
             rng_for(seed, "flatness", "quadratic", i), n, 2, degree=2)
-        checked += 1
         om = maurer_cartan(f)
-        if not (om.exterior_derivative() + om.wedge(om)).is_zero:
-            bad = _poly_counterexample(f"trial {i} (n={n})", f)
+        if not quadratic.judge(
+                (om.exterior_derivative() + om.wedge(om)).is_zero,
+                f"trial {i} (n={n})", f):
             break
-    results.append(CheckResult(
-        "flatness.quadratic", bad is None,
-        f"{checked} quadratic-entry matrices flat", bad))
-    return results
+    return [
+        linear.result(f"{linear.count} pencils flat across k in {{2,3}}, "
+                      "n in {2,3,4}"),
+        quadratic.result(f"{quadratic.count} quadratic-entry matrices flat"),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +181,10 @@ def suite_transgression(seed: int, trials: Optional[int] = None,
     cyclic-shift correction term checked separately on the same inputs.
     """
     per_cell = 2 if trials is None else max(1, trials // 6)
+    main = _Check("theorem29.main")
+    decomposition = _Check("theorem29.decomposition")
+    correction = _Check("theorem29.correction")
     pairs = 0
-    fails = {"main": None, "decomposition": None, "correction": None}
-
     for n in (3, 4):
         t = random_matrix_tuple(rng_for(seed, "theorem29", "pencil", n), n, 2)
         f = t.pencil()
@@ -162,25 +203,18 @@ def suite_transgression(seed: int, trials: Optional[int] = None,
             pairs += 1
             a = rep.arity
             kb, dk, cor = rep.kappa_b, rep.d_kappa, rep.correction
-            for part, held in (
-                    ("main", kb * Fraction(a, a + 1) == -dk),
-                    ("decomposition", kb == -dk - cor),
-                    ("correction", cor == kb * Fraction(-1, a + 1))):
-                if not held and fails[part] is None:
-                    fails[part] = _tuple_counterexample(
-                        f"{label} arity {a}, n={n}", t)
+            where = f"{label} arity {a}, n={n}"
+            main.judge(kb * Fraction(a, a + 1) == -dk, where, t)
+            decomposition.judge(kb == -dk - cor, where, t)
+            correction.judge(cor == kb * Fraction(-1, a + 1), where, t)
 
     return [
-        CheckResult("theorem29.main", fails["main"] is None,
-                    f"(a/(a+1)) kappa(b phi) + d kappa(phi) = 0 for "
-                    f"{pairs} cochain/pencil pairs, arities 1-3",
-                    fails["main"]),
-        CheckResult("theorem29.decomposition", fails["decomposition"] is None,
-                    "permutation-block decomposition of kappa(b phi) holds "
-                    f"on all {pairs} pairs", fails["decomposition"]),
-        CheckResult("theorem29.correction", fails["correction"] is None,
-                    "cyclic-shift correction term matches on all "
-                    f"{pairs} pairs", fails["correction"]),
+        main.result(f"(a/(a+1)) kappa(b phi) + d kappa(phi) = 0 for "
+                    f"{pairs} cochain/pencil pairs, arities 1-3"),
+        decomposition.result("permutation-block decomposition of kappa(b phi) "
+                             f"holds on all {pairs} pairs"),
+        correction.result("cyclic-shift correction term matches on all "
+                          f"{pairs} pairs"),
     ]
 
 
@@ -192,27 +226,22 @@ def suite_jacobi_classic(seed: int, trials: Optional[int] = None,
                          tol: Optional[float] = None) -> List[CheckResult]:
     """tr(adj(f) d_i f) = d_i det f as polynomials, every variable."""
     count = 20 if trials is None else max(1, trials)
-    bad: Optional[str] = None
-    checked = 0
+    check = _Check("jacobi.cross-multiplied")
     for i in range(count):
         k = (2, 3, 4)[i % 3]
         n = (2, 3)[i % 2]
         degree = 1 if i % 4 < 2 else 2
         f = random_poly_matrix(
             rng_for(seed, "jacobi-classic", i), n, k, degree=degree)
-        checked += 1
         adj = f.adjugate()
         det = f.det()
-        for v in range(1, n + 1):
-            if (adj * f.partial(v)).trace() != det.partial(v):
-                bad = _poly_counterexample(
-                    f"trial {i} (k={k}, n={n}, variable {v})", f)
-                break
-        if bad is not None:
+        v = next((v for v in range(1, n + 1)
+                  if (adj * f.partial(v)).trace() != det.partial(v)), None)
+        if not check.judge(v is None,
+                           f"trial {i} (k={k}, n={n}, variable {v})", f):
             break
-    return [CheckResult(
-        "jacobi.cross-multiplied", bad is None,
-        f"tr(adj(f) d_i f) = d_i det f for {checked} matrices, k up to 4", bad)]
+    return [check.result(f"tr(adj(f) d_i f) = d_i det f for {check.count} "
+                         "matrices, k up to 4")]
 
 
 # ---------------------------------------------------------------------------
@@ -224,27 +253,22 @@ def suite_parity(seed: int, trials: Optional[int] = None,
     """Even trace powers of the connection form vanish identically."""
     per_combo = 2 if trials is None else max(1, trials // 4)
     combos = [(k, n) for k in (2, 3) for n in (4, 5)]
-    checked = 0
-    bad: Optional[str] = None
+    check = _Check("parity.even-powers")
     for k, n in combos:
         for i in range(per_combo):
             t = random_matrix_tuple(
                 rng_for(seed, "parity", k, n, i), n, k)
             f = t.pencil()
-            for m in (2, 4):
-                if not trace_power_form(f, m).is_zero:
-                    bad = _tuple_counterexample(
-                        f"trial {i} (k={k}, n={n}, power {m})", t)
-                    break
-            checked += 1
-            if bad is not None:
+            m = next((m for m in (2, 4)
+                      if not trace_power_form(f, m).is_zero), None)
+            if not check.judge(m is None,
+                               f"trial {i} (k={k}, n={n}, power {m})", t):
                 break
-        if bad is not None:
+        if not check.ok:
             break
-    return [CheckResult(
-        "parity.even-powers", bad is None,
-        f"tr(omega^2) = 0 and tr(omega^4) = 0 for {checked} pencils, "
-        "k in {2,3}, n in {4,5}", bad)]
+    return [check.result(
+        f"tr(omega^2) = 0 and tr(omega^4) = 0 for {check.count} pencils, "
+        "k in {2,3}, n in {4,5}")]
 
 
 # ---------------------------------------------------------------------------
@@ -259,66 +283,52 @@ def suite_cubic_trace(seed: int, trials: Optional[int] = None,
     zero residual, the degree of p, the factorization of the top-degree
     form through the coordinate-simplex form with its cross relations, and
     agreement of the two routes to tr(omega^3): the traced wedge power and
-    the anchored trace-word sum. Each check counts the tuples it checked
-    and stops only at its own first failure.
+    the anchored trace-word sum.
     """
     k2_count = 100 if trials is None else max(1, trials)
     k3_count = max(1, k2_count // 5)
     results: List[CheckResult] = []
 
-    division_bad: Optional[str] = None
-    divisions = 0
+    division = _Check("theorem33.divisibility")
     for k, count, name, claim in (
             (2, k2_count, "theorem33.p-constant-k2",
              "p is a constant for {} tuples of 2x2 matrices"),
             (3, k3_count, "theorem33.p-quadratic-k3",
              "p is homogeneous of degree 2 for {} tuples of 3x3 matrices")):
-        bad: Optional[str] = None
-        checked = 0
+        degree = _Check(name)
         for i in range(count):
-            if bad is not None and division_bad is not None:
+            if not (degree.ok or division.ok):
                 break
             t = random_matrix_tuple(rng_for(seed, "theorem33", f"k{k}", i),
                                     4, k)
             fact, p = cubic_trace_data(t)
-            if division_bad is None:
-                divisions += 1
+            if division.ok:
                 why = _division_failure(fact)
-                if why is not None:
-                    division_bad = _tuple_counterexample(
-                        f"trial {i} (k={k}): {why}", t)
-            if bad is None:
-                checked += 1
+                division.judge(why is None, f"trial {i} (k={k}): {why}", t)
+            if degree.ok:
                 why = _p_degree_failure(p, k)
-                if why is not None:
-                    bad = _tuple_counterexample(f"trial {i} (k={k}): {why}", t)
-        results.append(CheckResult(name, bad is None, claim.format(checked),
-                                   bad))
+                degree.judge(why is None, f"trial {i} (k={k}): {why}", t)
+        results.append(degree.result(claim.format(degree.count)))
 
-    results.append(CheckResult(
-        "theorem33.divisibility", division_bad is None,
+    results.append(division.result(
         "every antisymmetrized resolvent trace divides exactly by det "
-        f"({divisions} tuples)", division_bad))
+        f"({division.count} tuples)"))
 
     tops = [(k, random_matrix_tuple(rng_for(seed, "theorem33", "top", k),
                                     4, k))
             for k in (2, 3)]
     facts = [factorize_top_form(t.pencil()) for _, t in tops]
-    bad = None
+    top = _Check("theorem33.top-factorization")
     for (k, t), fact in zip(tops, facts):
-        if not fact.residual.is_zero:
-            bad = _tuple_counterexample(f"k={k}: nonzero residual", t)
-            break
-    if bad is None:
+        top.judge(fact.residual.is_zero, f"k={k}: nonzero residual", t)
+    if top.ok:
         f = random_poly_matrix(
             rng_for(seed, "theorem33", "top-quadratic"), 4, 2, degree=2)
-        fact = factorize_top_form(f)
-        if not fact.residual.is_zero:
-            bad = _poly_counterexample("quadratic input: nonzero residual", f)
-    results.append(CheckResult(
-        "theorem33.top-factorization", bad is None,
+        top.judge(factorize_top_form(f).residual.is_zero,
+                  "quadratic input: nonzero residual", f)
+    results.append(top.result(
         "tr(omega^3) = q s with zero residual and cross relations, "
-        "k in {2,3} plus one quadratic input", bad))
+        "k in {2,3} plus one quadratic input"))
     results.append(_trace_routes_check(
         [(k, t, fact.top_form) for (k, t), fact in zip(tops, facts)]))
     return results
@@ -354,20 +364,18 @@ def _trace_routes_check(
         tops: List[Tuple[int, MatrixTuple, ScalarForm]]) -> CheckResult:
     """tr(omega^3) by wedge power = anchored sum on each tuple, given with
     the wedge-route top form that factorize_top_form split."""
-    bad: Optional[str] = None
+    check = _Check("theorem33.trace-routes")
     nonzero = 0
     for k, t, wedge in tops:
-        if anchored_trace_power(t.pencil(), 3) != wedge:
-            bad = _tuple_counterexample(f"k={k}: anchored sum != wedge", t)
+        if not check.judge(anchored_trace_power(t.pencil(), 3) == wedge,
+                           f"k={k}: anchored sum != wedge", t):
             break
         if not wedge.is_zero:
             nonzero += 1
-    if bad is None and nonzero == 0:
-        bad = "tr(omega^3) is 0 on every tuple: the check has no content"
-    return CheckResult(
-        "theorem33.trace-routes", bad is None,
-        f"tr(omega^3) by wedge = anchored sum, k in {{2,3}}; "
-        f"{nonzero} of {len(tops)} tuples nonzero", bad)
+    check.judge(nonzero > 0,
+                "tr(omega^3) is 0 on every tuple: the check has no content")
+    return check.result(f"tr(omega^3) by wedge = anchored sum, k in {{2,3}}; "
+                        f"{nonzero} of {len(tops)} tuples nonzero")
 
 
 # ---------------------------------------------------------------------------
@@ -379,23 +387,19 @@ def suite_entry_matrix(seed: int, trials: Optional[int] = None,
     """p equals the calibrated sign times the 4x4 entry-matrix constant."""
     count = 100 if trials is None else max(1, trials)
     eps = calibrated_sign()
-    bad: Optional[str] = None
-    checked = 0
+    check = _Check("example35.entry-matrix")
     for i in range(count):
         t = random_matrix_tuple(rng_for(seed, "example35", i), 4, 2)
-        checked += 1
         _, p = cubic_trace_data(t)
         why = _p_degree_failure(p, 2)
-        if why is not None:
-            bad = _tuple_counterexample(f"trial {i}: {why}", t)
+        if not check.judge(
+                why is None
+                and p.constant_value() == entry_matrix_constant(t) * eps,
+                f"trial {i}" if why is None else f"trial {i}: {why}", t):
             break
-        if p.constant_value() != entry_matrix_constant(t) * eps:
-            bad = _tuple_counterexample(f"trial {i}", t)
-            break
-    return [CheckResult(
-        "example35.entry-matrix", bad is None,
-        f"epsilon = {eps}; p = epsilon * C for {checked} tuples of "
-        "2x2 matrices", bad)]
+    return [check.result(
+        f"epsilon = {eps}; p = epsilon * C for {check.count} tuples of "
+        "2x2 matrices")]
 
 
 # ---------------------------------------------------------------------------
@@ -410,42 +414,36 @@ def suite_tau(seed: int, trials: Optional[int] = None,
     tw1, tw3 = TraceWord(1), TraceWord(3)
     pairs = [(tw1, tw1), (tw1, tw3), (tw3, tw1)]
 
-    bad: Optional[str] = None
-    checked = 0
+    multiplicative = _Check("tau.multiplicative")
     for i in range(count):
         f1, f2 = pairs[i % len(pairs)]
         n = 4 if (f1.arity + f2.arity) >= 4 else 3
         t = random_matrix_tuple(rng_for(seed, "tau", "product", i), n, 2)
         f = t.pencil()
-        checked += 1
         lhs = tau(functional_product(f1, f2), f)
         rhs = tau(f1, f).wedge(tau(f2, f))
-        if lhs != rhs:
-            bad = _tuple_counterexample(
-                f"trial {i} (arities {f1.arity} and {f2.arity})", t)
+        if not multiplicative.judge(
+                lhs == rhs, f"trial {i} (arities {f1.arity} and {f2.arity})",
+                t):
             break
-    results = [CheckResult(
-        "tau.multiplicative", bad is None,
-        f"tau(F1 x F2) = tau(F1) wedge tau(F2) for {checked} pairs", bad)]
 
-    bad = None
-    closed = 0
+    closed = _Check("tau.closed")
     for n in (3, 4):
         t = random_matrix_tuple(rng_for(seed, "tau", "closed", n), n, 2)
         f = t.pencil()
         for functional in (tw1, tw3):
-            if not tau(functional, f).exterior_derivative().is_zero:
-                bad = _tuple_counterexample(
-                    f"arity {functional.arity}, n={n}", t)
+            if not closed.judge(
+                    tau(functional, f).exterior_derivative().is_zero,
+                    f"arity {functional.arity}, n={n}", t):
                 break
-            closed += 1
-        if bad is not None:
+        if not closed.ok:
             break
-    results.append(CheckResult(
-        "tau.closed", bad is None,
-        f"d tau(F) = 0 for trace words of arity 1 and 3 on {closed} "
-        "invariant inputs", bad))
-    return results
+    return [
+        multiplicative.result("tau(F1 x F2) = tau(F1) wedge tau(F2) for "
+                              f"{multiplicative.count} pairs"),
+        closed.result("d tau(F) = 0 for trace words of arity 1 and 3 on "
+                      f"{closed.count} invariant inputs"),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -466,32 +464,23 @@ def suite_hyperplane(seed: int, trials: Optional[int] = None,
     tuples = [("pinned", pinned)]
     for i in range(count):
         n, k = combos[i % len(combos)]
-        rng = rng_for(seed, "hyperplane", i)
-        while True:
-            t = random_diagonal_tuple(rng, n, k)
-            if not t.pencil().det().is_zero:
-                break
-        tuples.append((f"trial {i}", t))
+        tuples.append((f"trial {i}", random_diagonal_tuple(
+            rng_for(seed, "hyperplane", i), n, k)))
 
-    det_bad: Optional[str] = None
-    kappa_bad: Optional[str] = None
+    det = _Check("hyperplane.det-product")
+    kappa = _Check("hyperplane.kappa-lines")
     decs = [hyperplane_decomposition(t) for _, t in tuples]
     for (label, t), dec in zip(tuples, decs):
-        if dec.line_product != dec.det and det_bad is None:
-            det_bad = _tuple_counterexample(label, t)
-        if dec.kappa_forms != dec.coordinate_forms and kappa_bad is None:
-            kappa_bad = _tuple_counterexample(label, t)
-    mults = sorted(m for _, m in decs[0].multiplicities)
-    if mults != [1, 2] and det_bad is None:
-        det_bad = _tuple_counterexample("pinned: wrong multiplicities", pinned)
+        det.judge(dec.line_product == dec.det, label, t)
+        kappa.judge(dec.kappa_forms == dec.coordinate_forms, label, t)
+    det.judge(sorted(m for _, m in decs[0].multiplicities) == [1, 2],
+              "pinned: wrong multiplicities", pinned)
 
     return [
-        CheckResult("hyperplane.det-product", det_bad is None,
-                    f"det = product of lines with grouped multiplicities "
-                    f"for {len(tuples)} diagonal tuples", det_bad),
-        CheckResult("hyperplane.kappa-lines", kappa_bad is None,
-                    "kappa(coordinate functional) = d(ell)/ell for every "
-                    f"line of {len(tuples)} tuples", kappa_bad),
+        det.result("det = product of lines with grouped multiplicities "
+                   f"for {len(tuples)} diagonal tuples"),
+        kappa.result("kappa(coordinate functional) = d(ell)/ell for every "
+                     f"line of {len(tuples)} tuples"),
     ]
 
 
@@ -508,6 +497,21 @@ def _random_torus_element(rng: random.Random,
         total = total + TorusElement.monomial(
             config, rng.randrange(-2, 3), rng.randrange(-2, 3), coeff)
     return total
+
+
+def _algebra_failure(x: TorusElement, y: TorusElement,
+                     z: TorusElement) -> Optional[str]:
+    """Which algebra law fails first on x, y, z, or None."""
+    if (x * y) * z != x * (y * z):
+        return "associativity fails"
+    if (x * y).trace() != (y * x).trace():
+        return "trace symmetry fails"
+    for which in (1, 2):
+        if (x * y).delta(which) != x.delta(which) * y + x * y.delta(which):
+            return f"Leibniz fails for delta_{which}"
+    if x.delta(1).delta(2) != x.delta(2).delta(1):
+        return "derivations do not commute"
+    return None
 
 
 _EXACT_ORDERS = ((3, 1), (4, 1), (5, 2))
@@ -562,21 +566,19 @@ def _factorization_check(name: str, where: str, mats: List[TorusElement],
     samples = factorization_report(mats, points).samples
     residuals = [r for sample in samples for r in sample.residuals]
     max_residual = max([0.0] + residuals)
-    bad: Optional[str] = None
+    check = _Check(name)
     for sample in samples:
         worst = max(sample.propagated_bounds)
-        if tolerance < worst:
-            bad = (f"tolerance {tolerance} is below the propagated "
-                   f"truncation bound {worst} at {sample.point}")
-            break
-    if bad is None and not all(r <= tolerance for r in residuals):
-        bad = f"residual {max_residual:.3e} above {tolerance:.1e}"
-    elif bad is None and len(samples) < needed:
-        bad = f"only {len(samples)} usable sample points"
-    return CheckResult(
-        name, bad is None,
+        check.judge(not tolerance < worst,
+                    f"tolerance {tolerance} is below the propagated "
+                    f"truncation bound {worst} at {sample.point}")
+    check.judge(all(r <= tolerance for r in residuals),
+                f"residual {max_residual:.3e} above {tolerance:.1e}")
+    check.judge(len(samples) >= needed,
+                f"only {len(samples)} usable sample points")
+    return check.result(
         f"{where.format(len(samples))}, order {NEUMANN_ORDER}: residuals "
-        f"within {tolerance:.1e} (max {max_residual:.3e})", bad)
+        f"within {tolerance:.1e} (max {max_residual:.3e})")
 
 
 def torus_factorization_checks(seed: int, trials: Optional[int] = None,
@@ -623,41 +625,21 @@ def suite_torus(seed: int, trials: Optional[int] = None,
                 tol: Optional[float] = None) -> List[CheckResult]:
     """Exact twisted-algebra laws, the four cocycles, and the numeric
     factorization of the resolvent traces."""
-    algebra_bad: Optional[str] = None
-    algebra_checks = 0
+    algebra = _Check("torus.algebra")
     for q, p_prime in _EXACT_ORDERS:
         cfg = TorusConfig.exact(q, p_prime)
         rng = rng_for(seed, "torus", "algebra", q)
         for i in range(12):
-            x = _random_torus_element(rng, cfg)
-            y = _random_torus_element(rng, cfg)
-            z = _random_torus_element(rng, cfg)
-            if (x * y) * z != x * (y * z):
-                algebra_bad = f"associativity fails at q={q}, trial {i}"
+            x, y, z = (_random_torus_element(rng, cfg) for _ in range(3))
+            why = _algebra_failure(x, y, z)
+            if not algebra.judge(why is None, f"{why} at q={q}, trial {i}"):
                 break
-            if (x * y).trace() != (y * x).trace():
-                algebra_bad = f"trace symmetry fails at q={q}, trial {i}"
-                break
-            for which in (1, 2):
-                lhs = (x * y).delta(which)
-                rhs = x.delta(which) * y + x * y.delta(which)
-                if lhs != rhs:
-                    algebra_bad = (f"Leibniz fails for delta_{which} at "
-                                   f"q={q}, trial {i}")
-                    break
-            if algebra_bad is not None:
-                break
-            if x.delta(1).delta(2) != x.delta(2).delta(1):
-                algebra_bad = f"derivations do not commute at q={q}, trial {i}"
-                break
-            algebra_checks += 1
-        if algebra_bad is not None:
+        if not algebra.ok:
             break
 
-    results = [CheckResult(
-        "torus.algebra", algebra_bad is None,
+    results = [algebra.result(
         "associativity, trace symmetry, Leibniz, commuting derivations "
-        f"on {algebra_checks} exact triples, q in {{3,4,5}}", algebra_bad)]
+        f"on {algebra.count} exact triples, q in {{3,4,5}}")]
     results.extend(torus_cocycle_checks(seed))
     results.extend(torus_factorization_checks(seed, trials=trials, tol=tol))
     return results

@@ -319,36 +319,61 @@ def test_example35_reports_a_missing_p(monkeypatch, capsys):
     assert lines[2].lstrip().startswith("{")
 
 
-def _spoil_calls(inner, spoiled_calls):
-    """inner, doubling its result on the listed (1-based) calls."""
+def _doubled(out):
+    return out * 2
+
+
+def _not_closed(out):
+    """z2 dz1 over out's variables: nonzero, and not closed."""
+    return ScalarForm(out.n, 1, {(1,): MultiPoly.variable(out.n, 2)})
+
+
+def _spoil_calls(inner, spoiled_calls, spoil):
+    """inner, with spoil applied to its result on the listed (1-based)
+    calls."""
     calls = [0]
 
     def wrapped(*args):
         calls[0] += 1
         out = inner(*args)
-        return out * 2 if calls[0] in spoiled_calls else out
+        return spoil(out) if calls[0] in spoiled_calls else out
     return wrapped
 
 
-# Each spoiled call falls on trial 1 of the named loop: flatness builds one
-# omega per trial (calls 2 and 4 are trial 1 of the linear and the quadratic
-# loop once the linear one stops), jacobi-classic one adjugate, example35
-# one entry constant, and tau three forms per product trial.
-@pytest.mark.parametrize("suite, owner, attr, spoiled_calls, trials, fails", [
-    ("flatness", suites, "maurer_cartan", {2, 4}, 8,
-     {"flatness.linear": "2 pencils flat",
-      "flatness.quadratic": "2 quadratic-entry matrices flat"}),
-    ("jacobi-classic", PolyMatrix, "adjugate", {2}, 3,
-     {"jacobi.cross-multiplied": "d_i det f for 2 matrices"}),
-    ("example35", suites, "entry_matrix_constant", {2}, 3,
-     {"example35.entry-matrix": "p = epsilon * C for 2 tuples"}),
-    ("tau", suites, "tau", {4}, 3,
-     {"tau.multiplicative": "tau(F2) for 2 pairs"}),
-], ids=["flatness", "jacobi-classic", "example35", "tau"])
+# Each spoiled call falls on the failing instance, and every count includes
+# it: flatness builds one omega per trial (calls 2 and 4 are trial 1 of the
+# linear and the quadratic loop once the linear one stops), jacobi-classic
+# one adjugate, example35 one entry constant, parity tr(omega^2) then
+# tr(omega^4) per pencil, and tau three forms per product trial, then one
+# per closed-form input. torus.algebra takes two traces per triple.
+@pytest.mark.parametrize(
+    "suite, owner, attr, spoiled_calls, spoil, trials, fails, witness", [
+        ("flatness", suites, "maurer_cartan", {2, 4}, _doubled, 8,
+         {"flatness.linear": "2 pencils flat",
+          "flatness.quadratic": "2 quadratic-entry matrices flat"},
+         "  trial 1"),
+        ("jacobi-classic", PolyMatrix, "adjugate", {2}, _doubled, 3,
+         {"jacobi.cross-multiplied": "d_i det f for 2 matrices"},
+         "  trial 1"),
+        ("example35", suites, "entry_matrix_constant", {2}, _doubled, 3,
+         {"example35.entry-matrix": "p = epsilon * C for 2 tuples"},
+         "  trial 1"),
+        ("tau", suites, "tau", {4}, _doubled, 3,
+         {"tau.multiplicative": "tau(F2) for 2 pairs"}, "  trial 1"),
+        ("parity", suites, "trace_power_form", {3}, _not_closed, 8,
+         {"parity.even-powers": "= 0 for 2 pencils"}, "  trial 1"),
+        ("tau", suites, "tau", {5}, _not_closed, 1,
+         {"tau.closed": "on 2 invariant inputs"}, "  arity 3, n=3"),
+        ("torus", torus.TorusElement, "trace", {5}, _doubled, 10,
+         {"torus.algebra": "on 3 exact triples"},
+         "  trace symmetry fails at q=3, trial 2"),
+    ], ids=["flatness", "jacobi-classic", "example35", "tau", "parity",
+            "tau-closed", "torus-algebra"])
 def test_failing_trial_reports_the_trials_checked(
-        monkeypatch, capsys, suite, owner, attr, spoiled_calls, trials, fails):
-    monkeypatch.setattr(owner, attr,
-                        _spoil_calls(getattr(owner, attr), spoiled_calls))
+        monkeypatch, capsys, suite, owner, attr, spoiled_calls, spoil, trials,
+        fails, witness):
+    monkeypatch.setattr(owner, attr, _spoil_calls(getattr(owner, attr),
+                                                  spoiled_calls, spoil))
     code = cli.main(["verify", "--suite", suite, "--seed", "1",
                      "--trials", str(trials)])
     out = capsys.readouterr().out
@@ -356,7 +381,7 @@ def test_failing_trial_reports_the_trials_checked(
     for name, claim in fails.items():
         lines = out.split(f"\nFAIL {name}: ")[1].splitlines()
         assert claim in lines[0]
-        assert lines[1].startswith("  trial 1"), lines[1]
+        assert lines[1].startswith(witness), lines[1]
 
 
 # Kernel products of one whole theorem33 run at the verify-pencil trial

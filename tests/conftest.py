@@ -2,21 +2,24 @@
 
 import pytest
 
-from pencilforms import ring
+from pencilforms import ring, torus
 from pencilforms.forms import maurer_cartan
 from pencilforms.jacobi import trace_power_form
 
 
 @pytest.fixture(autouse=True)
-def cold_form_memo():
-    """Each test starts with no omega and no trace power kept.
+def cold_memos():
+    """Each test starts with no omega, trace power or torus plan kept.
 
-    `maurer_cartan` and `trace_power_form` keep their last result, so a
-    test that counts kernel work on a pencil an earlier test used would
+    `maurer_cartan` and `trace_power_form` keep their last result, and the
+    torus factorization keeps its last two Neumann schedules and plans, so
+    a test that counts work on an input an earlier test used would
     otherwise count nothing.
     """
     maurer_cartan.cache_clear()
     trace_power_form.cache_clear()
+    torus._neumann_schedule.cache_clear()
+    torus._factorization_plan.cache_clear()
 
 
 def count_poly_mul(monkeypatch):

@@ -638,9 +638,10 @@ def _run_in_process(argv):
 
 
 def test_factorization_with_a_warm_schedule_matches_a_cold_run(tmp_path):
-    # the Neumann schedules of the last two step supports are kept across
-    # requests; after other seeds and another theta, a request gives the
-    # exit code and stdout of the same argv run with nothing kept
+    # the Neumann schedules and factorization plans of the last two
+    # pencils are kept across requests; after other seeds and another
+    # theta, a request gives the exit code and stdout of the same argv run
+    # with nothing kept
     theta = tmp_path / "theta.json"
     theta.write_text(json.dumps({"mode": "numeric", "theta": 0.21}))
     argv = ["torus", "--check", "factorization", "--seed", "3"]
@@ -653,6 +654,7 @@ def test_factorization_with_a_warm_schedule_matches_a_cold_run(tmp_path):
     assert torus._neumann_schedule.cache_info().currsize == 2
     warm_code, warm_out, _ = _run_in_process(argv)
     torus._neumann_schedule.cache_clear()
+    torus._factorization_plan.cache_clear()
     cold_code, cold_out, _ = _run_in_process(argv)
     assert (warm_code, warm_out) == (cold_code, cold_out)
     assert cold_code == 0 and "PASS torus.factorization.sampled" in cold_out

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -853,12 +854,13 @@ def test_cocycle_checks_have_content():
 
 def test_a_factorization_request_builds_each_schedule_once():
     # the pinned pencil (1, U, V) runs before the sampled one, so both
-    # schedules are kept, for the suite and for the next request alike
-    torus._neumann_schedule.cache_clear()
+    # schedules and both factorization plans are kept, for the suite and
+    # for the next request alike
     suite_torus(1)
     torus_factorization_checks(1, trials=75)
-    info = torus._neumann_schedule.cache_info()
-    assert info.misses == 2 and info.hits > 0
+    for memo in (torus._neumann_schedule, torus._factorization_plan):
+        info = memo.cache_info()
+        assert info.misses == 2 and info.hits > 0, memo
 
 
 def test_cyclo_int_products_match_convolution():
@@ -1014,6 +1016,26 @@ def suite_resolvent_cases():
     return cases
 
 
+def suite_factorization_cases():
+    """The torus suite's pinned pencil at its point and its sampled pencil
+    at seeded points of the suite's range."""
+    rng = rng_for(28, "torus", "bitwise-factorization")
+    points = [(1.0, complex(rng.uniform(0.05, 0.1), rng.uniform(-0.02, 0.02)),
+               complex(rng.uniform(0.05, 0.1), rng.uniform(-0.02, 0.02)))
+              for _ in range(3)]
+    return [(numeric_pencil()[1], [(1.0, 0.1, 0.1)] + points[:1]),
+            (sampled_pencil(), points)]
+
+
+def assert_samples_bitwise(samples, expected):
+    assert len(samples) == len(expected)
+    for sample, ref in zip(samples, expected):
+        for field in dataclasses.fields(FactorizationSample):
+            got, want = getattr(sample, field.name), getattr(ref, field.name)
+            # repr tells the sign of a zero and every bit of a float
+            assert got == want and repr(got) == repr(want), field.name
+
+
 def test_factorization_is_bitwise_the_reference(monkeypatch):
     # no coefficient of these points cancels, so every one of them is
     # replayed from a Neumann schedule, none summed again by products
@@ -1024,8 +1046,16 @@ def test_factorization_is_bitwise_the_reference(monkeypatch):
         fallbacks.append(step)
         return by_products(step, order)
 
+    traces = []
+    by_plan = torus._trace_by_plan
+
+    def recording_trace(config, x, y, plan):
+        traces.append((plan[0], len(plan[1])))
+        return by_plan(config, x, y, plan)
+
     monkeypatch.setattr(torus, "_neumann_sum_by_products",
                         counting_by_products)
+    monkeypatch.setattr(torus, "_trace_by_plan", recording_trace)
     mats = content_pencil()
     report = factorization_report(mats, CONTENT_POINTS)
     expected, values = _reference_samples(mats, CONTENT_POINTS)
@@ -1033,12 +1063,17 @@ def test_factorization_is_bitwise_the_reference(monkeypatch):
     assert max(residuals(report)) <= 1e-9 and not report.skipped
     assert all(max(s.propagated_bounds) <= 1e-9 for s in report.samples)
     assert len(report.samples) == len(expected) == len(CONTENT_POINTS)
-    for sample, ref in zip(report.samples, expected):
-        for field in dataclasses.fields(FactorizationSample):
-            got, want = getattr(sample, field.name), getattr(ref, field.name)
-            # repr tells the sign of a zero and every bit of a float
-            assert got == want and repr(got) == repr(want), field.name
+    assert_samples_bitwise(report.samples, expected)
     assert max(residuals(report)) == max(max(s.residuals) for s in expected)
+    # the content pencil walks a derivative shorter than its W, and the
+    # suite's pencils have traces that match no pair (the zero of the mode)
+    assert any(swap and pairs for swap, pairs in traces)
+    traces.clear()
+    for suite_mats, points in suite_factorization_cases():
+        samples = factorization_report(suite_mats, points).samples
+        assert_samples_bitwise(samples,
+                               _reference_samples(suite_mats, points)[0])
+    assert any(not pairs for _, pairs in traces)
     cases = [(mats, z) for z in CONTENT_POINTS] + suite_resolvent_cases()
     for case_mats, z in cases:
         assert list(neumann_resolvent(case_mats, z, 40).coeffs.items()) == \
@@ -1075,6 +1110,52 @@ def test_neumann_power_that_cancels_falls_back():
             list(_reference_resolvent(mats, z, order).coeffs.items())
 
 
+def test_factorization_product_that_cancels_falls_back(monkeypatch):
+    # at z = (1, 1/2, 0) the resolvent is sum_t (-U/2)^t, dyadic, and
+    # R (1 + U/2) telescopes: every coefficient but those of U^0 and U^41
+    # is exactly 0, which the factorization plan does not model, so W_3 is
+    # formed by products and delta_j and the traces are planned on its keys
+    cfg = TorusConfig.numeric(0.37)
+    one, u = TorusElement.one(cfg), TorusElement.u(cfg)
+    mats = [one, u, one + u * 0.5]
+    z = (1, 0.5, 0)
+    planned = []
+    inner = torus._phi_plan
+
+    def recording(w_keys):
+        planned.append([list(keys) for keys in w_keys])
+        return inner(w_keys)
+
+    monkeypatch.setattr(torus, "_phi_plan", recording)
+    report = factorization_report(mats, [z])
+    expected, _ = _reference_samples(mats, [z])
+    assert_samples_bitwise(report.samples, expected)
+    # the plan of the term-pair keys, then the one of the product's keys
+    assert len(planned[0][2]) == 42
+    assert planned[1:] == [[list(_naive_element_product(
+        neumann_resolvent(mats, z, torus.NEUMANN_ORDER), a).coeffs)
+        for a in mats]]
+    assert planned[1][2] == [(0, 0), (41, 0)]
+
+
+def test_a_cold_factorization_plan_fits_its_memory_ceiling():
+    # the plan of the sampled pencil at order 40 holds index arrays only;
+    # measured at 0.17 MB kept and 0.59 MB peak while built (Python 3.11)
+    mats = sampled_pencil()
+    resolvent = neumann_resolvent(mats, (1, 0.07, 0.08), torus.NEUMANN_ORDER)
+    r_keys = tuple(resolvent.coeffs)
+    supports = tuple(tuple(a.coeffs) for a in mats)
+    tracemalloc.start()
+    try:
+        plan = torus._factorization_plan(r_keys, supports)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [count for _, _, count in plan.products] == [1681, 1762, 1681]
+    assert kept <= FACTORIZATION_PLAN_KEPT_BYTES
+    assert peak <= FACTORIZATION_PLAN_PEAK_BYTES
+
+
 def test_factorization_calls_the_resolvent_through_the_module(monkeypatch):
     # the tracer counts neumann_resolvent by replacing the module global
     points = []
@@ -1096,9 +1177,18 @@ def test_factorization_calls_the_resolvent_through_the_module(monkeypatch):
 # counts depend on the code alone. Recorded when the Neumann powers were
 # replayed from a schedule, which takes each point's twists once per left
 # V-degree for all 40 powers (before: 26,240 lambda_power calls, with a
-# budget of 27,040, and 490 products, 40 of them per point for the powers).
+# budget of 27,040, and 490 products, 40 of them per point for the powers),
+# and lowered when W = R A was replayed from the factorization plan (before:
+# 90 products, 9 per point). The 6 left per point scale the pencil twice
+# for s and once for the step, in `_neumann_parts` (run twice) and
+# `neumann_resolvent`, and scale the Neumann sum by 1/z1.
 FACTORIZATION_LAMBDA_POWER_BUDGET = 2_840
-FACTORIZATION_TORUS_MUL_BUDGET = 90
+FACTORIZATION_TORUS_MUL_BUDGET = 60
+
+# tracemalloc ceilings on one cold factorization plan of the sampled pencil
+# at order 40, which the factorization request keeps next to its schedule.
+FACTORIZATION_PLAN_KEPT_BYTES = 250_000
+FACTORIZATION_PLAN_PEAK_BYTES = 750_000
 
 
 def test_factorization_operation_counts(monkeypatch):
@@ -1110,13 +1200,13 @@ def test_factorization_operation_counts(monkeypatch):
               for _ in range(10)]
     calls = {"delta": 0, "lambda_power": 0, "mul": 0}
     over_budget = []
-    inner_delta = TorusElement.delta
+    inner_delta = torus._delta_by_plan
     inner_lambda_power = TorusConfig.lambda_power
     inner_mul = TorusElement.__mul__
 
-    def counting_delta(self, which):
+    def counting_delta(values, delta):
         calls["delta"] += 1
-        return inner_delta(self, which)
+        return inner_delta(values, delta)
 
     def counting_lambda_power(self, exponent):
         calls["lambda_power"] += 1
@@ -1133,7 +1223,7 @@ def test_factorization_operation_counts(monkeypatch):
                 over_budget.append((used, rows, len(other.coeffs)))
         return product
 
-    monkeypatch.setattr(TorusElement, "delta", counting_delta)
+    monkeypatch.setattr(torus, "_delta_by_plan", counting_delta)
     monkeypatch.setattr(TorusConfig, "lambda_power", counting_lambda_power)
     monkeypatch.setattr(TorusElement, "__mul__", budgeted_mul)
     report = factorization_report(mats, points)

@@ -562,8 +562,12 @@ def _factorization_check(name: str, where: str, mats: List[TorusElement],
                          points: list, tolerance: float,
                          needed: int) -> CheckResult:
     """The tolerance against each point's worst propagated bound, each
-    residual against the tolerance, and at least `needed` usable points."""
-    samples = factorization_report(mats, points).samples
+    residual against the tolerance, and at least `needed` usable points.
+
+    The report cuts each point's series at the order the tolerance lets
+    it (`factorization_report`), which judges as at NEUMANN_ORDER; the
+    line names the orders used, or NEUMANN_ORDER without a sample."""
+    samples = factorization_report(mats, points, tolerance).samples
     residuals = [r for sample in samples for r in sample.residuals]
     max_residual = max([0.0] + residuals)
     check = _Check(name)
@@ -576,8 +580,11 @@ def _factorization_check(name: str, where: str, mats: List[TorusElement],
                 f"residual {max_residual:.3e} above {tolerance:.1e}")
     check.judge(len(samples) >= needed,
                 f"only {len(samples)} usable sample points")
+    orders = sorted({sample.order for sample in samples}) or [NEUMANN_ORDER]
+    used = (f"order {orders[0]}" if len(orders) == 1
+            else f"orders {orders[0]}-{orders[-1]}")
     return check.result(
-        f"{where.format(len(samples))}, order {NEUMANN_ORDER}: residuals "
+        f"{where.format(len(samples))}, {used}: residuals "
         f"within {tolerance:.1e} (max {max_residual:.3e})")
 
 
@@ -587,10 +594,14 @@ def torus_factorization_checks(seed: int, trials: Optional[int] = None,
                                ) -> List[CheckResult]:
     """Truncated-resolvent residuals at the pinned point and seeded samples.
 
-    trials below 10 is raised to 10. A tolerance below a point's propagated
-    truncation bound fails the check with that bound, as does a residual
-    above the tolerance or too few convergent points (1 pinned, 10
-    sampled).
+    trials below 10 is raised to 10. Each point's Neumann series is cut at
+    the smallest order the tolerance allows, at most NEUMANN_ORDER
+    (`torus.factorization_report`), and each line names the orders used.
+    A tolerance below a point's propagated truncation bound fails the
+    check with that bound, as does a residual above the tolerance or too
+    few convergent points (1 pinned, 10 sampled). A point whose a-priori
+    bound misses the tolerance is summed to the cap, so every verdict is
+    the one at the cap.
     """
     sample_count = 10 if trials is None else max(10, trials)
     tolerance = 1e-10 if tol is None else tol

@@ -13,15 +13,21 @@ never reduced): that run decides the identities for every twist, and a sum
 of two terms with different exponents fails the tuple. The module also
 computes the residuals of the top-form factorization numerically through a
 truncated Neumann resolvent R, with their propagated truncation bounds.
-Which term pairs of a product meet, and where they land, depends only on
-the supports of its operands, so each sample point replays plans of index
-arrays and runs only the arithmetic: the Neumann powers are a chain of
-product plans per step support and order (`_neumann_schedule`), and
-W_x = R A_x, delta_j and the six phi_j traces are planned per key order of
-R and supports of the pencil (`_factorization_plan`). On the sampled pencil
-(1, U + U^-1, V) at order 40 a point costs about 7 ms for R and 2.3 ms
-for the rest (6 ms by `TorusElement` arithmetic), and the plan keeps
-0.17 MB next to the schedule's 0.29 MB (2 vCPU, Python 3.11.7).
+Given a tolerance, each point's series is cut at the smallest order M up to
+the cap NEUMANN_ORDER whose dropped tail rho^(M+1) / (1 - rho) is below
+the double rounding 2^-53 and whose a-priori bound (the propagated bound
+with the W norms replaced by ones computed from rho and the pencil) is
+within the tolerance at M and at the cap; otherwise, and without a
+tolerance, at the cap. A point that passes at M passes at the cap, so the
+order changes no verdict. Which term pairs of a product meet, and where
+they land, depends only on the supports of its operands, so each sample
+point replays plans of index arrays and runs only the arithmetic: the
+Neumann powers are a chain of product plans per step support, built to
+the cap (`_neumann_schedule`), and W_x = R A_x, delta_j and the six phi_j
+traces are planned per pencil on the keys of R at the cap
+(`_factorization_plan`). A point replays the first M powers and the
+prefix of the plan its R reaches, so it keeps the bits of summing its own
+M powers with `+`.
 The calls return what they found: the first monomial tuple where a cocycle
 identity fails, or the residuals and bounds at each point. The torus suite
 judges them.
@@ -31,10 +37,11 @@ from __future__ import annotations
 
 import cmath
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .cochains import FunctionalCochain
@@ -762,17 +769,28 @@ def _replay_product(plan: ProductPlan, left: List,
 
     The products ca * cb * lambda^(-b c) and the sums are those of the
     term-pair loop of `TorusElement.__mul__`, in its order, so the bits
-    are too. Returns None if a coefficient comes out exactly 0: the
-    product drops that key, which the plan does not model.
+    are too. A `left` shorter than the plan's left operand holds its first
+    terms: their pairs come first and land in the first slots, so the
+    product of that prefix is the first slots up to the largest one they
+    reach. Returns None if a coefficient comes out exactly 0: the product
+    drops that key, which the plan does not model.
     """
     rows, slots, count = plan
     terms = [ca * cb * lam for ca, r in zip(left, rows)
              for cb, lam in twist_rows[r]]
+    if len(left) < len(rows):
+        count = max(islice(slots, len(terms)), default=-1) + 1
     out = [None] * count
     for k, term in zip(slots, terms):
         prev = out[k]
         out[k] = term if prev is None else prev + term
     return out if all(out) else None
+
+
+# The cap on the terms of the Neumann series beyond the constant one: the
+# length of every Neumann schedule, and the order `factorization_report`
+# sums a point to when no smaller order meets its rule.
+NEUMANN_ORDER = 40
 
 
 @dataclass(frozen=True)
@@ -782,7 +800,8 @@ class _NeumannSchedule:
     `powers[t]` is (plan, sum_slots) for power t + 1 = (power t) * step:
     the plan's rows index `row_degrees`, and `sum_slots[k]` is the running
     sum's slot for term k of the power. `keys` is the running sum's key
-    order.
+    order; the sum to any order M keeps its first keys, since a power adds
+    its new keys after those of the powers before it.
     """
 
     row_degrees: Tuple[int, ...]
@@ -797,8 +816,11 @@ def _neumann_schedule(support: Tuple[Degree, ...],
 
     It holds as long as no power coefficient and no running-sum entry is
     exactly 0, as `TorusElement.__mul__` and `neumann_resolvent` would
-    then drop the key. Two are kept, so a factorization request, which
-    runs the pinned pencil and then the sampled one, builds each once.
+    then drop the key. Callers build it to `NEUMANN_ORDER` (or to a longer
+    order they ask for) and replay its first powers, so one schedule per
+    support serves every order up to the cap. Two are kept, so a
+    factorization request, which runs the pinned pencil and then the
+    sampled one, builds each once.
     """
     row_of: Dict[int, int] = {}
     sum_slot: Dict[Degree, int] = {(0, 0): 0}
@@ -815,18 +837,20 @@ def _neumann_sum_by_schedule(step: TorusElement,
                              order: int) -> Optional[Dict[Degree, object]]:
     """sum_{t<=order} step^t through the cached schedule of its support.
 
-    Each power is the replay of its product plan, and the running sum adds
-    it in the order of summing with `+`. Returns None as soon as a power
-    coefficient or a running-sum entry is exactly 0.
+    The first `order` powers of the schedule are replayed. Each power is
+    the replay of its product plan, and the running sum adds it in the
+    order of summing with `+`. Returns None as soon as a power coefficient
+    or a running-sum entry is exactly 0.
     """
     config = step.config
-    schedule = _neumann_schedule(tuple(step.coeffs), order)
+    schedule = _neumann_schedule(tuple(step.coeffs),
+                                 max(order, NEUMANN_ORDER))
     rows = _twist_rows(config, schedule.row_degrees, step.coeffs)
     one = config.one_coeff()
     power = [one]
     acc = [one]
     append = acc.append
-    for plan, sum_slots in schedule.powers:
+    for plan, sum_slots in islice(schedule.powers, order):
         power = _replay_product(plan, power, rows)
         if power is None:
             return None
@@ -838,6 +862,7 @@ def _neumann_sum_by_schedule(step: TorusElement,
                 append(value)
         if not all(acc):
             return None
+    # the sum to this order holds the first len(acc) keys
     return dict(zip(schedule.keys, acc))
 
 
@@ -871,13 +896,14 @@ def neumann_resolvent(mats: Sequence[TorusElement], z: Sequence[complex],
 
     The powers of the step are replayed from a schedule of its support:
     which term pairs meet, with which twist, and in which slot of the power
-    and of the running sum they land. It is built once per support and
-    order and kept for the next points. A point where a power coefficient
-    or a running-sum entry comes out exactly 0 drops that key, which the
-    schedule does not model, so it is summed again by `TorusElement`
-    products, where the key comes back at the end if a later power puts it
-    back. Either way the result has the bits and the key order of summing
-    the powers with `+`.
+    and of the running sum they land. It is built once per support, to
+    `NEUMANN_ORDER` powers or to `order` if that is longer, and kept for
+    the next points, which replay its first `order` powers. A point where
+    a power coefficient or a running-sum entry comes out exactly 0 drops
+    that key, which the schedule does not model, so it is summed again by
+    `TorusElement` products, where the key comes back at the end if a
+    later power puts it back. Either way the result has the bits and the
+    key order of summing the powers with `+`.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -895,16 +921,14 @@ def neumann_resolvent(mats: Sequence[TorusElement], z: Sequence[complex],
 # numeric factorization report
 
 
-# Terms of the Neumann series beyond the constant one, at every point.
-NEUMANN_ORDER = 40
-
-
 @dataclass
 class FactorizationSample:
-    """One sample point: q values, residuals, and the propagated bound."""
+    """One sample point: the order its Neumann series was cut at, q values,
+    residuals, and the propagated bound."""
 
     point: Tuple[complex, complex, complex]
     rho: float
+    order: int
     q_values: Tuple[Optional[complex], Optional[complex]]
     residuals: Tuple[float, float, float, float]
     propagated_bounds: Tuple[float, float, float, float]
@@ -918,21 +942,101 @@ class FactorizationReport:
     skipped: List[Tuple[Tuple[complex, complex, complex], str]]
 
 
+# A dropped tail of l1 mass at most 2^-53 (the unit roundoff of a double)
+# is below the rounding the float sums of a sample already carry.
+_ROUNDING_TAIL = 2.0 ** -53
+
+
+@dataclass(frozen=True)
+class _TruncationBound:
+    """The propagated truncation bounds of one point's residuals.
+
+    Cutting the series at order M drops the terms t > M, of l1 mass at
+    most rho^t / |z1| each, and their products with A_y carry monomials of
+    height <= r_s t + r_y, so delta_j costs that factor per term.
+    """
+
+    point: Tuple[complex, complex, complex]
+    rho: float
+    r_s: int
+    a_norms: Sequence[float]
+    radii: Sequence[int]
+
+    def residual_bounds(self, order: int, w_norms: Sequence[float],
+                        dw_norms: Dict[int, float]) -> Tuple[float, float]:
+        """Bounds on |z1 v12 - z3 v23| and |z2 v12 + z3 v13| at `order`,
+        from the l1 norms of W_0, W_1 and of delta_j W_1, delta_j W_2."""
+        rho = self.rho
+        az1 = abs(self.point[0])
+        # l1 tails of the dropped series terms: sum rho^t and sum t rho^t
+        tail0 = rho ** (order + 1) / (1 - rho)
+        tail1 = ((order + 2) * rho ** (order + 1)
+                 - (order + 1) * rho ** (order + 2)) / (1 - rho) ** 2
+        sum_t = tail1 - tail0
+        a_norms = self.a_norms
+        radii = self.radii
+
+        def err_phi(x: int, y: int) -> float:
+            # |phi_j(W_x, W_y) - phi_j(What_x, What_y)| with What = R A
+            e_ax = tail0 / az1 * a_norms[x]
+            d_ey = a_norms[y] / az1 * (self.r_s * sum_t + radii[y] * tail0)
+            return e_ax * dw_norms[y] + (w_norms[x] + e_ax) * d_ey
+
+        z1, z2, z3 = (abs(c) for c in self.point)
+        return (z1 * err_phi(0, 1) + z3 * err_phi(1, 2),
+                z2 * err_phi(0, 1) + z3 * err_phi(0, 2))
+
+    def a_priori(self, order: int) -> float:
+        """The worst residual bound at `order` before any W is formed.
+
+        ||W_x|| becomes ||A_x|| / (|z1| (1 - rho)), since ||R|| is at most
+        sum_t rho^t / |z1|, and ||delta_j W_y|| becomes that bound on
+        ||W_y|| times order r_s + r_y, the largest height in W_y; each
+        dominates the computed norm.
+        """
+        scale = abs(self.point[0]) * (1 - self.rho)
+        w_norms = [a / scale for a in self.a_norms]
+        dw_norms = {y: (order * self.r_s + self.radii[y]) * w_norms[y]
+                    for y in (1, 2)}
+        return max(self.residual_bounds(order, w_norms, dw_norms))
+
+    def order_for(self, tolerance: Optional[float]) -> int:
+        """The smallest order M below the cap whose dropped tail
+        rho^(M+1) / (1 - rho) is at most 2^-53 and whose a-priori bound is
+        within the tolerance, at M and at the cap alike; else the cap.
+
+        A point that passes at M then passes at the cap, whose computed
+        bound the a-priori one dominates, and a point that cannot is summed
+        to the cap; so the order changes no verdict. No tolerance means
+        the cap.
+        """
+        cap = NEUMANN_ORDER
+        if tolerance is None or not self.a_priori(cap) <= tolerance:
+            return cap
+        rho = self.rho
+        for order in range(1, cap):
+            if (rho ** (order + 1) / (1 - rho) <= _ROUNDING_TAIL
+                    and self.a_priori(order) <= tolerance):
+                return order
+        return cap
+
+
 # The phi_j(W_x, W_y) of a sample, in the order the report reads them.
 _PHI_PAIRS = ((0, 1), (1, 2), (0, 2))
 
-# tr(x y) as matched term indices, for given supports: (swap, first,
-# second, twists). The shorter operand is walked in its key order, y when
-# `swap`, as `TorusElement.trace` does; its term first[k] meets the term
-# second[k] of the other with the twist exponent twists[k] = a b of the
-# walked degree (a, b).
-TracePlan = Tuple[bool, array, array, array]
+# tr(x y) as matched term indices, for given key orders: one walk of each
+# operand, x's first. A walk (first, second, twists) goes through the walked
+# operand in its key order; its term first[k] meets the term second[k] of
+# the other with the twist exponent twists[k] = a b of the walked degree
+# (a, b). `TorusElement.trace` walks the shorter operand, y when it is
+# strictly shorter; operands cut to prefixes of the key orders may compare
+# the other way round than the full ones, so both walks are kept.
+TraceWalk = Tuple[array, array, array]
+TracePlan = Tuple[TraceWalk, TraceWalk]
 
 
-def _trace_plan(x_keys: Sequence[Degree],
-                y_keys: Sequence[Degree]) -> TracePlan:
-    swap = len(y_keys) < len(x_keys)
-    walked, other = (y_keys, x_keys) if swap else (x_keys, y_keys)
+def _trace_walk(walked: Sequence[Degree],
+                other: Sequence[Degree]) -> TraceWalk:
     index = {key: i for i, key in enumerate(other)}
     first, second, twists = [], [], []
     for i, (a, b) in enumerate(walked):
@@ -941,21 +1045,32 @@ def _trace_plan(x_keys: Sequence[Degree],
             first.append(i)
             second.append(k)
             twists.append(a * b)
-    return swap, _int_array(first), _int_array(second), _int_array(twists)
+    return _int_array(first), _int_array(second), _int_array(twists)
+
+
+def _trace_plan(x_keys: Sequence[Degree],
+                y_keys: Sequence[Degree]) -> TracePlan:
+    return _trace_walk(x_keys, y_keys), _trace_walk(y_keys, x_keys)
 
 
 def _trace_by_plan(config: TorusConfig, x: List, y: List, plan: TracePlan):
-    """tr(x y) for coefficient lists in the planned key orders, with the
-    products, sums and zero of `TorusElement.trace`."""
-    swap, first, second, twists = plan
+    """tr(x y) for coefficient lists that hold the first terms of the
+    planned key orders, with the walk, products, sums and zero of
+    `TorusElement.trace`: pairs past either list are left out."""
+    swap = len(y) < len(x)
+    first, second, twists = plan[swap]
     if swap:
         x, y = y, x
+    walked, other = len(x), len(y)
     twisted_product = config.twisted_product
     unit = config.twist_unit
     total = None
     for i, k, e in zip(first, second, twists):
-        term = twisted_product(x[i], y[k], e * unit)
-        total = term if total is None else total + term
+        if i >= walked:
+            break
+        if k < other:
+            term = twisted_product(x[i], y[k], e * unit)
+            total = term if total is None else total + term
     return config.zero_coeff() if total is None else total
 
 
@@ -982,9 +1097,12 @@ def _phi_plan(w_keys: Sequence[Sequence[Degree]]) -> tuple:
 
 
 def _delta_by_plan(values: List, delta: Tuple[array, array]) -> List:
-    """delta_j of a coefficient list: `TorusElement.delta`'s products."""
+    """delta_j of a coefficient list that holds the first terms of the
+    planned key order: `TorusElement.delta`'s products, on the kept
+    indices below its length."""
     indices, weights = delta
-    return [values[i] * m for i, m in zip(indices, weights)]
+    kept = bisect_left(indices, len(values))
+    return [values[i] * m for i, m in zip(islice(indices, kept), weights)]
 
 
 @dataclass(frozen=True)
@@ -1016,29 +1134,36 @@ def _factorization_plan(r_keys: Tuple[Degree, ...],
 
 
 def factorization_report(mats: Sequence[TorusElement],
-                         points: Sequence[Sequence[complex]]
+                         points: Sequence[Sequence[complex]],
+                         tolerance: Optional[float] = None
                          ) -> FactorizationReport:
     """Residuals of the two linear relations tying phi_j values on W_i = R A_i.
 
-    At each convergent sample the resolvent R, truncated at NEUMANN_ORDER,
+    At each convergent sample the resolvent R, truncated at an order M,
     gives W_1, W_2, W_3, and the residuals
     |z1 phi_j(W1,W2) - z3 phi_j(W2,W3)| and |z2 phi_j(W1,W2) + z3 phi_j(W1,W3)|
     come with the truncation error propagated through phi_j, which a
-    tolerance on them must dominate. Reports q_j = 2 phi_j(W1,W2)/z3 for
-    each sample. Divergent samples are skipped; if every sample diverges
-    the sample list is empty.
+    tolerance on them must dominate. M is the smallest order whose dropped
+    tail is below rounding and whose a-priori bound meets `tolerance` at M
+    and at NEUMANN_ORDER (`_TruncationBound.order_for`), else, and without
+    a tolerance, NEUMANN_ORDER; so a tolerance check on the sample judges
+    as at NEUMANN_ORDER. Reports q_j = 2 phi_j(W1,W2)/z3 for each sample.
+    Divergent samples are skipped; if every sample diverges the sample
+    list is empty.
 
     Which term pairs of R A_x meet, which terms delta_j keeps, and which
     terms each trace matches depend only on R's key order and the
     pencil's supports, so they are planned once (`_factorization_plan`)
-    and each point runs only the products and sums, those of
-    `TorusElement` in its order. A W coefficient that comes out exactly 0
-    drops its key, which the plan does not model; that point forms W by
-    `TorusElement` products and plans delta_j and the traces on their
-    keys.
+    on the keys of the series at NEUMANN_ORDER, of which R at M holds the
+    first ones, and each point replays the prefix its R reaches, with the
+    products and sums of `TorusElement` in its order. A W coefficient that
+    comes out exactly 0 drops its key, which the plan does not model; that
+    point forms W by `TorusElement` products and plans delta_j and the
+    traces on their keys.
     """
-    order = NEUMANN_ORDER
     supports = tuple(tuple(a.coeffs) for a in mats)
+    a_norms = [x.l1_norm() for x in mats]
+    radii = [x.degree_radius() for x in mats]
     samples: List[FactorizationSample] = []
     skipped: List[Tuple[Tuple[complex, complex, complex], str]] = []
     for raw in points:
@@ -1053,9 +1178,19 @@ def factorization_report(mats: Sequence[TorusElement],
         if rho >= 1:
             skipped.append((point, "Neumann series divergent at this point"))
             continue
+        bound = _TruncationBound(point, rho, s.degree_radius(), a_norms,
+                                 radii)
+        order = bound.order_for(tolerance)
         resolvent = neumann_resolvent(mats, point, order)
         config = resolvent.config
-        plan = _factorization_plan(tuple(resolvent.coeffs), supports)
+        r_keys = tuple(resolvent.coeffs)
+        # R summed by the schedule holds the first keys of the schedule's
+        # sum, so one plan on those keys serves every order; R summed by
+        # products may order its keys otherwise and gets a plan of its own
+        keys = _neumann_schedule(tuple(s.coeffs), NEUMANN_ORDER).keys
+        if keys[:len(r_keys)] != r_keys:
+            keys = r_keys
+        plan = _factorization_plan(keys, supports)
         r_values = list(resolvent.coeffs.values())
         w = [_replay_product(product, r_values,
                              _twist_rows(config, plan.row_degrees, a.coeffs))
@@ -1065,26 +1200,8 @@ def factorization_report(mats: Sequence[TorusElement],
             products = [resolvent * a for a in mats]
             phi_plan = _phi_plan([tuple(x.coeffs) for x in products])
             w = [list(x.coeffs.values()) for x in products]
-        az1 = abs(z1)
-
-        # l1 tails of the dropped series terms: sum rho^t and sum t rho^t
-        tail0 = rho ** (order + 1) / (1 - rho)
-        tail1 = ((order + 2) * rho ** (order + 1)
-                 - (order + 1) * rho ** (order + 2)) / (1 - rho) ** 2
-        sum_t = tail1 - tail0
-        r_s = s.degree_radius()
-        a_norms = [x.l1_norm() for x in mats]
-        radii = [x.degree_radius() for x in mats]
-        # err_phi reads the norms of W_1 and W_2 only
+        # the bounds read the norms of W_1 and W_2 only
         w_norms = [sum(map(abs, x)) for x in w[:2]]
-
-        def err_phi(x: int, y: int) -> float:
-            # |phi_j(W_x, W_y) - phi_j(What_x, What_y)| with What = R A;
-            # the dropped term of degree t carries monomials of height
-            # <= r_s t + r_y, so delta_j costs that factor per term.
-            e_ax = tail0 / az1 * a_norms[x]
-            d_ey = a_norms[y] / az1 * (r_s * sum_t + radii[y] * tail0)
-            return e_ax * dw_norms[y] + (w_norms[x] + e_ax) * d_ey
 
         residuals = []
         bounds = []
@@ -1097,13 +1214,10 @@ def factorization_report(mats: Sequence[TorusElement],
                              for (x, y), trace in zip(_PHI_PAIRS, traces))
             residuals.append(abs(point[0] * v12 - point[2] * v23))
             residuals.append(abs(point[1] * v12 + point[2] * v13))
-            bounds.append(abs(point[0]) * err_phi(0, 1)
-                          + abs(point[2]) * err_phi(1, 2))
-            bounds.append(abs(point[1]) * err_phi(0, 1)
-                          + abs(point[2]) * err_phi(0, 2))
+            bounds.extend(bound.residual_bounds(order, w_norms, dw_norms))
             q_values.append(2 * v12 / point[2] if point[2] != 0 else None)
         samples.append(FactorizationSample(
-            point=point, rho=rho, q_values=tuple(q_values),
+            point=point, rho=rho, order=order, q_values=tuple(q_values),
             residuals=tuple(residuals), propagated_bounds=tuple(bounds)))
     return FactorizationReport(samples=samples, skipped=skipped)
 

@@ -194,10 +194,12 @@ DIGESTS = {
         "3acce79a460bbbe3038dfc9608657f066c838aab6407a5235634ed928111be45",
     "torus-cocycles-q64-json":
         "c4090fd14130a36d3fb16fcff1059795db6debb63a233738304c34ce455eaf2b",
+    # recorded when each point's Neumann series was cut at the order of its
+    # rule: the report names the orders used in place of "order 40"
     "torus-factorization":
-        "07ed106af46b7ee03e98e30d2cfe49fb49ac9dbc4e4617386f2cde2e4ab7b486",
+        "30c21912d51bb7fa751c5e2e03d13ded5eee9f6ff94b2de48e58ebe4e304b39e",
     "torus-factorization-json":
-        "81140855549e586b742e0c291801ccc7b56cd064d5b90e50f1855e6a627f411d",
+        "53fe4fc98746aaebfa5baa9f01943adffa249df29a632037d129d4640e76ade6",
     "torus-factorization-tol":
         "d0ba3ec124d18224f3c2e17b15717b33c6a77dc03bb710bcd78d188258618ea0",
     "torus-factorization-tol-json":

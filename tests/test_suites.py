@@ -603,8 +603,8 @@ def test_torus_cocycles_fail_terms_with_different_twists(monkeypatch,
 
 
 def _inflated_sampled_residual(inner):
-    def report(mats, points):
-        out = inner(mats, points)
+    def report(mats, points, tolerance):
+        out = inner(mats, points, tolerance)
         if len(points) > 1:
             out.samples[3].residuals = (0.0, 1.0, 0.0, 0.0)
         return out
@@ -612,8 +612,8 @@ def _inflated_sampled_residual(inner):
 
 
 def _all_divergent(inner):
-    return lambda mats, points: inner(mats, [(0, z2, z3)
-                                             for _, z2, z3 in points])
+    return lambda mats, points, tolerance: inner(
+        mats, [(0, z2, z3) for _, z2, z3 in points], tolerance)
 
 
 @pytest.mark.parametrize("spoil, witnesses", [

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import convolve, cyclo_dense
-from pencilforms import ring, torus
+from pencilforms import ring, suites, torus
 from pencilforms._core import Q_ZERO
 from pencilforms.cochains import TraceWord
 from pencilforms.ring import CycloElement, Scalar
@@ -928,34 +928,84 @@ def _reference_resolvent(mats, z, order):
     return acc * (1 / z1)
 
 
-def _reference_samples(mats, points):
-    """Each phi_j through its cochain, and one delta per err_phi call.
+def _reference_err_phi(mats, point, order, w_norm, dw_norm):
+    """err_phi(j, x, y) at this order, from the norms ||W_x|| = w_norm(x)
+    and ||delta_j W_y|| = dw_norm(j, y)."""
+    s, rho, z1 = torus._neumann_parts(mats, point)
+    az1 = abs(z1)
+    tail0 = rho ** (order + 1) / (1 - rho)
+    tail1 = ((order + 2) * rho ** (order + 1)
+             - (order + 1) * rho ** (order + 2)) / (1 - rho) ** 2
+    sum_t = tail1 - tail0
+    r_s = s.degree_radius()
+    a_norms = [x.l1_norm() for x in mats]
+    radii = [x.degree_radius() for x in mats]
+
+    def err_phi(j, x, y):
+        e_ax = tail0 / az1 * a_norms[x]
+        d_ey = a_norms[y] / az1 * (r_s * sum_t + radii[y] * tail0)
+        return e_ax * dw_norm(j, y) + (w_norm(x) + e_ax) * d_ey
+
+    return err_phi
+
+
+def _reference_bounds(point, err_phi, j):
+    """The two residual bounds of phi_j from err_phi."""
+    z1, z2, z3 = (abs(c) for c in point)
+    return (z1 * err_phi(j, 0, 1) + z3 * err_phi(j, 1, 2),
+            z2 * err_phi(j, 0, 1) + z3 * err_phi(j, 0, 2))
+
+
+def _a_priori_bound(mats, point, order):
+    """The worst residual bound with ||W_x|| replaced by
+    ||A_x|| / (|z1| (1 - rho)) and ||delta_j W_y|| by
+    (order r_s + r_y) ||A_y|| / (|z1| (1 - rho))."""
+    point = tuple(complex(c) for c in point)
+    s, rho, z1 = torus._neumann_parts(mats, point)
+    scale = abs(z1) * (1 - rho)
+
+    def w_norm(x):
+        return mats[x].l1_norm() / scale
+
+    def dw_norm(j, y):
+        return (order * s.degree_radius() + mats[y].degree_radius()) \
+            * w_norm(y)
+
+    err_phi = _reference_err_phi(mats, point, order, w_norm, dw_norm)
+    return max(_reference_bounds(point, err_phi, 1))
+
+
+def _reference_order(mats, point, tolerance):
+    """The smallest order whose dropped tail is at most 2^-53 and whose
+    a-priori bound is within the tolerance, there and at the cap."""
+    cap = torus.NEUMANN_ORDER
+    _, rho, _ = torus._neumann_parts(mats, tuple(complex(c) for c in point))
+    if tolerance is None or _a_priori_bound(mats, point, cap) > tolerance:
+        return cap
+    return min((m for m in range(1, cap + 1)
+                if rho ** (m + 1) / (1 - rho) <= 2 ** -53
+                and _a_priori_bound(mats, point, m) <= tolerance),
+               default=cap)
+
+
+def _reference_samples(mats, points, orders=None):
+    """Each phi_j through its cochain, and one delta per err_phi call, with
+    each point's series cut at its order (default NEUMANN_ORDER).
 
     Returns the samples and every phi value, for a content check.
     """
-    order = torus.NEUMANN_ORDER
+    if orders is None:
+        orders = [torus.NEUMANN_ORDER] * len(points)
     phis = (phi_cochain(1), phi_cochain(2))
     samples, values = [], []
-    for raw in points:
+    for raw, order in zip(points, orders):
         point = tuple(complex(c) for c in raw)
-        s, rho, z1 = torus._neumann_parts(mats, point)
+        _, rho, _ = torus._neumann_parts(mats, point)
         resolvent = _reference_resolvent(mats, point, order)
         w = [_naive_element_product(resolvent, a) for a in mats]
-        az1 = abs(z1)
-        tail0 = rho ** (order + 1) / (1 - rho)
-        tail1 = ((order + 2) * rho ** (order + 1)
-                 - (order + 1) * rho ** (order + 2)) / (1 - rho) ** 2
-        sum_t = tail1 - tail0
-        r_s = s.degree_radius()
-        a_norms = [x.l1_norm() for x in mats]
-        radii = [x.degree_radius() for x in mats]
-        w_norms = [x.l1_norm() for x in w]
-
-        def err_phi(j, x, y):
-            e_ax = tail0 / az1 * a_norms[x]
-            d_ey = a_norms[y] / az1 * (r_s * sum_t + radii[y] * tail0)
-            dw_y = w[y].delta(j).l1_norm()
-            return e_ax * dw_y + (w_norms[x] + e_ax) * d_ey
+        err_phi = _reference_err_phi(
+            mats, point, order, lambda x: w[x].l1_norm(),
+            lambda j, y: w[y].delta(j).l1_norm())
 
         residuals, bounds, q_values = [], [], []
         for j, phi in zip((1, 2), phis):
@@ -965,13 +1015,10 @@ def _reference_samples(mats, points):
             values += [v12, v23, v13]
             residuals.append(abs(point[0] * v12 - point[2] * v23))
             residuals.append(abs(point[1] * v12 + point[2] * v13))
-            bounds.append(abs(point[0]) * err_phi(j, 0, 1)
-                          + abs(point[2]) * err_phi(j, 1, 2))
-            bounds.append(abs(point[1]) * err_phi(j, 0, 1)
-                          + abs(point[2]) * err_phi(j, 0, 2))
+            bounds.extend(_reference_bounds(point, err_phi, j))
             q_values.append(2 * v12 / point[2] if point[2] != 0 else None)
         samples.append(FactorizationSample(
-            point=point, rho=rho, q_values=tuple(q_values),
+            point=point, rho=rho, order=order, q_values=tuple(q_values),
             residuals=tuple(residuals), propagated_bounds=tuple(bounds)))
     return samples, values
 
@@ -981,6 +1028,15 @@ def _reference_samples(mats, points):
 CONTENT_POINTS = [(1, 0.1, 0.12), (1, -0.09 + 0.03j, 0.13),
                   (1, 0.12 - 0.03j, -0.1 + 0.04j), (0.9, 0.1, 0.12),
                   (1, 0.15, 0.1j), (1, 0.14 + 0.05j, -0.11)]
+
+
+# The same pencil nearer the origin: rho is 0.1-0.3, where the series is cut
+# below the cap at 1e-10, and each phi_j(W_x, W_y) lies in 0.02-1.1. At
+# CONTENT_POINTS rho is 0.44-0.52, whose tails stay above 2^-53 up to the
+# cap, so those points are summed to it at every tolerance.
+CUT_CONTENT_POINTS = [(1, 0.05, 0.06), (1, -0.04 + 0.02j, 0.05),
+                      (1, 0.03, -0.02 + 0.01j), (1, 0.08, 0.07j),
+                      (1.2, 0.06 - 0.03j, -0.05), (1, 0.1, 0.02)]
 
 
 def content_pencil():
@@ -1050,19 +1106,32 @@ def test_factorization_is_bitwise_the_reference(monkeypatch):
     by_plan = torus._trace_by_plan
 
     def recording_trace(config, x, y, plan):
-        traces.append((plan[0], len(plan[1])))
+        # the walk `_trace_by_plan` takes, and the pairs inside both lists
+        swap = len(y) < len(x)
+        walked, other = (y, x) if swap else (x, y)
+        first, second, _ = plan[swap]
+        traces.append((swap, sum(i < len(walked) and k < len(other)
+                                 for i, k in zip(first, second))))
         return by_plan(config, x, y, plan)
 
     monkeypatch.setattr(torus, "_neumann_sum_by_products",
                         counting_by_products)
     monkeypatch.setattr(torus, "_trace_by_plan", recording_trace)
     mats = content_pencil()
-    report = factorization_report(mats, CONTENT_POINTS)
-    expected, values = _reference_samples(mats, CONTENT_POINTS)
-    assert min(abs(v) for v in values) > 0.08
+    # each point is cut at its own order, replaying a prefix of the plan
+    # at the cap; CONTENT_POINTS run at the cap itself
+    points = CONTENT_POINTS + CUT_CONTENT_POINTS
+    report = factorization_report(mats, points, 1e-10)
+    orders = [sample.order for sample in report.samples]
+    cut = 6 * len(CONTENT_POINTS)
+    assert set(orders[:len(CONTENT_POINTS)]) == {torus.NEUMANN_ORDER}
+    assert max(orders[len(CONTENT_POINTS):]) < torus.NEUMANN_ORDER
+    expected, values = _reference_samples(mats, points, orders)
+    assert min(abs(v) for v in values[:cut]) > 0.08
+    assert min(abs(v) for v in values[cut:]) > 0.02
     assert max(residuals(report)) <= 1e-9 and not report.skipped
     assert all(max(s.propagated_bounds) <= 1e-9 for s in report.samples)
-    assert len(report.samples) == len(expected) == len(CONTENT_POINTS)
+    assert len(report.samples) == len(expected) == len(points)
     assert_samples_bitwise(report.samples, expected)
     assert max(residuals(report)) == max(max(s.residuals) for s in expected)
     # the content pencil walks a derivative shorter than its W, and the
@@ -1070,9 +1139,11 @@ def test_factorization_is_bitwise_the_reference(monkeypatch):
     assert any(swap and pairs for swap, pairs in traces)
     traces.clear()
     for suite_mats, points in suite_factorization_cases():
-        samples = factorization_report(suite_mats, points).samples
-        assert_samples_bitwise(samples,
-                               _reference_samples(suite_mats, points)[0])
+        for tolerance in (None, 1e-10):
+            samples = factorization_report(suite_mats, points,
+                                           tolerance).samples
+            assert_samples_bitwise(samples, _reference_samples(
+                suite_mats, points, [s.order for s in samples])[0])
     assert any(not pairs for _, pairs in traces)
     cases = [(mats, z) for z in CONTENT_POINTS] + suite_resolvent_cases()
     for case_mats, z in cases:
@@ -1173,17 +1244,23 @@ def test_factorization_calls_the_resolvent_through_the_module(monkeypatch):
 
 
 # lambda_power and TorusElement.__mul__ calls in factorization_report on
-# the sampled pencil of the torus suite (seed 1, ten points, order 40). The
-# counts depend on the code alone. Recorded when the Neumann powers were
-# replayed from a schedule, which takes each point's twists once per left
-# V-degree for all 40 powers (before: 26,240 lambda_power calls, with a
-# budget of 27,040, and 490 products, 40 of them per point for the powers),
-# and lowered when W = R A was replayed from the factorization plan (before:
-# 90 products, 9 per point). The 6 left per point scale the pencil twice
-# for s and once for the step, in `_neumann_parts` (run twice) and
-# `neumann_resolvent`, and scale the Neumann sum by 1/z1.
+# the sampled pencil of the torus suite (seed 1, ten points, tolerance
+# 1e-10). The counts depend on the code alone. Recorded when the Neumann
+# powers were replayed from a schedule, which takes each point's twists once
+# per left V-degree for all 40 powers (before: 26,240 lambda_power calls,
+# with a budget of 27,040, and 490 products, 40 of them per point for the
+# powers), and lowered when W = R A was replayed from the factorization plan
+# (before: 90 products, 9 per point). The 6 left per point scale the pencil
+# twice for s and once for the step, in `_neumann_parts` (run twice) and
+# `neumann_resolvent`, and scale the Neumann sum by 1/z1. The twists are
+# still taken for every row of the schedule and the plan at the cap.
 FACTORIZATION_LAMBDA_POWER_BUDGET = 2_840
 FACTORIZATION_TORUS_MUL_BUDGET = 60
+# Term pairs replayed by `_replay_product` for the Neumann powers and
+# W = R A at those ten points, recorded when each point's series was cut at
+# the order of its rule (orders 22-29: 120,286 pairs; the same points at
+# order 40 replay 411,640).
+FACTORIZATION_PAIR_SLOT_BUDGET = 121_000
 
 # tracemalloc ceilings on one cold factorization plan of the sampled pencil
 # at order 40, which the factorization request keeps next to its schedule.
@@ -1191,18 +1268,24 @@ FACTORIZATION_PLAN_KEPT_BYTES = 250_000
 FACTORIZATION_PLAN_PEAK_BYTES = 750_000
 
 
+def suite_sampled_points(seed=1, count=10):
+    """The sample points `torus_factorization_checks` draws."""
+    rng = rng_for(seed, "torus", "factor-points")
+    return [(1.0,
+             complex(rng.uniform(0.05, 0.1), rng.uniform(-0.02, 0.02)),
+             complex(rng.uniform(0.05, 0.1), rng.uniform(-0.02, 0.02)))
+            for _ in range(count)]
+
+
 def test_factorization_operation_counts(monkeypatch):
     mats = sampled_pencil()
-    rng = rng_for(1, "torus", "factor-points")
-    points = [(1.0,
-               complex(rng.uniform(0.05, 0.1), rng.uniform(-0.02, 0.02)),
-               complex(rng.uniform(0.05, 0.1), rng.uniform(-0.02, 0.02)))
-              for _ in range(10)]
-    calls = {"delta": 0, "lambda_power": 0, "mul": 0}
+    points = suite_sampled_points()
+    calls = {"delta": 0, "lambda_power": 0, "mul": 0, "pairs": 0}
     over_budget = []
     inner_delta = torus._delta_by_plan
     inner_lambda_power = TorusConfig.lambda_power
     inner_mul = TorusElement.__mul__
+    inner_replay = torus._replay_product
 
     def counting_delta(values, delta):
         calls["delta"] += 1
@@ -1223,13 +1306,116 @@ def test_factorization_operation_counts(monkeypatch):
                 over_budget.append((used, rows, len(other.coeffs)))
         return product
 
+    def counting_replay(plan, left, twist_rows):
+        # every row of the table holds one pair per right term
+        right = len(twist_rows[0]) if twist_rows else 0
+        calls["pairs"] += min(len(left), len(plan[0])) * right
+        return inner_replay(plan, left, twist_rows)
+
     monkeypatch.setattr(torus, "_delta_by_plan", counting_delta)
     monkeypatch.setattr(TorusConfig, "lambda_power", counting_lambda_power)
     monkeypatch.setattr(TorusElement, "__mul__", budgeted_mul)
-    report = factorization_report(mats, points)
+    monkeypatch.setattr(torus, "_replay_product", counting_replay)
+    report = factorization_report(mats, points, 1e-10)
     assert len(report.samples) == 10 and max(residuals(report)) <= 1e-10
     assert all(max(s.propagated_bounds) <= 1e-10 for s in report.samples)
+    assert max(s.order for s in report.samples) <= 30
     assert calls["delta"] == 4 * len(report.samples)
     assert over_budget == []
     assert 0 < calls["lambda_power"] <= FACTORIZATION_LAMBDA_POWER_BUDGET
     assert 0 < calls["mul"] <= FACTORIZATION_TORUS_MUL_BUDGET
+    assert 0 < calls["pairs"] <= FACTORIZATION_PAIR_SLOT_BUDGET
+    # a tolerance no cut series can meet keeps every point at the cap
+    capped = factorization_report(mats, points, 1e-30)
+    assert [s.order for s in capped.samples] == [torus.NEUMANN_ORDER] * 10
+
+
+# -- the order each point's series is cut at --------------------------------
+
+
+def order_rule_cases():
+    """The suite's pinned and sampled pencils at their points, and the
+    content pencil at its points, some of them cut below the cap."""
+    return [(numeric_pencil()[1], [(1.0, 0.1, 0.1)], 1),
+            (sampled_pencil(), suite_sampled_points(), 10),
+            (content_pencil(), CONTENT_POINTS + CUT_CONTENT_POINTS,
+             len(CONTENT_POINTS + CUT_CONTENT_POINTS))]
+
+
+def test_each_point_is_cut_at_the_order_of_its_rule():
+    cap = torus.NEUMANN_ORDER
+    seen = set()
+    for mats, points, _ in order_rule_cases():
+        for tolerance in (None, 1e-10, 1e-14, 1e-30):
+            report = factorization_report(mats, points, tolerance)
+            for sample, point in zip(report.samples, points):
+                order = sample.order
+                seen.add(order)
+                assert order == _reference_order(mats, point, tolerance)
+                if order < cap:
+                    assert sample.rho ** (order + 1) / (1 - sample.rho) \
+                        <= 2 ** -53
+                    assert _a_priori_bound(mats, point, order) <= tolerance
+                if tolerance is None:
+                    assert order == cap
+    # the suite's points are cut at 22-30, the cut content points lower
+    assert min(seen) < 20 and cap in seen and len(seen) > 5
+
+
+def test_cut_series_judge_as_the_cap(monkeypatch):
+    # a verdict at the order of the rule is the verdict at the cap: on all
+    # points at the suite's tolerance and below every bound, and on each
+    # point just either side of its worst bound at the cap
+    for mats, points, needed in order_rule_cases():
+        at_cap = {sample.point: sample
+                  for sample in factorization_report(mats, points).samples}
+        runs = [(points, needed, tolerance) for tolerance in (1e-10, 1e-30)]
+        runs += [([point], 1, max(sample.propagated_bounds) * f)
+                 for point, sample in zip(points, at_cap.values())
+                 for f in (1 - 1e-6, 1 + 1e-6)]
+        verdicts = set()
+        for run_points, run_needed, tolerance in runs:
+            reports = []
+
+            def cut_report(*args):
+                reports.append(factorization_report(*args))
+                return reports[-1]
+
+            def cap_report(mats, points, tolerance):
+                return FactorizationReport([at_cap[tuple(map(complex, z))]
+                                            for z in points], [])
+
+            verdict = {}
+            for name, report in (("cut", cut_report), ("cap", cap_report)):
+                with monkeypatch.context() as patch:
+                    patch.setattr(suites, "factorization_report", report)
+                    verdict[name] = suites._factorization_check(
+                        name, "{}", mats, run_points, tolerance,
+                        run_needed).passed
+            assert verdict["cut"] == verdict["cap"], tolerance
+            verdicts.add(verdict["cut"])
+            for sample in reports[0].samples:
+                assert max(sample.propagated_bounds) <= _a_priori_bound(
+                    mats, sample.point, sample.order)
+        assert verdicts == {True, False}
+        for sample in at_cap.values():
+            assert max(sample.propagated_bounds) <= _a_priori_bound(
+                mats, sample.point, torus.NEUMANN_ORDER)
+
+
+def test_cut_phi_values_stay_within_their_bound():
+    # the suite's pencils give phi = 0 by degree; here every phi_j(W_x, W_y)
+    # is nonzero, and at its order it stays within the sample's propagated
+    # bound, plus rounding, of its value at the cap
+    mats = content_pencil()
+    points = CONTENT_POINTS + CUT_CONTENT_POINTS
+    samples = factorization_report(mats, points, 1e-10).samples
+    orders = [sample.order for sample in samples]
+    assert min(orders) < torus.NEUMANN_ORDER
+    _, cut = _reference_samples(mats, points, orders)
+    _, capped = _reference_samples(mats, points)
+    for k, (value, at_cap) in enumerate(zip(cut, capped)):
+        sample = samples[k // 6]
+        assert abs(at_cap) > 0.02
+        assert abs(value - at_cap) <= max(sample.propagated_bounds) \
+            + 64 * 2 ** -53 * abs(at_cap), (sample.point, sample.order)

@@ -522,31 +522,32 @@ def torus_cocycle_checks(seed: int,
                          ) -> List[CheckResult]:
     """Cyclicity and vanishing coboundary for all four cocycles.
 
-    Complete monomial boxes plus seeded random degree tuples, run once
-    over the twist-free coefficient (`torus._TWIST_FREE`): every value is
-    an integer times lambda^E with one E per tuple, so one run decides the
-    identities at every twist, and terms with different exponents fail the
-    tuple. One result per algebra order, each reading that run. Exact mode
-    only; a numeric config raises ValueError. The result counts the tuples
-    looked at up to the first failure.
+    Each check runs on the degree grid (`torus._grid_tuples`) plus 10
+    seeded random degree tuples, once over the twist-free coefficient
+    (`torus._TWIST_FREE`): every value is an integer times lambda^E with
+    one E per tuple, so one run decides the identities at every twist,
+    and terms with different exponents fail the tuple. The integer
+    weights are affine in each free degree coordinate, so the grid's two
+    values per coordinate decide them at every degree. One result per
+    algebra order, each reading that run. Exact mode only; a numeric
+    config raises ValueError. The result counts the tuples looked at up
+    to the first failure.
     """
     configs = ([config] if config is not None
                else [TorusConfig.exact(q, p) for q, p in _EXACT_ORDERS])
     for cfg in configs:
         if cfg.mode != "exact":
             raise ValueError("exact mode required for spanning-set checks")
-    runs = ([(which, None) for which in ("phi1", "phi2", "psi1", "psi2")]
-            + [("phi1", 3), ("phi2", 3), ("psi1", 2), ("psi2", 2)])
+    runs = [(check, claim, which)
+            for check, claim in (
+                (cyclicity_check, "cyclicity fails for {} on degrees {}"),
+                (coboundary_check,
+                 "coboundary of {} does not vanish on degrees {}"))
+            for which in ("phi1", "phi2", "psi1", "psi2")]
     bad: Optional[str] = None
     count = 0
-    for which, radius in runs:
-        if radius is None:
-            checked, failure = cyclicity_check(which, _TWIST_FREE, seed=seed)
-            claim = "cyclicity fails for {} on degrees {}"
-        else:
-            checked, failure = coboundary_check(which, _TWIST_FREE, radius,
-                                                seed=seed)
-            claim = "coboundary of {} does not vanish on degrees {}"
+    for check, claim, which in runs:
+        checked, failure = check(which, _TWIST_FREE, seed=seed)
         count += checked
         if failure is not None:
             bad = claim.format(which, failure)

@@ -10,7 +10,11 @@ zero-sum monomial tuple every term of b phi, and both sides of cyclicity, is
 an integer times one common lambda^E, so the torus suite runs these checks
 once, over a private twist-free coefficient (an integer times lambda^e, e
 never reduced): that run decides the identities for every twist, and a sum
-of two terms with different exponents fails the tuple. The module also
+of two terms with different exponents fails the tuple. With the first slot
+solved from the others, each integer weight has degree at most 1 in every
+remaining degree coordinate, so a grid of two values per coordinate
+decides the identities for every degree (the Combinatorial
+Nullstellensatz); the checks run on that grid. The module also
 computes the residuals of the top-form factorization numerically through a
 truncated Neumann resolvent R, with their propagated truncation bounds.
 Given a tolerance, each point's series is cut at the smallest order M up to
@@ -582,45 +586,53 @@ def torus_cocycle(which: str, args: Sequence[TorusElement]):
 # neighbours leaves E alone and the derivations scale by integers, so every
 # value compared is an integer times one lambda^E. Over `_TWIST_FREE` the
 # checks assert that common exponent, so a pass holds for every twist.
+# Each integer weight is 1, a coordinate of one slot, or a 2x2 determinant
+# of two slots' degrees, where a slot may be a merged pair; with the first
+# slot solved as minus the sum of the others, that is a polynomial of
+# degree at most 1 in every free coordinate. An identity of such
+# polynomials that holds on a grid of two values per coordinate holds
+# everywhere (Alon, Combin. Probab. Comput. 8, 1999), so the grid of
+# `_grid_tuples` decides every degree.
 
 
-def _box(radius: int) -> List[Degree]:
-    span = range(-radius, radius + 1)
-    return [(m, n) for m in span for n in span]
+def _grid_tuples(arity: int) -> Iterator[Tuple[Degree, ...]]:
+    """The zero-sum degree tuples that decide the identities everywhere.
 
-
-def _zero_sum_tuples(radius: int, arity: int) -> Iterator[Tuple[Degree, ...]]:
-    """Degree tuples inside the box whose components sum to zero.
-
-    The first slot is solved from the rest, so the enumeration is complete
-    for the box once the dependent slot also lands inside it. The slots
-    between run over the box (arity >= 2); the last one runs only over the
-    degrees that keep the first slot inside it, in box order, so the
-    tuples come in the order of filtering all of product(box, repeat=a-1).
+    Free slot i >= 1 runs over the degrees with both coordinates in
+    {0, 1} (even i) or {0, -1} (odd i), later slots fastest, and the
+    first slot is solved from the rest: 4^(arity - 1) tuples. The free
+    signs alternate, so the solved slot stays within radius
+    ceil((arity - 1) / 2) <= 2 of the origin.
     """
-    box = _box(radius)
-    for middle in product(box, repeat=arity - 2):
-        sm = sn = 0
-        for m, n in middle:
-            sm += m
-            sn += n
-        ms = range(max(-radius, -radius - sm), min(radius, radius - sm) + 1)
-        ns = range(max(-radius, -radius - sn), min(radius, radius - sn) + 1)
-        for m in ms:
-            for n in ns:
-                yield ((-sm - m, -sn - n),) + middle + ((m, n),)
+    choices = [list(product((0, 1 if i % 2 == 0 else -1), repeat=2))
+               for i in range(1, arity)]
+    for rest in product(*choices):
+        yield ((-sum(m for m, _ in rest), -sum(n for _, n in rest)),) + rest
 
 
 def _box_monomials(config: TorusConfig,
                    radius: int) -> Dict[Degree, TorusElement]:
     """The unit monomial U^m V^n for every degree of the box, built once."""
     one = config.one_coeff()
-    return {d: TorusElement._of(config, {d: one}) for d in _box(radius)}
+    span = range(-radius, radius + 1)
+    return {(m, n): TorusElement._of(config, {(m, n): one})
+            for m in span for n in span}
 
 
-def _random_degree_tuple(rng, radius: int, arity: int) -> Tuple[Degree, ...]:
-    return tuple((rng.randrange(-radius, radius + 1),
-                  rng.randrange(-radius, radius + 1)) for _ in range(arity))
+def _sampled_tuples(arity: int, seed: int,
+                    tag: str) -> Iterator[Tuple[Degree, ...]]:
+    """10 seeded degree tuples from the radius-3 box, mostly not zero-sum,
+    so they exercise the trivially-zero off-grading cases."""
+    rng = rng_for(seed, "torus-span", tag, arity)
+    for _ in range(10):
+        yield tuple((rng.randrange(-3, 4), rng.randrange(-3, 4))
+                    for _ in range(arity))
+
+
+def _tuples_with_samples(arity: int, seed: int,
+                 tag: str) -> Iterator[Tuple[Degree, ...]]:
+    yield from _grid_tuples(arity)
+    yield from _sampled_tuples(arity, seed, tag)
 
 
 SpanCheck = Tuple[int, Optional[Tuple[Degree, ...]]]
@@ -630,12 +642,13 @@ def cyclicity_check(which: str, config: TorusConfig,
                     seed: int = 0) -> SpanCheck:
     """phi(x_0..x_{a-1}) and (-1)^(a-1) phi(x_{a-1}, x_0, ..), exactly.
 
-    Runs over every zero-sum monomial tuple in the radius-3 box plus 10
-    seeded random tuples (which exercise the trivially-zero off-grading
-    cases) and stops at the first tuple where the two differ, or, over the
-    twist-free config, where terms with different lambda exponents meet.
-    Returns the number of tuples looked at and the degrees of that tuple,
-    or None. Raises ValueError only for a numeric config.
+    Runs over the 4^(a-1) tuples of the degree grid (`_grid_tuples`),
+    which decide the identity at every degree, then 10 seeded tuples of
+    the radius-3 box, and stops at the first tuple where the two sides
+    differ, or, over the twist-free config, where terms with different
+    lambda exponents meet. Returns the number of tuples looked at and the
+    degrees of that tuple, or None. Raises ValueError only for a numeric
+    config.
     """
     if config.mode == "numeric":
         raise ValueError("exact mode required for spanning-set checks")
@@ -644,7 +657,7 @@ def cyclicity_check(which: str, config: TorusConfig,
     negate = a % 2 == 0
     monomials = _box_monomials(config, 3)
     checked = 0
-    for degrees in _tuples_with_samples(3, a, seed, which):
+    for degrees in _tuples_with_samples(a, seed, which):
         args = [monomials[d] for d in degrees]
         rotated = [args[-1]] + args[:-1]
         checked += 1
@@ -658,26 +671,24 @@ def cyclicity_check(which: str, config: TorusConfig,
     return checked, None
 
 
-def coboundary_check(which: str, config: TorusConfig, radius: int,
+def coboundary_check(which: str, config: TorusConfig,
                      seed: int = 0) -> SpanCheck:
     """(b phi)(x_0..x_a) on spanning monomial tuples, exactly.
 
-    Zero-sum tuples inside the box are enumerated completely; 10 seeded
-    random tuples from the radius-3 box are added on top. Stops at the
-    first tuple where b phi is not 0, or, over the twist-free config, where
-    its terms carry different lambda exponents, and returns the number of
-    tuples looked at and the degrees of that tuple, or None. Raises
-    ValueError only for a numeric config.
+    Runs over the 4^a tuples of the degree grid (`_grid_tuples`), which
+    decide the identity at every degree, then 10 seeded tuples of the
+    radius-3 box. Stops at the first tuple where b phi is not 0, or, over
+    the twist-free config, where its terms carry different lambda
+    exponents, and returns the number of tuples looked at and the degrees
+    of that tuple, or None. Raises ValueError only for a numeric config.
     """
     if config.mode == "numeric":
         raise ValueError("exact mode required for spanning-set checks")
-    phi = cocycle(which)
-    b_phi = phi.coboundary()
+    b_phi = cocycle(which).coboundary()
     zero = config.zero_coeff()
-    # the seeded samples come from the radius-3 box
-    monomials = _box_monomials(config, max(radius, 3))
+    monomials = _box_monomials(config, 3)
     checked = 0
-    for degrees in _tuples_with_samples(radius, b_phi.arity, seed, which):
+    for degrees in _tuples_with_samples(b_phi.arity, seed, which):
         checked += 1
         try:
             if b_phi([monomials[d] for d in degrees]) != zero:
@@ -685,14 +696,6 @@ def coboundary_check(which: str, config: TorusConfig, radius: int,
         except _MixedTwist:
             return checked, degrees
     return checked, None
-
-
-def _tuples_with_samples(radius: int, arity: int, seed: int,
-                         tag: str) -> Iterator[Tuple[Degree, ...]]:
-    yield from _zero_sum_tuples(radius, arity)
-    rng = rng_for(seed, "torus-span", tag, arity)
-    for _ in range(10):
-        yield _random_degree_tuple(rng, 3, arity)
 
 
 # ---------------------------------------------------------------------------
@@ -799,13 +802,16 @@ class _NeumannSchedule:
 
     `powers[t]` is (plan, sum_slots) for power t + 1 = (power t) * step:
     the plan's rows index `row_degrees`, and `sum_slots[k]` is the running
-    sum's slot for term k of the power. `keys` is the running sum's key
-    order; the sum to any order M keeps its first keys, since a power adds
-    its new keys after those of the powers before it.
+    sum's slot for term k of the power. `row_counts[t]` is the number of
+    rows the first t + 1 powers reach, a prefix of `row_degrees`. `keys`
+    is the running sum's key order; the sum to any order M keeps its first
+    keys, since a power adds its new keys after those of the powers before
+    it.
     """
 
     row_degrees: Tuple[int, ...]
     powers: Tuple[Tuple[ProductPlan, array], ...]
+    row_counts: Tuple[int, ...]
     keys: Tuple[Degree, ...]
 
 
@@ -826,26 +832,34 @@ def _neumann_schedule(support: Tuple[Degree, ...],
     sum_slot: Dict[Degree, int] = {(0, 0): 0}
     left: List[Degree] = [(0, 0)]
     powers = []
+    row_counts = []
     for _ in range(order):
         plan, left = _product_plan(left, support, row_of)
         sum_slots = [sum_slot.setdefault(key, len(sum_slot)) for key in left]
         powers.append((plan, _int_array(sum_slots)))
-    return _NeumannSchedule(tuple(row_of), tuple(powers), tuple(sum_slot))
+        row_counts.append(len(row_of))
+    return _NeumannSchedule(tuple(row_of), tuple(powers), tuple(row_counts),
+                            tuple(sum_slot))
 
 
-def _neumann_sum_by_schedule(step: TorusElement,
-                             order: int) -> Optional[Dict[Degree, object]]:
-    """sum_{t<=order} step^t through the cached schedule of its support.
+def _neumann_sum_by_schedule(step: TorusElement, order: int
+                             ) -> Optional[Tuple[Sequence[Degree], list]]:
+    """sum_{t<=order} step^t through the cached schedule of its support,
+    as the schedule's key order and the sum's coefficients, which are
+    those of its first keys.
 
-    The first `order` powers of the schedule are replayed. Each power is
-    the replay of its product plan, and the running sum adds it in the
-    order of summing with `+`. Returns None as soon as a power coefficient
-    or a running-sum entry is exactly 0.
+    The first `order` powers of the schedule are replayed, with the twists
+    of the rows they reach. Each power is the replay of its product plan,
+    and the running sum adds it in the order of summing with `+`. Returns
+    None as soon as a power coefficient or a running-sum entry is exactly
+    0.
     """
     config = step.config
     schedule = _neumann_schedule(tuple(step.coeffs),
                                  max(order, NEUMANN_ORDER))
-    rows = _twist_rows(config, schedule.row_degrees, step.coeffs)
+    rows = _twist_rows(config,
+                       schedule.row_degrees[:schedule.row_counts[order - 1]],
+                       step.coeffs)
     one = config.one_coeff()
     power = [one]
     acc = [one]
@@ -862,8 +876,7 @@ def _neumann_sum_by_schedule(step: TorusElement,
                 append(value)
         if not all(acc):
             return None
-    # the sum to this order holds the first len(acc) keys
-    return dict(zip(schedule.keys, acc))
+    return schedule.keys, acc
 
 
 def _neumann_sum_by_products(step: TorusElement,
@@ -911,10 +924,15 @@ def neumann_resolvent(mats: Sequence[TorusElement], z: Sequence[complex],
     if rho >= 1:
         raise ValueError("Neumann series divergent at this point")
     step = s * (-1 / z1)
-    acc = _neumann_sum_by_schedule(step, order)
-    if acc is None:
+    summed = _neumann_sum_by_schedule(step, order)
+    if summed is None:
         acc = _neumann_sum_by_products(step, order)
-    return TorusElement._of(mats[0].config, acc) * (1 / z1)
+        summed = acc.keys(), acc.values()
+    keys, values = summed
+    # scaled as `TorusElement.__mul__` scales by a scalar, zeros dropped
+    scale = 1 / z1
+    return TorusElement._make(mats[0].config,
+                              zip(keys, [value * scale for value in values]))
 
 
 # ---------------------------------------------------------------------------

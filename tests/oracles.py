@@ -11,8 +11,9 @@ product formed), the sum, wedge and exterior
 derivative of scalar forms one RatFn coefficient at a time (d by the
 quotient rule), the top-form residual by subtraction, cyclotomic
 arithmetic on dense coefficient vectors, a polynomial power as repeated
-products from one, and the JSON of form coefficients rendered one
-coefficient at a time.
+products from one, the JSON of form coefficients rendered one
+coefficient at a time, and every zero-sum torus degree tuple of a box,
+against which the torus cocycle checks' degree grid is tested.
 """
 
 from itertools import combinations, permutations, product
@@ -386,3 +387,31 @@ def cyclo_dense_str(coeffs: tuple) -> str:
         mono = "" if e == 0 else ("t" if e == 1 else f"t^{e}")
         parts.append(_term_str(Scalar.from_q4(c), mono, first=not parts))
     return "".join(parts) if parts else "0"
+
+
+def box(radius: int) -> list:
+    """The torus degrees (m, n) with |m|, |n| <= radius, m-major."""
+    span = range(-radius, radius + 1)
+    return [(m, n) for m in span for n in span]
+
+
+def zero_sum_tuples(radius: int, arity: int):
+    """Degree tuples inside the box whose components sum to zero.
+
+    The first slot is solved from the rest, so the enumeration is complete
+    for the box once the dependent slot also lands inside it. The slots
+    between run over the box (arity >= 2); the last one runs only over the
+    degrees that keep the first slot inside it, in box order, so the
+    tuples come in the order of filtering all of product(box, repeat=a-1).
+    """
+    degrees = box(radius)
+    for middle in product(degrees, repeat=arity - 2):
+        sm = sn = 0
+        for m, n in middle:
+            sm += m
+            sn += n
+        ms = range(max(-radius, -radius - sm), min(radius, radius - sm) + 1)
+        ns = range(max(-radius, -radius - sn), min(radius, radius - sn) + 1)
+        for m in ms:
+            for n in ns:
+                yield ((-sm - m, -sn - n),) + middle + ((m, n),)

@@ -93,6 +93,9 @@ def cases():
         out += text_and_json(f"verify-{suite}", [
             "verify", "--suite", suite, "--seed", "1",
             "--trials", str(trials)])
+    # the request of the verify-torus benchmark workload, at seed 1
+    out += text_and_json("verify-torus", ["verify", "--suite", "torus",
+                                          "--seed", "1"])
     for suffix, q, p in (("", 3, 1), ("-q1", 1, 0), ("-q8", 8, 6),
                          ("-q64", 64, 5)):
         out += text_and_json(
@@ -178,22 +181,28 @@ DIGESTS = {
         "75d16a2a4d57d38f4bc4ceb5c87f9c5a83ced3ca8f91c57288a035f6a1246577",
     "verify-hyperplane-json":
         "2222e6d47667aeb5d97961a2944345871950ae2ee957057bd43ce665a8ad8328",
+    # recorded when the cocycle checks moved from the complete boxes to the
+    # degree grid: "on 20104 monomial tuples" became "on 280 ..."
+    "verify-torus":
+        "3af43d422e2475f99878000a4b7adfdde2ae4d96455c581e43524370045eb68b",
+    "verify-torus-json":
+        "187c853687e00335a53321d29b94c18a9dba3c44556cd8e190d91a5f19b751eb",
     "torus-cocycles":
-        "11284178647148c018695eb7a5514c90ae343707b9fff69a66dddbc527ff85ba",
+        "e1d71b4f9d01ea991fb6fc93624ee107c058d95146143b6b404979e1306bfebf",
     "torus-cocycles-json":
-        "fcb71b7d28f45ca7a52aed65574cff5d16f48642fffef912ef900c815bd165fa",
+        "978d17bc3fb1b54ca6c36e39bacb59e88a4857615142395cd96432528273513d",
     "torus-cocycles-q1":
-        "76662b27df86aa1942b73cf52270ec6cf30cd8981408b2c9cb21d69599e18cb2",
+        "8dca00ec5a5ab0fcab1549f5e5c62628f4fa5f9668fc0697ceca63b61d0483e1",
     "torus-cocycles-q1-json":
-        "e7e89e8e1fb2dd6c78d50e343b630b7e84dc1eb5ad609efce6cecaeb120d6766",
+        "7366cb055367842db4fb63b974cd4e44b04c4d90d98571bea261bb533f179f0d",
     "torus-cocycles-q8":
-        "34f1c8a9d17c34b0fa7ccf45b8a411a9dd0ee20fa332ef3b85868b4829a04058",
+        "b5d91decbb8758fa448a13c80dd1e0d284c508342f91fa32e2efb0f49a833229",
     "torus-cocycles-q8-json":
-        "aeaf01bbde89f24b1dd3b154a94ced4d18043e20ad48938b8cd75b7762bf1e9d",
+        "cff4350a59c4fe65e7a38cbc4511b740026b0566c09dfec807b03530c8827e80",
     "torus-cocycles-q64":
-        "3acce79a460bbbe3038dfc9608657f066c838aab6407a5235634ed928111be45",
+        "83f7afcdded70e199cc35e8d1cd632a1cdc59d131058e6ec109a761f4ff0fc68",
     "torus-cocycles-q64-json":
-        "c4090fd14130a36d3fb16fcff1059795db6debb63a233738304c34ce455eaf2b",
+        "452340b0fa9c5ca04dc33eec542c8d3f9dfe0356832fefc813a95c2c4166d481",
     # recorded when each point's Neumann series was cut at the order of its
     # rule: the report names the orders used in place of "order 40"
     "torus-factorization":

@@ -7,10 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import convolve, cyclo_dense
+from oracles import box, convolve, cyclo_dense, zero_sum_tuples
 from pencilforms import ring, suites, torus
 from pencilforms._core import Q_ZERO
-from pencilforms.cochains import TraceWord
+from pencilforms.cochains import FunctionalCochain, TraceWord
 from pencilforms.ring import CycloElement, Scalar
 from pencilforms.sampling import rng_for
 from pencilforms.suites import (suite_torus, torus_cocycle_checks,
@@ -256,35 +256,68 @@ def test_psi2_numeric_matches_derivation_products():
     assert checked > 0
 
 
+# The complete zero-sum boxes the checks ran on before the degree grid:
+# radius 3 for cyclicity, and per cocycle for the coboundary.
+CYCLICITY_BOX = 3
+SPANNING_RUNS = (("phi1", 3), ("phi2", 3), ("psi1", 2), ("psi2", 2))
+
+
 def test_cyclicity_spanning():
+    # the grid check, and every zero-sum tuple of the radius-3 box
     for q, p in EXACT_ORDERS:
         cfg = TorusConfig.exact(q, p)
+        monomials = torus._box_monomials(cfg, CYCLICITY_BOX)
         for name in ("phi1", "phi2", "psi1", "psi2"):
             checked, failure = cyclicity_check(name, cfg)
             assert checked > 0 and failure is None
+            phi = torus.cocycle(name)
+            negate = phi.arity % 2 == 0
+            for degrees in zero_sum_tuples(CYCLICITY_BOX, phi.arity):
+                args = [monomials[d] for d in degrees]
+                turned = phi(args[-1:] + args[:-1])
+                assert phi(args) == (-turned if negate else turned), \
+                    (name, q, degrees)
 
 
 def test_coboundary_spanning():
+    # the grid check, and every zero-sum tuple of the cocycle's box
     for q, p in EXACT_ORDERS:
         cfg = TorusConfig.exact(q, p)
-        for name, radius in (("phi1", 3), ("phi2", 3), ("psi1", 2),
-                             ("psi2", 2)):
-            checked, failure = coboundary_check(name, cfg, radius)
+        monomials = torus._box_monomials(cfg, 3)
+        zero = cfg.zero_coeff()
+        for name, radius in SPANNING_RUNS:
+            checked, failure = coboundary_check(name, cfg)
             assert checked > 0 and failure is None
+            b_phi = torus.cocycle(name).coboundary()
+            for degrees in zero_sum_tuples(radius, b_phi.arity):
+                assert b_phi([monomials[d] for d in degrees]) == zero, \
+                    (name, q, degrees)
 
 
 def test_zero_sum_tuples_are_the_filtered_product():
     # the plain enumeration: every tuple of the box for the later slots,
     # the first slot solved from them and kept when it lands in the box
     for radius, arity in ((0, 2), (1, 2), (3, 2), (1, 3), (3, 3), (2, 4)):
-        box = torus._box(radius)
         expected = []
-        for rest in itertools.product(box, repeat=arity - 1):
+        for rest in itertools.product(box(radius), repeat=arity - 1):
             m0 = -sum(d[0] for d in rest)
             n0 = -sum(d[1] for d in rest)
             if abs(m0) <= radius and abs(n0) <= radius:
                 expected.append(((m0, n0),) + rest)
-        assert list(torus._zero_sum_tuples(radius, arity)) == expected
+        assert list(zero_sum_tuples(radius, arity)) == expected
+
+
+def test_grid_tuples_are_zero_sum_and_in_the_box():
+    # 4^(arity - 1) distinct tuples: free slot i with both coordinates in
+    # {0, 1} (even i) or {0, -1} (odd i), the first slot solved, so every
+    # grid tuple is a zero-sum tuple of the radius-2 box
+    for arity in (2, 3, 4):
+        grid = list(torus._grid_tuples(arity))
+        assert len(grid) == len(set(grid)) == 4 ** (arity - 1)
+        assert set(grid) <= set(zero_sum_tuples(2, arity))
+        for degrees in grid:
+            for i, (m, n) in enumerate(degrees[1:], 1):
+                assert {m, n} <= ({0, 1} if i % 2 == 0 else {0, -1})
 
 
 def test_spanning_checks_require_exact_mode():
@@ -292,7 +325,7 @@ def test_spanning_checks_require_exact_mode():
     with pytest.raises(ValueError):
         cyclicity_check("phi1", cfg)
     with pytest.raises(ValueError):
-        coboundary_check("psi2", cfg, 2)
+        coboundary_check("psi2", cfg)
 
 
 def test_psi2_unit_first_slot_vanishes():
@@ -664,8 +697,10 @@ def test_exact_torus_fast_paths_match_naive_loop():
         assert rand_monomial().trace(zero) == CycloElement.zero(q)
 
 
-# Operation counts of the q = 3 cocycle checks. They depend on the code
-# alone, so exceeding one flags a lost fast path without any timing.
+# Operation counts of the torus suite's cocycle checks at seed 1 (one
+# twist-free run for every order q). They depend on the code alone, so
+# exceeding one flags a lost fast path, or a check that left the degree
+# grid, without any timing.
 # Coefficient products, counted as CycloElement.__mul__ calls: 529,514
 # with convolved monomial twists, 300,821 once monomial torus products
 # became one coefficient product twisted by rotation, 214,866 once psi2
@@ -681,9 +716,12 @@ def test_exact_torus_fast_paths_match_naive_loop():
 # twist-free coefficient, whose product steps (the config's
 # twisted_product) and integer scalings are counted in place of the
 # CycloElement ones: again 190,970, and no CycloElement arithmetic at all.
-COCYCLE_CHECKS_Q3_BUDGET = 190_970
-COCYCLE_CHECKS_Q3_TORUS_MUL_BUDGET = 97_852
-COCYCLE_CHECKS_Q3_DELTA_BUDGET = 8_510
+# On the degree grid in place of the complete boxes (20,104 tuples became
+# 280) the counts went 190,970 -> 1,864 coefficient steps, 97,852 -> 1,096
+# TorusElement products and 8,510 -> 212 derivatives.
+COCYCLE_CHECKS_BUDGET = 1_900
+COCYCLE_CHECKS_TORUS_MUL_BUDGET = 1_100
+COCYCLE_CHECKS_DELTA_BUDGET = 220
 
 
 def _count_calls(monkeypatch, calls, key, owner, name):
@@ -709,14 +747,14 @@ def test_cocycle_checks_coefficient_product_budget(monkeypatch):
                              ("torus_mul", TorusElement, "__mul__"),
                              ("delta", TorusElement, "delta")):
         _count_calls(monkeypatch, calls, key, owner, name)
-    results = torus_cocycle_checks(1, TorusConfig.exact(3, 1))
-    assert [r.passed for r in results] == [True]
+    results = torus_cocycle_checks(1)
+    assert [r.passed for r in results] == [True] * 3
     assert calls["convolve"] == 0
     assert calls["product"] == 0
     assert calls["cyclo_mul"] == calls["mul_rotate"] == 0
-    assert 0 < calls["mul"] + calls["twisted"] <= COCYCLE_CHECKS_Q3_BUDGET
-    assert 0 < calls["torus_mul"] <= COCYCLE_CHECKS_Q3_TORUS_MUL_BUDGET
-    assert 0 < calls["delta"] <= COCYCLE_CHECKS_Q3_DELTA_BUDGET
+    assert 0 < calls["mul"] + calls["twisted"] <= COCYCLE_CHECKS_BUDGET
+    assert 0 < calls["torus_mul"] <= COCYCLE_CHECKS_TORUS_MUL_BUDGET
+    assert 0 < calls["delta"] <= COCYCLE_CHECKS_DELTA_BUDGET
 
 
 def test_cocycle_checks_do_the_same_work_at_every_order(monkeypatch):
@@ -742,9 +780,6 @@ def test_cocycle_checks_do_the_same_work_at_every_order(monkeypatch):
     assert counts(64, 5) == small
 
 
-SPANNING_RUNS = (("phi1", 3), ("phi2", 3), ("psi1", 2), ("psi2", 2))
-
-
 def _coboundary_terms(phi, args):
     """The a + 1 unsigned terms of (b phi)(x_0..x_a): phi with slots j and
     j + 1 merged for each j < a, then with x_a x_0 in the first slot."""
@@ -757,9 +792,10 @@ def _coboundary_terms(phi, args):
 
 def test_twist_free_values_specialise_to_the_exact_ones():
     # lambda^e read as t^(e p') in Q(i)[t]/(t^q - 1) turns each twist-free
-    # value into the exact one at (q, p'), on a seeded sample of the
-    # suite's tuples: the cocycle on its cyclicity tuples, and b phi and
-    # each of its terms on its coboundary tuples
+    # value into the exact one at (q, p'), on the suite's grid tuples and a
+    # seeded sample of the complete boxes with the suite's random tuples:
+    # the cocycle on its cyclicity tuples, and b phi and each of its terms
+    # on its coboundary tuples
     free = torus._TWIST_FREE
     free_monomials = torus._box_monomials(free, 3)
     rng = rng_for(26, "test", "twist-free-specialise")
@@ -775,9 +811,10 @@ def test_twist_free_values_specialise_to_the_exact_ones():
         phi = torus.cocycle(which)
         b_phi = phi.coboundary()
         cases = []
-        for arity, box in ((phi.arity, 3), (phi.arity + 1, radius)):
-            tuples = list(torus._tuples_with_samples(box, arity, 1, which))
-            cases += rng.sample(tuples, 40)
+        for arity, size in ((phi.arity, CYCLICITY_BOX),
+                            (phi.arity + 1, radius)):
+            tuples = _box_tuples_with_samples(size, arity, which)
+            cases += rng.sample(tuples, 40) + list(torus._grid_tuples(arity))
         for degrees in cases:
             def values(monomials):
                 args = [monomials[d] for d in degrees]
@@ -827,29 +864,118 @@ def test_twist_free_sums_refuse_different_exponents():
     assert 3 * a == a * 3 == torus._TwistFree(6, 1)
 
 
-# Coboundary tuples of the torus suite (seed 1) on which some term of b phi
-# is not 0, of all it looks at; a check whose terms all vanish would pass
-# with no content. The cyclicity tuples with phi != 0 are counted too.
+def _box_tuples_with_samples(radius, arity, which):
+    """The complete zero-sum box and the suite's seed-1 random tuples: what
+    the checks ran on before the degree grid."""
+    return (list(zero_sum_tuples(radius, arity))
+            + list(torus._sampled_tuples(arity, 1, which)))
+
+
+# Coboundary tuples on which some term of b phi is not 0, of all looked at,
+# in the complete boxes plus the suite's random tuples (seed 1); a check
+# whose terms all vanish would pass with no content.
 COBOUNDARY_NONTRIVIAL = {"phi1": (1_332, 1_379), "phi2": (1_332, 1_379),
                          "psi1": (7_225, 7_235), "psi2": (6_816, 7_235)}
+# The same on the degree grid the checks run on, and the grid's cyclicity
+# tuples with phi != 0.
+GRID_COBOUNDARY_NONTRIVIAL = {"phi1": (12, 16), "phi2": (12, 16),
+                              "psi1": (64, 64), "psi2": (42, 64)}
+GRID_CYCLICITY_NONZERO = {"phi1": (2, 4), "phi2": (2, 4), "psi1": (16, 16),
+                          "psi2": (6, 16)}
+# The lambda exponents of the nonzero values on the grid, cyclicity sides
+# and coboundary terms of all four cocycles together
+GRID_EXPONENTS = {-1, 0, 1, 2, 3}
 
 
 def test_cocycle_checks_have_content():
     free = torus._TWIST_FREE
     monomials = torus._box_monomials(free, 3)
+    exponents = set()
     for which, radius in SPANNING_RUNS:
         phi = torus.cocycle(which)
         counts = [0, 0]
-        for degrees in torus._tuples_with_samples(radius, phi.arity + 1, 1,
-                                                  which):
+        for degrees in _box_tuples_with_samples(radius, phi.arity + 1, which):
             args = [monomials[d] for d in degrees]
             counts[0] += any(_coboundary_terms(phi, args))
             counts[1] += 1
         assert 0 < counts[0]
         assert tuple(counts) == COBOUNDARY_NONTRIVIAL[which]
         assert any(phi([monomials[d] for d in degrees])
-                   for degrees in torus._tuples_with_samples(3, phi.arity, 1,
-                                                             which))
+                   for degrees in _box_tuples_with_samples(
+                       CYCLICITY_BOX, phi.arity, which))
+        grid = [0, 0]
+        for degrees in torus._grid_tuples(phi.arity + 1):
+            terms = _coboundary_terms(phi, [monomials[d] for d in degrees])
+            grid[0] += any(terms)
+            grid[1] += 1
+            exponents.update(v.e for v in terms if v)
+        assert tuple(grid) == GRID_COBOUNDARY_NONTRIVIAL[which]
+        grid = [0, 0]
+        for degrees in torus._grid_tuples(phi.arity):
+            args = [monomials[d] for d in degrees]
+            sides = [phi(args), phi(args[-1:] + args[:-1])]
+            grid[0] += bool(sides[0])
+            grid[1] += 1
+            exponents.update(v.e for v in sides if v)
+        assert tuple(grid) == GRID_CYCLICITY_NONZERO[which]
+    # terms with a nonzero exponent, so a mixed twist has something to hit
+    assert exponents == GRID_EXPONENTS
+
+
+def _affine_failure(terms, arity):
+    """Where some term's integer weight c, or its exponent e where c != 0,
+    is not affine along a free degree coordinate, or None.
+
+    `terms(args)` gives twist-free values on a tuple of unit monomials.
+    On seeded zero-sum tuples with free coordinates up to +-8 (the first
+    slot solved from them), each free coordinate is stepped twice; a
+    nonzero second difference of c, or of e at three nonzero c, fails.
+    """
+    free = torus._TWIST_FREE
+    one = free.one_coeff()
+    rng = rng_for(1, "test", "affine-weights", arity)
+
+    def values(rest):
+        first = (-sum(m for m, _ in rest), -sum(n for _, n in rest))
+        return terms([TorusElement._of(free, {d: one})
+                      for d in (first,) + rest])
+
+    for _ in range(50):
+        rest = [[rng.randrange(-8, 7), rng.randrange(-8, 7)]
+                for _ in range(arity - 1)]
+        for slot in range(arity - 1):
+            for coord in (0, 1):
+                line = []
+                for step in range(3):
+                    moved = [list(d) for d in rest]
+                    moved[slot][coord] += step
+                    line.append(values(tuple(map(tuple, moved))))
+                for k, (v0, v1, v2) in enumerate(zip(*line)):
+                    if v0.c - 2 * v1.c + v2.c or (
+                            v0.c and v1.c and v2.c
+                            and v0.e - 2 * v1.e + v2.e):
+                        return rest, slot + 1, coord, k
+    return None
+
+
+def test_weights_and_exponents_are_affine_in_each_free_coordinate():
+    # the premise of the degree grid: with the first slot solved, both
+    # sides of cyclicity and every term of b phi are c lambda^e with c
+    # affine in each free coordinate (and e too where c != 0), so two
+    # values per coordinate decide the identities at every degree
+    for which in ("phi1", "phi2", "psi1", "psi2"):
+        phi = torus.cocycle(which)
+
+        def sides(args):
+            return [phi(args), phi(args[-1:] + args[:-1])]
+
+        assert _affine_failure(sides, phi.arity) is None, which
+        assert _affine_failure(lambda args: _coboundary_terms(phi, args),
+                               phi.arity + 1) is None, which
+    # a weight quadratic in one coordinate: tr(x0 d1(d1 x1)) weighs a1^2
+    squared = FunctionalCochain(
+        2, lambda args: args[0].trace(args[1].delta(1).delta(1)))
+    assert _affine_failure(lambda args: [squared(args)], 2) is not None
 
 
 def test_a_factorization_request_builds_each_schedule_once():
@@ -1250,12 +1376,15 @@ def test_factorization_calls_the_resolvent_through_the_module(monkeypatch):
 # per left V-degree for all 40 powers (before: 26,240 lambda_power calls,
 # with a budget of 27,040, and 490 products, 40 of them per point for the
 # powers), and lowered when W = R A was replayed from the factorization plan
-# (before: 90 products, 9 per point). The 6 left per point scale the pencil
+# (before: 90 products, 9 per point). The 5 left per point scale the pencil
 # twice for s and once for the step, in `_neumann_parts` (run twice) and
-# `neumann_resolvent`, and scale the Neumann sum by 1/z1. The twists are
-# still taken for every row of the schedule and the plan at the cap.
-FACTORIZATION_LAMBDA_POWER_BUDGET = 2_840
-FACTORIZATION_TORUS_MUL_BUDGET = 60
+# `neumann_resolvent`. Lowered again when the Neumann sum was scaled by
+# 1/z1 as a coefficient list (before: 60 products, 6 per point) and the
+# Neumann powers took the twists of the schedule rows their order reaches
+# only (before: 2,840 lambda_power calls). The plan of W = R A still takes
+# the twists of every row at the cap.
+FACTORIZATION_LAMBDA_POWER_BUDGET = 2_400
+FACTORIZATION_TORUS_MUL_BUDGET = 50
 # Term pairs replayed by `_replay_product` for the Neumann powers and
 # W = R A at those ten points, recorded when each point's series was cut at
 # the order of its rule (orders 22-29: 120,286 pairs; the same points at

@@ -14,24 +14,28 @@ of two terms with different exponents fails the tuple. With the first slot
 solved from the others, each integer weight has degree at most 1 in every
 remaining degree coordinate, so a grid of two values per coordinate
 decides the identities for every degree (the Combinatorial
-Nullstellensatz); the checks run on that grid. The module also
-computes the residuals of the top-form factorization numerically through a
-truncated Neumann resolvent R, with their propagated truncation bounds.
-Given a tolerance, each point's series is cut at the smallest order M up to
-the cap NEUMANN_ORDER whose dropped tail rho^(M+1) / (1 - rho) is below
-the double rounding 2^-53 and whose a-priori bound (the propagated bound
-with the W norms replaced by ones computed from rho and the pencil) is
-within the tolerance at M and at the cap; otherwise, and without a
-tolerance, at the cap. A point that passes at M passes at the cap, so the
-order changes no verdict. Which term pairs of a product meet, and where
-they land, depends only on the supports of its operands, so each sample
-point replays plans of index arrays and runs only the arithmetic: the
-Neumann powers are a chain of product plans per step support, built to
-the cap (`_neumann_schedule`), and W_x = R A_x, delta_j and the six phi_j
-traces are planned per pencil on the keys of R at the cap
-(`_factorization_plan`). A point replays the first M powers and the
-prefix of the plan its R reaches, so it keeps the bits of summing its own
-M powers with `+`.
+Nullstellensatz); one runner (`_spanning_check`) takes both checks over
+that grid, then over seeded tuples. The module also computes the residuals
+of the top-form factorization numerically through a truncated Neumann
+resolvent R, with their propagated truncation bounds; a point with
+rho >= 1 (rho is infinite at z1 = 0) diverges. Given a tolerance, each
+point's series is cut at the smallest order M up to the cap NEUMANN_ORDER
+whose dropped tail rho^(M+1) / (1 - rho) is below the double rounding
+2^-53 and whose a-priori bound (the propagated bound with the W norms
+replaced by ones computed from rho and the pencil) is within the tolerance
+at M and at the cap; otherwise, and without a tolerance, at the cap. A
+point that passes at M passes at the cap, so the order changes no verdict.
+Which term pairs of a product meet, and where they land, depends only on
+the supports of its operands, so each sample point replays plans of index
+arrays and runs only the arithmetic: the Neumann powers are a chain of
+product plans per step support, built to the cap (`_neumann_schedule`),
+and W_x = R A_x, delta_j and the six phi_j traces are planned per step
+support and pencil on that schedule's keys, those of R at the cap
+(`_factorization_plan`). A point replays the first M powers and the prefix
+of the plan its R reaches, with the twists of the rows that prefix
+reaches, so it keeps the bits of summing its own M powers with `+`. A
+coefficient that comes out exactly 0 drops its key, which no plan models:
+that point sums R, then W, by `TorusElement` products.
 The calls return what they found: the first monomial tuple where a cocycle
 identity fails, or the residuals and bounds at each point. The torus suite
 judges them.
@@ -45,7 +49,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, product
+from itertools import chain, islice, product
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .cochains import FunctionalCochain
@@ -291,9 +295,9 @@ class TorusElement:
     def __init__(self, config: TorusConfig, coeffs: Dict[Degree, object]):
         coerce = config.coerce
         self.config = config
-        self.coeffs = TorusElement._make(
-            config, (((int(m), int(n)), coerce(value))
-                     for (m, n), value in coeffs.items())).coeffs
+        items = (((int(m), int(n)), coerce(value))
+                 for (m, n), value in coeffs.items())
+        self.coeffs = {key: value for key, value in items if value}
 
     @classmethod
     def _make(cls, config: TorusConfig, items) -> "TorusElement":
@@ -354,11 +358,7 @@ class TorusElement:
     def __sub__(self, other):
         if not isinstance(other, TorusElement):
             return NotImplemented
-        self._match(other)
-        out = dict(self.coeffs)
-        for key, value in other.coeffs.items():
-            out[key] = out[key] - value if key in out else -value
-        return TorusElement._make(self.config, out.items())
+        return self + -other
 
     def __neg__(self) -> "TorusElement":
         return TorusElement._make(self.config,
@@ -629,73 +629,65 @@ def _sampled_tuples(arity: int, seed: int,
                     for _ in range(arity))
 
 
-def _tuples_with_samples(arity: int, seed: int,
-                 tag: str) -> Iterator[Tuple[Degree, ...]]:
-    yield from _grid_tuples(arity)
-    yield from _sampled_tuples(arity, seed, tag)
-
-
 SpanCheck = Tuple[int, Optional[Tuple[Degree, ...]]]
+
+
+def _spanning_check(which: str, config: TorusConfig, seed: int,
+                    judge: Callable) -> SpanCheck:
+    """One identity of the cocycle `which` on unit monomial tuples.
+
+    `judge(phi)` gives the tuples' arity and a test of their monomials,
+    True where the identity fails. The run takes the degree grid
+    (`_grid_tuples`), which decides the identity at every degree, then 10
+    seeded tuples of the radius-3 box, and stops at the first tuple that
+    fails the test or, over the twist-free config, mixes lambda exponents.
+    Returns the number of tuples looked at and the degrees of that tuple,
+    or None. Raises ValueError for a numeric config, before anything else.
+    """
+    if config.mode == "numeric":
+        raise ValueError("exact mode required for spanning-set checks")
+    arity, fails = judge(cocycle(which))
+    monomials = _box_monomials(config, 3)
+    checked = 0
+    for degrees in chain(_grid_tuples(arity),
+                         _sampled_tuples(arity, seed, which)):
+        checked += 1
+        try:
+            if fails([monomials[d] for d in degrees]):
+                return checked, degrees
+        except _MixedTwist:
+            return checked, degrees
+    return checked, None
 
 
 def cyclicity_check(which: str, config: TorusConfig,
                     seed: int = 0) -> SpanCheck:
-    """phi(x_0..x_{a-1}) and (-1)^(a-1) phi(x_{a-1}, x_0, ..), exactly.
+    """phi(x_0..x_{a-1}) and (-1)^(a-1) phi(x_{a-1}, x_0, ..), exactly, on
+    the 4^(a-1) grid tuples and 10 seeded ones (`_spanning_check`)."""
 
-    Runs over the 4^(a-1) tuples of the degree grid (`_grid_tuples`),
-    which decide the identity at every degree, then 10 seeded tuples of
-    the radius-3 box, and stops at the first tuple where the two sides
-    differ, or, over the twist-free config, where terms with different
-    lambda exponents meet. Returns the number of tuples looked at and the
-    degrees of that tuple, or None. Raises ValueError only for a numeric
-    config.
-    """
-    if config.mode == "numeric":
-        raise ValueError("exact mode required for spanning-set checks")
-    phi = cocycle(which)
-    a = phi.arity
-    negate = a % 2 == 0
-    monomials = _box_monomials(config, 3)
-    checked = 0
-    for degrees in _tuples_with_samples(a, seed, which):
-        args = [monomials[d] for d in degrees]
-        rotated = [args[-1]] + args[:-1]
-        checked += 1
-        try:
-            value = phi(args)
-            turned = phi(rotated)
-            if value != (-turned if negate else turned):
-                return checked, degrees
-        except _MixedTwist:
-            return checked, degrees
-    return checked, None
+    def judge(phi):
+        negate = phi.arity % 2 == 0
+
+        def fails(args):
+            value, turned = phi(args), phi(args[-1:] + args[:-1])
+            return value != (-turned if negate else turned)
+
+        return phi.arity, fails
+
+    return _spanning_check(which, config, seed, judge)
 
 
 def coboundary_check(which: str, config: TorusConfig,
                      seed: int = 0) -> SpanCheck:
-    """(b phi)(x_0..x_a) on spanning monomial tuples, exactly.
+    """(b phi)(x_0..x_a) = 0, exactly, on the 4^a grid tuples and 10
+    seeded ones (`_spanning_check`)."""
 
-    Runs over the 4^a tuples of the degree grid (`_grid_tuples`), which
-    decide the identity at every degree, then 10 seeded tuples of the
-    radius-3 box. Stops at the first tuple where b phi is not 0, or, over
-    the twist-free config, where its terms carry different lambda
-    exponents, and returns the number of tuples looked at and the degrees
-    of that tuple, or None. Raises ValueError only for a numeric config.
-    """
-    if config.mode == "numeric":
-        raise ValueError("exact mode required for spanning-set checks")
-    b_phi = cocycle(which).coboundary()
-    zero = config.zero_coeff()
-    monomials = _box_monomials(config, 3)
-    checked = 0
-    for degrees in _tuples_with_samples(b_phi.arity, seed, which):
-        checked += 1
-        try:
-            if b_phi([monomials[d] for d in degrees]) != zero:
-                return checked, degrees
-        except _MixedTwist:
-            return checked, degrees
-    return checked, None
+    def judge(phi):
+        b_phi = phi.coboundary()
+        zero = config.zero_coeff()
+        return b_phi.arity, lambda args: b_phi(args) != zero
+
+    return _spanning_check(which, config, seed, judge)
 
 
 # ---------------------------------------------------------------------------
@@ -704,6 +696,7 @@ def coboundary_check(which: str, config: TorusConfig,
 
 def _neumann_parts(mats: Sequence[TorusElement],
                    z: Sequence[complex]) -> Tuple[TorusElement, float, complex]:
+    """s = z2 A2 + z3 A3, rho = ||s||_1 / |z1| (infinite at z1 = 0), z1."""
     if len(mats) != 3 or len(z) != 3:
         raise ValueError("expected three elements and a three-component point")
     config = mats[0].config
@@ -715,10 +708,8 @@ def _neumann_parts(mats: Sequence[TorusElement],
     if mats[0] != TorusElement.one(config):
         raise ValueError("the first element of the pencil must be 1")
     z1 = complex(z[0])
-    if z1 == 0:
-        raise ValueError("Neumann series divergent at this point")
     s = mats[1] * complex(z[1]) + mats[2] * complex(z[2])
-    rho = s.l1_norm() / abs(z1)
+    rho = s.l1_norm() / abs(z1) if z1 != 0 else float("inf")
     return s, rho, z1
 
 
@@ -879,28 +870,16 @@ def _neumann_sum_by_schedule(step: TorusElement, order: int
     return schedule.keys, acc
 
 
-def _neumann_sum_by_products(step: TorusElement,
-                             order: int) -> Dict[Degree, object]:
-    """sum_{t<=order} step^t, one `TorusElement` product per power.
-
-    Each power is added into one dict in place. A key whose sum is exactly
-    0 is deleted, so a later power puts it back at the end.
-    """
-    power = TorusElement.one(step.config)
-    acc = dict(power.coeffs)
+def _neumann_sum_by_products(step: TorusElement, order: int
+                             ) -> Tuple[Sequence[Degree], Sequence]:
+    """sum_{t<=order} step^t by `TorusElement` `*` and `+`, as its keys and
+    coefficients: a key whose sum is exactly 0 drops out, and a later power
+    re-adds it last."""
+    power = acc = TorusElement.one(step.config)
     for _ in range(order):
         power = power * step
-        for key, value in power.coeffs.items():
-            prev = acc.get(key)
-            if prev is None:
-                acc[key] = value
-            else:
-                total = prev + value
-                if total:
-                    acc[key] = total
-                else:
-                    del acc[key]
-    return acc
+        acc = acc + power
+    return acc.coeffs.keys(), acc.coeffs.values()
 
 
 def neumann_resolvent(mats: Sequence[TorusElement], z: Sequence[complex],
@@ -911,11 +890,10 @@ def neumann_resolvent(mats: Sequence[TorusElement], z: Sequence[complex],
     which term pairs meet, with which twist, and in which slot of the power
     and of the running sum they land. It is built once per support, to
     `NEUMANN_ORDER` powers or to `order` if that is longer, and kept for
-    the next points, which replay its first `order` powers. A point where
-    a power coefficient or a running-sum entry comes out exactly 0 drops
-    that key, which the schedule does not model, so it is summed again by
-    `TorusElement` products, where the key comes back at the end if a
-    later power puts it back. Either way the result has the bits and the
+    the next points, which replay its first `order` powers. A power
+    coefficient or running-sum entry that comes out exactly 0 drops its
+    key, which the schedule does not model: that point is summed again by
+    `TorusElement` `*` and `+`. Either way the result has the bits and the
     key order of summing the powers with `+`.
     """
     if order < 1:
@@ -924,11 +902,8 @@ def neumann_resolvent(mats: Sequence[TorusElement], z: Sequence[complex],
     if rho >= 1:
         raise ValueError("Neumann series divergent at this point")
     step = s * (-1 / z1)
-    summed = _neumann_sum_by_schedule(step, order)
-    if summed is None:
-        acc = _neumann_sum_by_products(step, order)
-        summed = acc.keys(), acc.values()
-    keys, values = summed
+    keys, values = (_neumann_sum_by_schedule(step, order)
+                    or _neumann_sum_by_products(step, order))
     # scaled as `TorusElement.__mul__` scales by a scalar, zeros dropped
     scale = 1 / z1
     return TorusElement._make(mats[0].config,
@@ -1066,11 +1041,6 @@ def _trace_walk(walked: Sequence[Degree],
     return _int_array(first), _int_array(second), _int_array(twists)
 
 
-def _trace_plan(x_keys: Sequence[Degree],
-                y_keys: Sequence[Degree]) -> TracePlan:
-    return _trace_walk(x_keys, y_keys), _trace_walk(y_keys, x_keys)
-
-
 def _trace_by_plan(config: TorusConfig, x: List, y: List, plan: TracePlan):
     """tr(x y) for coefficient lists that hold the first terms of the
     planned key orders, with the walk, products, sums and zero of
@@ -1109,8 +1079,10 @@ def _phi_plan(w_keys: Sequence[Sequence[Degree]]) -> tuple:
             deltas.append((_int_array(kept),
                            _int_array([keys[i][pos] for i in kept])))
             derived[y] = [keys[i] for i in kept]
-        plan.append((tuple(deltas), tuple(_trace_plan(w_keys[x], derived[y])
-                                         for x, y in _PHI_PAIRS)))
+        traces = tuple((_trace_walk(w_keys[x], derived[y]),
+                        _trace_walk(derived[y], w_keys[x]))
+                       for x, y in _PHI_PAIRS)
+        plan.append((tuple(deltas), traces))
     return tuple(plan)
 
 
@@ -1125,10 +1097,11 @@ def _delta_by_plan(values: List, delta: Tuple[array, array]) -> List:
 
 @dataclass(frozen=True)
 class _FactorizationPlan:
-    """W_x = R A_x, delta_j and the phi_j traces for one pencil and R.
+    """W_x = R A_x, delta_j and the phi_j traces for one pencil and step.
 
-    `products[x]` plans R * A_x over the one row table `row_degrees`, the
-    V-degrees of R's terms; `phi` is `_phi_plan` of the W key orders.
+    `products[x]` plans R * A_x, R on its step's schedule keys, over the one
+    row table `row_degrees`, the V-degrees of R's terms in order of first
+    appearance; `phi` is `_phi_plan` of the W key orders.
     """
 
     row_degrees: Tuple[int, ...]
@@ -1137,14 +1110,16 @@ class _FactorizationPlan:
 
 
 @lru_cache(maxsize=2)
-def _factorization_plan(r_keys: Tuple[Degree, ...],
+def _factorization_plan(step_support: Tuple[Degree, ...],
                         supports: Tuple[Tuple[Degree, ...], ...]
                         ) -> _FactorizationPlan:
-    """The plan for R of these keys and a pencil of these supports.
+    """The plan for a step of this support and a pencil of these supports,
+    on the keys of the step's Neumann sum at NEUMANN_ORDER.
 
     Two are kept, like the Neumann schedules: the pinned and the sampled
     pencil of a factorization request.
     """
+    r_keys = _neumann_schedule(step_support, NEUMANN_ORDER).keys
     row_of: Dict[int, int] = {}
     products, w_keys = zip(*(_product_plan(r_keys, support, row_of)
                              for support in supports))
@@ -1171,13 +1146,14 @@ def factorization_report(mats: Sequence[TorusElement],
 
     Which term pairs of R A_x meet, which terms delta_j keeps, and which
     terms each trace matches depend only on R's key order and the
-    pencil's supports, so they are planned once (`_factorization_plan`)
-    on the keys of the series at NEUMANN_ORDER, of which R at M holds the
-    first ones, and each point replays the prefix its R reaches, with the
-    products and sums of `TorusElement` in its order. A W coefficient that
-    comes out exactly 0 drops its key, which the plan does not model; that
-    point forms W by `TorusElement` products and plans delta_j and the
-    traces on their keys.
+    pencil's supports, so they are planned once per step support and
+    pencil (`_factorization_plan`) on the keys of the series at
+    NEUMANN_ORDER, of which R at M holds the first ones. Each point
+    replays the prefix its R reaches, with the twists of the rows it
+    reaches, and the products and sums of `TorusElement` in its order. A
+    point whose R was summed by products, so that its keys need not be
+    that prefix, or whose W has a coefficient that is exactly 0, forms W by
+    `TorusElement` products and plans delta_j and the traces on its keys.
     """
     supports = tuple(tuple(a.coeffs) for a in mats)
     a_norms = [x.l1_norm() for x in mats]
@@ -1186,13 +1162,7 @@ def factorization_report(mats: Sequence[TorusElement],
     skipped: List[Tuple[Tuple[complex, complex, complex], str]] = []
     for raw in points:
         point = tuple(complex(c) for c in raw)
-        try:
-            s, rho, z1 = _neumann_parts(mats, point)
-        except ValueError as exc:
-            if "divergent" not in str(exc):
-                raise
-            skipped.append((point, str(exc)))
-            continue
+        s, rho, z1 = _neumann_parts(mats, point)
         if rho >= 1:
             skipped.append((point, "Neumann series divergent at this point"))
             continue
@@ -1201,18 +1171,17 @@ def factorization_report(mats: Sequence[TorusElement],
         order = bound.order_for(tolerance)
         resolvent = neumann_resolvent(mats, point, order)
         config = resolvent.config
-        r_keys = tuple(resolvent.coeffs)
-        # R summed by the schedule holds the first keys of the schedule's
-        # sum, so one plan on those keys serves every order; R summed by
-        # products may order its keys otherwise and gets a plan of its own
-        keys = _neumann_schedule(tuple(s.coeffs), NEUMANN_ORDER).keys
-        if keys[:len(r_keys)] != r_keys:
-            keys = r_keys
-        plan = _factorization_plan(keys, supports)
+        support = tuple(s.coeffs)
+        plan = _factorization_plan(support, supports)
+        keys = _neumann_schedule(support, NEUMANN_ORDER).keys
         r_values = list(resolvent.coeffs.values())
-        w = [_replay_product(product, r_values,
-                             _twist_rows(config, plan.row_degrees, a.coeffs))
-             for product, a in zip(plan.products, mats)]
+        w = [None]  # R summed by products: W by products too
+        if keys[:len(r_values)] == tuple(resolvent.coeffs):
+            reached = max(islice(plan.products[0][0], len(r_values)),
+                          default=-1) + 1
+            w = [_replay_product(product, r_values, _twist_rows(
+                     config, plan.row_degrees[:reached], a.coeffs))
+                 for product, a in zip(plan.products, mats)]
         phi_plan = plan.phi
         if None in w:
             products = [resolvent * a for a in mats]

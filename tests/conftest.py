@@ -12,9 +12,9 @@ def cold_memos():
     """Each test starts with no omega, trace power or torus plan kept.
 
     `maurer_cartan` and `trace_power_form` keep their last result, and the
-    torus factorization keeps its last two Neumann schedules and plans, so
-    a test that counts work on an input an earlier test used would
-    otherwise count nothing.
+    torus factorization keeps the Neumann schedules and factorization plans
+    of its last two step supports, so a test that counts work on an input
+    an earlier test used would otherwise count nothing.
     """
     maurer_cartan.cache_clear()
     trace_power_form.cache_clear()

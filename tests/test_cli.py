@@ -638,8 +638,8 @@ def _run_in_process(argv):
 
 
 def test_factorization_with_a_warm_schedule_matches_a_cold_run(tmp_path):
-    # the Neumann schedules and factorization plans of the last two
-    # pencils are kept across requests; after other seeds and another
+    # the Neumann schedules and factorization plans of the last two step
+    # supports are kept across requests; after other seeds and another
     # theta, a request gives the exit code and stdout of the same argv run
     # with nothing kept
     theta = tmp_path / "theta.json"
@@ -652,6 +652,7 @@ def test_factorization_with_a_warm_schedule_matches_a_cold_run(tmp_path):
         assert _run_in_process(warm)[0] == 0
     # both step supports of a request are kept: (1, U, V) and the sampled
     assert torus._neumann_schedule.cache_info().currsize == 2
+    assert torus._factorization_plan.cache_info().currsize == 2
     warm_code, warm_out, _ = _run_in_process(argv)
     torus._neumann_schedule.cache_clear()
     torus._factorization_plan.cache_clear()

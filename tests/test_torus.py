@@ -412,6 +412,9 @@ def numeric_pencil(theta=0.3183098861837907):
                  TorusElement.v(cfg)]
 
 
+DIVERGENT = "Neumann series divergent at this point"
+
+
 def test_neumann_trivial_pencil():
     cfg = TorusConfig.numeric(0.3)
     mats = [TorusElement.one(cfg), TorusElement.zero(cfg),
@@ -456,6 +459,63 @@ def test_neumann_preconditions():
         neumann_resolvent([TorusElement.one(exact_cfg),
                            TorusElement.u(exact_cfg),
                            TorusElement.v(exact_cfg)], (1, 0.1, 0.1), 10)
+    # each refusal in full; a malformed pencil or point is named before a
+    # divergent z1 = 0, and the order before anything else
+    cases = [
+        (mats, (0.05, 1, 1), 10, DIVERGENT),
+        (mats, (0, 0.1, 0.1), 10, DIVERGENT),
+        (mats, (1, 0.1, 0.1), 0, "order must be >= 1"),
+        (mats[:2], (0, 0.1, 0.1), 0, "order must be >= 1"),
+        (mats[:2], (0, 0.1, 0.1), 10,
+         "expected three elements and a three-component point"),
+        (mats, (0, 0.1), 10,
+         "expected three elements and a three-component point"),
+        ([TorusElement.one(exact_cfg), TorusElement.u(exact_cfg),
+          TorusElement.v(exact_cfg)], (0, 0.1, 0.1), 10,
+         "numeric mode required for resolvent computations"),
+        ([mats[0], mats[1], TorusElement.v(TorusConfig.numeric(0.21))],
+         (0, 0.1, 0.1), 10, "torus elements carry different configurations"),
+        ([mats[1], mats[1], mats[2]], (0, 0.1, 0.1), 10,
+         "the first element of the pencil must be 1"),
+    ]
+    for pencil, z, order, message in cases:
+        with pytest.raises(ValueError) as info:
+            neumann_resolvent(pencil, z, order)
+        assert str(info.value) == message, (z, order)
+
+
+def test_neumann_parts_reads_z1_zero_as_an_infinite_ratio():
+    # z1 = 0 gives rho = inf rather than an error, so it meets the one
+    # rho >= 1 test of each caller, with the message of any divergent point
+    cfg, mats = numeric_pencil()
+    for z in ((0, 0.1, 0.1), (0, 0, 0)):
+        s, rho, z1 = torus._neumann_parts(mats, z)
+        assert rho == float("inf") and z1 == 0
+        assert s == mats[1] * z[1] + mats[2] * z[2]
+    points = [(0, 0.1, 0.1), (0.05, 1, 1), (0, 0, 0), (1, 0.1, 0.1)]
+    report = factorization_report(mats, points)
+    assert [sample.point for sample in report.samples] == [(1, 0.1, 0.1)]
+    assert report.skipped == [(tuple(complex(c) for c in z), DIVERGENT)
+                              for z in points[:3]]
+
+
+def test_factorization_refuses_a_malformed_pencil():
+    # a malformed pencil or point raises, at a convergent point and at
+    # z1 = 0 alike: only divergence is skipped
+    cfg, mats = numeric_pencil()
+    cases = [
+        (mats[:2], "expected three elements"),
+        (mats + [mats[1]], "expected three elements"),
+        ([mats[0], mats[1], TorusElement.v(TorusConfig.numeric(0.21))],
+         "different configurations"),
+        ([TorusElement.u(cfg), mats[1], mats[2]], "must be 1"),
+    ]
+    for pencil, why in cases:
+        for z in ((1, 0.1, 0.1), (0, 0.1, 0.1)):
+            with pytest.raises(ValueError, match=why):
+                factorization_report(pencil, [(1, 0.1, 0.1), z])
+    with pytest.raises(ValueError, match="three-component"):
+        factorization_report(mats, [(0, 0.1)])
 
 
 def residuals(report):
@@ -1337,17 +1397,21 @@ def test_factorization_product_that_cancels_falls_back(monkeypatch):
 
 def test_a_cold_factorization_plan_fits_its_memory_ceiling():
     # the plan of the sampled pencil at order 40 holds index arrays only;
-    # measured at 0.17 MB kept and 0.59 MB peak while built (Python 3.11)
+    # measured at 0.17 MB kept and 0.59 MB peak while built (Python 3.11).
+    # It is keyed on the step's support and built on the keys of the step's
+    # Neumann schedule, which the resolvent has built first, as in a request
     mats = sampled_pencil()
-    resolvent = neumann_resolvent(mats, (1, 0.07, 0.08), torus.NEUMANN_ORDER)
-    r_keys = tuple(resolvent.coeffs)
+    point = (1, 0.07, 0.08)
+    resolvent = neumann_resolvent(mats, point, torus.NEUMANN_ORDER)
+    step_support = tuple(torus._neumann_parts(mats, point)[0].coeffs)
     supports = tuple(tuple(a.coeffs) for a in mats)
     tracemalloc.start()
     try:
-        plan = torus._factorization_plan(r_keys, supports)
+        plan = torus._factorization_plan(step_support, supports)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert len(resolvent.coeffs) == 1681
     assert [count for _, _, count in plan.products] == [1681, 1762, 1681]
     assert kept <= FACTORIZATION_PLAN_KEPT_BYTES
     assert peak <= FACTORIZATION_PLAN_PEAK_BYTES
@@ -1381,9 +1445,10 @@ def test_factorization_calls_the_resolvent_through_the_module(monkeypatch):
 # `neumann_resolvent`. Lowered again when the Neumann sum was scaled by
 # 1/z1 as a coefficient list (before: 60 products, 6 per point) and the
 # Neumann powers took the twists of the schedule rows their order reaches
-# only (before: 2,840 lambda_power calls). The plan of W = R A still takes
-# the twists of every row at the cap.
-FACTORIZATION_LAMBDA_POWER_BUDGET = 2_400
+# only (before: 2,840 lambda_power calls), and again when W = R A took the
+# twists of the plan rows its R reaches only, M + 1 of the 41 at the cap
+# (before: 2,400 for 2,396 calls, 1,640 of them for the W rows).
+FACTORIZATION_LAMBDA_POWER_BUDGET = 1_810
 FACTORIZATION_TORUS_MUL_BUDGET = 50
 # Term pairs replayed by `_replay_product` for the Neumann powers and
 # W = R A at those ten points, recorded when each point's series was cut at

@@ -457,11 +457,15 @@ def maurer_cartan(f: PolyMatrix) -> MatrixForm:
     matrix returns the same form object, so consecutive requests about one
     pencil build omega once. The form is shared and must not be changed;
     `maurer_cartan.cache_clear()` drops it. A ValueError is not kept.
+
+    det(f) is read off the adjugate, as its first-row expansion
+    sum_j f[0][j] adj[j][0], one `MultiPoly.dot`.
     """
-    det = f.det()
+    adj = f.adjugate()
+    det = MultiPoly.dot(f.n, [(f.rows[0][j], adj.rows[j][0])
+                              for j in range(f.k)])
     if det.is_zero:
         raise ValueError("det(f) vanishes identically: empty resolvent set")
-    adj = f.adjugate()
     terms = {}
     for v in range(1, f.n + 1):
         num = adj * f.partial(v)

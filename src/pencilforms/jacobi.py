@@ -11,7 +11,9 @@ summed, so tr(omega^2) = 0 is computed, not assumed. Like
 `maurer_cartan`, it keeps its last result: a second call with an equal
 matrix and the same m returns the same form, so `factorize_top_form`
 right after a request for tr(omega^(n-1)) splits that form without
-recomputing it.
+recomputing it. `transgression.kappa` of a trace word of arity m returns
+this kept form too, so kappa, trace-power and top-factor requests on one
+pencil share one tr(omega^m).
 `anchored_trace_power` is a second route for odd m, a signed sum of
 trace words in the dz_i coefficients with the first slot pinned. Each
 route asks `maurer_cartan` for omega by pencil, so a pencil's omega is
@@ -119,9 +121,9 @@ def trace_power_form(f: PolyMatrix, m: int) -> ScalarForm:
     The last wedge is traced without being formed. Every m is taken by
     this route; `anchored_trace_power` is the other one, for odd m.
 
-    The last result is kept, keyed by f's content and m; it is shared and
-    must not be changed, and `trace_power_form.cache_clear()` drops it. A
-    ValueError is not kept.
+    The last result is kept, keyed by f's content and m; it is shared
+    (`kappa` of a trace word returns it too) and must not be changed, and
+    `trace_power_form.cache_clear()` drops it. A ValueError is not kept.
     """
     if not 1 <= m <= f.n:
         raise ValueError(f"m must lie in 1..{f.n}")

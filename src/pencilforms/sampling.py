@@ -32,11 +32,6 @@ def random_scalar(rng: random.Random, span: int) -> Scalar:
     return Scalar(re, im)
 
 
-def random_grid(rng: random.Random, k: int) -> tuple:
-    return tuple(tuple(random_scalar(rng, 3) for _ in range(k))
-                 for _ in range(k))
-
-
 def random_matrix_tuple(rng: random.Random, n: int, k: int) -> MatrixTuple:
     """A matrix tuple whose pencil determinant is not identically zero."""
     while True:

@@ -696,7 +696,10 @@ def coboundary_check(which: str, config: TorusConfig,
 
 def _neumann_parts(mats: Sequence[TorusElement],
                    z: Sequence[complex]) -> Tuple[TorusElement, float, complex]:
-    """s = z2 A2 + z3 A3, rho = ||s||_1 / |z1| (infinite at z1 = 0), z1."""
+    """s = z2 A2 + z3 A3, rho = ||s||_1 / |z1| (infinite at z1 = 0), z1.
+
+    A point with a nan or infinite coordinate is refused with ValueError.
+    """
     if len(mats) != 3 or len(z) != 3:
         raise ValueError("expected three elements and a three-component point")
     config = mats[0].config
@@ -707,8 +710,11 @@ def _neumann_parts(mats: Sequence[TorusElement],
             raise ValueError("torus elements carry different configurations")
     if mats[0] != TorusElement.one(config):
         raise ValueError("the first element of the pencil must be 1")
-    z1 = complex(z[0])
-    s = mats[1] * complex(z[1]) + mats[2] * complex(z[2])
+    z = tuple(complex(c) for c in z)
+    if not all(map(cmath.isfinite, z)):
+        raise ValueError(f"point {z} has a non-finite coordinate")
+    z1 = z[0]
+    s = mats[1] * z[1] + mats[2] * z[2]
     rho = s.l1_norm() / abs(z1) if z1 != 0 else float("inf")
     return s, rho, z1
 
@@ -894,7 +900,8 @@ def neumann_resolvent(mats: Sequence[TorusElement], z: Sequence[complex],
     coefficient or running-sum entry that comes out exactly 0 drops its
     key, which the schedule does not model: that point is summed again by
     `TorusElement` `*` and `+`. Either way the result has the bits and the
-    key order of summing the powers with `+`.
+    key order of summing the powers with `+`. A point with a nan or
+    infinite coordinate raises ValueError.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -1142,7 +1149,8 @@ def factorization_report(mats: Sequence[TorusElement],
     a tolerance, NEUMANN_ORDER; so a tolerance check on the sample judges
     as at NEUMANN_ORDER. Reports q_j = 2 phi_j(W1,W2)/z3 for each sample.
     Divergent samples are skipped; if every sample diverges the sample
-    list is empty.
+    list is empty. A point with a nan or infinite coordinate raises
+    ValueError.
 
     Which term pairs of R A_x meet, which terms delta_j keeps, and which
     terms each trace matches depend only on R's key order and the

@@ -9,10 +9,16 @@ each trie node's value a form, so the work a node does is shared by every
 permutation through it, and each coefficient of a node's form is one
 `MultiPoly.dot`. A product's factors stay apart, their outer product never
 formed, and its kappa is not the wedge of the factors' kappa, which tau's
-multiplicativity check compares it with. `kappa_wedge_oracle` recomputes
-the same form by brute multilinear extension over all coefficient tuples
-and exists purely to cross-check kappa; `apply_multilinear`, which it
-uses, evaluates phi once per tuple of coefficient terms.
+multiplicativity check compares it with. The one exception is a trace
+word tr(x_1..x_a): its kappa is tr(omega^a), which `trace_power_form`
+wedges and keeps, so kappa returns that kept form, shared with the trace
+power and top-form split on the same pencil, and it must not be changed.
+Its dense tensor (`TraceWord.tensors`) still takes the chain, and
+`is_cyclic` and `invariance_test` still read it. `kappa_wedge_oracle`
+recomputes the same form by brute multilinear extension over all
+coefficient tuples and exists purely to cross-check kappa;
+`apply_multilinear`, which it uses, evaluates phi once per tuple of
+coefficient terms.
 
 The transgression identity for a cyclic cochain of arity a is
 ``(a/(a+1)) kappa(b phi) = -d kappa(phi)``, which decomposes as
@@ -47,22 +53,31 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from pencilforms.cochains import (
     Cochain,
     DenseCochain,
+    TraceWord,
     coboundary,
     invariance_test,
     is_cyclic,
 )
 from pencilforms.forms import MatrixForm, ScalarForm, maurer_cartan, sort_index
+from pencilforms.jacobi import trace_power_form
 from pencilforms.linalg import MatrixTuple, PolyMatrix
 from pencilforms.ring import MultiPoly, RatFn, Scalar
 
 
 def kappa(phi: Cochain, f: PolyMatrix) -> ScalarForm:
-    """phi(omega_f,..,omega_f) as a degree-a form."""
+    """phi(omega_f,..,omega_f) as a degree-a form.
+
+    For a trace word of arity a <= n that is tr(omega^a), and the form
+    returned is the one `trace_power_form` keeps: it is shared with the
+    trace-power and top-factor requests on f and must not be changed.
+    """
     omega = maurer_cartan(f)
     a = phi.arity
     n = omega.n
     if a > n:
         return ScalarForm.zero(n, a)
+    if isinstance(phi, TraceWord):
+        return trace_power_form(f, a)
     totals = _kappa_nums(phi.tensors(omega.k), omega)
     return ScalarForm._over_power(n, a, dict(sorted(totals.items())),
                                   omega.den_base, a * omega.den_pow)._reduced()

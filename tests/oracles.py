@@ -14,6 +14,7 @@ arithmetic on dense coefficient vectors, a polynomial power as repeated
 products from one, the JSON of form coefficients rendered one
 coefficient at a time, and every zero-sum torus degree tuple of a box,
 against which the torus cocycle checks' degree grid is tested.
+`random_grid` draws the random matrix arguments those tests evaluate on.
 """
 
 from itertools import combinations, permutations, product
@@ -26,7 +27,13 @@ from pencilforms.jacobi import s_form
 from pencilforms.linalg import (PolyMatrix, grid_adjugate, grid_det,
                                 grid_minor, grid_mul, grid_scale)
 from pencilforms.ring import CycloElement, MultiPoly, RatFn, Scalar, _term_str
-from pencilforms.sampling import random_grid, rng_for
+from pencilforms.sampling import random_scalar, rng_for
+
+
+def random_grid(rng, k: int) -> tuple:
+    """A k x k grid of Gaussian integers with parts in -3..3."""
+    return tuple(tuple(random_scalar(rng, 3) for _ in range(k))
+                 for _ in range(k))
 
 
 def grid_double_minor(a: Sequence, rows: tuple, cols: tuple, one):

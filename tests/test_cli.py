@@ -808,9 +808,11 @@ MEMO_KINDS = {
     "spectrum": ["spectrum"],
     "mc": ["form", "--kind", "mc"],
     "kappa-trace": ["form", "--kind", "kappa", "--cochain", "traceword:3"],
+    "kappa-trace-1": ["form", "--kind", "kappa", "--cochain", "trace"],
     "kappa-cyclic": ["form", "--kind", "kappa",
                      "--cochain", "cyclic-random:2:{k}:5"],
     "trace-power": ["form", "--kind", "trace-power", "--power", "3"],
+    "trace-power-1": ["form", "--kind", "trace-power", "--power", "1"],
     "top-factor": ["form", "--kind", "top-factor"],
 }
 _COLD = {}  # (pencil, kind) -> the request's result after cache_clear()
@@ -829,7 +831,8 @@ def _memo_argv(base, pencil, kind):
 def test_requests_in_one_process_match_cold_runs(tmp_path_factory,
                                                  requests):
     # maurer_cartan and trace_power_form keep their last result across
-    # requests; whatever ran before, a request gives the exit code, stdout
+    # requests, and a trace-word kappa shares the kept trace power at m = 1
+    # and m = 3; whatever ran before, a request gives the exit code, stdout
     # and stderr of the same argv run with nothing kept
     base = tmp_path_factory.getbasetemp() / "memo-pencils"
     if not _COLD:

@@ -31,11 +31,11 @@ from pencilforms.linalg import (
     grid_trace,
 )
 from pencilforms.ring import MultiPoly, RatFn, Scalar
-from pencilforms.sampling import random_grid, random_poly_matrix, rng_for
+from pencilforms.sampling import random_poly_matrix, rng_for
 from pencilforms.torus import TorusConfig
 from oracles import (dense_evaluate_reference, invariance_probe_reference,
-                     is_cyclic_spanning_reference, trace_word_dense,
-                     unit_grid)
+                     is_cyclic_spanning_reference, random_grid,
+                     trace_word_dense, unit_grid)
 from test_ring import gaussians
 from test_torus import rand_exact_element, rand_numeric_element
 

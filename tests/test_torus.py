@@ -518,6 +518,25 @@ def test_factorization_refuses_a_malformed_pencil():
         factorization_report(mats, [(0, 0.1)])
 
 
+NON_FINITE_POINTS = [(float("inf"), 0.1, 0.1), (float("nan"), 0.1, 0.1),
+                     (0.5, float("nan"), 0.1)]
+
+
+@pytest.mark.parametrize("z", NON_FINITE_POINTS, ids=["inf", "nan", "nan-z2"])
+def test_non_finite_points_are_refused(z):
+    # z1 = nan would be summed to the cap with nan residuals, and z1 = inf
+    # give R = 0 and a sample with nan residuals; both are refused, by name
+    point = tuple(complex(c) for c in z)
+    message = f"point {point} has a non-finite coordinate"
+    mats = sampled_pencil()
+    with pytest.raises(ValueError) as info:
+        neumann_resolvent(mats, z, 10)
+    assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        factorization_report(mats, [(1, 0.1, 0.1), z])
+    assert str(info.value) == message
+
+
 def residuals(report):
     return [r for sample in report.samples for r in sample.residuals]
 

@@ -19,7 +19,8 @@ from pencilforms.cochains import (
     is_cyclic,
 )
 from pencilforms.forms import ScalarForm, maurer_cartan
-from pencilforms.jacobi import cubic_trace_data
+from pencilforms.jacobi import (cubic_trace_data, factorize_top_form,
+                               trace_power_form)
 from pencilforms.linalg import MatrixTuple, PolyMatrix
 from pencilforms.ring import MultiPoly, RatFn, Scalar
 from pencilforms.sampling import random_diagonal_tuple, random_matrix_tuple, rng_for
@@ -34,6 +35,7 @@ from pencilforms.transgression import (
 from conftest import count_poly_mul
 from oracles import kappa_permutation_reference, trace_word_dense
 from test_cochains import dense_factor, structured_cochain
+from test_linalg import rand_gauss_tuple
 from test_ring import gaussians
 
 
@@ -331,11 +333,17 @@ def test_functional_cochains_have_no_tensor():
             invariance_test(phi, k=2)
 
 
-# Kernel products of kappa of tr(x y z) on an n = 4, k = 3 pencil, omega
-# included, recorded when kappa began to contract every cochain's chain of
-# dense factors; 1,020 products in 324 calls when a trace word was
-# evaluated once per permutation.
+# Kernel products of kappa of the dense tensor of tr(x y z) on an n = 4,
+# k = 3 pencil, omega included, recorded when kappa began to contract every
+# cochain's chain of dense factors; 1,020 products in 324 calls when a
+# trace word was evaluated once per permutation. The trace word itself
+# took this chain until its kappa became the wedged tr(omega^3).
 TRACEWORD_KAPPA_BUDGET = 696
+
+# The same for the trace word tr(x y z), whose kappa is tr(omega^3) by
+# `trace_power_form`: 579 products in 131 calls with omega's det read off
+# its adjugate, 588 in 142 with det expanded apart.
+TRACE_POWER_KAPPA_BUDGET = 588
 
 # The same for a product of two arity-2 cyclic cochains on that pencil: its
 # two factor tries are contracted one after the other. 612 products in 540
@@ -349,8 +357,10 @@ def test_chain_kappa_kernel_product_budgets(monkeypatch):
     f = random_matrix_tuple(rng_for(5, "guard-traceword"), 4, 3).pencil()
     product = parse_cochain_spec(
         "product(cyclic-random:2:3:1, cyclic-random:2:3:2)")
-    for phi, budget in ((TraceWord(3), TRACEWORD_KAPPA_BUDGET),
+    for phi, budget in ((TraceWord(3).tensors(3)[0], TRACEWORD_KAPPA_BUDGET),
+                        (TraceWord(3), TRACE_POWER_KAPPA_BUDGET),
                         (product, PRODUCT_KAPPA_BUDGET)):
+        maurer_cartan.cache_clear()  # each budget counts building omega
         calls = count_poly_mul(monkeypatch)
         assert not kappa(phi, f).is_zero
         assert 0 < calls[0] <= budget, (phi, calls)
@@ -360,6 +370,55 @@ def test_chain_kappa_kernel_product_budgets(monkeypatch):
     calls = count_poly_mul(monkeypatch)
     assert kappa(coboundary(TraceWord(3)), f).is_zero
     assert calls == [0, 0, 0]
+
+
+def test_trace_word_kappa_matches_its_dense_tensor():
+    # a trace word's kappa is the wedged tr(omega^m); its dense tensor is a
+    # DenseCochain and still takes the chain contraction, m > n included.
+    # tr(omega^m) vanishes for even m and, on a linear pencil, at odd
+    # m = n (a top form the Euler field contracts to tr(omega^(m-1)) = 0),
+    # so the content is m = 1 everywhere and m = 3 at n >= 4: 14 forms
+    nonzero = 0
+    for n, k in ((3, 2), (4, 2), (4, 3), (5, 2)):
+        pencils = (random_matrix_tuple(rng_for(46, "word", n, k), n, k),
+                   rand_gauss_tuple(rng_for(46, "gauss-word", n, k), n, k))
+        for t in pencils:
+            f = t.pencil()
+            for m in range(1, 6):
+                word = TraceWord(m)
+                dense = kappa(word.tensors(k)[0], f)
+                got = kappa(word, f)
+                assert (got.n, got.degree) == (n, m)
+                assert got == dense, (n, k, m, t)
+                assert list(got.terms) == list(dense.terms)
+                assert (got.den_base, got.den_pow) == (dense.den_base,
+                                                       dense.den_pow)
+                if m > n or m % 2 == 0:
+                    assert got.is_zero, (n, k, m)
+                nonzero += not got.is_zero
+    assert nonzero == 14
+
+
+def test_trace_word_kappa_shares_the_kept_trace_power(monkeypatch):
+    # kappa of tr(x_1..x_m) returns the form trace_power_form keeps, in
+    # either order, with no kernel product
+    f = random_matrix_tuple(rng_for(47, "share"), 4, 2).pencil()
+    kept = trace_power_form(f, 3)
+    calls = count_poly_mul(monkeypatch)
+    assert kappa(TraceWord(3), f) is kept
+    assert calls == [0, 0, 0]
+    trace_power_form.cache_clear()
+    form = kappa(TraceWord(3), f)
+    calls = count_poly_mul(monkeypatch)
+    assert trace_power_form(f, 3) is form
+    assert calls == [0, 0, 0]
+    # the top-form split after a trace-word kappa at n = 4 splits the kept
+    # tr(omega^3) and computes no trace power of its own
+    h = MatrixTuple.matrix_units(2).pencil()
+    form = kappa(TraceWord(3), h)
+    misses = trace_power_form.cache_info().misses
+    assert factorize_top_form(h).top_form is form
+    assert trace_power_form.cache_info().misses == misses
 
 
 # Each of these asks for omega by pencil several times (a kappa form per

@@ -2,8 +2,10 @@
 
 A Gaussian rational is a 4-tuple of ints ``(an, ad, bn, bd)`` standing for
 ``an/ad + (bn/bd)*i``, kept in lowest terms with positive denominators.
-A polynomial is a dict mapping exponent tuples to nonzero Gaussian rationals.
-Every function returns fresh objects and never mutates its arguments.
+A polynomial is a dict mapping exponent tuples to nonzero Gaussian rationals,
+or its packed form (below). Every function returns fresh objects, except
+that `packed_neg` shares its argument's key list, and never mutates its
+arguments.
 
 Gaussian integers (both denominators 1) take a fast path in `qadd` and
 `qmul` that skips the gcd reductions. `poly_dot` returns a sum of
@@ -11,14 +13,17 @@ polynomial products from one accumulator on packed exponents, the exponent
 and coefficient specialisation of Monagan & Pearce (CASC 2007): it brings
 every operand's numerators to one common denominator, adds plain ints when
 no operand has an imaginary part (the real-integer lane) and ``(re, im)``
-int pairs otherwise, and reduces each result coefficient once. Its
-operands come packed by `poly_pack`: the largest exponent, the
-denominator, the exponents packed 8 bits per variable and the numerators,
-computed once per polynomial. `ring.MultiPoly` keeps each polynomial's
-packed operand for its lifetime, which holds because a term dict is never
-changed after construction. `poly_mul` multiplies coefficient by
-coefficient; `ring.MultiPoly` uses it for small products and a one-pair
-`poly_dot` for the rest.
+int pairs otherwise, and reduces the result's denominator once. Its
+operands and its result are packed polynomials ``(n, top, den, keys, re,
+im)``: the variable count, a bound on the largest exponent, the
+denominator, the exponents packed into ints and the numerators over den
+(`poly_pack` builds one from a term dict, `poly_unpack` the term dict from
+one). So a sum whose result enters the next sum is never unpacked and
+packed again in between. `ring.MultiPoly` keeps each polynomial's packed
+form for its lifetime, which holds because neither form is changed after
+construction. `poly_mul` multiplies coefficient by coefficient;
+`ring.MultiPoly` uses it for small products and a one-pair `poly_dot` for
+the rest.
 """
 
 from __future__ import annotations
@@ -133,6 +138,11 @@ def _denominator(p):
     return lcm(*[c[1] for c in p.values()], *[c[3] for c in p.values()])
 
 
+def _width(top):
+    """Bits per variable of packed exponents whose largest is top."""
+    return max(8, top.bit_length())
+
+
 def _pack(exps, width):
     """Exponent tuples as ints with `width` bits per variable, first variable
     lowest; adding two packed keys adds the tuples while no field overflows."""
@@ -175,13 +185,14 @@ def poly_mul(p, q):
 
 
 def poly_pack(p):
-    """The packed operand of p for `poly_dot`, a tuple
-    ``(p, top, den, keys, re, im)``: p itself, its largest exponent, the
-    lcm of its denominators, its exponents packed 8 bits per variable
-    (None when top does not fit), and the numerators of its real and
-    imaginary parts over den (im is None when p is real). At den 1 the
-    numerator lists hold p's own coefficient ints. The operand reads p's
-    dict, so p must not change while the operand is in use.
+    """The packed form of the term dict p, a tuple
+    ``(n, top, den, keys, re, im)``: the length of p's exponent tuples (0
+    when p is empty), its largest exponent, the lcm of its denominators,
+    its exponents packed `_width(top)` bits per variable, and the
+    numerators of its real and imaginary parts over den (im is None when p
+    is real), all in p's term order. At den 1 the numerator lists hold p's
+    own coefficient ints. `poly_dot` takes and returns this form; its
+    results may carry a larger top, a bound rather than the maximum.
     """
     values = p.values()
     den = _denominator(p)
@@ -193,47 +204,77 @@ def poly_pack(p):
         re = [a * (den // ad) for a, ad, _, _ in values]
         im = [b * (den // bd) for _, _, b, bd in values] if imag else None
     top = max(map(max, p), default=0)
-    return (p, top, den, _pack(p, 8) if top < 256 else None, re, im)
+    n = len(next(iter(p))) if p else 0
+    return (n, top, den, _pack(p, _width(top)), re, im)
+
+
+def poly_unpack(packed):
+    """The term dict of a packed polynomial (`poly_pack`), in its order."""
+    n, top, den, keys, re, im = packed
+    exps = _unpack(keys, n, _width(top))
+    if im is None:
+        if den == 1:
+            return {e: (a, 1, 0, 1) for e, a in zip(exps, re)}
+        return {e: _reduce(a, den, 0, 1) for e, a in zip(exps, re)}
+    if den == 1:
+        return {e: (a, 1, b, 1) for e, a, b in zip(exps, re, im)}
+    return {e: _reduce(a, den, b, den) for e, a, b in zip(exps, re, im)}
+
+
+def packed_neg(packed):
+    """-p of a packed polynomial p: its numerators negated, its keys shared."""
+    n, top, den, keys, re, im = packed
+    return (n, top, den, keys, [-a for a in re],
+            None if im is None else [-b for b in im])
 
 
 def poly_dot(pairs):
-    """The sum of p*q over the (p, q) pairs of packed operands
-    (`poly_pack`), in one packed pass.
+    """The sum of p*q over the (p, q) pairs of packed polynomials
+    (`poly_pack`), in one packed pass, as a packed polynomial.
 
     The term pairs of all products feed one accumulator keyed by packed
     exponents: ints wide enough for the largest exponent sum, so adding
-    monomials is one int add. The operands' keys are used as they are at
-    8 bits per variable; wider sums pack the exponents again here. Each
+    monomials is one int add. An operand's keys are used as they are when
+    their width is the sum's, and packed again here otherwise. Each
     product's numerators are scaled to one common denominator for the
-    whole sum, which divides each result coefficient once at the end.
-    When no operand has an imaginary part the accumulator holds plain
-    ints, else ``(re, im)`` int pairs. A sum that cancels leaves the dict
-    at once, so a later term at that exponent is inserted at the end: the
-    result has the term order of running `poly_mul`'s
+    whole sum. When no operand has an imaginary part the accumulator holds
+    plain ints, else ``(re, im)`` int pairs. A sum that cancels leaves the
+    dict at once, so a later term at that exponent is inserted at the end:
+    the result has the term order of running `poly_mul`'s
     coefficient-by-coefficient loop over every pair in turn, the shorter
     operand of each pair outside.
+
+    The result is packed as `poly_pack` would pack its terms: the common
+    denominator and the numerators are divided by their gcd, and im is
+    None when every imaginary part cancelled. Its top is the bound
+    max(p.top + q.top) when that fits 8 bits, and the accumulator's keys
+    are its keys; a wider sum is unpacked at once and packed again, with
+    its exact top.
     """
     work = []
     top = 0
     real = True
     for p, q in pairs:
-        if not p[0] or not q[0]:
+        if not p[4] or not q[4]:
             continue
-        if len(p[0]) > len(q[0]):
+        if len(p[4]) > len(q[4]):
             p, q = q, p
         top = max(top, p[1] + q[1])
         if real and (p[5] is not None or q[5] is not None):
             real = False
         work.append((p, q))
     if not work:
-        return {}
+        return (0, 0, 1, [], [], None)
+    n = work[0][0][0]
     den = lcm(*[p[2] * q[2] for p, q in work])
-    width = max(8, top.bit_length())
+    width = _width(top)
     acc = {}
     get = acc.get
-    for (p, _, dp, keys_p, re_p, im_p), (q, _, dq, keys_q, re_q, im_q) in work:
-        if width > 8:
-            keys_p, keys_q = _pack(p, width), _pack(q, width)
+    for (_, tp, dp, keys_p, re_p, im_p), (_, tq, dq, keys_q, re_q, im_q) in work:
+        if _width(tp) != width:
+            keys_p = _pack(_unpack(keys_p, n, _width(tp)), width)
+        if _width(tq) != width:
+            keys_q = _pack(_unpack(keys_q, n, _width(tq)), width)
         # p's numerators carry the factor den / (dp * dq) as well
         f = den // (dp * dq)
         if f != 1:
@@ -265,12 +306,21 @@ def poly_dot(pairs):
                         acc[k] = (re, im)
                     else:
                         del acc[k]
-    exps = _unpack(acc, len(next(iter(work[0][0][0]))), width)
     if real:
-        if den == 1:
-            return {e: (re, 1, 0, 1) for e, re in zip(exps, acc.values())}
-        return {e: _reduce(re, den, 0, 1) for e, re in zip(exps, acc.values())}
-    if den == 1:
-        return {e: (re, 1, im, 1) for e, (re, im) in zip(exps, acc.values())}
-    return {e: _reduce(re, den, im, den)
-            for e, (re, im) in zip(exps, acc.values())}
+        re, im = list(acc.values()), None
+    else:
+        re = [v[0] for v in acc.values()]
+        im = [v[1] for v in acc.values()]
+        if not any(im):
+            im = None
+    if den != 1:
+        g = gcd(den, *re, *(im or ()))
+        if g != 1:
+            den //= g
+            re = [a // g for a in re]
+            if im is not None:
+                im = [b // g for b in im]
+    out = (n, top, den, list(acc), re, im)
+    if width > 8:
+        return poly_pack(poly_unpack(out))
+    return out

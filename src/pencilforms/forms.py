@@ -375,15 +375,6 @@ class MatrixForm:
 
     __hash__ = None
 
-    def evaluate_at(self, point: Sequence[complex]) -> Dict[MultiIndex, tuple]:
-        d = self.den().evaluate(point)
-        if d == 0:
-            raise ZeroDivisionError(f"denominator vanishes at {list(point)}")
-        return {
-            index: tuple(tuple(e / d for e in row) for row in mat.evaluate(point))
-            for index, mat in sorted(self.terms.items())
-        }
-
     def __repr__(self) -> str:
         return (f"MatrixForm(n={self.n}, k={self.k}, degree={self.degree}, "
                 f"{len(self.terms)} terms, den={self.den_base}^{self.den_pow})")
@@ -431,11 +422,6 @@ class ScalarForm(MatrixForm):
             return RatFn.zero(self.n)
         return RatFn.over_power(mat[0][0], self.den_base,
                                 self.den_pow).reduce()
-
-    def evaluate_at(self, point: Sequence[complex]) -> Dict[MultiIndex, complex]:
-        """All coefficients at a point; raises at poles of any coefficient."""
-        return {index: self.coefficient(index).evaluate(point)
-                for index in sorted(self.terms)}
 
     def __repr__(self) -> str:
         if self.is_zero:

@@ -8,8 +8,9 @@ Three coefficient domains cover everything downstream:
   coefficients by t-power; the coefficient ring used by the
   noncommutative-torus module.
 - ``MultiPoly``: a polynomial in variables z1..zn over Scalar, stored as a
-  dict from exponent tuples to nonzero coefficients. Text form is graded-lex
-  descending with z1 > z2 > ... > zn, e.g. ``"z1*z4-z2*z3"``.
+  dict from exponent tuples to nonzero coefficients, or packed for the
+  kernel until that dict is read. Text form is graded-lex descending with
+  z1 > z2 > ... > zn, e.g. ``"z1*z4-z2*z3"``.
 
 ``RatFn`` is a quotient num/den of MultiPoly where den is tracked as
 ``base**pow``. There is no multivariate GCD: fractions are only reduced by
@@ -28,6 +29,7 @@ from typing import Iterator, Optional, Sequence
 from pencilforms._core import (
     Q_ONE,
     Q_ZERO,
+    packed_neg,
     poly_add,
     poly_dot,
     poly_mul,
@@ -36,6 +38,7 @@ from pencilforms._core import (
     poly_pack,
     poly_scale,
     poly_sub,
+    poly_unpack,
     qadd,
     qinv,
     qmul,
@@ -491,24 +494,39 @@ _DIRECT_MAX_PAIRS = 32
 class MultiPoly:
     """A polynomial in z1..zn with Gaussian-rational coefficients.
 
-    Internally a dict from exponent tuples to kernel 4-tuples; zero
-    coefficients are never stored, so the zero polynomial has no terms.
-    The dict is never changed after construction, by this class or by
-    whoever built it, so values computed from it are kept for the
-    polynomial's lifetime: the hash, and the packed operand of kernel
-    products (`_core.poly_pack`), built the first time the polynomial
-    enters a `poly_dot` sum and reused by every later one.
+    Internally a dict from exponent tuples to kernel 4-tuples (`_terms`);
+    zero coefficients are never stored, so the zero polynomial has no
+    terms. Its packed form (`_core.poly_pack`) holds the same polynomial
+    for kernel sums. A polynomial starts from either form: a term dict,
+    packed the first time the polynomial enters a `poly_dot` sum, or the
+    packed result of a sum, whose term dict is a view built on the first
+    read of `_terms`, in the packed term order. Neither form is changed
+    after construction, by this class or by whoever built it, so each is
+    kept for the polynomial's lifetime, as is the hash.
     """
 
-    __slots__ = ("n", "_terms", "_hash", "_packed")
+    __slots__ = ("n", "_dict", "_hash", "_packed")
 
     def __init__(self, n: int, terms: Optional[dict] = None):
         if n < 1:
             raise ValueError("need at least one variable")
         self.n = n
-        self._terms = terms if terms is not None else {}
+        self._dict = terms if terms is not None else {}
         self._hash = None
         self._packed = None
+
+    @classmethod
+    def _of_packed(cls, n: int, packed: tuple) -> "MultiPoly":
+        """The polynomial of a packed form; its term dict waits for a read."""
+        p = cls.__new__(cls)
+        p.n, p._dict, p._hash, p._packed = n, None, None, packed
+        return p
+
+    @property
+    def _terms(self) -> dict:
+        if self._dict is None:
+            self._dict = poly_unpack(self._packed)
+        return self._dict
 
     # -- constructors ------------------------------------------------------
 
@@ -554,13 +572,12 @@ class MultiPoly:
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not len(self)
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __len__(self) -> int:
-        return len(self._terms)
+    def __len__(self) -> int:  # truth testing reads it as well
+        if self._dict is None:
+            return len(self._packed[4])
+        return len(self._dict)
 
     def terms(self) -> Iterator[tuple]:
         """Yield (exponent tuple, Scalar) pairs in descending graded-lex order."""
@@ -617,14 +634,16 @@ class MultiPoly:
         return (-self) + other
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.n, poly_neg(self._terms))
+        if self._packed is None:
+            return MultiPoly(self.n, poly_neg(self._dict))
+        return MultiPoly._of_packed(self.n, packed_neg(self._packed))
 
     def __mul__(self, other):
         if isinstance(other, MultiPoly):
             self._check(other)
-            if len(self._terms) * len(other._terms) > _DIRECT_MAX_PAIRS:
-                return MultiPoly(self.n, poly_dot(((self.packed(),
-                                                    other.packed()),)))
+            if len(self) * len(other) > _DIRECT_MAX_PAIRS:
+                return MultiPoly._of_packed(self.n, poly_dot(
+                    ((self.packed(), other.packed()),)))
             return MultiPoly(self.n, poly_mul(self._terms, other._terms))
         if isinstance(other, (Scalar, int, Fraction)):
             return MultiPoly(self.n, poly_scale(self._terms, _as_q4(other)))
@@ -633,10 +652,10 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def packed(self) -> tuple:
-        """The packed operand of this polynomial for `_core.poly_dot`,
+        """The packed form of this polynomial for `_core.poly_dot`,
         built on the first call and kept."""
         if self._packed is None:
-            self._packed = poly_pack(self._terms)
+            self._packed = poly_pack(self._dict)
         return self._packed
 
     @classmethod
@@ -648,7 +667,7 @@ class MultiPoly:
             if x.n != n or y.n != n:
                 raise ValueError(f"mixed variable counts: {x.n}, {y.n} vs {n}")
             operands.append((x.packed(), y.packed()))
-        return cls(n, poly_dot(operands))
+        return cls._of_packed(n, poly_dot(operands))
 
     def __pow__(self, m: int) -> "MultiPoly":
         if m < 0:

@@ -29,8 +29,8 @@ def count_poly_mul(monkeypatch):
     fused `poly_dot` sum. ``calls[1]`` counts kernel calls: `poly_mul` and
     `poly_dot` calls alike, so fusing more pairs into one sum lowers it.
     ``calls[2]`` counts term pairs: len(p) * len(q) for each product, read
-    from the term dicts (a packed operand's first field), so it shows work
-    saved on large products that the product count barely sees.
+    from the term dicts (a packed operand's numerator list `re`), so it
+    shows work saved on large products that the product count barely sees.
     """
     calls = [0, 0, 0]
     inner_mul, inner_dot = ring.poly_mul, ring.poly_dot
@@ -45,7 +45,7 @@ def count_poly_mul(monkeypatch):
         pairs = list(pairs)
         calls[0] += len(pairs)
         calls[1] += 1
-        calls[2] += sum(len(p[0]) * len(q[0]) for p, q in pairs)
+        calls[2] += sum(len(p[4]) * len(q[4]) for p, q in pairs)
         return inner_dot(pairs)
 
     monkeypatch.setattr(ring, "poly_mul", counting_mul)

@@ -9,7 +9,8 @@ permutation, the wedge, trace and exterior derivative of
 matrix forms one ordered term pair at a time (a trace also with each
 product formed), the sum, wedge and exterior
 derivative of scalar forms one RatFn coefficient at a time (d by the
-quotient rule), the top-form residual by subtraction, cyclotomic
+quotient rule), the top-form residual by subtraction, form coefficients
+at a point in floats, cyclotomic
 arithmetic on dense coefficient vectors, a polynomial power as repeated
 products from one, the JSON of form coefficients rendered one
 coefficient at a time, and every zero-sum torus degree tuple of a box,
@@ -275,6 +276,24 @@ def matrix_d_reference(x: MatrixForm) -> MatrixForm:
                 if new_index in out else num
     return MatrixForm(x.n, x.k, x.degree + 1, out, base,
                       pow_ + 1 if pow_ else 0)._reduced()
+
+
+def matrix_form_values(form: MatrixForm, point: Sequence[complex]) -> dict:
+    """Every coefficient matrix of a matrix form at a point, in floats;
+    raises at a zero of the form's denominator."""
+    d = form.den().evaluate(point)
+    if d == 0:
+        raise ZeroDivisionError(f"denominator vanishes at {list(point)}")
+    return {index: tuple(tuple(e / d for e in row)
+                         for row in mat.evaluate(point))
+            for index, mat in sorted(form.terms.items())}
+
+
+def scalar_form_values(form: ScalarForm, point: Sequence[complex]) -> dict:
+    """Every coefficient of a scalar form at a point, each reduced first;
+    raises at a pole of any coefficient."""
+    return {index: form.coefficient(index).evaluate(point)
+            for index in sorted(form.terms)}
 
 
 def ratfn_partial(r: RatFn, var: int) -> RatFn:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pencilforms import serialize
+from pencilforms import ring, serialize
 from pencilforms.forms import ScalarForm, maurer_cartan
 from pencilforms.jacobi import (
     _factor_top_form,
@@ -25,7 +25,7 @@ from pencilforms.ring import MultiPoly, RatFn, Scalar
 from pencilforms.sampling import random_matrix_tuple, rng_for
 from pencilforms.transgression import kappa_wedge_oracle
 from conftest import count_poly_mul
-from oracles import (anchored_trace_power_reference,
+from oracles import (anchored_trace_power_reference, scalar_form_values,
                      top_form_residual_reference, trace_word_dense)
 from test_linalg import rand_gauss_tuple
 
@@ -45,7 +45,7 @@ def test_s_form_pins():
 
 
 def test_s_form_evaluation_at_base_point():
-    vals = s_form(4).evaluate_at([1.0, 0.0, 0.0, 1.0])
+    vals = scalar_form_values(s_form(4), [1.0, 0.0, 0.0, 1.0])
     assert vals == {(1, 2, 3): 1.0, (1, 2, 4): 0.0,
                     (1, 3, 4): 0.0, (2, 3, 4): -1.0}
 
@@ -315,6 +315,34 @@ def test_trace_power_kernel_product_budget(monkeypatch):
     assert 0 < calls[0] <= TRACE_POWER_4_BUDGET
     assert 0 < calls[1] <= TRACE_POWER_4_CALL_BUDGET
     assert 0 < calls[2] <= TRACE_POWER_4_PAIR_BUDGET
+
+
+# `ring.poly_pack` calls for trace_power_form(f, 4) on the tuple above:
+# only polynomials built from term dicts are packed, each once. 255 when
+# every kernel result came back as a term dict and was packed again on
+# entering the next sum.
+TRACE_POWER_4_PACK_BUDGET = 57
+
+
+def test_trace_power_packs_no_kernel_result(monkeypatch):
+    f = random_matrix_tuple(rng_for(5, "guard"), 5, 3).pencil()
+    packed, unpacked = [], []
+    inner_pack, inner_unpack = ring.poly_pack, ring.poly_unpack
+
+    def counting_pack(p):
+        packed.append(p)  # kept alive, so ids stay distinct
+        return inner_pack(p)
+
+    def counting_unpack(p):
+        unpacked.append(inner_unpack(p))
+        return unpacked[-1]
+
+    monkeypatch.setattr(ring, "poly_pack", counting_pack)
+    monkeypatch.setattr(ring, "poly_unpack", counting_unpack)
+    trace_power_form(f, 4)
+    assert 0 < len(packed) <= TRACE_POWER_4_PACK_BUDGET
+    assert len({id(p) for p in packed}) == len(packed)
+    assert not {id(p) for p in packed} & {id(p) for p in unpacked}
 
 
 def test_odd_trace_power_kernel_product_budget(monkeypatch):

@@ -12,7 +12,8 @@ from oracles import (convolve, cyclo_dense, cyclo_dense_str,
                      poly_power_reference, ratfn_partial)
 from pencilforms import _core, ring
 from pencilforms._core import (Q_ONE, Q_ZERO, poly_add, poly_mul, poly_pack,
-                               qadd, qinv, qmul, qneg, qnorm, qsub)
+                               poly_unpack, qadd, qinv, qmul, qneg, qnorm,
+                               qsub)
 from pencilforms.ring import CycloElement, I, MultiPoly, RatFn, Scalar, _as_q4
 
 
@@ -530,8 +531,9 @@ def _cancelling_pairs():
 
 
 def _packed_mul(p, q):
-    """p*q as a one-pair `poly_dot` sum, as MultiPoly takes large products."""
-    return _core.poly_dot(((poly_pack(p), poly_pack(q)),))
+    """p*q as a one-pair `poly_dot` sum, as MultiPoly takes large products,
+    read back as a term dict."""
+    return poly_unpack(_core.poly_dot(((poly_pack(p), poly_pack(q)),)))
 
 
 def test_kernel_matches_fraction_reference():
@@ -657,7 +659,8 @@ def dot_pairs(draw):
 def test_poly_dot_matches_fraction_reference(pairs):
     ref = [({e: _ref(c) for e, c in p.items()},
             {e: _ref(c) for e, c in q.items()}) for p, q in pairs]
-    got = _core.poly_dot([(poly_pack(p), poly_pack(q)) for p, q in pairs])
+    got = poly_unpack(_core.poly_dot([(poly_pack(p), poly_pack(q))
+                                      for p, q in pairs]))
     _check_canonical(got)
     want = _ref_poly_dot(ref)
     assert {e: _ref(c) for e, c in got.items()} == want
@@ -729,6 +732,124 @@ def test_dot_of_reused_multipoly_operands_matches_reference(case):
     # each operand kept the packed form of its first sum, and its terms
     assert all(x._packed is kept for x, kept in zip(polys, packed))
     assert [x._terms for x in polys] == pool
+
+
+def _check_packed_as_poly_pack(x):
+    """x's packed form is what `poly_pack` builds from its terms: equal den,
+    keys and numerators, im None for a real x, and top at least x's largest
+    exponent."""
+    packed = x._packed
+    exact = poly_pack(x._terms)
+    assert packed[2:] == exact[2:]
+    assert packed[1] >= exact[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(reused_operands())
+@example(([{(1, 0): (1, 2, 0, 1)}, {(1, 0): (-1, 2, 0, 1)},
+           {(0, 1): (2, 1, 0, 1), (1, 1): (4, 3, 0, 1)},
+           {(0, 1): (-2, 1, 0, 1), (1, 1): (-4, 3, 0, 1)}],
+          [[(0, 2)], [(0, 2), (1, 2)]]))
+@example(([{(1, 0): (0, 1, 1, 1), (0, 0): (1, 2, 1, 3)},
+           {(1, 0): (0, 1, -1, 1), (0, 0): (-1, 2, -1, 3)},
+           {(0, 1): (0, 1, 1, 1)}, {(0, 1): (0, 1, -1, 1)}],
+          [[(0, 2)], [(2, 2), (3, 3)]]))
+@example(([{(254, 0): (1, 1, 0, 1), (0, 0): (1, 1, 0, 1)},
+           {(254, 0): (-1, 1, 0, 1), (0, 0): (-1, 1, 0, 1)},
+           {(1, 0): (1, 3, 0, 1), (2, 0): (0, 1, 1, 1)},
+           {(1, 0): (-1, 3, 0, 1), (2, 0): (0, 1, -1, 1)}],
+          [[(0, 2)], [(0, 0)], [(0, 2), (1, 2)]]))
+def test_dot_results_stay_packed_as_poly_pack_packs_them(case):
+    pool, sums = case
+    polys = [MultiPoly(2, dict(p)) for p in pool]
+    refs = [{e: _ref(c) for e, c in p.items()} for p in pool]
+    got, want = [], []
+    for pairs in sums:
+        operands = [(polys[i], polys[j]) for i, j in pairs]
+        ref = [(refs[i], refs[j]) for i, j in pairs]
+        if got:  # chained: the last result, its terms unread, is an operand
+            operands += [(got[-1], polys[j]) for _, j in pairs]
+            ref += [(want[-1], refs[j]) for _, j in pairs]
+        got.append(MultiPoly.dot(2, operands))
+        want.append(_ref_poly_dot(ref))
+    for x, ref in zip(got, want):
+        assert x._dict is None
+        _check_packed_as_poly_pack(x)
+        # values and term order: float evaluation sums in that order
+        assert [(e, _ref(c)) for e, c in x._terms.items()] == \
+            list(ref.items())
+
+
+def test_dot_result_fields_on_edge_cases():
+    half_z1 = MultiPoly(2, {(1, 0): (1, 2, 0, 1)})
+    two_z2 = MultiPoly(2, {(0, 1): (2, 1, 0, 1)})
+    i_z1 = MultiPoly(2, {(1, 0): (0, 1, 1, 1)})
+    i_z2 = MultiPoly(2, {(0, 1): (0, 1, 1, 1)})
+    # a denominator 2 that the gcd of den and the numerators cancels
+    x = MultiPoly.dot(2, [(half_z1, two_z2)])
+    assert x._packed[2] == 1 and x._packed[4] == [1]
+    # i*z1 * i*z2 is real: im is None, not a list of zeros
+    x = MultiPoly.dot(2, [(i_z1, i_z2), (i_z1, two_z2), (-i_z1, two_z2)])
+    assert x._packed[4:] == ([-1], None)
+    assert x._terms == {(1, 1): (-1, 1, 0, 1)}
+    # exponent sums of 255 and 256: the last 8-bit key, then a 9-bit sum
+    # unpacked at once, with its exact top and 8-bit keys when that fits
+    z1_254 = MultiPoly(2, {(254, 0): Q_ONE, (0, 0): Q_ONE})
+    z1 = MultiPoly.variable(2, 1)
+    for x, top in ((MultiPoly.dot(2, [(z1_254, z1)]), 255),
+                   (MultiPoly.dot(2, [(z1_254, z1 * z1)]), 256)):
+        assert x._packed[1] == top
+        _check_packed_as_poly_pack(x)
+    cancelled = MultiPoly.dot(2, [(z1_254, z1 * z1), (-z1_254, z1 * z1),
+                                  (z1_254, z1)])
+    assert cancelled._packed[1] == 255
+    assert cancelled._packed[3] == poly_pack(cancelled._terms)[3]
+
+
+def _fresh_results():
+    """Kernel results whose terms were never read, each with the same
+    polynomial built from its term dict: mixed, homogeneous, constant, zero
+    and Gaussian-rational sums, in three variables."""
+    rng = random.Random(133)
+    p, q, r = (rand_poly(rng, 3, nterms=7) for _ in range(3))
+    z = [MultiPoly.variable(3, v) for v in (1, 2, 3)]
+    h = z[0] * z[1] + Fraction(1, 2) * z[2] * z[2]
+    c = MultiPoly.constant(3, Fraction(2, 3))
+    for pairs in ([(p, q), (q, r)], [(p, p)], [(h, h), (h, z[0] * z[1])],
+                  [(c, c)], [(p, q), (-p, q)], [(q, r)]):
+        yield (lambda pairs=pairs: MultiPoly.dot(3, pairs),
+               MultiPoly(3, dict(MultiPoly.dot(3, pairs)._terms)))
+
+
+def _items(x):
+    """x's terms in their order, or None when x is None."""
+    return None if x is None else list(x._terms.items())
+
+
+def test_unread_kernel_results_behave_like_term_dicts():
+    point = (0.5 + 0.25j, -1.5, 2.0 - 1j)
+    divisor = MultiPoly.parse("z1+(1/2)*z2", 3)
+    checks = (
+        hash, str, _items, lambda y: _items(-y),
+        lambda y: [_items(y.partial(v)) for v in (1, 2, 3)],
+        lambda y: _items(y.exact_divide(divisor)),
+        lambda y: _items((y * divisor).exact_divide(divisor)),
+        lambda y: _items(y * divisor),
+        lambda y: y.evaluate(point),  # equal floats: one summing order
+        lambda y: list(y.terms()), lambda y: y.is_constant,
+        lambda y: None if y.is_zero else y.homogeneity_degree())
+    for fresh, eager in _fresh_results():
+        x = fresh()
+        assert (len(x), bool(x), x.is_zero) == \
+            (len(eager), bool(eager), eager.is_zero)
+        assert x._dict is None  # length and truth read the packed form
+        neg = -x
+        assert neg._dict is None and neg._packed[3] is x._packed[3]
+        assert fresh() == eager and eager == fresh()
+        for check in checks:
+            assert check(fresh()) == check(eager)
+        if eager:
+            assert _items(eager.exact_divide(fresh())) == [((0, 0, 0), Q_ONE)]
 
 
 @st.composite

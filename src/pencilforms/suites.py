@@ -22,9 +22,9 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 from . import serialize
 from .cochains import DenseCochain, TraceWord, cyclic_symmetrize, functional_product
 from .forms import ScalarForm, maurer_cartan
-from .jacobi import (TopFormFactorization, anchored_trace_power,
-                     calibrated_sign, cubic_trace_data, entry_matrix_constant,
-                     factorize_top_form, trace_power_form)
+from .jacobi import (TopFormFactorization, calibrated_sign, cubic_trace_data,
+                     entry_matrix_constant, factorize_top_form,
+                     trace_power_form)
 from .linalg import MatrixTuple, PolyMatrix
 from .ring import CycloElement, MultiPoly, Scalar
 from .sampling import (random_diagonal_tuple, random_matrix_tuple,
@@ -236,7 +236,7 @@ def suite_jacobi_classic(seed: int, trials: Optional[int] = None,
         adj = f.adjugate()
         det = f.det()
         v = next((v for v in range(1, n + 1)
-                  if (adj * f.partial(v)).trace() != det.partial(v)), None)
+                  if adj.trace(f.partial(v)) != det.partial(v)), None)
         if not check.judge(v is None,
                            f"trial {i} (k={k}, n={n}, variable {v})", f):
             break
@@ -363,14 +363,16 @@ def _p_degree_failure(p: Optional[MultiPoly], k: int) -> Optional[str]:
 def _trace_routes_check(
         tops: List[Tuple[int, MatrixTuple, ScalarForm]]) -> CheckResult:
     """tr(omega^3) by wedge power = anchored sum on each tuple, given with
-    the wedge-route top form that factorize_top_form split."""
+    the anchored top form that factorize_top_form split; the wedge route,
+    omega ^ omega traced against omega, is computed here."""
     check = _Check("theorem33.trace-routes")
     nonzero = 0
-    for k, t, wedge in tops:
-        if not check.judge(anchored_trace_power(t.pencil(), 3) == wedge,
+    for k, t, anchored in tops:
+        omega = maurer_cartan(t.pencil())
+        if not check.judge(omega.wedge(omega).trace(omega) == anchored,
                            f"k={k}: anchored sum != wedge", t):
             break
-        if not wedge.is_zero:
+        if not anchored.is_zero:
             nonzero += 1
     check.judge(nonzero > 0,
                 "tr(omega^3) is 0 on every tuple: the check has no content")

@@ -11,8 +11,9 @@ permutation through it, and each coefficient of a node's form is one
 formed, and its kappa is not the wedge of the factors' kappa, which tau's
 multiplicativity check compares it with. The one exception is a trace
 word tr(x_1..x_a): its kappa is tr(omega^a), which `trace_power_form`
-wedges and keeps, so kappa returns that kept form, shared with the trace
-power and top-form split on the same pencil, and it must not be changed.
+computes (by the anchored sum at a = 3, by wedges otherwise) and keeps,
+so kappa returns that kept form, shared with the trace power and
+top-form split on the same pencil, and it must not be changed.
 Its dense tensor (`TraceWord.tensors`) still takes the chain, and
 `is_cyclic` and `invariance_test` still read it. `kappa_wedge_oracle`
 recomputes the same form by brute multilinear extension over all

@@ -9,7 +9,7 @@ import pytest
 
 from pencilforms import _core, cli, jacobi, serialize, suites, torus
 from pencilforms.cochains import FunctionalCochain
-from pencilforms.forms import ScalarForm
+from pencilforms.forms import ScalarForm, maurer_cartan
 from pencilforms.jacobi import cubic_trace_data, trace_power_form
 from pencilforms.linalg import MatrixTuple, PolyMatrix
 from pencilforms.ring import MultiPoly, RatFn
@@ -131,22 +131,37 @@ def test_trace_routes_agree_with_content():
     assert routes.detail.endswith("; 2 of 2 tuples nonzero")
 
 
+_anchored = jacobi.anchored_trace_power
+
+
 def _doubled_anchored(f, m):
-    return trace_power_form(f, m) * 2
+    return _anchored(f, m) * 2
+
+
+def _doubled_omega(f):
+    return maurer_cartan(f) * 2
+
+
+# Each spoils one route: the anchored sum in jacobi, which trace_power_form
+# takes at m = 3 and so the split top form reads, or the omega that the
+# check wedges itself in suites.
+_ROUTE_OWNERS = {"anchored_trace_power": jacobi, "maurer_cartan": suites}
 
 
 @pytest.mark.parametrize("route, broken, witness", [
     ("anchored_trace_power", _doubled_anchored, "anchored sum != wedge"),
+    ("maurer_cartan", _doubled_omega, "anchored sum != wedge"),
 ])
 def test_trace_route_disagreement_fails_verify(monkeypatch, capsys, route,
                                                broken, witness):
-    monkeypatch.setattr(suites, route, broken)
+    monkeypatch.setattr(_ROUTE_OWNERS[route], route, broken)
     code = cli.main(["verify", "--suite", "theorem33", "--seed", "1",
                      "--trials", "1"])
     out = capsys.readouterr().out
     assert code == 1
     assert "PASS theorem33.top-factorization: " in out
     assert "FAIL theorem33.trace-routes: " in out
+    assert out.count("\nFAIL ") == 1
     lines = out.split("FAIL theorem33.trace-routes: ")[1].splitlines()
     assert lines[1] == f"  k=2: {witness}"
     assert lines[2].lstrip().startswith("{")
@@ -165,8 +180,8 @@ def test_top_form_off_s_fails_verify(monkeypatch, capsys, tmp_path):
                      "--trials", "1"])
     out = capsys.readouterr().out
     assert code == 1
-    # trace-routes compares the form that was split, so the spoiled wedge
-    # route fails it as well, and the anchored sum is not spoiled
+    # trace-routes compares the form that was split, so the spoiled anchored
+    # route fails it as well, and the wedge route is not spoiled
     lines = out.split("FAIL theorem33.trace-routes: ")[1].splitlines()
     assert lines[1] == "  k=2: anchored sum != wedge"
     lines = out.split("FAIL theorem33.top-factorization: ")[1].splitlines()
@@ -465,11 +480,14 @@ def test_theorem29_suite_kernel_product_budget(monkeypatch):
 # anchored sum formed each prefix product once; example35 (1,175) and
 # hyperplane (1,261) were tightened when p**m stopped multiplying p by one
 # first. parity (2,890) was tightened when an even form traced against
-# itself began to take each unordered pair of its terms once. The test ids
-# carry the suite alone, so tightening a budget keeps the test's name.
+# itself began to take each unordered pair of its terms once.
+# jacobi-classic (3,622) was tightened when tr(adj(f) d_i f) began to be
+# traced without forming the product (k^2 entry products, not k^3). The
+# test ids carry the suite alone, so tightening a budget keeps the test's
+# name.
 PENCIL_SUITE_BUDGETS = {
     "flatness": (12, 3_754),
-    "jacobi-classic": (20, 3_622),
+    "jacobi-classic": (20, 2_510),
     "parity": (4, 2_656),
     "example35": (8, 1_157),
     "tau": (3, 1_631),

@@ -292,7 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="trial count where the suite samples inputs "
                         f"(0..{MAX_TRIALS})")
     p.add_argument("--tol", type=float, default=None,
-                   help="tolerance for numeric residual checks")
+                   help="tolerance for numeric residual checks; no suite "
+                        "has one, as the torus factorization lines run "
+                        "exactly")
     add_common(p)
     p.set_defaults(handler=cmd_verify)
 
@@ -304,7 +306,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "orders q in {3,4,5} or the built-in numeric angles")
     p.add_argument("--trials", type=int, default=None,
                    help=f"sampled points for factorization (0..{MAX_TRIALS})")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=None,
+                   help="tolerance for the numeric factorization residuals "
+                        "(default 1e-10); below a point's rounding bound it "
+                        "fails the check")
     add_common(p)
     p.set_defaults(handler=cmd_torus)
     return parser

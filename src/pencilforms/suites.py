@@ -29,8 +29,9 @@ from .linalg import MatrixTuple, PolyMatrix
 from .ring import CycloElement, MultiPoly, Scalar
 from .sampling import (random_diagonal_tuple, random_matrix_tuple,
                        random_poly_matrix, rng_for)
-from .torus import (NEUMANN_ORDER, _TWIST_FREE, TorusConfig, TorusElement,
-                    coboundary_check, cyclicity_check, factorization_report)
+from .torus import (FACTORIZATION_ORDER, _TWIST_FREE, TorusConfig,
+                    TorusElement, coboundary_check, cyclicity_check,
+                    factorization_report)
 from .transgression import (hyperplane_decomposition, tau, transgression_report)
 
 
@@ -561,84 +562,148 @@ def torus_cocycle_checks(seed: int,
         f"p'={cfg.p_prime})", bad) for cfg in configs]
 
 
-def _factorization_check(name: str, where: str, mats: List[TorusElement],
-                         points: list, tolerance: float,
-                         needed: int) -> CheckResult:
-    """The tolerance against each point's worst propagated bound, each
-    residual against the tolerance, and at least `needed` usable points.
+def _content_pencil(config: TorusConfig) -> List[TorusElement]:
+    """(1, U + V^-1, V + U^-1), the pencil of the factorization checks.
 
-    The report cuts each point's series at the order the tolerance lets
-    it (`factorization_report`), which judges as at NEUMANN_ORDER; the
-    line names the orders used, or NEUMANN_ORDER without a sample."""
-    samples = factorization_report(mats, points, tolerance).samples
-    residuals = [r for sample in samples for r in sample.residuals]
-    max_residual = max([0.0] + residuals)
+    Its entries reach both signs of both degrees, so phi_j(W1, W2) does
+    not vanish by degree: at M = 2 and q in {3, 4, 5} it is z3 times a
+    polynomial whose coefficients of the powers of t have no common zero,
+    so it is nonzero wherever z3 is.
+    """
+    u, v = TorusElement.u, TorusElement.v
+    return [TorusElement.one(config), u(config) + v(config, -1),
+            v(config) + u(config, -1)]
+
+
+def _factorization_check(name: str, where: str,
+                         runs: List[Tuple[TorusConfig, list]],
+                         tolerance: Optional[float]) -> CheckResult:
+    """Both equalities of `torus.factorization_report` on the content
+    pencil, for phi_1 and phi_2 at each point of each run (config, points).
+
+    An instance is one point and one j. In exact mode it holds when both
+    residuals are 0 and phi_j(W1, W2) != 0. In numeric mode the tolerance
+    must not be below either residual's rounding bound, both residuals
+    must be within the tolerance, and |phi_j(W1, W2)| must exceed both
+    bounds, so that it is no rounded zero; the line names the largest
+    residual. Exact mode takes no tolerance.
+    """
     check = _Check(name)
-    for sample in samples:
-        worst = max(sample.propagated_bounds)
-        check.judge(not tolerance < worst,
-                    f"tolerance {tolerance} is below the propagated "
-                    f"truncation bound {worst} at {sample.point}")
-    check.judge(all(r <= tolerance for r in residuals),
-                f"residual {max_residual:.3e} above {tolerance:.1e}")
-    check.judge(len(samples) >= needed,
-                f"only {len(samples)} usable sample points")
-    orders = sorted({sample.order for sample in samples}) or [NEUMANN_ORDER]
-    used = (f"order {orders[0]}" if len(orders) == 1
-            else f"orders {orders[0]}-{orders[-1]}")
+    largest = 0.0
+    for config, points in runs:
+        numeric = config.mode == "numeric"
+        at = "" if numeric else f", q={config.q}"
+        samples = factorization_report(_content_pencil(config), points).samples
+        for sample in samples:
+            residuals = sample.residuals()
+            if numeric:
+                residuals = [abs(r) for r in residuals]
+                largest = max([largest] + residuals)
+                bounds = sample.rounding_bounds()
+            for j in (1, 2):
+                pair = residuals[2 * j - 2:2 * j]
+                content = sample.values[j - 1][0]
+                label = (f"phi_{j} at z = "
+                         f"({', '.join(map(str, sample.point))}){at}")
+                if not numeric:
+                    check.judge(not any(pair) and bool(content),
+                                f"{label}: residuals {pair[0]}, {pair[1]}, "
+                                f"phi_{j}(W1, W2) = {content}")
+                    continue
+                bound = max(bounds[2 * j - 2:2 * j])
+                if tolerance < bound:
+                    check.judge(False, f"tolerance {tolerance} is below the "
+                                       f"rounding bound {bound} of {label}")
+                elif max(pair) > tolerance:
+                    check.judge(False, f"residual {max(pair):.3e} above "
+                                       f"{tolerance:.1e} for {label}")
+                else:
+                    check.judge(abs(content) > bound,
+                                f"|phi_{j}(W1, W2)| = {abs(content):.3e} is "
+                                f"within the rounding bound {bound:.3e} of "
+                                f"{label}")
+    instances = 2 * sum(len(points) for _, points in runs)
+    if runs[0][0].mode != "numeric":
+        return check.result(
+            f"{where}, M = {FACTORIZATION_ORDER}, q in {{3,4,5}}: both "
+            f"equalities exact on {instances} instances, each with "
+            "phi_j(W1, W2) != 0")
     return check.result(
-        f"{where.format(len(samples))}, {used}: residuals "
-        f"within {tolerance:.1e} (max {max_residual:.3e})")
+        f"{where}, M = {FACTORIZATION_ORDER}: both equalities within "
+        f"{tolerance:.1e} (max {largest:.3e}) on {instances} instances, "
+        "each with |phi_j(W1, W2)| above its rounding bound")
+
+
+# The pinned point of the factorization checks, in both modes.
+_PINNED_POINT = (Scalar(1), Scalar(Fraction(1, 2)), Scalar(0, Fraction(1, 4)))
+
+
+def _factorization_checks(pinned: List[Tuple[TorusConfig, list]],
+                          sampled: List[Tuple[TorusConfig, list]],
+                          tolerance: Optional[float]) -> List[CheckResult]:
+    pencil = "A = (1, U + V^-1, V + U^-1)"
+    count = len(sampled[0][1])
+    return [
+        _factorization_check("torus.factorization.pinned",
+                             f"{pencil} at z = (1, 1/2, i/4)", pinned,
+                             tolerance),
+        _factorization_check("torus.factorization.sampled",
+                             f"{pencil} at {count} seeded points", sampled,
+                             tolerance),
+    ]
 
 
 def torus_factorization_checks(seed: int, trials: Optional[int] = None,
                                tol: Optional[float] = None,
                                theta: Optional[float] = None
                                ) -> List[CheckResult]:
-    """Truncated-resolvent residuals at the pinned point and seeded samples.
+    """The factorization equalities in numeric mode, at the pinned point
+    z = (1, 1/2, i/4) and at seeded points (`_factorization_check`).
 
-    trials below 10 is raised to 10. Each point's Neumann series is cut at
-    the smallest order the tolerance allows, at most NEUMANN_ORDER
-    (`torus.factorization_report`), and each line names the orders used.
-    A tolerance below a point's propagated truncation bound fails the
-    check with that bound, as does a residual above the tolerance or too
-    few convergent points (1 pinned, 10 sampled). A point whose a-priori
-    bound misses the tolerance is summed to the cap, so every verdict is
-    the one at the cap.
+    trials below 10 is raised to 10, and the tolerance defaults to 1e-10.
+    The sampled points have z1 = 1 and real and imaginary parts of z2, z3
+    in [-0.5, 0.5]; the pinned point and most sampled ones lie outside the
+    region where the Neumann series converges, ||z2 A2 + z3 A3||_1 < |z1|,
+    which the equalities do not need. There the rounding bound stays below
+    3e-11, under the default tolerance.
     """
     sample_count = 10 if trials is None else max(10, trials)
     tolerance = 1e-10 if tol is None else tol
-
     pinned_cfg = TorusConfig.numeric(0.3183098861837907 if theta is None
                                      else theta)
-    pinned_mats = [TorusElement.one(pinned_cfg), TorusElement.u(pinned_cfg),
-                   TorusElement.v(pinned_cfg)]
-
     sampled_cfg = TorusConfig.numeric(0.37 if theta is None else theta)
-    mats = [TorusElement.one(sampled_cfg),
-            TorusElement.u(sampled_cfg) + TorusElement.u(sampled_cfg, -1),
-            TorusElement.v(sampled_cfg)]
     rng = rng_for(seed, "torus", "factor-points")
-    points = []
-    for _ in range(sample_count):
-        z2 = complex(rng.uniform(0.05, 0.1), rng.uniform(-0.02, 0.02))
-        z3 = complex(rng.uniform(0.05, 0.1), rng.uniform(-0.02, 0.02))
-        points.append((1.0, z2, z3))
-    return [
-        _factorization_check(
-            "torus.factorization.pinned", "A = (1, U, V) at z = (1, 0.1, 0.1)",
-            pinned_mats, [(1.0, 0.1, 0.1)], tolerance, 1),
-        _factorization_check(
-            "torus.factorization.sampled",
-            "A = (1, U + U^-1, V) at {} seeded points", mats, points,
-            tolerance, 10),
-    ]
+    points = [(1.0,) + tuple(complex(rng.uniform(-0.5, 0.5),
+                                     rng.uniform(-0.5, 0.5))
+                             for _ in range(2))
+              for _ in range(sample_count)]
+    pinned = tuple(c.to_complex() for c in _PINNED_POINT)
+    return _factorization_checks([(pinned_cfg, [pinned])],
+                                 [(sampled_cfg, points)], tolerance)
+
+
+def _exact_factorization_checks(seed: int,
+                                trials: Optional[int]) -> List[CheckResult]:
+    """The factorization equalities in exact mode at the orders of
+    `torus.algebra`: the pinned point and max(3, trials) seeded
+    Gaussian-rational points, whose coordinates have real and imaginary
+    parts in {-1/2, -2/5, ..., 1/2}, with Re z3 != 0 so that z3 != 0."""
+    rng = rng_for(seed, "torus", "factor-points-exact")
+    tenths = [Fraction(k, 10) for k in range(-5, 6)]
+    points = [(Scalar(1), Scalar(rng.choice(tenths), rng.choice(tenths)),
+               Scalar(rng.choice([x for x in tenths if x]),
+                      rng.choice(tenths)))
+              for _ in range(3 if trials is None else max(3, trials))]
+    configs = [TorusConfig.exact(q, p) for q, p in _EXACT_ORDERS]
+    return _factorization_checks([(cfg, [_PINNED_POINT]) for cfg in configs],
+                                 [(cfg, points) for cfg in configs], None)
 
 
 def suite_torus(seed: int, trials: Optional[int] = None,
                 tol: Optional[float] = None) -> List[CheckResult]:
-    """Exact twisted-algebra laws, the four cocycles, and the numeric
-    factorization of the resolvent traces."""
+    """Exact twisted-algebra laws, the four cocycles, and the two
+    factorization equalities of the truncated resolvent, exactly at the
+    same orders (`_exact_factorization_checks`). `tol` is not read."""
     algebra = _Check("torus.algebra")
     for q, p_prime in _EXACT_ORDERS:
         cfg = TorusConfig.exact(q, p_prime)
@@ -655,7 +720,7 @@ def suite_torus(seed: int, trials: Optional[int] = None,
         "associativity, trace symmetry, Leibniz, commuting derivations "
         f"on {algebra.count} exact triples, q in {{3,4,5}}")]
     results.extend(torus_cocycle_checks(seed))
-    results.extend(torus_factorization_checks(seed, trials=trials, tol=tol))
+    results.extend(_exact_factorization_checks(seed, trials))
     return results
 
 

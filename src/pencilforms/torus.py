@@ -15,41 +15,24 @@ solved from the others, each integer weight has degree at most 1 in every
 remaining degree coordinate, so a grid of two values per coordinate
 decides the identities for every degree (the Combinatorial
 Nullstellensatz); one runner (`_spanning_check`) takes both checks over
-that grid, then over seeded tuples. The module also computes the residuals
-of the top-form factorization numerically through a truncated Neumann
-resolvent R, with their propagated truncation bounds; a point with
-rho >= 1 (rho is infinite at z1 = 0) diverges. Given a tolerance, each
-point's series is cut at the smallest order M up to the cap NEUMANN_ORDER
-whose dropped tail rho^(M+1) / (1 - rho) is below the double rounding
-2^-53 and whose a-priori bound (the propagated bound with the W norms
-replaced by ones computed from rho and the pencil) is within the tolerance
-at M and at the cap; otherwise, and without a tolerance, at the cap. A
-point that passes at M passes at the cap, so the order changes no verdict.
-Which term pairs of a product meet, and where they land, depends only on
-the supports of its operands, so each sample point replays plans of index
-arrays and runs only the arithmetic: the Neumann powers are a chain of
-product plans per step support, built to the cap (`_neumann_schedule`),
-and W_x = R A_x, delta_j and the six phi_j traces are planned per step
-support and pencil on that schedule's keys, those of R at the cap
-(`_factorization_plan`). A point replays the first M powers and the prefix
-of the plan its R reaches, with the twists of the rows that prefix
-reaches, so it keeps the bits of summing its own M powers with `+`. A
-coefficient that comes out exactly 0 drops its key, which no plan models:
-that point sums R, then W, by `TorusElement` products.
+that grid, then over seeded tuples.
+Last, it computes the truncated Neumann resolvent R_M of a pencil
+(1, A2, A3) by plain products and sums, in either mode, and the two
+equalities that tie phi_j(W_x, W_y) on W_i = R_M A_i to the remainder
+E = (-(z2 A2 + z3 A3)/z1)^(M+1). They hold exactly at every order and at
+every point with z1 != 0, whether the series converges there or not: exact
+mode checks them as equalities, and numeric mode against a rounding bound
+gamma_N K.
 The calls return what they found: the first monomial tuple where a cocycle
-identity fails, or the residuals and bounds at each point. The torus suite
-judges them.
+identity fails, or both sides of the equalities at each point. The torus
+suite judges them.
 """
-
 from __future__ import annotations
 
 import cmath
-from array import array
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import chain, islice, product
+from itertools import chain, product
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .cochains import FunctionalCochain
@@ -498,12 +481,6 @@ class TorusElement:
         """Sum of the coefficient moduli (numeric mode)."""
         return sum(map(abs, self.coeffs.values()))
 
-    def degree_radius(self) -> int:
-        """Largest max(|m|, |n|) over the support; 0 for the zero element."""
-        if not self.coeffs:
-            return 0
-        return max(max(abs(m), abs(n)) for m, n in self.coeffs)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TorusElement):
             return NotImplemented
@@ -691,530 +668,155 @@ def coboundary_check(which: str, config: TorusConfig,
 
 
 # ---------------------------------------------------------------------------
-# truncated Neumann resolvent (numeric mode)
+# truncated Neumann resolvent and the factorization identity
+#
+# Take the pencil (1, A2, A3), S = z2 A2 + z3 A3 and, at order M,
+# R_M = z1^-1 sum_{t<=M} (-S/z1)^t, W_i = R_M A_i and E = (-S/z1)^(M+1).
+# The sum telescopes: R_M (z1 + S) = 1 - E, that is sum_i z_i W_i = 1 - E.
+# Each phi_j vanishes with a unit in either slot and is cyclic, so
+# phi_j(W, W) = 0, and pairing that sum with W2 on the right and W1 on the
+# left gives, for j = 1, 2,
+#     z1 phi_j(W1, W2) - z3 phi_j(W2, W3) + phi_j(E, W2) = 0,
+#     z2 phi_j(W1, W2) + z3 phi_j(W1, W3) + phi_j(W1, E) = 0.
+# They hold exactly at every order M, at every point with z1 != 0 and at
+# every twist: no convergence of the series is used.
 
 
-def _neumann_parts(mats: Sequence[TorusElement],
-                   z: Sequence[complex]) -> Tuple[TorusElement, float, complex]:
-    """s = z2 A2 + z3 A3, rho = ||s||_1 / |z1| (infinite at z1 = 0), z1.
+def neumann_resolvent(mats: Sequence[TorusElement], z: Sequence,
+                      order: int) -> TorusElement:
+    """R_M = z1^-1 sum_{t<=M} (-(z2 A2 + z3 A3)/z1)^t, by `TorusElement`
+    `*` and `+`, in exact or numeric mode.
 
-    A point with a nan or infinite coordinate is refused with ValueError.
+    Exact mode takes the coordinates as Gaussian rationals (`Scalar`),
+    numeric mode as complex numbers. R_M is defined wherever z1 != 0,
+    inside the region where the series converges or not. Raises ValueError
+    for an order below 1, a pencil that is not three elements of one
+    configuration starting with 1, a point that is not three coordinates,
+    a nan or infinite coordinate, and z1 = 0.
     """
+    if order < 1:
+        raise ValueError("order must be >= 1")
     if len(mats) != 3 or len(z) != 3:
         raise ValueError("expected three elements and a three-component point")
     config = mats[0].config
-    if config.mode != "numeric":
-        raise ValueError("numeric mode required for resolvent computations")
     for x in mats[1:]:
         if x.config != config:
             raise ValueError("torus elements carry different configurations")
     if mats[0] != TorusElement.one(config):
         raise ValueError("the first element of the pencil must be 1")
-    z = tuple(complex(c) for c in z)
-    if not all(map(cmath.isfinite, z)):
-        raise ValueError(f"point {z} has a non-finite coordinate")
-    z1 = z[0]
-    s = mats[1] * z[1] + mats[2] * z[2]
-    rho = s.l1_norm() / abs(z1) if z1 != 0 else float("inf")
-    return s, rho, z1
-
-
-def _int_array(values: List[int]) -> array:
-    """Ints in the narrowest array that holds them, unsigned if it can."""
-    for code in "BbHhIiQq":
-        try:
-            return array(code, values)
-        except OverflowError:
-            pass
-    raise OverflowError(f"{max(values, key=abs)} does not fit an array")
-
-
-# Where the term pairs of a product land, for given supports: (rows, slots,
-# count). `rows[i]` indexes the V-degree of left term i in a row table kept
-# by the caller, which picks the twists of its pairs; `slots` holds the
-# output slot of each term pair in left-major order; `count` is the number
-# of output terms. No coefficient is stored.
-ProductPlan = Tuple[array, array, int]
-
-
-def _product_plan(left: Sequence[Degree], right: Sequence[Degree],
-                  row_of: Dict[int, int]) -> Tuple[ProductPlan, List[Degree]]:
-    """The plan of a left * right product and its keys in slot order.
-
-    A left V-degree not yet in `row_of` gets the next row of the table.
-    """
-    slot_of: Dict[Degree, int] = {}
-    rows = []
-    slots = []
-    for a, b in left:
-        rows.append(row_of.setdefault(b, len(row_of)))
-        for c, d in right:
-            slots.append(slot_of.setdefault((a + c, b + d), len(slot_of)))
-    return (_int_array(rows), _int_array(slots), len(slot_of)), list(slot_of)
-
-
-def _twist_rows(config: TorusConfig, row_degrees: Sequence[int],
-                right: Dict[Degree, object]) -> List[list]:
-    """Per left V-degree b of the table, the right terms as pairs
-    (coefficient, lambda^(-b c))."""
-    lambda_power = config.lambda_power
-    values = list(right.values())
-    return [list(zip(values, [lambda_power(-b * c) for c, _ in right]))
-            for b in row_degrees]
-
-
-def _replay_product(plan: ProductPlan, left: List,
-                    twist_rows: List[list]) -> Optional[list]:
-    """The coefficients of a planned product, in slot order.
-
-    The products ca * cb * lambda^(-b c) and the sums are those of the
-    term-pair loop of `TorusElement.__mul__`, in its order, so the bits
-    are too. A `left` shorter than the plan's left operand holds its first
-    terms: their pairs come first and land in the first slots, so the
-    product of that prefix is the first slots up to the largest one they
-    reach. Returns None if a coefficient comes out exactly 0: the product
-    drops that key, which the plan does not model.
-    """
-    rows, slots, count = plan
-    terms = [ca * cb * lam for ca, r in zip(left, rows)
-             for cb, lam in twist_rows[r]]
-    if len(left) < len(rows):
-        count = max(islice(slots, len(terms)), default=-1) + 1
-    out = [None] * count
-    for k, term in zip(slots, terms):
-        prev = out[k]
-        out[k] = term if prev is None else prev + term
-    return out if all(out) else None
-
-
-# The cap on the terms of the Neumann series beyond the constant one: the
-# length of every Neumann schedule, and the order `factorization_report`
-# sums a point to when no smaller order meets its rule.
-NEUMANN_ORDER = 40
-
-
-@dataclass(frozen=True)
-class _NeumannSchedule:
-    """The powers of a step of one support, as a chain of product plans.
-
-    `powers[t]` is (plan, sum_slots) for power t + 1 = (power t) * step:
-    the plan's rows index `row_degrees`, and `sum_slots[k]` is the running
-    sum's slot for term k of the power. `row_counts[t]` is the number of
-    rows the first t + 1 powers reach, a prefix of `row_degrees`. `keys`
-    is the running sum's key order; the sum to any order M keeps its first
-    keys, since a power adds its new keys after those of the powers before
-    it.
-    """
-
-    row_degrees: Tuple[int, ...]
-    powers: Tuple[Tuple[ProductPlan, array], ...]
-    row_counts: Tuple[int, ...]
-    keys: Tuple[Degree, ...]
-
-
-@lru_cache(maxsize=2)
-def _neumann_schedule(support: Tuple[Degree, ...],
-                      order: int) -> _NeumannSchedule:
-    """The schedule of `order` powers of a step with this support.
-
-    It holds as long as no power coefficient and no running-sum entry is
-    exactly 0, as `TorusElement.__mul__` and `neumann_resolvent` would
-    then drop the key. Callers build it to `NEUMANN_ORDER` (or to a longer
-    order they ask for) and replay its first powers, so one schedule per
-    support serves every order up to the cap. Two are kept, so a
-    factorization request, which runs the pinned pencil and then the
-    sampled one, builds each once.
-    """
-    row_of: Dict[int, int] = {}
-    sum_slot: Dict[Degree, int] = {(0, 0): 0}
-    left: List[Degree] = [(0, 0)]
-    powers = []
-    row_counts = []
-    for _ in range(order):
-        plan, left = _product_plan(left, support, row_of)
-        sum_slots = [sum_slot.setdefault(key, len(sum_slot)) for key in left]
-        powers.append((plan, _int_array(sum_slots)))
-        row_counts.append(len(row_of))
-    return _NeumannSchedule(tuple(row_of), tuple(powers), tuple(row_counts),
-                            tuple(sum_slot))
-
-
-def _neumann_sum_by_schedule(step: TorusElement, order: int
-                             ) -> Optional[Tuple[Sequence[Degree], list]]:
-    """sum_{t<=order} step^t through the cached schedule of its support,
-    as the schedule's key order and the sum's coefficients, which are
-    those of its first keys.
-
-    The first `order` powers of the schedule are replayed, with the twists
-    of the rows they reach. Each power is the replay of its product plan,
-    and the running sum adds it in the order of summing with `+`. Returns
-    None as soon as a power coefficient or a running-sum entry is exactly
-    0.
-    """
-    config = step.config
-    schedule = _neumann_schedule(tuple(step.coeffs),
-                                 max(order, NEUMANN_ORDER))
-    rows = _twist_rows(config,
-                       schedule.row_degrees[:schedule.row_counts[order - 1]],
-                       step.coeffs)
-    one = config.one_coeff()
-    power = [one]
-    acc = [one]
-    append = acc.append
-    for plan, sum_slots in islice(schedule.powers, order):
-        power = _replay_product(plan, power, rows)
-        if power is None:
-            return None
-        size = len(acc)
-        for k, value in zip(sum_slots, power):
-            if k < size:
-                acc[k] += value
-            else:
-                append(value)
-        if not all(acc):
-            return None
-    return schedule.keys, acc
-
-
-def _neumann_sum_by_products(step: TorusElement, order: int
-                             ) -> Tuple[Sequence[Degree], Sequence]:
-    """sum_{t<=order} step^t by `TorusElement` `*` and `+`, as its keys and
-    coefficients: a key whose sum is exactly 0 drops out, and a later power
-    re-adds it last."""
-    power = acc = TorusElement.one(step.config)
+    if config.mode == "numeric":
+        z = tuple(complex(c) for c in z)
+        if not all(map(cmath.isfinite, z)):
+            raise ValueError(f"point {z} has a non-finite coordinate")
+    if z[0] == 0:
+        raise ValueError("z1 must be nonzero")
+    step = (mats[1] * z[1] + mats[2] * z[2]) * (-1 / z[0])
+    power = acc = TorusElement.one(config)
     for _ in range(order):
         power = power * step
         acc = acc + power
-    return acc.coeffs.keys(), acc.coeffs.values()
+    return acc * (1 / z[0])
 
 
-def neumann_resolvent(mats: Sequence[TorusElement], z: Sequence[complex],
-                      order: int) -> TorusElement:
-    """Truncated inverse z1^-1 sum_{t<=M} (-(z2 A2 + z3 A3)/z1)^t.
+# The order M of the resolvent that `factorization_report` checks.
+FACTORIZATION_ORDER = 2
 
-    The powers of the step are replayed from a schedule of its support:
-    which term pairs meet, with which twist, and in which slot of the power
-    and of the running sum they land. It is built once per support, to
-    `NEUMANN_ORDER` powers or to `order` if that is longer, and kept for
-    the next points, which replay its first `order` powers. A power
-    coefficient or running-sum entry that comes out exactly 0 drops its
-    key, which the schedule does not model: that point is summed again by
-    `TorusElement` `*` and `+`. Either way the result has the bits and the
-    key order of summing the powers with `+`. A point with a nan or
-    infinite coordinate raises ValueError.
-    """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    s, rho, z1 = _neumann_parts(mats, z)
-    if rho >= 1:
-        raise ValueError("Neumann series divergent at this point")
-    step = s * (-1 / z1)
-    keys, values = (_neumann_sum_by_schedule(step, order)
-                    or _neumann_sum_by_products(step, order))
-    # scaled as `TorusElement.__mul__` scales by a scalar, zeros dropped
-    scale = 1 / z1
-    return TorusElement._make(mats[0].config,
-                              zip(keys, [value * scale for value in values]))
+# N of the rounding bound gamma_N K at order M (see
+# `FactorizationSample.rounding_bounds`), and the unit roundoff u of a double.
+_ROUNDINGS = (48 * FACTORIZATION_ORDER + 35
+              + 2 * (FACTORIZATION_ORDER + 1) * (FACTORIZATION_ORDER + 2))
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
-# ---------------------------------------------------------------------------
-# numeric factorization report
-
-
-@dataclass
+@dataclass(frozen=True)
 class FactorizationSample:
-    """One sample point: the order its Neumann series was cut at, q values,
-    residuals, and the propagated bound."""
+    """The two equalities at one point, for phi_1 and phi_2.
 
-    point: Tuple[complex, complex, complex]
-    rho: float
-    order: int
-    q_values: Tuple[Optional[complex], Optional[complex]]
-    residuals: Tuple[float, float, float, float]
-    propagated_bounds: Tuple[float, float, float, float]
+    `pairs` holds the element pairs (x, y) of the terms,
+    (W1, W2), (W2, W3), (E, W2), (W1, W3), (W1, E), and `rows` the
+    coefficient of each pair in the first and the second equality:
+    (z1, -z3, 1, 0, 0) and (z2, 0, 0, z3, 1). `values[j - 1]` holds
+    phi_j of each pair, so `values[j - 1][0]` is phi_j(W1, W2).
+    """
+
+    point: tuple
+    pairs: tuple
+    rows: tuple
+    values: tuple
+
+    def residuals(self) -> tuple:
+        """Each equality's sum of terms, for j = 1 then 2: zero exactly in
+        exact mode, up to rounding in numeric mode."""
+        return tuple(sum(c * v for c, v in zip(row, values) if c)
+                     for values in self.values for row in self.rows)
+
+    def rounding_bounds(self) -> Tuple[float, ...]:
+        """gamma_N K for each residual, in the order of `residuals`
+        (numeric mode), with gamma_N = N u / (1 - N u).
+
+        K sums |c| ||x||_1 ||delta_j y||_1 over the terms c phi_j(x, y) of
+        the equality, from the computed norms: a first-order bound in the
+        sense of Higham (Accuracy and Stability of Numerical Algorithms,
+        ch. 3). N = 48 M + 35 + 2 (M + 1)(M + 2), 155 at M = 2, counts
+        the roundings on the longest path to a term, each complex product
+        counting 3 and each quotient 6 (Higham, lemma 3.5): 13 for the
+        step, 24 for each further power of it (two products, a twist, the
+        step, and a sum of the at most four term pairs that meet in a
+        slot), 1 for the sum R, 9 for scaling it by 1/z1 and 9 for W = R A,
+        1 for delta_j, 8 per matched pair of a trace plus its sum of at
+        most 2 (M + 1)(M + 2) + 1 pairs, and 5 for the weights and the sum
+        of the equality. It holds where every term of A2 and A3 is a
+        monomial U^m V^n with |m| + |n| = 1, two at most each, as in the
+        suite's pencil: then every twist exponent e has |e| <= 2 at M = 2,
+        so lambda^e = exp(e fl(2 pi i theta)) rounds once.
+        """
+        gamma = (_ROUNDINGS * _UNIT_ROUNDOFF
+                 / (1 - _ROUNDINGS * _UNIT_ROUNDOFF))
+        return tuple(
+            gamma * sum(abs(c) * x.l1_norm() * y.delta(j).l1_norm()
+                        for c, (x, y) in zip(row, self.pairs) if c)
+            for j in (1, 2) for row in self.rows)
 
 
 @dataclass
 class FactorizationReport:
-    """Samples at the convergent points; `skipped` lists divergent ones."""
+    """One sample per point, in the order of the points."""
 
     samples: List[FactorizationSample]
-    skipped: List[Tuple[Tuple[complex, complex, complex], str]]
 
 
-# A dropped tail of l1 mass at most 2^-53 (the unit roundoff of a double)
-# is below the rounding the float sums of a sample already carry.
-_ROUNDING_TAIL = 2.0 ** -53
-
-
-@dataclass(frozen=True)
-class _TruncationBound:
-    """The propagated truncation bounds of one point's residuals.
-
-    Cutting the series at order M drops the terms t > M, of l1 mass at
-    most rho^t / |z1| each, and their products with A_y carry monomials of
-    height <= r_s t + r_y, so delta_j costs that factor per term.
-    """
-
-    point: Tuple[complex, complex, complex]
-    rho: float
-    r_s: int
-    a_norms: Sequence[float]
-    radii: Sequence[int]
-
-    def residual_bounds(self, order: int, w_norms: Sequence[float],
-                        dw_norms: Dict[int, float]) -> Tuple[float, float]:
-        """Bounds on |z1 v12 - z3 v23| and |z2 v12 + z3 v13| at `order`,
-        from the l1 norms of W_0, W_1 and of delta_j W_1, delta_j W_2."""
-        rho = self.rho
-        az1 = abs(self.point[0])
-        # l1 tails of the dropped series terms: sum rho^t and sum t rho^t
-        tail0 = rho ** (order + 1) / (1 - rho)
-        tail1 = ((order + 2) * rho ** (order + 1)
-                 - (order + 1) * rho ** (order + 2)) / (1 - rho) ** 2
-        sum_t = tail1 - tail0
-        a_norms = self.a_norms
-        radii = self.radii
-
-        def err_phi(x: int, y: int) -> float:
-            # |phi_j(W_x, W_y) - phi_j(What_x, What_y)| with What = R A
-            e_ax = tail0 / az1 * a_norms[x]
-            d_ey = a_norms[y] / az1 * (self.r_s * sum_t + radii[y] * tail0)
-            return e_ax * dw_norms[y] + (w_norms[x] + e_ax) * d_ey
-
-        z1, z2, z3 = (abs(c) for c in self.point)
-        return (z1 * err_phi(0, 1) + z3 * err_phi(1, 2),
-                z2 * err_phi(0, 1) + z3 * err_phi(0, 2))
-
-    def a_priori(self, order: int) -> float:
-        """The worst residual bound at `order` before any W is formed.
-
-        ||W_x|| becomes ||A_x|| / (|z1| (1 - rho)), since ||R|| is at most
-        sum_t rho^t / |z1|, and ||delta_j W_y|| becomes that bound on
-        ||W_y|| times order r_s + r_y, the largest height in W_y; each
-        dominates the computed norm.
-        """
-        scale = abs(self.point[0]) * (1 - self.rho)
-        w_norms = [a / scale for a in self.a_norms]
-        dw_norms = {y: (order * self.r_s + self.radii[y]) * w_norms[y]
-                    for y in (1, 2)}
-        return max(self.residual_bounds(order, w_norms, dw_norms))
-
-    def order_for(self, tolerance: Optional[float]) -> int:
-        """The smallest order M below the cap whose dropped tail
-        rho^(M+1) / (1 - rho) is at most 2^-53 and whose a-priori bound is
-        within the tolerance, at M and at the cap alike; else the cap.
-
-        A point that passes at M then passes at the cap, whose computed
-        bound the a-priori one dominates, and a point that cannot is summed
-        to the cap; so the order changes no verdict. No tolerance means
-        the cap.
-        """
-        cap = NEUMANN_ORDER
-        if tolerance is None or not self.a_priori(cap) <= tolerance:
-            return cap
-        rho = self.rho
-        for order in range(1, cap):
-            if (rho ** (order + 1) / (1 - rho) <= _ROUNDING_TAIL
-                    and self.a_priori(order) <= tolerance):
-                return order
-        return cap
-
-
-# The phi_j(W_x, W_y) of a sample, in the order the report reads them.
-_PHI_PAIRS = ((0, 1), (1, 2), (0, 2))
-
-# tr(x y) as matched term indices, for given key orders: one walk of each
-# operand, x's first. A walk (first, second, twists) goes through the walked
-# operand in its key order; its term first[k] meets the term second[k] of
-# the other with the twist exponent twists[k] = a b of the walked degree
-# (a, b). `TorusElement.trace` walks the shorter operand, y when it is
-# strictly shorter; operands cut to prefixes of the key orders may compare
-# the other way round than the full ones, so both walks are kept.
-TraceWalk = Tuple[array, array, array]
-TracePlan = Tuple[TraceWalk, TraceWalk]
-
-
-def _trace_walk(walked: Sequence[Degree],
-                other: Sequence[Degree]) -> TraceWalk:
-    index = {key: i for i, key in enumerate(other)}
-    first, second, twists = [], [], []
-    for i, (a, b) in enumerate(walked):
-        k = index.get((-a, -b))
-        if k is not None:
-            first.append(i)
-            second.append(k)
-            twists.append(a * b)
-    return _int_array(first), _int_array(second), _int_array(twists)
-
-
-def _trace_by_plan(config: TorusConfig, x: List, y: List, plan: TracePlan):
-    """tr(x y) for coefficient lists that hold the first terms of the
-    planned key orders, with the walk, products, sums and zero of
-    `TorusElement.trace`: pairs past either list are left out."""
-    swap = len(y) < len(x)
-    first, second, twists = plan[swap]
-    if swap:
-        x, y = y, x
-    walked, other = len(x), len(y)
-    twisted_product = config.twisted_product
-    unit = config.twist_unit
-    total = None
-    for i, k, e in zip(first, second, twists):
-        if i >= walked:
-            break
-        if k < other:
-            term = twisted_product(x[i], y[k], e * unit)
-            total = term if total is None else total + term
-    return config.zero_coeff() if total is None else total
-
-
-def _phi_plan(w_keys: Sequence[Sequence[Degree]]) -> tuple:
-    """delta_j and the phi_j traces on W_1..W_3 of these key orders.
-
-    Per j: the (indices, weights) of delta_j(W_2) and delta_j(W_3), the
-    terms `TorusElement.delta` keeps and its scaling degree, and a trace
-    plan per pair of `_PHI_PAIRS` against the derivative.
-    """
-    plan = []
-    for pos in (0, 1):
-        deltas = []
-        derived = {}
-        for y in (1, 2):
-            keys = w_keys[y]
-            kept = [i for i, key in enumerate(keys) if key[pos]]
-            deltas.append((_int_array(kept),
-                           _int_array([keys[i][pos] for i in kept])))
-            derived[y] = [keys[i] for i in kept]
-        traces = tuple((_trace_walk(w_keys[x], derived[y]),
-                        _trace_walk(derived[y], w_keys[x]))
-                       for x, y in _PHI_PAIRS)
-        plan.append((tuple(deltas), traces))
-    return tuple(plan)
-
-
-def _delta_by_plan(values: List, delta: Tuple[array, array]) -> List:
-    """delta_j of a coefficient list that holds the first terms of the
-    planned key order: `TorusElement.delta`'s products, on the kept
-    indices below its length."""
-    indices, weights = delta
-    kept = bisect_left(indices, len(values))
-    return [values[i] * m for i, m in zip(islice(indices, kept), weights)]
-
-
-@dataclass(frozen=True)
-class _FactorizationPlan:
-    """W_x = R A_x, delta_j and the phi_j traces for one pencil and step.
-
-    `products[x]` plans R * A_x, R on its step's schedule keys, over the one
-    row table `row_degrees`, the V-degrees of R's terms in order of first
-    appearance; `phi` is `_phi_plan` of the W key orders.
-    """
-
-    row_degrees: Tuple[int, ...]
-    products: Tuple[ProductPlan, ...]
-    phi: tuple
-
-
-@lru_cache(maxsize=2)
-def _factorization_plan(step_support: Tuple[Degree, ...],
-                        supports: Tuple[Tuple[Degree, ...], ...]
-                        ) -> _FactorizationPlan:
-    """The plan for a step of this support and a pencil of these supports,
-    on the keys of the step's Neumann sum at NEUMANN_ORDER.
-
-    Two are kept, like the Neumann schedules: the pinned and the sampled
-    pencil of a factorization request.
-    """
-    r_keys = _neumann_schedule(step_support, NEUMANN_ORDER).keys
-    row_of: Dict[int, int] = {}
-    products, w_keys = zip(*(_product_plan(r_keys, support, row_of)
-                             for support in supports))
-    return _FactorizationPlan(tuple(row_of), products, _phi_plan(w_keys))
+def _factorization_sample(mats: Sequence[TorusElement], point: Sequence,
+                          order: int) -> FactorizationSample:
+    """Both equalities for phi_1 and phi_2 at one point and order M, in
+    either mode: R_M from `neumann_resolvent`, W_i = R_M A_i, and
+    E = (-S/z1)^(M+1) as a power of the step, independent of R_M."""
+    resolvent = neumann_resolvent(mats, point, order)
+    z1, z2, z3 = point
+    step = (mats[1] * z2 + mats[2] * z3) * (-1 / z1)
+    remainder = step
+    for _ in range(order):
+        remainder = remainder * step
+    w1, w2, w3 = (resolvent * a for a in mats)
+    pairs = ((w1, w2), (w2, w3), (remainder, w2), (w1, w3), (w1, remainder))
+    phis = (phi_cochain(1), phi_cochain(2))
+    return FactorizationSample(
+        point=tuple(point), pairs=pairs,
+        rows=((z1, -z3, 1, 0, 0), (z2, 0, 0, z3, 1)),
+        values=tuple(tuple(phi(list(pair)) for pair in pairs)
+                     for phi in phis))
 
 
 def factorization_report(mats: Sequence[TorusElement],
-                         points: Sequence[Sequence[complex]],
-                         tolerance: Optional[float] = None
-                         ) -> FactorizationReport:
-    """Residuals of the two linear relations tying phi_j values on W_i = R A_i.
-
-    At each convergent sample the resolvent R, truncated at an order M,
-    gives W_1, W_2, W_3, and the residuals
-    |z1 phi_j(W1,W2) - z3 phi_j(W2,W3)| and |z2 phi_j(W1,W2) + z3 phi_j(W1,W3)|
-    come with the truncation error propagated through phi_j, which a
-    tolerance on them must dominate. M is the smallest order whose dropped
-    tail is below rounding and whose a-priori bound meets `tolerance` at M
-    and at NEUMANN_ORDER (`_TruncationBound.order_for`), else, and without
-    a tolerance, NEUMANN_ORDER; so a tolerance check on the sample judges
-    as at NEUMANN_ORDER. Reports q_j = 2 phi_j(W1,W2)/z3 for each sample.
-    Divergent samples are skipped; if every sample diverges the sample
-    list is empty. A point with a nan or infinite coordinate raises
-    ValueError.
-
-    Which term pairs of R A_x meet, which terms delta_j keeps, and which
-    terms each trace matches depend only on R's key order and the
-    pencil's supports, so they are planned once per step support and
-    pencil (`_factorization_plan`) on the keys of the series at
-    NEUMANN_ORDER, of which R at M holds the first ones. Each point
-    replays the prefix its R reaches, with the twists of the rows it
-    reaches, and the products and sums of `TorusElement` in its order. A
-    point whose R was summed by products, so that its keys need not be
-    that prefix, or whose W has a coefficient that is exactly 0, forms W by
-    `TorusElement` products and plans delta_j and the traces on its keys.
+                         points: Sequence[Sequence]) -> FactorizationReport:
+    """Both equalities of the truncated resolvent at each point, at order
+    FACTORIZATION_ORDER, for the pencil (1, A2, A3) in exact or numeric
+    mode. The suite judges them: exactly in exact mode, against a
+    tolerance and `FactorizationSample.rounding_bounds` in numeric mode.
+    A malformed pencil or point raises ValueError (`neumann_resolvent`).
     """
-    supports = tuple(tuple(a.coeffs) for a in mats)
-    a_norms = [x.l1_norm() for x in mats]
-    radii = [x.degree_radius() for x in mats]
-    samples: List[FactorizationSample] = []
-    skipped: List[Tuple[Tuple[complex, complex, complex], str]] = []
-    for raw in points:
-        point = tuple(complex(c) for c in raw)
-        s, rho, z1 = _neumann_parts(mats, point)
-        if rho >= 1:
-            skipped.append((point, "Neumann series divergent at this point"))
-            continue
-        bound = _TruncationBound(point, rho, s.degree_radius(), a_norms,
-                                 radii)
-        order = bound.order_for(tolerance)
-        resolvent = neumann_resolvent(mats, point, order)
-        config = resolvent.config
-        support = tuple(s.coeffs)
-        plan = _factorization_plan(support, supports)
-        keys = _neumann_schedule(support, NEUMANN_ORDER).keys
-        r_values = list(resolvent.coeffs.values())
-        w = [None]  # R summed by products: W by products too
-        if keys[:len(r_values)] == tuple(resolvent.coeffs):
-            reached = max(islice(plan.products[0][0], len(r_values)),
-                          default=-1) + 1
-            w = [_replay_product(product, r_values, _twist_rows(
-                     config, plan.row_degrees[:reached], a.coeffs))
-                 for product, a in zip(plan.products, mats)]
-        phi_plan = plan.phi
-        if None in w:
-            products = [resolvent * a for a in mats]
-            phi_plan = _phi_plan([tuple(x.coeffs) for x in products])
-            w = [list(x.coeffs.values()) for x in products]
-        # the bounds read the norms of W_1 and W_2 only
-        w_norms = [sum(map(abs, x)) for x in w[:2]]
-
-        residuals = []
-        bounds = []
-        q_values = []
-        for deltas, traces in phi_plan:
-            dw = {y: _delta_by_plan(w[y], delta)
-                  for y, delta in zip((1, 2), deltas)}
-            dw_norms = {y: sum(map(abs, x)) for y, x in dw.items()}
-            v12, v23, v13 = (_trace_by_plan(config, w[x], dw[y], trace)
-                             for (x, y), trace in zip(_PHI_PAIRS, traces))
-            residuals.append(abs(point[0] * v12 - point[2] * v23))
-            residuals.append(abs(point[1] * v12 + point[2] * v13))
-            bounds.extend(bound.residual_bounds(order, w_norms, dw_norms))
-            q_values.append(2 * v12 / point[2] if point[2] != 0 else None)
-        samples.append(FactorizationSample(
-            point=point, rho=rho, order=order, q_values=tuple(q_values),
-            residuals=tuple(residuals), propagated_bounds=tuple(bounds)))
-    return FactorizationReport(samples=samples, skipped=skipped)
+    return FactorizationReport([
+        _factorization_sample(mats, point, FACTORIZATION_ORDER)
+        for point in points])
 
 
 # ---------------------------------------------------------------------------

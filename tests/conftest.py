@@ -2,24 +2,21 @@
 
 import pytest
 
-from pencilforms import ring, torus
+from pencilforms import ring
 from pencilforms.forms import maurer_cartan
 from pencilforms.jacobi import trace_power_form
 
 
 @pytest.fixture(autouse=True)
 def cold_memos():
-    """Each test starts with no omega, trace power or torus plan kept.
+    """Each test starts with no omega or trace power kept.
 
-    `maurer_cartan` and `trace_power_form` keep their last result, and the
-    torus factorization keeps the Neumann schedules and factorization plans
-    of its last two step supports, so a test that counts work on an input
-    an earlier test used would otherwise count nothing.
+    `maurer_cartan` and `trace_power_form` keep their last result, so a
+    test that counts work on an input an earlier test used would otherwise
+    count nothing.
     """
     maurer_cartan.cache_clear()
     trace_power_form.cache_clear()
-    torus._neumann_schedule.cache_clear()
-    torus._factorization_plan.cache_clear()
 
 
 def count_poly_mul(monkeypatch):

@@ -149,9 +149,9 @@ def test_criterion_09_oracle_equivalence():
 def test_criterion_10_torus():
     results = suite_torus(SEED)
     _report(_all_passed(results),
-            "criterion 10: twisted algebra laws and all four cocycles exact "
-            "for q in {3,4,5}; factorization residuals within 1e-10 at the "
-            "pinned point and 10 sampled points")
+            "criterion 10: twisted algebra laws, all four cocycles and both "
+            "factorization equalities of the truncated resolvent exact for "
+            "q in {3,4,5}")
 
 
 def test_criterion_11_determinism():

@@ -311,7 +311,18 @@ def test_check_failure_exit_code():
     r = run_cli("torus", "--check", "factorization", "--tol", "1e-40")
     assert r.returncode == 1
     assert "FAIL" in r.stdout
-    assert "propagated truncation bound" in r.stdout
+    assert "tolerance 1e-40 is below the rounding bound" in r.stdout
+
+
+@pytest.mark.parametrize("seed", ["1", "2", "3"])
+def test_factorization_passes_at_the_largest_trial_count(seed, capsys):
+    # a false FAIL at any seed would fail the check's own output: 1000
+    # points of the sampling region, each within the default tolerance
+    code = cli_main(["torus", "--check", "factorization", "--seed", seed,
+                     "--trials", "1000"])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "at 1000 seeded points" in out and "on 2000 instances" in out
 
 
 def test_torus_cocycles_with_config(tmp_path):
@@ -635,30 +646,6 @@ def _run_in_process(argv):
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue(), err.getvalue()
-
-
-def test_factorization_with_a_warm_schedule_matches_a_cold_run(tmp_path):
-    # the Neumann schedules and factorization plans of the last two step
-    # supports are kept across requests; after other seeds and another
-    # theta, a request gives the exit code and stdout of the same argv run
-    # with nothing kept
-    theta = tmp_path / "theta.json"
-    theta.write_text(json.dumps({"mode": "numeric", "theta": 0.21}))
-    argv = ["torus", "--check", "factorization", "--seed", "3"]
-    for warm in (["torus", "--check", "factorization", "--seed", "8",
-                  "--input", str(theta)],
-                 ["torus", "--check", "factorization", "--seed", "5",
-                  "--trials", "12"]):
-        assert _run_in_process(warm)[0] == 0
-    # both step supports of a request are kept: (1, U, V) and the sampled
-    assert torus._neumann_schedule.cache_info().currsize == 2
-    assert torus._factorization_plan.cache_info().currsize == 2
-    warm_code, warm_out, _ = _run_in_process(argv)
-    torus._neumann_schedule.cache_clear()
-    torus._factorization_plan.cache_clear()
-    cold_code, cold_out, _ = _run_in_process(argv)
-    assert (warm_code, warm_out) == (cold_code, cold_out)
-    assert cold_code == 0 and "PASS torus.factorization.sampled" in cold_out
 
 
 def test_one_parser_serves_every_call_in_either_order(tmp_path, units_file,

@@ -1,0 +1,100 @@
+"""Faults that each identity check must see.
+
+Each row monkeypatches one fault into the package and names the report
+lines that must then FAIL. A line that no fault fails has no content.
+
+The torus rows. Both factorization lines, `torus.factorization.pinned`
+and `.sampled`, check two equalities of the truncated resolvent,
+
+    z1 phi_j(W1, W2) - z3 phi_j(W2, W3) + phi_j(E, W2) = 0,
+    z2 phi_j(W1, W2) + z3 phi_j(W1, W3) + phi_j(W1, E) = 0,
+
+exactly at q in {3, 4, 5} (`verify --suite torus`) and against a rounding
+bound in numeric mode (`torus --check factorization`). Each fault below
+fails both lines in both modes:
+
+- phi_1 plus tr(x y): phi_1(1, y) = tr(y) is no longer 0;
+- `TorusElement.trace` plus a constant: phi_j(1, y) is that constant;
+- delta_1 with a wrong weight on the monomial U: phi_1 is no longer
+  cyclic, so phi_1(W2, W2) != 0.
+
+The equalities use only that phi_j is bilinear, vanishes with a unit in
+either slot, and is cyclic. Three faults keep all three properties, so
+these lines cannot see them (all three pass at q = 5):
+
+- delta_1 and delta_2 swapped: phi_1 and phi_2 trade places;
+- delta moved to the left slot, tr(delta_j(x) y) = -phi_j(x, y): a
+  multiple of phi_j;
+- a trace with no twist, sum x_{a,b} y_{-a,-b}: the cocycle of the
+  commutative torus, still normalized and cyclic.
+
+The twist stays covered by `torus.algebra` and the cocycle lines.
+"""
+
+import pytest
+
+from pencilforms import torus
+from pencilforms.cochains import FunctionalCochain
+from pencilforms.suites import suite_torus, torus_factorization_checks
+from pencilforms.torus import TorusElement
+
+FACTORIZATION_LINES = ("torus.factorization.pinned",
+                       "torus.factorization.sampled")
+
+
+def phi1_plus_trace(monkeypatch):
+    inner = torus.phi_cochain
+
+    def faulty(which):
+        phi = inner(which)
+        if which != 1:
+            return phi
+        return FunctionalCochain(2, lambda args: phi(args)
+                                 + args[0].trace(args[1]), label="phi1")
+
+    monkeypatch.setattr(torus, "phi_cochain", faulty)
+
+
+def trace_plus_constant(monkeypatch):
+    inner = TorusElement.trace
+
+    def faulty(self, other=None):
+        return inner(self, other) + self.config.one_coeff()
+
+    monkeypatch.setattr(TorusElement, "trace", faulty)
+
+
+def delta1_wrong_weight(monkeypatch):
+    # the coefficient of U is scaled by 2 in place of 1
+    inner = TorusElement.delta
+
+    def faulty(self, which):
+        out = inner(self, which)
+        if which == 1 and (1, 0) in self.coeffs:
+            out = out + TorusElement._of(self.config,
+                                         {(1, 0): self.coeffs[(1, 0)]})
+        return out
+
+    monkeypatch.setattr(TorusElement, "delta", faulty)
+
+
+def factorization_verdicts(seed=1):
+    """{line: passed} of the exact suite and of the numeric check."""
+    exact = {r.name: r.passed for r in suite_torus(seed)
+             if r.name in FACTORIZATION_LINES}
+    numeric = {r.name: r.passed for r in torus_factorization_checks(seed)}
+    return exact, numeric
+
+
+def test_the_factorization_lines_pass_without_a_fault():
+    exact, numeric = factorization_verdicts()
+    assert exact == numeric == dict.fromkeys(FACTORIZATION_LINES, True)
+
+
+@pytest.mark.parametrize("fault", [phi1_plus_trace, trace_plus_constant,
+                                   delta1_wrong_weight],
+                         ids=lambda fault: fault.__name__)
+def test_each_torus_fault_fails_both_factorization_lines(monkeypatch, fault):
+    fault(monkeypatch)
+    exact, numeric = factorization_verdicts()
+    assert exact == numeric == dict.fromkeys(FACTORIZATION_LINES, False)

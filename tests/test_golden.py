@@ -104,7 +104,7 @@ def cases():
             {"mode": "exact", "q": q, "p_prime": p})
     out += text_and_json("torus-factorization", [
         "torus", "--check", "factorization", "--seed", "1", "--trials", "10"])
-    # a tolerance below the propagated truncation bound: both checks FAIL
+    # a tolerance below the rounding bound: both checks FAIL
     out += text_and_json("torus-factorization-tol", [
         "torus", "--check", "factorization", "--seed", "1", "--trials", "10",
         "--tol", "1e-30"])
@@ -181,12 +181,13 @@ DIGESTS = {
         "75d16a2a4d57d38f4bc4ceb5c87f9c5a83ced3ca8f91c57288a035f6a1246577",
     "verify-hyperplane-json":
         "2222e6d47667aeb5d97961a2944345871950ae2ee957057bd43ce665a8ad8328",
-    # recorded when the cocycle checks moved from the complete boxes to the
-    # degree grid: "on 20104 monomial tuples" became "on 280 ..."
+    # recorded when the factorization lines checked the two equalities of
+    # the truncated resolvent exactly on (1, U + V^-1, V + U^-1); the
+    # cocycle lines are those of the degree grid, "on 280 monomial tuples"
     "verify-torus":
-        "3af43d422e2475f99878000a4b7adfdde2ae4d96455c581e43524370045eb68b",
+        "b733d8882e2aa94f5f40994802f8a3e8f59d5b60f8aff2a8a65cf59e4ab04c0f",
     "verify-torus-json":
-        "187c853687e00335a53321d29b94c18a9dba3c44556cd8e190d91a5f19b751eb",
+        "00cddc7269c0c09bb7ad41cfb4832e8012a77629249097277e6fdffff13bb24b",
     "torus-cocycles":
         "e1d71b4f9d01ea991fb6fc93624ee107c058d95146143b6b404979e1306bfebf",
     "torus-cocycles-json":
@@ -203,16 +204,17 @@ DIGESTS = {
         "83f7afcdded70e199cc35e8d1cd632a1cdc59d131058e6ec109a761f4ff0fc68",
     "torus-cocycles-q64-json":
         "452340b0fa9c5ca04dc33eec542c8d3f9dfe0356832fefc813a95c2c4166d481",
-    # recorded when each point's Neumann series was cut at the order of its
-    # rule: the report names the orders used in place of "order 40"
+    # recorded when the factorization lines checked the two equalities of
+    # the truncated resolvent at M = 2 on (1, U + V^-1, V + U^-1), against
+    # a rounding bound, in place of the propagated truncation bounds
     "torus-factorization":
-        "30c21912d51bb7fa751c5e2e03d13ded5eee9f6ff94b2de48e58ebe4e304b39e",
+        "8c7d15e657beeb1eab88bcb56e309c315dd0b4234b2f3de82826ea93b4b10c1a",
     "torus-factorization-json":
-        "53fe4fc98746aaebfa5baa9f01943adffa249df29a632037d129d4640e76ade6",
+        "613f54747a63d8c2c7700047336e67c8a6ed6bbf1b5f9f2e9b763df54a712d35",
     "torus-factorization-tol":
-        "d0ba3ec124d18224f3c2e17b15717b33c6a77dc03bb710bcd78d188258618ea0",
+        "13ff1c24c752cc28bec7238ce82f898e56577ff2972a8cc35c2490f162f32ca8",
     "torus-factorization-tol-json":
-        "e280d41958fc9321d0e7aad7033868043a1e47113d9149c91bc55b3695a221ed",
+        "1ce426b2fdb04487980b18f0a6f64b5234dc5d3a644eeafa7aba0985c9ecfc10",
     "spectrum-units":
         "702915ce13aa8d5359a8537572448a231c7ed483330d2e8240efdc8cdee88f96",
     "spectrum-units-json":

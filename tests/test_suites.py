@@ -16,7 +16,7 @@ from pencilforms.ring import MultiPoly, RatFn
 from pencilforms.suites import (SUITE_NAMES, SUITES, CheckResult, SuiteReport,
                                 run_suite, torus_cocycle_checks,
                                 torus_factorization_checks)
-from pencilforms.torus import TorusConfig
+from pencilforms.torus import TorusConfig, TorusElement
 from conftest import count_poly_mul
 
 
@@ -87,9 +87,11 @@ def test_torus_cocycle_checks_single_config():
 def test_torus_factorization_tolerance_failure_is_reported():
     results = torus_factorization_checks(0, tol=1e-40)
     assert not any(r.passed for r in results)
-    assert "propagated truncation bound" in results[0].counterexample
+    assert results[0].counterexample.startswith(
+        "tolerance 1e-40 is below the rounding bound ")
     # the residuals are still computed and counted
     assert " at 10 seeded points, " in results[1].detail
+    assert " on 20 instances, " in results[1].detail
 
 
 def test_torus_cocycle_checks_refuse_a_numeric_config(tmp_path, capsys):
@@ -625,29 +627,40 @@ def test_torus_cocycles_fail_terms_with_different_twists(monkeypatch,
 
 
 def _inflated_sampled_residual(inner):
-    def report(mats, points, tolerance):
-        out = inner(mats, points, tolerance)
+    # phi_1(E, W2) of the fourth sampled point, weight 1 in the first
+    # equality, raised by 1
+    def report(mats, points):
+        out = inner(mats, points)
         if len(points) > 1:
-            out.samples[3].residuals = (0.0, 1.0, 0.0, 0.0)
+            sample = out.samples[3]
+            values = list(map(list, sample.values))
+            values[0][2] += 1
+            out.samples[3] = dataclasses.replace(
+                sample, values=tuple(map(tuple, values)))
         return out
     return report
 
 
-def _all_divergent(inner):
-    return lambda mats, points, tolerance: inner(
-        mats, [(0, z2, z3) for _, z2, z3 in points], tolerance)
+def _no_content(inner):
+    # the pencil (1, U, V), where every phi_j(W_x, W_y) vanishes by degree
+    def report(mats, points):
+        cfg = mats[0].config
+        return inner([mats[0], TorusElement.u(cfg), TorusElement.v(cfg)],
+                     points)
+    return report
 
 
 @pytest.mark.parametrize("spoil, witnesses", [
     (_inflated_sampled_residual,
      {"sampled": ("10 seeded points", "(max 1.000e+00)",
-                  "residual 1.000e+00 above 1.0e-10")}),
-    (_all_divergent,
-     {"pinned": ("(1, 0.1, 0.1)", "(max 0.000e+00)",
-                 "only 0 usable sample points"),
-      "sampled": ("0 seeded points", "(max 0.000e+00)",
-                  "only 0 usable sample points")}),
-], ids=["residual", "divergent"])
+                  "residual 1.000e+00 above 1.0e-10 for phi_1 at z = ")}),
+    (_no_content,
+     {"pinned": ("z = (1, 1/2, i/4)", "(max 0.000e+00)",
+                 "|phi_1(W1, W2)| = 0.000e+00 is within the rounding bound "),
+      "sampled": ("10 seeded points", "(max 0.000e+00)",
+                  "|phi_1(W1, W2)| = 0.000e+00 is within the rounding bound "
+                  )}),
+], ids=["residual", "no-content"])
 def test_torus_factorization_judges_returned_residuals(monkeypatch, capsys,
                                                        spoil, witnesses):
     monkeypatch.setattr(suites, "factorization_report",
@@ -661,5 +674,5 @@ def test_torus_factorization_judges_returned_residuals(monkeypatch, capsys,
             continue
         where, top, why = witnesses[name]
         lines = out.split(f"FAIL torus.factorization.{name}: ")[1].splitlines()
-        assert where in lines[0] and lines[0].endswith(top)
-        assert lines[1] == f"  {why}"
+        assert where in lines[0] and top in lines[0]
+        assert lines[1].startswith(f"  {why}")

@@ -1,20 +1,17 @@
 """Twisted torus algebra: products, derivations, cocycles, resolvents."""
 
-import dataclasses
 import itertools
-import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from oracles import box, convolve, cyclo_dense, zero_sum_tuples
-from pencilforms import ring, suites, torus
+from pencilforms import ring, torus
 from pencilforms._core import Q_ZERO
 from pencilforms.cochains import FunctionalCochain, TraceWord
 from pencilforms.ring import CycloElement, Scalar
 from pencilforms.sampling import rng_for
-from pencilforms.suites import (suite_torus, torus_cocycle_checks,
-                                torus_factorization_checks)
+from pencilforms.suites import torus_cocycle_checks
 from pencilforms.torus import (
     FactorizationReport,
     FactorizationSample,
@@ -412,7 +409,19 @@ def numeric_pencil(theta=0.3183098861837907):
                  TorusElement.v(cfg)]
 
 
-DIVERGENT = "Neumann series divergent at this point"
+def content_pencil(config=None):
+    """(1, U + V^-1, V + U^-1), the pencil of the factorization checks."""
+    cfg = TorusConfig.numeric(0.37) if config is None else config
+    return [TorusElement.one(cfg),
+            TorusElement.u(cfg) + TorusElement.v(cfg, -1),
+            TorusElement.v(cfg) + TorusElement.u(cfg, -1)]
+
+
+def sampled_pencil(theta=0.37):
+    cfg = TorusConfig.numeric(theta)
+    return [TorusElement.one(cfg),
+            TorusElement.u(cfg) + TorusElement.u(cfg, -1),
+            TorusElement.v(cfg)]
 
 
 def test_neumann_trivial_pencil():
@@ -445,36 +454,25 @@ def test_neumann_inverse_quality():
 
 def test_neumann_preconditions():
     cfg, mats = numeric_pencil()
-    with pytest.raises(ValueError, match="divergent"):
-        neumann_resolvent(mats, (0.05, 1, 1), 10)
-    with pytest.raises(ValueError, match="divergent"):
-        neumann_resolvent(mats, (0, 0.1, 0.1), 10)
-    with pytest.raises(ValueError):
-        neumann_resolvent(mats, (1, 0.1, 0.1), 0)
-    with pytest.raises(ValueError, match="must be 1"):
-        neumann_resolvent([TorusElement.u(cfg), mats[1], mats[2]],
-                          (1, 0.1, 0.1), 10)
-    with pytest.raises(ValueError, match="numeric mode"):
-        exact_cfg = TorusConfig.exact(4, 1)
-        neumann_resolvent([TorusElement.one(exact_cfg),
-                           TorusElement.u(exact_cfg),
-                           TorusElement.v(exact_cfg)], (1, 0.1, 0.1), 10)
-    # each refusal in full; a malformed pencil or point is named before a
-    # divergent z1 = 0, and the order before anything else
+    exact_cfg = TorusConfig.exact(4, 1)
+    exact_mats = [TorusElement.one(exact_cfg), TorusElement.u(exact_cfg),
+                  TorusElement.v(exact_cfg)]
+    # each refusal in full; a malformed pencil or point is named before
+    # z1 = 0, and the order before anything else
     cases = [
-        (mats, (0.05, 1, 1), 10, DIVERGENT),
-        (mats, (0, 0.1, 0.1), 10, DIVERGENT),
+        (mats, (0, 0.1, 0.1), 10, "z1 must be nonzero"),
+        (exact_mats, (Scalar(0), Scalar(1), Scalar(1)), 2,
+         "z1 must be nonzero"),
         (mats, (1, 0.1, 0.1), 0, "order must be >= 1"),
         (mats[:2], (0, 0.1, 0.1), 0, "order must be >= 1"),
         (mats[:2], (0, 0.1, 0.1), 10,
          "expected three elements and a three-component point"),
         (mats, (0, 0.1), 10,
          "expected three elements and a three-component point"),
-        ([TorusElement.one(exact_cfg), TorusElement.u(exact_cfg),
-          TorusElement.v(exact_cfg)], (0, 0.1, 0.1), 10,
-         "numeric mode required for resolvent computations"),
         ([mats[0], mats[1], TorusElement.v(TorusConfig.numeric(0.21))],
          (0, 0.1, 0.1), 10, "torus elements carry different configurations"),
+        ([mats[0], mats[1], exact_mats[2]], (0, 0.1, 0.1), 10,
+         "torus elements carry different configurations"),
         ([mats[1], mats[1], mats[2]], (0, 0.1, 0.1), 10,
          "the first element of the pencil must be 1"),
     ]
@@ -482,26 +480,15 @@ def test_neumann_preconditions():
         with pytest.raises(ValueError) as info:
             neumann_resolvent(pencil, z, order)
         assert str(info.value) == message, (z, order)
-
-
-def test_neumann_parts_reads_z1_zero_as_an_infinite_ratio():
-    # z1 = 0 gives rho = inf rather than an error, so it meets the one
-    # rho >= 1 test of each caller, with the message of any divergent point
-    cfg, mats = numeric_pencil()
-    for z in ((0, 0.1, 0.1), (0, 0, 0)):
-        s, rho, z1 = torus._neumann_parts(mats, z)
-        assert rho == float("inf") and z1 == 0
-        assert s == mats[1] * z[1] + mats[2] * z[2]
-    points = [(0, 0.1, 0.1), (0.05, 1, 1), (0, 0, 0), (1, 0.1, 0.1)]
-    report = factorization_report(mats, points)
-    assert [sample.point for sample in report.samples] == [(1, 0.1, 0.1)]
-    assert report.skipped == [(tuple(complex(c) for c in z), DIVERGENT)
-                              for z in points[:3]]
+    # rho >= 1 is no refusal: R_M is defined there, in either mode
+    for pencil, z in ((mats, (0.05, 1, 1)),
+                      (exact_mats, (Scalar(1, 2), Scalar(1), Scalar(0, 1)))):
+        resolvent = neumann_resolvent(pencil, z, 3)
+        assert resolvent.config == pencil[0].config and not resolvent.is_zero
 
 
 def test_factorization_refuses_a_malformed_pencil():
-    # a malformed pencil or point raises, at a convergent point and at
-    # z1 = 0 alike: only divergence is skipped
+    # a malformed pencil or point raises, at z1 = 1 and z1 = 0 alike
     cfg, mats = numeric_pencil()
     cases = [
         (mats[:2], "expected three elements"),
@@ -516,6 +503,8 @@ def test_factorization_refuses_a_malformed_pencil():
                 factorization_report(pencil, [(1, 0.1, 0.1), z])
     with pytest.raises(ValueError, match="three-component"):
         factorization_report(mats, [(0, 0.1)])
+    with pytest.raises(ValueError, match="z1 must be nonzero"):
+        factorization_report(mats, [(1, 0.1, 0.1), (0, 0.1, 0.1)])
 
 
 NON_FINITE_POINTS = [(float("inf"), 0.1, 0.1), (float("nan"), 0.1, 0.1),
@@ -524,11 +513,11 @@ NON_FINITE_POINTS = [(float("inf"), 0.1, 0.1), (float("nan"), 0.1, 0.1),
 
 @pytest.mark.parametrize("z", NON_FINITE_POINTS, ids=["inf", "nan", "nan-z2"])
 def test_non_finite_points_are_refused(z):
-    # z1 = nan would be summed to the cap with nan residuals, and z1 = inf
-    # give R = 0 and a sample with nan residuals; both are refused, by name
+    # z1 = inf would give R = 0, and a nan coordinate nan residuals, which
+    # no tolerance judges; both are refused, by name
     point = tuple(complex(c) for c in z)
     message = f"point {point} has a non-finite coordinate"
-    mats = sampled_pencil()
+    mats = content_pencil()
     with pytest.raises(ValueError) as info:
         neumann_resolvent(mats, z, 10)
     assert str(info.value) == message
@@ -538,40 +527,46 @@ def test_non_finite_points_are_refused(z):
 
 
 def residuals(report):
-    return [r for sample in report.samples for r in sample.residuals]
+    return [abs(r) for sample in report.samples for r in sample.residuals()]
+
+
+def within_bounds(sample):
+    """Each residual within its rounding bound, and phi_j(W1, W2) above
+    both bounds of its j."""
+    bounds = sample.rounding_bounds()
+    return (all(abs(r) <= b for r, b in zip(sample.residuals(), bounds))
+            and all(abs(values[0]) > max(bounds[2 * j:2 * j + 2])
+                    for j, values in enumerate(sample.values)))
 
 
 def test_factorization_pinned_point():
-    cfg, mats = numeric_pencil()
-    report = factorization_report(mats, [(1, 0.1, 0.1)])
+    # the suite's pinned point on its pencil: content, and residuals within
+    # their bounds; on (1, U, V) every phi_j(W_x, W_y) vanishes by degree,
+    # which is why the checks do not use that pencil
+    report = factorization_report(content_pencil(), [(1, 0.5, 0.25j)])
     assert isinstance(report, FactorizationReport)
-    assert not report.skipped
-    assert max(residuals(report)) <= 1e-10
-    sample = report.samples[0]
-    assert sample.rho == pytest.approx(0.2)
-    assert max(sample.propagated_bounds) < 1e-10
-    q1, q2 = sample.q_values
-    assert q1 is not None and q2 is not None
-    # every monomial of this resolvent sits in the quarter plane m, n >= 0,
-    # so each paired trace vanishes outright and both q values are zero
-    assert q1 == 0 and q2 == 0
+    sample, = report.samples
+    assert isinstance(sample, FactorizationSample)
+    assert sample.point == (1, 0.5, 0.25j)
+    assert within_bounds(sample)
+    assert max(sample.rounding_bounds()) < 1e-11
+    _, mats = numeric_pencil()
+    sample, = factorization_report(mats, [(1, 0.5, 0.25j)]).samples
+    assert all(value == 0 for values in sample.values for value in values)
 
 
 def test_factorization_random_samples():
-    cfg = TorusConfig.numeric(0.37)
-    mats = [TorusElement.one(cfg),
-            TorusElement.u(cfg) + TorusElement.u(cfg, -1),
-            TorusElement.v(cfg)]
+    # the suite's sampling region: real and imaginary parts in [-0.5, 0.5]
+    mats = content_pencil()
     rng = rng_for(19, "factor-samples")
-    points = []
-    for _ in range(10):
-        points.append((1 + 0j,
-                       complex(rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1)),
-                       complex(rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1))))
+    points = [(1 + 0j,
+               complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)),
+               complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)))
+              for _ in range(10)]
     report = factorization_report(mats, points)
-    assert len(report.samples) == 10
-    assert max(residuals(report)) <= 1e-9
-    assert max(max(s.propagated_bounds) for s in report.samples) < 1e-9
+    assert [sample.point for sample in report.samples] == points
+    assert all(within_bounds(sample) for sample in report.samples)
+    assert max(residuals(report)) <= 1e-12
 
 
 def test_factorization_nonzero_coefficients():
@@ -580,34 +575,48 @@ def test_factorization_nonzero_coefficients():
     mats = [TorusElement.one(cfg),
             TorusElement.u(cfg) + TorusElement.v(cfg),
             TorusElement.u(cfg, -1) + TorusElement.v(cfg, -1)]
-    report = factorization_report(mats, [(1, 0.08, 0.06)])
-    sample = report.samples[0]
-    assert max(sample.residuals) <= 1e-9
-    assert max(sample.propagated_bounds) < 1e-9
-    assert abs(sample.q_values[0]) > 1
-    assert abs(sample.q_values[1]) > 1
+    sample, = factorization_report(mats, [(1, 0.08, 0.06)]).samples
+    assert within_bounds(sample)
+    # phi_j(W1, W2) and phi_j(W2, W3)
+    assert all(abs(value) > 1e-3 for values in sample.values
+               for value in values[:2])
 
 
 def test_factorization_divergent_handling():
-    cfg, mats = numeric_pencil()
-    report = factorization_report(mats, [(0.05, 1, 1), (1, 0.1, 0.1)])
-    assert len(report.samples) == 1
-    assert len(report.skipped) == 1
-    assert "divergent" in report.skipped[0][1]
-    # z1 = 0 diverges too; a point set with no convergent point is no error
-    report = factorization_report(mats, [(0.05, 1, 1), (0, 0.1, 0.1)])
-    assert report.samples == []
-    assert [why for _, why in report.skipped] == [
-        "Neumann series divergent at this point"] * 2
+    # points where the series diverges, ||z2 A2 + z3 A3||_1 >= |z1|, are
+    # checked like any other: the equalities use no convergence
+    mats = content_pencil()
+    points = [(0.05, 1, 1), (1, 0.5 + 0.5j, -0.5 + 0.5j), (1, 0.1, 0.1)]
+    ratios = [(mats[1] * z2 + mats[2] * z3).l1_norm() / abs(z1)
+              for z1, z2, z3 in points]
+    assert ratios[0] > 1 and ratios[1] > 1 and ratios[2] < 1
+    report = factorization_report(mats, points)
+    assert len(report.samples) == 3
+    assert all(within_bounds(sample) for sample in report.samples)
+    for q, p in EXACT_ORDERS:
+        exact = content_pencil(TorusConfig.exact(q, p))
+        point = (Scalar(Fraction(1, 20)), Scalar(1), Scalar(1, -1))
+        sample, = factorization_report(exact, [point]).samples
+        assert not any(sample.residuals())
+        assert all(values[0] for values in sample.values)
 
 
 def test_factorization_tolerance_precondition():
-    # rho = 0.9: the terms left out of the series keep the propagated bound
-    # far above any tolerance a residual check could use
-    cfg, mats = numeric_pencil()
-    sample, = factorization_report(mats, [(1, 0.45, 0.45)]).samples
-    assert sample.rho == pytest.approx(0.9)
-    assert max(sample.propagated_bounds) > 1e-10
+    # K grows with the point: the suite's region keeps every rounding bound
+    # under 3e-11, below the default tolerance 1e-10, at any twist; at
+    # |z2| = |z3| = 1.4 a bound passes 1e-10, which no residual check at
+    # that tolerance could accept
+    corners = [(1.0, complex(a, b), complex(c, d))
+               for a, b, c, d in itertools.product((-0.5, 0.5), repeat=4)]
+    for theta in (0.37, 0.3183098861837907, 1.0, 1e-3):
+        mats = content_pencil(TorusConfig.numeric(theta))
+        bounds = [max(sample.rounding_bounds())
+                  for sample in factorization_report(mats, corners).samples]
+        assert max(bounds) < 3e-11, theta
+    sample, = factorization_report(content_pencil(TorusConfig.numeric(1.0)),
+                                   [(1.0, 1 + 1j, -1 + 1j)]).samples
+    assert max(sample.rounding_bounds()) > 1e-10
+    assert within_bounds(sample)
 
 
 def test_element_text_round_trip():
@@ -1057,17 +1066,6 @@ def test_weights_and_exponents_are_affine_in_each_free_coordinate():
     assert _affine_failure(lambda args: [squared(args)], 2) is not None
 
 
-def test_a_factorization_request_builds_each_schedule_once():
-    # the pinned pencil (1, U, V) runs before the sampled one, so both
-    # schedules and both factorization plans are kept, for the suite and
-    # for the next request alike
-    suite_torus(1)
-    torus_factorization_checks(1, trials=75)
-    for memo in (torus._neumann_schedule, torus._factorization_plan):
-        info = memo.cache_info()
-        assert info.misses == 2 and info.hits > 0, memo
-
-
 def test_cyclo_int_products_match_convolution():
     rng = rng_for(0, "test", "cyclo-int-products")
     for q, p in EXACT_ORDERS:
@@ -1114,7 +1112,9 @@ def test_torus_subtraction_matches_adding_the_negation():
             - TorusElement.u(TorusConfig.numeric(0.25))
 
 
-# -- the numeric factorization against the plain computation ---------------
+
+
+# -- the factorization identity against the plain computation --------------
 
 
 def _naive_element_product(x, y):
@@ -1122,239 +1122,51 @@ def _naive_element_product(x, y):
 
 
 def _reference_resolvent(mats, z, order):
-    """Every power by the term-pair loop, summed as acc = acc + power."""
-    s, rho, z1 = torus._neumann_parts(mats, z)
-    assert rho < 1
-    step = s * (-1 / z1)
+    """Every power by the term-pair loop, summed as acc = acc + power; the
+    step is returned too."""
+    z1, z2, z3 = z
+    step = (mats[1] * z2 + mats[2] * z3) * (-1 / z1)
     acc = power = TorusElement.one(mats[0].config)
     for _ in range(order):
         power = _naive_element_product(power, step)
         acc = acc + power
-    return acc * (1 / z1)
+    return acc * (1 / z1), step
 
 
-def _reference_err_phi(mats, point, order, w_norm, dw_norm):
-    """err_phi(j, x, y) at this order, from the norms ||W_x|| = w_norm(x)
-    and ||delta_j W_y|| = dw_norm(j, y)."""
-    s, rho, z1 = torus._neumann_parts(mats, point)
-    az1 = abs(z1)
-    tail0 = rho ** (order + 1) / (1 - rho)
-    tail1 = ((order + 2) * rho ** (order + 1)
-             - (order + 1) * rho ** (order + 2)) / (1 - rho) ** 2
-    sum_t = tail1 - tail0
-    r_s = s.degree_radius()
-    a_norms = [x.l1_norm() for x in mats]
-    radii = [x.degree_radius() for x in mats]
-
-    def err_phi(j, x, y):
-        e_ax = tail0 / az1 * a_norms[x]
-        d_ey = a_norms[y] / az1 * (r_s * sum_t + radii[y] * tail0)
-        return e_ax * dw_norm(j, y) + (w_norm(x) + e_ax) * d_ey
-
-    return err_phi
+def _reference_sample(mats, point, order):
+    """phi_j values and residuals of both equalities, written out."""
+    z1, z2, z3 = point
+    resolvent, step = _reference_resolvent(mats, point, order)
+    remainder = step
+    for _ in range(order):
+        remainder = _naive_element_product(remainder, step)
+    w1, w2, w3 = (_naive_element_product(resolvent, a) for a in mats)
+    values, sums = [], []
+    for j in (1, 2):
+        phi = phi_cochain(j)
+        v12, v23, ve2, v13, v1e = (phi([x, y]) for x, y in (
+            (w1, w2), (w2, w3), (remainder, w2), (w1, w3), (w1, remainder)))
+        values.append((v12, v23, ve2, v13, v1e))
+        sums += [z1 * v12 + -z3 * v23 + 1 * ve2, z2 * v12 + z3 * v13 + v1e]
+    return values, sums
 
 
-def _reference_bounds(point, err_phi, j):
-    """The two residual bounds of phi_j from err_phi."""
-    z1, z2, z3 = (abs(c) for c in point)
-    return (z1 * err_phi(j, 0, 1) + z3 * err_phi(j, 1, 2),
-            z2 * err_phi(j, 0, 1) + z3 * err_phi(j, 0, 2))
-
-
-def _a_priori_bound(mats, point, order):
-    """The worst residual bound with ||W_x|| replaced by
-    ||A_x|| / (|z1| (1 - rho)) and ||delta_j W_y|| by
-    (order r_s + r_y) ||A_y|| / (|z1| (1 - rho))."""
-    point = tuple(complex(c) for c in point)
-    s, rho, z1 = torus._neumann_parts(mats, point)
-    scale = abs(z1) * (1 - rho)
-
-    def w_norm(x):
-        return mats[x].l1_norm() / scale
-
-    def dw_norm(j, y):
-        return (order * s.degree_radius() + mats[y].degree_radius()) \
-            * w_norm(y)
-
-    err_phi = _reference_err_phi(mats, point, order, w_norm, dw_norm)
-    return max(_reference_bounds(point, err_phi, 1))
-
-
-def _reference_order(mats, point, tolerance):
-    """The smallest order whose dropped tail is at most 2^-53 and whose
-    a-priori bound is within the tolerance, there and at the cap."""
-    cap = torus.NEUMANN_ORDER
-    _, rho, _ = torus._neumann_parts(mats, tuple(complex(c) for c in point))
-    if tolerance is None or _a_priori_bound(mats, point, cap) > tolerance:
-        return cap
-    return min((m for m in range(1, cap + 1)
-                if rho ** (m + 1) / (1 - rho) <= 2 ** -53
-                and _a_priori_bound(mats, point, m) <= tolerance),
-               default=cap)
-
-
-def _reference_samples(mats, points, orders=None):
-    """Each phi_j through its cochain, and one delta per err_phi call, with
-    each point's series cut at its order (default NEUMANN_ORDER).
-
-    Returns the samples and every phi value, for a content check.
-    """
-    if orders is None:
-        orders = [torus.NEUMANN_ORDER] * len(points)
-    phis = (phi_cochain(1), phi_cochain(2))
-    samples, values = [], []
-    for raw, order in zip(points, orders):
-        point = tuple(complex(c) for c in raw)
-        _, rho, _ = torus._neumann_parts(mats, point)
-        resolvent = _reference_resolvent(mats, point, order)
-        w = [_naive_element_product(resolvent, a) for a in mats]
-        err_phi = _reference_err_phi(
-            mats, point, order, lambda x: w[x].l1_norm(),
-            lambda j, y: w[y].delta(j).l1_norm())
-
-        residuals, bounds, q_values = [], [], []
-        for j, phi in zip((1, 2), phis):
-            v12 = phi(w[0], w[1])
-            v23 = phi(w[1], w[2])
-            v13 = phi(w[0], w[2])
-            values += [v12, v23, v13]
-            residuals.append(abs(point[0] * v12 - point[2] * v23))
-            residuals.append(abs(point[1] * v12 + point[2] * v13))
-            bounds.extend(_reference_bounds(point, err_phi, j))
-            q_values.append(2 * v12 / point[2] if point[2] != 0 else None)
-        samples.append(FactorizationSample(
-            point=point, rho=rho, order=order, q_values=tuple(q_values),
-            residuals=tuple(residuals), propagated_bounds=tuple(bounds)))
-    return samples, values
-
-
-# (1, U + V^-1, V + U^-1) has two-sided support in both gradings, so no
-# phi_j(W_x, W_y) vanishes by degree: here each lies in 0.08-1.5.
 CONTENT_POINTS = [(1, 0.1, 0.12), (1, -0.09 + 0.03j, 0.13),
                   (1, 0.12 - 0.03j, -0.1 + 0.04j), (0.9, 0.1, 0.12),
-                  (1, 0.15, 0.1j), (1, 0.14 + 0.05j, -0.11)]
+                  (1, 0.45, 0.4j), (1.0, 0.5, 0.25j)]
 
 
-# The same pencil nearer the origin: rho is 0.1-0.3, where the series is cut
-# below the cap at 1e-10, and each phi_j(W_x, W_y) lies in 0.02-1.1. At
-# CONTENT_POINTS rho is 0.44-0.52, whose tails stay above 2^-53 up to the
-# cap, so those points are summed to it at every tolerance.
-CUT_CONTENT_POINTS = [(1, 0.05, 0.06), (1, -0.04 + 0.02j, 0.05),
-                      (1, 0.03, -0.02 + 0.01j), (1, 0.08, 0.07j),
-                      (1.2, 0.06 - 0.03j, -0.05), (1, 0.1, 0.02)]
-
-
-def content_pencil():
-    cfg = TorusConfig.numeric(0.37)
-    return [TorusElement.one(cfg),
-            TorusElement.u(cfg) + TorusElement.v(cfg, -1),
-            TorusElement.v(cfg) + TorusElement.u(cfg, -1)]
-
-
-def sampled_pencil(theta=0.37):
-    cfg = TorusConfig.numeric(theta)
-    return [TorusElement.one(cfg),
-            TorusElement.u(cfg) + TorusElement.u(cfg, -1),
-            TorusElement.v(cfg)]
-
-
-def suite_resolvent_cases():
-    """The torus suite's pinned and sampled pencils at seeded points.
-
-    A point with z2 = 0 or z3 = 0 comes before each, so the step's support
-    changes between neighbours and a kept Neumann schedule must not be
-    reused; the sampled pencil comes again at another theta, with the same
-    support, so its schedule is.
-    """
-    rng = rng_for(25, "torus", "bitwise-resolvent")
-    cases = []
-    for mats in (numeric_pencil()[1], sampled_pencil(), sampled_pencil(0.21)):
-        for _ in range(2):
-            z2 = complex(rng.uniform(0.05, 0.1), rng.uniform(-0.02, 0.02))
-            z3 = complex(rng.uniform(0.05, 0.1), rng.uniform(-0.02, 0.02))
-            cases += [(mats, (1.0, 0, z3)), (mats, (1.0, z2, z3)),
-                      (mats, (1.0, z2, 0)), (mats, (1.0, z2, z3))]
-    return cases
-
-
-def suite_factorization_cases():
-    """The torus suite's pinned pencil at its point and its sampled pencil
-    at seeded points of the suite's range."""
-    rng = rng_for(28, "torus", "bitwise-factorization")
-    points = [(1.0, complex(rng.uniform(0.05, 0.1), rng.uniform(-0.02, 0.02)),
-               complex(rng.uniform(0.05, 0.1), rng.uniform(-0.02, 0.02)))
-              for _ in range(3)]
-    return [(numeric_pencil()[1], [(1.0, 0.1, 0.1)] + points[:1]),
-            (sampled_pencil(), points)]
-
-
-def assert_samples_bitwise(samples, expected):
-    assert len(samples) == len(expected)
-    for sample, ref in zip(samples, expected):
-        for field in dataclasses.fields(FactorizationSample):
-            got, want = getattr(sample, field.name), getattr(ref, field.name)
-            # repr tells the sign of a zero and every bit of a float
-            assert got == want and repr(got) == repr(want), field.name
-
-
-def test_factorization_is_bitwise_the_reference(monkeypatch):
-    # no coefficient of these points cancels, so every one of them is
-    # replayed from a Neumann schedule, none summed again by products
-    fallbacks = []
-    by_products = torus._neumann_sum_by_products
-
-    def counting_by_products(step, order):
-        fallbacks.append(step)
-        return by_products(step, order)
-
-    traces = []
-    by_plan = torus._trace_by_plan
-
-    def recording_trace(config, x, y, plan):
-        # the walk `_trace_by_plan` takes, and the pairs inside both lists
-        swap = len(y) < len(x)
-        walked, other = (y, x) if swap else (x, y)
-        first, second, _ = plan[swap]
-        traces.append((swap, sum(i < len(walked) and k < len(other)
-                                 for i, k in zip(first, second))))
-        return by_plan(config, x, y, plan)
-
-    monkeypatch.setattr(torus, "_neumann_sum_by_products",
-                        counting_by_products)
-    monkeypatch.setattr(torus, "_trace_by_plan", recording_trace)
+def test_factorization_is_bitwise_the_reference():
     mats = content_pencil()
-    # each point is cut at its own order, replaying a prefix of the plan
-    # at the cap; CONTENT_POINTS run at the cap itself
-    points = CONTENT_POINTS + CUT_CONTENT_POINTS
-    report = factorization_report(mats, points, 1e-10)
-    orders = [sample.order for sample in report.samples]
-    cut = 6 * len(CONTENT_POINTS)
-    assert set(orders[:len(CONTENT_POINTS)]) == {torus.NEUMANN_ORDER}
-    assert max(orders[len(CONTENT_POINTS):]) < torus.NEUMANN_ORDER
-    expected, values = _reference_samples(mats, points, orders)
-    assert min(abs(v) for v in values[:cut]) > 0.08
-    assert min(abs(v) for v in values[cut:]) > 0.02
-    assert max(residuals(report)) <= 1e-9 and not report.skipped
-    assert all(max(s.propagated_bounds) <= 1e-9 for s in report.samples)
-    assert len(report.samples) == len(expected) == len(points)
-    assert_samples_bitwise(report.samples, expected)
-    assert max(residuals(report)) == max(max(s.residuals) for s in expected)
-    # the content pencil walks a derivative shorter than its W, and the
-    # suite's pencils have traces that match no pair (the zero of the mode)
-    assert any(swap and pairs for swap, pairs in traces)
-    traces.clear()
-    for suite_mats, points in suite_factorization_cases():
-        for tolerance in (None, 1e-10):
-            samples = factorization_report(suite_mats, points,
-                                           tolerance).samples
-            assert_samples_bitwise(samples, _reference_samples(
-                suite_mats, points, [s.order for s in samples])[0])
-    assert any(not pairs for _, pairs in traces)
-    cases = [(mats, z) for z in CONTENT_POINTS] + suite_resolvent_cases()
-    for case_mats, z in cases:
-        assert list(neumann_resolvent(case_mats, z, 40).coeffs.items()) == \
-            list(_reference_resolvent(case_mats, z, 40).coeffs.items()), z
-    assert fallbacks == []
+    report = factorization_report(mats, CONTENT_POINTS)
+    for sample, point in zip(report.samples, CONTENT_POINTS):
+        values, sums = _reference_sample(mats, point, 2)
+        # repr tells the sign of a zero and every bit of a float
+        assert repr(sample.values) == repr(tuple(map(tuple, values)))
+        assert [abs(r) for r in sample.residuals()] == [abs(r) for r in sums]
+    for z in CONTENT_POINTS:
+        assert list(neumann_resolvent(mats, z, 6).coeffs.items()) == \
+            list(_reference_resolvent(mats, z, 6)[0].coeffs.items()), z
 
 
 def test_neumann_sum_readds_a_cancelled_key_at_the_end():
@@ -1365,75 +1177,9 @@ def test_neumann_sum_readds_a_cancelled_key_at_the_end():
     mats = [one, one + TorusElement.u(cfg) * 0.5, TorusElement.v(cfg)]
     z = (1, 0.5, 0)
     resolvent = list(neumann_resolvent(mats, z, 6).coeffs.items())
-    assert resolvent == list(_reference_resolvent(mats, z, 6).coeffs.items())
+    assert resolvent == \
+        list(_reference_resolvent(mats, z, 6)[0].coeffs.items())
     assert [key for key, _ in resolvent[:3]] == [(0, 0), (2, 0), (1, 0)]
-
-
-def test_neumann_power_that_cancels_falls_back():
-    # step = 1/4 + U/8 - U^-1/4 is dyadic, and its square has the constant
-    # term 1/16 - 1/32 - 1/32 = 0 exactly, so the second power drops (0, 0)
-    # and the schedule of the step's support no longer fits the point
-    cfg = TorusConfig.numeric(0.37)
-    mats = [TorusElement.one(cfg),
-            TorusElement(cfg, {(0, 0): -0.25, (1, 0): -0.125, (-1, 0): 0.25}),
-            TorusElement.v(cfg)]
-    z = (1, 1, 0)
-    step = mats[1] * -1
-    assert (0, 0) not in (step * step).coeffs
-    assert torus._neumann_sum_by_schedule(step, 6) is None
-    for order in (2, 6, 40):
-        assert list(neumann_resolvent(mats, z, order).coeffs.items()) == \
-            list(_reference_resolvent(mats, z, order).coeffs.items())
-
-
-def test_factorization_product_that_cancels_falls_back(monkeypatch):
-    # at z = (1, 1/2, 0) the resolvent is sum_t (-U/2)^t, dyadic, and
-    # R (1 + U/2) telescopes: every coefficient but those of U^0 and U^41
-    # is exactly 0, which the factorization plan does not model, so W_3 is
-    # formed by products and delta_j and the traces are planned on its keys
-    cfg = TorusConfig.numeric(0.37)
-    one, u = TorusElement.one(cfg), TorusElement.u(cfg)
-    mats = [one, u, one + u * 0.5]
-    z = (1, 0.5, 0)
-    planned = []
-    inner = torus._phi_plan
-
-    def recording(w_keys):
-        planned.append([list(keys) for keys in w_keys])
-        return inner(w_keys)
-
-    monkeypatch.setattr(torus, "_phi_plan", recording)
-    report = factorization_report(mats, [z])
-    expected, _ = _reference_samples(mats, [z])
-    assert_samples_bitwise(report.samples, expected)
-    # the plan of the term-pair keys, then the one of the product's keys
-    assert len(planned[0][2]) == 42
-    assert planned[1:] == [[list(_naive_element_product(
-        neumann_resolvent(mats, z, torus.NEUMANN_ORDER), a).coeffs)
-        for a in mats]]
-    assert planned[1][2] == [(0, 0), (41, 0)]
-
-
-def test_a_cold_factorization_plan_fits_its_memory_ceiling():
-    # the plan of the sampled pencil at order 40 holds index arrays only;
-    # measured at 0.17 MB kept and 0.59 MB peak while built (Python 3.11).
-    # It is keyed on the step's support and built on the keys of the step's
-    # Neumann schedule, which the resolvent has built first, as in a request
-    mats = sampled_pencil()
-    point = (1, 0.07, 0.08)
-    resolvent = neumann_resolvent(mats, point, torus.NEUMANN_ORDER)
-    step_support = tuple(torus._neumann_parts(mats, point)[0].coeffs)
-    supports = tuple(tuple(a.coeffs) for a in mats)
-    tracemalloc.start()
-    try:
-        plan = torus._factorization_plan(step_support, supports)
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(resolvent.coeffs) == 1681
-    assert [count for _, _, count in plan.products] == [1681, 1762, 1681]
-    assert kept <= FACTORIZATION_PLAN_KEPT_BYTES
-    assert peak <= FACTORIZATION_PLAN_PEAK_BYTES
 
 
 def test_factorization_calls_the_resolvent_through_the_module(monkeypatch):
@@ -1446,189 +1192,79 @@ def test_factorization_calls_the_resolvent_through_the_module(monkeypatch):
         return inner(mats, z, order)
 
     monkeypatch.setattr(torus, "neumann_resolvent", counting)
-    report = factorization_report(sampled_pencil(), [
-        (1, 0.06, 0.07), (0.05, 1, 1), (1, 0.08j, 0.05), (0, 0.1, 0.1)])
-    assert len(report.samples) == 2 and len(report.skipped) == 2
+    report = factorization_report(content_pencil(), CONTENT_POINTS[:3])
+    assert len(report.samples) == 3
     assert points == [sample.point for sample in report.samples]
 
 
-# lambda_power and TorusElement.__mul__ calls in factorization_report on
-# the sampled pencil of the torus suite (seed 1, ten points, tolerance
-# 1e-10). The counts depend on the code alone. Recorded when the Neumann
-# powers were replayed from a schedule, which takes each point's twists once
-# per left V-degree for all 40 powers (before: 26,240 lambda_power calls,
-# with a budget of 27,040, and 490 products, 40 of them per point for the
-# powers), and lowered when W = R A was replayed from the factorization plan
-# (before: 90 products, 9 per point). The 5 left per point scale the pencil
-# twice for s and once for the step, in `_neumann_parts` (run twice) and
-# `neumann_resolvent`. Lowered again when the Neumann sum was scaled by
-# 1/z1 as a coefficient list (before: 60 products, 6 per point) and the
-# Neumann powers took the twists of the schedule rows their order reaches
-# only (before: 2,840 lambda_power calls), and again when W = R A took the
-# twists of the plan rows its R reaches only, M + 1 of the 41 at the cap
-# (before: 2,400 for 2,396 calls, 1,640 of them for the W rows).
-FACTORIZATION_LAMBDA_POWER_BUDGET = 1_810
-FACTORIZATION_TORUS_MUL_BUDGET = 50
-# Term pairs replayed by `_replay_product` for the Neumann powers and
-# W = R A at those ten points, recorded when each point's series was cut at
-# the order of its rule (orders 22-29: 120,286 pairs; the same points at
-# order 40 replay 411,640).
-FACTORIZATION_PAIR_SLOT_BUDGET = 121_000
-
-# tracemalloc ceilings on one cold factorization plan of the sampled pencil
-# at order 40, which the factorization request keeps next to its schedule.
-FACTORIZATION_PLAN_KEPT_BYTES = 250_000
-FACTORIZATION_PLAN_PEAK_BYTES = 750_000
-
-
-def suite_sampled_points(seed=1, count=10):
-    """The sample points `torus_factorization_checks` draws."""
-    rng = rng_for(seed, "torus", "factor-points")
-    return [(1.0,
-             complex(rng.uniform(0.05, 0.1), rng.uniform(-0.02, 0.02)),
-             complex(rng.uniform(0.05, 0.1), rng.uniform(-0.02, 0.02)))
-            for _ in range(count)]
+# TorusElement.__mul__, TorusElement.delta and lambda_power calls per point
+# of factorization_report at M = 2 on the suite's pencil, with its rounding
+# bounds: 6 products for R (the step's two scalings and its own, two powers,
+# 1/z1), 3 more for the step, 2 for E and 3 for W; 10 derivations for the
+# phi values and 12 for the bounds. Recorded when the equalities replaced
+# the truncation bounds, whose Neumann plans made about 50 products and
+# 1,800 lambda_power calls over ten points at orders 22-29; lambda_power
+# was called 73 times per point.
+FACTORIZATION_TORUS_MUL_PER_POINT = 14
+FACTORIZATION_DELTA_PER_POINT = 22
+FACTORIZATION_LAMBDA_POWER_PER_POINT = 75
 
 
 def test_factorization_operation_counts(monkeypatch):
-    mats = sampled_pencil()
-    points = suite_sampled_points()
-    calls = {"delta": 0, "lambda_power": 0, "mul": 0, "pairs": 0}
-    over_budget = []
-    inner_delta = torus._delta_by_plan
+    mats = content_pencil()
+    calls = {"delta": 0, "lambda_power": 0, "mul": 0}
+    inner_delta = TorusElement.delta
     inner_lambda_power = TorusConfig.lambda_power
     inner_mul = TorusElement.__mul__
-    inner_replay = torus._replay_product
 
-    def counting_delta(values, delta):
-        calls["delta"] += 1
-        return inner_delta(values, delta)
+    def counting(name, inner):
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        return wrapper
 
-    def counting_lambda_power(self, exponent):
-        calls["lambda_power"] += 1
-        return inner_lambda_power(self, exponent)
-
-    def budgeted_mul(self, other):
-        calls["mul"] += 1
-        before = calls["lambda_power"]
-        product = inner_mul(self, other)
-        if isinstance(other, TorusElement):
-            rows = len({b for _, b in self.coeffs})
-            used = calls["lambda_power"] - before
-            if used > rows * len(other.coeffs):
-                over_budget.append((used, rows, len(other.coeffs)))
-        return product
-
-    def counting_replay(plan, left, twist_rows):
-        # every row of the table holds one pair per right term
-        right = len(twist_rows[0]) if twist_rows else 0
-        calls["pairs"] += min(len(left), len(plan[0])) * right
-        return inner_replay(plan, left, twist_rows)
-
-    monkeypatch.setattr(torus, "_delta_by_plan", counting_delta)
-    monkeypatch.setattr(TorusConfig, "lambda_power", counting_lambda_power)
-    monkeypatch.setattr(TorusElement, "__mul__", budgeted_mul)
-    monkeypatch.setattr(torus, "_replay_product", counting_replay)
-    report = factorization_report(mats, points, 1e-10)
-    assert len(report.samples) == 10 and max(residuals(report)) <= 1e-10
-    assert all(max(s.propagated_bounds) <= 1e-10 for s in report.samples)
-    assert max(s.order for s in report.samples) <= 30
-    assert calls["delta"] == 4 * len(report.samples)
-    assert over_budget == []
-    assert 0 < calls["lambda_power"] <= FACTORIZATION_LAMBDA_POWER_BUDGET
-    assert 0 < calls["mul"] <= FACTORIZATION_TORUS_MUL_BUDGET
-    assert 0 < calls["pairs"] <= FACTORIZATION_PAIR_SLOT_BUDGET
-    # a tolerance no cut series can meet keeps every point at the cap
-    capped = factorization_report(mats, points, 1e-30)
-    assert [s.order for s in capped.samples] == [torus.NEUMANN_ORDER] * 10
+    monkeypatch.setattr(TorusElement, "delta", counting("delta", inner_delta))
+    monkeypatch.setattr(TorusConfig, "lambda_power",
+                        counting("lambda_power", inner_lambda_power))
+    monkeypatch.setattr(TorusElement, "__mul__", counting("mul", inner_mul))
+    report = factorization_report(mats, CONTENT_POINTS)
+    assert all(within_bounds(sample) for sample in report.samples)
+    points = len(CONTENT_POINTS)
+    assert calls["mul"] == FACTORIZATION_TORUS_MUL_PER_POINT * points
+    assert calls["delta"] == FACTORIZATION_DELTA_PER_POINT * points
+    assert 0 < calls["lambda_power"] \
+        <= FACTORIZATION_LAMBDA_POWER_PER_POINT * points
 
 
-# -- the order each point's series is cut at --------------------------------
+@pytest.mark.parametrize("order", [1, 2, 3, 6])
+def test_the_equalities_hold_exactly_at_every_order(order):
+    # no order rule: the identity is exact at each M, inside the region
+    # where the series converges and outside it (|z2| + |z3| > 1/2)
+    points = [(Scalar(1), Scalar(Fraction(1, 10), Fraction(1, 50)),
+               Scalar(Fraction(3, 40), Fraction(-1, 60))),
+              (Scalar(1), Scalar(Fraction(1, 2)), Scalar(0, Fraction(1, 4)))]
+    for q, p in EXACT_ORDERS:
+        mats = content_pencil(TorusConfig.exact(q, p))
+        for point in points[:1] if order == 6 else points:
+            sample = torus._factorization_sample(mats, point, order)
+            assert not any(sample.residuals()), (q, order, point)
+            assert all(values[0] for values in sample.values)
 
 
-def order_rule_cases():
-    """The suite's pinned and sampled pencils at their points, and the
-    content pencil at its points, some of them cut below the cap."""
-    return [(numeric_pencil()[1], [(1.0, 0.1, 0.1)], 1),
-            (sampled_pencil(), suite_sampled_points(), 10),
-            (content_pencil(), CONTENT_POINTS + CUT_CONTENT_POINTS,
-             len(CONTENT_POINTS + CUT_CONTENT_POINTS))]
-
-
-def test_each_point_is_cut_at_the_order_of_its_rule():
-    cap = torus.NEUMANN_ORDER
-    seen = set()
-    for mats, points, _ in order_rule_cases():
-        for tolerance in (None, 1e-10, 1e-14, 1e-30):
-            report = factorization_report(mats, points, tolerance)
-            for sample, point in zip(report.samples, points):
-                order = sample.order
-                seen.add(order)
-                assert order == _reference_order(mats, point, tolerance)
-                if order < cap:
-                    assert sample.rho ** (order + 1) / (1 - sample.rho) \
-                        <= 2 ** -53
-                    assert _a_priori_bound(mats, point, order) <= tolerance
-                if tolerance is None:
-                    assert order == cap
-    # the suite's points are cut at 22-30, the cut content points lower
-    assert min(seen) < 20 and cap in seen and len(seen) > 5
-
-
-def test_cut_series_judge_as_the_cap(monkeypatch):
-    # a verdict at the order of the rule is the verdict at the cap: on all
-    # points at the suite's tolerance and below every bound, and on each
-    # point just either side of its worst bound at the cap
-    for mats, points, needed in order_rule_cases():
-        at_cap = {sample.point: sample
-                  for sample in factorization_report(mats, points).samples}
-        runs = [(points, needed, tolerance) for tolerance in (1e-10, 1e-30)]
-        runs += [([point], 1, max(sample.propagated_bounds) * f)
-                 for point, sample in zip(points, at_cap.values())
-                 for f in (1 - 1e-6, 1 + 1e-6)]
-        verdicts = set()
-        for run_points, run_needed, tolerance in runs:
-            reports = []
-
-            def cut_report(*args):
-                reports.append(factorization_report(*args))
-                return reports[-1]
-
-            def cap_report(mats, points, tolerance):
-                return FactorizationReport([at_cap[tuple(map(complex, z))]
-                                            for z in points], [])
-
-            verdict = {}
-            for name, report in (("cut", cut_report), ("cap", cap_report)):
-                with monkeypatch.context() as patch:
-                    patch.setattr(suites, "factorization_report", report)
-                    verdict[name] = suites._factorization_check(
-                        name, "{}", mats, run_points, tolerance,
-                        run_needed).passed
-            assert verdict["cut"] == verdict["cap"], tolerance
-            verdicts.add(verdict["cut"])
-            for sample in reports[0].samples:
-                assert max(sample.propagated_bounds) <= _a_priori_bound(
-                    mats, sample.point, sample.order)
-        assert verdicts == {True, False}
-        for sample in at_cap.values():
-            assert max(sample.propagated_bounds) <= _a_priori_bound(
-                mats, sample.point, torus.NEUMANN_ORDER)
-
-
-def test_cut_phi_values_stay_within_their_bound():
-    # the suite's pencils give phi = 0 by degree; here every phi_j(W_x, W_y)
-    # is nonzero, and at its order it stays within the sample's propagated
-    # bound, plus rounding, of its value at the cap
-    mats = content_pencil()
-    points = CONTENT_POINTS + CUT_CONTENT_POINTS
-    samples = factorization_report(mats, points, 1e-10).samples
-    orders = [sample.order for sample in samples]
-    assert min(orders) < torus.NEUMANN_ORDER
-    _, cut = _reference_samples(mats, points, orders)
-    _, capped = _reference_samples(mats, points)
-    for k, (value, at_cap) in enumerate(zip(cut, capped)):
-        sample = samples[k // 6]
-        assert abs(at_cap) > 0.02
-        assert abs(value - at_cap) <= max(sample.propagated_bounds) \
-            + 64 * 2 ** -53 * abs(at_cap), (sample.point, sample.order)
+def test_residuals_stay_within_their_rounding_bound():
+    # every residual within gamma_N K, with a margin: over these instances
+    # none passed u K, against N = 155
+    rng = rng_for(36, "torus", "rounding-bound")
+    worst = 0.0
+    for theta in (0.37, 0.3183098861837907, 1.0, 1e-3):
+        mats = content_pencil(TorusConfig.numeric(theta))
+        points = [(complex(rng.uniform(0.5, 2), rng.uniform(-1, 1)),)
+                  + tuple(complex(rng.uniform(-0.5, 0.5),
+                                  rng.uniform(-0.5, 0.5)) for _ in range(2))
+                  for _ in range(25)]
+        for sample in factorization_report(mats, points).samples:
+            assert within_bounds(sample), sample.point
+            worst = max([worst] + [
+                abs(r) / b for r, b in zip(sample.residuals(),
+                                           sample.rounding_bounds())])
+    assert worst * torus._ROUNDINGS < 1

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from typing import List, Optional
@@ -27,6 +26,7 @@ from .ring import _split_top
 from .sampling import rng_for
 from .suites import (SUITE_NAMES, SuiteReport, run_suite,
                      torus_cocycle_checks, torus_factorization_checks)
+from .torus import _ROUNDINGS
 from .transgression import kappa
 
 
@@ -136,8 +136,11 @@ def parse_cochain_spec(spec: str) -> Cochain:
 
 def _write_json_out(path: Optional[str], payload: str) -> None:
     if path and path != "-":
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise CliError(f"{path}: {exc.strerror or exc}")
 
 
 def _emit_report(report: SuiteReport, json_out: Optional[str]) -> int:
@@ -205,24 +208,20 @@ def cmd_form(args) -> int:
     return 0
 
 
-def _check_tol_and_trials(args) -> None:
-    # a residual within an infinite tolerance passes with no content
-    if args.tol is not None and not 0 < args.tol < math.inf:
-        raise CliError(f"--tol must be positive and finite, got {args.tol}")
+def _check_trials(args) -> None:
     if args.trials is not None and not 0 <= args.trials <= MAX_TRIALS:
         raise CliError(f"--trials must be in 0..{MAX_TRIALS}, "
                        f"got {args.trials}")
 
 
 def cmd_verify(args) -> int:
-    _check_tol_and_trials(args)
-    report = run_suite(args.suite, _resolve_seed(args), trials=args.trials,
-                       tol=args.tol)
+    _check_trials(args)
+    report = run_suite(args.suite, _resolve_seed(args), trials=args.trials)
     return _emit_report(report, args.json_out)
 
 
 def cmd_torus(args) -> int:
-    _check_tol_and_trials(args)
+    _check_trials(args)
     config = None
     if args.input:
         data = _load_json(args.input)
@@ -244,7 +243,7 @@ def cmd_torus(args) -> int:
                     "factorization checks need a numeric-mode configuration")
             theta = config.theta
         results = torus_factorization_checks(seed, trials=args.trials,
-                                             tol=args.tol, theta=theta)
+                                             theta=theta)
         report = SuiteReport("torus-factorization", seed, tuple(results))
     return _emit_report(report, args.json_out)
 
@@ -291,25 +290,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=None,
                    help="trial count where the suite samples inputs "
                         f"(0..{MAX_TRIALS})")
-    p.add_argument("--tol", type=float, default=None,
-                   help="tolerance for numeric residual checks; no suite "
-                        "has one, as the torus factorization lines run "
-                        "exactly")
     add_common(p)
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("torus", help="twisted-algebra checks")
     p.add_argument("--check", required=True,
-                   choices=("cocycles", "factorization"))
+                   choices=("cocycles", "factorization"),
+                   help="cocycles runs exactly; factorization runs in "
+                        "floating point and judges each residual against "
+                        f"its own rounding bound gamma_{_ROUNDINGS} K")
     p.add_argument("--input", metavar="FILE",
                    help="torus configuration JSON; defaults to the built-in "
                         "orders q in {3,4,5} or the built-in numeric angles")
     p.add_argument("--trials", type=int, default=None,
                    help=f"sampled points for factorization (0..{MAX_TRIALS})")
-    p.add_argument("--tol", type=float, default=None,
-                   help="tolerance for the numeric factorization residuals "
-                        "(default 1e-10); below a point's rounding bound it "
-                        "fails the check")
     add_common(p)
     p.set_defaults(handler=cmd_torus)
     return parser

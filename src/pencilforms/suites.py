@@ -29,9 +29,9 @@ from .linalg import MatrixTuple, PolyMatrix
 from .ring import CycloElement, MultiPoly, Scalar
 from .sampling import (random_diagonal_tuple, random_matrix_tuple,
                        random_poly_matrix, rng_for)
-from .torus import (FACTORIZATION_ORDER, _TWIST_FREE, TorusConfig,
-                    TorusElement, coboundary_check, cyclicity_check,
-                    factorization_report)
+from .torus import (FACTORIZATION_ORDER, _ROUNDINGS, _TWIST_FREE,
+                    TorusConfig, TorusElement, coboundary_check,
+                    cyclicity_check, factorization_report)
 from .transgression import (hyperplane_decomposition, tau, transgression_report)
 
 
@@ -136,8 +136,8 @@ class _Check:
 # flatness
 
 
-def suite_flatness(seed: int, trials: Optional[int] = None,
-                   tol: Optional[float] = None) -> List[CheckResult]:
+def suite_flatness(seed: int,
+                   trials: Optional[int] = None) -> List[CheckResult]:
     """d omega + omega wedge omega = 0 for linear and quadratic inputs."""
     count = 20 if trials is None else max(1, trials)
     quad_count = max(1, count // 4)
@@ -173,8 +173,8 @@ def suite_flatness(seed: int, trials: Optional[int] = None,
 # theorem29
 
 
-def suite_transgression(seed: int, trials: Optional[int] = None,
-                        tol: Optional[float] = None) -> List[CheckResult]:
+def suite_transgression(seed: int,
+                        trials: Optional[int] = None) -> List[CheckResult]:
     """The transgression identity and both of its sub-identities.
 
     For cyclic phi of arity a: (a/(a+1)) kappa(b phi) + d kappa(phi) = 0,
@@ -223,8 +223,8 @@ def suite_transgression(seed: int, trials: Optional[int] = None,
 # jacobi-classic
 
 
-def suite_jacobi_classic(seed: int, trials: Optional[int] = None,
-                         tol: Optional[float] = None) -> List[CheckResult]:
+def suite_jacobi_classic(seed: int,
+                         trials: Optional[int] = None) -> List[CheckResult]:
     """tr(adj(f) d_i f) = d_i det f as polynomials, every variable."""
     count = 20 if trials is None else max(1, trials)
     check = _Check("jacobi.cross-multiplied")
@@ -249,8 +249,8 @@ def suite_jacobi_classic(seed: int, trials: Optional[int] = None,
 # parity
 
 
-def suite_parity(seed: int, trials: Optional[int] = None,
-                 tol: Optional[float] = None) -> List[CheckResult]:
+def suite_parity(seed: int,
+                 trials: Optional[int] = None) -> List[CheckResult]:
     """Even trace powers of the connection form vanish identically."""
     per_combo = 2 if trials is None else max(1, trials // 4)
     combos = [(k, n) for k in (2, 3) for n in (4, 5)]
@@ -276,8 +276,8 @@ def suite_parity(seed: int, trials: Optional[int] = None,
 # theorem33
 
 
-def suite_cubic_trace(seed: int, trials: Optional[int] = None,
-                      tol: Optional[float] = None) -> List[CheckResult]:
+def suite_cubic_trace(seed: int,
+                      trials: Optional[int] = None) -> List[CheckResult]:
     """Structure of tr(omega^3) for four-matrix tuples.
 
     Exact division of the antisymmetrized resolvent traces by det with a
@@ -385,8 +385,8 @@ def _trace_routes_check(
 # example35
 
 
-def suite_entry_matrix(seed: int, trials: Optional[int] = None,
-                       tol: Optional[float] = None) -> List[CheckResult]:
+def suite_entry_matrix(seed: int,
+                       trials: Optional[int] = None) -> List[CheckResult]:
     """p equals the calibrated sign times the 4x4 entry-matrix constant."""
     count = 100 if trials is None else max(1, trials)
     eps = calibrated_sign()
@@ -409,8 +409,8 @@ def suite_entry_matrix(seed: int, trials: Optional[int] = None,
 # tau
 
 
-def suite_tau(seed: int, trials: Optional[int] = None,
-              tol: Optional[float] = None) -> List[CheckResult]:
+def suite_tau(seed: int,
+              trials: Optional[int] = None) -> List[CheckResult]:
     """tau is multiplicative over functional products and lands in
     closed forms."""
     count = 3 if trials is None else max(1, trials)
@@ -453,8 +453,8 @@ def suite_tau(seed: int, trials: Optional[int] = None,
 # hyperplane
 
 
-def suite_hyperplane(seed: int, trials: Optional[int] = None,
-                     tol: Optional[float] = None) -> List[CheckResult]:
+def suite_hyperplane(seed: int,
+                     trials: Optional[int] = None) -> List[CheckResult]:
     """Diagonal pencils split into hyperplane lines with matching kappa."""
     count = 6 if trials is None else max(1, trials)
     combos = [(2, 2), (3, 3), (2, 4), (3, 2), (4, 3), (2, 3)]
@@ -576,30 +576,29 @@ def _content_pencil(config: TorusConfig) -> List[TorusElement]:
 
 
 def _factorization_check(name: str, where: str,
-                         runs: List[Tuple[TorusConfig, list]],
-                         tolerance: Optional[float]) -> CheckResult:
+                         runs: List[Tuple[TorusConfig, list]]) -> CheckResult:
     """Both equalities of `torus.factorization_report` on the content
     pencil, for phi_1 and phi_2 at each point of each run (config, points).
 
     An instance is one point and one j. In exact mode it holds when both
-    residuals are 0 and phi_j(W1, W2) != 0. In numeric mode the tolerance
-    must not be below either residual's rounding bound, both residuals
-    must be within the tolerance, and |phi_j(W1, W2)| must exceed both
-    bounds, so that it is no rounded zero; the line names the largest
-    residual. Exact mode takes no tolerance.
+    residuals are 0 and phi_j(W1, W2) != 0. In numeric mode each residual
+    must be within its own rounding bound gamma_N K
+    (`FactorizationSample.rounding_bounds`), and |phi_j(W1, W2)| must
+    exceed both bounds of its j, so that it is no rounded zero; the line
+    names the largest residual and the largest bound.
     """
     check = _Check(name)
-    largest = 0.0
+    largest = top_bound = 0.0
     for config, points in runs:
         numeric = config.mode == "numeric"
         at = "" if numeric else f", q={config.q}"
-        samples = factorization_report(_content_pencil(config), points).samples
-        for sample in samples:
+        for sample in factorization_report(_content_pencil(config), points):
             residuals = sample.residuals()
             if numeric:
                 residuals = [abs(r) for r in residuals]
-                largest = max([largest] + residuals)
                 bounds = sample.rounding_bounds()
+                largest = max([largest] + residuals)
+                top_bound = max((top_bound,) + bounds)
             for j in (1, 2):
                 pair = residuals[2 * j - 2:2 * j]
                 content = sample.values[j - 1][0]
@@ -610,14 +609,16 @@ def _factorization_check(name: str, where: str,
                                 f"{label}: residuals {pair[0]}, {pair[1]}, "
                                 f"phi_{j}(W1, W2) = {content}")
                     continue
-                bound = max(bounds[2 * j - 2:2 * j])
-                if tolerance < bound:
-                    check.judge(False, f"tolerance {tolerance} is below the "
-                                       f"rounding bound {bound} of {label}")
-                elif max(pair) > tolerance:
-                    check.judge(False, f"residual {max(pair):.3e} above "
-                                       f"{tolerance:.1e} for {label}")
+                pair_bounds = bounds[2 * j - 2:2 * j]
+                # not r <= b, so that a nan residual fails too
+                over = [(r, b) for r, b in zip(pair, pair_bounds)
+                        if not r <= b]
+                if over:
+                    check.judge(False, f"residual {over[0][0]:.3e} above its "
+                                       f"rounding bound {over[0][1]:.3e} for "
+                                       f"{label}")
                 else:
+                    bound = max(pair_bounds)
                     check.judge(abs(content) > bound,
                                 f"|phi_{j}(W1, W2)| = {abs(content):.3e} is "
                                 f"within the rounding bound {bound:.3e} of "
@@ -629,9 +630,10 @@ def _factorization_check(name: str, where: str,
             f"equalities exact on {instances} instances, each with "
             "phi_j(W1, W2) != 0")
     return check.result(
-        f"{where}, M = {FACTORIZATION_ORDER}: both equalities within "
-        f"{tolerance:.1e} (max {largest:.3e}) on {instances} instances, "
-        "each with |phi_j(W1, W2)| above its rounding bound")
+        f"{where}, M = {FACTORIZATION_ORDER}: each residual within its "
+        f"rounding bound gamma_{_ROUNDINGS} K (max {largest:.3e}, bounds up "
+        f"to {top_bound:.3e}) on {instances} instances, each with "
+        "|phi_j(W1, W2)| above its bounds")
 
 
 # The pinned point of the factorization checks, in both modes.
@@ -639,36 +641,32 @@ _PINNED_POINT = (Scalar(1), Scalar(Fraction(1, 2)), Scalar(0, Fraction(1, 4)))
 
 
 def _factorization_checks(pinned: List[Tuple[TorusConfig, list]],
-                          sampled: List[Tuple[TorusConfig, list]],
-                          tolerance: Optional[float]) -> List[CheckResult]:
+                          sampled: List[Tuple[TorusConfig, list]]
+                          ) -> List[CheckResult]:
     pencil = "A = (1, U + V^-1, V + U^-1)"
     count = len(sampled[0][1])
     return [
         _factorization_check("torus.factorization.pinned",
-                             f"{pencil} at z = (1, 1/2, i/4)", pinned,
-                             tolerance),
+                             f"{pencil} at z = (1, 1/2, i/4)", pinned),
         _factorization_check("torus.factorization.sampled",
-                             f"{pencil} at {count} seeded points", sampled,
-                             tolerance),
+                             f"{pencil} at {count} seeded points", sampled),
     ]
 
 
 def torus_factorization_checks(seed: int, trials: Optional[int] = None,
-                               tol: Optional[float] = None,
                                theta: Optional[float] = None
                                ) -> List[CheckResult]:
     """The factorization equalities in numeric mode, at the pinned point
-    z = (1, 1/2, i/4) and at seeded points (`_factorization_check`).
+    z = (1, 1/2, i/4) and at seeded points, each residual judged against
+    its own rounding bound gamma_N K (`_factorization_check`).
 
-    trials below 10 is raised to 10, and the tolerance defaults to 1e-10.
-    The sampled points have z1 = 1 and real and imaginary parts of z2, z3
-    in [-0.5, 0.5]; the pinned point and most sampled ones lie outside the
-    region where the Neumann series converges, ||z2 A2 + z3 A3||_1 < |z1|,
-    which the equalities do not need. There the rounding bound stays below
-    3e-11, under the default tolerance.
+    trials below 10 is raised to 10. The sampled points have z1 = 1 and
+    real and imaginary parts of z2, z3 in [-0.5, 0.5]; the pinned point
+    and most sampled ones lie outside the region where the Neumann series
+    converges, ||z2 A2 + z3 A3||_1 < |z1|, which the equalities do not
+    need.
     """
     sample_count = 10 if trials is None else max(10, trials)
-    tolerance = 1e-10 if tol is None else tol
     pinned_cfg = TorusConfig.numeric(0.3183098861837907 if theta is None
                                      else theta)
     sampled_cfg = TorusConfig.numeric(0.37 if theta is None else theta)
@@ -679,7 +677,7 @@ def torus_factorization_checks(seed: int, trials: Optional[int] = None,
               for _ in range(sample_count)]
     pinned = tuple(c.to_complex() for c in _PINNED_POINT)
     return _factorization_checks([(pinned_cfg, [pinned])],
-                                 [(sampled_cfg, points)], tolerance)
+                                 [(sampled_cfg, points)])
 
 
 def _exact_factorization_checks(seed: int,
@@ -696,14 +694,14 @@ def _exact_factorization_checks(seed: int,
               for _ in range(3 if trials is None else max(3, trials))]
     configs = [TorusConfig.exact(q, p) for q, p in _EXACT_ORDERS]
     return _factorization_checks([(cfg, [_PINNED_POINT]) for cfg in configs],
-                                 [(cfg, points) for cfg in configs], None)
+                                 [(cfg, points) for cfg in configs])
 
 
-def suite_torus(seed: int, trials: Optional[int] = None,
-                tol: Optional[float] = None) -> List[CheckResult]:
+def suite_torus(seed: int,
+                trials: Optional[int] = None) -> List[CheckResult]:
     """Exact twisted-algebra laws, the four cocycles, and the two
     factorization equalities of the truncated resolvent, exactly at the
-    same orders (`_exact_factorization_checks`). `tol` is not read."""
+    same orders (`_exact_factorization_checks`)."""
     algebra = _Check("torus.algebra")
     for q, p_prime in _EXACT_ORDERS:
         cfg = TorusConfig.exact(q, p_prime)
@@ -743,15 +741,14 @@ SUITES: Dict[str, Callable[..., List[CheckResult]]] = {
 SUITE_NAMES = tuple(SUITES) + ("all",)
 
 
-def run_suite(name: str, seed: int, trials: Optional[int] = None,
-              tol: Optional[float] = None) -> SuiteReport:
+def run_suite(name: str, seed: int,
+              trials: Optional[int] = None) -> SuiteReport:
     if name == "all":
         results: List[CheckResult] = []
         for key in SUITES:
-            results.extend(SUITES[key](seed, trials=trials, tol=tol))
+            results.extend(SUITES[key](seed, trials=trials))
         return SuiteReport("all", seed, tuple(results))
     if name not in SUITES:
         known = ", ".join(SUITE_NAMES)
         raise ValueError(f"unknown suite {name!r}; expected one of {known}")
-    return SuiteReport(name, seed, tuple(SUITES[name](seed, trials=trials,
-                                                      tol=tol)))
+    return SuiteReport(name, seed, tuple(SUITES[name](seed, trials=trials)))

@@ -778,13 +778,6 @@ class FactorizationSample:
             for j in (1, 2) for row in self.rows)
 
 
-@dataclass
-class FactorizationReport:
-    """One sample per point, in the order of the points."""
-
-    samples: List[FactorizationSample]
-
-
 def _factorization_sample(mats: Sequence[TorusElement], point: Sequence,
                           order: int) -> FactorizationSample:
     """Both equalities for phi_1 and phi_2 at one point and order M, in
@@ -807,16 +800,17 @@ def _factorization_sample(mats: Sequence[TorusElement], point: Sequence,
 
 
 def factorization_report(mats: Sequence[TorusElement],
-                         points: Sequence[Sequence]) -> FactorizationReport:
+                         points: Sequence[Sequence]
+                         ) -> List[FactorizationSample]:
     """Both equalities of the truncated resolvent at each point, at order
     FACTORIZATION_ORDER, for the pencil (1, A2, A3) in exact or numeric
-    mode. The suite judges them: exactly in exact mode, against a
-    tolerance and `FactorizationSample.rounding_bounds` in numeric mode.
-    A malformed pencil or point raises ValueError (`neumann_resolvent`).
+    mode: one sample per point, in the order of the points. The suite
+    judges them: exactly in exact mode, each residual against its
+    `FactorizationSample.rounding_bounds` entry in numeric mode. A
+    malformed pencil or point raises ValueError (`neumann_resolvent`).
     """
-    return FactorizationReport([
-        _factorization_sample(mats, point, FACTORIZATION_ORDER)
-        for point in points])
+    return [_factorization_sample(mats, point, FACTORIZATION_ORDER)
+            for point in points]
 
 
 # ---------------------------------------------------------------------------

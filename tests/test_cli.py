@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: output bytes, exit codes, JSON round-trips."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pencilforms
-from pencilforms import cli, serialize, torus
+from pencilforms import cli, serialize, suites, torus
 from pencilforms.cli import MAX_TRIALS, CliError, parse_cochain_spec
 from pencilforms.cli import main as cli_main
 from pencilforms.cochains import DenseCochain, ProductCochain, TraceWord
@@ -152,6 +153,35 @@ def test_verify_json_out_file(tmp_path):
     assert data["passed"] is True and data["suite"] == "flatness"
 
 
+def _json_out_argv(name, units_file, path):
+    return {"verify": ["verify", "--suite", "tau", "--seed", "1"],
+            "form": ["form", "--kind", "mc", "--input", units_file],
+            "spectrum": ["spectrum", "--input", units_file],
+            }[name] + ["--json-out", path]
+
+
+@pytest.mark.parametrize("name", ["form", "spectrum", "verify"])
+def test_unwritable_json_out_is_one_error_line(name, tmp_path, units_file):
+    # a missing directory and a directory: exit 2, one error line
+    for path, why in ((str(tmp_path / "missing" / "x.json"),
+                       "No such file or directory"),
+                      (str(tmp_path), "Is a directory")):
+        r = run_cli(*_json_out_argv(name, units_file, path))
+        assert r.returncode == 2, path
+        assert r.stderr == f"error: {path}: {why}\n", path
+        assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("name", ["form", "spectrum", "verify"])
+def test_json_out_file_holds_the_json_bytes(name, tmp_path, units_file,
+                                            capsys):
+    path = tmp_path / "out.json"
+    assert cli_main(_json_out_argv(name, units_file, str(path))) == 0
+    capsys.readouterr()
+    assert cli_main(_json_out_argv(name, units_file, "-")) == 0
+    assert path.read_text(encoding="utf-8") == capsys.readouterr().out
+
+
 def test_pencil_inputs_past_the_size_limits_exit_2(tmp_path, capsys):
     side = serialize.MAX_SIZE + 1
     cases = {
@@ -274,13 +304,6 @@ def test_parse_error_exit_codes(tmp_path, units_file):
                     str(tmp_path / f"torus-{name}.json"))
                    for name in bad_torus
                    for check in ("cocycles", "factorization")),
-                 ("torus", "--check", "factorization", "--tol", "0"),
-                 ("torus", "--check", "factorization", "--tol", "-1"),
-                 ("torus", "--check", "factorization", "--tol", "nan"),
-                 ("torus", "--check", "factorization", "--tol", "inf"),
-                 ("verify", "--suite", "flatness", "--tol", "0"),
-                 # argparse reads 1e999 as inf
-                 ("verify", "--suite", "torus", "--tol", "1e999"),
                  # trial counts outside 0..MAX_TRIALS; the largest ran
                  # unbounded before it was checked
                  *((*command, "--trials", str(trials))
@@ -307,17 +330,44 @@ def test_zero_trials_keeps_its_meaning(capsys):
         assert outs[0][0] == 0
 
 
-def test_check_failure_exit_code():
-    r = run_cli("torus", "--check", "factorization", "--tol", "1e-40")
-    assert r.returncode == 1
-    assert "FAIL" in r.stdout
-    assert "tolerance 1e-40 is below the rounding bound" in r.stdout
+@pytest.mark.parametrize("value", ["1e-10", "0", "-1", "nan", "inf",
+                                   "1e999"])
+def test_tol_is_a_usage_error(value):
+    # each residual is judged against its own rounding bound, so neither
+    # command takes a tolerance
+    for command in (("torus", "--check", "factorization"),
+                    ("verify", "--suite", "torus")):
+        r = run_cli(*command, "--tol", value)
+        assert r.returncode == 2, command
+        assert r.stdout == "", command
+        assert "unrecognized arguments: --tol" in r.stderr, command
+        assert "Traceback" not in r.stderr, command
+
+
+def test_check_failure_exit_code(monkeypatch, capsys):
+    # phi_1(E, W2) of the pinned point raised far above its rounding bound
+    inner = suites.factorization_report
+
+    def spoiled(mats, points):
+        samples = inner(mats, points)
+        values = list(map(list, samples[0].values))
+        values[0][2] += 1
+        samples[0] = dataclasses.replace(samples[0],
+                                         values=tuple(map(tuple, values)))
+        return samples
+
+    monkeypatch.setattr(suites, "factorization_report", spoiled)
+    code = cli_main(["torus", "--check", "factorization"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "FAIL" in out
+    assert "residual 1.000e+00 above its rounding bound " in out
 
 
 @pytest.mark.parametrize("seed", ["1", "2", "3"])
 def test_factorization_passes_at_the_largest_trial_count(seed, capsys):
     # a false FAIL at any seed would fail the check's own output: 1000
-    # points of the sampling region, each within the default tolerance
+    # points of the sampling region, each within its own rounding bound
     code = cli_main(["torus", "--check", "factorization", "--seed", seed,
                      "--trials", "1000"])
     out = capsys.readouterr().out

@@ -104,10 +104,6 @@ def cases():
             {"mode": "exact", "q": q, "p_prime": p})
     out += text_and_json("torus-factorization", [
         "torus", "--check", "factorization", "--seed", "1", "--trials", "10"])
-    # a tolerance below the rounding bound: both checks FAIL
-    out += text_and_json("torus-factorization-tol", [
-        "torus", "--check", "factorization", "--seed", "1", "--trials", "10",
-        "--tol", "1e-30"])
     for name, data in PENCILS.items():
         k = len(data["matrices"][0])
         out += text_and_json(f"spectrum-{name}", ["spectrum", "--input"],
@@ -204,17 +200,14 @@ DIGESTS = {
         "83f7afcdded70e199cc35e8d1cd632a1cdc59d131058e6ec109a761f4ff0fc68",
     "torus-cocycles-q64-json":
         "452340b0fa9c5ca04dc33eec542c8d3f9dfe0356832fefc813a95c2c4166d481",
-    # recorded when the factorization lines checked the two equalities of
-    # the truncated resolvent at M = 2 on (1, U + V^-1, V + U^-1), against
-    # a rounding bound, in place of the propagated truncation bounds
+    # recorded when the factorization lines judged each residual of the
+    # two equalities at M = 2 on (1, U + V^-1, V + U^-1) against its own
+    # rounding bound gamma_155 K, in place of a tolerance, and named the
+    # largest bound
     "torus-factorization":
-        "8c7d15e657beeb1eab88bcb56e309c315dd0b4234b2f3de82826ea93b4b10c1a",
+        "e9bf95863f4758ca5f9e1d2c8d3d0a1e5f068850d0660b91e3b0700d40deb9c9",
     "torus-factorization-json":
-        "613f54747a63d8c2c7700047336e67c8a6ed6bbf1b5f9f2e9b763df54a712d35",
-    "torus-factorization-tol":
-        "13ff1c24c752cc28bec7238ce82f898e56577ff2972a8cc35c2490f162f32ca8",
-    "torus-factorization-tol-json":
-        "1ce426b2fdb04487980b18f0a6f64b5234dc5d3a644eeafa7aba0985c9ecfc10",
+        "8721e84afe2710b49b22342cbbb72d99cd4be63ddffc1f7da4017cf032448a9c",
     "spectrum-units":
         "702915ce13aa8d5359a8537572448a231c7ed483330d2e8240efdc8cdee88f96",
     "spectrum-units-json":

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import inspect
 import json
 from pathlib import Path
 
@@ -27,6 +28,16 @@ def test_registry_names():
     assert SUITE_NAMES[-1] == "all"
     with pytest.raises(ValueError, match="unknown suite"):
         run_suite("nope", seed=0)
+
+
+def test_suites_share_one_signature():
+    # run_suite calls every suite the same way, so each takes exactly
+    # (seed, trials=None)
+    for name, suite in SUITES.items():
+        params = list(inspect.signature(suite).parameters.values())
+        assert [p.name for p in params] == ["seed", "trials"], name
+        assert params[0].default is inspect.Parameter.empty, name
+        assert params[1].default is None, name
 
 
 def test_fast_suites_pass():
@@ -84,14 +95,50 @@ def test_torus_cocycle_checks_single_config():
     assert results[0].passed
 
 
-def test_torus_factorization_tolerance_failure_is_reported():
-    results = torus_factorization_checks(0, tol=1e-40)
-    assert not any(r.passed for r in results)
-    assert results[0].counterexample.startswith(
-        "tolerance 1e-40 is below the rounding bound ")
+def test_torus_factorization_tolerance_failure_is_reported(monkeypatch):
+    # phi_1(E, W2) of the pinned point, weight 1 in the first equality,
+    # raised by twice that residual's rounding bound: the pinned line FAILS
+    # and names the bound, which the spoiled value does not move
+    inner = suites.factorization_report
+    bounds = []
+
+    def spoiled(mats, points):
+        samples = inner(mats, points)
+        if len(points) == 1:
+            sample = samples[0]
+            bounds.append(sample.rounding_bounds()[0])
+            values = list(map(list, sample.values))
+            values[0][2] += 2 * bounds[0]
+            samples[0] = dataclasses.replace(
+                sample, values=tuple(map(tuple, values)))
+            assert sample.rounding_bounds()[0] == bounds[0]
+        return samples
+
+    monkeypatch.setattr(suites, "factorization_report", spoiled)
+    pinned, sampled = torus_factorization_checks(0)
+    assert not pinned.passed
+    assert pinned.counterexample.startswith("residual ")
+    assert (f" above its rounding bound {bounds[0]:.3e} for phi_1 at z = "
+            in pinned.counterexample)
+    assert sampled.passed
     # the residuals are still computed and counted
-    assert " at 10 seeded points, " in results[1].detail
-    assert " on 20 instances, " in results[1].detail
+    assert " at 10 seeded points, " in sampled.detail
+    assert " on 20 instances, " in sampled.detail
+
+
+def test_no_function_takes_a_tolerance():
+    # numeric lines judge against bounds they compute, so no parameter
+    # sets a tolerance
+    for path in Path(suites.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+                args = node.args
+                names = {a.arg for a in (args.posonlyargs + args.args
+                                         + args.kwonlyargs)}
+                assert not names & {"tol", "tolerance"}, (path.name,
+                                                          node.lineno)
 
 
 def test_torus_cocycle_checks_refuse_a_numeric_config(tmp_path, capsys):
@@ -632,10 +679,10 @@ def _inflated_sampled_residual(inner):
     def report(mats, points):
         out = inner(mats, points)
         if len(points) > 1:
-            sample = out.samples[3]
+            sample = out[3]
             values = list(map(list, sample.values))
             values[0][2] += 1
-            out.samples[3] = dataclasses.replace(
+            out[3] = dataclasses.replace(
                 sample, values=tuple(map(tuple, values)))
         return out
     return report
@@ -652,12 +699,12 @@ def _no_content(inner):
 
 @pytest.mark.parametrize("spoil, witnesses", [
     (_inflated_sampled_residual,
-     {"sampled": ("10 seeded points", "(max 1.000e+00)",
-                  "residual 1.000e+00 above 1.0e-10 for phi_1 at z = ")}),
+     {"sampled": ("10 seeded points", "(max 1.000e+00, ",
+                  "residual 1.000e+00 above its rounding bound ")}),
     (_no_content,
-     {"pinned": ("z = (1, 1/2, i/4)", "(max 0.000e+00)",
+     {"pinned": ("z = (1, 1/2, i/4)", "(max 0.000e+00, ",
                  "|phi_1(W1, W2)| = 0.000e+00 is within the rounding bound "),
-      "sampled": ("10 seeded points", "(max 0.000e+00)",
+      "sampled": ("10 seeded points", "(max 0.000e+00, ",
                   "|phi_1(W1, W2)| = 0.000e+00 is within the rounding bound "
                   )}),
 ], ids=["residual", "no-content"])

@@ -13,7 +13,6 @@ from pencilforms.ring import CycloElement, Scalar
 from pencilforms.sampling import rng_for
 from pencilforms.suites import torus_cocycle_checks
 from pencilforms.torus import (
-    FactorizationReport,
     FactorizationSample,
     TorusConfig,
     TorusElement,
@@ -513,8 +512,8 @@ NON_FINITE_POINTS = [(float("inf"), 0.1, 0.1), (float("nan"), 0.1, 0.1),
 
 @pytest.mark.parametrize("z", NON_FINITE_POINTS, ids=["inf", "nan", "nan-z2"])
 def test_non_finite_points_are_refused(z):
-    # z1 = inf would give R = 0, and a nan coordinate nan residuals, which
-    # no tolerance judges; both are refused, by name
+    # z1 = inf would give R = 0, and a nan coordinate nan residuals and
+    # bounds; both are refused, by name
     point = tuple(complex(c) for c in z)
     message = f"point {point} has a non-finite coordinate"
     mats = content_pencil()
@@ -526,8 +525,8 @@ def test_non_finite_points_are_refused(z):
     assert str(info.value) == message
 
 
-def residuals(report):
-    return [abs(r) for sample in report.samples for r in sample.residuals()]
+def residuals(samples):
+    return [abs(r) for sample in samples for r in sample.residuals()]
 
 
 def within_bounds(sample):
@@ -543,15 +542,15 @@ def test_factorization_pinned_point():
     # the suite's pinned point on its pencil: content, and residuals within
     # their bounds; on (1, U, V) every phi_j(W_x, W_y) vanishes by degree,
     # which is why the checks do not use that pencil
-    report = factorization_report(content_pencil(), [(1, 0.5, 0.25j)])
-    assert isinstance(report, FactorizationReport)
-    sample, = report.samples
+    samples = factorization_report(content_pencil(), [(1, 0.5, 0.25j)])
+    assert isinstance(samples, list)
+    sample, = samples
     assert isinstance(sample, FactorizationSample)
     assert sample.point == (1, 0.5, 0.25j)
     assert within_bounds(sample)
     assert max(sample.rounding_bounds()) < 1e-11
     _, mats = numeric_pencil()
-    sample, = factorization_report(mats, [(1, 0.5, 0.25j)]).samples
+    sample, = factorization_report(mats, [(1, 0.5, 0.25j)])
     assert all(value == 0 for values in sample.values for value in values)
 
 
@@ -563,10 +562,10 @@ def test_factorization_random_samples():
                complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)),
                complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)))
               for _ in range(10)]
-    report = factorization_report(mats, points)
-    assert [sample.point for sample in report.samples] == points
-    assert all(within_bounds(sample) for sample in report.samples)
-    assert max(residuals(report)) <= 1e-12
+    samples = factorization_report(mats, points)
+    assert [sample.point for sample in samples] == points
+    assert all(within_bounds(sample) for sample in samples)
+    assert max(residuals(samples)) <= 1e-12
 
 
 def test_factorization_nonzero_coefficients():
@@ -575,7 +574,7 @@ def test_factorization_nonzero_coefficients():
     mats = [TorusElement.one(cfg),
             TorusElement.u(cfg) + TorusElement.v(cfg),
             TorusElement.u(cfg, -1) + TorusElement.v(cfg, -1)]
-    sample, = factorization_report(mats, [(1, 0.08, 0.06)]).samples
+    sample, = factorization_report(mats, [(1, 0.08, 0.06)])
     assert within_bounds(sample)
     # phi_j(W1, W2) and phi_j(W2, W3)
     assert all(abs(value) > 1e-3 for values in sample.values
@@ -590,31 +589,42 @@ def test_factorization_divergent_handling():
     ratios = [(mats[1] * z2 + mats[2] * z3).l1_norm() / abs(z1)
               for z1, z2, z3 in points]
     assert ratios[0] > 1 and ratios[1] > 1 and ratios[2] < 1
-    report = factorization_report(mats, points)
-    assert len(report.samples) == 3
-    assert all(within_bounds(sample) for sample in report.samples)
+    samples = factorization_report(mats, points)
+    assert len(samples) == 3
+    assert all(within_bounds(sample) for sample in samples)
     for q, p in EXACT_ORDERS:
         exact = content_pencil(TorusConfig.exact(q, p))
         point = (Scalar(Fraction(1, 20)), Scalar(1), Scalar(1, -1))
-        sample, = factorization_report(exact, [point]).samples
+        sample, = factorization_report(exact, [point])
         assert not any(sample.residuals())
         assert all(values[0] for values in sample.values)
 
 
 def test_factorization_tolerance_precondition():
-    # K grows with the point: the suite's region keeps every rounding bound
-    # under 3e-11, below the default tolerance 1e-10, at any twist; at
-    # |z2| = |z3| = 1.4 a bound passes 1e-10, which no residual check at
-    # that tolerance could accept
-    corners = [(1.0, complex(a, b), complex(c, d))
-               for a, b, c, d in itertools.product((-0.5, 0.5), repeat=4)]
+    # the numeric lines judge each residual against its own rounding bound:
+    # on the suite's region, at four twists, every residual is far inside
+    # its bound and every phi_j(W1, W2) far above both bounds of its j, so
+    # neither judgement sits near its edge
+    rng = rng_for(37, "torus", "own-bound-margin")
+    points = [(1.0, complex(a, b), complex(c, d))
+              for a, b, c, d in itertools.product((-0.5, 0.5), repeat=4)]
+    points += [(1.0,) + tuple(complex(rng.uniform(-0.5, 0.5),
+                                      rng.uniform(-0.5, 0.5))
+                              for _ in range(2))
+               for _ in range(10)]
     for theta in (0.37, 0.3183098861837907, 1.0, 1e-3):
         mats = content_pencil(TorusConfig.numeric(theta))
-        bounds = [max(sample.rounding_bounds())
-                  for sample in factorization_report(mats, corners).samples]
-        assert max(bounds) < 3e-11, theta
+        for sample in factorization_report(mats, points):
+            bounds = sample.rounding_bounds()
+            assert all(abs(r) <= 1e-2 * b
+                       for r, b in zip(sample.residuals(), bounds)), theta
+            assert all(abs(values[0]) > 1e6 * max(bounds[2 * j:2 * j + 2])
+                       for j, values in enumerate(sample.values)), theta
+    # K grows with the point: at |z2| = |z3| = 1.4 a bound passes 1e-10,
+    # the fixed tolerance the lines once took, and the residual is still
+    # within its own bound
     sample, = factorization_report(content_pencil(TorusConfig.numeric(1.0)),
-                                   [(1.0, 1 + 1j, -1 + 1j)]).samples
+                                   [(1.0, 1 + 1j, -1 + 1j)])
     assert max(sample.rounding_bounds()) > 1e-10
     assert within_bounds(sample)
 
@@ -1158,8 +1168,8 @@ CONTENT_POINTS = [(1, 0.1, 0.12), (1, -0.09 + 0.03j, 0.13),
 
 def test_factorization_is_bitwise_the_reference():
     mats = content_pencil()
-    report = factorization_report(mats, CONTENT_POINTS)
-    for sample, point in zip(report.samples, CONTENT_POINTS):
+    samples = factorization_report(mats, CONTENT_POINTS)
+    for sample, point in zip(samples, CONTENT_POINTS):
         values, sums = _reference_sample(mats, point, 2)
         # repr tells the sign of a zero and every bit of a float
         assert repr(sample.values) == repr(tuple(map(tuple, values)))
@@ -1192,9 +1202,9 @@ def test_factorization_calls_the_resolvent_through_the_module(monkeypatch):
         return inner(mats, z, order)
 
     monkeypatch.setattr(torus, "neumann_resolvent", counting)
-    report = factorization_report(content_pencil(), CONTENT_POINTS[:3])
-    assert len(report.samples) == 3
-    assert points == [sample.point for sample in report.samples]
+    samples = factorization_report(content_pencil(), CONTENT_POINTS[:3])
+    assert len(samples) == 3
+    assert points == [sample.point for sample in samples]
 
 
 # TorusElement.__mul__, TorusElement.delta and lambda_power calls per point
@@ -1227,8 +1237,8 @@ def test_factorization_operation_counts(monkeypatch):
     monkeypatch.setattr(TorusConfig, "lambda_power",
                         counting("lambda_power", inner_lambda_power))
     monkeypatch.setattr(TorusElement, "__mul__", counting("mul", inner_mul))
-    report = factorization_report(mats, CONTENT_POINTS)
-    assert all(within_bounds(sample) for sample in report.samples)
+    samples = factorization_report(mats, CONTENT_POINTS)
+    assert all(within_bounds(sample) for sample in samples)
     points = len(CONTENT_POINTS)
     assert calls["mul"] == FACTORIZATION_TORUS_MUL_PER_POINT * points
     assert calls["delta"] == FACTORIZATION_DELTA_PER_POINT * points
@@ -1262,7 +1272,7 @@ def test_residuals_stay_within_their_rounding_bound():
                   + tuple(complex(rng.uniform(-0.5, 0.5),
                                   rng.uniform(-0.5, 0.5)) for _ in range(2))
                   for _ in range(25)]
-        for sample in factorization_report(mats, points).samples:
+        for sample in factorization_report(mats, points):
             assert within_bounds(sample), sample.point
             worst = max([worst] + [
                 abs(r) / b for r, b in zip(sample.residuals(),

@@ -21,9 +21,10 @@ denominator, the exponents packed into ints and the numerators over den
 one). So a sum whose result enters the next sum is never unpacked and
 packed again in between. `ring.MultiPoly` keeps each polynomial's packed
 form for its lifetime, which holds because neither form is changed after
-construction. `poly_mul` multiplies coefficient by coefficient;
-`ring.MultiPoly` uses it for small products and a one-pair `poly_dot` for
-the rest.
+construction. `packed_neg` and `packed_partial` negate and differentiate
+a packed polynomial without unpacking it. `poly_mul` multiplies
+coefficient by coefficient; `ring.MultiPoly` uses it for small products
+and a one-pair `poly_dot` for the rest.
 """
 
 from __future__ import annotations
@@ -228,6 +229,50 @@ def packed_neg(packed):
             None if im is None else [-b for b in im])
 
 
+def packed_partial(packed, var):
+    """d/dz of a packed polynomial in its variable of 0-based index var, as
+    a packed polynomial in its term order.
+
+    A term z^e with e_var > 0 keeps its place: its key loses one in that
+    field and its numerators are multiplied by e_var; no two terms merge.
+    The result is normalized as `poly_dot`'s is (`_packed_result`).
+    """
+    n, top, den, keys, re, im = packed
+    if var >= n:  # the zero polynomial packs with n = 0
+        return (0, 0, 1, [], [], None)
+    width = _width(top)
+    shift = width * var
+    mask = (1 << width) - 1
+    step = 1 << shift
+    exps = [k >> shift & mask for k in keys]
+    out_keys = [k - step for k, e in zip(keys, exps) if e]
+    if not out_keys:
+        return (0, 0, 1, [], [], None)
+    return _packed_result(
+        n, top, den, out_keys, [a * e for a, e in zip(re, exps) if e],
+        None if im is None else [b * e for b, e in zip(im, exps) if e])
+
+
+def _packed_result(n, top, den, keys, re, im):
+    """A kernel result packed as `poly_pack` would pack its terms: den and
+    the numerators divided by their gcd, im None when every imaginary part
+    is 0, and a result wider than 8 bits packed again from its terms, with
+    its exact top; an 8-bit top may stay a bound."""
+    if im is not None and not any(im):
+        im = None
+    if den != 1:
+        g = gcd(den, *re, *(im or ()))
+        if g != 1:
+            den //= g
+            re = [a // g for a in re]
+            if im is not None:
+                im = [b // g for b in im]
+    out = (n, top, den, keys, re, im)
+    if _width(top) > 8:
+        return poly_pack(poly_unpack(out))
+    return out
+
+
 def poly_dot(pairs):
     """The sum of p*q over the (p, q) pairs of packed polynomials
     (`poly_pack`), in one packed pass, as a packed polynomial.
@@ -311,16 +356,4 @@ def poly_dot(pairs):
     else:
         re = [v[0] for v in acc.values()]
         im = [v[1] for v in acc.values()]
-        if not any(im):
-            im = None
-    if den != 1:
-        g = gcd(den, *re, *(im or ()))
-        if g != 1:
-            den //= g
-            re = [a // g for a in re]
-            if im is not None:
-                im = [b // g for b in im]
-    out = (n, top, den, list(acc), re, im)
-    if width > 8:
-        return poly_pack(poly_unpack(out))
-    return out
+    return _packed_result(n, top, den, list(acc), re, im)

@@ -11,6 +11,7 @@ invocations produce identical bytes. Exit codes: 0 all checks pass,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -57,30 +58,65 @@ def _resolve_seed(args) -> int:
     return args.seed if args.seed is not None else _default_seed()
 
 
-def _load_json(path: str):
+def _read_text(path: str) -> str:
     if not path:
         raise CliError("empty file path ''")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return fh.read()
     except OSError as exc:
         raise CliError(f"{path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 text: byte "
+                       f"0x{exc.object[exc.start]:02x} at offset {exc.start}")
+
+
+def _load(path: str, build):
+    """build(text) of the file at path; a JSON syntax error, a ValueError
+    from build, or nesting too deep for the parser is a CliError naming
+    the path."""
+    text = _read_text(path)
+    try:
+        return build(text)
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
+    except ValueError as exc:
+        raise CliError(f"{path}: {exc}")
+    except RecursionError:
+        raise CliError(f"{path}: nested too deeply")
+
+
+@functools.lru_cache(maxsize=1)
+def _pencil_of_text(text: str) -> PolyMatrix:
+    """The pencil of a matrix-tuple or polynomial-matrix JSON text.
+
+    The last pencil is kept, keyed by the text, so the requests of one
+    process on one input parse it once and reach the kept omega and trace
+    powers (`maurer_cartan`, `trace_power_form`) with the same object. A
+    file rewritten with other text is parsed again. The pencil is shared
+    and must not be changed; an error is not kept.
+    """
+    obj = serialize.pencil_input_from_json(json.loads(text))
+    return obj.pencil() if isinstance(obj, MatrixTuple) else obj
 
 
 def _load_pencil(path: str) -> PolyMatrix:
-    data = _load_json(path)
-    try:
-        obj = serialize.pencil_input_from_json(data)
-    except ValueError as exc:
-        raise CliError(f"{path}: {exc}")
-    return obj.pencil() if isinstance(obj, MatrixTuple) else obj
+    """The pencil of the input file at path, parsed once per content
+    (`_pencil_of_text`)."""
+    return _load(path, _pencil_of_text)
 
 
 def parse_cochain_spec(spec: str) -> Cochain:
     """Grammar: trace | traceword:A | dense:FILE | cyclic-random:A:K:SEED
     | product(SPEC, SPEC)."""
+    try:
+        return _parse_cochain(spec)
+    except RecursionError:
+        raise CliError(f"cochain spec of {len(spec)} characters: "
+                       "product(...) nested too deeply")
+
+
+def _parse_cochain(spec: str) -> Cochain:
     spec = spec.strip()
     if spec == "trace":
         return TraceWord(1)
@@ -93,12 +129,8 @@ def parse_cochain_spec(spec: str) -> Cochain:
             raise CliError(f"cochain spec {spec!r}: arity must be >= 1")
         return TraceWord(arity)
     if spec.startswith("dense:"):
-        path = spec[len("dense:"):]
-        data = _load_json(path)
-        try:
-            return serialize.dense_cochain_from_json(data)
-        except ValueError as exc:
-            raise CliError(f"{path}: {exc}")
+        return _load(spec[len("dense:"):], lambda text:
+                     serialize.dense_cochain_from_json(json.loads(text)))
     if spec.startswith("cyclic-random:"):
         fields = spec[len("cyclic-random:"):].split(":")
         if len(fields) != 3:
@@ -124,7 +156,7 @@ def parse_cochain_spec(spec: str) -> Cochain:
         if len(inner) != 2:
             raise CliError(
                 f"cochain spec {spec!r}: product takes exactly two specs")
-        first, second = (parse_cochain_spec(part) for part in inner)
+        first, second = (_parse_cochain(part) for part in inner)
         try:
             return functional_product(first, second)
         except ValueError as exc:
@@ -224,11 +256,8 @@ def cmd_torus(args) -> int:
     _check_trials(args)
     config = None
     if args.input:
-        data = _load_json(args.input)
-        try:
-            config = serialize.torus_config_from_json(data)
-        except ValueError as exc:
-            raise CliError(f"{args.input}: {exc}")
+        config = _load(args.input, lambda text:
+                       serialize.torus_config_from_json(json.loads(text)))
     seed = _resolve_seed(args)
     if args.check == "cocycles":
         if config is not None and config.mode != "exact":

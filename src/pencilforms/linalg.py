@@ -15,13 +15,18 @@ matrix forms pass every term pair that lands on one form coefficient at
 once. `grid_mul` and `grid_trace` stay generic for the Scalar, RatFn and
 complex grids of cochains and sampling.
 
-Determinants use first-row expansion memoized over column subsets, which is
-exact over any commutative ring and comfortably fast for the k <= 5 range
-this package targets.
+Determinants and adjugates use first-row expansion memoized over (row
+subset, column subset), which is exact over any commutative ring and
+comfortably fast for the k <= 5 range this package targets; an adjugate's
+minors share that memo. Over polynomials each minor is one `MultiPoly.dot`
+over its signed (entry, sub-minor) pairs, the same kernel sum as a
+product's entry; over Scalar and other grids the same expansion sums its
+products by ``*`` and ``+``.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -76,50 +81,80 @@ def grid_trace(a: Sequence, b: Optional[Sequence] = None):
     return acc
 
 
-def grid_minor(a: Sequence, drop_rows, drop_cols) -> tuple:
-    """Submatrix with the given 1-based rows and columns removed."""
-    dr, dc = set(drop_rows), set(drop_cols)
-    return tuple(
-        tuple(x for c, x in enumerate(row, start=1) if c not in dc)
-        for r, row in enumerate(a, start=1) if r not in dr
-    )
+def _sum_of_products(pairs):
+    """The sum of x * y over the (x, y) pairs, by ``*`` and ``+``."""
+    (x, y), *rest = pairs
+    acc = x * y
+    for x, y in rest:
+        acc = acc + x * y
+    return acc
 
 
-def grid_det(a: Sequence, one):
-    """Determinant by memoized row expansion; the empty grid has det = one."""
+def _minor_dets(a: Sequence, one):
+    """A function det(rows, cols) of the square subgrid of a on the given
+    0-based row and column tuples, each the signed first-row expansion
+    sum_t (-1)^t a[rows[0]][cols[t]] det(rows[1:], cols without cols[t]),
+    memoized over (rows, cols) so the determinants of all minors share
+    their sub-minors. A 1x1 subgrid is its entry and the empty one is one.
+
+    Over polynomials (one a MultiPoly) each expansion is one
+    `MultiPoly.dot` over its (signed entry, sub-minor) pairs: one kernel
+    accumulator per minor, not a dict product and sum per pair. Each entry
+    is packed before it is negated, so the negation shares its keys. Any
+    other exact grid sums its products by ``*`` and ``+``.
+    """
     k = len(a)
     if any(len(row) != k for row in a):
         raise ValueError("determinant of a non-square grid")
+    if isinstance(one, MultiPoly):
+        for row in a:
+            for x in row:
+                x.packed()
+        total = functools.partial(MultiPoly.dot, one.n)
+    else:
+        total = _sum_of_products
+    signed = (a, [[-x for x in row] for row in a])
     memo: dict = {}
 
-    def rec(cols: tuple):
-        if not cols:
-            return one
-        if cols in memo:
-            return memo[cols]
-        r = k - len(cols)
-        total = None
-        for idx, c in enumerate(cols):
-            term = a[r][c] * rec(cols[:idx] + cols[idx + 1:])
-            if idx % 2:
-                term = -term
-            total = term if total is None else total + term
-        memo[cols] = total
-        return total
+    def det(rows: tuple, cols: tuple):
+        if len(cols) < 2:
+            return a[rows[0]][cols[0]] if cols else one
+        key = (rows, cols)
+        value = memo.get(key)
+        if value is None:
+            r, rest = rows[0], rows[1:]
+            value = memo[key] = total([
+                (signed[t % 2][r][c], det(rest, cols[:t] + cols[t + 1:]))
+                for t, c in enumerate(cols)])
+        return value
 
-    return rec(tuple(range(k)))
+    return det
+
+
+def grid_det(a: Sequence, one):
+    """Determinant by memoized first-row expansion (`_minor_dets`); the
+    empty grid has det = one."""
+    full = tuple(range(len(a)))
+    return _minor_dets(a, one)(full, full)
 
 
 def grid_adjugate(a: Sequence, one) -> tuple:
-    """Transposed cofactor grid, satisfying adj(A) * A = det(A) * Id."""
+    """Transposed cofactor grid, satisfying adj(A) * A = det(A) * Id.
+
+    Its k^2 minors are expanded together (`_minor_dets`), so each
+    sub-minor they share is computed once.
+    """
     k = len(a)
     if k == 1:
         return ((one,),)
+    det = _minor_dets(a, one)
+    full = tuple(range(k))
     out = []
-    for i in range(1, k + 1):
+    for i in range(k):
+        cols = full[:i] + full[i + 1:]
         row = []
-        for j in range(1, k + 1):
-            cof = grid_det(grid_minor(a, (j,), (i,)), one)
+        for j in range(k):
+            cof = det(full[:j] + full[j + 1:], cols)
             row.append(cof if (i + j) % 2 == 0 else -cof)
         out.append(tuple(row))
     return tuple(out)

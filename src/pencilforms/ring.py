@@ -30,6 +30,7 @@ from pencilforms._core import (
     Q_ONE,
     Q_ZERO,
     packed_neg,
+    packed_partial,
     poly_add,
     poly_dot,
     poly_mul,
@@ -502,7 +503,10 @@ class MultiPoly:
     packed result of a sum, whose term dict is a view built on the first
     read of `_terms`, in the packed term order. Neither form is changed
     after construction, by this class or by whoever built it, so each is
-    kept for the polynomial's lifetime, as is the hash.
+    kept for the polynomial's lifetime, as is the hash. Sums (`dot`),
+    large products, negation of a packed polynomial and `partial` work on
+    the packed form and return packed results; adding, scaling and
+    `exact_divide` read the term dicts.
     """
 
     __slots__ = ("n", "_dict", "_hash", "_packed")
@@ -695,19 +699,14 @@ class MultiPoly:
     # -- calculus and division ---------------------------------------------
 
     def partial(self, var: int) -> "MultiPoly":
-        """Partial derivative with respect to z_var (1-based)."""
+        """Partial derivative with respect to z_var (1-based), taken on the
+        packed form (`_core.packed_partial`) and returned packed, in this
+        polynomial's term order; so a partial that enters a kernel sum is
+        never unpacked and packed again."""
         if not 1 <= var <= self.n:
             raise ValueError(f"variable index {var} outside 1..{self.n}")
-        k = var - 1
-        out = {}
-        for exps, c in self._terms.items():
-            e = exps[k]
-            if e == 0:
-                continue
-            new = exps[:k] + (e - 1,) + exps[k + 1:]
-            v = qmul(c, (e, 1, 0, 1))
-            out[new] = qadd(out[new], v) if new in out else v
-        return MultiPoly(self.n, {e: c for e, c in out.items() if c != Q_ZERO})
+        return MultiPoly._of_packed(self.n,
+                                    packed_partial(self.packed(), var - 1))
 
     def evaluate(self, point: Sequence[complex]) -> complex:
         """Numeric evaluation at a complex point of length n."""

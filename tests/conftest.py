@@ -2,19 +2,20 @@
 
 import pytest
 
-from pencilforms import ring
+from pencilforms import cli, ring
 from pencilforms.forms import maurer_cartan
 from pencilforms.jacobi import trace_power_form
 
 
 @pytest.fixture(autouse=True)
 def cold_memos():
-    """Each test starts with no omega or trace power kept.
+    """Each test starts with no pencil, omega or trace power kept.
 
-    `maurer_cartan` and `trace_power_form` keep their last result, so a
-    test that counts work on an input an earlier test used would otherwise
-    count nothing.
+    The CLI's `_pencil_of_text`, `maurer_cartan` and `trace_power_form`
+    keep their last result, so a test that counts work on an input an
+    earlier test used would otherwise count nothing.
     """
+    cli._pencil_of_text.cache_clear()
     maurer_cartan.cache_clear()
     trace_power_form.cache_clear()
 

@@ -26,7 +26,7 @@ from pencilforms.cochains import DenseCochain, TraceWord
 from pencilforms.forms import MatrixForm, ScalarForm, sort_index
 from pencilforms.jacobi import s_form
 from pencilforms.linalg import (PolyMatrix, grid_adjugate, grid_det,
-                                grid_minor, grid_mul, grid_scale)
+                                grid_mul, grid_scale)
 from pencilforms.ring import CycloElement, MultiPoly, RatFn, Scalar, _term_str
 from pencilforms.sampling import random_scalar, rng_for
 
@@ -35,6 +35,15 @@ def random_grid(rng, k: int) -> tuple:
     """A k x k grid of Gaussian integers with parts in -3..3."""
     return tuple(tuple(random_scalar(rng, 3) for _ in range(k))
                  for _ in range(k))
+
+
+def grid_minor(a: Sequence, drop_rows, drop_cols) -> tuple:
+    """Submatrix with the given 1-based rows and columns removed."""
+    dr, dc = set(drop_rows), set(drop_cols)
+    return tuple(
+        tuple(x for c, x in enumerate(row, start=1) if c not in dc)
+        for r, row in enumerate(a, start=1) if r not in dr
+    )
 
 
 def grid_double_minor(a: Sequence, rows: tuple, cols: tuple, one):

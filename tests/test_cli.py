@@ -201,6 +201,54 @@ def test_pencil_inputs_past_the_size_limits_exit_2(tmp_path, capsys):
             assert "exceed" in err, err
 
 
+# one input path of each entry point that reads a file; {bad} is the file
+# under test and {good} a valid pencil
+FILE_ENTRY_POINTS = {
+    "spectrum": ["spectrum", "--input", "{bad}"],
+    "form": ["form", "--kind", "mc", "--input", "{bad}"],
+    "dense-cochain": ["form", "--kind", "kappa", "--cochain", "dense:{bad}",
+                      "--input", "{good}"],
+    "torus": ["torus", "--check", "cocycles", "--input", "{bad}"],
+}
+
+
+@pytest.mark.parametrize("entry", FILE_ENTRY_POINTS)
+def test_non_utf8_input_is_one_error_line(entry, tmp_path, units_file):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"matrices": [[["\xff"]]]}')
+    argv = [a.format(bad=bad, good=units_file)
+            for a in FILE_ENTRY_POINTS[entry]]
+    assert _run_in_process(argv) == (
+        2, "", f"error: {bad}: not UTF-8 text: byte 0xff at offset 17\n")
+
+
+@pytest.mark.parametrize("entry", FILE_ENTRY_POINTS)
+def test_deeply_nested_json_input_is_one_error_line(entry, tmp_path,
+                                                     units_file):
+    # far past the parser's recursion limit
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 100_000 + "]" * 100_000)
+    argv = [a.format(bad=bad, good=units_file)
+            for a in FILE_ENTRY_POINTS[entry]]
+    assert _run_in_process(argv) == (
+        2, "", f"error: {bad}: nested too deeply\n")
+
+
+def test_deeply_nested_product_spec_is_one_error_line(units_file):
+    def nested(depth):
+        return "product(" * depth + "trace" + ", trace)" * depth
+
+    argv = ["form", "--kind", "kappa", "--input", units_file, "--cochain"]
+    # a nesting the parser's recursion can take still gives the form: its
+    # arity is past n, so it is the zero form of that degree
+    code, out, err = _run_in_process(argv + [nested(100)])
+    assert (code, err, json.loads(out)["degree"]) == (0, "", 101)
+    spec = nested(1200)
+    assert _run_in_process(argv + [spec]) == (
+        2, "", f"error: cochain spec of {len(spec)} characters: "
+        "product(...) nested too deeply\n")
+
+
 def test_empty_file_paths_are_named(units_file, capsys):
     for argv in (["spectrum", "--input", ""],
                  ["form", "--kind", "kappa", "--cochain", "dense:",
@@ -867,9 +915,10 @@ def _memo_argv(base, pencil, kind):
                 min_size=1, max_size=12))
 def test_requests_in_one_process_match_cold_runs(tmp_path_factory,
                                                  requests):
-    # maurer_cartan and trace_power_form keep their last result across
-    # requests, and a trace-word kappa shares the kept trace power at m = 1
-    # and m = 3; whatever ran before, a request gives the exit code, stdout
+    # the CLI keeps the last pencil it parsed, maurer_cartan and
+    # trace_power_form keep their last result across requests, and a
+    # trace-word kappa shares the kept trace power at m = 1 and m = 3;
+    # whatever ran before, a request gives the exit code, stdout
     # and stderr of the same argv run with nothing kept
     base = tmp_path_factory.getbasetemp() / "memo-pencils"
     if not _COLD:
@@ -877,9 +926,31 @@ def test_requests_in_one_process_match_cold_runs(tmp_path_factory,
         for name, text in MEMO_PENCILS.items():
             (base / f"{name}.json").write_text(text)
         for key in product(MEMO_PENCILS, MEMO_KINDS):
+            cli._pencil_of_text.cache_clear()
             maurer_cartan.cache_clear()
             trace_power_form.cache_clear()
             _COLD[key] = _run_in_process(_memo_argv(base, *key))
         assert all(code == 0 for code, _, _ in _COLD.values())
     for key in requests:
         assert _run_in_process(_memo_argv(base, *key)) == _COLD[key], key
+
+
+def test_pencil_memo_is_keyed_by_the_file_text(tmp_path, units_file):
+    kept = cli._load_pencil(units_file)
+    assert cli._load_pencil(units_file) is kept
+    copy = tmp_path / "copy.json"
+    copy.write_text(MEMO_PENCILS["units"])
+    assert cli._load_pencil(str(copy)) is kept
+    # a file rewritten at the same path is parsed again
+    copy.write_text(MEMO_PENCILS["gaussian"])
+    gaussian = cli._load_pencil(str(copy))
+    assert gaussian is not kept and gaussian == \
+        serialize.tuple_from_json(PENCILS["gaussian"]).pencil()
+    # a failing text is not kept, and leaves the kept pencil in place
+    copy.write_text('{"matrices": [[["x?"]]]}')
+    for _ in range(2):
+        with pytest.raises(CliError, match="matrices"):
+            cli._load_pencil(str(copy))
+    copy.write_text(MEMO_PENCILS["gaussian"])
+    assert cli._load_pencil(str(copy)) is gaussian
+    assert cli._pencil_of_text.cache_info().currsize == 1

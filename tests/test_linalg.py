@@ -11,13 +11,13 @@ from pencilforms.linalg import (
     MatrixTuple,
     PolyMatrix,
     grid_det,
-    grid_minor,
     grid_mul,
     grid_trace,
 )
 from pencilforms.ring import MultiPoly, RatFn, Scalar
 
-from oracles import adjugate_double_minor_check, grid_double_minor
+from oracles import (adjugate_double_minor_check, grid_double_minor,
+                     grid_minor)
 from test_ring import rand_poly, rand_scalar
 
 
@@ -98,6 +98,35 @@ def test_adjugate_identity():
         expect = PolyMatrix.identity(n, k) * m.det()
         assert prod == expect
         assert m * m.adjugate() == expect
+
+
+def _rand_int_poly(rng, n, max_deg=2, nterms=4):
+    return MultiPoly.from_terms(n, {
+        tuple(rng.randint(0, max_deg) for _ in range(n)): rng.randint(-4, 4)
+        for _ in range(nterms)})
+
+
+@pytest.mark.parametrize("kind", ["int", "gauss"])
+def test_kernel_det_and_adjugate_match_the_permutation_sum(kind, monkeypatch):
+    # over polynomials every minor is one kernel sum: no dict product runs
+    def no_dict_product(p, q):
+        raise AssertionError("det and adjugate multiply through poly_mul")
+
+    rng = random.Random(207 if kind == "int" else 208)
+    draw = _rand_int_poly if kind == "int" else rand_poly
+    for k in (1, 2, 3, 4):
+        for _ in range(4 if k < 4 else 2):
+            n = rng.choice([2, 3])
+            # entries of degree up to 2, some zero and some constant
+            m = PolyMatrix(n, [[draw(rng, n, max_deg=rng.choice([0, 1, 2]),
+                                     nterms=rng.choice([0, 1, 3]))
+                                for _ in range(k)] for _ in range(k)])
+            with monkeypatch.context() as patched:
+                patched.setattr(ring, "poly_mul", no_dict_product)
+                det, adj = m.det(), m.adjugate()
+            assert det == leibniz_det(m.rows, MultiPoly.zero(n))
+            expect = PolyMatrix.identity(n, k) * det
+            assert adj * m == expect and m * adj == expect
 
 
 def test_pencil_of_matrix_units():

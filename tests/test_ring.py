@@ -806,6 +806,63 @@ def test_dot_result_fields_on_edge_cases():
     assert cancelled._packed[3] == poly_pack(cancelled._terms)[3]
 
 
+def _ref_partial(terms, k):
+    """The dict reference for d/dz of terms in variable k (0-based): each
+    term with a positive exponent there, in order, times that exponent."""
+    out = {}
+    for exps, c in terms.items():
+        e = exps[k]
+        if e:
+            out[exps[:k] + (e - 1,) + exps[k + 1:]] = \
+                _ref_mul(_ref(c), (Fraction(e), Fraction(0)))
+    return out
+
+
+@st.composite
+def partial_cases(draw):
+    """A polynomial in two variables, with small exponents and ones whose
+    fields take 8 or 9 bits, of one coefficient kind, and a variable."""
+    coeffs = _KIND_COEFFS[draw(st.sampled_from(sorted(_KIND_COEFFS)))]
+    terms = draw(st.dictionaries(st.tuples(_dot_exponents, _dot_exponents),
+                                 coeffs, max_size=6))
+    return terms, draw(st.sampled_from((1, 2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(partial_cases())
+@example(({(2, 0): (1, 2, 0, 1)}, 1))  # (1/2) z1^2 -> z1: den 2 cancels
+@example(({(256, 0): (1, 1, 0, 1), (0, 1): (0, 1, 1, 1)}, 1))  # 9 -> 8 bits
+@example(({(1, 3): (1, 3, 0, 1), (0, 2): (0, 1, 1, 2)}, 1))  # im cancels
+def test_packed_partial_matches_the_dict_reference(case):
+    terms, var = case
+    x = MultiPoly(2, dict(terms))
+    z1, one = MultiPoly.variable(2, 1), MultiPoly.one(2)
+    # the same polynomial as a kernel result, its top a bound past its
+    # largest exponent while that fits 8 bits
+    bound = MultiPoly.dot(2, [(x, z1), (x, -z1), (x, one)])
+    want = _ref_partial(terms, var - 1)
+    for y in (x, bound):
+        got = y.partial(var)
+        assert got._dict is None  # returned packed
+        _check_packed_as_poly_pack(got)
+        # values and term order: float evaluation sums in that order
+        assert [(e, _ref(c)) for e, c in got._terms.items()] == \
+            list(want.items())
+
+
+def test_packed_partial_edge_cases():
+    half_sq = MultiPoly(2, {(2, 0): (1, 2, 0, 1)})
+    assert half_sq.partial(1)._packed == (2, 2, 1, [1], [1], None)
+    assert half_sq.partial(1) == MultiPoly.variable(2, 1)
+    # a variable that does not occur gives the zero polynomial
+    for p in (half_sq, MultiPoly.zero(2), MultiPoly.one(2)):
+        d = p.partial(2)
+        assert d.is_zero and d._packed == poly_pack({})
+    for var in (0, 3):
+        with pytest.raises(ValueError):
+            half_sq.partial(var)
+
+
 def _fresh_results():
     """Kernel results whose terms were never read, each with the same
     polynomial built from its term dict: mixed, homogeneous, constant, zero

@@ -285,9 +285,11 @@ def test_hyperplane_wedge_of_coordinates_matches_product_functional():
 # phi evaluated over its key trie once per permutation; both budgets were
 # recorded when kappa began to contract the trie against omega slot by
 # slot, one `MultiPoly.dot` per form coefficient (kernel calls before:
-# 504). Evaluating phi per permutation again exceeds both.
-DENSE_KAPPA_BUDGET = 425
-DENSE_KAPPA_CALL_BUDGET = 115
+# 504), and set to their measured counts (423 and 112 before) when
+# omega's adjugate became one kernel sum per minor. Evaluating phi per
+# permutation again exceeds both.
+DENSE_KAPPA_BUDGET = 419
+DENSE_KAPPA_CALL_BUDGET = 108
 
 
 def test_dense_kappa_kernel_product_budget(monkeypatch):

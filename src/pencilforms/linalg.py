@@ -308,9 +308,10 @@ class PolyMatrix:
 class MatrixTuple:
     """An ordered tuple (A_1, ..., A_n) of k x k matrices over Scalar."""
 
-    __slots__ = ("n", "k", "mats")
+    __slots__ = ("n", "k", "mats", "_pencil")
 
     def __init__(self, mats: Sequence):
+        self._pencil: Optional[PolyMatrix] = None
         self.n = len(mats)
         if self.n == 0:
             raise ValueError("need at least one matrix")
@@ -344,7 +345,11 @@ class MatrixTuple:
         return self.mats[j - 1]
 
     def pencil(self) -> PolyMatrix:
-        """The linear pencil A(z) = z_1 A_1 + ... + z_n A_n."""
+        """The linear pencil A(z) = z_1 A_1 + ... + z_n A_n, built once per
+        tuple: sampling builds it to reject a draw whose det vanishes, and
+        the suite that drew the tuple reads the same pencil."""
+        if self._pencil is not None:
+            return self._pencil
         n, k = self.n, self.k
         rows = []
         for r in range(k):
@@ -358,7 +363,8 @@ class MatrixTuple:
                         terms[exps] = v
                 row.append(MultiPoly.from_terms(n, terms))
             rows.append(row)
-        return PolyMatrix(n, rows)
+        self._pencil = PolyMatrix(n, rows)
+        return self._pencil
 
     @property
     def is_diagonal(self) -> bool:

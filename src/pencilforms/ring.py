@@ -346,51 +346,29 @@ class CycloElement:
         return CycloElement._make(self.q, _neg_terms(self._terms))
 
     def __mul__(self, other):
-        """Product; an operand that is one term c*t^a rotates and scales
-        the other, so scalars and powers of lambda need no convolution.
-        An element of at most one term times an int takes no `_product`
-        call."""
-        terms = self._terms
-        if type(other) is int and len(terms) <= 1:
-            if not other or not terms:
-                return CycloElement._make(self.q, ())
-            (e, c), = terms
-            return CycloElement._make(self.q,
-                                      ((e, qmul(c, (other, 1, 0, 1))),))
+        """Product, one `_product` step; a scalar is a one-term element."""
         if type(other) is not CycloElement or other.q != self.q:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        return CycloElement._make(self.q, _product(terms, other._terms,
+        return CycloElement._make(self.q, _product(self._terms, other._terms,
                                                    self.q, 0, Q_ONE))
 
     __rmul__ = __mul__
 
     def mul_rotate(self, other: "CycloElement", power: int,
                    scale: int = 1) -> "CycloElement":
-        """self * other * scale * t^power as one product.
+        """self * other * scale * t^power as one `_product` step.
 
-        The torus twists each monomial product by a power of lambda = t^p
-        and psi2 weights it by an integer, so both go into the one result.
-        Two one-term operands give one term: the exponents are added and
-        rotated, and the coefficients multiplied, with no `_product` call.
+        The torus twists each term pair of a product by a power of
+        lambda = t^p, and psi2 weights it by an integer, so both go into
+        the one result.
         """
         q = self.q
         if other.q != q:
             raise ValueError(f"mixed orders: {q} vs {other.q}")
-        x = self._terms
-        y = other._terms
-        if len(x) == 1 and len(y) == 1:
-            if not scale:
-                return CycloElement._make(q, ())
-            (a, ca), = x
-            (b, cb), = y
-            if scale != 1:
-                cb = qmul(cb, (scale, 1, 0, 1))
-            return CycloElement._make(q, (((a + b + power) % q,
-                                           qmul(ca, cb)),))
-        return CycloElement._make(q, _product(x, y, q, power,
-                                              (scale, 1, 0, 1)))
+        return CycloElement._make(q, _product(self._terms, other._terms, q,
+                                              power, (scale, 1, 0, 1)))
 
     def __eq__(self, other) -> bool:
         if type(other) is not CycloElement or other.q != self.q:
@@ -414,22 +392,11 @@ class CycloElement:
 
 
 def _sum_terms(x: tuple, y: tuple) -> tuple:
-    """Terms of x + y for sparse term tuples; a sum that cancels is dropped.
-
-    Two one-term operands are ordered or added directly, with no dict and
-    no sort.
-    """
+    """Terms of x + y for sparse term tuples; a sum that cancels is dropped."""
     if not y:
         return x
     if not x:
         return y
-    if len(x) == 1 and len(y) == 1:
-        (a, ca), = x
-        (b, cb), = y
-        if a != b:
-            return x + y if a < b else y + x
-        total = qadd(ca, cb)
-        return () if total == Q_ZERO else ((a, total),)
     out = dict(x)
     for e, c in y:
         prev = out.get(e)
@@ -445,15 +412,14 @@ def _sum_terms(x: tuple, y: tuple) -> tuple:
 
 
 def _neg_terms(x: tuple) -> tuple:
-    if len(x) == 1:
-        (e, c), = x
-        return ((e, qneg(c)),)
     return tuple((e, qneg(c)) for e, c in x)
 
 
 def _product(x: tuple, y: tuple, q: int, shift: int, c: tuple) -> tuple:
     """Terms of x * y * c * t^shift for sparse terms x, y and a 4-tuple c.
 
+    This is the one product step of `CycloElement`: `*` takes it with
+    c = 1 and no shift, and `mul_rotate` with the torus twist and weight.
     Products of nonzero Gaussian rationals are nonzero, so a one-term
     operand b*t^s rotates the other by s and scales it by b*c once; only
     two operands with several terms each are convolved.

@@ -101,6 +101,10 @@ def tuple_from_json(data: Dict) -> MatrixTuple:
             rows.append(cells)
         parsed.append(rows)
     t = MatrixTuple(parsed)
+    for key in ("n", "k"):
+        # an int proper: true == 1 and 2.0 == 2 would pass the size checks
+        if key in data and type(data[key]) is not int:
+            raise ValueError(f"'{key}' must be an integer, got {data[key]!r}")
     if "n" in data and data["n"] != t.n:
         raise ValueError(f"declared n={data['n']} but found {t.n} matrices")
     if "k" in data and data["k"] != t.k:

@@ -3,7 +3,9 @@
 Elements are finitely supported sums sum a_{m,n} U^m V^n with the relation
 UV = lambda VU.  Two coefficient modes: exact, over Q(i)[t]/(t^q - 1) with
 lambda = t^p, and numeric, over complex doubles with
-lambda = exp(2*pi*i*theta).
+lambda = exp(2*pi*i*theta). Every term pair of a product, each matched pair
+of a trace, and each term pair of the psi2 commutator is one twisted step
+of the configuration (`TorusConfig.twisted_product`).
 The module also evaluates the degree-one and degree-two cyclic cocycles built
 from the trace and the torus derivations on spanning monomial tuples. On a
 zero-sum monomial tuple every term of b phi, and both sides of cyclicity, is
@@ -128,12 +130,13 @@ class TorusConfig:
     bools are refused, so JSON `true` is not read as 1.
 
     `twisted_product(x, y, power, scale)` is x * y * scale * g^power for
-    the generator g of the twist, picked once per mode here. In exact mode
-    g = t and the step is `CycloElement.mul_rotate` itself, one rotated
-    product. In numeric mode g = lambda, and the product runs left to
-    right and skips a missing scale, since a factor 1 can flip the sign of
-    a zero part. lambda^e is g^(e * twist_unit): twist_unit is p' in exact
-    mode and 1 in numeric mode.
+    the generator g of the twist, picked once per mode here: the one step
+    that torus products, traces and the psi2 commutator take per term
+    pair. In exact mode g = t and the step is `CycloElement.mul_rotate`
+    itself, one rotated product. In numeric mode g = lambda, and the
+    product runs left to right and skips a missing scale, since a factor
+    1 can flip the sign of a zero part. lambda^e is g^(e * twist_unit):
+    twist_unit is p' in exact mode and 1 in numeric mode.
 
     A third, private mode ("twist-free", `_TWIST_FREE`) has no parameter:
     its coefficients are `_TwistFree` terms and g = lambda itself. No JSON
@@ -196,21 +199,18 @@ class TorusConfig:
         return self
 
     def lambda_power(self, exponent: int):
-        """lambda^exponent in the coefficient ring of this mode."""
-        if self.mode == "twist-free":
-            return _TwistFree(1, exponent)
-        if self.mode == "exact":
-            key = (exponent * self.p_prime) % self.q
-            cached = self._lam_cache.get(key)
+        """lambda^exponent in the coefficient ring of this mode. Numeric
+        mode keeps each power it computes, since its twisted step reads
+        one per term pair."""
+        if self.mode == "numeric":
+            cached = self._lam_cache.get(exponent)
             if cached is None:
-                cached = CycloElement.root(self.q, key)
-                self._lam_cache[key] = cached
+                cached = cmath.exp(2j * cmath.pi * self.theta * exponent)
+                self._lam_cache[exponent] = cached
             return cached
-        cached = self._lam_cache.get(exponent)
-        if cached is None:
-            cached = cmath.exp(2j * cmath.pi * self.theta * exponent)
-            self._lam_cache[exponent] = cached
-        return cached
+        if self.mode == "exact":
+            return CycloElement.root(self.q, exponent * self.p_prime)
+        return _TwistFree(1, exponent)
 
     def zero_coeff(self):
         if self.mode == "twist-free":
@@ -349,47 +349,11 @@ class TorusElement:
                                    for key, value in self.coeffs.items()))
 
     def __mul__(self, other):
-        """Product by (U^a V^b)(U^c V^d) = lambda^(-b c) U^(a+c) V^(b+d).
-
-        Fast paths: a zero operand gives zero at once, and a monomial times
-        a monomial is one coefficient product, twisted by lambda^(-b c)
-        (a rotation in exact mode), with no loop over term pairs. Otherwise
-        the twists of a left row of V-degree b are looked up once per
-        distinct b, and the term pairs are summed in left-major order; the
-        sums are the result itself unless one of them cancelled to zero.
-        """
+        """Product by (U^a V^b)(U^c V^d) = lambda^(-b c) U^(a+c) V^(b+d),
+        one twisted step per term pair (`_pair_sum`); a scalar scales each
+        coefficient."""
         if isinstance(other, TorusElement):
-            config = self.config
-            if other.config is not config:
-                self._match(other)
-            left = self.coeffs
-            right = other.coeffs
-            if not left or not right:
-                return TorusElement._of(config, {})
-            if len(left) == 1 and len(right) == 1:
-                ((a, b), ca), = left.items()
-                ((c, d), cb), = right.items()
-                value = config.twisted_product(ca, cb,
-                                               -b * c * config.twist_unit)
-                return TorusElement._of(
-                    config, {(a + c, b + d): value} if value else {})
-            lambda_power = config.lambda_power
-            out: Dict[Degree, object] = {}
-            get = out.get
-            rows: Dict[int, list] = {}
-            for (a, b), ca in left.items():
-                row = rows.get(b)
-                if row is None:
-                    row = rows[b] = [(c, b + d, cb, lambda_power(-b * c))
-                                     for (c, d), cb in right.items()]
-                for c, bd, cb, lam in row:
-                    key = (a + c, bd)
-                    term = ca * cb * lam
-                    prev = get(key)
-                    out[key] = term if prev is None else prev + term
-            if all(out.values()):
-                return TorusElement._of(config, out)
-            return TorusElement._make(config, out.items())
+            return self._pair_sum(other, weighted=False)
         try:
             scale = self.config.coerce(other)
         except TypeError:
@@ -411,9 +375,9 @@ class TorusElement:
         Only degree pairs (a, b), (-a, -b) reach the trace of a product,
         each with the twist lambda^(a b):
         tr(x y) = sum x_{a,b} y_{-a,-b} lambda^(a b).
-        The twist is a rotation in exact mode, and the sum starts from the
-        first matched pair; zero is built only when no pair matches. A
-        one-term operand is one lookup in the other.
+        Each matched pair is one twisted step (`config.twisted_product`),
+        and the sum starts from the first of them; zero is built only when
+        no pair matches.
         """
         config = self.config
         if other is None:
@@ -424,12 +388,6 @@ class TorusElement:
         x, y = (other.coeffs, self.coeffs) \
             if len(other.coeffs) < len(self.coeffs) \
             else (self.coeffs, other.coeffs)
-        if len(x) == 1:
-            ((a, b), cx), = x.items()
-            cy = y.get((-a, -b))
-            if cy is None:
-                return config.zero_coeff()
-            return config.twisted_product(cx, cy, a * b * config.twist_unit)
         twisted_product = config.twisted_product
         unit = config.twist_unit
         total = None
@@ -440,28 +398,44 @@ class TorusElement:
                 total = term if total is None else total + term
         return config.zero_coeff() if total is None else total
 
-    def _delta_commutator(self, other: "TorusElement") -> "TorusElement":
-        """delta_1(self) delta_2(other) - delta_2(self) delta_1(other).
-
-        Two monomials (a, b), (c, d) give the one term
-        (a d - b c) x_{a,b} y_{c,d} lambda^(-b c) at (a + c, b + d), or
-        none at weight 0, in one step; anything else takes the definition.
+    def _pair_sum(self, other: "TorusElement",
+                  weighted: bool) -> "TorusElement":
+        """sum x_{a,b} y_{c,d} lambda^(-b c) U^(a+c) V^(b+d) over the term
+        pairs, each pair one twisted step (`config.twisted_product`),
+        summed in left-major order; zero sums are dropped. Weighted, each
+        pair is also scaled by a d - b c, and a pair of weight 0 is
+        skipped.
         """
         config = self.config
         if other.config is not config:
             self._match(other)
-        if len(self.coeffs) == 1 and len(other.coeffs) == 1:
-            ((a, b), ca), = self.coeffs.items()
-            ((c, d), cb), = other.coeffs.items()
-            weight = a * d - b * c
-            if not weight:
-                return TorusElement._of(config, {})
-            value = config.twisted_product(ca, cb, -b * c * config.twist_unit,
-                                           weight)
-            return TorusElement._of(
-                config, {(a + c, b + d): value} if value else {})
-        return (self.delta(1) * other.delta(2)
-                - self.delta(2) * other.delta(1))
+        twisted_product = config.twisted_product
+        unit = config.twist_unit
+        right = other.coeffs.items()
+        out: Dict[Degree, object] = {}
+        get = out.get
+        for (a, b), ca in self.coeffs.items():
+            for (c, d), cb in right:
+                if weighted:
+                    weight = a * d - b * c
+                    if not weight:
+                        continue
+                    term = twisted_product(ca, cb, -b * c * unit, weight)
+                else:
+                    term = twisted_product(ca, cb, -b * c * unit)
+                key = (a + c, b + d)
+                prev = get(key)
+                out[key] = term if prev is None else prev + term
+        return TorusElement._make(config, out.items())
+
+    def _delta_commutator(self, other: "TorusElement") -> "TorusElement":
+        """delta_1(self) delta_2(other) - delta_2(self) delta_1(other).
+
+        A term pair (a, b), (c, d) contributes
+        (a d - b c) x_{a,b} y_{c,d} lambda^(-b c) at (a + c, b + d), one
+        weighted twisted step (`_pair_sum`).
+        """
+        return self._pair_sum(other, weighted=True)
 
     def delta(self, which: int) -> "TorusElement":
         """delta_1 scales a_{m,n} by m, delta_2 by n.
@@ -520,7 +494,7 @@ def psi1_cochain() -> FunctionalCochain:
 def psi2_cochain() -> FunctionalCochain:
     """psi_2(x0, x1, x2) = tr(x0 (d1(x1) d2(x2) - d2(x1) d1(x2))).
 
-    The inner difference of two monomials is one step
+    The inner difference takes one weighted twisted step per term pair
     (`TorusElement._delta_commutator`).
     """
 

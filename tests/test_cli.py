@@ -201,6 +201,23 @@ def test_pencil_inputs_past_the_size_limits_exit_2(tmp_path, capsys):
             assert "exceed" in err, err
 
 
+@pytest.mark.parametrize("text", [
+    '{"n": true, "k": true, "matrices": [[["2"]]]}',
+    '{"n": 2.0, "matrices": [[["1"]], [["2"]]]}',
+], ids=["n-k-true", "n-float"])
+def test_declared_tuple_sizes_that_are_not_integers_exit_2(text, tmp_path,
+                                                           capsys):
+    path = tmp_path / "tuple.json"
+    path.write_text(text)
+    for argv in (("spectrum",), ("form", "--kind", "mc")):
+        assert cli_main([*argv, "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "must be an integer" in captured.err
+
+
 # one input path of each entry point that reads a file; {bad} is the file
 # under test and {good} a valid pencil
 FILE_ENTRY_POINTS = {

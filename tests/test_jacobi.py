@@ -357,7 +357,10 @@ TRACE_POWER_4_PACK_BUDGET = 9
 
 
 def test_trace_power_packs_no_kernel_result(monkeypatch):
-    f = random_matrix_tuple(rng_for(5, "guard"), 5, 3).pencil()
+    # a pencil built anew: the tuple's own pencil had its entries packed
+    # when sampling took its det
+    f = MatrixTuple(random_matrix_tuple(rng_for(5, "guard"), 5, 3).mats
+                    ).pencil()
     packed, unpacked = [], []
     inner_pack, inner_unpack = ring.poly_pack, ring.poly_unpack
 

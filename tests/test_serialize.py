@@ -50,6 +50,19 @@ def test_tuple_errors_carry_location():
         serialize.tuple_from_json({"matrices": []})
 
 
+@pytest.mark.parametrize("data", [
+    {"n": True, "k": True, "matrices": [[["2"]]]},
+    {"n": 2.0, "matrices": [[["1"]], [["2"]]]},
+    {"k": 1.0, "matrices": [[["1"]], [["2"]]]},
+    {"n": 2, "k": False, "matrices": [[["1"]], [["2"]]]},
+], ids=["n-k-true", "n-float", "k-float", "k-false"])
+def test_tuple_sizes_must_be_integers(data):
+    # the declared sizes were only compared with !=, so true read as 1 and
+    # 2.0 as 2
+    with pytest.raises(ValueError, match="must be an integer"):
+        serialize.tuple_from_json(data)
+
+
 def test_poly_matrix_round_trip_and_inference():
     f = random_poly_matrix(rng_for(12, "ser-poly"), 3, 2, degree=2)
     data = serialize.poly_matrix_to_json(f)

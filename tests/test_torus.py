@@ -252,6 +252,34 @@ def test_psi2_numeric_matches_derivation_products():
     assert checked > 0
 
 
+def test_twist_free_delta_commutator_of_sums_is_the_derivation_products():
+    # each term pair of _delta_commutator is one weighted twisted step; on
+    # operands of several terms it equals the definition over the
+    # twist-free coefficient too (test_psi2_matches_derivation_products
+    # checks it at q in {3, 4, 5}). The left degrees are multiples of 10
+    # and the right ones small, so each pair reaches a degree of its own
+    # and no sum mixes lambda exponents; (0, 0), and (10, 10) with (1, 1),
+    # have weight 0
+    free = torus._TWIST_FREE
+    rng = rng_for(39, "delta-commutator", "twist-free")
+
+    def rand_free(degrees):
+        return TorusElement(free, {
+            deg: torus._TwistFree(rng.choice((-2, -1, 1, 3)),
+                                  rng.randrange(-3, 4))
+            for deg in rng.sample(degrees, 3)})
+
+    several = 0
+    for _ in range(20):
+        x = rand_free([(0, 0), (10, 0), (0, 10), (10, 10), (-10, 10)])
+        y = rand_free([(1, 1), (2, -1), (-1, 3), (0, 2), (3, 0)])
+        got = x._delta_commutator(y)
+        assert got == x.delta(1) * y.delta(2) - x.delta(2) * y.delta(1)
+        assert all(type(v) is torus._TwistFree for v in got.coeffs.values())
+        several += len(got.coeffs) > 1
+    assert several > 10
+
+
 # The complete zero-sum boxes the checks ran on before the degree grid:
 # radius 3 for cyclicity, and per cocycle for the coboundary.
 CYCLICITY_BOX = 3
@@ -710,7 +738,9 @@ def test_cyclo_products_match_dense_convolution():
 
 
 def _naive_torus_product(x, y):
-    """Reference: every term pair, then zero sums dropped in key order."""
+    """Reference: every term pair as (ca * cb) * lambda^(-b c), added in
+    left-major order to the degree it reaches, then zero sums dropped in
+    key order."""
     config = x.config
     out = {}
     for (a, b), ca in x.coeffs.items():
@@ -721,23 +751,35 @@ def _naive_torus_product(x, y):
     return [(key, value) for key, value in out.items() if value != 0]
 
 
+def _bits(items):
+    """(degree, real part, imaginary part) of each term, the parts in hex,
+    so that two lists are equal only bit for bit (0.0 == -0.0 is not)."""
+    return [(key, value.real.hex(), value.imag.hex()) for key, value in items]
+
+
 def test_numeric_torus_products_match_naive_loop():
+    # bit for bit: another order of the products or of the sums moves the
+    # last bits
     rng = rng_for(0, "test", "torus-fast-paths")
     cfg = TorusConfig.numeric(0.37)
     u, one = TorusElement.u(cfg), TorusElement.one(cfg)
     # (U + 1)(U - 1): the two U terms cancel exactly
     cancelling = (u + one) * (u - one)
     assert list(cancelling.coeffs) == [(2, 0), (0, 0)]
-    assert _naive_torus_product(u + one, u - one) == \
-        list(cancelling.coeffs.items())
+    assert _bits(_naive_torus_product(u + one, u - one)) == \
+        _bits(cancelling.coeffs.items())
+    shared = 0
     for _ in range(60):
         x = rand_numeric_element(rng, cfg, terms=rng.randrange(0, 6))
         y = rand_numeric_element(rng, cfg, terms=rng.randrange(0, 6))
         for left, right in ((x, y), (y, x), (x + one, x - one)):
             product = left * right
-            assert list(product.coeffs.items()) == \
-                _naive_torus_product(left, right)
+            assert _bits(product.coeffs.items()) == \
+                _bits(_naive_torus_product(left, right))
             assert all(v != 0 for v in product.coeffs.values())
+            # some degree sums more than one term pair
+            pairs = len(left.coeffs) * len(right.coeffs)
+            shared += len(product.coeffs) < pairs
         for which in (1, 2):
             assert list(x.delta(which).coeffs.items()) == [
                 (key, value * key[which - 1])
@@ -748,6 +790,7 @@ def test_numeric_torus_products_match_naive_loop():
                 == [(key, value * complex(s))
                     for key, value in x.coeffs.items()
                     if value * complex(s) != 0]
+    assert shared > 60
 
 
 def test_exact_torus_fast_paths_match_naive_loop():
@@ -797,8 +840,8 @@ def test_exact_torus_fast_paths_match_naive_loop():
 
 # Operation counts of the torus suite's cocycle checks at seed 1 (one
 # twist-free run for every order q). They depend on the code alone, so
-# exceeding one flags a lost fast path, or a check that left the degree
-# grid, without any timing.
+# exceeding one flags work that runs more often than one step per term
+# pair, or a check that left the degree grid, without any timing.
 # Coefficient products, counted as CycloElement.__mul__ calls: 529,514
 # with convolved monomial twists, 300,821 once monomial torus products
 # became one coefficient product twisted by rotation, 214,866 once psi2
@@ -806,17 +849,15 @@ def test_exact_torus_fast_paths_match_naive_loop():
 # cut the torus products from 161,248 and the derivatives, which phi1 and
 # phi2 still take, from 135,302. Since the product, the weight and the
 # twist are one step (CycloElement.mul_rotate), the budget counts those
-# steps plus the remaining CycloElement.__mul__ calls. Every coefficient
-# in the checks has one term, and since a one-term step no longer runs
-# through ring._product, none of them reaches it: the counts below were
-# measured again then and did not move, since the fast paths change how
-# a step runs, not how many run. The checks now run once over the
-# twist-free coefficient, whose product steps (the config's
+# steps plus the remaining CycloElement.__mul__ calls. The checks now run
+# once over the twist-free coefficient, whose product steps (the config's
 # twisted_product) and integer scalings are counted in place of the
 # CycloElement ones: again 190,970, and no CycloElement arithmetic at all.
 # On the degree grid in place of the complete boxes (20,104 tuples became
 # 280) the counts went 190,970 -> 1,864 coefficient steps, 97,852 -> 1,096
-# TorusElement products and 8,510 -> 212 derivatives.
+# TorusElement products and 8,510 -> 212 derivatives. Every term pair of a
+# product or of the psi2 commutator, and every matched pair of a trace, is
+# one twisted step, whatever the number of terms.
 COCYCLE_CHECKS_BUDGET = 1_900
 COCYCLE_CHECKS_TORUS_MUL_BUDGET = 1_100
 COCYCLE_CHECKS_DELTA_BUDGET = 220
@@ -931,8 +972,8 @@ def test_twist_free_values_specialise_to_the_exact_ones():
 
 
 def test_twist_free_products_of_sums_specialise_to_the_exact_ones():
-    # the general product path looks each twist up through lambda_power;
-    # a sum of monomials of one degree keeps one exponent per key
+    # products of sums take one twisted step per term pair; a sum of
+    # monomials of one degree keeps one exponent per key
     free = torus._TWIST_FREE
     x = TorusElement(free, {(1, 2): 2, (-1, 0): -3})
     y = TorusElement(free, {(2, -1): 5, (0, 1): 1})
@@ -1207,24 +1248,25 @@ def test_factorization_calls_the_resolvent_through_the_module(monkeypatch):
     assert points == [sample.point for sample in samples]
 
 
-# TorusElement.__mul__, TorusElement.delta and lambda_power calls per point
-# of factorization_report at M = 2 on the suite's pencil, with its rounding
-# bounds: 6 products for R (the step's two scalings and its own, two powers,
-# 1/z1), 3 more for the step, 2 for E and 3 for W; 10 derivations for the
-# phi values and 12 for the bounds. Recorded when the equalities replaced
-# the truncation bounds, whose Neumann plans made about 50 products and
-# 1,800 lambda_power calls over ten points at orders 22-29; lambda_power
-# was called 73 times per point.
+# TorusElement.__mul__ and TorusElement.delta calls, and twisted steps (the
+# config's twisted_product), per point of factorization_report at M = 2 on
+# the suite's pencil, with its rounding bounds: 6 products for R (the step's
+# two scalings and its own, two powers, 1/z1), 3 more for the step, 2 for E
+# and 3 for W; 10 derivations for the phi values and 12 for the bounds.
+# Recorded when the equalities replaced the truncation bounds, whose Neumann
+# plans made about 50 products and 1,800 lambda_power calls over ten points
+# at orders 22-29. Each term pair of a product and each matched pair of a
+# trace is one twisted step: 209 per point.
 FACTORIZATION_TORUS_MUL_PER_POINT = 14
 FACTORIZATION_DELTA_PER_POINT = 22
-FACTORIZATION_LAMBDA_POWER_PER_POINT = 75
+FACTORIZATION_TWISTED_STEPS_PER_POINT = 209
 
 
 def test_factorization_operation_counts(monkeypatch):
     mats = content_pencil()
-    calls = {"delta": 0, "lambda_power": 0, "mul": 0}
+    calls = {"delta": 0, "twisted": 0, "mul": 0}
     inner_delta = TorusElement.delta
-    inner_lambda_power = TorusConfig.lambda_power
+    inner_twisted = mats[0].config.twisted_product
     inner_mul = TorusElement.__mul__
 
     def counting(name, inner):
@@ -1234,16 +1276,15 @@ def test_factorization_operation_counts(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(TorusElement, "delta", counting("delta", inner_delta))
-    monkeypatch.setattr(TorusConfig, "lambda_power",
-                        counting("lambda_power", inner_lambda_power))
+    monkeypatch.setattr(mats[0].config, "twisted_product",
+                        counting("twisted", inner_twisted))
     monkeypatch.setattr(TorusElement, "__mul__", counting("mul", inner_mul))
     samples = factorization_report(mats, CONTENT_POINTS)
     assert all(within_bounds(sample) for sample in samples)
     points = len(CONTENT_POINTS)
     assert calls["mul"] == FACTORIZATION_TORUS_MUL_PER_POINT * points
     assert calls["delta"] == FACTORIZATION_DELTA_PER_POINT * points
-    assert 0 < calls["lambda_power"] \
-        <= FACTORIZATION_LAMBDA_POWER_PER_POINT * points
+    assert calls["twisted"] == FACTORIZATION_TWISTED_STEPS_PER_POINT * points
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 6])

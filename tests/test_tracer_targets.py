@@ -9,9 +9,15 @@ a target that no module outside the kernel binds, as a module attribute,
 a value of a module-level dict or an attribute of a class the module
 defines; so does this test. The tracer source is only read and executed
 here, never imported from or written to its directory.
+
+A target can also resolve and still go uncalled: `perfbench/selftest.py`
+fails when a traced count is 0 on the workload meant to exercise it, so
+the last test runs it in a child process that writes no bytecode.
 """
 
 import inspect
+import os
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -19,7 +25,8 @@ from pathlib import Path
 import pencilforms.cli  # noqa: F401  (loads every traced module)
 import pencilforms.suites  # noqa: F401
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def load_tracer() -> types.ModuleType:
@@ -68,3 +75,14 @@ def test_every_traced_target_is_bound_outside_the_kernel():
         for name, targets in table.items():
             for owner, attr in targets:
                 assert id(tracer._resolve(owner, attr)) in bound, (name, attr)
+
+
+def test_benchmark_selftest_passes():
+    # each workload at small sizes, untraced and traced twice; its only
+    # file is a temporary directory that it removes
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")],
+                          capture_output=True, text=True, env=env,
+                          timeout=600)
+    assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-3000:]
+    assert "selftest passed" in done.stdout

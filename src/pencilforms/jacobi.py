@@ -2,7 +2,7 @@
 
 `trace_power_form` computes tr(omega^m) by one route for each m. At
 m = 3 it is `anchored_trace_power`, a signed sum of trace words in the
-dz_i coefficients with the first slot pinned, which forms each prefix
+dz_i coefficients with the first slot pinned, which forms each head
 product once; on an n = 4, k = 3 pencil it makes 40% fewer kernel
 products than the wedge route. Every other m takes the wedge route:
 omega^ceil(m/2) is traced against omega^floor(m/2), so the last wedge is
@@ -12,10 +12,10 @@ traced against itself. When m/2 is even too (m = 4, 8, ..) the form has
 even degree, and the trace sums each unordered pair of its terms once
 (`MatrixForm.trace`); at m = 2 and m = 6 the degree is odd and both
 orders of each pair are summed, so tr(omega^2) = 0 is computed, not
-assumed. At m = 5 the anchored sum is slower than the wedge route, so it
-serves m = 3 alone. Like `maurer_cartan`, `trace_power_form` keeps its
-last result: a second call with an equal matrix and the same m returns
-the same form, so `factorize_top_form` right after a request for
+assumed. The anchored sum computes tr(omega^3) only: at m = 5 it was
+slower than the wedge route. Like `maurer_cartan`, `trace_power_form`
+keeps its last result: a second call with an equal matrix and the same m
+returns the same form, so `factorize_top_form` right after a request for
 tr(omega^(n-1)) splits that form without recomputing it.
 `transgression.kappa` of a trace word of arity m returns this kept form
 too, so kappa, trace-power and top-factor requests on one pencil share
@@ -45,8 +45,8 @@ tr(adj A_i adj A_j adj A_k - adj A_i adj A_k adj A_j) over det^3, and the
 split's normalized coefficient bar_i[j - 1] is the I of the triple that
 leaves out j. It judges none of them; the `theorem33` suite does. At
 k = 2 the constant p matches the signed 4x4 entry-matrix determinant of
-`entry_matrix_constant` up to one global sign, calibrated once on the
-matrix-unit tuple by `calibrated_sign`.
+`entry_matrix_constant` up to one global sign, the constant -1 that
+`calibrated_sign` returns; the `example35` suite checks p = -C.
 """
 
 from __future__ import annotations
@@ -54,10 +54,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Optional, Tuple
 
-from pencilforms.forms import ScalarForm, maurer_cartan, sort_index
+from pencilforms.forms import ScalarForm, maurer_cartan
 from pencilforms.linalg import MatrixTuple, PolyMatrix, grid_det
 from pencilforms.ring import MultiPoly, RatFn, Scalar
 
@@ -74,48 +74,32 @@ def s_form(n: int) -> ScalarForm:
     return ScalarForm(n, n - 1, terms)
 
 
-def anchored_trace_power(f: PolyMatrix, m: int) -> ScalarForm:
-    """tr(omega^m) for odd m, with the first slot pinned to each index minimum.
+def anchored_trace_power(f: PolyMatrix) -> ScalarForm:
+    """tr(omega^3), with the first slot pinned to each index minimum.
 
-    Rotating an odd-length argument tuple leaves the wedge sign and the
-    trace unchanged, so the m rotations of each permutation contribute
-    equally and the anchored sum times m recovers the full expansion.
-
-    The words walk a prefix tree: each prefix product B_a B_b .. of
-    omega's dz coefficients is formed once, and index sets that share a
-    prefix share its product. The signed words of one index set are one
-    `PolyMatrix.trace_dot`, each sign folded into the word's last factor.
+    Rotating three slots leaves the wedge sign and the trace unchanged, so
+    the dz_a dz_b dz_c coefficient (a < b < c) is 3 tr(B_a B_b B_c -
+    B_a B_c B_b) over omega's denominator, B_v being omega's dz_v
+    numerators. Each head product B_a B_b is formed once, and the two
+    signed words of an index set are one `PolyMatrix.trace_dot`.
     """
-    if m % 2 == 0:
-        raise ValueError("anchored expansion requires odd m")
-    if not 1 <= m <= f.n:
-        raise ValueError(f"m must lie in 1..{f.n}")
     omega = maurer_cartan(f)
     n = omega.n
     nums = {v: omega.coefficient_num((v,)) for v in range(1, n + 1)}
-    if m == 1:
-        totals = {(v,): mat.trace() for v, mat in nums.items()}
-    else:
-        signed = {(v, sign): mat if sign > 0 else -mat
-                  for v, mat in nums.items() for sign in (1, -1)}
-        prefixes = {(v,): mat for v, mat in nums.items()}
+    negs = {v: -mat for v, mat in nums.items()}
+    heads = {}
 
-        def prefix(seq):
-            mat = prefixes.get(seq)
-            if mat is None:
-                mat = prefixes[seq] = prefix(seq[:-1]) * nums[seq[-1]]
-            return mat
+    def head(a, b):
+        mat = heads.get((a, b))
+        if mat is None:
+            mat = heads[a, b] = nums[a] * nums[b]
+        return mat
 
-        totals = {}
-        for index in combinations(range(1, n + 1), m):
-            pairs = []
-            for pi in permutations(index[1:]):
-                seq = index[:1] + pi
-                pairs.append((prefix(seq[:-1]),
-                              signed[seq[-1], sort_index(seq)[1]]))
-            totals[index] = PolyMatrix.trace_dot(n, pairs) * m
-    return ScalarForm._over_power(n, m, totals, omega.den_base,
-                                  m * omega.den_pow)._reduced()
+    totals = {(a, b, c): PolyMatrix.trace_dot(
+        n, [(head(a, b), nums[c]), (head(a, c), negs[b])]) * 3
+        for a, b, c in combinations(range(1, n + 1), 3)}
+    return ScalarForm._over_power(n, 3, totals, omega.den_base,
+                                  3 * omega.den_pow)._reduced()
 
 
 @lru_cache(maxsize=1)
@@ -124,8 +108,8 @@ def trace_power_form(f: PolyMatrix, m: int) -> ScalarForm:
     tr(omega^ceil(m/2) ^ omega^floor(m/2)), the last wedge traced without
     being formed.
 
-    At m = 3 `anchored_trace_power` is faster than the wedge route; at
-    m = 5 it is slower, so every other m keeps the wedge.
+    At m = 3 `anchored_trace_power` is faster than the wedge route, and
+    it computes that power only; every other m takes the wedge.
 
     The last result is kept, keyed by f's content and m; it is shared
     (`kappa` of a trace word returns it too) and must not be changed, and
@@ -134,7 +118,7 @@ def trace_power_form(f: PolyMatrix, m: int) -> ScalarForm:
     if not 1 <= m <= f.n:
         raise ValueError(f"m must lie in 1..{f.n}")
     if m == 3:
-        return anchored_trace_power(f, 3)
+        return anchored_trace_power(f)
     omega = maurer_cartan(f)
     if m == 1:
         return omega.trace()
@@ -213,7 +197,7 @@ def cubic_trace_data(
     if t.n != 4:
         raise ValueError(f"needs a tuple of four matrices, got {t.n}")
     f = t.pencil()
-    fact = _factor_top_form(anchored_trace_power(f, 3))
+    fact = _factor_top_form(anchored_trace_power(f))
     # adj(A) A_j has entries of degree k-1 below deg det = k, so omega
     # keeps det as its denominator base
     det = maurer_cartan(f).den_base
@@ -238,16 +222,14 @@ def entry_matrix_constant(t: MatrixTuple) -> Scalar:
     return -grid_det(grid, Scalar(1))
 
 
-@lru_cache(maxsize=None)
+# -1, the ratio p / C on the matrix-unit tuple (E11, E12, E21, E22)
+_EPSILON = Scalar(-1)
+
+
 def calibrated_sign() -> Scalar:
-    """The global sign relating cubic_trace_data's constant p to
-    entry_matrix_constant, fixed once on the matrix-unit tuple."""
-    units = MatrixTuple.matrix_units(2)
-    _, p = cubic_trace_data(units)
-    c = entry_matrix_constant(units)
-    if p is None or p.is_zero or c.is_zero:
-        raise RuntimeError("matrix-unit calibration degenerated")
-    eps = p.constant_value() * c.inverse()
-    if eps not in (Scalar(1), Scalar(-1)):
-        raise RuntimeError(f"calibration produced a non-sign ratio {eps}")
-    return eps
+    """The global sign epsilon with p = epsilon * entry_matrix_constant for
+    every tuple of four 2x2 matrices, where p is cubic_trace_data's
+    constant. It is a constant, not derived from the code that the
+    `example35` suite checks, so a wrong sign of q fails that suite; a
+    tier-1 test recovers it from the matrix-unit tuple."""
+    return _EPSILON

@@ -57,7 +57,9 @@ def grlex_key(exps: Exponents) -> tuple:
 
 
 def _as_q4(value) -> tuple:
-    """Coerce an int, Fraction, or Scalar into the kernel 4-tuple form."""
+    """Coerce an int, Fraction, or Scalar into the kernel 4-tuple form;
+    TypeError for any other type. Pencil building runs it on every entry,
+    so it calls nothing further."""
     if isinstance(value, Scalar):
         return value._v
     if isinstance(value, int):
@@ -69,6 +71,10 @@ def _as_q4(value) -> tuple:
 
 class Scalar:
     """An exact Gaussian rational.
+
+    Every binary operator and `==` reads its operand through `_as_q4`;
+    another type gives NotImplemented, so a `CycloElement` operand takes
+    over and any other raises TypeError or compares unequal.
 
     >>> Scalar(1, 2) + Scalar.i()
     Scalar('1/2+i')
@@ -107,59 +113,56 @@ class Scalar:
         return not self.is_zero
 
     def __add__(self, other):
-        if isinstance(other, Scalar):
-            return Scalar.from_q4(qadd(self._v, other._v))
-        if isinstance(other, (int, Fraction)):
+        try:
             return Scalar.from_q4(qadd(self._v, _as_q4(other)))
-        return NotImplemented
+        except TypeError:
+            return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, Scalar):
-            return Scalar.from_q4(qsub(self._v, other._v))
-        if isinstance(other, (int, Fraction)):
+        try:
             return Scalar.from_q4(qsub(self._v, _as_q4(other)))
-        return NotImplemented
+        except TypeError:
+            return NotImplemented
 
     def __rsub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        try:
             return Scalar.from_q4(qsub(_as_q4(other), self._v))
-        return NotImplemented
+        except TypeError:
+            return NotImplemented
 
     def __neg__(self) -> "Scalar":
         return Scalar.from_q4(qneg(self._v))
 
     def __mul__(self, other):
-        if isinstance(other, Scalar):
-            return Scalar.from_q4(qmul(self._v, other._v))
-        if isinstance(other, (int, Fraction)):
+        try:
             return Scalar.from_q4(qmul(self._v, _as_q4(other)))
-        return NotImplemented
+        except TypeError:
+            return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Scalar(other)
-        if isinstance(other, Scalar):
-            return Scalar.from_q4(qmul(self._v, qinv(other._v)))
-        return NotImplemented
+        try:
+            return Scalar.from_q4(qmul(self._v, qinv(_as_q4(other))))
+        except TypeError:
+            return NotImplemented
 
     def __rtruediv__(self, other):
-        if isinstance(other, (int, Fraction)):
+        try:
             return Scalar.from_q4(qmul(_as_q4(other), qinv(self._v)))
-        return NotImplemented
+        except TypeError:
+            return NotImplemented
 
     def inverse(self) -> "Scalar":
         return Scalar.from_q4(qinv(self._v))
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Scalar):
-            return self._v == other._v
-        if isinstance(other, (int, Fraction)):
+        try:
             return self._v == _as_q4(other)
-        return NotImplemented
+        except TypeError:
+            return NotImplemented
 
     def __hash__(self) -> int:
         return hash(self._v)
@@ -260,6 +263,8 @@ class CycloElement:
     terms. Multiplication is cyclic convolution: exponents reduce mod q. The
     class serves as the exact coefficient ring of the noncommutative torus,
     where the deformation parameter is t^p for a chosen power p.
+
+    `+`, `-`, `*` and `==` read their operand through `_coerce`.
     """
 
     __slots__ = ("q", "_terms")
@@ -309,48 +314,44 @@ class CycloElement:
         return bool(self._terms)
 
     def _coerce(self, other) -> Optional["CycloElement"]:
+        """other if it has this order (ValueError if not), a scalar that
+        `_as_q4` reads as a constant, or None for any other type."""
         if isinstance(other, CycloElement):
             if other.q != self.q:
                 raise ValueError(f"mixed orders: {self.q} vs {other.q}")
             return other
-        if isinstance(other, (Scalar, int, Fraction)):
+        try:
             return CycloElement.from_scalar(self.q, other)
-        return None
+        except TypeError:
+            return None
 
     def __add__(self, other):
-        if type(other) is not CycloElement or other.q != self.q:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         return CycloElement._make(self.q, _sum_terms(self._terms,
                                                      other._terms))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if type(other) is not CycloElement or other.q != self.q:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         return CycloElement._make(self.q, _sum_terms(self._terms,
                                                      _neg_terms(other._terms)))
 
     def __rsub__(self, other):
-        w = self._coerce(other)
-        if w is None:
-            return NotImplemented
-        return CycloElement._make(self.q, _sum_terms(w._terms,
-                                                     _neg_terms(self._terms)))
+        return -self + other
 
     def __neg__(self) -> "CycloElement":
         return CycloElement._make(self.q, _neg_terms(self._terms))
 
     def __mul__(self, other):
         """Product, one `_product` step; a scalar is a one-term element."""
-        if type(other) is not CycloElement or other.q != self.q:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         return CycloElement._make(self.q, _product(self._terms, other._terms,
                                                    self.q, 0, Q_ONE))
 
@@ -371,10 +372,9 @@ class CycloElement:
                                               power, (scale, 1, 0, 1)))
 
     def __eq__(self, other) -> bool:
-        if type(other) is not CycloElement or other.q != self.q:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         return self._terms == other._terms
 
     def __hash__(self) -> int:
@@ -533,9 +533,7 @@ class MultiPoly:
                 raise ValueError(f"bad exponent tuple {exps} for n={n}")
             v = _as_q4(coeff)
             if v != Q_ZERO:
-                out[exps] = qadd(out[exps], v) if exps in out else v
-                if out[exps] == Q_ZERO:
-                    del out[exps]
+                out[exps] = v
         return cls(n, out)
 
     # -- inspection --------------------------------------------------------

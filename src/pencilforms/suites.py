@@ -29,9 +29,9 @@ from .linalg import MatrixTuple, PolyMatrix
 from .ring import CycloElement, MultiPoly, Scalar
 from .sampling import (random_diagonal_tuple, random_matrix_tuple,
                        random_poly_matrix, rng_for)
-from .torus import (FACTORIZATION_ORDER, _ROUNDINGS, _TWIST_FREE,
-                    TorusConfig, TorusElement, coboundary_check,
-                    cyclicity_check, factorization_report)
+from .torus import (FACTORIZATION_ORDER, _ROUNDINGS, TorusConfig,
+                    TorusElement, coboundary_check, cyclicity_check,
+                    factorization_report)
 from .transgression import (hyperplane_decomposition, tau, transgression_report)
 
 
@@ -387,7 +387,8 @@ def _trace_routes_check(
 
 def suite_entry_matrix(seed: int,
                        trials: Optional[int] = None) -> List[CheckResult]:
-    """p equals the calibrated sign times the 4x4 entry-matrix constant."""
+    """p equals the constant sign -1 (`calibrated_sign`) times the 4x4
+    entry-matrix constant."""
     count = 100 if trials is None else max(1, trials)
     eps = calibrated_sign()
     check = _Check("example35.entry-matrix")
@@ -527,14 +528,15 @@ def torus_cocycle_checks(seed: int,
 
     Each check runs on the degree grid (`torus._grid_tuples`) plus 10
     seeded random degree tuples, once over the twist-free coefficient
-    (`torus._TWIST_FREE`): every value is an integer times lambda^E with
-    one E per tuple, so one run decides the identities at every twist,
-    and terms with different exponents fail the tuple. The integer
-    weights are affine in each free degree coordinate, so the grid's two
-    values per coordinate decide them at every degree. One result per
-    algebra order, each reading that run. Exact mode only; a numeric
-    config raises ValueError. The result counts the tuples looked at up
-    to the first failure.
+    (`torus._TWIST_FREE`, the checks' only ring): every value is an
+    integer times lambda^E with one E per tuple, so one run decides the
+    identities at every twist, and terms with different exponents fail
+    the tuple. The integer weights are affine in each free degree
+    coordinate, so the grid's two values per coordinate decide them at
+    every degree. One result per algebra order, each reading that run
+    under its q and p'. Exact mode only; a numeric config raises
+    ValueError. The result counts the tuples looked at up to the first
+    failure.
     """
     configs = ([config] if config is not None
                else [TorusConfig.exact(q, p) for q, p in _EXACT_ORDERS])
@@ -550,7 +552,7 @@ def torus_cocycle_checks(seed: int,
     bad: Optional[str] = None
     count = 0
     for check, claim, which in runs:
-        checked, failure = check(which, _TWIST_FREE, seed=seed)
+        checked, failure = check(which, seed=seed)
         count += checked
         if failure is not None:
             bad = claim.format(which, failure)

@@ -526,7 +526,7 @@ def torus_cocycle(which: str, args: Sequence[TorusElement]):
 
 
 # ---------------------------------------------------------------------------
-# spanning-set identity checks (exact and twist-free modes)
+# spanning-set identity checks (over the twist-free coefficient)
 #
 # Every cocycle here is built from the trace, so its value on a monomial
 # tuple vanishes unless the degrees sum to zero.  Both sides of the
@@ -535,8 +535,8 @@ def torus_cocycle(which: str, args: Sequence[TorusElement]):
 # A chain of monomials (a_i, b_i) multiplies to lambda^E with
 # E = -sum_{i<j} b_i a_j; on a zero-sum tuple, rotating the chain or merging
 # neighbours leaves E alone and the derivations scale by integers, so every
-# value compared is an integer times one lambda^E. Over `_TWIST_FREE` the
-# checks assert that common exponent, so a pass holds for every twist.
+# value compared is an integer times one lambda^E. The checks run over
+# `_TWIST_FREE` only and assert that exponent, so a pass holds at any twist.
 # Each integer weight is 1, a coordinate of one slot, or a 2x2 determinant
 # of two slots' degrees, where a slot may be a merged pair; with the first
 # slot solved as minus the sum of the others, that is a polynomial of
@@ -583,22 +583,18 @@ def _sampled_tuples(arity: int, seed: int,
 SpanCheck = Tuple[int, Optional[Tuple[Degree, ...]]]
 
 
-def _spanning_check(which: str, config: TorusConfig, seed: int,
-                    judge: Callable) -> SpanCheck:
-    """One identity of the cocycle `which` on unit monomial tuples.
+def _spanning_check(which: str, seed: int, judge: Callable) -> SpanCheck:
+    """One identity of the cocycle `which` on twist-free monomial tuples.
 
     `judge(phi)` gives the tuples' arity and a test of their monomials,
     True where the identity fails. The run takes the degree grid
     (`_grid_tuples`), which decides the identity at every degree, then 10
     seeded tuples of the radius-3 box, and stops at the first tuple that
-    fails the test or, over the twist-free config, mixes lambda exponents.
-    Returns the number of tuples looked at and the degrees of that tuple,
-    or None. Raises ValueError for a numeric config, before anything else.
+    fails the test or mixes lambda exponents. Returns the number of tuples
+    looked at and the degrees of that tuple, or None.
     """
-    if config.mode == "numeric":
-        raise ValueError("exact mode required for spanning-set checks")
     arity, fails = judge(cocycle(which))
-    monomials = _box_monomials(config, 3)
+    monomials = _box_monomials(_TWIST_FREE, 3)
     checked = 0
     for degrees in chain(_grid_tuples(arity),
                          _sampled_tuples(arity, seed, which)):
@@ -611,10 +607,10 @@ def _spanning_check(which: str, config: TorusConfig, seed: int,
     return checked, None
 
 
-def cyclicity_check(which: str, config: TorusConfig,
-                    seed: int = 0) -> SpanCheck:
-    """phi(x_0..x_{a-1}) and (-1)^(a-1) phi(x_{a-1}, x_0, ..), exactly, on
-    the 4^(a-1) grid tuples and 10 seeded ones (`_spanning_check`)."""
+def cyclicity_check(which: str, seed: int = 0) -> SpanCheck:
+    """phi(x_0..x_{a-1}) and (-1)^(a-1) phi(x_{a-1}, x_0, ..), at every
+    twist, on the 4^(a-1) grid tuples and 10 seeded ones
+    (`_spanning_check`)."""
 
     def judge(phi):
         negate = phi.arity % 2 == 0
@@ -625,20 +621,19 @@ def cyclicity_check(which: str, config: TorusConfig,
 
         return phi.arity, fails
 
-    return _spanning_check(which, config, seed, judge)
+    return _spanning_check(which, seed, judge)
 
 
-def coboundary_check(which: str, config: TorusConfig,
-                     seed: int = 0) -> SpanCheck:
-    """(b phi)(x_0..x_a) = 0, exactly, on the 4^a grid tuples and 10
+def coboundary_check(which: str, seed: int = 0) -> SpanCheck:
+    """(b phi)(x_0..x_a) = 0 at every twist, on the 4^a grid tuples and 10
     seeded ones (`_spanning_check`)."""
 
     def judge(phi):
         b_phi = phi.coboundary()
-        zero = config.zero_coeff()
+        zero = _TWIST_FREE.zero_coeff()
         return b_phi.arity, lambda args: b_phi(args) != zero
 
-    return _spanning_check(which, config, seed, judge)
+    return _spanning_check(which, seed, judge)
 
 
 # ---------------------------------------------------------------------------

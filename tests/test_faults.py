@@ -3,6 +3,17 @@
 Each row monkeypatches one fault into the package and names the report
 lines that must then FAIL. A line that no fault fails has no content.
 
+The pencil rows. Each runs only the suites it names, at seed 1.
+
+- q with the wrong sign: `jacobi._factor_top_form` builds q from
+  +1 / z_1 in place of -1 / z_1, so p = q det^2 / 3 changes sign. Since
+  epsilon is the constant -1 and not calibrated from p,
+  `example35.entry-matrix` fails at its first tuple. No `theorem33` line
+  can see this fault: `p-constant-k2` and `p-quadratic-k3` check only the
+  degree of p, `divisibility` and `top-factorization` the normalized
+  coefficients and the residual, which do not use q, and `trace-routes`
+  the top form itself.
+
 The torus rows. Both factorization lines, `torus.factorization.pinned`
 and `.sampled`, check two equalities of the truncated resolvent,
 
@@ -31,11 +42,14 @@ these lines cannot see them (all three pass at q = 5):
 The twist stays covered by `torus.algebra` and the cocycle lines.
 """
 
+import dataclasses
+
 import pytest
 
-from pencilforms import torus
+from pencilforms import jacobi, torus
 from pencilforms.cochains import FunctionalCochain
-from pencilforms.suites import suite_torus, torus_factorization_checks
+from pencilforms.suites import (run_suite, suite_torus,
+                                torus_factorization_checks)
 from pencilforms.torus import TorusElement
 
 FACTORIZATION_LINES = ("torus.factorization.pinned",
@@ -98,3 +112,29 @@ def test_each_torus_fault_fails_both_factorization_lines(monkeypatch, fault):
     fault(monkeypatch)
     exact, numeric = factorization_verdicts()
     assert exact == numeric == dict.fromkeys(FACTORIZATION_LINES, False)
+
+
+def q_sign_flipped(monkeypatch):
+    inner = jacobi._factor_top_form
+
+    def faulty(big_t):
+        fact = inner(big_t)
+        return dataclasses.replace(fact, q=-fact.q)
+
+    monkeypatch.setattr(jacobi, "_factor_top_form", faulty)
+
+
+PENCIL_ROWS = [
+    (q_sign_flipped, ("theorem33", "example35"), {"example35.entry-matrix"}),
+]
+
+
+@pytest.mark.parametrize("fault, suites, failing", PENCIL_ROWS,
+                         ids=[row[0].__name__ for row in PENCIL_ROWS])
+def test_each_pencil_fault_fails_its_lines(monkeypatch, fault, suites,
+                                           failing):
+    fault(monkeypatch)
+    verdicts = {r.name: r.passed for suite in suites
+                for r in run_suite(suite, 1).results}
+    assert {name for name, passed in verdicts.items() if not passed} \
+        == failing

@@ -263,6 +263,116 @@ def test_cyclo_mixed_orders_raise_on_every_path():
                 op(x, y)
 
 
+
+# -- the operand rule of Scalar and CycloElement ------------------------------
+
+OPERAND_LEFT = {"Scalar": Scalar(Fraction(3, 2), -1),
+                "CycloElement": CycloElement(4, [1, I, 0, Fraction(-1, 2)])}
+OPERAND_RIGHT = {"int": 2, "Fraction": Fraction(1, 2),
+                 "Scalar": Scalar(-1, Fraction(1, 2)),
+                 "CycloElement": CycloElement(4, [0, 2, 0, 1]),
+                 "CycloElement q=3": CycloElement(3, [1, 1, 0]),
+                 "float": 1.5, "str": "x"}
+OPERAND_OPS = {"x + y": lambda x, y: x + y, "x - y": lambda x, y: x - y,
+               "x * y": lambda x, y: x * y, "x / y": lambda x, y: x / y,
+               "y + x": lambda x, y: y + x, "y - x": lambda x, y: y - x,
+               "y * x": lambda x, y: y * x, "y / x": lambda x, y: y / x}
+_S, _C, _C3 = "Scalar('{}')", "CycloElement(q=4, '{}')", \
+    "CycloElement(q=3, '{}')"
+# repr of each result in OPERAND_OPS order, recorded from the per-type
+# operator branches that the one operand rule replaced; TypeError and
+# ValueError name what is raised
+OPERAND_TABLE = {
+    ("Scalar", "int"): [_S.format(v) for v in (
+        "7/2-i", "-1/2-i", "3-2*i", "3/4-1/2*i",
+        "7/2-i", "1/2+i", "3-2*i", "12/13+8/13*i")],
+    ("Scalar", "Fraction"): [_S.format(v) for v in (
+        "2-i", "1-i", "3/4-1/2*i", "3-2*i",
+        "2-i", "-1+i", "3/4-1/2*i", "3/13+2/13*i")],
+    ("Scalar", "Scalar"): [_S.format(v) for v in (
+        "1/2-1/2*i", "5/2-3/2*i", "-1+7/4*i", "-8/5+1/5*i",
+        "1/2-1/2*i", "-5/2+3/2*i", "-1+7/4*i", "-8/13-1/13*i")],
+    ("Scalar", "CycloElement"): [
+        _C.format("t^3+2*t+(3/2-i)"), _C.format("-t^3-2*t+(3/2-i)"),
+        _C.format("(3/2-i)*t^3+(3-2*i)*t"), TypeError,
+        _C.format("t^3+2*t+(3/2-i)"), _C.format("t^3+2*t+(-3/2+i)"),
+        _C.format("(3/2-i)*t^3+(3-2*i)*t"), TypeError],
+    ("Scalar", "CycloElement q=3"): [
+        _C3.format("t+(5/2-i)"), _C3.format("-t+(1/2-i)"),
+        _C3.format("(3/2-i)*t+(3/2-i)"), TypeError,
+        _C3.format("t+(5/2-i)"), _C3.format("t+(-1/2+i)"),
+        _C3.format("(3/2-i)*t+(3/2-i)"), TypeError],
+    ("CycloElement", "int"): [
+        _C.format("-1/2*t^3+i*t+3"), _C.format("-1/2*t^3+i*t-1"),
+        _C.format("-t^3+2*i*t+2"), TypeError,
+        _C.format("-1/2*t^3+i*t+3"), _C.format("1/2*t^3-i*t+1"),
+        _C.format("-t^3+2*i*t+2"), TypeError],
+    ("CycloElement", "Fraction"): [
+        _C.format("-1/2*t^3+i*t+3/2"), _C.format("-1/2*t^3+i*t+1/2"),
+        _C.format("-1/4*t^3+1/2*i*t+1/2"), TypeError,
+        _C.format("-1/2*t^3+i*t+3/2"), _C.format("1/2*t^3-i*t-1/2"),
+        _C.format("-1/4*t^3+1/2*i*t+1/2"), TypeError],
+    ("CycloElement", "Scalar"): [
+        _C.format("-1/2*t^3+i*t+1/2*i"), _C.format("-1/2*t^3+i*t+(2-1/2*i)"),
+        _C.format("(1/2-1/4*i)*t^3+(-1/2-i)*t+(-1+1/2*i)"), TypeError,
+        _C.format("-1/2*t^3+i*t+1/2*i"), _C.format("1/2*t^3-i*t+(-2+1/2*i)"),
+        _C.format("(1/2-1/4*i)*t^3+(-1/2-i)*t+(-1+1/2*i)"), TypeError],
+    ("CycloElement", "CycloElement"): [
+        _C.format("1/2*t^3+(2+i)*t+1"), _C.format("-3/2*t^3+(-2+i)*t+1"),
+        _C.format("t^3+(-1/2+2*i)*t^2+2*t+(-1+i)"), TypeError,
+        _C.format("1/2*t^3+(2+i)*t+1"), _C.format("3/2*t^3+(2-i)*t-1"),
+        _C.format("t^3+(-1/2+2*i)*t^2+2*t+(-1+i)"), TypeError],
+    ("CycloElement", "CycloElement q=3"): [
+        ValueError, ValueError, ValueError, TypeError,
+        ValueError, ValueError, ValueError, TypeError],
+}
+
+
+@pytest.mark.parametrize("left", OPERAND_LEFT)
+@pytest.mark.parametrize("right", OPERAND_RIGHT)
+def test_operand_rule_of_each_binary_operator(left, right):
+    x, y = OPERAND_LEFT[left], OPERAND_RIGHT[right]
+    expected = OPERAND_TABLE.get((left, right), [TypeError] * 8)
+    for (name, op), want in zip(OPERAND_OPS.items(), expected):
+        if isinstance(want, str):
+            assert repr(op(x, y)) == want, name
+        else:
+            with pytest.raises(want) as raised:
+                op(x, y)
+            if want is ValueError:
+                assert str(raised.value).startswith("mixed orders: "), name
+
+
+# each pair is one value on both sides, read through the operand rule
+EQUAL_OPERANDS = [
+    (Scalar(2), 2), (Scalar(Fraction(1, 2)), Fraction(1, 2)),
+    (Scalar(1, 1), Scalar(1, 1)), (Scalar(2), CycloElement.from_scalar(4, 2)),
+    (CycloElement.from_scalar(4, 2), 2),
+    (CycloElement.from_scalar(4, Fraction(1, 2)), Fraction(1, 2)),
+    (CycloElement.from_scalar(4, I), I),
+    (CycloElement(4, [1, I, 0, 2]), CycloElement(4, [1, I, 0, 2])),
+]
+
+
+@pytest.mark.parametrize("left", OPERAND_LEFT)
+@pytest.mark.parametrize("right", OPERAND_RIGHT)
+def test_operand_rule_of_equality(left, right):
+    # every table operand differs from every other; an unsupported type
+    # compares unequal, and another order raises
+    x, y = OPERAND_LEFT[left], OPERAND_RIGHT[right]
+    if (left, right) == ("CycloElement", "CycloElement q=3"):
+        for op in (lambda: x == y, lambda: y == x, lambda: x != y):
+            with pytest.raises(ValueError, match="mixed orders: "):
+                op()
+    else:
+        assert not x == y and not y == x and x != y and y != x
+
+
+def test_operand_rule_reads_one_value_as_equal_on_both_sides():
+    for a, b in EQUAL_OPERANDS:
+        assert a == b and b == a and not a != b, (a, b)
+
+
 # -- MultiPoly ---------------------------------------------------------------
 
 

@@ -183,8 +183,8 @@ def test_trace_routes_agree_with_content():
 _anchored = jacobi.anchored_trace_power
 
 
-def _doubled_anchored(f, m):
-    return _anchored(f, m) * 2
+def _doubled_anchored(f):
+    return _anchored(f) * 2
 
 
 def _doubled_omega(f):
@@ -485,7 +485,6 @@ THEOREM33_PACK_BUDGET = 1_392
 
 
 def test_theorem33_packs_each_operand_once(monkeypatch):
-    jacobi.calibrated_sign.cache_clear()  # its pencil counts as well
     packs = [0]
     inner = _core._pack
 
@@ -661,15 +660,17 @@ def test_torus_cocycles_fail_terms_with_different_twists(monkeypatch,
     # tr(y) + tr(y^2) for y = x0 x1 x2 is cyclic at every twist, but on a
     # zero-sum tuple y is c lambda^E, so its two terms carry lambda^E and
     # lambda^2E; the twist-free run fails the first tuple with E != 0,
-    # which the check at q = 1 alone would pass
+    # which exact arithmetic at q = 1 alone would pass on every grid tuple
     def mixed(args):
         y = args[0] * args[1] * args[2]
         return y.trace() + y.trace(y)
 
     monkeypatch.setitem(torus._COCYCLES, "psi1",
                         lambda: FunctionalCochain(3, mixed, label="psi1"))
-    assert torus.cyclicity_check("psi1", TorusConfig.exact(1, 0),
-                                 seed=1)[1] is None
+    monomials = torus._box_monomials(TorusConfig.exact(1, 0), 2)
+    for degrees in torus._grid_tuples(3):
+        args = [monomials[d] for d in degrees]
+        assert mixed(args) == mixed(args[-1:] + args[:-1]), degrees
     claim = ("cyclicity fails for psi1 on degrees "
              "((-1, -1), (0, 0), (1, 1))")
     for argv in (("verify", "--suite", "torus", "--seed", "1"),

@@ -287,13 +287,15 @@ SPANNING_RUNS = (("phi1", 3), ("phi2", 3), ("psi1", 2), ("psi2", 2))
 
 
 def test_cyclicity_spanning():
-    # the grid check, and every zero-sum tuple of the radius-3 box
+    # the twist-free grid check, and every zero-sum tuple of the radius-3
+    # box at each exact order
+    for name in ("phi1", "phi2", "psi1", "psi2"):
+        checked, failure = cyclicity_check(name)
+        assert checked > 0 and failure is None
     for q, p in EXACT_ORDERS:
         cfg = TorusConfig.exact(q, p)
         monomials = torus._box_monomials(cfg, CYCLICITY_BOX)
         for name in ("phi1", "phi2", "psi1", "psi2"):
-            checked, failure = cyclicity_check(name, cfg)
-            assert checked > 0 and failure is None
             phi = torus.cocycle(name)
             negate = phi.arity % 2 == 0
             for degrees in zero_sum_tuples(CYCLICITY_BOX, phi.arity):
@@ -304,14 +306,16 @@ def test_cyclicity_spanning():
 
 
 def test_coboundary_spanning():
-    # the grid check, and every zero-sum tuple of the cocycle's box
+    # the twist-free grid check, and every zero-sum tuple of the cocycle's
+    # box at each exact order
+    for name, _ in SPANNING_RUNS:
+        checked, failure = coboundary_check(name)
+        assert checked > 0 and failure is None
     for q, p in EXACT_ORDERS:
         cfg = TorusConfig.exact(q, p)
         monomials = torus._box_monomials(cfg, 3)
         zero = cfg.zero_coeff()
         for name, radius in SPANNING_RUNS:
-            checked, failure = coboundary_check(name, cfg)
-            assert checked > 0 and failure is None
             b_phi = torus.cocycle(name).coboundary()
             for degrees in zero_sum_tuples(radius, b_phi.arity):
                 assert b_phi([monomials[d] for d in degrees]) == zero, \
@@ -342,14 +346,6 @@ def test_grid_tuples_are_zero_sum_and_in_the_box():
         for degrees in grid:
             for i, (m, n) in enumerate(degrees[1:], 1):
                 assert {m, n} <= ({0, 1} if i % 2 == 0 else {0, -1})
-
-
-def test_spanning_checks_require_exact_mode():
-    cfg = TorusConfig.numeric(0.3)
-    with pytest.raises(ValueError):
-        cyclicity_check("phi1", cfg)
-    with pytest.raises(ValueError):
-        coboundary_check("psi2", cfg)
 
 
 def test_psi2_unit_first_slot_vanishes():

@@ -166,9 +166,10 @@ def grid_adjugate(a: Sequence, one) -> tuple:
 class PolyMatrix:
     """A square matrix of MultiPoly entries in shared variables z1..zn."""
 
-    __slots__ = ("n", "k", "rows")
+    __slots__ = ("n", "k", "rows", "_det")
 
     def __init__(self, n: int, rows: Sequence):
+        self._det: Optional[MultiPoly] = None
         self.n = n
         self.rows = tuple(tuple(row) for row in rows)
         self.k = len(self.rows)
@@ -279,7 +280,12 @@ class PolyMatrix:
             for pair in zip(row, col)])
 
     def det(self) -> MultiPoly:
-        return grid_det(self.rows, MultiPoly.one(self.n))
+        """The determinant, expanded once per matrix: sampling takes it to
+        reject a singular draw, and the suite that drew the matrix reads
+        the same det."""
+        if self._det is None:
+            self._det = grid_det(self.rows, MultiPoly.one(self.n))
+        return self._det
 
     def adjugate(self) -> "PolyMatrix":
         return PolyMatrix(self.n, grid_adjugate(self.rows, MultiPoly.one(self.n)))

@@ -14,6 +14,23 @@ The pencil rows. Each runs only the suites it names, at seed 1.
   coefficients and the residual, which do not use q, and `trace-routes`
   the top form itself.
 
+The two rows that spoil the anchored route, `jacobi.anchored_trace_power`,
+which gives tr(omega^3) to `trace_power_form`, `cubic_trace_data` and
+kappa of `traceword:3`. Each runs over theorem33, example35 and tau.
+
+- The commutator built as B_b B_c + B_c B_b: the second pair of its dot
+  loses its minus sign. The anticommutator's trace against B_a is no
+  multiple of s and not divisible by det, so it fails all five
+  `theorem33` lines, `example35.entry-matrix` (q det^2 / 3 is no
+  polynomial) and `tau.multiplicative` (tau of a traceword:3 factor is
+  that trace). `tau.closed` passes.
+- The factor 3 dropped: tr(omega^3) / 3 is still q s with q det^2 / 3 a
+  polynomial of the right degree, so the `theorem33` lines that judge the
+  split alone pass. It fails `theorem33.trace-routes`, which compares with
+  the wedge route, `example35.entry-matrix`, where p is off by 3 from
+  -C, and `tau.multiplicative`. `tau.closed` passes: d of a third of a
+  closed form is 0.
+
 The torus rows. Both factorization lines, `torus.factorization.pinned`
 and `.sampled`, check two equalities of the truncated resolvent,
 
@@ -43,11 +60,14 @@ The twist stays covered by `torus.algebra` and the cocycle lines.
 """
 
 import dataclasses
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from pencilforms import jacobi, torus
 from pencilforms.cochains import FunctionalCochain
+from pencilforms.linalg import PolyMatrix
 from pencilforms.suites import (run_suite, suite_torus,
                                 torus_factorization_checks)
 from pencilforms.torus import TorusElement
@@ -114,6 +134,24 @@ def test_each_torus_fault_fails_both_factorization_lines(monkeypatch, fault):
     assert exact == numeric == dict.fromkeys(FACTORIZATION_LINES, False)
 
 
+def commutator_plus(monkeypatch):
+    # jacobi forms [B_b, B_c] as one dot over (B_b, B_c) and (-B_c, B_b);
+    # the second pair loses its minus sign, so the bracket is B_b B_c +
+    # B_c B_b
+    def faulty_dot(n, pairs):
+        (x, y), (neg_z, w) = pairs
+        return PolyMatrix.dot(n, [(x, y), (-neg_z, w)])
+
+    monkeypatch.setattr(jacobi, "PolyMatrix", SimpleNamespace(
+        dot=faulty_dot, trace_dot=PolyMatrix.trace_dot))
+
+
+def factor_three_dropped(monkeypatch):
+    inner = jacobi.anchored_trace_power
+    monkeypatch.setattr(jacobi, "anchored_trace_power",
+                        lambda f: inner(f) * Fraction(1, 3))
+
+
 def q_sign_flipped(monkeypatch):
     inner = jacobi._factor_top_form
 
@@ -126,6 +164,14 @@ def q_sign_flipped(monkeypatch):
 
 PENCIL_ROWS = [
     (q_sign_flipped, ("theorem33", "example35"), {"example35.entry-matrix"}),
+    (commutator_plus, ("theorem33", "example35", "tau"),
+     {"theorem33.p-constant-k2", "theorem33.p-quadratic-k3",
+      "theorem33.divisibility", "theorem33.top-factorization",
+      "theorem33.trace-routes", "example35.entry-matrix",
+      "tau.multiplicative"}),
+    (factor_three_dropped, ("theorem33", "example35", "tau"),
+     {"theorem33.trace-routes", "example35.entry-matrix",
+      "tau.multiplicative"}),
 ]
 
 

@@ -323,13 +323,18 @@ def test_top_form_residual_matches_subtraction_reference():
 # and the adjugate of omega's pencil became one kernel sum per minor
 # (measured before: TRACE_POWER_4 849 products, 177 calls, 679,373 term
 # pairs; TRACE_POWER_3 354, 122, 34,579; CUBIC_TRACE_DATA 367).
+# TRACE_POWER_3 went 336 -> 327 products, 95 -> 77 calls and 34,519 ->
+# 23,942 term pairs, and CUBIC_TRACE_DATA 349 -> 340, when tr(omega^3)
+# began to trace B_a against one commutator [B_b, B_c] in place of two
+# head products against two signed tails; tracing both words coming back
+# exceeds the pair budget.
 TRACE_POWER_4_BUDGET = 831
 TRACE_POWER_4_PAIR_BUDGET = 679_293
-TRACE_POWER_3_BUDGET = 336
-TRACE_POWER_3_PAIR_BUDGET = 34_519
-CUBIC_TRACE_DATA_BUDGET = 349
+TRACE_POWER_3_BUDGET = 327
+TRACE_POWER_3_PAIR_BUDGET = 23_942
+CUBIC_TRACE_DATA_BUDGET = 340
 TRACE_POWER_4_CALL_BUDGET = 150
-TRACE_POWER_3_CALL_BUDGET = 95
+TRACE_POWER_3_CALL_BUDGET = 77
 
 
 def test_trace_power_kernel_product_budget(monkeypatch):

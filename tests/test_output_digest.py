@@ -1,11 +1,16 @@
-"""`tools/output_digest.py` runs and prints one digest line."""
+"""`tools/output_digest.py` prints the recorded seed-1 output digest."""
 
-import re
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# The digest of the seed-1 outputs, the same under any PYTHONHASHSEED.
+# Re-record it only together with a CHANGES.md entry that declares which
+# output bytes changed and why.
+SEED_1_DIGEST = (
+    "69 requests sha256 "
+    "8ca5e9be333ef710a5aba720125043ac1af88fe9c2498e4434c776539bae9bb3\n")
 
 
 def _files(directory: Path) -> set:
@@ -20,5 +25,5 @@ def test_output_digest_prints_one_digest_line():
         [sys.executable, str(ROOT / "tools" / "output_digest.py"),
          "--seeds", "1"], capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr[-3000:]
-    assert re.fullmatch(r"69 requests sha256 [0-9a-f]{64}\n", done.stdout)
+    assert done.stdout == SEED_1_DIGEST
     assert _files(ROOT / "perfbench") == before

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from pencilforms import _core, cli, jacobi, serialize, suites, torus
+from pencilforms import _core, cli, jacobi, linalg, serialize, suites, torus
 from pencilforms.cochains import FunctionalCochain
 from pencilforms.forms import ScalarForm, maurer_cartan
 from pencilforms.jacobi import cubic_trace_data, trace_power_form
@@ -459,9 +459,10 @@ def test_failing_trial_reports_the_trials_checked(
 # prefix product of its trace words once; 2,620 when p**m stopped
 # multiplying p by one first; 2,407 (measured 2,519 before) when det and
 # the adjugate became one kernel sum per minor, the adjugate's minors
-# sharing their sub-minors. A second route to tr(omega^3)
-# coming back exceeds it.
-THEOREM33_SUITE_BUDGET = 2_407
+# sharing their sub-minors; 2,325 when tr(omega^3) began to trace B_a
+# against one commutator [B_b, B_c] (went 2,407 -> 2,325). A second route
+# to tr(omega^3) coming back exceeds it.
+THEOREM33_SUITE_BUDGET = 2_325
 
 
 def test_theorem33_suite_kernel_product_budget(monkeypatch):
@@ -540,15 +541,20 @@ def test_theorem29_suite_kernel_product_budget(monkeypatch):
 # sub-minors (measured before: flatness 3,682, jacobi-classic 2,510,
 # parity 2,207, example35 1,139, tau 946, hyperplane 1,153); a
 # cofactor expansion per minor coming back exceeds jacobi-classic's and
-# hyperplane's. The test ids carry the suite alone, so tightening a
-# budget keeps the test's name.
+# hyperplane's. example35 went 968 (under its budget of 1,087) -> 904
+# and tau 916 -> 888 when tr(omega^3) began to trace B_a against one
+# commutator [B_b, B_c];
+# jacobi-classic went 1,590 -> 1,345 and hyperplane 928 -> 869 when a
+# matrix began to keep its det, so the suites read sampling's det in
+# place of expanding it again. The test ids carry the suite alone, so
+# tightening a budget keeps the test's name.
 PENCIL_SUITE_BUDGETS = {
     "flatness": (12, 3_502),
-    "jacobi-classic": (20, 1_590),
+    "jacobi-classic": (20, 1_345),
     "parity": (4, 2_153),
-    "example35": (8, 1_087),
-    "tau": (3, 916),
-    "hyperplane": (6, 928),
+    "example35": (8, 904),
+    "tau": (3, 888),
+    "hyperplane": (6, 869),
 }
 
 
@@ -559,6 +565,23 @@ def test_pencil_suite_kernel_product_budget(monkeypatch, suite):
     report = run_suite(suite, seed=1, trials=trials)
     assert report.passed, report.text()
     assert 0 < calls[0] <= budget
+
+
+def test_jacobi_classic_expands_each_det_once(monkeypatch):
+    # sampling takes each draw's det to reject a singular one, and the
+    # suite compares the accepted matrix's det: one expansion per matrix
+    expanded = []
+    inner = linalg.grid_det
+
+    def counting(a, one):
+        if isinstance(one, MultiPoly):
+            expanded.append(a)
+        return inner(a, one)
+
+    monkeypatch.setattr(linalg, "grid_det", counting)
+    assert run_suite("jacobi-classic", seed=1).passed
+    assert len(expanded) >= 20
+    assert len(set(expanded)) == len(expanded)
 
 
 # Kernel term pairs (len(p) * len(q) per product) of the parity suite at

@@ -22,7 +22,8 @@ one). So a sum whose result enters the next sum is never unpacked and
 packed again in between. `ring.MultiPoly` keeps each polynomial's packed
 form for its lifetime, which holds because neither form is changed after
 construction. `packed_neg` and `packed_partial` negate and differentiate
-a packed polynomial without unpacking it. `poly_mul` multiplies
+a packed polynomial, and `packed_sub` subtracts two, without unpacking
+them. `poly_mul` multiplies
 coefficient by coefficient; `ring.MultiPoly` uses it for small products
 and a one-pair `poly_dot` for the rest.
 """
@@ -227,6 +228,48 @@ def packed_neg(packed):
     n, top, den, keys, re, im = packed
     return (n, top, den, keys, [-a for a in re],
             None if im is None else [-b for b in im])
+
+
+def packed_sub(p, q):
+    """p - q of packed polynomials, as a packed polynomial, without
+    unpacking either: the numerators of both are brought to the lcm of
+    their denominators and merged on keys of one width. The result has
+    `poly_sub`'s term order (p's terms that survive, then q's new ones) and
+    is normalized as `poly_dot`'s is (`_packed_result`)."""
+    n = p[0] or q[0]
+    top = max(p[1], q[1])
+    width = _width(top)
+    den = lcm(p[2], q[2])
+    real = p[5] is None and q[5] is None
+    acc = {}
+    get = acc.get
+    for sign, (_, t, d, keys, re, im) in ((1, p), (-1, q)):
+        if _width(t) != width:
+            keys = _pack(_unpack(keys, n, _width(t)), width)
+        f = sign * (den // d)
+        if real:
+            for k, a in zip(keys, re):
+                v = get(k, 0) + a * f
+                if v:
+                    acc[k] = v
+                else:
+                    del acc[k]
+            continue
+        for k, a, b in zip(keys, re, repeat(0) if im is None else im):
+            old = get(k, (0, 0))
+            v = (old[0] + a * f, old[1] + b * f)
+            if v[0] or v[1]:
+                acc[k] = v
+            else:
+                del acc[k]
+    if not acc:
+        return (0, 0, 1, [], [], None)
+    if real:
+        re, im = list(acc.values()), None
+    else:
+        re = [v[0] for v in acc.values()]
+        im = [v[1] for v in acc.values()]
+    return _packed_result(n, top, den, list(acc), re, im)
 
 
 def packed_partial(packed, var):

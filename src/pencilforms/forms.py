@@ -16,7 +16,24 @@ and doubles the sum (see `MatrixForm.trace`).
 `PolyMatrix.dot` then builds each output coefficient, and
 `PolyMatrix.trace_dot` each trace, with one kernel sum per entry over all
 the entry products landing there. The exterior derivative groups its
-quotient-rule products the same way.
+quotient-rule products the same way (`MatrixForm._quotient_rule_pairs`).
+
+A form X of odd degree wedged with itself takes each unordered pair {I, J}
+of its terms once, as the commutator s [X_I, X_J] (the two orders carry
+opposite merge signs s and -s), and since polynomial entries commute each
+entry of a commutator skips the products that cancel: on the diagonal the
+j = r product pair x_rr y_rr - y_rr x_rr, and off it the four products
+with j in {r, c}, which become y_rc (x_rr - x_cc) - x_rc (y_rr - y_cc).
+Each gap x_rr - x_cc is formed once per term per call, as a packed
+difference (`_commutator_pairs`). `MatrixForm.curvature` gives
+d omega + omega ^ omega of a 1-form with each entry one kernel sum over
+the quotient-rule pairs of d and the commutator pairs together, over
+base^(2 pow), reduced once; so the Maurer-Cartan equation is checked with
+no intermediate form, no form addition and no reduction of a nonzero half.
+`jacobi.anchored_trace_power` forms its commutators [B_b, B_c] by its own
+`PolyMatrix.dot` over (B_b, B_c) and (-B_c, B_b), not by these pairs, so
+the suite check that compares it with the wedge route compares two
+computations that share no commutator code.
 
 Two forms combine over one base; a form without a denominator takes the
 other's. Scalar forms over unlike bases combine over the product of their
@@ -35,6 +52,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Dict, Optional, Sequence, Tuple
 
+from pencilforms._core import packed_neg, packed_sub
 from pencilforms.linalg import PolyMatrix
 from pencilforms.ring import MultiPoly, RatFn, Scalar, _as_ratfn
 
@@ -72,19 +90,20 @@ def _wedge_pairs(left: Dict, right: Dict) -> Dict:
                         for i_idx, a in left.items())
 
 
-def _self_pairs(terms: Dict) -> Dict:
+def _self_pairs(terms: Dict, neg=operator.neg) -> Dict:
     """The pairs of ``_wedge_pairs(terms, terms)`` with the left term first
-    in `terms`: each unordered pair of disjoint indices once."""
+    in `terms`: each unordered pair of disjoint indices once. `neg` negates
+    a left term (`_group_pairs`)."""
     items = list(terms.items())
-    return _group_pairs((i_idx, a, items[pos + 1:])
-                        for pos, (i_idx, a) in enumerate(items))
+    return _group_pairs(((i_idx, a, items[pos + 1:])
+                         for pos, (i_idx, a) in enumerate(items)), neg)
 
 
-def _group_pairs(rows) -> Dict:
+def _group_pairs(rows, neg=operator.neg) -> Dict:
     """Term pairs on disjoint multi-indices, grouped by merged index:
     index -> [(a, b), ..] with the sign of the merge folded into a, which
-    is negated at most once per left term. `rows` gives each left term as
-    (index, a, right terms)."""
+    is negated, by `neg`, at most once per left term. `rows` gives each
+    left term as (index, a, right terms)."""
     out: Dict = {}
     for i_idx, a, right in rows:
         negated = None
@@ -95,7 +114,7 @@ def _group_pairs(rows) -> Dict:
             index, sign = merged
             if sign < 0:
                 if negated is None:
-                    negated = -a
+                    negated = neg(a)
                 pair = (negated, b)
             else:
                 pair = (a, b)
@@ -104,6 +123,74 @@ def _group_pairs(rows) -> Dict:
             else:
                 out[index] = [pair]
     return out
+
+
+def _signed_term(mat: PolyMatrix) -> tuple:
+    """(X, -X, G, G^T) for a term X of a commutator sum (`_commutator_pairs`):
+    G[r][c] = x_rr - x_cc for r != c. Each gap with r < c is formed once,
+    as a packed difference (`_core.packed_sub`), and G[c][r] negates it,
+    sharing its keys; G^T = -G is then the gap grid of -X. The entries are
+    packed before -X negates them, so -X shares their keys too."""
+    n, k, rows = mat.n, mat.k, mat.rows
+    for row in rows:
+        for e in row:
+            e.packed()
+    gaps = [[None] * k for _ in range(k)]
+    for r in range(k):
+        for c in range(r + 1, k):
+            gap = packed_sub(rows[r][r].packed(), rows[c][c].packed())
+            gaps[r][c] = MultiPoly._of_packed(n, gap)
+            gaps[c][r] = MultiPoly._of_packed(n, packed_neg(gap))
+    return mat, -mat, gaps, [list(col) for col in zip(*gaps)]
+
+
+def _flip(term: tuple) -> tuple:
+    """The `_signed_term` of -X from that of X."""
+    x, neg_x, gaps, gaps_t = term
+    return neg_x, x, gaps_t, gaps
+
+
+def _commutator_pairs(terms: Dict, k: int) -> Dict:
+    """The kernel pairs of X ^ X for the k x k terms X_I of a form of odd
+    degree: index -> k x k grid of pair lists.
+
+    At odd degree the two orders of a pair of terms carry opposite merge
+    signs, so the coefficient of X ^ X at K is the sum of s [X_I, X_J]
+    over the unordered pairs {I, J} merging to K with sign s (`_self_pairs`,
+    s folded into the left term). Polynomial entries commute, so entry
+    (r, c) of [x, y] skips the products that cancel: on the diagonal the
+    j = r pair x_rr y_rr - y_rr x_rr is dropped, and off it the four
+    products with j in {r, c} are y_rc (x_rr - x_cc) - x_rc (y_rr - y_cc),
+    two products against the gaps of `_signed_term`.
+    """
+    signed = {index: _signed_term(mat) for index, mat in terms.items()}
+    out = {}
+    for index, group in _self_pairs(signed, _flip).items():
+        grid = [[[] for _ in range(k)] for _ in range(k)]
+        for (x, neg_x, x_gaps, _), (y, _, y_gaps, _) in group:
+            x, neg_x, y = x.rows, neg_x.rows, y.rows
+            for r in range(k):
+                for c in range(k):
+                    pairs = grid[r][c]
+                    if r != c:
+                        pairs += ((y[r][c], x_gaps[r][c]),
+                                  (neg_x[r][c], y_gaps[r][c]))
+                    for j in range(k):
+                        if j != r and j != c:
+                            pairs += ((x[r][j], y[j][c]),
+                                      (y[r][j], neg_x[j][c]))
+        out[index] = grid
+    return out
+
+
+def _dot_grid(n: int, *grids) -> PolyMatrix:
+    """The matrix whose (r, c) entry is one `MultiPoly.dot` over the pairs
+    at (r, c) of every grid."""
+    k = len(grids[0])
+    dot = MultiPoly.dot
+    return PolyMatrix(n, [[dot(n, [pair for grid in grids
+                                   for pair in grid[r][c]])
+                           for c in range(k)] for r in range(k)])
 
 
 def _root(a: Optional[MultiPoly], b: MultiPoly) -> Optional[MultiPoly]:
@@ -259,11 +346,17 @@ class MatrixForm:
 
     def wedge(self, other: "MatrixForm") -> "MatrixForm":
         """Wedge with matrix multiplication on the coefficients, each
-        output coefficient one `PolyMatrix.dot` over its term pairs."""
+        output coefficient one `PolyMatrix.dot` over its term pairs. A form
+        of odd degree wedged with itself sums one commutator per unordered
+        pair of its terms, entry by entry (`_commutator_pairs`)."""
         x, y, base = self._join_base(other)
         n = self.n
-        out = {index: PolyMatrix.dot(n, pairs) for index, pairs
-               in _wedge_pairs(x.terms, y.terms).items()}
+        if other is self and self.degree % 2:
+            out = {index: _dot_grid(n, grid) for index, grid
+                   in _commutator_pairs(x.terms, self.k).items()}
+        else:
+            out = {index: PolyMatrix.dot(n, pairs) for index, pairs
+                   in _wedge_pairs(x.terms, y.terms).items()}
         return self._from_parts(n, self.k, self.degree + other.degree, out,
                                 base, x.den_pow + y.den_pow)._reduced()
 
@@ -275,16 +368,18 @@ class MatrixForm:
             out = out.wedge(self)
         return out
 
-    def exterior_derivative(self) -> "MatrixForm":
-        """d of each coefficient; a tracked power rises by one.
+    def _quotient_rule_pairs(self, lift: int) -> Dict:
+        """The kernel pairs of d(self)'s numerators over base^(pow+1+lift):
+        index -> k x k grid of pair lists.
 
         The dz_v part of d(M / base^pow) has numerator
-        (d_v M) base - pow M d_v base over base^(pow+1), so each entry of a
-        new coefficient is one `MultiPoly.dot` over the pairs
-        (d_v e, +-base) and (e, -+pow d_v base) of its contributions. A form
-        with pow 0 has base 1, so its d stays at pow 0.
+        (d_v M) base - pow M d_v base over base^(pow+1), so each entry
+        gathers the pairs (d_v e, +-base^(1+lift)) and
+        (e, -+pow base^lift d_v base) of its contributions, the sign being
+        that of placing dz_v. A form with pow 0 has base 1, so its d stays
+        at pow 0.
         """
-        n, pow_, base = self.n, self.den_pow, self.den_base
+        n, k, pow_, base = self.n, self.k, self.den_pow, self.den_base
         groups: Dict[MultiIndex, list] = {}
         for index, mat in self.terms.items():
             for v in range(1, n + 1):
@@ -297,24 +392,59 @@ class MatrixForm:
                     groups[new_index].append(contrib)
                 else:
                     groups[new_index] = [contrib]
-        # the signed factors: +-base for d_v e, -+pow d_v base for e; at
-        # pow 0 the base is 1 and the tail is 0, which the sum skips
-        lead = {1: base, -1: -base}
+        # the signed factors: +-base for d_v e, -+pow d_v base for e, each
+        # times base^lift; at pow 0 the base is 1 and the tail is 0, which
+        # the sum skips
+        lifted = base ** lift if lift else None
+        head = base * lifted if lift else base
+        lead = {1: head, -1: -head}
         tail = {}
         for v in range(1, n + 1):
-            scaled = base.partial(v) * pow_
+            # d_v base comes back packed, and scaling it reads its term
+            # dict, so at pow 1 (omega's) it is not scaled
+            scaled = base.partial(v)
+            if pow_ != 1:
+                scaled = scaled * pow_
+            if lift:
+                scaled = scaled * lifted
             tail[v, 1], tail[v, -1] = -scaled, scaled
-        dot = MultiPoly.dot
-        k = self.k
-        out: Dict[MultiIndex, PolyMatrix] = {}
-        for new_index, group in groups.items():
-            out[new_index] = PolyMatrix(n, [
-                [dot(n, [pair for mat, dmat, v, sign in group
-                         for pair in ((dmat.rows[r][c], lead[sign]),
-                                      (mat.rows[r][c], tail[v, sign]))])
-                 for c in range(k)] for r in range(k)])
-        return self._from_parts(n, k, self.degree + 1, out, base,
+        return {new_index: [[[pair for mat, dmat, v, sign in group
+                              for pair in ((dmat.rows[r][c], lead[sign]),
+                                           (mat.rows[r][c], tail[v, sign]))]
+                             for c in range(k)] for r in range(k)]
+                for new_index, group in groups.items()}
+
+    def exterior_derivative(self) -> "MatrixForm":
+        """d of each coefficient; a tracked power rises by one. Each entry
+        of a new coefficient is one `MultiPoly.dot` over the quotient-rule
+        pairs of its contributions (`_quotient_rule_pairs`)."""
+        n, pow_ = self.n, self.den_pow
+        out = {index: _dot_grid(n, grid)
+               for index, grid in self._quotient_rule_pairs(0).items()}
+        return self._from_parts(n, self.k, self.degree + 1, out,
+                                self.den_base,
                                 pow_ + 1 if pow_ else 0)._reduced()
+
+    def curvature(self) -> "MatrixForm":
+        """d self + self ^ self of a 1-form, over base^(2 pow).
+
+        Each entry of the dz_u dz_v coefficient is one `MultiPoly.dot` over
+        the quotient-rule pairs of d, lifted from base^(pow+1) to
+        base^(2 pow), and the commutator pairs of [B_u, B_v], B_v being the
+        dz_v numerator (`_commutator_pairs`); the sum is reduced once. For
+        a Maurer-Cartan form it is zero.
+        """
+        if self.degree != 1:
+            raise ValueError(f"curvature of a form of degree {self.degree}; "
+                             "it needs a 1-form")
+        n, pow_ = self.n, self.den_pow
+        d = self._quotient_rule_pairs(pow_ - 1 if pow_ else 0)
+        bracket = _commutator_pairs(self.terms, self.k)
+        out = {index: _dot_grid(n, *(part[index] for part in (d, bracket)
+                                     if index in part))
+               for index in dict.fromkeys([*d, *bracket])}
+        return self._from_parts(n, self.k, 2, out, self.den_base,
+                                2 * pow_)._reduced()
 
     def trace(self, other: Optional["MatrixForm"] = None) -> "ScalarForm":
         """tr(self), or tr(self ^ other) without forming the wedge: one

@@ -5,7 +5,7 @@ m = 3 it is `anchored_trace_power`, which traces each dz_a coefficient
 of omega against the commutator of two later ones, formed once; with
 omega built, on the n = 4, k = 3 pencil of the kernel budgets, it makes
 198 kernel products over 22,853 term pairs where the wedge route makes
-432 over 55,622. Every other m takes the wedge route:
+324 over 45,547. Every other m takes the wedge route:
 omega^ceil(m/2) is traced against omega^floor(m/2), so the last wedge is
 never formed, and every coefficient of each wedge and of the trace is
 one fused kernel sum (see `forms`). For even m that is omega^(m/2)

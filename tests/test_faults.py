@@ -31,6 +31,32 @@ kappa of `traceword:3`. Each runs over theorem33, example35 and tau.
   -C, and `tau.multiplicative`. `tau.closed` passes: d of a third of a
   closed form is 0.
 
+The three rows that spoil the Maurer-Cartan curvature pairs of `forms`:
+the commutator pairs that `MatrixForm.curvature` and the odd self wedge
+omega ^ omega share (`forms._commutator_pairs`), and the quotient-rule
+pairs that `curvature` and `exterior_derivative` share
+(`MatrixForm._quotient_rule_pairs`). Each runs over flatness, parity,
+theorem33, tau, example35 and theorem29.
+
+- A gap product with the wrong sign: in each off-diagonal entry the
+  product y_rc (x_rr - x_cc) of every pair of terms enters negated. It
+  fails `flatness.linear` and `flatness.quadratic`, `parity.even-powers`
+  (tr(omega^4) traces the faulty omega ^ omega against itself) and
+  `theorem33.trace-routes` (its wedge route wedges omega with itself);
+  the anchored route forms its own commutators, so the other theorem33
+  lines, example35 and tau pass. Negating both gap products of an entry
+  would not do: that is the true omega~ ^ omega~ of omega with its
+  diagonal negated, whose even trace powers still vanish.
+- A diagonal entry that drops one commutator pair: the first product of
+  entry (0, 0) of each coefficient is left out. It fails exactly the
+  same four lines.
+- A wrong tail sign in the quotient-rule pairs: the product with
+  pow d_v base enters with the sign of the lead. d is then wrong on every
+  form with a denominator, so it fails both flatness lines, `tau.closed`
+  (d of tau) and `theorem29.correction`, `.decomposition` and `.main`,
+  which all take d of a kappa form. parity, theorem33 and example35 take
+  no d and pass.
+
 The torus rows. Both factorization lines, `torus.factorization.pinned`
 and `.sampled`, check two equalities of the truncated resolvent,
 
@@ -65,7 +91,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from pencilforms import jacobi, torus
+from pencilforms import forms, jacobi, torus
 from pencilforms.cochains import FunctionalCochain
 from pencilforms.linalg import PolyMatrix
 from pencilforms.suites import (run_suite, suite_torus,
@@ -162,6 +188,58 @@ def q_sign_flipped(monkeypatch):
     monkeypatch.setattr(jacobi, "_factor_top_form", faulty)
 
 
+def gap_product_sign_flipped(monkeypatch):
+    # each off-diagonal entry holds, per pair of terms, its two gap
+    # products and then 2(k - 2) others; the first, y_rc (x_rr - x_cc),
+    # is negated
+    inner = forms._commutator_pairs
+
+    def faulty(terms, k):
+        out = inner(terms, k)
+        step = 2 * (k - 1)
+        for grid in out.values():
+            for r, row in enumerate(grid):
+                for c, pairs in enumerate(row):
+                    if r != c:
+                        pairs[::step] = [(y, -gap) for y, gap in pairs[::step]]
+        return out
+
+    monkeypatch.setattr(forms, "_commutator_pairs", faulty)
+
+
+def diagonal_pair_dropped(monkeypatch):
+    inner = forms._commutator_pairs
+
+    def faulty(terms, k):
+        out = inner(terms, k)
+        for grid in out.values():
+            if grid[0][0]:  # at k = 1 the commutator has no pairs
+                del grid[0][0][0]
+        return out
+
+    monkeypatch.setattr(forms, "_commutator_pairs", faulty)
+
+
+def tail_sign_flipped(monkeypatch):
+    # each entry's pairs alternate (d_v e, lead) and (e, tail)
+    inner = forms.MatrixForm._quotient_rule_pairs
+
+    def faulty(self, lift):
+        out = inner(self, lift)
+        for grid in out.values():
+            for row in grid:
+                for pairs in row:
+                    pairs[1::2] = [(e, -tail) for e, tail in pairs[1::2]]
+        return out
+
+    monkeypatch.setattr(forms.MatrixForm, "_quotient_rule_pairs", faulty)
+
+
+CURVATURE_SUITES = ("flatness", "parity", "theorem33", "tau", "example35",
+                    "theorem29")
+COMMUTATOR_LINES = {"flatness.linear", "flatness.quadratic",
+                    "parity.even-powers", "theorem33.trace-routes"}
+
 PENCIL_ROWS = [
     (q_sign_flipped, ("theorem33", "example35"), {"example35.entry-matrix"}),
     (commutator_plus, ("theorem33", "example35", "tau"),
@@ -172,6 +250,11 @@ PENCIL_ROWS = [
     (factor_three_dropped, ("theorem33", "example35", "tau"),
      {"theorem33.trace-routes", "example35.entry-matrix",
       "tau.multiplicative"}),
+    (gap_product_sign_flipped, CURVATURE_SUITES, COMMUTATOR_LINES),
+    (diagonal_pair_dropped, CURVATURE_SUITES, COMMUTATOR_LINES),
+    (tail_sign_flipped, CURVATURE_SUITES,
+     {"flatness.linear", "flatness.quadratic", "tau.closed",
+      "theorem29.correction", "theorem29.decomposition", "theorem29.main"}),
 ]
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pencilforms._core import packed_sub, poly_pack, poly_sub, poly_unpack
 from pencilforms.forms import (
     MatrixForm,
     ScalarForm,
@@ -23,7 +24,7 @@ from oracles import (matrix_d_reference, matrix_form_values,
                      scalar_add_reference, scalar_coefficients,
                      scalar_d_reference, scalar_form_values,
                      scalar_wedge_reference)
-from pencilforms import serialize
+from pencilforms import ring, serialize
 from test_linalg import rand_gauss_tuple, rand_tuple
 from test_ring import gaussians, rand_poly
 
@@ -426,6 +427,9 @@ _GENERIC = maurer_cartan(rand_gauss_tuple(random.Random(29), 4, 3).pencil())
 # each term, with opposite merge signs
 _PENCIL = rand_gauss_tuple(random.Random(30), 3, 2).pencil()
 _POLYNOMIAL = MatrixForm(3, 2, 1, {(1,): _PENCIL * _PENCIL, (3,): -_PENCIL})
+# degree 3: x ^ x takes each unordered pair of terms as one commutator
+_ODD = rand_matrix_form(random.Random(47), 6, 2, 3,
+                        MultiPoly.parse("z1+2*z2-1", 6), 1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -437,9 +441,12 @@ _POLYNOMIAL = MatrixForm(3, 2, 1, {(1,): _PENCIL * _PENCIL, (3,): -_PENCIL})
 @example((_GENERIC, _GENERIC))
 @example((MatrixForm(3, 2, 1, {}), _DIAGONAL))
 @example((_POLYNOMIAL, _DIAGONAL))
+@example((_ODD, _ODD))
 def test_fused_matrix_form_ops_match_pairwise_references(pair):
     x, y = pair
     _assert_same_matrix_form(x.wedge(y), matrix_wedge_reference(x, y))
+    # the self wedge: at odd degree one commutator per unordered pair
+    _assert_same_matrix_form(x.wedge(x), matrix_wedge_reference(x, x))
     _assert_same_matrix_form(x.exterior_derivative(), matrix_d_reference(x))
     got, want = x.trace(y), matrix_trace_reference(x, y)
     assert (got.n, got.degree) == (want.n, want.degree)
@@ -453,18 +460,136 @@ def test_fused_matrix_form_ops_match_pairwise_references(pair):
 # one `MultiPoly.dot` per entry (kernel calls before: 432, one per entry of
 # every term pair), and tightened from 648 products in 216 calls when the
 # sum stopped multiplying the numerators already at the higher power by
-# one. A pairwise wedge or d coming back exceeds the call budget.
-FLATNESS_FORM_BUDGET = 540
+# one. Products went 540 -> 432 when omega ^ omega began to take one
+# commutator per pair of terms, skipping the products that cancel. A
+# pairwise wedge or d coming back exceeds the call budget.
+FLATNESS_FORM_BUDGET = 432
 FLATNESS_FORM_CALL_BUDGET = 108
+# The same check as one `curvature()`, recorded when it was added: one
+# kernel sum per entry of each of the 6 coefficients, over the
+# quotient-rule pairs of d and the commutator pairs together.
+CURVATURE_BUDGET = 432
+CURVATURE_CALL_BUDGET = 54
+CURVATURE_PAIR_BUDGET = 33_577
+
+
+def _flatness_omega():
+    return maurer_cartan(
+        random_matrix_tuple(rng_for(5, "guard-cubic"), 4, 3).pencil())
 
 
 def test_flatness_form_kernel_budget(monkeypatch):
-    omega = maurer_cartan(
-        random_matrix_tuple(rng_for(5, "guard-cubic"), 4, 3).pencil())
+    omega = _flatness_omega()
     calls = count_poly_mul(monkeypatch)
     assert (omega.exterior_derivative() + omega.wedge(omega)).is_zero
     assert 0 < calls[0] <= FLATNESS_FORM_BUDGET
     assert 0 < calls[1] <= FLATNESS_FORM_CALL_BUDGET
+
+
+def test_curvature_kernel_budget(monkeypatch):
+    omega = _flatness_omega()
+    calls = count_poly_mul(monkeypatch)
+    assert omega.curvature().is_zero
+    assert 0 < calls[0] <= CURVATURE_BUDGET
+    assert 0 < calls[1] <= CURVATURE_CALL_BUDGET
+    assert 0 < calls[2] <= CURVATURE_PAIR_BUDGET
+
+
+def test_flatness_request_unpacks_no_kernel_result_in_curvature(monkeypatch):
+    # omega's entries and their partials are kernel results and the gaps
+    # packed differences; a zero curvature is never reduced, so nothing
+    # inside curvature reads a term dict
+    f = MatrixTuple(random_matrix_tuple(rng_for(5, "guard-cubic"), 4, 3).mats
+                    ).pencil()
+    omega = maurer_cartan(f)
+    unpacked = []
+    inner = ring.poly_unpack
+
+    def counting(p):
+        unpacked.append(p)
+        return inner(p)
+
+    monkeypatch.setattr(ring, "poly_unpack", counting)
+    assert omega.curvature().is_zero
+    assert unpacked == []
+
+
+def _curvature_cases(rng, n, k, pow_):
+    """Non-flat 1-forms over base**pow_: linear and quadratic entries, the
+    same without their dz_2 term, and a perturbed Maurer-Cartan form."""
+    base = MultiPoly.parse("z1+2*z2-1", n)
+    for max_deg in (1, 2):
+        terms = {(v,): PolyMatrix(n, [[rand_poly(rng, n, max_deg=max_deg,
+                                                 nterms=2)
+                                       for _ in range(k)] for _ in range(k)])
+                 for v in range(1, n + 1)}
+        yield MatrixForm(n, k, 1, terms, base, pow_)
+        del terms[(2,)]
+        yield MatrixForm(n, k, 1, terms, base, pow_)
+    omega = maurer_cartan(rand_tuple(rng, n, k).pencil())
+    bump = PolyMatrix(n, [[rand_poly(rng, n, max_deg=1, nterms=2)
+                           for _ in range(k)] for _ in range(k)])
+    yield omega + MatrixForm(n, k, 1, {(1,): bump}, omega.den_base,
+                             omega.den_pow)
+
+
+@pytest.mark.parametrize("pow_", [0, 1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_curvature_is_d_plus_self_wedge(k, pow_):
+    rng = random.Random(53 + 10 * k + pow_)
+    for form in _curvature_cases(rng, 3, k, pow_):
+        got = form.curvature()
+        want = form.exterior_derivative() + form.wedge(form)
+        assert got.degree == 2 and not want.is_zero
+        assert got == want
+        assert got == matrix_d_reference(form) + matrix_wedge_reference(
+            form, form)
+
+
+def test_curvature_needs_a_one_form():
+    rng = random.Random(59)
+    base = MultiPoly.parse("z1+2*z2-1", 3)
+    for degree in (0, 2, 3):
+        form = rand_matrix_form(rng, 3, 2, degree, base, 1)
+        with pytest.raises(ValueError):
+            form.curvature()
+
+
+# (p, q) term dicts: real, Gaussian, den != 1, full and partial
+# cancellation, an imaginary part that cancels, unequal and > 8-bit widths
+_Q = {"1": (1, 1, 0, 1), "-1": (-1, 1, 0, 1), "1/2": (1, 2, 0, 1),
+      "i/3": (0, 1, 1, 3), "2+i": (2, 1, 1, 1), "5/6": (5, 6, 0, 1)}
+_SUB_CASES = [
+    ({(1, 0): _Q["1"], (0, 2): _Q["-1"]}, {(0, 2): _Q["1"], (3, 1): _Q["1"]}),
+    ({(1, 0): _Q["2+i"], (0, 0): _Q["i/3"]}, {(1, 0): _Q["1"]}),
+    ({(1, 1): _Q["1/2"], (0, 1): _Q["5/6"]}, {(1, 1): _Q["5/6"]}),
+    ({(1, 1): _Q["1/2"], (0, 3): _Q["i/3"]},
+     {(1, 1): _Q["1/2"], (0, 3): _Q["i/3"]}),
+    ({(1, 0): _Q["2+i"], (0, 1): _Q["1"]}, {(1, 0): (0, 1, 1, 1)}),
+    ({(300, 0): _Q["1/2"], (1, 2): _Q["1"]}, {(1, 2): _Q["2+i"]}),
+    ({(0, 1): _Q["1"]}, {(0, 1): _Q["-1"], (0, 256): _Q["i/3"]}),
+    ({(300, 1): _Q["1"], (2, 0): _Q["1"]}, {(300, 1): _Q["1"]}),
+    ({}, {(2, 2): _Q["i/3"]}),
+    ({(2, 2): _Q["5/6"]}, {}),
+]
+
+
+@pytest.mark.parametrize("p, q", _SUB_CASES)
+def test_packed_sub_matches_poly_sub(p, q):
+    got = packed_sub(poly_pack(p), poly_pack(q))
+    want = poly_sub(p, q)
+    # values and term order, and the form poly_pack gives the difference
+    assert list(poly_unpack(got).items()) == list(want.items())
+    assert got[2:] == poly_pack(want)[2:]
+    assert got[1] >= poly_pack(want)[1]
+
+
+def test_packed_sub_matches_poly_sub_on_random_operands():
+    rng = random.Random(61)
+    for _ in range(40):
+        x, y = (rand_poly(rng, 3)._terms for _ in range(2))
+        got = packed_sub(poly_pack(x), poly_pack(y))
+        assert list(poly_unpack(got).items()) == list(poly_sub(x, y).items())
 
 
 # -- scalar forms: one algebra, checked against RatFn coefficient references --

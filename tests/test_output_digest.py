@@ -1,4 +1,5 @@
-"""`tools/output_digest.py` prints the recorded seed-1 output digest."""
+"""`tools/output_digest.py` prints the recorded output digests: seed 1 and
+the default seeds 1, 2 and 3."""
 
 import subprocess
 import sys
@@ -11,6 +12,11 @@ ROOT = Path(__file__).resolve().parents[1]
 SEED_1_DIGEST = (
     "69 requests sha256 "
     "8ca5e9be333ef710a5aba720125043ac1af88fe9c2498e4434c776539bae9bb3\n")
+# The digest at the default seeds 1, 2 and 3; re-record it, too, only
+# with a declared output change.
+DEFAULT_SEEDS_DIGEST = (
+    "203 requests sha256 "
+    "97a3f47b00609c6eec9943d919db4c728791fadbd69d8947828d9c079e229091\n")
 
 
 def _files(directory: Path) -> set:
@@ -27,3 +33,11 @@ def test_output_digest_prints_one_digest_line():
     assert done.returncode == 0, done.stderr[-3000:]
     assert done.stdout == SEED_1_DIGEST
     assert _files(ROOT / "perfbench") == before
+
+
+def test_output_digest_at_the_default_seeds():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "output_digest.py")],
+        capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr[-3000:]
+    assert done.stdout == DEFAULT_SEEDS_DIGEST

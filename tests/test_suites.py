@@ -460,9 +460,11 @@ def test_failing_trial_reports_the_trials_checked(
 # multiplying p by one first; 2,407 (measured 2,519 before) when det and
 # the adjugate became one kernel sum per minor, the adjugate's minors
 # sharing their sub-minors; 2,325 when tr(omega^3) began to trace B_a
-# against one commutator [B_b, B_c] (went 2,407 -> 2,325). A second route
-# to tr(omega^3) coming back exceeds it.
-THEOREM33_SUITE_BUDGET = 2_325
+# against one commutator [B_b, B_c] (went 2,407 -> 2,325); 2,169 when
+# omega ^ omega began to take one commutator per pair of terms, skipping
+# the entry products that cancel (went 2,325 -> 2,169). A second route to
+# tr(omega^3) coming back exceeds it.
+THEOREM33_SUITE_BUDGET = 2_169
 
 
 def test_theorem33_suite_kernel_product_budget(monkeypatch):
@@ -546,14 +548,18 @@ def test_theorem29_suite_kernel_product_budget(monkeypatch):
 # commutator [B_b, B_c];
 # jacobi-classic went 1,590 -> 1,345 and hyperplane 928 -> 869 when a
 # matrix began to keep its det, so the suites read sampling's det in
-# place of expanding it again. The test ids carry the suite alone, so
-# tightening a budget keeps the test's name.
+# place of expanding it again. flatness went 3,502 -> 2,942, parity
+# 2,153 -> 1,737 and tau 888 -> 882 when omega ^ omega began to take one
+# commutator per pair of terms, skipping the entry products that cancel,
+# and flatness to check d omega + omega ^ omega as one curvature form.
+# The test ids carry the suite alone, so tightening a budget keeps the
+# test's name.
 PENCIL_SUITE_BUDGETS = {
-    "flatness": (12, 3_502),
+    "flatness": (12, 2_942),
     "jacobi-classic": (20, 1_345),
-    "parity": (4, 2_153),
+    "parity": (4, 1_737),
     "example35": (8, 904),
-    "tau": (3, 888),
+    "tau": (3, 882),
     "hyperplane": (6, 869),
 }
 
@@ -589,7 +595,9 @@ def test_jacobi_classic_expands_each_det_once(monkeypatch):
 # to take each unordered pair of its terms once (before: 1,394,444, most
 # of it tr(omega^4) at k = 3, n = 5). The product count barely shows that
 # saving (2,890 -> 2,656); the ordered pairs coming back exceed this one.
-PARITY_TERM_PAIR_BUDGET = 791_528
+# It went 791,528 -> 737,887 when omega ^ omega began to take one
+# commutator per pair of terms, skipping the entry products that cancel.
+PARITY_TERM_PAIR_BUDGET = 737_887
 
 
 def test_parity_suite_kernel_term_pair_budget(monkeypatch):

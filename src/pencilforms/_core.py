@@ -4,8 +4,8 @@ A Gaussian rational is a 4-tuple of ints ``(an, ad, bn, bd)`` standing for
 ``an/ad + (bn/bd)*i``, kept in lowest terms with positive denominators.
 A polynomial is a dict mapping exponent tuples to nonzero Gaussian rationals,
 or its packed form (below). Every function returns fresh objects, except
-that `packed_neg` shares its argument's key list, and never mutates its
-arguments.
+that `packed_neg` and `packed_scale` share their argument's key list,
+and never mutates its arguments.
 
 Gaussian integers (both denominators 1) take a fast path in `qadd` and
 `qmul` that skips the gcd reductions. `poly_dot` returns a sum of
@@ -21,11 +21,11 @@ denominator, the exponents packed into ints and the numerators over den
 one). So a sum whose result enters the next sum is never unpacked and
 packed again in between. `ring.MultiPoly` keeps each polynomial's packed
 form for its lifetime, which holds because neither form is changed after
-construction. `packed_neg` and `packed_partial` negate and differentiate
-a packed polynomial, and `packed_sub` subtracts two, without unpacking
-them. `poly_mul` multiplies
-coefficient by coefficient; `ring.MultiPoly` uses it for small products
-and a one-pair `poly_dot` for the rest.
+construction. `packed_neg`, `packed_scale` and `packed_partial` negate,
+scale by an int and differentiate a packed polynomial, `packed_sub`
+subtracts two and `packed_equal` compares two, without unpacking them.
+`poly_mul` multiplies coefficient by coefficient; `ring.MultiPoly` uses it
+for small products and a one-pair `poly_dot` for the rest.
 """
 
 from __future__ import annotations
@@ -270,6 +270,33 @@ def packed_sub(p, q):
         re = [v[0] for v in acc.values()]
         im = [v[1] for v in acc.values()]
     return _packed_result(n, top, den, list(acc), re, im)
+
+
+def packed_scale(packed, c):
+    """c * p of a packed polynomial p and an int c, as a packed polynomial:
+    p's numerators times c over p's den, its keys shared, in its term
+    order, normalized as `poly_dot`'s result is (`_packed_result`)."""
+    if not c:
+        return (0, 0, 1, [], [], None)
+    n, top, den, keys, re, im = packed
+    return _packed_result(n, top, den, keys, [a * c for a in re],
+                          None if im is None else [b * c for b in im])
+
+
+def packed_equal(p, q):
+    """p == q of packed polynomials, without unpacking them when both keep
+    8-bit keys: then den and the numerators by key decide it, since
+    `poly_pack` and `_packed_result` both leave gcd(den, numerators) = 1
+    and im None exactly when every imaginary part is 0. A pair with a
+    wider key is compared on its term dicts."""
+    if _width(p[1]) != 8 or _width(q[1]) != 8:
+        return poly_unpack(p) == poly_unpack(q)
+    if (p[2] != q[2] or len(p[3]) != len(q[3])
+            or (p[5] is None) != (q[5] is None)):
+        return False
+    return (dict(zip(p[3], p[4])) == dict(zip(q[3], q[4]))
+            and (p[5] is None
+                 or dict(zip(p[3], p[5])) == dict(zip(q[3], q[5]))))
 
 
 def packed_partial(packed, var):

@@ -35,6 +35,11 @@ no intermediate form, no form addition and no reduction of a nonzero half.
 the suite check that compares it with the wedge route compares two
 computations that share no commutator code.
 
+A form is never changed after construction, so it keeps its exterior
+derivative: the first `exterior_derivative` call builds d and later calls
+return that form. `transgression_report` thus builds d omega once per
+pencil, however many cochains it checks there.
+
 Two forms combine over one base; a form without a denominator takes the
 other's. Scalar forms over unlike bases combine over the product of their
 denominators, as RatFn does; matrix forms over unlike bases only compare.
@@ -235,9 +240,13 @@ def _over_one_base(n: int, coeffs: Dict) -> Tuple[Dict, MultiPoly, int]:
 
 class MatrixForm:
     """A matrix-valued form: PolyMatrix numerators over a shared base**pow.
-    Every operation returns a form of its operand's class."""
+    Every operation returns a form of its operand's class.
 
-    __slots__ = ("n", "k", "degree", "terms", "den_base", "den_pow")
+    A form is never changed after construction, by this class or by whoever
+    built it, so it keeps its exterior derivative in a slot that the first
+    call of `exterior_derivative` fills."""
+
+    __slots__ = ("n", "k", "degree", "terms", "den_base", "den_pow", "_d")
 
     def __init__(self, n: int, k: int, degree: int, terms: Dict,
                  den_base: Optional[MultiPoly] = None, den_pow: int = 0):
@@ -263,6 +272,7 @@ class MatrixForm:
             den_pow = 0
         self.den_base = den_base if den_pow else MultiPoly.one(n)
         self.den_pow = den_pow
+        self._d: Optional[MatrixForm] = None
 
     @classmethod
     def _from_parts(cls, n: int, k: int, degree: int, terms: Dict,
@@ -417,13 +427,17 @@ class MatrixForm:
     def exterior_derivative(self) -> "MatrixForm":
         """d of each coefficient; a tracked power rises by one. Each entry
         of a new coefficient is one `MultiPoly.dot` over the quotient-rule
-        pairs of its contributions (`_quotient_rule_pairs`)."""
-        n, pow_ = self.n, self.den_pow
-        out = {index: _dot_grid(n, grid)
-               for index, grid in self._quotient_rule_pairs(0).items()}
-        return self._from_parts(n, self.k, self.degree + 1, out,
-                                self.den_base,
-                                pow_ + 1 if pow_ else 0)._reduced()
+        pairs of its contributions (`_quotient_rule_pairs`). Built on the
+        first call and kept: a second call returns the same form, which
+        must not be changed."""
+        if self._d is None:
+            n, pow_ = self.n, self.den_pow
+            out = {index: _dot_grid(n, grid)
+                   for index, grid in self._quotient_rule_pairs(0).items()}
+            self._d = self._from_parts(n, self.k, self.degree + 1, out,
+                                       self.den_base,
+                                       pow_ + 1 if pow_ else 0)._reduced()
+        return self._d
 
     def curvature(self) -> "MatrixForm":
         """d self + self ^ self of a 1-form, over base^(2 pow).

@@ -29,8 +29,10 @@ from typing import Iterator, Optional, Sequence
 from pencilforms._core import (
     Q_ONE,
     Q_ZERO,
+    packed_equal,
     packed_neg,
     packed_partial,
+    packed_scale,
     poly_add,
     poly_dot,
     poly_mul,
@@ -470,9 +472,11 @@ class MultiPoly:
     read of `_terms`, in the packed term order. Neither form is changed
     after construction, by this class or by whoever built it, so each is
     kept for the polynomial's lifetime, as is the hash. Sums (`dot`),
-    large products, negation of a packed polynomial and `partial` work on
-    the packed form and return packed results; adding, scaling and
-    `exact_divide` read the term dicts.
+    large products, negation of a packed polynomial, int scaling of one
+    with no term dict yet and `partial` work on the packed form and return
+    packed results, and `==` of two polynomials with no term dict yet
+    compares their packed forms. Adding, other scaling and `exact_divide`
+    read the term dicts.
     """
 
     __slots__ = ("n", "_dict", "_hash", "_packed")
@@ -613,6 +617,9 @@ class MultiPoly:
                 return MultiPoly._of_packed(self.n, poly_dot(
                     ((self.packed(), other.packed()),)))
             return MultiPoly(self.n, poly_mul(self._terms, other._terms))
+        if type(other) is int and self._dict is None:
+            return MultiPoly._of_packed(self.n,
+                                        packed_scale(self._packed, other))
         if isinstance(other, (Scalar, int, Fraction)):
             return MultiPoly(self.n, poly_scale(self._terms, _as_q4(other)))
         return NotImplemented
@@ -650,6 +657,9 @@ class MultiPoly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, MultiPoly):
+            if self._dict is None and other._dict is None:
+                return self.n == other.n and packed_equal(self._packed,
+                                                          other._packed)
             return self.n == other.n and self._terms == other._terms
         if isinstance(other, (Scalar, int, Fraction)):
             return self == MultiPoly.constant(self.n, other)

@@ -506,12 +506,13 @@ def _random_torus_element(rng: random.Random,
 def _algebra_failure(x: TorusElement, y: TorusElement,
                      z: TorusElement) -> Optional[str]:
     """Which algebra law fails first on x, y, z, or None."""
-    if (x * y) * z != x * (y * z):
+    xy = x * y
+    if xy * z != x * (y * z):
         return "associativity fails"
-    if (x * y).trace() != (y * x).trace():
+    if xy.trace() != (y * x).trace():
         return "trace symmetry fails"
     for which in (1, 2):
-        if (x * y).delta(which) != x.delta(which) * y + x * y.delta(which):
+        if xy.delta(which) != x.delta(which) * y + x * y.delta(which):
             return f"Leibniz fails for delta_{which}"
     if x.delta(1).delta(2) != x.delta(2).delta(1):
         return "derivations do not commute"

@@ -5,7 +5,11 @@ UV = lambda VU.  Two coefficient modes: exact, over Q(i)[t]/(t^q - 1) with
 lambda = t^p, and numeric, over complex doubles with
 lambda = exp(2*pi*i*theta). Every term pair of a product, each matched pair
 of a trace, and each term pair of the psi2 commutator is one twisted step
-of the configuration (`TorusConfig.twisted_product`).
+of the configuration (`TorusConfig.twisted_product`); the numeric step
+reads lambda^e from the configuration's table of powers. An element is
+never changed after construction, so it keeps delta_1, delta_2 and its l1
+norm once they are computed: the cocycle values, the rounding bounds and
+the algebra checks share one derivation per element.
 The module also evaluates the degree-one and degree-two cyclic cocycles built
 from the trace and the torus derivations on spanning monomial tuples. On a
 zero-sum monomial tuple every term of b phi, and both sides of cyclicity, is
@@ -49,10 +53,17 @@ Degree = Tuple[int, int]
 MAX_ORDER = 64
 
 
-def _numeric_twist(lambda_power: Callable) -> Callable:
+def _numeric_twist(config: "TorusConfig") -> Callable:
+    """The numeric twisted step of config: lambda^power is read straight
+    from the config's table of powers, and `lambda_power` is called only
+    for a power not yet in it."""
+    powers = config._lam_cache
+    lambda_power = config.lambda_power
+
     def twisted_product(x, y, power: int, scale: Optional[int] = None):
         value = x * y if scale is None else x * y * scale
-        return value * lambda_power(power)
+        lam = powers.get(power)
+        return value * (lambda_power(power) if lam is None else lam)
 
     return twisted_product
 
@@ -175,7 +186,7 @@ class TorusConfig:
             self.q = None
             self.p_prime = None
             self.theta = float(theta)
-            self.twisted_product = _numeric_twist(self.lambda_power)
+            self.twisted_product = _numeric_twist(self)
             self.twist_unit = 1
         else:
             raise ValueError(f"unknown mode: {mode!r}")
@@ -200,8 +211,8 @@ class TorusConfig:
 
     def lambda_power(self, exponent: int):
         """lambda^exponent in the coefficient ring of this mode. Numeric
-        mode keeps each power it computes, since its twisted step reads
-        one per term pair."""
+        mode keeps each power it computes in a table, which its twisted
+        step reads directly for each term pair."""
         if self.mode == "numeric":
             cached = self._lam_cache.get(exponent)
             if cached is None:
@@ -271,9 +282,15 @@ _TWIST_FREE = TorusConfig._twist_free()
 
 
 class TorusElement:
-    """Finitely supported map (m, n) -> coefficient, read as sum a U^m V^n."""
+    """Finitely supported map (m, n) -> coefficient, read as sum a U^m V^n.
 
-    __slots__ = ("config", "coeffs")
+    An element is never changed after construction, by this class or by
+    whoever built it, so it keeps delta_1, delta_2 and its l1 norm in three
+    slots that the first call of `delta` or `l1_norm` fills: every check
+    that reads them for one element shares one computation.
+    """
+
+    __slots__ = ("config", "coeffs", "_delta1", "_delta2", "_l1")
 
     def __init__(self, config: TorusConfig, coeffs: Dict[Degree, object]):
         coerce = config.coerce
@@ -281,6 +298,7 @@ class TorusElement:
         items = (((int(m), int(n)), coerce(value))
                  for (m, n), value in coeffs.items())
         self.coeffs = {key: value for key, value in items if value}
+        self._delta1 = self._delta2 = self._l1 = None
 
     @classmethod
     def _make(cls, config: TorusConfig, items) -> "TorusElement":
@@ -298,6 +316,7 @@ class TorusElement:
         self = object.__new__(cls)
         self.config = config
         self.coeffs = coeffs
+        self._delta1 = self._delta2 = self._l1 = None
         return self
 
     @classmethod
@@ -441,19 +460,31 @@ class TorusElement:
         """delta_1 scales a_{m,n} by m, delta_2 by n.
 
         Terms whose scaling degree is 0 are skipped, not multiplied by 0,
-        so a monomial costs at most one scaling.
+        so a monomial costs at most one scaling. Built on the first call
+        for each j and kept, since the element never changes: a second
+        call returns the same element.
         """
         if which not in (1, 2):
             raise ValueError("derivation index must be 1 or 2")
-        pos = which - 1
-        return TorusElement._of(self.config,
-                                {key: value * key[pos]
-                                 for key, value in self.coeffs.items()
-                                 if key[pos]})
+        kept = self._delta1 if which == 1 else self._delta2
+        if kept is None:
+            pos = which - 1
+            kept = TorusElement._of(self.config,
+                                    {key: value * key[pos]
+                                     for key, value in self.coeffs.items()
+                                     if key[pos]})
+            if which == 1:
+                self._delta1 = kept
+            else:
+                self._delta2 = kept
+        return kept
 
     def l1_norm(self) -> float:
-        """Sum of the coefficient moduli (numeric mode)."""
-        return sum(map(abs, self.coeffs.values()))
+        """Sum of the coefficient moduli (numeric mode), computed on the
+        first call and kept, since the element never changes."""
+        if self._l1 is None:
+            self._l1 = sum(map(abs, self.coeffs.values()))
+        return self._l1
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TorusElement):

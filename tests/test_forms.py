@@ -680,3 +680,18 @@ def test_scalar_form_ops_match_ratfn_references(triple):
     back = serialize.scalar_form_from_json(data)
     assert back == x
     assert serialize.scalar_form_to_json(back) == data
+
+
+def test_exterior_derivative_is_kept():
+    # omega (over its det), a polynomial form and a 0-form: a second call
+    # returns the kept d, equal to d of a fresh copy of the form, bit for
+    # bit, and to the pairwise reference
+    scalar = ScalarForm(3, 0, {(): MultiPoly.parse("z1*z2+(1/2)*z3^2", 3)})
+    for x in (_GENERIC, _POLYNOMIAL, _ODD, scalar):
+        d = x.exterior_derivative()
+        assert x.exterior_derivative() is d
+        fresh = type(x)._from_parts(x.n, x.k, x.degree, dict(x.terms),
+                                    x.den_base, x.den_pow)
+        _assert_same_matrix_form(d, fresh.exterior_derivative())
+        _assert_same_matrix_form(d, matrix_d_reference(x))
+        assert type(d) is type(x)

@@ -1043,3 +1043,72 @@ def test_power_matches_products_from_one(case):
     assert list(got._terms.items()) == list(want._terms.items())
     if m == 1:
         assert got is p
+
+
+@st.composite
+def packed_operands(draw):
+    """Terms in two variables of one coefficient kind, with small exponents
+    and ones whose fields take 8 or 9 bits, and whether the kernel result
+    built from them (`_kernel_result`) carries a bound as its top."""
+    coeffs = _KIND_COEFFS[draw(st.sampled_from(sorted(_KIND_COEFFS)))]
+    terms = draw(st.dictionaries(st.tuples(_dot_exponents, _dot_exponents),
+                                 coeffs, max_size=6))
+    return terms, draw(st.booleans())
+
+
+def _kernel_result(terms, bound):
+    """The polynomial of terms as a kernel result whose term dict is unread;
+    with bound, its top is a bound past its largest exponent while that
+    fits 8 bits."""
+    x = MultiPoly(2, dict(terms))
+    pairs = [(x, MultiPoly.one(2))]
+    if bound:
+        z1 = MultiPoly.variable(2, 1)
+        pairs += [(x, z1), (x, -z1)]
+    out = MultiPoly.dot(2, pairs)
+    assert out._dict is None
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_operands(), st.integers(-6, 6))
+@example(({(1, 0): (1, 2, 0, 1), (0, 1): (0, 1, 1, 3)}, False), 6)  # den 6
+@example(({(256, 0): (1, 1, 0, 1), (0, 1): (0, 1, 1, 1)}, True), -2)
+def test_packed_int_scale_matches_the_dict_path(operand, c):
+    terms, bound = operand
+    x = _kernel_result(terms, bound)
+    eager = MultiPoly(2, dict(_kernel_result(terms, bound)._terms))
+    want = eager * c
+    assert want._dict is not None
+    for got in (x * c, c * x):
+        assert got._dict is None  # scaled on the packed form
+        _check_packed_as_poly_pack(got)
+        # values and term order: float evaluation sums in that order
+        assert list(got._terms.items()) == list(want._terms.items())
+    # a polynomial whose terms were read keeps the dict path
+    read = _kernel_result(terms, bound)
+    assert read._terms is not None and (read * c)._dict is not None
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_operands(), packed_operands(),
+       st.sampled_from(("other", "reordered", "bound", "changed")))
+def test_packed_equality_matches_the_dict_path(left, right, how):
+    terms, bound = left
+    other, other_bound = right
+    if how == "reordered":
+        other, other_bound = dict(reversed(list(terms.items()))), bound
+    elif how == "bound":
+        other, other_bound = terms, not bound
+    elif how == "changed" and terms:
+        other, other_bound = dict(terms), bound
+        first = next(iter(other))
+        other[first] = qadd(other[first], (0, 1, 1, 1))
+        if other[first] == Q_ZERO:
+            del other[first]
+    want = MultiPoly(2, dict(terms)) == MultiPoly(2, dict(other))
+    assert want or how not in ("reordered", "bound")
+    x, y = _kernel_result(terms, bound), _kernel_result(other, other_bound)
+    assert (x == y) == want and (y == x) == want
+    assert x._dict is None and y._dict is None  # compared packed
+    assert (x == MultiPoly(2, dict(other))) == want

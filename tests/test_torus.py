@@ -1315,3 +1315,63 @@ def test_residuals_stay_within_their_rounding_bound():
                 abs(r) / b for r, b in zip(sample.residuals(),
                                            sample.rounding_bounds())])
     assert worst * torus._ROUNDINGS < 1
+
+
+def _kept_test_elements():
+    """An exact, a numeric and a twist-free element, each with terms off
+    both axes and on them, so each derivation drops some terms."""
+    rng = rng_for(43, "torus", "kept")
+    exact_cfg, numeric_cfg = TorusConfig.exact(5, 2), TorusConfig.numeric(0.37)
+    exact = (rand_exact_element(rng, exact_cfg, terms=5)
+             + TorusElement.monomial(exact_cfg, 0, -2, 3)
+             + TorusElement.u(exact_cfg, 2))
+    numeric = (rand_numeric_element(rng, numeric_cfg, terms=5)
+               + TorusElement.monomial(numeric_cfg, 0, 1, 0.5j)
+               + TorusElement.u(numeric_cfg, -1))
+    free = torus._TWIST_FREE
+    twist_free = TorusElement._of(free, {(0, 1): torus._TwistFree(2, 1),
+                                         (-1, 2): torus._TwistFree(-3, 0),
+                                         (2, 0): torus._TwistFree(1, 4)})
+    return exact, numeric, twist_free
+
+
+def test_delta_and_l1_norm_are_computed_once():
+    for x in _kept_test_elements():
+        key, twin = hash(x), TorusElement._of(x.config, dict(x.coeffs))
+        for which in (1, 2):
+            first = x.delta(which)
+            assert 0 < len(first.coeffs) < len(x.coeffs)
+            assert x.delta(which) is first
+            # the kept delta is the element the public constructor builds
+            fresh = TorusElement(x.config, {
+                degree: value * degree[which - 1]
+                for degree, value in x.coeffs.items() if degree[which - 1]})
+            assert first == fresh and hash(first) == hash(fresh)
+            assert list(first.coeffs) == list(fresh.coeffs)
+        # filling the slots changes neither == nor hash
+        assert x == twin and hash(x) == key == hash(twin)
+        assert x.delta(1).delta(2) is x.delta(1).delta(2)
+        assert x.delta(1).delta(2) == x.delta(2).delta(1)
+        assert x._delta1 is x.delta(1) and x._delta2 is x.delta(2)
+    numeric = _kept_test_elements()[1]
+    with pytest.raises(ValueError):
+        numeric.delta(3)
+    norm = numeric.l1_norm()
+    assert numeric.l1_norm() is norm
+    assert norm == sum(abs(c) for c in numeric.coeffs.values())
+
+
+def test_numeric_twisted_step_is_the_product_times_the_kept_power():
+    x, y = 0.3 - 1.25j, -0.7 + 0.1j
+    for theta in (0.37, 0.3183098861837907, 1.0):
+        config = TorusConfig.numeric(theta)
+        reference = TorusConfig.numeric(theta)
+        step = config.twisted_product
+        config.lambda_power(-3)  # an exponent already in the table
+        for power in (-3, 5, 0):  # 5 and 0 are not
+            assert (power in config._lam_cache) == (power == -3)
+            lam = reference.lambda_power(power)
+            got = [(power, step(x, y, power)), (power, step(x, y, power, 2))]
+            assert power in config._lam_cache
+            assert _bits(got) == _bits([(power, x * y * lam),
+                                        (power, x * y * 2 * lam)])

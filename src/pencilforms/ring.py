@@ -266,7 +266,8 @@ class CycloElement:
     class serves as the exact coefficient ring of the noncommutative torus,
     where the deformation parameter is t^p for a chosen power p.
 
-    `+`, `-`, `*` and `==` read their operand through `_coerce`.
+    `+`, `-`, `*` and `==` read their operand through `_coerce`, except
+    that `*` scales by an int directly.
     """
 
     __slots__ = ("q", "_terms")
@@ -350,7 +351,12 @@ class CycloElement:
         return CycloElement._make(self.q, _neg_terms(self._terms))
 
     def __mul__(self, other):
-        """Product, one `_product` step; a scalar is a one-term element."""
+        """Product, one `_product` step; a scalar is a one-term element,
+        except an int, which scales each coefficient."""
+        if type(other) is int:
+            c = (other, 1, 0, 1)
+            return CycloElement._make(self.q, tuple(
+                (e, qmul(v, c)) for e, v in self._terms) if other else ())
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -456,7 +462,8 @@ def _cyclic_product(x: tuple, y: tuple, q: int) -> tuple:
 
 # Above this many term pairs a product of two polynomials is a one-pair
 # `poly_dot` sum; below it, setting up a packed product costs more than it
-# saves, and `poly_mul` multiplies coefficient by coefficient.
+# saves, and `poly_mul` multiplies coefficient by coefficient. The kernel's
+# other size rule, `_core._DENSE_MIN_PAIRS`, picks a sum's accumulator.
 _DIRECT_MAX_PAIRS = 32
 
 

@@ -252,6 +252,19 @@ def test_one_term_fast_paths_match_the_general_route(pair, power, scale, n):
     assert CycloElement.zero(q)._terms == ()
 
 
+@settings(max_examples=200, deadline=None)
+@given(cyclo_pairs(), st.integers(-6, 6))
+def test_int_product_matches_the_general_route(pair, c):
+    q, xs, _ = pair
+    x = CycloElement(q, xs)
+    # the general route: c coerced to a one-term element, one product step
+    factor = ((0, (c, 1, 0, 1)),) if c else ()
+    want = ring._product(x._terms, factor, q, 0, Q_ONE)
+    for got in (x * c, c * x):
+        assert got.q == q and got._terms == want
+    assert x * c == x * Scalar(c) == x * Fraction(c)
+
+
 def test_cyclo_mixed_orders_raise_on_every_path():
     # one-term operands take the fast paths, two-term ones the general route
     for x, y in ((CycloElement.root(3), CycloElement.root(4)),
@@ -665,7 +678,8 @@ def test_kernel_matches_fraction_reference():
             got, want = product(p, q), _ref_poly_mul(rp, rq)
             _check_canonical(got)
             assert {e: _ref(c) for e, c in got.items()} == want
-            # term order is part of the result: float evaluation sums in it
+            # the dict path's term order is part of the result, as float
+            # evaluation sums in it; these are far under `_DENSE_MIN_PAIRS`
             assert list(got) == list(want)
     for p, q in cases:
         rp = {e: _ref(c) for e, c in p.items()}
@@ -774,7 +788,8 @@ def test_poly_dot_matches_fraction_reference(pairs):
     _check_canonical(got)
     want = _ref_poly_dot(ref)
     assert {e: _ref(c) for e, c in got.items()} == want
-    # term order is part of the result: float evaluation sums in it
+    # the dict path's term order is part of the result, as float
+    # evaluation sums in it; these are far under `_DENSE_MIN_PAIRS`
     assert list(got) == list(want)
     want_sum = {}
     for rp, rq in ref:
@@ -835,7 +850,8 @@ def test_dot_of_reused_multipoly_operands_matches_reference(case):
                                    {e: _ref(c) for e, c in pool[j].items()})
                                   for i, j in pairs])
             assert {e: _ref(c) for e, c in got.items()} == want
-            # term order is part of the result: float evaluation sums in it
+            # the dict path's term order is part of the result, as float
+            # evaluation sums in it; these are far under `_DENSE_MIN_PAIRS`
             assert list(got) == list(want)
         if packed is None:
             packed = [x._packed for x in polys]
@@ -914,6 +930,191 @@ def test_dot_result_fields_on_edge_cases():
                                   (z1_254, z1)])
     assert cancelled._packed[1] == 255
     assert cancelled._packed[3] == poly_pack(cancelled._terms)[3]
+
+
+# -- the dense accumulator of large sums --------------------------------------
+
+
+def _dense_hits(monkeypatch):
+    """A list that gets True for each sum the dense accumulator takes and
+    False for each whose box it declines, from here on."""
+    hits = []
+    dense = _core._dense_dot
+
+    def counted(*args):
+        out = dense(*args)
+        hits.append(out is not None)
+        return out
+
+    monkeypatch.setattr(_core, "_dense_dot", counted)
+    return hits
+
+
+def _dict_path_dot(monkeypatch, packed_pairs):
+    """`poly_dot` of packed pairs with the dense accumulator switched off."""
+    with monkeypatch.context() as m:
+        m.setattr(_core, "_DENSE_MIN_PAIRS", float("inf"))
+        return _core.poly_dot(packed_pairs)
+
+
+def _ref_dot_values(pairs):
+    """The exact sum of p*q over term-dict pairs, as a dict of nonzero
+    Fraction pairs: the reference for values, in no particular order."""
+    out = {}
+    for p, q in pairs:
+        for e1, c1 in p.items():
+            r1 = _ref(c1)
+            for e2, c2 in q.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                out[e] = _ref_add(out.get(e, (0, 0)), _ref_mul(r1, _ref(c2)))
+    return {e: v for e, v in out.items() if v != (0, 0)}
+
+
+_DENSE_COEFFS = {
+    "int": lambda rng: (rng.choice((-3, -2, -1, 1, 2, 3)), 1, 0, 1),
+    "rational": lambda rng: _rand_q4(rng, (1, 2, 3, 4, 6))[:2] + (0, 1),
+    "gauss": lambda rng: _rand_q4(rng, (1,)),
+    "mixed": lambda rng: _rand_q4(rng, (1, 2, 3)),
+}
+
+
+def _dense_operand(rng, kind, n, top, nterms, degree=None):
+    """nterms terms in n variables with exponents up to top, of one
+    coefficient kind, all of one degree when degree is given."""
+    terms = {}
+    while len(terms) < nterms:
+        e = [rng.randint(0, top) for _ in range(n)]
+        if degree is not None:
+            e[-1] = degree - sum(e[:-1])
+            if not 0 <= e[-1] <= top:
+                continue
+        c = _DENSE_COEFFS[kind](rng)
+        if c[0] or c[2]:
+            terms[tuple(e)] = c
+    return terms
+
+
+def _dense_cases():
+    """Named sums of at least `_DENSE_MIN_PAIRS` term pairs whose boxes
+    fit: every coefficient lane, homogeneous and mixed-degree products, a
+    sum that cancels to 0 and one whose imaginary part cancels."""
+    rng = random.Random(144)
+    cases = {}
+    for kind in ("int", "rational", "gauss", "mixed"):
+        # mixed degrees: 3 variables, radix 13 each, 2,197 slots
+        cases[kind] = [(_dense_operand(rng, kind, 3, 6, 60),
+                        _dense_operand(rng, "int" if kind == "rational"
+                                       else kind, 3, 6, 80))
+                       for _ in range(2)]
+    # homogeneous of one degree: the last variable leaves the box
+    cases["homogeneous"] = [
+        (_dense_operand(rng, kind, 4, 4, 30, degree=4),
+         _dense_operand(rng, kind, 4, 4, 30, degree=4))
+        for kind in ("int", "mixed") * 5]
+    p = _dense_operand(rng, "mixed", 3, 6, 60)
+    q = _dense_operand(rng, "rational", 3, 6, 80)
+    cases["cancels"] = [(p, q), (p, {e: qneg(c) for e, c in q.items()})]
+    g = _dense_operand(rng, "gauss", 3, 6, 60)
+    conj = {e: (a, ad, -b, bd) for e, (a, ad, b, bd) in g.items()}
+    cases["real-part"] = [(g, q), (conj, q)]  # g q + conj(g) q = 2 Re(g) q
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_dense_cases()))
+def test_dense_accumulator_matches_reference_and_dict_path(name,
+                                                           monkeypatch):
+    pairs = _dense_cases()[name]
+    packed = [(poly_pack(p), poly_pack(q)) for p, q in pairs]
+    assert sum(len(p) * len(q) for p, q in pairs) >= _core._DENSE_MIN_PAIRS
+    hits = _dense_hits(monkeypatch)
+    got = _core.poly_dot(packed)
+    assert hits == [True]
+    slow = _dict_path_dot(monkeypatch, packed)
+    assert hits == [True]
+    terms = poly_unpack(got)
+    _check_canonical(terms)
+    want = _ref_dot_values(pairs)
+    assert {e: _ref(c) for e, c in terms.items()} == want
+    assert terms == poly_unpack(slow)  # equal values, maybe another order
+    # the dense path's order: ascending packed keys
+    assert got[3] == sorted(got[3])
+    # normalized as poly_pack packs its terms, with the dict path's top
+    assert got[2:] == poly_pack(terms)[2:]
+    assert got[:3] == slow[:3]
+    assert got[1] >= poly_pack(terms)[1]
+    if name == "cancels":
+        assert not terms and got == slow
+    if name in ("int", "rational", "real-part"):
+        assert got[5] is None and want
+    if name in ("gauss", "mixed"):
+        assert got[5] is not None
+
+
+def _dict_path_cases():
+    """Sums that keep the dict path, each with the dense accumulator's
+    verdict: a box over a quarter of the term pairs, a box over
+    `_DENSE_MAX_SLOTS`, 9-bit keys, and one pair under the threshold."""
+    rng = random.Random(145)
+    wide = _dense_operand(rng, "int", 3, 40, 100)
+    small = _dense_operand(rng, "gauss", 3, 6, 90)
+    spread = _dense_operand(rng, "int", 5, 3, 300)
+    nine_bit = dict(_dense_operand(rng, "mixed", 3, 6, 100))
+    nine_bit[(300, 0, 0)] = Q_ONE
+    z1 = {(1, 0, 0): Q_ONE}
+    return {
+        "box over a quarter of the pairs": ([(wide, small)], [False]),
+        "box over the slot cap": ([(spread, spread)], [False]),
+        "9-bit keys": ([(nine_bit, small)], []),
+        "under the threshold": ([(_dense_operand(rng, "int", 3, 6, 91),
+                                  small), (z1, z1)], []),
+    }
+
+
+def _box(pairs):
+    """The slots of the mixed-degree box of a sum of term-dict pairs."""
+    n = len(next(iter(pairs[0][0])))
+    slots = 1
+    for v in range(n):
+        slots *= 1 + max(max(e[v] for e in p) + max(e[v] for e in q)
+                         for p, q in pairs)
+    return slots
+
+
+@pytest.mark.parametrize("name", sorted(_dict_path_cases()))
+def test_sums_outside_the_dense_rules_keep_the_dict_path(name, monkeypatch):
+    pairs, verdicts = _dict_path_cases()[name]
+    size = sum(len(p) * len(q) for p, q in pairs)
+    if name == "under the threshold":
+        assert size == _core._DENSE_MIN_PAIRS - 1
+    else:
+        assert size >= _core._DENSE_MIN_PAIRS
+    if name == "box over the slot cap":
+        assert _core._DENSE_MAX_SLOTS < _box(pairs) <= size // 4
+    packed = [(poly_pack(p), poly_pack(q)) for p, q in pairs]
+    hits = _dense_hits(monkeypatch)
+    got = _core.poly_dot(packed)
+    assert hits == verdicts
+    slow = _dict_path_dot(monkeypatch, packed)
+    # the dict path's result, fields and term order alike
+    assert got == slow
+    assert {e: _ref(c) for e, c in poly_unpack(got).items()} == \
+        _ref_dot_values(pairs)
+
+
+def test_parity_and_theorem33_sums_on_the_dense_accumulator(monkeypatch):
+    from pencilforms.jacobi import trace_power_form
+    from pencilforms.sampling import random_matrix_tuple, rng_for
+    from pencilforms.suites import suite_cubic_trace
+
+    hits = _dense_hits(monkeypatch)
+    f = random_matrix_tuple(rng_for(1, "parity", 3, 5, 0), 5, 3).pencil()
+    assert trace_power_form(f, 4).is_zero
+    # tr(omega^2 ^ omega^2) at (k, n) = (3, 5): five sums, each in 6,561
+    # slots, the last of the five variables left out by homogeneity
+    assert hits == [True] * 5
+    del hits[:]
+    assert all(r.passed for r in suite_cubic_trace(1, 6))
+    assert hits.count(True) == 0
 
 
 def _ref_partial(terms, k):

@@ -20,8 +20,7 @@ from pencilforms.transgression import (hyperplane_decomposition, kappa,
 from pencilforms.jacobi import (cubic_trace_data, factorize_top_form,
                                 trace_power_form)
 from pencilforms.torus import (TorusConfig, TorusElement,
-                               factorization_report, neumann_resolvent,
-                               torus_cocycle)
+                               factorization_report, neumann_resolvent)
 from pencilforms.suites import SuiteReport, run_suite
 
 __version__ = "0.1.0"
@@ -57,7 +56,6 @@ __all__ = [
     "neumann_resolvent",
     "run_suite",
     "tau",
-    "torus_cocycle",
     "trace_power_form",
     "transgression_report",
 ]

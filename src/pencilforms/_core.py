@@ -90,10 +90,6 @@ def qneg(a):
     return (-a[0], a[1], -a[2], a[3])
 
 
-def qsub(a, b):
-    return qadd(a, qneg(b))
-
-
 def qmul(a, b):
     an, ad, bn, bd = a
     cn, cd, dn, dd = b

@@ -261,7 +261,12 @@ class FunctionalCochain(Cochain):
 
 
 class FormulaCoboundary(Cochain):
-    """b phi evaluated straight from the defining alternating sum."""
+    """b phi evaluated straight from the defining alternating sum.
+
+    A term of sign -1 is added negated: every value ring here (Scalar,
+    MultiPoly, RatFn, CycloElement, complex and the torus suite's
+    twist-free terms) negates, and not all of them subtract.
+    """
 
     def __init__(self, base: Cochain):
         self.base = base
@@ -281,12 +286,12 @@ class FormulaCoboundary(Cochain):
             merged[j - 2] = args[j - 2]
             merged[j - 1] = alg_mul(args[j - 1], args[j])
             val = base(merged)
-            total = total - val if j % 2 == 0 else total + val
+            total = total + (-val if j % 2 == 0 else val)
         # the wrap term reads (x_{a+1} x_1, x_2, .., x_a)
         merged[a - 1] = args[a - 1]
         merged[0] = alg_mul(args[a], args[0])
         wrap = base(merged)
-        return total - wrap if a % 2 == 1 else total + wrap
+        return total + (-wrap if a % 2 == 1 else wrap)
 
     def tensors(self, k: int) -> List[DenseCochain]:
         return [_dense_coboundary(outer_product(self.base.tensors(k)))]

@@ -344,12 +344,6 @@ class MatrixForm:
     def __mul__(self, other):
         if isinstance(other, (MultiPoly, Scalar, int, Fraction)):
             return self._lifted(other, self.den_base, self.den_pow)._reduced()
-        if isinstance(other, RatFn):
-            # the wedge with the 0-form other times the identity
-            return self.wedge(MatrixForm._from_parts(
-                self.n, self.k, 0,
-                {(): PolyMatrix.identity(self.n, self.k) * other.num},
-                other.den_base, other.den_pow))
         return NotImplemented
 
     __rmul__ = __mul__

@@ -12,8 +12,8 @@ single kernel accumulator over all the entry products of the sum (see
 `_core.poly_dot`), not one product and one addition per entry pair. A
 product is the one-pair sum and ``trace(other)`` its one-pair trace; the
 matrix forms pass every term pair that lands on one form coefficient at
-once. `grid_mul` and `grid_trace` stay generic for the Scalar, RatFn and
-complex grids of cochains and sampling.
+once. `grid_mul` and `grid_trace` stay generic for the plain grid
+arguments of cochains (`cochains.alg_mul` and `alg_trace`).
 
 Determinants and adjugates use first-row expansion memoized over (row
 subset, column subset), which is exact over any commutative ring and
@@ -55,10 +55,6 @@ def grid_mul(a: Sequence, b: Sequence) -> tuple:
 
 def grid_add(a: Sequence, b: Sequence) -> tuple:
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def grid_sub(a: Sequence, b: Sequence) -> tuple:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def grid_scale(a: Sequence, c) -> tuple:
@@ -186,18 +182,6 @@ class PolyMatrix:
         return cls(n, [[z] * k for _ in range(k)])
 
     @classmethod
-    def identity(cls, n: int, k: int) -> "PolyMatrix":
-        z, o = MultiPoly.zero(n), MultiPoly.one(n)
-        return cls(n, [[o if r == c else z for c in range(k)]
-                       for r in range(k)])
-
-    @classmethod
-    def constant(cls, n: int, grid: Sequence) -> "PolyMatrix":
-        """Lift a grid of Scalar/int entries to constant polynomials."""
-        return cls(n, [[MultiPoly.constant(n, x) for x in row]
-                       for row in grid])
-
-    @classmethod
     def parse(cls, entries: Sequence, n: int) -> "PolyMatrix":
         """Build from a grid of polynomial text entries."""
         return cls(n, [[MultiPoly.parse(e, n) for e in row]
@@ -220,12 +204,6 @@ class PolyMatrix:
             return PolyMatrix(self.n, grid_add(self.rows, other.rows))
         return NotImplemented
 
-    def __sub__(self, other):
-        if isinstance(other, PolyMatrix):
-            self._check(other)
-            return PolyMatrix(self.n, grid_sub(self.rows, other.rows))
-        return NotImplemented
-
     def __neg__(self) -> "PolyMatrix":
         return PolyMatrix(self.n, [[-e for e in row] for row in self.rows])
 
@@ -233,11 +211,6 @@ class PolyMatrix:
         if isinstance(other, PolyMatrix):
             self._check(other)
             return PolyMatrix.dot(self.n, ((self, other),))
-        if isinstance(other, (MultiPoly, Scalar, int, Fraction)):
-            return PolyMatrix(self.n, grid_scale(self.rows, other))
-        return NotImplemented
-
-    def __rmul__(self, other):
         if isinstance(other, (MultiPoly, Scalar, int, Fraction)):
             return PolyMatrix(self.n, grid_scale(self.rows, other))
         return NotImplemented
@@ -293,10 +266,6 @@ class PolyMatrix:
     def partial(self, var: int) -> "PolyMatrix":
         return PolyMatrix(self.n, [[e.partial(var) for e in row]
                                    for row in self.rows])
-
-    def evaluate(self, point: Sequence[complex]) -> tuple:
-        return tuple(tuple(e.evaluate(point) for e in row)
-                     for row in self.rows)
 
     def entry_degrees_homogeneous(self) -> Optional[int]:
         """Common homogeneity degree of the nonzero entries, else None."""
@@ -382,9 +351,6 @@ class MatrixTuple:
         if not isinstance(other, MatrixTuple):
             return NotImplemented
         return self.mats == other.mats
-
-    def __hash__(self) -> int:
-        return hash(self.mats)
 
     def __repr__(self) -> str:
         return f"MatrixTuple(n={self.n}, k={self.k})"

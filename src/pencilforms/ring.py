@@ -47,7 +47,6 @@ from pencilforms._core import (
     qmul,
     qneg,
     qnorm,
-    qsub,
 )
 
 Exponents = tuple  # exponent tuple of length n; one entry per variable
@@ -74,11 +73,12 @@ def _as_q4(value) -> tuple:
 class Scalar:
     """An exact Gaussian rational.
 
-    Every binary operator and `==` reads its operand through `_as_q4`;
-    another type gives NotImplemented, so a `CycloElement` operand takes
-    over and any other raises TypeError or compares unequal.
+    `+`, `*`, `==` and the division of another value by a Scalar read
+    their operand through `_as_q4`; another type gives NotImplemented, so
+    a `CycloElement` operand takes over and any other raises TypeError or
+    compares unequal.
 
-    >>> Scalar(1, 2) + Scalar.i()
+    >>> Scalar(Fraction(1, 2), 1)
     Scalar('1/2+i')
     """
 
@@ -95,18 +95,6 @@ class Scalar:
         s._v = v
         return s
 
-    @classmethod
-    def i(cls) -> "Scalar":
-        return cls(0, 1)
-
-    @property
-    def real(self) -> Fraction:
-        return Fraction(self._v[0], self._v[1])
-
-    @property
-    def imag(self) -> Fraction:
-        return Fraction(self._v[2], self._v[3])
-
     @property
     def is_zero(self) -> bool:
         return self._v[0] == 0 and self._v[2] == 0
@@ -122,18 +110,6 @@ class Scalar:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        try:
-            return Scalar.from_q4(qsub(self._v, _as_q4(other)))
-        except TypeError:
-            return NotImplemented
-
-    def __rsub__(self, other):
-        try:
-            return Scalar.from_q4(qsub(_as_q4(other), self._v))
-        except TypeError:
-            return NotImplemented
-
     def __neg__(self) -> "Scalar":
         return Scalar.from_q4(qneg(self._v))
 
@@ -144,12 +120,6 @@ class Scalar:
             return NotImplemented
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        try:
-            return Scalar.from_q4(qmul(self._v, qinv(_as_q4(other))))
-        except TypeError:
-            return NotImplemented
 
     def __rtruediv__(self, other):
         try:
@@ -165,9 +135,6 @@ class Scalar:
             return self._v == _as_q4(other)
         except TypeError:
             return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._v)
 
     def to_complex(self) -> complex:
         an, ad, bn, bd = self._v
@@ -254,7 +221,7 @@ def _split_signed(s: str) -> Iterator[str]:
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
-I = Scalar.i()
+I = Scalar(0, 1)
 
 
 class CycloElement:
@@ -266,8 +233,8 @@ class CycloElement:
     class serves as the exact coefficient ring of the noncommutative torus,
     where the deformation parameter is t^p for a chosen power p.
 
-    `+`, `-`, `*` and `==` read their operand through `_coerce`, except
-    that `*` scales by an int directly.
+    `+`, `*` and `==` read their operand through `_coerce`, except that
+    `*` scales by an int directly.
     """
 
     __slots__ = ("q", "_terms")
@@ -337,16 +304,6 @@ class CycloElement:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return CycloElement._make(self.q, _sum_terms(self._terms,
-                                                     _neg_terms(other._terms)))
-
-    def __rsub__(self, other):
-        return -self + other
-
     def __neg__(self) -> "CycloElement":
         return CycloElement._make(self.q, _neg_terms(self._terms))
 
@@ -384,9 +341,6 @@ class CycloElement:
         if other is None:
             return NotImplemented
         return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash((self.q, self._terms))
 
     def __str__(self) -> str:
         parts = []
@@ -601,17 +555,6 @@ class MultiPoly:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        if isinstance(other, MultiPoly):
-            self._check(other)
-            return MultiPoly(self.n, poly_sub(self._terms, other._terms))
-        if isinstance(other, (Scalar, int, Fraction)):
-            return self - MultiPoly.constant(self.n, other)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __neg__(self) -> "MultiPoly":
         if self._packed is None:
             return MultiPoly(self.n, poly_neg(self._dict))
@@ -688,19 +631,6 @@ class MultiPoly:
             raise ValueError(f"variable index {var} outside 1..{self.n}")
         return MultiPoly._of_packed(self.n,
                                     packed_partial(self.packed(), var - 1))
-
-    def evaluate(self, point: Sequence[complex]) -> complex:
-        """Numeric evaluation at a complex point of length n."""
-        if len(point) != self.n:
-            raise ValueError(f"expected {self.n} coordinates, got {len(point)}")
-        total = 0j
-        for exps, c in self._terms.items():
-            term = Scalar.from_q4(c).to_complex()
-            for z, e in zip(point, exps):
-                if e:
-                    term *= z ** e
-            total += term
-        return total
 
     def exact_divide(self, d: "MultiPoly") -> Optional["MultiPoly"]:
         """Return q with self == q*d, or None when no such polynomial exists.
@@ -885,10 +815,6 @@ class RatFn:
     def zero(cls, n: int) -> "RatFn":
         return cls(MultiPoly.zero(n))
 
-    @classmethod
-    def one(cls, n: int) -> "RatFn":
-        return cls(MultiPoly.one(n))
-
     @property
     def n(self) -> int:
         return self.num.n
@@ -992,12 +918,6 @@ class RatFn:
     def as_polynomial(self) -> Optional[MultiPoly]:
         """The polynomial self equals, or None when the division is inexact."""
         return self.num.exact_divide(self.den)
-
-    def evaluate(self, point: Sequence[complex]) -> complex:
-        d = self.den.evaluate(point)
-        if d == 0:
-            raise ZeroDivisionError(f"denominator vanishes at {list(point)}")
-        return self.num.evaluate(point) / d
 
     def __str__(self) -> str:
         if self.den_pow == 0:

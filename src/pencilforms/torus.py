@@ -77,7 +77,7 @@ class _TwistFree:
 
     Products add exponents and multiply the integers, and an integer scales
     c, so a monomial tuple evaluates to one such term at every twist at
-    once. `+` and `-` of two nonzero terms with different exponents raise
+    once. `+` of two nonzero terms with different exponents raises
     `_MixedTwist`, and `==` of them is False: the identity under check then
     holds at some twists only. Zero is falsy, whatever its exponent.
     """
@@ -112,16 +112,10 @@ class _TwistFree:
             raise _MixedTwist(f"{self!r} + {other!r}")
         return _TwistFree(self.c + other.c, self.e)
 
-    def __sub__(self, other: "_TwistFree") -> "_TwistFree":
-        return self + -other
-
     def __eq__(self, other) -> bool:
         if type(other) is not _TwistFree:
             return NotImplemented
         return self.c == other.c and (not self.c or self.e == other.e)
-
-    def __hash__(self) -> int:
-        return hash((self.c, self.e if self.c else 0))
 
     def __repr__(self) -> str:
         return f"{self.c}*lambda^{self.e}"
@@ -266,9 +260,6 @@ class TorusConfig:
         return (self.mode, self.q, self.p_prime, self.theta) == \
             (other.mode, other.q, other.p_prime, other.theta)
 
-    def __hash__(self) -> int:
-        return hash((self.mode, self.q, self.p_prime, self.theta))
-
     def __repr__(self) -> str:
         if self.mode == "twist-free":
             return "TorusConfig._twist_free()"
@@ -357,16 +348,6 @@ class TorusElement:
             out[key] = out[key] + value if key in out else value
         return TorusElement._make(self.config, out.items())
 
-    def __sub__(self, other):
-        if not isinstance(other, TorusElement):
-            return NotImplemented
-        return self + -other
-
-    def __neg__(self) -> "TorusElement":
-        return TorusElement._make(self.config,
-                                  ((key, -value)
-                                   for key, value in self.coeffs.items()))
-
     def __mul__(self, other):
         """Product by (U^a V^b)(U^c V^d) = lambda^(-b c) U^(a+c) V^(b+d),
         one twisted step per term pair (`_pair_sum`); a scalar scales each
@@ -380,12 +361,6 @@ class TorusElement:
         return TorusElement._make(self.config,
                                   ((key, value * scale)
                                    for key, value in self.coeffs.items()))
-
-    def __rmul__(self, other):
-        if isinstance(other, TorusElement):
-            return NotImplemented
-        # scalar coefficients commute with everything
-        return self.__mul__(other)
 
     def trace(self, other: Optional["TorusElement"] = None):
         """Coefficient at (0, 0) of self, or of self * other without
@@ -491,9 +466,6 @@ class TorusElement:
             return NotImplemented
         return self.config == other.config and self.coeffs == other.coeffs
 
-    def __hash__(self) -> int:
-        return hash((self.config, frozenset(self.coeffs.items())))
-
     def __repr__(self) -> str:
         return f"TorusElement('{format_element(self)}')"
 
@@ -549,11 +521,6 @@ def cocycle(which: str) -> FunctionalCochain:
         raise ValueError(f"unknown cocycle {which!r}; expected one of "
                          f"{sorted(_COCYCLES)}")
     return _COCYCLES[which]()
-
-
-def torus_cocycle(which: str, args: Sequence[TorusElement]):
-    """Evaluate phi1, phi2, psi1, or psi2 on a tuple of torus elements."""
-    return cocycle(which)(list(args))
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ permutation, the wedge, trace and exterior derivative of
 matrix forms one ordered term pair at a time (a trace also with each
 product formed), the sum, wedge and exterior
 derivative of scalar forms one RatFn coefficient at a time (d by the
-quotient rule), the top-form residual by subtraction, form coefficients
-at a point in floats, cyclotomic
+quotient rule), the top-form residual by subtraction, polynomials,
+rational functions, polynomial matrices and form coefficients at a point
+in floats, the identity and constant polynomial matrices, cyclotomic
 arithmetic on dense coefficient vectors, a polynomial power as repeated
 products from one, the JSON of form coefficients rendered one
 coefficient at a time, and every zero-sum torus degree tuple of a box,
@@ -84,7 +85,7 @@ def adjugate_double_minor_check(a: Sequence, one) -> bool:
                     if q == j:
                         continue
                     lhs = (adj[i - 1][j - 1] * adj[p - 1][q - 1]
-                           - adj[i - 1][q - 1] * adj[p - 1][j - 1])
+                           + -(adj[i - 1][q - 1] * adj[p - 1][j - 1]))
                     comp = grid_det(grid_minor(a, (j, q), (i, p)), one)
                     sign = 1 if (i + p + j + q) % 2 == 0 else -1
                     if i > p:
@@ -279,7 +280,7 @@ def matrix_d_reference(x: MatrixForm) -> MatrixForm:
                 num = mat.partial(v)
             else:
                 num = (mat.partial(v) * base
-                       - mat * (base.partial(v) * pow_))
+                       + mat * (base.partial(v) * -pow_))
             num = num * sign
             out[new_index] = out[new_index] + num \
                 if new_index in out else num
@@ -287,21 +288,63 @@ def matrix_d_reference(x: MatrixForm) -> MatrixForm:
                       pow_ + 1 if pow_ else 0)._reduced()
 
 
+def identity_matrix(n: int, k: int) -> PolyMatrix:
+    """The k x k identity over polynomials in n variables."""
+    z, o = MultiPoly.zero(n), MultiPoly.one(n)
+    return PolyMatrix(n, [[o if r == c else z for c in range(k)]
+                          for r in range(k)])
+
+
+def constant_matrix(n: int, grid: Sequence) -> PolyMatrix:
+    """A grid of Scalar/int entries lifted to constant polynomials."""
+    return PolyMatrix(n, [[MultiPoly.constant(n, x) for x in row]
+                          for row in grid])
+
+
+def poly_value(p: MultiPoly, point: Sequence[complex]) -> complex:
+    """p at a complex point of length n, in floats, summed in the order of
+    its term dict."""
+    if len(point) != p.n:
+        raise ValueError(f"expected {p.n} coordinates, got {len(point)}")
+    total = 0j
+    for exps, c in p._terms.items():
+        term = Scalar.from_q4(c).to_complex()
+        for z, e in zip(point, exps):
+            if e:
+                term *= z ** e
+        total += term
+    return total
+
+
+def ratfn_value(r: RatFn, point: Sequence[complex]) -> complex:
+    """r at a complex point, in floats; raises where its denominator
+    vanishes."""
+    d = poly_value(r.den, point)
+    if d == 0:
+        raise ZeroDivisionError(f"denominator vanishes at {list(point)}")
+    return poly_value(r.num, point) / d
+
+
+def matrix_value(m: PolyMatrix, point: Sequence[complex]) -> tuple:
+    """Every entry of a polynomial matrix at a complex point, in floats."""
+    return tuple(tuple(poly_value(e, point) for e in row) for row in m.rows)
+
+
 def matrix_form_values(form: MatrixForm, point: Sequence[complex]) -> dict:
     """Every coefficient matrix of a matrix form at a point, in floats;
     raises at a zero of the form's denominator."""
-    d = form.den().evaluate(point)
+    d = poly_value(form.den(), point)
     if d == 0:
         raise ZeroDivisionError(f"denominator vanishes at {list(point)}")
     return {index: tuple(tuple(e / d for e in row)
-                         for row in mat.evaluate(point))
+                         for row in matrix_value(mat, point))
             for index, mat in sorted(form.terms.items())}
 
 
 def scalar_form_values(form: ScalarForm, point: Sequence[complex]) -> dict:
     """Every coefficient of a scalar form at a point, each reduced first;
     raises at a pole of any coefficient."""
-    return {index: form.coefficient(index).evaluate(point)
+    return {index: ratfn_value(form.coefficient(index), point)
             for index in sorted(form.terms)}
 
 
@@ -311,7 +354,7 @@ def ratfn_partial(r: RatFn, var: int) -> RatFn:
     if r.den_pow == 0:
         return RatFn(r.num.partial(var))
     num = (r.num.partial(var) * r.den_base
-           - r.num * r.den_base.partial(var) * r.den_pow)
+           + r.num * r.den_base.partial(var) * -r.den_pow)
     return RatFn.over_power(num, r.den_base, r.den_pow + 1).reduce()
 
 
@@ -387,7 +430,7 @@ def top_form_residual_reference(big_t: ScalarForm) -> ScalarForm:
     n = big_t.n
     q = (big_t.coefficient(tuple(range(2, n + 1)))
          * RatFn(MultiPoly.constant(n, -1), MultiPoly.variable(n, 1))).reduce()
-    return big_t - s_form(n) * q
+    return big_t - s_form(n).wedge(ScalarForm(n, 0, {(): q}))
 
 
 def cyclo_dense(x: CycloElement) -> tuple:

@@ -73,6 +73,12 @@ def dense_cochain() -> dict:
     return {"arity": 3, "k": 3, "terms": terms}
 
 
+# A polynomial-matrix input: entries in the polynomial text form, with a
+# parenthesized Gaussian coefficient, a bare i, a rational factor and
+# powers; no "n", so the variable count is inferred from the names.
+POLY_MATRIX = {"entries": [["z1^2+(1/2+i)*z2*z3", "2*z1*z2-i*z3^2"],
+                           ["-z2^2+1/3*z1*z3", "z3^2+(2-1/2*i)*z1^2"]]}
+
 # an argument naming the dense cochain file, written next to the input
 DENSE_FILE = "dense:{dir}/cochain.json"
 
@@ -122,6 +128,10 @@ def cases():
             out.append((f"form-kappa-cyclic3-{name}", [
                 "form", "--kind", "kappa", "--cochain", "cyclic-random:3:2:5",
                 "--input"], data))
+    out += text_and_json("spectrum-poly-matrix", ["spectrum", "--input"],
+                         POLY_MATRIX)
+    out += text_and_json("form-mc-poly-matrix",
+                         ["form", "--kind", "mc", "--input"], POLY_MATRIX)
     out.append(("form-kappa-dense-gaussian", [
         "form", "--kind", "kappa", "--cochain", DENSE_FILE, "--input"],
         PENCILS["gaussian"]))
@@ -241,6 +251,17 @@ DIGESTS = {
         "918e0234eaccf65d0208bd0ef08a4747c45386bdfe0d828840ced755d048b727",
     "form-kappa-dense-gaussian":
         "65aa8e17f996b307270508f5ea35b385c206c107d72f94ccdc062e248be6d397",
+    # recorded before the unreached library code was deleted, so that these
+    # pins show the kept polynomial parser's output did not move; `form`
+    # prints its JSON either way
+    "spectrum-poly-matrix":
+        "b5e6eb05608954070a7553ad3461f8c5be88e08685bd7c0c3990ccd2c220d3bb",
+    "spectrum-poly-matrix-json":
+        "5891b3b7fc0f6d4c1e650fb1fa3d3885082bb0588d5d4cd02272f2ee2539549b",
+    "form-mc-poly-matrix":
+        "266998db2677b2a79af331923bb8c4a0f319557abc72dde5f3941e3e88d304da",
+    "form-mc-poly-matrix-json":
+        "266998db2677b2a79af331923bb8c4a0f319557abc72dde5f3941e3e88d304da",
 }
 
 

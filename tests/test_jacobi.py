@@ -25,8 +25,9 @@ from pencilforms.ring import MultiPoly, RatFn, Scalar
 from pencilforms.sampling import random_matrix_tuple, rng_for
 from pencilforms.transgression import kappa_wedge_oracle
 from conftest import count_poly_mul
-from oracles import (anchored_trace_power_reference, scalar_form_values,
-                     top_form_residual_reference, trace_word_dense)
+from oracles import (anchored_trace_power_reference, constant_matrix,
+                     scalar_form_values, top_form_residual_reference,
+                     trace_word_dense)
 from test_linalg import rand_gauss_tuple
 
 
@@ -262,14 +263,14 @@ def test_cubic_traces_match_formed_products():
               random_matrix_tuple(rng, 4, 3)):
         f = t.pencil()
         det, adj = f.det(), f.adjugate()
-        mats = {j: PolyMatrix.constant(4, t.matrix(j)) for j in range(1, 5)}
+        mats = {j: constant_matrix(4, t.matrix(j)) for j in range(1, 5)}
         fact, _ = cubic_trace_data(t)
         assert any(not v.is_zero for v in fact.bar_i)
         assert fact.residual.is_zero
         for (i, j, m) in combinations(range(1, 5), 3):
             fwd = adj * mats[i] * adj * mats[j] * adj * mats[m]
             bwd = adj * mats[i] * adj * mats[m] * adj * mats[j]
-            want = RatFn.over_power((fwd - bwd).trace(), det, 3)
+            want = RatFn.over_power((fwd + -bwd).trace(), det, 3)
             left_out = 10 - i - j - m
             assert fact.bar_i[left_out - 1] == want
 
@@ -290,7 +291,8 @@ def test_top_form_residual_matches_subtraction_reference():
                 (ScalarForm(4, 3, {(1, 2, 3): z[1]}), False),
                 (ScalarForm(4, 3, {(1, 3, 4): RatFn(z[2] * z[4], det)}),
                  False),
-                (s_form(4) * RatFn(z[3], det), True)):
+                (s_form(4).wedge(ScalarForm(4, 0, {(): RatFn(z[3], det)})),
+                 True)):
             big_t = top + spoil
             fact = _factor_top_form(big_t)
             want = top_form_residual_reference(big_t)

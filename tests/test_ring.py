@@ -8,12 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (convolve, cyclo_dense, cyclo_dense_str,
-                     poly_power_reference, ratfn_partial)
+from oracles import (convolve, cyclo_dense, cyclo_dense_str, poly_value,
+                     poly_power_reference, ratfn_partial, ratfn_value)
 from pencilforms import _core, ring
 from pencilforms._core import (Q_ONE, Q_ZERO, poly_add, poly_mul, poly_pack,
-                               poly_unpack, qadd, qinv, qmul, qneg, qnorm,
-                               qsub)
+                               poly_unpack, qadd, qinv, qmul, qneg, qnorm)
 from pencilforms.ring import CycloElement, I, MultiPoly, RatFn, Scalar, _as_q4
 
 
@@ -23,6 +22,12 @@ def rand_scalar(rng, imag_prob=0.4):
     if rng.random() < imag_prob:
         im = Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3]))
     return Scalar(re, im)
+
+
+def parts(s: Scalar) -> tuple:
+    """The real and imaginary parts of s as Fractions."""
+    an, ad, bn, bd = s._v
+    return Fraction(an, ad), Fraction(bn, bd)
 
 
 def rand_poly(rng, n, max_deg=2, nterms=4):
@@ -40,13 +45,11 @@ def test_scalar_ops_match_fraction_oracle():
     rng = random.Random(101)
     for _ in range(200):
         a, b = rand_scalar(rng), rand_scalar(rng)
-        ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-        s = a + b
-        assert (s.real, s.imag) == (ar + br, ai + bi)
-        p = a * b
-        assert (p.real, p.imag) == (ar * br - ai * bi, ar * bi + ai * br)
+        (ar, ai), (br, bi) = parts(a), parts(b)
+        assert parts(a + b) == (ar + br, ai + bi)
+        assert parts(a * b) == (ar * br - ai * bi, ar * bi + ai * br)
         if not b.is_zero:
-            q = a / b
+            q = a * b.inverse()
             assert q * b == a
 
 
@@ -55,7 +58,7 @@ def test_scalar_inverse_and_zero_division():
     with pytest.raises(ZeroDivisionError):
         Scalar(0).inverse()
     with pytest.raises(ZeroDivisionError):
-        Scalar(1) / Scalar(0)
+        1 / Scalar(0)
 
 
 def test_scalar_text_round_trip():
@@ -155,9 +158,8 @@ def test_cyclo_ops_match_dense_oracle(pair, s, power, scale):
     zero = (Q_ZERO,) * q
     assert cyclo_dense(x) == dx and cyclo_dense(y) == dy
     assert cyclo_dense(x + y) == tuple(map(qadd, dx, dy))
-    assert cyclo_dense(x - y) == tuple(map(qsub, dx, dy))
     assert cyclo_dense(-x) == tuple(map(qneg, dx))
-    assert cyclo_dense(x - x) == cyclo_dense(x + (-x)) == zero
+    assert cyclo_dense(x + (-x)) == zero
     assert cyclo_dense(x * y) == convolve(dx, dy)
     assert cyclo_dense(x * s) == cyclo_dense(s * x) == convolve(dx, ds)
     rotation = [Q_ZERO] * q
@@ -167,7 +169,7 @@ def test_cyclo_ops_match_dense_oracle(pair, s, power, scale):
     for value, dense in ((x, dx), (x + y, tuple(map(qadd, dx, dy))),
                          (x * y, convolve(dx, dy))):
         rebuilt = CycloElement(q, [Scalar.from_q4(c) for c in dense])
-        assert value == rebuilt and hash(value) == hash(rebuilt)
+        assert value == rebuilt
         assert bool(value) == (dense != zero)
         assert str(value) == cyclo_dense_str(dense)
     assert (x == y) == (dx == dy)
@@ -243,10 +245,8 @@ def test_one_term_fast_paths_match_the_general_route(pair, power, scale, n):
         == convolved(tx, ty)
     dx, dy = cyclo_dense(x), cyclo_dense(y)
     assert (x + y)._terms == (y + x)._terms == terms_of(map(qadd, dx, dy))
-    assert (x - y)._terms == terms_of(map(qsub, dx, dy))
-    assert (y - x)._terms == terms_of(map(qsub, dy, dx))
     assert (-x)._terms == terms_of(map(qneg, dx))
-    assert (x - x)._terms == (x + (-x))._terms == ()
+    assert (x + (-x))._terms == ()
     assert (x == y) == (tx == ty) and (x != y) == (tx != ty)
     assert (x == n) == (tx == factor)
     assert CycloElement.zero(q)._terms == ()
@@ -269,7 +269,7 @@ def test_cyclo_mixed_orders_raise_on_every_path():
     # one-term operands take the fast paths, two-term ones the general route
     for x, y in ((CycloElement.root(3), CycloElement.root(4)),
                  (CycloElement(3, [1, 2, 0]), CycloElement(4, [1, 0, 2, 0]))):
-        for op in (lambda a, b: a + b, lambda a, b: a - b,
+        for op in (lambda a, b: a + b,
                    lambda a, b: a * b, lambda a, b: a == b,
                    lambda a, b: a != b, lambda a, b: a.mul_rotate(b, 1, 2)):
             with pytest.raises(ValueError, match="mixed orders"):
@@ -286,10 +286,9 @@ OPERAND_RIGHT = {"int": 2, "Fraction": Fraction(1, 2),
                  "CycloElement": CycloElement(4, [0, 2, 0, 1]),
                  "CycloElement q=3": CycloElement(3, [1, 1, 0]),
                  "float": 1.5, "str": "x"}
-OPERAND_OPS = {"x + y": lambda x, y: x + y, "x - y": lambda x, y: x - y,
-               "x * y": lambda x, y: x * y, "x / y": lambda x, y: x / y,
-               "y + x": lambda x, y: y + x, "y - x": lambda x, y: y - x,
-               "y * x": lambda x, y: y * x, "y / x": lambda x, y: y / x}
+OPERAND_OPS = {"x + y": lambda x, y: x + y, "x * y": lambda x, y: x * y,
+               "y + x": lambda x, y: y + x, "y * x": lambda x, y: y * x,
+               "y / x": lambda x, y: y / x}
 _S, _C, _C3 = "Scalar('{}')", "CycloElement(q=4, '{}')", \
     "CycloElement(q=3, '{}')"
 # repr of each result in OPERAND_OPS order, recorded from the per-type
@@ -297,47 +296,38 @@ _S, _C, _C3 = "Scalar('{}')", "CycloElement(q=4, '{}')", \
 # ValueError name what is raised
 OPERAND_TABLE = {
     ("Scalar", "int"): [_S.format(v) for v in (
-        "7/2-i", "-1/2-i", "3-2*i", "3/4-1/2*i",
-        "7/2-i", "1/2+i", "3-2*i", "12/13+8/13*i")],
+        "7/2-i", "3-2*i", "7/2-i", "3-2*i", "12/13+8/13*i")],
     ("Scalar", "Fraction"): [_S.format(v) for v in (
-        "2-i", "1-i", "3/4-1/2*i", "3-2*i",
-        "2-i", "-1+i", "3/4-1/2*i", "3/13+2/13*i")],
+        "2-i", "3/4-1/2*i", "2-i", "3/4-1/2*i", "3/13+2/13*i")],
+    # y / x: a Scalar divides values of other types only (`__rtruediv__`)
     ("Scalar", "Scalar"): [_S.format(v) for v in (
-        "1/2-1/2*i", "5/2-3/2*i", "-1+7/4*i", "-8/5+1/5*i",
-        "1/2-1/2*i", "-5/2+3/2*i", "-1+7/4*i", "-8/13-1/13*i")],
+        "1/2-1/2*i", "-1+7/4*i", "1/2-1/2*i", "-1+7/4*i")] + [TypeError],
     ("Scalar", "CycloElement"): [
-        _C.format("t^3+2*t+(3/2-i)"), _C.format("-t^3-2*t+(3/2-i)"),
-        _C.format("(3/2-i)*t^3+(3-2*i)*t"), TypeError,
-        _C.format("t^3+2*t+(3/2-i)"), _C.format("t^3+2*t+(-3/2+i)"),
-        _C.format("(3/2-i)*t^3+(3-2*i)*t"), TypeError],
+        _C.format("t^3+2*t+(3/2-i)"), _C.format("(3/2-i)*t^3+(3-2*i)*t"),
+        _C.format("t^3+2*t+(3/2-i)"), _C.format("(3/2-i)*t^3+(3-2*i)*t"),
+        TypeError],
     ("Scalar", "CycloElement q=3"): [
-        _C3.format("t+(5/2-i)"), _C3.format("-t+(1/2-i)"),
-        _C3.format("(3/2-i)*t+(3/2-i)"), TypeError,
-        _C3.format("t+(5/2-i)"), _C3.format("t+(-1/2+i)"),
-        _C3.format("(3/2-i)*t+(3/2-i)"), TypeError],
+        _C3.format("t+(5/2-i)"), _C3.format("(3/2-i)*t+(3/2-i)"),
+        _C3.format("t+(5/2-i)"), _C3.format("(3/2-i)*t+(3/2-i)"), TypeError],
     ("CycloElement", "int"): [
-        _C.format("-1/2*t^3+i*t+3"), _C.format("-1/2*t^3+i*t-1"),
-        _C.format("-t^3+2*i*t+2"), TypeError,
-        _C.format("-1/2*t^3+i*t+3"), _C.format("1/2*t^3-i*t+1"),
-        _C.format("-t^3+2*i*t+2"), TypeError],
+        _C.format("-1/2*t^3+i*t+3"), _C.format("-t^3+2*i*t+2"),
+        _C.format("-1/2*t^3+i*t+3"), _C.format("-t^3+2*i*t+2"), TypeError],
     ("CycloElement", "Fraction"): [
-        _C.format("-1/2*t^3+i*t+3/2"), _C.format("-1/2*t^3+i*t+1/2"),
-        _C.format("-1/4*t^3+1/2*i*t+1/2"), TypeError,
-        _C.format("-1/2*t^3+i*t+3/2"), _C.format("1/2*t^3-i*t-1/2"),
-        _C.format("-1/4*t^3+1/2*i*t+1/2"), TypeError],
+        _C.format("-1/2*t^3+i*t+3/2"), _C.format("-1/4*t^3+1/2*i*t+1/2"),
+        _C.format("-1/2*t^3+i*t+3/2"), _C.format("-1/4*t^3+1/2*i*t+1/2"),
+        TypeError],
     ("CycloElement", "Scalar"): [
-        _C.format("-1/2*t^3+i*t+1/2*i"), _C.format("-1/2*t^3+i*t+(2-1/2*i)"),
-        _C.format("(1/2-1/4*i)*t^3+(-1/2-i)*t+(-1+1/2*i)"), TypeError,
-        _C.format("-1/2*t^3+i*t+1/2*i"), _C.format("1/2*t^3-i*t+(-2+1/2*i)"),
+        _C.format("-1/2*t^3+i*t+1/2*i"),
+        _C.format("(1/2-1/4*i)*t^3+(-1/2-i)*t+(-1+1/2*i)"),
+        _C.format("-1/2*t^3+i*t+1/2*i"),
         _C.format("(1/2-1/4*i)*t^3+(-1/2-i)*t+(-1+1/2*i)"), TypeError],
     ("CycloElement", "CycloElement"): [
-        _C.format("1/2*t^3+(2+i)*t+1"), _C.format("-3/2*t^3+(-2+i)*t+1"),
-        _C.format("t^3+(-1/2+2*i)*t^2+2*t+(-1+i)"), TypeError,
-        _C.format("1/2*t^3+(2+i)*t+1"), _C.format("3/2*t^3+(2-i)*t-1"),
+        _C.format("1/2*t^3+(2+i)*t+1"),
+        _C.format("t^3+(-1/2+2*i)*t^2+2*t+(-1+i)"),
+        _C.format("1/2*t^3+(2+i)*t+1"),
         _C.format("t^3+(-1/2+2*i)*t^2+2*t+(-1+i)"), TypeError],
     ("CycloElement", "CycloElement q=3"): [
-        ValueError, ValueError, ValueError, TypeError,
-        ValueError, ValueError, ValueError, TypeError],
+        ValueError, ValueError, ValueError, ValueError, TypeError],
 }
 
 
@@ -345,7 +335,7 @@ OPERAND_TABLE = {
 @pytest.mark.parametrize("right", OPERAND_RIGHT)
 def test_operand_rule_of_each_binary_operator(left, right):
     x, y = OPERAND_LEFT[left], OPERAND_RIGHT[right]
-    expected = OPERAND_TABLE.get((left, right), [TypeError] * 8)
+    expected = OPERAND_TABLE.get((left, right), [TypeError] * 5)
     for (name, op), want in zip(OPERAND_OPS.items(), expected):
         if isinstance(want, str):
             assert repr(op(x, y)) == want, name
@@ -398,7 +388,7 @@ def test_poly_ring_axioms():
         assert p * q == q * p
         assert (p * q) * r == p * (q * r)
         assert p * (q + r) == p * q + p * r
-        assert p - p == MultiPoly.zero(n)
+        assert p + (-p) == MultiPoly.zero(n)
 
 
 def test_poly_text_round_trip_and_grlex_order():
@@ -486,14 +476,14 @@ def test_exact_divide_pinned_cases():
 
 def test_poly_evaluate():
     det = MultiPoly.parse("z1*z4-z2*z3", 4)
-    assert det.evaluate([1, 2, 3, 4]) == pytest.approx(-2 + 0j)
+    assert poly_value(det, [1, 2, 3, 4]) == pytest.approx(-2 + 0j)
     rng = random.Random(110)
     for _ in range(50):
         p = rand_poly(rng, 3)
         q = rand_poly(rng, 3)
         z = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(3)]
-        lhs = (p * q).evaluate(z)
-        rhs = p.evaluate(z) * q.evaluate(z)
+        lhs = poly_value(p * q, z)
+        rhs = poly_value(p, z) * poly_value(q, z)
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
 
 
@@ -540,8 +530,9 @@ def test_ratfn_partial_quotient_rule_numeric():
              complex(rng.uniform(0.5, 1.5), rng.uniform(0.2, 0.8))]
         try:
             h = 1e-6
-            fd = (r.evaluate([z[0] + h, z[1]]) - r.evaluate([z[0] - h, z[1]])) / (2 * h)
-            exact = dr.evaluate(z)
+            fd = (ratfn_value(r, [z[0] + h, z[1]])
+                  - ratfn_value(r, [z[0] - h, z[1]])) / (2 * h)
+            exact = ratfn_value(dr, z)
         except ZeroDivisionError:
             continue
         assert exact == pytest.approx(fd, rel=1e-4, abs=1e-4)
@@ -1203,7 +1194,7 @@ def test_unread_kernel_results_behave_like_term_dicts():
         lambda y: _items(y.exact_divide(divisor)),
         lambda y: _items((y * divisor).exact_divide(divisor)),
         lambda y: _items(y * divisor),
-        lambda y: y.evaluate(point),  # equal floats: one summing order
+        lambda y: poly_value(y, point),  # equal floats: one summing order
         lambda y: list(y.terms()), lambda y: y.is_constant,
         lambda y: None if y.is_zero else y.homogeneity_degree())
     for fresh, eager in _fresh_results():

@@ -164,7 +164,7 @@ def test_tau_unit_and_gate():
     f = random_matrix_tuple(rng, 3, 2).pencil()
     one = tau(1, f)
     assert one.degree == 0
-    assert one.coefficient(()) == RatFn.one(3)
+    assert one.coefficient(()) == RatFn(MultiPoly.one(3))
     assert tau(Scalar(5), f).coefficient(()) == RatFn(MultiPoly.constant(3, 5))
     entry = DenseCochain.basis(1, 2, ((0, 0),))
     with pytest.raises(ValueError):

@@ -5,7 +5,9 @@ A Gaussian rational is a 4-tuple of ints ``(an, ad, bn, bd)`` standing for
 A polynomial is a dict mapping exponent tuples to nonzero Gaussian rationals,
 or its packed form (below). Every function returns fresh objects, except
 that `packed_neg` and `packed_scale` share their argument's key list,
-and never mutates its arguments.
+and never mutates its arguments. Only `ring.MultiPoly` calls it. Term
+dicts are added, scaled and multiplied; negation and subtraction are
+packed only.
 
 Gaussian integers (both denominators 1) take a fast path in `qadd` and
 `qmul` that skips the gcd reductions. `poly_dot` returns a sum of
@@ -125,14 +127,6 @@ def poly_add(p, q):
     return out
 
 
-def poly_neg(p):
-    return {e: qneg(c) for e, c in p.items()}
-
-
-def poly_sub(p, q):
-    return poly_add(p, poly_neg(q))
-
-
 def poly_scale(p, c):
     if c[0] == 0 and c[2] == 0:
         return {}
@@ -245,8 +239,8 @@ def packed_sub(p, q):
     """p - q of packed polynomials, as a packed polynomial, without
     unpacking either: the numerators of both are brought to the lcm of
     their denominators and merged on keys of one width. The result has
-    `poly_sub`'s term order (p's terms that survive, then q's new ones) and
-    is normalized as `poly_dot`'s is (`_packed_result`)."""
+    the term order of `poly_add` on p and -q and is normalized as
+    `poly_dot`'s is (`_packed_result`)."""
     n = p[0] or q[0]
     top = max(p[1], q[1])
     width = _width(top)

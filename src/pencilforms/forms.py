@@ -24,7 +24,7 @@ opposite merge signs s and -s), and since polynomial entries commute each
 entry of a commutator skips the products that cancel: on the diagonal the
 j = r product pair x_rr y_rr - y_rr x_rr, and off it the four products
 with j in {r, c}, which become y_rc (x_rr - x_cc) - x_rc (y_rr - y_cc).
-Each gap x_rr - x_cc is formed once per term per call, as a packed
+Each gap x_rr - x_cc is formed once per term per call, as a `MultiPoly`
 difference (`_commutator_pairs`). `MatrixForm.curvature` gives
 d omega + omega ^ omega of a 1-form with each entry one kernel sum over
 the quotient-rule pairs of d and the commutator pairs together, over
@@ -43,6 +43,7 @@ pencil, however many cochains it checks there.
 Two forms combine over one base; a form without a denominator takes the
 other's. Scalar forms over unlike bases combine over the product of their
 denominators, as RatFn does; matrix forms over unlike bases only compare.
+`==` lifts both to one base and power and compares their numerators.
 
 The Maurer-Cartan form of a pencil map f is
 ``omega_f = f^{-1} df = sum_i adjugate(f) (df/dz_i) / det(f) dz_i``;
@@ -57,7 +58,6 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Dict, Optional, Sequence, Tuple
 
-from pencilforms._core import packed_neg, packed_sub
 from pencilforms.linalg import PolyMatrix
 from pencilforms.ring import MultiPoly, RatFn, Scalar, _as_ratfn
 
@@ -133,19 +133,15 @@ def _group_pairs(rows, neg=operator.neg) -> Dict:
 def _signed_term(mat: PolyMatrix) -> tuple:
     """(X, -X, G, G^T) for a term X of a commutator sum (`_commutator_pairs`):
     G[r][c] = x_rr - x_cc for r != c. Each gap with r < c is formed once,
-    as a packed difference (`_core.packed_sub`), and G[c][r] negates it,
-    sharing its keys; G^T = -G is then the gap grid of -X. The entries are
-    packed before -X negates them, so -X shares their keys too."""
-    n, k, rows = mat.n, mat.k, mat.rows
-    for row in rows:
-        for e in row:
-            e.packed()
+    and G[c][r] negates it; G^T = -G is then the gap grid of -X. A
+    negation shares its operand's keys, so the kernel sums over X and -X,
+    or over a gap and its negation, pack their exponents once."""
+    k, rows = mat.k, mat.rows
     gaps = [[None] * k for _ in range(k)]
     for r in range(k):
         for c in range(r + 1, k):
-            gap = packed_sub(rows[r][r].packed(), rows[c][c].packed())
-            gaps[r][c] = MultiPoly._of_packed(n, gap)
-            gaps[c][r] = MultiPoly._of_packed(n, packed_neg(gap))
+            gap = rows[r][r] - rows[c][c]
+            gaps[r][c], gaps[c][r] = gap, -gap
     return mat, -mat, gaps, [list(col) for col in zip(*gaps)]
 
 
@@ -317,19 +313,23 @@ class MatrixForm:
         base = a_den * b_den
         return self._lifted(b_den, base, 1), other._lifted(a_den, base, 1), base
 
+    def _over_one_power(self, other: "MatrixForm", mix=False) -> tuple:
+        """(x, y, base, hi): self and other over base**hi (`_join_base`)."""
+        x, y, base = self._join_base(other, mix)
+        hi = max(x.den_pow, y.den_pow)
+        return (*(form if form.den_pow == hi else
+                  form._lifted(base ** (hi - form.den_pow), base, hi)
+                  for form in (x, y)), base, hi)
+
     def __add__(self, other):
         if not isinstance(other, MatrixForm):
             return NotImplemented
         if self.degree != other.degree:
             raise ValueError(f"mixed degrees: {self.degree} vs {other.degree}")
-        x, y, base = self._join_base(other)
-        hi = max(x.den_pow, y.den_pow)
-        out: Dict[MultiIndex, PolyMatrix] = {}
-        for form in (x, y):
-            if form.den_pow < hi:
-                form = form._lifted(base ** (hi - form.den_pow), base, hi)
-            for index, mat in form.terms.items():
-                out[index] = out[index] + mat if index in out else mat
+        x, y, base, hi = self._over_one_power(other)
+        out: Dict[MultiIndex, PolyMatrix] = dict(x.terms)
+        for index, mat in y.terms.items():
+            out[index] = out[index] + mat if index in out else mat
         return self._from_parts(self.n, self.k, self.degree, out, base,
                                 hi)._reduced()
 
@@ -508,8 +508,8 @@ class MatrixForm:
             return NotImplemented
         if (self.n, self.k, self.degree) != (other.n, other.k, other.degree):
             return False
-        x, y, _ = self._join_base(other, mix=True)
-        return (x - y).is_zero
+        x, y, _, _ = self._over_one_power(other, mix=True)
+        return x.terms == y.terms
 
     __hash__ = None
 
@@ -582,12 +582,10 @@ def maurer_cartan(f: PolyMatrix) -> MatrixForm:
     pencil build omega once. The form is shared and must not be changed;
     `maurer_cartan.cache_clear()` drops it. A ValueError is not kept.
 
-    det(f) is read off the adjugate, as its first-row expansion
-    sum_j f[0][j] adj[j][0], one `MultiPoly.dot`.
+    det(f) is the one f keeps (`PolyMatrix.det`, `PolyMatrix.adjugate`).
     """
     adj = f.adjugate()
-    det = MultiPoly.dot(f.n, [(f.rows[0][j], adj.rows[j][0])
-                              for j in range(f.k)])
+    det = f.det()
     if det.is_zero:
         raise ValueError("det(f) vanishes identically: empty resolvent set")
     terms = {}

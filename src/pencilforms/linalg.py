@@ -95,17 +95,14 @@ def _minor_dets(a: Sequence, one):
 
     Over polynomials (one a MultiPoly) each expansion is one
     `MultiPoly.dot` over its (signed entry, sub-minor) pairs: one kernel
-    accumulator per minor, not a dict product and sum per pair. Each entry
-    is packed before it is negated, so the negation shares its keys. Any
-    other exact grid sums its products by ``*`` and ``+``.
+    accumulator per minor, not a dict product and sum per pair. A negated
+    entry shares the entry's keys (`MultiPoly.__neg__`). Any other exact
+    grid sums its products by ``*`` and ``+``.
     """
     k = len(a)
     if any(len(row) != k for row in a):
         raise ValueError("determinant of a non-square grid")
     if isinstance(one, MultiPoly):
-        for row in a:
-            for x in row:
-                x.packed()
         total = functools.partial(MultiPoly.dot, one.n)
     else:
         total = _sum_of_products
@@ -253,15 +250,20 @@ class PolyMatrix:
             for pair in zip(row, col)])
 
     def det(self) -> MultiPoly:
-        """The determinant, expanded once per matrix: sampling takes it to
-        reject a singular draw, and the suite that drew the matrix reads
-        the same det."""
+        """The determinant, kept once found (`adjugate` finds it too):
+        sampling takes it to reject a singular draw, and the suite that
+        drew the matrix reads the same det."""
         if self._det is None:
             self._det = grid_det(self.rows, MultiPoly.one(self.n))
         return self._det
 
     def adjugate(self) -> "PolyMatrix":
-        return PolyMatrix(self.n, grid_adjugate(self.rows, MultiPoly.one(self.n)))
+        """The adjugate; keeps det = sum_j f[0][j] adj[j][0] if none is."""
+        adj = grid_adjugate(self.rows, MultiPoly.one(self.n))
+        if self._det is None:
+            self._det = MultiPoly.dot(self.n, zip(self.rows[0],
+                                                  next(zip(*adj))))
+        return PolyMatrix(self.n, adj)
 
     def partial(self, var: int) -> "PolyMatrix":
         return PolyMatrix(self.n, [[e.partial(var) for e in row]

@@ -33,14 +33,13 @@ from pencilforms._core import (
     packed_neg,
     packed_partial,
     packed_scale,
+    packed_sub,
     poly_add,
     poly_dot,
     poly_mul,
     poly_mul_term,
-    poly_neg,
     poly_pack,
     poly_scale,
-    poly_sub,
     poly_unpack,
     qadd,
     qinv,
@@ -433,11 +432,12 @@ class MultiPoly:
     read of `_terms`, in the packed term order. Neither form is changed
     after construction, by this class or by whoever built it, so each is
     kept for the polynomial's lifetime, as is the hash. Sums (`dot`),
-    large products, negation of a packed polynomial, int scaling of one
-    with no term dict yet and `partial` work on the packed form and return
-    packed results, and `==` of two polynomials with no term dict yet
-    compares their packed forms. Adding, other scaling and `exact_divide`
-    read the term dicts.
+    large products, `-x`, `x - y`, int scaling of a polynomial with no
+    term dict yet and `partial` work on the packed form and return packed
+    results; `-x` shares x's keys. `==` of two polynomials with no term
+    dict yet compares their packed forms. Adding, other scaling and
+    `exact_divide` read the term dicts. Only `_core` and this class see
+    the packed form.
     """
 
     __slots__ = ("n", "_dict", "_hash", "_packed")
@@ -556,9 +556,14 @@ class MultiPoly:
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        if self._packed is None:
-            return MultiPoly(self.n, poly_neg(self._dict))
-        return MultiPoly._of_packed(self.n, packed_neg(self._packed))
+        return MultiPoly._of_packed(self.n, packed_neg(self.packed()))
+
+    def __sub__(self, other):
+        if isinstance(other, MultiPoly):
+            self._check(other)
+            return MultiPoly._of_packed(self.n, packed_sub(self.packed(),
+                                                           other.packed()))
+        return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, MultiPoly):
@@ -654,7 +659,7 @@ class MultiPoly:
                 return None
             coeff = qmul(rem[r_lead], d_lead_inv)
             quo[exps] = coeff
-            rem = poly_sub(rem, poly_mul_term(d._terms, exps, coeff))
+            rem = poly_add(rem, poly_mul_term(d._terms, exps, qneg(coeff)))
         return MultiPoly(self.n, quo)
 
     # -- text form -----------------------------------------------------------

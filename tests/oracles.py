@@ -12,8 +12,9 @@ derivative of scalar forms one RatFn coefficient at a time (d by the
 quotient rule), the top-form residual by subtraction, polynomials,
 rational functions, polynomial matrices and form coefficients at a point
 in floats, the identity and constant polynomial matrices, cyclotomic
-arithmetic on dense coefficient vectors, a polynomial power as repeated
-products from one, the JSON of form coefficients rendered one
+arithmetic on dense coefficient vectors, a difference of term dicts by
+the dict kernel's addition, a polynomial power as repeated products from
+one, the JSON of form coefficients rendered one
 coefficient at a time, and every zero-sum torus degree tuple of a box,
 against which the torus cocycle checks' degree grid is tested.
 `random_grid` draws the random matrix arguments those tests evaluate on.
@@ -22,7 +23,7 @@ against which the torus cocycle checks' degree grid is tested.
 from itertools import combinations, permutations, product
 from typing import Sequence
 
-from pencilforms._core import Q_ZERO, qadd, qmul
+from pencilforms._core import Q_ZERO, poly_add, qadd, qmul, qneg
 from pencilforms.cochains import DenseCochain, TraceWord
 from pencilforms.forms import MatrixForm, ScalarForm, sort_index
 from pencilforms.jacobi import s_form
@@ -389,6 +390,12 @@ def scalar_d_reference(x: dict, n: int) -> dict:
             out[new_index] = out[new_index] + contrib \
                 if new_index in out else contrib
     return out
+
+
+def poly_sub_reference(p: dict, q: dict) -> dict:
+    """p - q of term dicts, as the dict kernel's `poly_add` of p and q
+    negated: p's terms that survive, then q's new ones."""
+    return poly_add(p, {e: qneg(c) for e, c in q.items()})
 
 
 def poly_power_reference(p: MultiPoly, m: int) -> MultiPoly:

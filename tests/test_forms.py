@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pencilforms._core import packed_sub, poly_pack, poly_sub, poly_unpack
+from pencilforms._core import packed_sub, poly_pack, poly_unpack
 from pencilforms.forms import (
     MatrixForm,
     ScalarForm,
@@ -21,7 +21,8 @@ from pencilforms.sampling import random_matrix_tuple, rng_for
 from conftest import count_poly_mul
 from oracles import (identity_matrix, matrix_d_reference,
                      matrix_form_values, matrix_trace_reference,
-                     matrix_wedge_reference, ratfn_value,
+                     matrix_wedge_reference, poly_sub_reference,
+                     ratfn_value,
                      scalar_add_reference, scalar_coefficients,
                      scalar_d_reference, scalar_form_values,
                      scalar_wedge_reference)
@@ -174,6 +175,42 @@ def test_maurer_cartan_rejects_singular_pencil():
     t = MatrixTuple([[[1, 0], [0, 0]], [[0, 0], [0, 0]]])
     with pytest.raises(ValueError):
         maurer_cartan(t.pencil())
+
+
+def _count_det_sums(monkeypatch, first_row) -> list:
+    """Count the kernel sums from here on whose left operands are the
+    entries of first_row, in order: the sum that reads a det off the
+    adjugate, sum_j f[0][j] adj[j][0]. A det expansion's pairs negate
+    every other entry, and an adjugate minor has fewer pairs."""
+    sums = [0]
+    dot = MultiPoly.dot
+
+    def counting(cls, n, pairs):
+        pairs = list(pairs)
+        if len(pairs) == len(first_row) and all(
+                x is e for (x, _), e in zip(pairs, first_row)):
+            sums[0] += 1
+        return dot(n, pairs)
+
+    monkeypatch.setattr(MultiPoly, "dot", classmethod(counting))
+    return sums
+
+
+def test_maurer_cartan_reads_the_kept_det(monkeypatch):
+    rng = random.Random(67)
+    kept = rand_tuple(rng, 3, 3).pencil()  # sampling kept its det
+    assert kept._det is not None
+    fresh = PolyMatrix(kept.n, kept.rows)
+    sums = _count_det_sums(monkeypatch, kept.rows[0])
+    maurer_cartan.cache_clear()
+    omega = maurer_cartan(kept)
+    assert sums[0] == 0
+    assert omega.den_base == kept.det() and omega.den_pow == 1
+    # a matrix with no det yet keeps the one its adjugate gives
+    maurer_cartan.cache_clear()
+    assert maurer_cartan(fresh) == omega
+    assert sums[0] == 1 and fresh._det == kept.det()
+    maurer_cartan.cache_clear()
 
 
 def test_flatness_of_maurer_cartan():
@@ -579,7 +616,7 @@ _SUB_CASES = [
 @pytest.mark.parametrize("p, q", _SUB_CASES)
 def test_packed_sub_matches_poly_sub(p, q):
     got = packed_sub(poly_pack(p), poly_pack(q))
-    want = poly_sub(p, q)
+    want = poly_sub_reference(p, q)
     # values and term order, and the form poly_pack gives the difference
     assert list(poly_unpack(got).items()) == list(want.items())
     assert got[2:] == poly_pack(want)[2:]
@@ -591,7 +628,8 @@ def test_packed_sub_matches_poly_sub_on_random_operands():
     for _ in range(40):
         x, y = (rand_poly(rng, 3)._terms for _ in range(2))
         got = packed_sub(poly_pack(x), poly_pack(y))
-        assert list(poly_unpack(got).items()) == list(poly_sub(x, y).items())
+        want = poly_sub_reference(x, y)
+        assert list(poly_unpack(got).items()) == list(want.items())
 
 
 # -- scalar forms: one algebra, checked against RatFn coefficient references --

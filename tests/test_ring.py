@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (convolve, cyclo_dense, cyclo_dense_str, poly_value,
-                     poly_power_reference, ratfn_partial, ratfn_value)
+                     poly_power_reference, poly_sub_reference, ratfn_partial,
+                     ratfn_value)
 from pencilforms import _core, ring
 from pencilforms._core import (Q_ONE, Q_ZERO, poly_add, poly_mul, poly_pack,
                                poly_unpack, qadd, qinv, qmul, qneg, qnorm)
@@ -1304,3 +1305,41 @@ def test_packed_equality_matches_the_dict_path(left, right, how):
     assert (x == y) == want and (y == x) == want
     assert x._dict is None and y._dict is None  # compared packed
     assert (x == MultiPoly(2, dict(other))) == want
+
+
+def _held(terms, how):
+    """The polynomial of terms in two variables, held as a term dict
+    ("dict") or as a kernel result whose term dict is unread ("packed")."""
+    if how == "dict":
+        return MultiPoly(2, dict(terms))
+    return _kernel_result(terms, False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_operands(), packed_operands(),
+       st.sampled_from(("dict", "packed")), st.sampled_from(("dict", "packed")))
+@example(({}, False), ({}, False), "dict", "packed")  # zero operands
+@example(({}, False), ({(1, 0): (1, 2, 0, 1)}, False), "packed", "dict")
+@example(({(1, 0): (0, 1, 1, 1)}, False), ({}, False), "dict", "dict")
+@example(({(256, 0): (1, 1, 0, 1), (0, 1): (1, 3, 0, 1)}, False),
+         ({(0, 1): (1, 3, 0, 1), (2, 0): (0, 1, 1, 1)}, False),
+         "packed", "dict")  # a 9-bit key; one term cancels
+def test_negation_and_difference_are_packed(left, right, left_how, right_how):
+    x, y = _held(left[0], left_how), _held(right[0], right_how)
+    # the references read the terms of copies, so x and y stay as held
+    xt, yt = _held(left[0], left_how)._terms, _held(right[0], right_how)._terms
+    neg, diff = -x, x - y
+    # values, and the term order of poly_add: -x in x's order, x - y with
+    # x's surviving terms first, then y's new ones
+    assert list(neg._terms.items()) == list(poly_sub_reference({}, xt).items())
+    assert list(diff._terms.items()) == list(poly_sub_reference(xt,
+                                                                yt).items())
+    # both come back packed, and a negation shares its operand's keys
+    neg, diff = -x, x - y
+    assert neg._dict is None and neg._packed[3] is x._packed[3]
+    assert diff._dict is None and (-diff)._packed[3] is diff._packed[3]
+
+
+def test_difference_needs_polynomials_in_one_variable_count():
+    with pytest.raises(ValueError):
+        MultiPoly.zero(2) - MultiPoly.zero(3)

@@ -14,18 +14,21 @@ Gaussian integers (both denominators 1) take a fast path in `qadd` and
 polynomial products from one accumulator on packed exponents, the exponent
 and coefficient specialisation of Monagan & Pearce (CASC 2007): it brings
 every operand's numerators to one common denominator, adds plain ints when
-no operand has an imaginary part (the real-integer lane) and real and
-imaginary int parts otherwise, and reduces the result's denominator once. Its
-operands and its result are packed polynomials ``(n, top, den, keys, re,
-im)``: the variable count, a bound on the largest exponent, the
-denominator, the exponents packed into ints and the numerators over den
-(`poly_pack` builds one from a term dict, `poly_unpack` the term dict from
-one). So a sum whose result enters the next sum is never unpacked and
-packed again in between. `ring.MultiPoly` keeps each polynomial's packed
-form for its lifetime, which holds because neither form is changed after
-construction. `packed_neg`, `packed_scale` and `packed_partial` negate,
-scale by an int and differentiate a packed polynomial, `packed_sub`
-subtracts two and `packed_equal` compares two, without unpacking them.
+no operand has an imaginary part (the real-integer lane) and otherwise (the
+Gaussian lane) keeps each exponent's real and imaginary int parts in one
+mutable ``[re, im]`` list that it adds into in place, and reduces the
+result's denominator once. Its operands and its result are packed
+polynomials ``(n, top, den, keys, re, im)``: the variable count, a bound
+on the largest exponent, the denominator, the exponents packed into ints
+and the numerators over den (`poly_pack` builds one from a term dict,
+`poly_unpack` the term dict from one). So a sum whose result enters the
+next sum is never unpacked and packed again in between. `ring.MultiPoly`
+keeps each polynomial's packed form for its lifetime, which holds because
+neither form is changed after construction. `packed_neg`, `packed_scale`
+and `packed_partial` negate, scale by an int and differentiate a packed
+polynomial, `packed_sub` subtracts two and `packed_equal` compares two,
+and `packed_ends` finds the graded-lex leading and trailing exponents,
+without unpacking them.
 `poly_mul` multiplies coefficient by coefficient; `ring.MultiPoly` uses it
 for small products and a one-pair `poly_dot` for the rest.
 
@@ -328,6 +331,22 @@ def packed_partial(packed, var):
         None if im is None else [b * e for b, e in zip(im, exps) if e])
 
 
+def packed_ends(packed):
+    """(lead, trail): the largest and smallest exponent tuples of a nonzero
+    packed polynomial in graded-lex order (total degree, then exponents
+    with the first variable most significant), read from its keys one at a
+    time, with no list of its terms built."""
+    n, top, _, keys, _, _ = packed
+    width = _width(top)
+    ends = []
+    for pick in (max, min):
+        # an 8-bit key's bytes compare as its exponent tuple
+        exps = (map(int.to_bytes, keys, repeat(n), repeat("little"))
+                if width == 8 else _unpack(keys, n, width))
+        ends.append(tuple(pick((sum(e), e) for e in exps)[1]))
+    return tuple(ends)
+
+
 def _packed_result(n, top, den, keys, re, im):
     """A kernel result packed as `poly_pack` would pack its terms: den and
     the numerators divided by their gcd, im None when every imaginary part
@@ -439,15 +458,13 @@ def poly_dot(pairs):
         for k1, a, b in zip(keys_p, re_p, repeat(0) if im_p is None else im_p):
             for k2, c, d in qs:
                 k = k1 + k2
-                old = get(k)
-                if old is None:
-                    acc[k] = (a * c - b * d, a * d + b * c)
+                cell = get(k)
+                if cell is None:
+                    acc[k] = [a * c - b * d, a * d + b * c]
                 else:
-                    re = old[0] + a * c - b * d
-                    im = old[1] + a * d + b * c
-                    if re or im:
-                        acc[k] = (re, im)
-                    else:
+                    cell[0] += a * c - b * d
+                    cell[1] += a * d + b * c
+                    if not (cell[0] or cell[1]):
                         del acc[k]
     if real:
         re, im = list(acc.values()), None

@@ -482,9 +482,18 @@ class MatrixForm:
                                       base, x.den_pow + y.den_pow)._reduced()
 
     def _reduced(self):
-        """Strip base powers dividing every entry of every numerator."""
+        """Strip base powers dividing every entry of every numerator.
+
+        Each round first runs the monomial test of `exact_divide` on every
+        entry (`MultiPoly.ends_divisible_by`, which reads a packed entry's
+        keys and leaves it packed), and stops before dividing any entry
+        when one fails, so no division is thrown away on its account."""
         terms, pow_ = self.terms, self.den_pow
+        ends = self.den_base.grlex_ends() if pow_ else None
         while pow_ > 0:
+            if not all(e.ends_divisible_by(ends) for mat in terms.values()
+                       for row in mat.rows for e in row):
+                break
             divided = {}
             for index, mat in terms.items():
                 rows = []

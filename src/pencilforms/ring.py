@@ -24,11 +24,14 @@ from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
+from functools import lru_cache
+from operator import ge
 from typing import Iterator, Optional, Sequence
 
 from pencilforms._core import (
     Q_ONE,
     Q_ZERO,
+    packed_ends,
     packed_equal,
     packed_neg,
     packed_partial,
@@ -140,20 +143,7 @@ class Scalar:
         return complex(an / ad, bn / bd)
 
     def __str__(self) -> str:
-        an, ad, bn, bd = self._v
-        if bn == 0:
-            return _frac_str(an, ad)
-        imag = _frac_str(bn, bd)
-        if imag == "1":
-            imag = "i"
-        elif imag == "-1":
-            imag = "-i"
-        else:
-            imag += "*i"
-        if an == 0:
-            return imag
-        sign = "+" if bn > 0 else ""
-        return _frac_str(an, ad) + sign + imag
+        return _q4_str(self._v)
 
     def __repr__(self) -> str:
         return f"Scalar('{self}')"
@@ -197,6 +187,24 @@ def _as_frac_pair(value) -> tuple:
 
 def _frac_str(n: int, d: int) -> str:
     return str(n) if d == 1 else f"{n}/{d}"
+
+
+def _q4_str(v: tuple) -> str:
+    """The text form of the Gaussian rational of a kernel 4-tuple."""
+    an, ad, bn, bd = v
+    if bn == 0:
+        return _frac_str(an, ad)
+    imag = _frac_str(bn, bd)
+    if imag == "1":
+        imag = "i"
+    elif imag == "-1":
+        imag = "-i"
+    else:
+        imag += "*i"
+    if an == 0:
+        return imag
+    sign = "+" if bn > 0 else ""
+    return _frac_str(an, ad) + sign + imag
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -345,7 +353,7 @@ class CycloElement:
         parts = []
         for e, c in reversed(self._terms):
             mono = "" if e == 0 else ("t" if e == 1 else f"t^{e}")
-            parts.append(_term_str(Scalar.from_q4(c), mono, first=not parts))
+            parts.append(_term_str(c, mono, first=not parts))
         return "".join(parts) if parts else "0"
 
     def __repr__(self) -> str:
@@ -435,8 +443,10 @@ class MultiPoly:
     large products, `-x`, `x - y`, int scaling of a polynomial with no
     term dict yet and `partial` work on the packed form and return packed
     results; `-x` shares x's keys. `==` of two polynomials with no term
-    dict yet compares their packed forms. Adding, other scaling and
-    `exact_divide` read the term dicts. Only `_core` and this class see
+    dict yet compares their packed forms. `grlex_ends` reads the packed
+    keys of a polynomial with no term dict yet, so a division that the
+    monomial test refuses builds none. Adding, other scaling and the steps
+    of `exact_divide` read the term dicts. Only `_core` and this class see
     the packed form.
     """
 
@@ -511,11 +521,6 @@ class MultiPoly:
         if self._dict is None:
             return len(self._packed[4])
         return len(self._dict)
-
-    def terms(self) -> Iterator[tuple]:
-        """Yield (exponent tuple, Scalar) pairs in descending graded-lex order."""
-        for exps in sorted(self._terms, key=grlex_key, reverse=True):
-            yield exps, Scalar.from_q4(self._terms[exps])
 
     def constant_value(self) -> Scalar:
         """The scalar value of a constant polynomial; error otherwise."""
@@ -637,18 +642,49 @@ class MultiPoly:
         return MultiPoly._of_packed(self.n,
                                     packed_partial(self.packed(), var - 1))
 
+    def grlex_ends(self) -> tuple:
+        """(lead, trail): the largest and smallest exponent tuples of a
+        nonzero polynomial in graded-lex order, read from the term dict or,
+        when there is none yet, from the packed keys, which stay packed
+        (`_core.packed_ends`)."""
+        if self._dict is None:
+            return packed_ends(self._packed)
+        return (max(self._dict, key=grlex_key),
+                min(self._dict, key=grlex_key))
+
+    def ends_divisible_by(self, ends: tuple) -> bool:
+        """Whether the monomials of ends, a divisor's `grlex_ends`, divide
+        this polynomial's leading and trailing monomials; true of zero.
+
+        In a monomial order the leading and the trailing monomial of a
+        product are the products of its factors' (Cox, Little & O'Shea,
+        Ideals, Varieties, and Algorithms, ch. 2), so False proves that the
+        divisor does not divide this polynomial.
+        """
+        if self.is_zero:
+            return True
+        lead, trail = self.grlex_ends()
+        return all(map(ge, lead, ends[0])) and all(map(ge, trail, ends[1]))
+
     def exact_divide(self, d: "MultiPoly") -> Optional["MultiPoly"]:
         """Return q with self == q*d, or None when no such polynomial exists.
 
-        Leading-term cancellation in graded-lex order; with a single divisor
-        the first non-divisible leading term proves non-divisibility.
+        When d's graded-lex leading or trailing monomial does not divide
+        self's, the result is None before any division step, and a packed
+        dividend builds no term dict (`ends_divisible_by`). Otherwise
+        leading-term cancellation in graded-lex order; with a single
+        divisor the first non-divisible leading term proves
+        non-divisibility.
         """
         if not isinstance(d, MultiPoly):
             raise TypeError("divisor must be a MultiPoly")
         self._check(d)
         if d.is_zero:
             raise ZeroDivisionError("exact division by the zero polynomial")
-        d_lead = max(d._terms, key=grlex_key)
+        ends = d.grlex_ends()
+        if not self.ends_divisible_by(ends):
+            return None
+        d_lead = ends[0]
         d_lead_inv = qinv(d._terms[d_lead])
         rem = dict(self._terms)
         quo: dict = {}
@@ -665,16 +701,14 @@ class MultiPoly:
     # -- text form -----------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.is_zero:
+        """The terms in descending graded-lex order, each coefficient
+        formatted from its kernel 4-tuple (`_term_str`)."""
+        terms = self._terms
+        if not terms:
             return "0"
-        parts = []
-        for exps, coeff in self.terms():
-            mono = "*".join(
-                f"z{k + 1}" if e == 1 else f"z{k + 1}^{e}"
-                for k, e in enumerate(exps) if e
-            )
-            parts.append(_term_str(coeff, mono, first=not parts))
-        return "".join(parts)
+        order = sorted([(sum(e), e) for e in terms], reverse=True)
+        return "".join([_term_str(terms[e], _mono_str(e), not i)
+                        for i, (_, e) in enumerate(order)])
 
     def __repr__(self) -> str:
         return f"MultiPoly(n={self.n}, '{self}')"
@@ -688,9 +722,17 @@ class MultiPoly:
         return _parse_poly(text, n)
 
 
-def _term_str(coeff: Scalar, mono: str, first: bool) -> str:
-    """Render one term; elides unit coefficients, pulls real signs out front."""
-    an, ad, bn, bd = coeff._v
+@lru_cache(maxsize=1024)
+def _mono_str(exps: Exponents) -> str:
+    """The text of the monomial z^exps, "" for the constant one."""
+    return "*".join(f"z{k + 1}" if e == 1 else f"z{k + 1}^{e}"
+                    for k, e in enumerate(exps) if e)
+
+
+def _term_str(coeff: tuple, mono: str, first: bool) -> str:
+    """Render one term of the kernel 4-tuple coeff; elides unit
+    coefficients, pulls real signs out front."""
+    an, ad, bn, bd = coeff
     if bn == 0:
         sign = "-" if an < 0 else ("" if first else "+")
         mag = _frac_str(abs(an), ad)
@@ -702,7 +744,7 @@ def _term_str(coeff: Scalar, mono: str, first: bool) -> str:
         mag = _frac_str(abs(bn), bd)
         imag = "i" if mag == "1" else f"{mag}*i"
         return sign + (f"{imag}*{mono}" if mono else imag)
-    body = f"({coeff})"
+    body = f"({_q4_str(coeff)})"
     lead = "" if first else "+"
     return lead + (f"{body}*{mono}" if mono else body)
 

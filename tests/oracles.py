@@ -13,7 +13,9 @@ quotient rule), the top-form residual by subtraction, polynomials,
 rational functions, polynomial matrices and form coefficients at a point
 in floats, the identity and constant polynomial matrices, cyclotomic
 arithmetic on dense coefficient vectors, a difference of term dicts by
-the dict kernel's addition, a polynomial power as repeated products from
+the dict kernel's addition, exact division by leading-term cancellation
+alone, the text of a polynomial through one `Scalar` per term, a
+polynomial power as repeated products from
 one, the JSON of form coefficients rendered one
 coefficient at a time, and every zero-sum torus degree tuple of a box,
 against which the torus cocycle checks' degree grid is tested.
@@ -23,13 +25,15 @@ against which the torus cocycle checks' degree grid is tested.
 from itertools import combinations, permutations, product
 from typing import Sequence
 
-from pencilforms._core import Q_ZERO, poly_add, qadd, qmul, qneg
+from pencilforms._core import (Q_ZERO, poly_add, poly_mul_term, qadd, qinv,
+                               qmul, qneg)
 from pencilforms.cochains import DenseCochain, TraceWord
 from pencilforms.forms import MatrixForm, ScalarForm, sort_index
 from pencilforms.jacobi import s_form
 from pencilforms.linalg import (PolyMatrix, grid_adjugate, grid_det,
                                 grid_mul, grid_scale)
-from pencilforms.ring import CycloElement, MultiPoly, RatFn, Scalar, _term_str
+from pencilforms.ring import (CycloElement, MultiPoly, RatFn, Scalar,
+                              _frac_str, grlex_key)
 from pencilforms.sampling import random_scalar, rng_for
 
 
@@ -398,6 +402,65 @@ def poly_sub_reference(p: dict, q: dict) -> dict:
     return poly_add(p, {e: qneg(c) for e, c in q.items()})
 
 
+def exact_divide_reference(p: MultiPoly, d: MultiPoly):
+    """p / d by leading-term cancellation in graded-lex order and nothing
+    else, or None when a leading term does not divide: the quotient's
+    terms in the order the steps find them."""
+    p_terms, d_terms = p._terms, d._terms
+    d_lead = max(d_terms, key=grlex_key)
+    d_lead_inv = qinv(d_terms[d_lead])
+    rem = dict(p_terms)
+    quo = {}
+    while rem:
+        r_lead = max(rem, key=grlex_key)
+        exps = tuple(a - b for a, b in zip(r_lead, d_lead))
+        if any(e < 0 for e in exps):
+            return None
+        coeff = qmul(rem[r_lead], d_lead_inv)
+        quo[exps] = coeff
+        rem = poly_add(rem, poly_mul_term(d_terms, exps, qneg(coeff)))
+    return MultiPoly(p.n, quo)
+
+
+def terms_reference(p: MultiPoly):
+    """Yield (exponent tuple, Scalar) pairs in descending graded-lex order."""
+    for exps in sorted(p._terms, key=grlex_key, reverse=True):
+        yield exps, Scalar.from_q4(p._terms[exps])
+
+
+def term_str_reference(coeff: Scalar, mono: str, first: bool) -> str:
+    """Render one term; elides unit coefficients, pulls real signs out front."""
+    an, ad, bn, bd = coeff._v
+    if bn == 0:
+        sign = "-" if an < 0 else ("" if first else "+")
+        mag = _frac_str(abs(an), ad)
+        if mono:
+            return sign + (mono if mag == "1" else f"{mag}*{mono}")
+        return sign + mag
+    if an == 0:
+        sign = "-" if bn < 0 else ("" if first else "+")
+        mag = _frac_str(abs(bn), bd)
+        imag = "i" if mag == "1" else f"{mag}*i"
+        return sign + (f"{imag}*{mono}" if mono else imag)
+    body = f"({coeff})"
+    lead = "" if first else "+"
+    return lead + (f"{body}*{mono}" if mono else body)
+
+
+def multipoly_str_reference(p: MultiPoly) -> str:
+    """The text of p with one `Scalar` per term (`term_str_reference`)."""
+    if p.is_zero:
+        return "0"
+    parts = []
+    for exps, coeff in terms_reference(p):
+        mono = "*".join(
+            f"z{k + 1}" if e == 1 else f"z{k + 1}^{e}"
+            for k, e in enumerate(exps) if e
+        )
+        parts.append(term_str_reference(coeff, mono, first=not parts))
+    return "".join(parts)
+
+
 def poly_power_reference(p: MultiPoly, m: int) -> MultiPoly:
     """p**m as m products starting from one; one * p copies p, term order
     included."""
@@ -470,7 +533,8 @@ def cyclo_dense_str(coeffs: tuple) -> str:
         if c == Q_ZERO:
             continue
         mono = "" if e == 0 else ("t" if e == 1 else f"t^{e}")
-        parts.append(_term_str(Scalar.from_q4(c), mono, first=not parts))
+        parts.append(term_str_reference(Scalar.from_q4(c), mono,
+                                        first=not parts))
     return "".join(parts) if parts else "0"
 
 

@@ -311,6 +311,37 @@ def test_matrix_form_reduction_strips_shared_base_factor():
     assert slim == omega
 
 
+def test_reduction_divides_nothing_when_the_last_entry_fails(monkeypatch):
+    base = MultiPoly.parse("z1+z2", 2)  # leading z1, trailing z2
+    one = MultiPoly.one(2)
+    # three entries divisible by the base, each an unread kernel result
+    divisible = [MultiPoly.dot(2, [(base, MultiPoly.parse(text, 2))])
+                 for text in ("z1-3*z2", "z1^2+i*z2", "2*z2")]
+    # the last: z1 divides its leading z1^2, z2 not its trailing 1
+    last = MultiPoly.dot(2, [(MultiPoly.parse("z1^2+1", 2), one)])
+    entries = divisible + [last]
+    assert all(e._dict is None for e in entries)
+    steps = [0]
+    inner = ring.poly_mul_term
+
+    def counting(p, exps, c):
+        steps[0] += 1
+        return inner(p, exps, c)
+
+    monkeypatch.setattr(ring, "poly_mul_term", counting)
+    form = MatrixForm(2, 2, 1, {(1,): PolyMatrix(2, [entries[:2],
+                                                     entries[2:]])}, base, 1)
+    out = form._reduced()
+    assert steps[0] == 0  # no division step ran
+    assert all(e._dict is None for e in entries)  # all still packed
+    assert out.den_pow == 1 and out.terms[(1,)].rows == form.terms[(1,)].rows
+    # with the last entry divisible too, every entry is divided once
+    entries[3] = MultiPoly.dot(2, [(base, base)])
+    form = MatrixForm(2, 2, 1, {(1,): PolyMatrix(2, [entries[:2],
+                                                     entries[2:]])}, base, 1)
+    assert form._reduced().den_pow == 0 and steps[0] > 0
+
+
 def test_matrix_form_evaluate_and_pole():
     f = MatrixTuple.matrix_units(2).pencil()
     omega = maurer_cartan(f)

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (convolve, cyclo_dense, cyclo_dense_str, poly_value,
-                     poly_power_reference, poly_sub_reference, ratfn_partial,
-                     ratfn_value)
+from oracles import (convolve, cyclo_dense, cyclo_dense_str,
+                     exact_divide_reference, multipoly_str_reference,
+                     poly_power_reference, poly_sub_reference, poly_value,
+                     ratfn_partial, ratfn_value, terms_reference)
 from pencilforms import _core, ring
 from pencilforms._core import (Q_ONE, Q_ZERO, poly_add, poly_mul, poly_pack,
                                poly_unpack, qadd, qinv, qmul, qneg, qnorm)
@@ -1196,7 +1197,7 @@ def test_unread_kernel_results_behave_like_term_dicts():
         lambda y: _items((y * divisor).exact_divide(divisor)),
         lambda y: _items(y * divisor),
         lambda y: poly_value(y, point),  # equal floats: one summing order
-        lambda y: list(y.terms()), lambda y: y.is_constant,
+        lambda y: list(terms_reference(y)), lambda y: y.is_constant,
         lambda y: None if y.is_zero else y.homogeneity_degree())
     for fresh, eager in _fresh_results():
         x = fresh()
@@ -1343,3 +1344,111 @@ def test_negation_and_difference_are_packed(left, right, left_how, right_how):
 def test_difference_needs_polynomials_in_one_variable_count():
     with pytest.raises(ValueError):
         MultiPoly.zero(2) - MultiPoly.zero(3)
+
+
+def _count_division_steps(monkeypatch):
+    """Count the steps of `exact_divide`: its `poly_mul_term` calls,
+    through `ring`'s binding."""
+    steps = [0]
+    inner = ring.poly_mul_term
+
+    def counting(p, exps, c):
+        steps[0] += 1
+        return inner(p, exps, c)
+
+    monkeypatch.setattr(ring, "poly_mul_term", counting)
+    return steps
+
+
+def test_exact_divide_fails_on_the_trailing_monomial_without_a_step(
+        monkeypatch):
+    steps = _count_division_steps(monkeypatch)
+    d = MultiPoly.parse("z1+z2", 2)  # leading z1, trailing z2
+    # z1 divides the leading z1^2, but z2 does not divide the trailing 1
+    for how in ("dict", "packed"):
+        p = _held({(2, 0): Q_ONE, (0, 0): Q_ONE}, how)
+        assert p.exact_divide(d) is None
+        assert steps[0] == 0
+        assert (p._dict is None) == (how == "packed")  # still as held
+    # the leading test alone: z1 does not divide z2^2
+    assert MultiPoly.parse("z2^2+z2", 2).exact_divide(d) is None
+    assert steps[0] == 0
+    # the reference takes steps before it finds the same answer
+    assert exact_divide_reference(
+        MultiPoly.parse("z1^2+1", 2), MultiPoly.parse("z1+z2", 2)) is None
+    assert steps[0] == 0  # it calls `_core`'s binding, not ring's
+
+
+@st.composite
+def division_cases(draw):
+    """(dividend terms, divisor terms): two variables, Gaussian-rational
+    coefficients, small exponents and ones whose keys take 9 bits. The
+    dividend is q*d, or q*d with a drawn term added to it or one of its
+    coefficients changed."""
+    coeffs = _KIND_COEFFS[draw(st.sampled_from(("gauss", "mixed")))]
+    exps = st.tuples(_dot_exponents, _dot_exponents)
+    d = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=4))
+    q = draw(st.dictionaries(exps, coeffs, max_size=4))
+    p = dict((MultiPoly(2, q) * MultiPoly(2, d))._terms)
+    how = draw(st.sampled_from(("product", "added", "changed")))
+    if how == "added":
+        e, c = draw(exps), draw(coeffs)
+        p[e] = qadd(p.get(e, Q_ZERO), c)
+    elif how == "changed" and p:
+        e = draw(st.sampled_from(sorted(p)))
+        p[e] = qadd(p[e], draw(coeffs))
+    return {e: c for e, c in p.items() if c != Q_ZERO}, d
+
+
+@settings(max_examples=300, deadline=None)
+@given(division_cases(), st.sampled_from(("dict", "packed")),
+       st.sampled_from(("dict", "packed")))
+@example(({(2, 0): Q_ONE, (0, 0): Q_ONE}, {(1, 0): Q_ONE, (0, 1): Q_ONE}),
+         "packed", "dict")  # only the trailing monomial fails
+@example(({(512, 1): (1, 1, 2, 1), (256, 2): (0, 1, 1, 1)},
+          {(256, 0): (1, 2, 0, 1), (0, 1): (0, 1, 1, 1)}),
+         "packed", "packed")  # keys wider than 8 bits
+def test_exact_divide_matches_the_stepwise_reference(case, p_how, d_how):
+    p_terms, d_terms = case
+    got = _held(p_terms, p_how).exact_divide(_held(d_terms, d_how))
+    want = exact_divide_reference(MultiPoly(2, dict(p_terms)),
+                                  MultiPoly(2, dict(d_terms)))
+    # the quotient or None, and the quotient's term order
+    assert _items(got) == _items(want)
+
+
+_print_exponents = st.one_of(st.integers(0, 3),
+                             st.sampled_from((255, 256, 300, 1000)))
+_print_coeffs = st.one_of(
+    st.sampled_from(((1, 1, 0, 1), (-1, 1, 0, 1), (0, 1, 1, 1),
+                     (0, 1, -1, 1))),
+    st.builds(lambda r: _q4(r, Fraction(0)), _small_fractions.filter(bool)),
+    st.builds(lambda r: _q4(Fraction(0), r), _small_fractions.filter(bool)),
+    st.tuples(_small_fractions, _small_fractions).filter(all)
+    .map(lambda c: _q4(*c)),
+    st.builds(lambda a: (a, 1, 0, 1), st.integers(-10**6, 10**6).filter(bool)))
+
+
+@st.composite
+def printed_polys(draw):
+    """A polynomial in 1 to 8 variables with real, imaginary, complex,
+    unit and fractional coefficients and exponents up to 1000, zero
+    included, held as a term dict or as an unread kernel result."""
+    n = draw(st.integers(1, 8))
+    terms = draw(st.dictionaries(st.tuples(*[_print_exponents] * n),
+                                 _print_coeffs, max_size=6))
+    p = MultiPoly(n, terms)
+    if draw(st.booleans()):
+        p = MultiPoly.dot(n, [(p, MultiPoly.one(n))])
+    return p
+
+
+@settings(max_examples=300, deadline=None)
+@given(printed_polys())
+@example(MultiPoly.zero(3))
+@example(MultiPoly(2, {(256, 0): (-1, 1, 0, 1), (0, 0): (1, 2, -1, 3),
+                       (1, 1): (0, 1, -3, 4)}))
+def test_text_form_matches_the_scalar_reference(p):
+    text = str(p)
+    assert text == multipoly_str_reference(p)
+    assert MultiPoly.parse(text, p.n) == p

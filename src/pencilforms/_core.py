@@ -27,8 +27,7 @@ keeps each polynomial's packed form for its lifetime, which holds because
 neither form is changed after construction. `packed_neg`, `packed_scale`
 and `packed_partial` negate, scale by an int and differentiate a packed
 polynomial, `packed_sub` subtracts two and `packed_equal` compares two,
-and `packed_ends` finds the graded-lex leading and trailing exponents,
-without unpacking them.
+without unpacking them; `packed_exponents` reads the exponents alone.
 `poly_mul` multiplies coefficient by coefficient; `ring.MultiPoly` uses it
 for small products and a one-pair `poly_dot` for the rest.
 
@@ -331,20 +330,11 @@ def packed_partial(packed, var):
         None if im is None else [b * e for b, e in zip(im, exps) if e])
 
 
-def packed_ends(packed):
-    """(lead, trail): the largest and smallest exponent tuples of a nonzero
-    packed polynomial in graded-lex order (total degree, then exponents
-    with the first variable most significant), read from its keys one at a
-    time, with no list of its terms built."""
+def packed_exponents(packed):
+    """The exponent tuples of a packed polynomial, read from its keys one
+    at a time, with no term dict built."""
     n, top, _, keys, _, _ = packed
-    width = _width(top)
-    ends = []
-    for pick in (max, min):
-        # an 8-bit key's bytes compare as its exponent tuple
-        exps = (map(int.to_bytes, keys, repeat(n), repeat("little"))
-                if width == 8 else _unpack(keys, n, width))
-        ends.append(tuple(pick((sum(e), e) for e in exps)[1]))
-    return tuple(ends)
+    return _unpack(keys, n, _width(top))
 
 
 def _packed_result(n, top, den, keys, re, im):

@@ -31,8 +31,8 @@ from typing import Iterator, Optional, Sequence
 from pencilforms._core import (
     Q_ONE,
     Q_ZERO,
-    packed_ends,
     packed_equal,
+    packed_exponents,
     packed_neg,
     packed_partial,
     packed_scale,
@@ -646,11 +646,11 @@ class MultiPoly:
         """(lead, trail): the largest and smallest exponent tuples of a
         nonzero polynomial in graded-lex order, read from the term dict or,
         when there is none yet, from the packed keys, which stay packed
-        (`_core.packed_ends`)."""
-        if self._dict is None:
-            return packed_ends(self._packed)
-        return (max(self._dict, key=grlex_key),
-                min(self._dict, key=grlex_key))
+        (`_core.packed_exponents`)."""
+        exps = (packed_exponents(self._packed) if self._dict is None
+                else self._dict)
+        graded = [(sum(e), e) for e in exps]
+        return max(graded)[1], min(graded)[1]
 
     def ends_divisible_by(self, ends: tuple) -> bool:
         """Whether the monomials of ends, a divisor's `grlex_ends`, divide

@@ -4,8 +4,10 @@ A Gaussian rational is a 4-tuple of ints ``(an, ad, bn, bd)`` standing for
 ``an/ad + (bn/bd)*i``, kept in lowest terms with positive denominators.
 A polynomial is a dict mapping exponent tuples to nonzero Gaussian rationals,
 or its packed form (below). Every function returns fresh objects, except
-that `packed_neg` and `packed_scale` share their argument's key list,
-and never mutates its arguments. Only `ring.MultiPoly` calls it. Term
+that `packed_neg` and `packed_scale` share their argument's key list and
+`poly_integral` and `poly_primitive` return a term dict already over Z[i]
+(for the latter, one whose ints have gcd 1) as it is, and never mutates its
+arguments. Only `ring.MultiPoly` calls it. Term
 dicts are added, scaled and multiplied; negation and subtraction are
 packed only.
 
@@ -30,6 +32,11 @@ polynomial, `packed_sub` subtracts two and `packed_equal` compares two,
 without unpacking them; `packed_exponents` reads the exponents alone.
 `poly_mul` multiplies coefficient by coefficient; `ring.MultiPoly` uses it
 for small products and a one-pair `poly_dot` for the rest.
+
+`poly_integral` and `packed_integral` give a polynomial times the lcm of
+its denominators, over Z[i], and that lcm; `poly_primitive` divides one
+over Z[i] by the gcd of its ints. `ring.MultiPoly.exact_divide` takes its
+steps on those, on the fast path.
 
 `poly_dot` has two accumulators, the two sides of the dense/hash trade-off
 (Fateman, ACM SIGSAM Bull. 37(1), 2003). A dict keyed by packed exponents
@@ -147,6 +154,26 @@ def _denominator(p):
     return lcm(*[c[1] for c in p.values()], *[c[3] for c in p.values()])
 
 
+def poly_integral(p):
+    """(den, p * den) of a term dict p: the lcm of its denominators and p
+    over Z[i], in p's term order; p itself when den is 1."""
+    den = _denominator(p)
+    if den == 1:
+        return 1, p
+    return den, {e: (a * (den // ad), 1, b * (den // bd), 1)
+                 for e, (a, ad, b, bd) in p.items()}
+
+
+def poly_primitive(p):
+    """(g, p / g) of a nonzero term dict p over Z[i]: the gcd of its ints
+    and p divided by it, in p's term order; p itself when g is 1."""
+    values = p.values()
+    g = gcd(*[c[0] for c in values], *[c[2] for c in values])
+    if g == 1:
+        return 1, p
+    return g, {e: (a // g, 1, b // g, 1) for e, (a, _, b, _) in p.items()}
+
+
 def _width(top):
     """Bits per variable of packed exponents whose largest is top."""
     return max(8, top.bit_length())
@@ -220,14 +247,23 @@ def poly_pack(p):
 def poly_unpack(packed):
     """The term dict of a packed polynomial (`poly_pack`), in its order."""
     n, top, den, keys, re, im = packed
+    if den == 1:
+        return packed_integral(packed)[1]
     exps = _unpack(keys, n, _width(top))
     if im is None:
-        if den == 1:
-            return {e: (a, 1, 0, 1) for e, a in zip(exps, re)}
         return {e: _reduce(a, den, 0, 1) for e, a in zip(exps, re)}
-    if den == 1:
-        return {e: (a, 1, b, 1) for e, a, b in zip(exps, re, im)}
     return {e: _reduce(a, den, b, den) for e, a, b in zip(exps, re, im)}
+
+
+def packed_integral(packed):
+    """(den, p * den) of a packed polynomial p: its denominator and its
+    numerators as a term dict over Z[i], in its term order, with no
+    fraction reduced; `poly_integral` of its term dict."""
+    n, top, den, keys, re, im = packed
+    exps = _unpack(keys, n, _width(top))
+    if im is None:
+        return den, {e: (a, 1, 0, 1) for e, a in zip(exps, re)}
+    return den, {e: (a, 1, b, 1) for e, a, b in zip(exps, re, im)}
 
 
 def packed_neg(packed):

@@ -181,15 +181,6 @@ class DenseCochain(Cochain):
             raise ValueError(f"argument size {k} != k={self.k}")
         return [self]
 
-    def rotated(self) -> "DenseCochain":
-        """Tensor of phi o r, r(x_1,..,x_a) = (x_a, x_1,..,x_{a-1})."""
-        # (phi o r)(x_1,..,x_a) = phi(x_a, x_1,..,x_{a-1}): the pair that
-        # phi assigns to slot 1 lands on x_a, slots 2.. land on x_1..
-        out = {}
-        for key, c in self.tensor.items():
-            out[key[1:] + (key[0],)] = c
-        return DenseCochain(self.arity, self.k, out)
-
     def __repr__(self) -> str:
         return (f"DenseCochain(arity={self.arity}, k={self.k}, "
                 f"{len(self.tensor)} entries)")
@@ -348,7 +339,10 @@ def is_cyclic(phi: Cochain, k: Optional[int] = None) -> bool:
     """Whether phi(x_1,..,x_a) = (-1)^{a-1} phi(x_a, x_1,..,x_{a-1}).
 
     Exact on phi's tensor on k x k matrices (k from the argument, else the
-    cochain): it must be (-1)^{a-1} times the tensor of phi o r.
+    cochain): it must be (-1)^{a-1} times the tensor of phi o r, which
+    holds c at key[1:] + key[:1] for each key of phi holding c. Rotation
+    is a bijection of keys, so each rotated key holding its signed
+    coefficient in phi's own tensor decides it.
     """
     a = phi.arity
     if a == 1:
@@ -357,10 +351,10 @@ def is_cyclic(phi: Cochain, k: Optional[int] = None) -> bool:
     if k is None:
         raise ValueError("need a matrix size k for the tensor of a "
                          "structured cochain")
-    tensor = outer_product(phi.tensors(k))
+    tensor = outer_product(phi.tensors(k)).tensor
     negate = a % 2 == 0
-    return tensor.tensor == {key: -c if negate else c
-                             for key, c in tensor.rotated().tensor.items()}
+    return all((-c if negate else c) == tensor.get(key[1:] + key[:1])
+               for key, c in tensor.items())
 
 
 def cyclic_symmetrize(phi: DenseCochain) -> DenseCochain:
@@ -369,17 +363,14 @@ def cyclic_symmetrize(phi: DenseCochain) -> DenseCochain:
         raise TypeError("cyclic_symmetrize needs a DenseCochain, got "
                         f"{type(phi).__name__}")
     a = phi.arity
-    eps = 1 if a % 2 == 1 else -1
     inv_a = Scalar(Fraction(1, a))
     out: Dict[PairKey, Scalar] = {}
-    rotated = phi
-    sign = 1
-    for _ in range(a):
-        for key, c in rotated.tensor.items():
-            add = c if sign == 1 else -c
-            out[key] = out[key] + add if key in out else add
-        rotated = rotated.rotated()
-        sign *= eps
+    # phi o r^t holds c at key[t:] + key[:t] for each key of phi holding c
+    for t in range(a):
+        negate = a % 2 == 0 and t % 2 == 1
+        for key, c in phi.tensor.items():
+            turned, add = key[t:] + key[:t], -c if negate else c
+            out[turned] = out[turned] + add if turned in out else add
     return DenseCochain(a, phi.k, {key: c * inv_a for key, c in out.items()})
 
 

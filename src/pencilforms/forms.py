@@ -484,16 +484,10 @@ class MatrixForm:
     def _reduced(self):
         """Strip base powers dividing every entry of every numerator.
 
-        Each round first runs the monomial test of `exact_divide` on every
-        entry (`MultiPoly.ends_divisible_by`, which reads a packed entry's
-        keys and leaves it packed), and stops before dividing any entry
-        when one fails, so no division is thrown away on its account."""
+        A round stops at the first entry that `exact_divide` refuses,
+        whose own monomial test decides most refusals before any step."""
         terms, pow_ = self.terms, self.den_pow
-        ends = self.den_base.grlex_ends() if pow_ else None
         while pow_ > 0:
-            if not all(e.ends_divisible_by(ends) for mat in terms.values()
-                       for row in mat.rows for e in row):
-                break
             divided = {}
             for index, mat in terms.items():
                 rows = []

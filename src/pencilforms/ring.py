@@ -33,15 +33,18 @@ from pencilforms._core import (
     Q_ZERO,
     packed_equal,
     packed_exponents,
+    packed_integral,
     packed_neg,
     packed_partial,
     packed_scale,
     packed_sub,
     poly_add,
     poly_dot,
+    poly_integral,
     poly_mul,
     poly_mul_term,
     poly_pack,
+    poly_primitive,
     poly_scale,
     poly_unpack,
     qadd,
@@ -675,6 +678,22 @@ class MultiPoly:
         leading-term cancellation in graded-lex order; with a single
         divisor the first non-divisible leading term proves
         non-divisibility.
+
+        When either operand has a denominator, the steps run over Z[i]:
+        the dividend times the lcm of its denominators (a packed dividend's
+        own numerators, `_core.packed_integral`), divided by d over Z[i]
+        with the integer gcd of its parts taken out (`_core.poly_primitive`),
+        and the quotient is scaled back once. Each remainder is then
+        a fixed multiple of the one the rational steps reach, so the
+        quotient, its term order and a None are the same. By Gauss's lemma
+        (Z[i] is a UFD) an exact division by a divisor primitive over Z[i]
+        has its quotient over Z[i], so the steps' `qadd` and `qmul` take
+        their gcd-free path; a step that leaves Z[i], as division by a
+        Gaussian content such as 1 + i does, is still exact, only slower.
+        Each step stays one `poly_mul_term` and one `poly_add` on term
+        dicts, whose order of insertion and deletion fixes the quotient's
+        term order; the benchmark's per-layer counts read those calls.
+        Operands that are both over Z[i] already are divided as they are.
         """
         if not isinstance(d, MultiPoly):
             raise TypeError("divisor must be a MultiPoly")
@@ -685,8 +704,14 @@ class MultiPoly:
         if not self.ends_divisible_by(ends):
             return None
         d_lead = ends[0]
-        d_lead_inv = qinv(d._terms[d_lead])
-        rem = dict(self._terms)
+        den, rem = (packed_integral(self._packed) if self._dict is None
+                    else poly_integral(self._dict))
+        d_den, d_terms = poly_integral(d._terms)
+        scale = Q_ONE
+        if den != 1 or d_den != 1:
+            g, d_terms = poly_primitive(d_terms)
+            scale = qnorm(d_den, g * den, 0, 1)
+        d_lead_inv = qinv(d_terms[d_lead])
         quo: dict = {}
         while rem:
             r_lead = max(rem, key=grlex_key)
@@ -695,7 +720,9 @@ class MultiPoly:
                 return None
             coeff = qmul(rem[r_lead], d_lead_inv)
             quo[exps] = coeff
-            rem = poly_add(rem, poly_mul_term(d._terms, exps, qneg(coeff)))
+            rem = poly_add(rem, poly_mul_term(d_terms, exps, qneg(coeff)))
+        if scale != Q_ONE:
+            quo = poly_scale(quo, scale)
         return MultiPoly(self.n, quo)
 
     # -- text form -----------------------------------------------------------

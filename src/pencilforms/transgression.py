@@ -7,13 +7,19 @@ evaluated per permutation: its chain of dense factors (`Cochain.tensors`)
 is contracted against omega one slot at a time, the last factor first,
 each trie node's value a form, so the work a node does is shared by every
 permutation through it, and each coefficient of a node's form is one
-`MultiPoly.dot`. A product's factors stay apart, their outer product never
-formed, and its kappa is not the wedge of the factors' kappa, which tau's
-multiplicativity check compares it with. The one exception is a trace
-word tr(x_1..x_a): its kappa is tr(omega^a), which `trace_power_form`
-computes (by the anchored sum at a = 3, by wedges otherwise) and keeps,
-so kappa returns that kept form, shared with the trace power and
-top-form split on the same pencil, and it must not be changed.
+`MultiPoly.dot`. A cyclic cochain (Connes, Publ. IHES 62, 1985) has
+phi o r = (-1)^(a-1) phi for the rotation r, and rotating a permutation pi
+of I multiplies sgn(pi) by the same (-1)^(a-1), so the a rotations of pi
+give one term a times: the kappa of a single dense factor that `is_cyclic`
+accepts sums only the permutations with pi(1) = min I, anchoring the
+first slot, and multiplies by a. A product's factors stay apart, their
+outer product never formed, and its kappa is not the wedge of the
+factors' kappa, which tau's multiplicativity check compares it with. The
+one exception is a trace word tr(x_1..x_a): its kappa is tr(omega^a),
+which `trace_power_form` computes (by the anchored sum at a = 3, by
+wedges otherwise) and keeps, so kappa returns that kept form, shared with
+the trace power and top-form split on the same pencil, and it must not be
+changed.
 Its dense tensor (`TraceWord.tensors`) still takes the chain, and
 `is_cyclic` and `invariance_test` still read it. `kappa_wedge_oracle`
 recomputes the same form by brute multilinear extension over all
@@ -97,13 +103,28 @@ def _kappa_nums(chain: List[DenseCochain], omega: MatrixForm) -> Dict:
     B_v[i][j] D[S] to S + {v} for each S in D and v not in S. Each (node,
     index) value serves every permutation through it, each coefficient is
     one `MultiPoly.dot`, and each B_v and L_v is negated once.
+
+    A chain of one factor of arity a >= 2 that `is_cyclic` accepts is
+    anchored: the root slot takes only v < min S, which puts v first in
+    S + {v} with sign +1, and the totals are multiplied by a. The rotation
+    (pi(a), pi(1),.., pi(a-1)) of a permutation has sign (-1)^(a-1) sgn(pi)
+    and phi(B_pi(a), B_pi(1),..) = (-1)^(a-1) phi(B_pi(1),..), so each of
+    the a rotations of the anchored permutation gives its term unchanged.
+    The least variable then fills the root slot only, and the slots below
+    it contract omega without it. Products, cochains that are not cyclic
+    and trace words (whose kappa `kappa` takes from `trace_power_form`)
+    keep the full sum.
     """
     n = omega.n
     terms = [(v, mat.rows, (-mat).rows) for (v,), mat in omega.terms.items()]
-    # the nonzero B_v[i][j] by v, and their negations, for each slot pair
-    entries = {(i, j): ({v: b[i][j] for v, b, _ in terms if b[i][j]},
-                        {v: nb[i][j] for v, b, nb in terms if b[i][j]})
-               for i in range(omega.k) for j in range(omega.k)}
+
+    def entries_of(terms) -> Dict:
+        # the nonzero B_v[i][j] by v, and their negations, for each slot pair
+        return {(i, j): ({v: b[i][j] for v, b, _ in terms if b[i][j]},
+                         {v: nb[i][j] for v, b, nb in terms if b[i][j]})
+                for i in range(omega.k) for j in range(omega.k)}
+
+    entries = entries_of(terms)
 
     def dots(pairs: Dict) -> Dict:
         return {index: total for index, group in pairs.items()
@@ -134,6 +155,21 @@ def _kappa_nums(chain: List[DenseCochain], omega: MatrixForm) -> Dict:
         spread(pairs, lin, {v: -x for v, x in lin.items()}, after)
         return dots(pairs)
 
+    if len(chain) == 1 and chain[0].arity > 1 and is_cyclic(chain[0]):
+        phi, a = chain[0], chain[0].arity
+        # the least variable fills the root slot only, so the slots below
+        # it, which `value` contracts, read the entries without it
+        root = entries
+        least = min(v for v, _, _ in terms) if terms else 0
+        entries = entries_of([t for t in terms if t[0] != least])
+        pairs = {}
+        for pair, child in phi.trie.items():
+            left = root[pair][0]
+            for index, d in value(child, 1, a - 1, None).items():
+                for v, x in left.items():
+                    if v < index[0]:
+                        pairs.setdefault((v,) + index, []).append((x, d))
+        return {index: total * a for index, total in dots(pairs).items()}
     after = None
     for phi in reversed(chain):
         if not phi.trie:

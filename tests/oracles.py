@@ -2,8 +2,9 @@
 
 Each helper recomputes a library value by a second route: the adjugate
 against the double-minor identity, a trace word as the dense tensor of
-its matrix-entry products, a dense cochain's value key by key, kappa by
-its permutation expansion, cyclicity on every tuple of matrix units,
+its matrix-entry products, a dense cochain's value key by key, a cochain
+rotated one slot as a new tensor, kappa by its permutation expansion,
+cyclicity on every tuple of matrix units,
 conjugation invariance on seeded exact conjugations, the anchored trace sum one trace word per
 permutation, the wedge, trace and exterior derivative of
 matrix forms one ordered term pair at a time (a trace also with each
@@ -153,6 +154,17 @@ def kappa_permutation_reference(phi, omega: MatrixForm) -> ScalarForm:
         if not coeff.is_zero:
             terms[index] = coeff
     return ScalarForm(n, a, terms)
+
+
+def rotated_reference(phi: DenseCochain) -> DenseCochain:
+    """Tensor of phi o r, r(x_1,..,x_a) = (x_a, x_1,..,x_{a-1}), built
+    and validated as a new DenseCochain."""
+    # (phi o r)(x_1,..,x_a) = phi(x_a, x_1,..,x_{a-1}): the pair that
+    # phi assigns to slot 1 lands on x_a, slots 2.. land on x_1..
+    out = {}
+    for key, c in phi.tensor.items():
+        out[key[1:] + (key[0],)] = c
+    return DenseCochain(phi.arity, phi.k, out)
 
 
 def unit_grid(k: int, i: int, j: int) -> tuple:

@@ -34,7 +34,7 @@ from pencilforms.sampling import random_poly_matrix, rng_for
 from pencilforms.torus import TorusConfig
 from oracles import (dense_evaluate_reference, invariance_probe_reference,
                      is_cyclic_spanning_reference, random_grid,
-                     trace_word_dense, unit_grid)
+                     rotated_reference, trace_word_dense, unit_grid)
 from test_ring import gaussians
 from test_torus import rand_exact_element, rand_numeric_element
 
@@ -258,6 +258,17 @@ def test_cyclic_symmetrize_produces_cyclic_cochains():
         phi = DenseCochain.random(rng, arity, k)
         sym = cyclic_symmetrize(phi)
         assert is_cyclic(sym)
+        # (1/a) sum_t eps^t phi o r^t, each phi o r^t a validated tensor,
+        # in the same key order
+        rotated, total = phi, {}
+        for t in range(arity):
+            for key, c in rotated.tensor.items():
+                c = -c if arity % 2 == 0 and t % 2 else c
+                total[key] = total[key] + c if key in total else c
+            rotated = rotated_reference(rotated)
+        want = DenseCochain(arity, k, {key: c * Scalar(Fraction(1, arity))
+                                       for key, c in total.items()})
+        assert list(sym.tensor.items()) == list(want.tensor.items())
         # b preserves cyclicity
         assert is_cyclic(coboundary(sym))
 
@@ -390,7 +401,7 @@ def dense_cases(draw):
     elif how == "cyclic":
         phi = cyclic_symmetrize(phi)
     elif how == "rotated":
-        phi = phi.rotated()
+        phi = rotated_reference(phi)
 
     kind = draw(st.sampled_from(("scalar", "poly-int", "poly-gauss",
                                  "ratfn")))

@@ -311,7 +311,7 @@ def test_matrix_form_reduction_strips_shared_base_factor():
     assert slim == omega
 
 
-def test_reduction_divides_nothing_when_the_last_entry_fails(monkeypatch):
+def test_reduction_stops_at_the_first_refused_entry(monkeypatch):
     base = MultiPoly.parse("z1+z2", 2)  # leading z1, trailing z2
     one = MultiPoly.one(2)
     # three entries divisible by the base, each an unread kernel result
@@ -328,18 +328,28 @@ def test_reduction_divides_nothing_when_the_last_entry_fails(monkeypatch):
         steps[0] += 1
         return inner(p, exps, c)
 
+    def reduced(rows):
+        form = MatrixForm(2, 2, 1, {(1,): PolyMatrix(2, rows)}, base, 1)
+        steps[0] = 0
+        out = form._reduced()
+        return form, out
+
     monkeypatch.setattr(ring, "poly_mul_term", counting)
-    form = MatrixForm(2, 2, 1, {(1,): PolyMatrix(2, [entries[:2],
-                                                     entries[2:]])}, base, 1)
-    out = form._reduced()
-    assert steps[0] == 0  # no division step ran
-    assert all(e._dict is None for e in entries)  # all still packed
+    # refused last: the round divides the three entries before it and
+    # keeps the form as it was; the monomial test refuses the last entry
+    # with no step, and it stays packed
+    form, out = reduced([entries[:2], entries[2:]])
+    assert steps[0] > 0
+    assert out.den_pow == 1 and out.terms[(1,)].rows == form.terms[(1,)].rows
+    assert last._dict is None
+    # refused first: no division step runs
+    form, out = reduced([[last, entries[0]], entries[1:3]])
+    assert steps[0] == 0
     assert out.den_pow == 1 and out.terms[(1,)].rows == form.terms[(1,)].rows
     # with the last entry divisible too, every entry is divided once
     entries[3] = MultiPoly.dot(2, [(base, base)])
-    form = MatrixForm(2, 2, 1, {(1,): PolyMatrix(2, [entries[:2],
-                                                     entries[2:]])}, base, 1)
-    assert form._reduced().den_pow == 0 and steps[0] > 0
+    form, out = reduced([entries[:2], entries[2:]])
+    assert out.den_pow == 0 and steps[0] > 0
 
 
 def test_matrix_form_evaluate_and_pole():

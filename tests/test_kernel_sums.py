@@ -34,3 +34,34 @@ def test_kernel_sums_prints_both_lanes_and_the_division_line():
                                  for g in counts.groups())
     assert calls >= failed >= by_test > 0
     assert _files(ROOT / "perfbench") == before
+
+
+def _sums_and_divisions(*args):
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "kernel_sums.py"),
+         "--workload", "form-requests", "--seed", "1", *args],
+        capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr[-3000:]
+    lines = done.stdout.splitlines()
+    calls, pairs = (int(field.replace(",", ""))
+                    for field in lines[-2].split()[1:3])
+    divisions = int(re.search(r"calls ([\d,]+)", lines[-1]).group(1)
+                    .replace(",", ""))
+    return lines, calls, pairs, divisions
+
+
+def test_kernel_sums_counts_only_the_requests_of_one_kind():
+    # the whole pass runs, but only the 9 cyclic kappa requests are counted
+    lines, calls, pairs, divisions = _sums_and_divisions("--kind", "cyclic")
+    assert lines[0] == ("form-requests seed 1: one pass, 51 requests, "
+                        "9 of kind cyclic counted")
+    assert {line.split()[2] for line in lines[2:-2]} == {"gaussian"}
+    _, all_calls, all_pairs, all_divisions = _sums_and_divisions()
+    assert 0 < calls < all_calls and 0 < pairs < all_pairs
+    assert 0 < divisions < all_divisions
+    refused = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "kernel_sums.py"),
+         "--workload", "verify-pencil", "--kind", "cyclic"],
+        capture_output=True, text=True, timeout=600)
+    assert refused.returncode == 2
+    assert "no verify-pencil request has kind 'cyclic'" in refused.stderr

@@ -1379,28 +1379,40 @@ def test_exact_divide_fails_on_the_trailing_monomial_without_a_step(
     assert steps[0] == 0  # it calls `_core`'s binding, not ring's
 
 
+# contents a divisor is taken times: none, an integer one and the Gaussian
+# 1 + i, which the integer gcd of the divisor's parts does not take out
+_CONTENTS = ((1, 1, 0, 1), (6, 1, 0, 1), (1, 1, 1, 1))
+
+
 @st.composite
 def division_cases(draw):
-    """(dividend terms, divisor terms): two variables, Gaussian-rational
-    coefficients, small exponents and ones whose keys take 9 bits. The
-    dividend is q*d, or q*d with a drawn term added to it or one of its
-    coefficients changed."""
-    coeffs = _KIND_COEFFS[draw(st.sampled_from(("gauss", "mixed")))]
+    """(dividend terms, divisor terms): two variables, small exponents and
+    ones whose keys take 9 bits. d, q and a drawn term each take their
+    coefficients from a kind drawn for them (integer, Gaussian integer,
+    rational or Gaussian rational), so denominators mix and some operand
+    pairs are both over Z[i]; d is then taken times a content from
+    `_CONTENTS`. The dividend is q*d, or q*d with a drawn term added to it
+    or one of its coefficients changed."""
+    def coeffs():
+        return _KIND_COEFFS[draw(st.sampled_from(sorted(_KIND_COEFFS)))]
+
     exps = st.tuples(_dot_exponents, _dot_exponents)
-    d = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=4))
-    q = draw(st.dictionaries(exps, coeffs, max_size=4))
+    content = draw(st.sampled_from(_CONTENTS))
+    d = {e: qmul(c, content) for e, c in draw(st.dictionaries(
+        exps, coeffs(), min_size=1, max_size=4)).items()}
+    q = draw(st.dictionaries(exps, coeffs(), max_size=4))
     p = dict((MultiPoly(2, q) * MultiPoly(2, d))._terms)
     how = draw(st.sampled_from(("product", "added", "changed")))
     if how == "added":
-        e, c = draw(exps), draw(coeffs)
+        e, c = draw(exps), draw(coeffs())
         p[e] = qadd(p.get(e, Q_ZERO), c)
     elif how == "changed" and p:
         e = draw(st.sampled_from(sorted(p)))
-        p[e] = qadd(p[e], draw(coeffs))
+        p[e] = qadd(p[e], draw(coeffs()))
     return {e: c for e, c in p.items() if c != Q_ZERO}, d
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(division_cases(), st.sampled_from(("dict", "packed")),
        st.sampled_from(("dict", "packed")))
 @example(({(2, 0): Q_ONE, (0, 0): Q_ONE}, {(1, 0): Q_ONE, (0, 1): Q_ONE}),
@@ -1408,6 +1420,13 @@ def division_cases(draw):
 @example(({(512, 1): (1, 1, 2, 1), (256, 2): (0, 1, 1, 1)},
           {(256, 0): (1, 2, 0, 1), (0, 1): (0, 1, 1, 1)}),
          "packed", "packed")  # keys wider than 8 bits
+# (z1^2 - z2^2)/2 by (1 + i)(z1 + z2): the quotient (1 - i)(z1 - z2)/4
+# leaves Z[i] at every step
+@example(({(2, 0): (1, 2, 0, 1), (0, 2): (-1, 2, 0, 1)},
+          {(1, 0): (1, 1, 1, 1), (0, 1): (1, 1, 1, 1)}), "packed", "dict")
+# z1 z2 + 2/3 z2^2 by 6 z1 + 4 z2, of content 2: the quotient z2 / 6
+@example(({(1, 1): Q_ONE, (0, 2): (2, 3, 0, 1)},
+          {(1, 0): (6, 1, 0, 1), (0, 1): (4, 1, 0, 1)}), "dict", "dict")
 def test_exact_divide_matches_the_stepwise_reference(case, p_how, d_how):
     p_terms, d_terms = case
     got = _held(p_terms, p_how).exact_divide(_held(d_terms, d_how))
@@ -1415,6 +1434,45 @@ def test_exact_divide_matches_the_stepwise_reference(case, p_how, d_how):
                                   MultiPoly(2, dict(d_terms)))
     # the quotient or None, and the quotient's term order
     assert _items(got) == _items(want)
+
+
+def test_division_over_gaussian_integers_is_not_rescaled(monkeypatch):
+    # operands both over Z[i] take their steps on the divisor's own terms,
+    # content 2 + 2i kept, and the quotient is not scaled back
+    d = MultiPoly.parse("(2+2*i)*z1+4*z2", 2)
+    q = MultiPoly.parse("z1^2-3*i*z2", 2)
+    seen = []
+    inner = ring.poly_mul_term
+
+    def recording(p, exps, c):
+        seen.append(p)
+        return inner(p, exps, c)
+
+    def refused(p, c):
+        raise AssertionError("the quotient was scaled")
+
+    monkeypatch.setattr(ring, "poly_mul_term", recording)
+    monkeypatch.setattr(ring, "poly_scale", refused)
+    for how in ("dict", "packed"):
+        p = _held(dict((q * d)._terms), how)
+        del seen[:]
+        assert _items(p.exact_divide(d)) == _items(q)
+        assert seen and all(terms is d._terms for terms in seen)
+    monkeypatch.undo()
+    # a dividend with a denominator takes the steps on d over Z[i] with
+    # the gcd of its ints taken out, and scales the quotient back once
+    third = q * Fraction(1, 3)
+    p = third * d
+    scaled = []
+    inner_scale = ring.poly_scale
+    monkeypatch.setattr(ring, "poly_mul_term", recording)
+    monkeypatch.setattr(ring, "poly_scale",
+                        lambda p, c: scaled.append(c) or inner_scale(p, c))
+    del seen[:]
+    assert _items(p.exact_divide(d)) == _items(third)
+    assert seen and all(terms == {(1, 0): (1, 1, 1, 1), (0, 1): (2, 1, 0, 1)}
+                        for terms in seen)
+    assert scaled == [(1, 6, 0, 1)]  # 2 from d's content, 1/3 from p's
 
 
 _print_exponents = st.one_of(st.integers(0, 3),

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from pencilforms import transgression
 from pencilforms.cli import parse_cochain_spec
 from pencilforms.cochains import (
     DenseCochain,
@@ -286,10 +287,12 @@ def test_hyperplane_wedge_of_coordinates_matches_product_functional():
 # recorded when kappa began to contract the trie against omega slot by
 # slot, one `MultiPoly.dot` per form coefficient (kernel calls before:
 # 504), and set to their measured counts (423 and 112 before) when
-# omega's adjugate became one kernel sum per minor. Evaluating phi per
-# permutation again exceeds both.
-DENSE_KAPPA_BUDGET = 419
-DENSE_KAPPA_CALL_BUDGET = 108
+# omega's adjugate became one kernel sum per minor, and set again (419 and
+# 108 before) when the kappa of a cyclic cochain began to sum one anchored
+# first slot. Evaluating phi per permutation, or summing every rotation of
+# a cyclic phi, exceeds both.
+DENSE_KAPPA_BUDGET = 255
+DENSE_KAPPA_CALL_BUDGET = 80
 
 
 def test_dense_kappa_kernel_product_budget(monkeypatch):
@@ -339,8 +342,10 @@ def test_functional_cochains_have_no_tensor():
 # k = 3 pencil, omega included, recorded when kappa began to contract every
 # cochain's chain of dense factors; 1,020 products in 324 calls when a
 # trace word was evaluated once per permutation. The trace word itself
-# took this chain until its kappa became the wedged tr(omega^3).
-TRACEWORD_KAPPA_BUDGET = 696
+# took this chain until its kappa became the wedged tr(omega^3). The
+# tensor is cyclic, and the budget was set to 405 (696 before) when such a
+# tensor's kappa began to sum one anchored first slot.
+TRACEWORD_KAPPA_BUDGET = 405
 
 # The same for the trace word tr(x y z), whose kappa is tr(omega^3) by
 # `trace_power_form`: 579 products in 131 calls with omega's det read off
@@ -515,3 +520,75 @@ def test_dense_kappa_matches_permutation_expansion(case):
     assert list(got.terms) == list(want.terms)
     for index in want.terms:
         assert str(got.coefficient(index)) == str(want.coefficient(index))
+
+
+# -- the anchored sum of a cyclic cochain -----------------------------------
+
+
+def _gaussian_pencil(draw, n, k):
+    grid = st.lists(st.lists(gaussians, min_size=k, max_size=k),
+                    min_size=k, max_size=k)
+    f = MatrixTuple(draw(st.lists(grid, min_size=n, max_size=n))).pencil()
+    assume(not f.det().is_zero)
+    return f
+
+
+@st.composite
+def anchored_cases(draw):
+    """(phi, f): a cyclic-symmetrized dense cochain of arity 2..4 with
+    Gaussian-rational coefficients on k = 2..3 (k = 2 at arity 4, to bound
+    the oracle), and a Gaussian-rational pencil with n = arity..4."""
+    arity = draw(st.integers(2, 4))
+    k = draw(st.integers(2, 3 if arity < 4 else 2))
+    n = draw(st.integers(max(arity, 3), 4))
+    return (cyclic_symmetrize(dense_factor(draw, arity, k)),
+            _gaussian_pencil(draw, n, k))
+
+
+@settings(max_examples=80, deadline=None)
+@given(anchored_cases())
+@example((parse_cochain_spec("cyclic-random:3:2:7"), _GUARD))
+@example((parse_cochain_spec("cyclic-random:4:2:1"), _GUARD))
+def test_anchored_kappa_matches_the_wedge_oracle(case):
+    # a cyclic cochain's kappa sums the permutations with pi(1) = min I
+    # only, a times each
+    phi, f = case
+    assert is_cyclic(phi)
+    assert kappa(phi, f) == kappa_wedge_oracle(phi, f)
+
+
+@st.composite
+def unanchored_cases(draw):
+    """(phi, f): a dense cochain that is not cyclic, or a product of two
+    cyclic-symmetrized ones, of arity 2..3 on k = 2, and a
+    Gaussian-rational pencil with n = 3..4."""
+    arity = draw(st.integers(2, 3))
+    if draw(st.booleans()):
+        phi = dense_factor(draw, arity, 2)
+        assume(not is_cyclic(phi))
+    else:
+        left = draw(st.integers(1, arity - 1))
+        phi = ProductCochain(
+            cyclic_symmetrize(dense_factor(draw, left, 2)),
+            cyclic_symmetrize(dense_factor(draw, arity - left, 2)))
+    return phi, _gaussian_pencil(draw, draw(st.integers(3, 4)), 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(unanchored_cases())
+def test_unanchored_kappa_matches_the_wedge_oracle(case):
+    phi, f = case
+    assert kappa(phi, f) == kappa_wedge_oracle(phi, f)
+
+
+def test_the_anchored_sum_needs_the_cyclic_gate(monkeypatch):
+    # with the gate forced open, kappa of a cochain that is not cyclic
+    # takes the anchored sum and differs from the oracle
+    rng = rng_for(33, "gate")
+    f = random_matrix_tuple(rng, 3, 2).pencil()
+    phi = DenseCochain.random(rng, 2, 2)
+    assert not is_cyclic(phi)
+    want = kappa_wedge_oracle(phi, f)
+    assert kappa(phi, f) == want
+    monkeypatch.setattr(transgression, "is_cyclic", lambda phi: True)
+    assert kappa(phi, f) != want

@@ -1,6 +1,7 @@
 """Kernel sums and exact divisions of one workload pass.
 
     python3 tools/kernel_sums.py [--workload verify-pencil] [--seed 1]
+                                 [--kind KIND]
 
 Run from anywhere; the package is imported from this checkout's ``src/``.
 It builds one pass of a workload of ``perfbench/workloads.py`` at the
@@ -8,7 +9,10 @@ seed, runs its requests through in-process ``cli.main`` with
 ``ring.poly_dot`` wrapped, and prints, for each band of term pairs per
 sum, each accumulator of `_core.poly_dot` (dict or dense) and each lane
 (real-int when no operand has an imaginary part, else gaussian), the
-calls, the term pairs and the seconds spent in those sums.
+calls, the term pairs and the seconds spent in those sums. With
+``--kind``, the whole pass still runs, so the caches behave as in the
+workload, but only the sums and divisions made inside requests of that
+``Request.kind`` (``cyclic``, say) are counted.
 
 A last line counts the pass's `MultiPoly.exact_divide` calls, the ones
 that gave None, the failures that took no division step (counted as
@@ -42,6 +46,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", default="verify-pencil")
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--kind", help="count only requests of this kind")
     args = parser.parse_args(argv)
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -52,6 +57,7 @@ def main(argv=None) -> int:
         parser.error(f"unknown workload {args.workload!r}; "
                      f"choose from {', '.join(workloads.WORKLOADS)}")
     dense_dot, poly_dot = _core._dense_dot, ring.poly_dot
+    counting = [True]  # whether the running request is counted
     dense_hits = []
 
     def counted_dense_dot(*a):
@@ -62,6 +68,8 @@ def main(argv=None) -> int:
     rows = {}  # (band, accumulator, lane) -> [calls, term pairs, seconds]
 
     def timed_poly_dot(pairs):
+        if not counting[0]:
+            return poly_dot(pairs)
         pairs = list(pairs)
         size = sum(len(p[4]) * len(q[4]) for p, q in pairs)
         real = all(p[5] is None and q[5] is None for p, q in pairs
@@ -90,6 +98,8 @@ def main(argv=None) -> int:
         return mul_term(*a)
 
     def counted_divide(self, d):
+        if not counting[0]:
+            return exact_divide(self, d)
         division["calls"] += 1
         before = steps[0]
         out = exact_divide(self, d)
@@ -101,6 +111,8 @@ def main(argv=None) -> int:
         return out
 
     def counted_reduced(self):
+        if not counting[0]:
+            return reduced(self)
         before = divided[0]
         out = reduced(self)
         # each round that took a power off divided every entry once
@@ -122,14 +134,22 @@ def main(argv=None) -> int:
         with tempfile.TemporaryDirectory() as tmp:
             requests = workloads.build(args.workload, args.seed, 1,
                                        Path(tmp))[0]
+            kinds = {request.kind for request in requests}
+            if args.kind is not None and args.kind not in kinds:
+                parser.error(f"no {args.workload} request has kind "
+                             f"{args.kind!r}; choose from "
+                             f"{', '.join(sorted(kinds))}")
             for request in requests:
+                counting[0] = args.kind in (None, request.kind)
                 run(cli, request.argv)
     finally:
         for owner, name, value in saved:
             setattr(owner, name, value)
 
+    counted = sum(args.kind in (None, request.kind) for request in requests)
     print(f"{args.workload} seed {args.seed}: one pass, {len(requests)} "
-          "requests")
+          "requests" + ("" if args.kind is None else
+                        f", {counted} of kind {args.kind} counted"))
     print(f"{'term pairs':<14}{'accumulator':<13}{'lane':<10}{'calls':>8}"
           f"{'term pairs':>13}{'seconds':>10}")
     total = [0, 0, 0.0]
